@@ -21,8 +21,9 @@ import os
 import time
 
 from repro.bench.reporting import emit, format_table, results_dir
-from repro.net import AdmissionConfig, LoadConfig, run_network_experiment
+from repro.net import AdmissionConfig, LoadConfig
 from repro.obs import TimeSeriesSampler, TraceCollector
+from repro.pta.distributed import run_network_experiment
 from repro.replic import NetworkConfig
 
 NETWORK = NetworkConfig(latency=0.005, bandwidth=10e6, jitter=0.002)

@@ -23,8 +23,9 @@ import os
 import time
 
 from repro.bench.reporting import emit, format_table, results_dir
+from repro.pta.distributed import run_replicated_experiment
 from repro.pta.tables import Scale
-from repro.replic import NetworkConfig, run_replicated_experiment
+from repro.replic import NetworkConfig
 
 SCALE = Scale(
     n_stocks=12, n_comps=3, stocks_per_comp=4,

@@ -10,15 +10,26 @@ number.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.pta.tables import Scale
-from repro.pta.workload import ExperimentResult, run_experiment
-
-#: The paper sweeps the delay window from 0.5 to 3 seconds (section 5.1).
-DELAYS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+from repro.pta.workload import (
+    DELAYS,
+    FIGURE_VARIANTS,
+    ExperimentResult,
+    run_deletion_experiment,
+    run_experiment,
+    sweep,
+)
 
 _SWEEP_CACHE: dict[tuple, list] = {}
+
+
+def _cached(key: tuple, compute: Callable[[], list]) -> list:
+    """Run each distinct sweep once per process (figures share grids)."""
+    if key not in _SWEEP_CACHE:
+        _SWEEP_CACHE[key] = compute()
+    return _SWEEP_CACHE[key]
 
 
 def delays_default() -> tuple[float, ...]:
@@ -36,20 +47,7 @@ def is_strict_scale(scale: Optional[Scale] = None) -> bool:
 
 def bench_scale() -> Scale:
     """The Scale used by the benchmark suite (env-configurable)."""
-    choice = os.environ.get("REPRO_BENCH_SCALE", "small").strip().lower()
-    if choice == "paper":
-        return Scale.paper()
-    if choice == "small":
-        return Scale.small()
-    if choice == "tiny":
-        return Scale.tiny()
-    try:
-        factor = float(choice)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BENCH_SCALE={choice!r}: use paper/small/tiny or a float factor"
-        ) from None
-    return Scale.paper().scaled(factor)
+    return Scale.parse(os.environ.get("REPRO_BENCH_SCALE", "small"))
 
 
 def _sweep(
@@ -60,19 +58,10 @@ def _sweep(
     seed: int,
 ) -> list[ExperimentResult]:
     scale = scale or bench_scale()
-    key = (view, tuple(variants), scale, tuple(delays), seed)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    results: list[ExperimentResult] = []
-    for variant in variants:
-        if variant == "nonunique":
-            results.append(run_experiment(scale, view, variant, 0.0, seed))
-            continue
-        for delay in delays:
-            results.append(run_experiment(scale, view, variant, delay, seed))
-    _SWEEP_CACHE[key] = results
-    return results
+    return _cached(
+        (view, tuple(variants), scale, tuple(delays), seed),
+        lambda: sweep(scale, view, variants, delays, seed),
+    )
 
 
 def comp_sweep(
@@ -81,7 +70,7 @@ def comp_sweep(
     seed: int = 0,
 ) -> list[ExperimentResult]:
     """The Figure 9/10/11 grid: composite maintenance, all four rules."""
-    return _sweep("comps", ("nonunique", "unique", "on_symbol", "on_comp"), scale, delays, seed)
+    return _sweep("comps", FIGURE_VARIANTS["comps"], scale, delays, seed)
 
 
 def option_sweep(
@@ -96,7 +85,7 @@ def option_sweep(
     batching on option symbols led to an unmanageable number of
     transactions"); :func:`option_symbol_probe` demonstrates the blow-up.
     """
-    return _sweep("options", ("nonunique", "unique", "on_symbol"), scale, delays, seed)
+    return _sweep("options", FIGURE_VARIANTS["options"], scale, delays, seed)
 
 
 def compaction_sweep(
@@ -115,19 +104,16 @@ def compaction_sweep(
     (longer windows accumulate more redundant rows per key).
     """
     scale = scale or bench_scale()
-    key = ("compaction", view, variant, scale, tuple(delays), seed)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pairs = [
-        (
-            run_experiment(scale, view, variant, delay, seed),
-            run_experiment(scale, view, variant, delay, seed, compact=True),
-        )
-        for delay in delays
-    ]
-    _SWEEP_CACHE[key] = pairs
-    return pairs
+    return _cached(
+        ("compaction", view, variant, scale, tuple(delays), seed),
+        lambda: [
+            (
+                run_experiment(scale, view, variant, delay, seed),
+                run_experiment(scale, view, variant, delay, seed, compact=True),
+            )
+            for delay in delays
+        ],
+    )
 
 
 #: The default fault mix for the sweep: periodically kill recompute tasks,
@@ -156,19 +142,16 @@ def fault_sweep(
     fault/recovery machinery rather than workload noise.
     """
     scale = scale or bench_scale()
-    key = ("faults", view, variant, scale, delay, seed, plan, tuple(fault_seeds), max_retries)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    results = [
-        run_experiment(
-            scale, view, variant, delay, seed,
-            faults=plan, fault_seed=fault_seed, max_retries=max_retries,
-        )
-        for fault_seed in fault_seeds
-    ]
-    _SWEEP_CACHE[key] = results
-    return results
+    return _cached(
+        ("faults", view, variant, scale, delay, seed, plan, tuple(fault_seeds), max_retries),
+        lambda: [
+            run_experiment(
+                scale, view, variant, delay, seed,
+                faults=plan, fault_seed=fault_seed, max_retries=max_retries,
+            )
+            for fault_seed in fault_seeds
+        ],
+    )
 
 
 def wal_overhead_sweep(
@@ -287,14 +270,8 @@ def dred_sweep(
     convergence oracle verdict rides along so the bench doubles as a
     correctness gate.
     """
-    from repro.pta.workload import run_deletion_experiment
 
-    key = ("dred", delete_mix, n_events, seed, faults)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows = []
-    for strategy in ("incremental", "dred", "recompute"):
+    def strategy_row(strategy: str) -> dict:
         result = run_deletion_experiment(
             n_events=n_events,
             delete_mix=delete_mix,
@@ -302,25 +279,29 @@ def dred_sweep(
             seed=seed,
             faults=faults,
         )
-        rows.append(
-            {
-                "maintenance": strategy,
-                "n_deletions": result.n_deletions,
-                "rows_touched": result.rows_touched,
-                "rows_per_deletion": round(result.rows_touched_per_deletion, 2),
-                "overdeleted": result.rows_overdeleted,
-                "rederived": result.rows_rederived,
-                "full_recomputes": result.full_recomputes,
-                "superseded": result.superseded,
-                "cpu_maint_s": round(result.cpu_maintenance, 4),
-                "virtual_end_s": round(result.end_time, 2),
-                "wall_s": round(result.wall_s, 3),
-                "oracle_divergent": result.oracle_divergent,
-                "oracle_rows": result.oracle_rows,
-            }
-        )
-    _SWEEP_CACHE[key] = rows
-    return rows
+        return {
+            "maintenance": strategy,
+            "n_deletions": result.n_deletions,
+            "rows_touched": result.rows_touched,
+            "rows_per_deletion": round(result.rows_touched_per_deletion, 2),
+            "overdeleted": result.rows_overdeleted,
+            "rederived": result.rows_rederived,
+            "full_recomputes": result.full_recomputes,
+            "superseded": result.superseded,
+            "cpu_maint_s": round(result.cpu_maintenance, 4),
+            "virtual_end_s": round(result.end_time, 2),
+            "wall_s": round(result.wall_s, 3),
+            "oracle_divergent": result.oracle_divergent,
+            "oracle_rows": result.oracle_rows,
+        }
+
+    return _cached(
+        ("dred", delete_mix, n_events, seed, faults),
+        lambda: [
+            strategy_row(strategy)
+            for strategy in ("incremental", "dred", "recompute")
+        ],
+    )
 
 
 def option_symbol_probe(

@@ -19,7 +19,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench.reporting import format_series, format_table
+from repro.errors import InjectedCrashError
+from repro.fault import ConvergenceReport, check_convergence
 from repro.obs import (
+    TimeSeriesSampler,
     TraceCollector,
     ensure_parent,
     export_stats,
@@ -30,7 +33,15 @@ from repro.obs import (
     write_series_jsonl,
 )
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import (
+    DELAYS,
+    FIGURE_VARIANTS,
+    grid,
+    populate_trace,
+    run_cascade_experiment,
+    run_deletion_experiment,
+    run_experiment,
+)
 from repro.sim.costmodel import SIMPLE_UPDATE_PATH, TABLE1_US, CostModel
 
 _FIGURES = {
@@ -43,33 +54,40 @@ _FIGURES = {
 }
 
 
-def _scale_of(name: str) -> Scale:
-    presets = {"paper": Scale.paper, "small": Scale.small, "tiny": Scale.tiny}
-    if name in presets:
-        return presets[name]()
+def _scale(args: argparse.Namespace) -> Scale:
     try:
-        return Scale.paper().scaled(float(name))
-    except ValueError:
-        raise SystemExit(f"unknown scale {name!r}: use paper/small/tiny or a float")
-
-
-def _cmd_table1(_args: argparse.Namespace) -> int:
-    model = CostModel()
-    rows = [{"operation": op, "virtual_us": TABLE1_US[op]} for op in SIMPLE_UPDATE_PATH]
-    rows.append({"operation": "TOTAL (simple update)", "virtual_us": model.simple_update_us()})
-    print(format_table(rows, "Table 1 - basic operation timings"))
-    print(f"computed throughput: {model.simple_update_tps():.0f} TPS")
-    return 0
+        return Scale.parse(args.scale)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _make_collector(args: argparse.Namespace) -> Optional[TraceCollector]:
-    if (
-        getattr(args, "trace_out", None)
-        or getattr(args, "stats_out", None)
-        or getattr(args, "obs", False)
-    ):
+    if args.trace_out or args.stats_out or getattr(args, "obs", False):
         return TraceCollector()
     return None
+
+
+def _network_config(args: argparse.Namespace):
+    from repro.replic import NetworkConfig
+
+    return NetworkConfig(
+        latency=args.net_latency,
+        bandwidth=args.net_bandwidth,
+        jitter=args.net_jitter,
+        drop=args.net_drop,
+        reorder=args.net_reorder,
+    )
+
+
+def _admission_config(args: argparse.Namespace):
+    from repro.net import AdmissionConfig
+
+    return AdmissionConfig(
+        session_rate=args.session_rate,
+        session_burst=args.session_burst,
+        delay_at=args.delay_at,
+        shed_at=args.shed_at,
+    )
 
 
 def _freshness_sections(collector: TraceCollector) -> None:
@@ -94,18 +112,56 @@ def _write_trace(collector: TraceCollector, path: str) -> None:
     print(f"trace: {count} events -> {path}")
 
 
-def _write_stats(collector: TraceCollector, path: str, title: str) -> None:
-    text = export_stats(collector, path, title)
-    if text is not None:
-        print(text)
-    else:
-        print(f"stats report -> {path}")
+def _write_outputs(
+    collector: TraceCollector, args: argparse.Namespace, stats_title: str
+) -> None:
+    """Honour ``--trace-out`` / ``--stats-out`` for one traced run."""
+    if args.trace_out:
+        _write_trace(collector, args.trace_out)
+    if args.stats_out:
+        text = export_stats(collector, args.stats_out, stats_title)
+        if text is not None:
+            print(text)
+        else:
+            print(f"stats report -> {args.stats_out}")
+
+
+def _print_faults(result, fault_seed: int, recovery: bool) -> None:
+    """The ``faults: N injected ...`` line of a faulted run.  ``recovery``
+    adds the retry/drop counts (engine faults; network seams have none)."""
+    if result.faults is None:
+        return
+    recovered = (
+        f" ({result.fault_retries} retried, {result.fault_drops} dropped)"
+        if recovery
+        else ""
+    )
+    print(
+        f"faults: {result.faults_injected} injected{recovered} "
+        f"from plan {result.faults!r} seed {fault_seed}"
+    )
+
+
+def _oracle_exit(report: ConvergenceReport) -> int:
+    """Print the oracle's verdict; returns the exit code it implies."""
+    print(report.format())
+    return 0 if report.ok else 1
+
+
+def _cmd_table1(_args: argparse.Namespace) -> int:
+    model = CostModel()
+    rows = [{"operation": op, "virtual_us": TABLE1_US[op]} for op in SIMPLE_UPDATE_PATH]
+    rows.append({"operation": "TOTAL (simple update)", "virtual_us": model.simple_update_us()})
+    print(format_table(rows, "Table 1 - basic operation timings"))
+    print(f"computed throughput: {model.simple_update_tps():.0f} TPS")
+    return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.errors import InjectedCrashError
-
-    if getattr(args, "replicas", 0):
+    """One PTA run: a single view, or with ``--cascade`` the two-level
+    scenario (sector indexes maintained over composite indexes, rule
+    cascades scheduled bottom-up by stratum)."""
+    if args.replicas:
         incompatible = [
             flag
             for flag, is_set in (
@@ -125,109 +181,40 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 "periodic checkpoints; see docs/REPLICATION.md)"
             )
         return _cmd_replicate(args)
-
-    if args.cascade:
-        return _cmd_cascade_experiment(args)
-
-    scale = _scale_of(args.scale)
-    collector = _make_collector(args)
-    try:
-        result = run_experiment(
-            scale,
-            view=args.view,
-            variant=args.variant,
-            delay=args.delay,
-            seed=args.seed,
-            policy=args.policy,
-            processors=args.processors,
-            drop_late=args.drop_late,
-            update_deadline=args.update_deadline,
-            tracer=collector,
-            compact=args.compact,
-            faults=args.faults,
-            fault_seed=args.fault_seed,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            wal_dir=args.wal_dir,
-            checkpoint_every=args.checkpoint_every,
-            wal_sync=args.wal_sync,
-        )
-    except InjectedCrashError as exc:
-        print(f"process crashed mid-run: {exc}", file=sys.stderr)
-        if args.wal_dir:
-            print(
-                f"recover with: python -m repro recover {args.wal_dir}",
-                file=sys.stderr,
-            )
-        return 3
-    print(format_table([result.row()], "Experiment result"))
-    if result.compact:
-        print(
-            f"delta compaction: {result.compact_rows_in} rows folded to "
-            f"{result.compact_rows_out} (ratio {result.compaction_ratio:.2f})"
-        )
-    print(
-        f"maintenance CPU: {result.maintenance_cpu:.3f}s over {result.duration:.0f}s "
-        f"(recompute {result.cpu_recompute:.3f}s + rule overhead in updates "
-        f"{max(result.cpu_update - result.cpu_baseline_update, 0.0):.3f}s)"
-    )
-    if args.drop_late:
-        print(f"dropped (firm deadline): {result.dropped_tasks}")
-    if collector is not None:
-        _freshness_sections(collector)
-        if args.trace_out:
-            _write_trace(collector, args.trace_out)
-        if args.stats_out:
-            _write_stats(
-                collector,
-                args.stats_out,
-                f"Trace statistics ({args.view}/{args.variant}, delay {args.delay}s)",
-            )
-    if args.wal_dir:
-        print(
-            f"durability: {result.wal_records} WAL records, "
-            f"{result.checkpoints} checkpoints -> {args.wal_dir}"
-        )
-    if args.faults is not None:
-        print(
-            f"faults: {result.faults_injected} injected "
-            f"({result.fault_retries} retried, {result.fault_drops} dropped) "
-            f"from plan {args.faults!r} seed {args.fault_seed}"
-        )
-        print(result.oracle_report.format())
-        if not result.oracle_report.ok:
-            return 1
-    return 0
-
-
-def _cmd_cascade_experiment(args: argparse.Namespace) -> int:
-    """The two-level scenario: sector indexes maintained over composite
-    indexes, rule cascades scheduled bottom-up by stratum."""
-    from repro.errors import InjectedCrashError
-    from repro.pta.workload import run_cascade_experiment
-
-    if args.view != "comps":
+    if args.cascade and args.view != "comps":
         raise SystemExit("--cascade implies the comps view (sectors build on it)")
-    scale = _scale_of(args.scale)
+
+    scale = _scale(args)
     collector = _make_collector(args)
+    shared = dict(
+        variant=args.variant,
+        delay=args.delay,
+        seed=args.seed,
+        policy=args.policy,
+        tracer=collector,
+        compact=args.compact,
+        faults=args.faults,
+        fault_seed=args.fault_seed,
+        max_retries=args.max_retries,
+        retry_backoff=args.retry_backoff,
+        wal_dir=args.wal_dir,
+        checkpoint_every=args.checkpoint_every,
+        wal_sync=args.wal_sync,
+    )
     try:
-        result = run_cascade_experiment(
-            scale,
-            variant=args.variant,
-            delay=args.delay,
-            sector_delay=args.sector_delay,
-            seed=args.seed,
-            policy=args.policy,
-            tracer=collector,
-            compact=args.compact,
-            faults=args.faults,
-            fault_seed=args.fault_seed,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            wal_dir=args.wal_dir,
-            checkpoint_every=args.checkpoint_every,
-            wal_sync=args.wal_sync,
-        )
+        if args.cascade:
+            result = run_cascade_experiment(
+                scale, sector_delay=args.sector_delay, **shared
+            )
+        else:
+            result = run_experiment(
+                scale,
+                view=args.view,
+                processors=args.processors,
+                drop_late=args.drop_late,
+                update_deadline=args.update_deadline,
+                **shared,
+            )
     except InjectedCrashError as exc:
         print(f"process crashed mid-run: {exc}", file=sys.stderr)
         if args.wal_dir:
@@ -236,81 +223,65 @@ def _cmd_cascade_experiment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 3
-    print(format_table([result.row()], "Cascade experiment result"))
+    title = "Cascade experiment result" if args.cascade else "Experiment result"
+    print(format_table([result.row()], title))
     if result.compact:
         print(
             f"delta compaction: {result.compact_rows_in} rows folded to "
             f"{result.compact_rows_out} (ratio {result.compaction_ratio:.2f})"
         )
+    if not args.cascade:
+        print(
+            f"maintenance CPU: {result.maintenance_cpu:.3f}s over {result.duration:.0f}s "
+            f"(recompute {result.cpu_recompute:.3f}s + rule overhead in updates "
+            f"{max(result.cpu_update - result.cpu_baseline_update, 0.0):.3f}s)"
+        )
+        if args.drop_late:
+            print(f"dropped (firm deadline): {result.dropped_tasks}")
     if collector is not None:
         _freshness_sections(collector)
-        strata = collector.staleness.stratum_rows()
+        strata = collector.staleness.stratum_rows() if args.cascade else []
         if strata:
             print(format_table(strata, "Staleness by stratum"))
-        if args.trace_out:
-            _write_trace(collector, args.trace_out)
-        if args.stats_out:
-            _write_stats(
-                collector,
-                args.stats_out,
-                f"Trace statistics (cascade/{args.variant}, delay {args.delay}s)",
-            )
+        what = "cascade" if args.cascade else args.view
+        _write_outputs(
+            collector,
+            args,
+            f"Trace statistics ({what}/{args.variant}, delay {args.delay}s)",
+        )
     if args.wal_dir:
         print(
             f"durability: {result.wal_records} WAL records, "
             f"{result.checkpoints} checkpoints -> {args.wal_dir}"
         )
-    if args.faults is not None:
-        print(
-            f"faults: {result.faults_injected} injected "
-            f"({result.fault_retries} retried, {result.fault_drops} dropped) "
-            f"from plan {args.faults!r} seed {args.fault_seed}"
-        )
+    _print_faults(result, args.fault_seed, recovery=True)
     if result.oracle_report is not None:
-        print(result.oracle_report.format())
-        if not result.oracle_report.ok:
-            return 1
+        return _oracle_exit(result.oracle_report)
     return 0
-
-
-def _replication_network(args: argparse.Namespace):
-    """NetworkConfig from the CLI knobs (defaults when delegating from
-    the experiment subcommand, which lacks the --net-* flags)."""
-    from repro.replic import NetworkConfig
-
-    return NetworkConfig(
-        latency=getattr(args, "net_latency", 0.02),
-        bandwidth=getattr(args, "net_bandwidth", 10e6),
-        jitter=getattr(args, "net_jitter", 0.0),
-        drop=getattr(args, "net_drop", 0.0),
-        reorder=getattr(args, "net_reorder", 0.0),
-        reorder_delay=getattr(args, "net_reorder_delay", 0.05),
-    )
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     """Run one PTA experiment on a WAL-shipping replication cluster."""
-    from repro.replic import run_replicated_experiment
+    from repro.pta.distributed import run_replicated_experiment
 
-    scale = _scale_of(args.scale)
     collector = _make_collector(args)
     result = run_replicated_experiment(
-        scale,
+        _scale(args),
         view=args.view,
         variant=args.variant,
         delay=args.delay,
         seed=args.seed,
-        replicas=max(getattr(args, "replicas", 0) or 2, 1),
-        mode=getattr(args, "repl_mode", "async"),
-        wal_dir=getattr(args, "wal_dir", None),
-        network=_replication_network(args),
-        net_seed=getattr(args, "net_seed", 0),
-        batch_records=getattr(args, "repl_batch", 8),
-        resend_timeout=getattr(args, "resend_timeout", 0.25),
-        faults=getattr(args, "faults", None),
-        fault_seed=getattr(args, "fault_seed", 0),
-        max_retries=getattr(args, "max_retries", 5),
-        retry_backoff=getattr(args, "retry_backoff", 0.25),
+        replicas=max(args.replicas or 2, 1),
+        mode=args.repl_mode,
+        wal_dir=args.wal_dir,
+        network=_network_config(args),
+        net_seed=args.net_seed,
+        batch_records=args.repl_batch,
+        resend_timeout=args.resend_timeout,
+        faults=args.faults,
+        fault_seed=args.fault_seed,
+        max_retries=args.max_retries,
+        retry_backoff=args.retry_backoff,
         tracer=collector,
     )
     print(
@@ -344,11 +315,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             f"{result.commit_wait_mean * 1e3:.1f}ms mean "
             f"({result.commit_wait_max * 1e3:.1f}ms max) for the first ack"
         )
-    if result.faults is not None:
-        print(
-            f"faults: {result.faults_injected} injected from plan "
-            f"{result.faults!r} seed {getattr(args, 'fault_seed', 0)}"
-        )
+    _print_faults(result, args.fault_seed, recovery=False)
     if result.crashed:
         print("primary crashed mid-run; failover drill:")
         print(result.failover.describe())
@@ -366,22 +333,19 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                 print(report.format())
     if collector is not None:
         _freshness_sections(collector)
-        if getattr(args, "trace_out", None):
-            _write_trace(collector, args.trace_out)
-        if getattr(args, "stats_out", None):
-            _write_stats(
-                collector,
-                args.stats_out,
-                f"Trace statistics (replicated {args.view}/{args.variant}, "
-                f"{result.mode})",
-            )
+        _write_outputs(
+            collector,
+            args,
+            f"Trace statistics (replicated {args.view}/{args.variant}, "
+            f"{result.mode})",
+        )
     return 0 if result.converged else 1
 
 
 def _serve_sim(args: argparse.Namespace) -> int:
     """The simulated-channel mode: one seeded network experiment."""
-    from repro.net import AdmissionConfig, LoadConfig, run_network_experiment
-    from repro.obs import TimeSeriesSampler
+    from repro.net import LoadConfig
+    from repro.pta.distributed import run_network_experiment
 
     collector = TraceCollector(
         timeseries=TimeSeriesSampler(
@@ -392,7 +356,7 @@ def _serve_sim(args: argparse.Namespace) -> int:
     )
     clients_out: list = []
     result = run_network_experiment(
-        scale=_scale_of(args.scale),
+        scale=_scale(args),
         variant=args.variant,
         delay=args.delay,
         seed=args.seed,
@@ -403,13 +367,8 @@ def _serve_sim(args: argparse.Namespace) -> int:
             burst_gap=args.burst_gap,
             intra_gap=args.intra_gap,
         ),
-        network=_replication_network(args),
-        admission=AdmissionConfig(
-            session_rate=args.session_rate,
-            session_burst=args.session_burst,
-            delay_at=args.delay_at,
-            shed_at=args.shed_at,
-        ),
+        network=_network_config(args),
+        admission=_admission_config(args),
         ack_timeout=args.ack_timeout,
         faults=args.faults,
         fault_seed=args.fault_seed,
@@ -436,17 +395,12 @@ def _serve_sim(args: argparse.Namespace) -> int:
     }
     print(f"admission decisions: {counts}")
     print(f"channel: {result.channel}")
-    if result.faults:
-        print(
-            f"faults: {result.faults_injected} injected from plan "
-            f"{result.faults!r} seed {args.fault_seed}"
-        )
+    _print_faults(result, args.fault_seed, recovery=False)
     if result.lost_acked:
         print(f"LOST ACKNOWLEDGED MUTATIONS: {result.lost_acked}")
     else:
         print("zero lost acknowledged mutations")
-    if result.oracle_report is not None:
-        print(result.oracle_report.format())
+    print(result.oracle_report.format())
     if args.json_out:
         summary = {
             **result.row(),
@@ -456,23 +410,18 @@ def _serve_sim(args: argparse.Namespace) -> int:
             "lost_acked": result.lost_acked,
             "faults_injected": result.faults_injected,
             "channel": result.channel,
-            "converged": result.oracle_report.ok
-            if result.oracle_report is not None
-            else None,
+            "converged": result.oracle_report.ok,
             "ok": result.ok,
         }
         ensure_parent(args.json_out)
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
         print(f"summary -> {args.json_out}")
-    if args.trace_out:
-        _write_trace(collector, args.trace_out)
-    if args.stats_out:
-        _write_stats(
-            collector,
-            args.stats_out,
-            f"Trace statistics (serve --transport sim, {args.clients} clients)",
-        )
+    _write_outputs(
+        collector,
+        args,
+        f"Trace statistics (serve --transport sim, {args.clients} clients)",
+    )
     return 0 if result.ok else 1
 
 
@@ -481,30 +430,20 @@ def _serve_asyncio(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.database import Database
-    from repro.net import AdmissionConfig, NetServer, ServerConfig
+    from repro.net import NetServer, ServerConfig
     from repro.net.aio import AsyncNetServer
     from repro.pta.rules import install_comp_rule
-    from repro.pta.tables import populate
-    from repro.pta.workload import get_trace
 
     collector = TraceCollector()
     db = Database(tracer=collector)
     db.metrics.set_keep_records(False)
-    scale = _scale_of(args.scale)
-    trace, events = get_trace(scale, args.seed)
-    populate(db, scale, trace, events, args.seed)
+    scale = _scale(args)
+    populate_trace(db, scale, args.seed)
     install_comp_rule(db, args.variant, args.delay)
     core = NetServer(
         db,
         collector=collector,
-        config=ServerConfig(
-            admission=AdmissionConfig(
-                session_rate=args.session_rate,
-                session_burst=args.session_burst,
-                delay_at=args.delay_at,
-                shed_at=args.shed_at,
-            )
-        ),
+        config=ServerConfig(admission=_admission_config(args)),
     )
     server = AsyncNetServer(core, host=args.host, port=args.port)
 
@@ -545,10 +484,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Run one experiment under full observability and render a dashboard:
     staleness percentiles, the per-rule cost attribution table, and the
     virtual-time series (with optional JSON / JSONL exports)."""
-    scale = _scale_of(args.scale)
     collector = TraceCollector(sample_interval=args.interval)
     result = run_experiment(
-        scale,
+        _scale(args),
         view=args.view,
         variant=args.variant,
         delay=args.delay,
@@ -604,32 +542,25 @@ def _suffixed(path: str, tag: str) -> str:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     view, metric, label = _FIGURES[args.number]
-    scale = _scale_of(args.scale)
-    variants = (
-        ("nonunique", "unique", "on_symbol", "on_comp")
-        if view == "comps"
-        else ("nonunique", "unique", "on_symbol")
-    )
-    delays = args.delays or [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    scale = _scale(args)
     series: dict[str, list[tuple[float, float]]] = {}
     stats_sections: list[str] = []
-    for variant in variants:
-        for delay in [0.0] if variant == "nonunique" else delays:
-            collector = _make_collector(args)
-            result = run_experiment(
-                scale, view, variant, delay, seed=args.seed, tracer=collector
-            )
-            series.setdefault(variant, []).append(
-                (delay, float(getattr(result, metric)))
-            )
-            if collector is not None:
-                tag = f"{variant}-{delay:g}"
-                if args.trace_out:
-                    _write_trace(collector, _suffixed(args.trace_out, tag))
-                if args.stats_out:
-                    stats_sections.append(
-                        stats_report(collector, f"Trace statistics ({tag})")
-                    )
+    for variant, delay in grid(FIGURE_VARIANTS[view], args.delays or DELAYS):
+        collector = _make_collector(args)
+        result = run_experiment(
+            scale, view, variant, delay, seed=args.seed, tracer=collector
+        )
+        series.setdefault(variant, []).append(
+            (delay, float(getattr(result, metric)))
+        )
+        if collector is not None:
+            tag = f"{variant}-{delay:g}"
+            if args.trace_out:
+                _write_trace(collector, _suffixed(args.trace_out, tag))
+            if args.stats_out:
+                stats_sections.append(
+                    stats_report(collector, f"Trace statistics ({tag})")
+                )
     if stats_sections and args.stats_out:
         if args.stats_out == "-":
             print("\n\n".join(stats_sections))
@@ -645,10 +576,12 @@ def _cmd_compaction(args: argparse.Namespace) -> int:
     """The delta-compaction sweep: off/on pairs across the delay windows."""
     from repro.bench.experiments import compaction_sweep
 
-    scale = _scale_of(args.scale)
-    delays = args.delays or [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     pairs = compaction_sweep(
-        scale, delays, seed=args.seed, view=args.view, variant=args.variant
+        _scale(args),
+        args.delays or DELAYS,
+        seed=args.seed,
+        view=args.view,
+        variant=args.variant,
     )
     rows = []
     for off, on in pairs:
@@ -676,8 +609,6 @@ def _cmd_compaction(args: argparse.Namespace) -> int:
 def _cmd_dred(args: argparse.Namespace) -> int:
     """The deletion-heavy variant: close-outs and delistings under a chosen
     maintenance strategy, always checked by the convergence oracle."""
-    from repro.pta.workload import run_deletion_experiment
-
     faults = args.faults
     if faults == "default":
         from repro.bench.experiments import DEFAULT_FAULT_PLAN
@@ -701,20 +632,18 @@ def _cmd_dred(args: argparse.Namespace) -> int:
             f"delete mix {args.delete_mix})",
         )
     )
-    report = result.oracle_report
-    print(report.format())
-    return 0 if report.ok else 1
+    return _oracle_exit(result.oracle_report)
 
 
 def _cmd_fault(args: argparse.Namespace) -> int:
     """The fault sweep: one injected run per seed, each checked by the oracle."""
     from repro.bench.experiments import DEFAULT_FAULT_PLAN, fault_sweep
 
-    scale = _scale_of(args.scale)
     plan = args.plan if args.plan is not None else DEFAULT_FAULT_PLAN
+    fault_seeds = args.fault_seeds or [0, 1, 2]
     results = fault_sweep(
-        scale,
-        fault_seeds=args.fault_seeds or [0, 1, 2],
+        _scale(args),
+        fault_seeds=fault_seeds,
         seed=args.seed,
         view=args.view,
         variant=args.variant,
@@ -723,11 +652,8 @@ def _cmd_fault(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
     )
     rows = []
-    failed = 0
-    for fault_seed, result in zip(args.fault_seeds or [0, 1, 2], results):
+    for fault_seed, result in zip(fault_seeds, results):
         report = result.oracle_report
-        if not report.ok:
-            failed += 1
         rows.append(
             {
                 "fault_seed": fault_seed,
@@ -747,8 +673,10 @@ def _cmd_fault(args: argparse.Namespace) -> int:
             f"plan {plan!r})",
         )
     )
-    for fault_seed, result in zip(args.fault_seeds or [0, 1, 2], results):
+    failed = 0
+    for fault_seed, result in zip(fault_seeds, results):
         if not result.oracle_report.ok:
+            failed += 1
             print(f"--- fault seed {fault_seed} ---")
             print(result.oracle_report.format())
     return 1 if failed else 0
@@ -756,33 +684,20 @@ def _cmd_fault(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     """Rebuild a crashed run from its WAL directory and verify convergence."""
-    from repro.database import Database
-    from repro.fault import check_convergence
-    from repro.persist import recover
-    from repro.pta.rules import function_registry
+    from repro.pta.distributed import recover_run
     from repro.sim.simulator import Simulator
 
-    db = Database()
-    report = recover(
-        db,
-        args.wal_dir,
-        functions=function_registry(),
-        max_retries=args.max_retries,
-        backoff=args.retry_backoff,
-    )
+    db, report = recover_run(args.wal_dir, args.max_retries, args.retry_backoff)
     print(report.describe())
     if args.no_drain:
         return 0
     executed = Simulator(db).run()
     print(f"drained {executed} resurrected tasks")
-    oracle = check_convergence(db)
-    print(oracle.format())
-    return 0 if oracle.ok else 1
+    return _oracle_exit(check_convergence(db))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    scale = _scale_of(args.scale)
-    generator = scale.make_trace(seed=args.seed)
+    generator = _scale(args).make_trace(seed=args.seed)
     events = generator.generate()
     if args.stats:
         stats = generator.describe(events)
@@ -809,6 +724,155 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Every flag more than one subcommand takes, declared once.  A subcommand
+#: picks the flags it honours by name (:func:`_shared`), so a flag has the
+#: same type, choices and default wherever it appears — the two exceptions
+#: (``serve --delay``, ``replicate --replicas``) are ``set_defaults`` calls
+#: next to the subcommand.
+_SHARED_FLAGS: dict[str, dict] = {
+    "--view": dict(choices=["comps", "options"], default="comps"),
+    "--variant": dict(
+        choices=["nonunique", "unique", "on_symbol", "on_comp", "on_option"],
+        default="unique",
+    ),
+    "--delay": dict(type=float, default=1.0),
+    "--scale": dict(default="tiny"),
+    "--seed": dict(type=int, default=0),
+    "--delays": dict(type=float, nargs="*"),
+    "--compact": dict(
+        action="store_true",
+        help="run the rule with the delta-compaction fast path (compact on "
+        "the view's derived key; requires a unique variant)",
+    ),
+    "--interval": dict(
+        type=float, default=1.0, metavar="SECONDS",
+        help="time-series sampling cadence in virtual seconds (stats: <=0 "
+        "disables sampling)",
+    ),
+    "--json-out": dict(
+        metavar="PATH",
+        help="write the run summary as JSON (stats: the full snapshot, schema "
+        "docs/schemas/stats_snapshot.schema.json; serve: throughput, "
+        "admission decisions, oracle verdict)",
+    ),
+    # faults
+    "--faults": dict(
+        metavar="PLAN", default=None,
+        help="fault-injection plan, e.g. 'task.exec:kill@every=7;"
+        "txn.commit:abort@p=0.01' (see docs/FAULTS.md); the convergence "
+        "oracle runs afterwards and a divergence exits 1.  replicate adds "
+        "the ship.send / ship.ack / apply.frame seams (a wal.append crash "
+        "turns the run into a failover drill), serve the net.accept / "
+        "net.recv / net.send seams; dred accepts 'default' for the bench "
+        "suite's plan",
+    ),
+    "--fault-seed": dict(
+        type=int, default=0,
+        help="seed for the injection schedule (workload seed stays --seed)",
+    ),
+    "--max-retries": dict(
+        type=int, default=5,
+        help="retry budget per task before a fault-killed (or, on recovery, "
+        "orphaned) task is dropped",
+    ),
+    "--retry-backoff": dict(
+        type=float, default=0.25,
+        help="base backoff (virtual seconds) for fault retries",
+    ),
+    # WAL
+    "--wal-dir": dict(
+        metavar="DIR", default=None,
+        help="enable durability: write-ahead log + checkpoints into DIR "
+        "(recoverable after a crash with 'python -m repro recover DIR'; "
+        "see docs/PERSISTENCE.md).  A replicated run without it logs into "
+        "a temporary directory",
+    ),
+    "--checkpoint-every": dict(
+        type=float, default=None, metavar="SECONDS",
+        help="fuzzy-checkpoint interval in virtual seconds (default: only "
+        "the initial post-setup checkpoint)",
+    ),
+    "--wal-sync": dict(
+        action="store_true",
+        help="fsync the WAL after every flush (real durability, slower)",
+    ),
+    # obs outputs
+    "--trace-out": dict(
+        metavar="PATH",
+        help="write a trace of the run: Chrome trace_event JSON (open in "
+        "Perfetto), or JSONL when PATH ends in .jsonl; figure writes one "
+        "per run, suffixed -<variant>-<delay>",
+    ),
+    "--stats-out": dict(
+        metavar="PATH", help="write a plain-text stats report ('-' for stdout)"
+    ),
+    "--obs": dict(
+        action="store_true",
+        help="attach a trace collector even without --trace-out/--stats-out "
+        "(prints staleness and cost-attribution tables after the run)",
+    ),
+    # network link
+    "--net-latency": dict(
+        type=float, default=0.02, metavar="SECONDS",
+        help="one-way channel latency in virtual seconds (default 0.02)",
+    ),
+    "--net-bandwidth": dict(
+        type=float, default=10e6, metavar="BYTES_PER_S",
+        help="channel bandwidth in bytes/virtual-second (default 10e6)",
+    ),
+    "--net-jitter": dict(
+        type=float, default=0.0, metavar="SECONDS",
+        help="uniform extra delay in [0, JITTER) per message (default 0)",
+    ),
+    "--net-drop": dict(
+        type=float, default=0.0, metavar="P",
+        help="per-message drop probability (default 0; senders retransmit)",
+    ),
+    "--net-reorder": dict(
+        type=float, default=0.0, metavar="P",
+        help="probability a message is held back and arrives late (default 0)",
+    ),
+    # replication
+    "--replicas": dict(
+        type=int, default=0, metavar="N",
+        help="attach N hot-standby replicas over WAL shipping (see "
+        "docs/REPLICATION.md; replicate defaults to 2)",
+    ),
+    "--repl-mode": dict(
+        choices=["async", "semisync"], default="async",
+        help="async: shipping rides between tasks, commits never wait; "
+        "semisync: each commit waits for the first standby's ack",
+    ),
+    "--net-seed": dict(
+        type=int, default=0,
+        help="seed for the replication links (drops, jitter, reorders)",
+    ),
+    "--repl-batch": dict(
+        type=int, default=8, metavar="RECORDS",
+        help="max WAL records batched into one shipped frame (default 8)",
+    ),
+    "--resend-timeout": dict(
+        type=float, default=0.25, metavar="SECONDS",
+        help="go-back-N retransmission timeout in virtual seconds",
+    ),
+}
+
+_WORKLOAD = ("--view", "--variant", "--delay", "--scale", "--seed")
+_FAULTS = ("--faults", "--fault-seed", "--max-retries", "--retry-backoff")
+_WAL = ("--wal-dir", "--checkpoint-every", "--wal-sync")
+_OBS_OUT = ("--trace-out", "--stats-out")
+_LINK = ("--net-latency", "--net-bandwidth", "--net-jitter", "--net-drop", "--net-reorder")
+_REPLICATION = ("--replicas", "--repl-mode", "--net-seed", "--repl-batch", "--resend-timeout")
+
+
+def _shared(*flags: str) -> list[argparse.ArgumentParser]:
+    """A parent parser carrying the named :data:`_SHARED_FLAGS`."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **_SHARED_FLAGS[flag])
+    return [parent]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse CLI definition (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -819,14 +883,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print Table 1").set_defaults(fn=_cmd_table1)
 
-    experiment = sub.add_parser("experiment", help="run one PTA experiment")
-    experiment.add_argument("--view", choices=["comps", "options"], default="comps")
-    experiment.add_argument(
-        "--variant",
-        choices=["nonunique", "unique", "on_symbol", "on_comp", "on_option"],
-        default="unique",
+    experiment = sub.add_parser(
+        "experiment",
+        help="run one PTA experiment",
+        parents=_shared(
+            *_WORKLOAD, "--compact", *_FAULTS, *_WAL, *_OBS_OUT, "--obs",
+            *_REPLICATION, *_LINK,
+        ),
     )
-    experiment.add_argument("--delay", type=float, default=1.0)
     experiment.add_argument(
         "--cascade",
         action="store_true",
@@ -839,8 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="the sector rule's after window (only with --cascade)",
     )
-    experiment.add_argument("--scale", default="tiny")
-    experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--policy", choices=["fifo", "edf", "vdf"], default="fifo")
     experiment.add_argument(
         "--processors", type=int, default=1,
@@ -854,169 +916,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-deadline", type=float, default=None, metavar="SECONDS",
         help="give each update task a relative deadline (for edf/--drop-late)",
     )
-    experiment.add_argument(
-        "--compact", action="store_true",
-        help="run the rule with the delta-compaction fast path (compact on "
-        "the view's derived key; requires a unique variant)",
-    )
-    experiment.add_argument(
-        "--faults", metavar="PLAN", default=None,
-        help="fault-injection plan, e.g. 'task.exec:kill@every=7;"
-        "txn.commit:abort@p=0.01' (see docs/FAULTS.md); runs the "
-        "convergence oracle afterwards and exits 1 on divergence",
-    )
-    experiment.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the injection schedule (workload seed stays --seed)",
-    )
-    experiment.add_argument(
-        "--max-retries", type=int, default=5,
-        help="retry budget per task before a fault-killed task is dropped",
-    )
-    experiment.add_argument(
-        "--retry-backoff", type=float, default=0.25,
-        help="base backoff (virtual seconds) for fault retries",
-    )
-    experiment.add_argument(
-        "--wal-dir", metavar="DIR", default=None,
-        help="enable durability: write-ahead log + checkpoints into DIR "
-        "(recoverable after a crash with 'python -m repro recover DIR'; "
-        "see docs/PERSISTENCE.md)",
-    )
-    experiment.add_argument(
-        "--checkpoint-every", type=float, default=None, metavar="SECONDS",
-        help="fuzzy-checkpoint interval in virtual seconds (default: only "
-        "the initial post-setup checkpoint)",
-    )
-    experiment.add_argument(
-        "--wal-sync", action="store_true",
-        help="fsync the WAL after every flush (real durability, slower)",
-    )
-    experiment.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write a trace of the run: Chrome trace_event JSON "
-        "(open in Perfetto), or JSONL when PATH ends in .jsonl",
-    )
-    experiment.add_argument(
-        "--stats-out", metavar="PATH",
-        help="write a plain-text stats report ('-' for stdout)",
-    )
-    experiment.add_argument(
-        "--obs", action="store_true",
-        help="attach a trace collector even without --trace-out/--stats-out "
-        "(prints staleness and cost-attribution tables after the run)",
-    )
-    experiment.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="attach N hot-standby replicas over WAL shipping (delegates to "
-        "the replicate subcommand's harness; see docs/REPLICATION.md)",
-    )
-    experiment.add_argument(
-        "--repl-mode", choices=["async", "semisync"], default="async",
-        help="replication commit mode when --replicas > 0 (semisync blocks "
-        "each commit until the first standby acks it)",
-    )
     experiment.set_defaults(fn=_cmd_experiment)
 
     replicate = sub.add_parser(
         "replicate",
         help="run one PTA experiment on a WAL-shipping replication cluster "
         "(hot standbys, simulated network, optional failover drill)",
+        parents=_shared(
+            *_WORKLOAD, *_FAULTS, "--wal-dir", *_OBS_OUT, "--obs",
+            *_REPLICATION, *_LINK,
+        ),
     )
-    replicate.add_argument("--view", choices=["comps", "options"], default="comps")
-    replicate.add_argument(
-        "--variant",
-        choices=["nonunique", "unique", "on_symbol", "on_comp", "on_option"],
-        default="unique",
-    )
-    replicate.add_argument("--delay", type=float, default=1.0)
-    replicate.add_argument("--scale", default="tiny")
-    replicate.add_argument("--seed", type=int, default=0)
-    replicate.add_argument(
-        "--replicas", type=int, default=2, metavar="N",
-        help="number of hot-standby replicas (default 2)",
-    )
-    replicate.add_argument(
-        "--repl-mode", choices=["async", "semisync"], default="async",
-        help="async: shipping rides between tasks, commits never wait; "
-        "semisync: each commit waits for the first standby's ack",
-    )
-    replicate.add_argument(
-        "--net-latency", type=float, default=0.02, metavar="SECONDS",
-        help="one-way channel latency in virtual seconds (default 0.02)",
-    )
-    replicate.add_argument(
-        "--net-bandwidth", type=float, default=10e6, metavar="BYTES_PER_S",
-        help="channel bandwidth in bytes/virtual-second (default 10e6)",
-    )
-    replicate.add_argument(
-        "--net-jitter", type=float, default=0.0, metavar="SECONDS",
-        help="uniform extra delay in [0, JITTER) per message (default 0)",
-    )
-    replicate.add_argument(
-        "--net-drop", type=float, default=0.0, metavar="P",
-        help="per-message drop probability (default 0; go-back-N resends)",
-    )
-    replicate.add_argument(
-        "--net-reorder", type=float, default=0.0, metavar="P",
-        help="probability a message is held back and arrives late (default 0)",
-    )
-    replicate.add_argument(
-        "--net-seed", type=int, default=0,
-        help="seed for the simulated network (drops, jitter, reorders)",
-    )
-    replicate.add_argument(
-        "--repl-batch", type=int, default=8, metavar="RECORDS",
-        help="max WAL records batched into one shipped frame (default 8)",
-    )
-    replicate.add_argument(
-        "--resend-timeout", type=float, default=0.25, metavar="SECONDS",
-        help="go-back-N retransmission timeout in virtual seconds",
-    )
-    replicate.add_argument(
-        "--wal-dir", metavar="DIR", default=None,
-        help="WAL/checkpoint directory (default: a fresh temp directory)",
-    )
-    replicate.add_argument(
-        "--faults", metavar="PLAN", default=None,
-        help="fault plan; may target the network (ship.send / ship.ack / "
-        "apply.frame) and the engine; a wal.append crash turns the run "
-        "into a failover drill (see docs/FAULTS.md, docs/REPLICATION.md)",
-    )
-    replicate.add_argument("--fault-seed", type=int, default=0)
-    replicate.add_argument("--max-retries", type=int, default=5)
-    replicate.add_argument("--retry-backoff", type=float, default=0.25)
-    replicate.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write a trace of the run (includes per-replica "
-        "counter.replication_lag tracks in the Chrome export)",
-    )
-    replicate.add_argument(
-        "--stats-out", metavar="PATH",
-        help="write a plain-text stats report ('-' for stdout)",
-    )
-    replicate.add_argument("--obs", action="store_true")
-    replicate.set_defaults(fn=_cmd_replicate)
+    replicate.set_defaults(fn=_cmd_replicate, replicas=2)
 
     serve = sub.add_parser(
         "serve",
         help="run the network front-end: protocol server with "
         "backpressure-driven admission control (simulated channels, or "
         "real asyncio sockets)",
+        parents=_shared(
+            "--variant", "--delay", "--scale", "--seed", *_FAULTS, *_LINK,
+            "--interval", "--json-out", *_OBS_OUT,
+        ),
     )
     serve.add_argument(
         "--transport", choices=["sim", "asyncio"], default="sim",
         help="sim: seeded in-process channels on the virtual clock, driven "
         "by the built-in load generator; asyncio: listen on a real socket",
     )
-    serve.add_argument(
-        "--variant",
-        choices=["nonunique", "unique", "on_symbol", "on_comp"],
-        default="unique",
-    )
-    serve.add_argument("--delay", type=float, default=0.5)
-    serve.add_argument("--scale", default="tiny")
-    serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--clients", type=int, default=4, metavar="N",
         help="concurrent protocol sessions (sim transport; default 4)",
@@ -1065,26 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-staleness", type=float, default=10.0, metavar="SECONDS",
         help="staleness watermark at which the backpressure signal saturates",
     )
-    serve.add_argument("--net-latency", type=float, default=0.02, metavar="SECONDS")
-    serve.add_argument("--net-bandwidth", type=float, default=10e6, metavar="BYTES_PER_S")
-    serve.add_argument("--net-jitter", type=float, default=0.0, metavar="SECONDS")
-    serve.add_argument(
-        "--net-drop", type=float, default=0.0, metavar="P",
-        help="per-message drop probability (clients recover by retransmit)",
-    )
-    serve.add_argument("--net-reorder", type=float, default=0.0, metavar="P")
-    serve.add_argument(
-        "--faults", metavar="PLAN", default=None,
-        help="fault plan; may target the client network (net.accept / "
-        "net.recv / net.send) and the engine (see docs/NETWORK.md)",
-    )
-    serve.add_argument("--fault-seed", type=int, default=0)
-    serve.add_argument("--max-retries", type=int, default=5)
-    serve.add_argument("--retry-backoff", type=float, default=0.25)
-    serve.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="time-series sampling cadence in virtual seconds",
-    )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (asyncio transport)"
     )
@@ -1097,47 +1004,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="asyncio transport: exit after this many wall seconds "
         "(default: serve until interrupted)",
     )
-    serve.add_argument(
-        "--json-out", metavar="PATH",
-        help="sim transport: write the run summary (throughput, admission "
-        "decisions, oracle verdict) as JSON",
-    )
-    serve.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write a trace of the run (includes the net and "
-        "counter.admission tracks in the Chrome export)",
-    )
-    serve.add_argument(
-        "--stats-out", metavar="PATH",
-        help="write a plain-text stats report ('-' for stdout)",
-    )
-    serve.set_defaults(fn=_cmd_serve)
+    serve.set_defaults(fn=_cmd_serve, delay=0.5)
 
     stats = sub.add_parser(
         "stats",
         help="run one experiment under full observability: staleness "
         "percentiles, per-rule cost attribution, and the virtual-time "
         "series dashboard",
-    )
-    stats.add_argument("--view", choices=["comps", "options"], default="comps")
-    stats.add_argument(
-        "--variant",
-        choices=["nonunique", "unique", "on_symbol", "on_comp", "on_option"],
-        default="unique",
-    )
-    stats.add_argument("--delay", type=float, default=1.0)
-    stats.add_argument("--scale", default="tiny")
-    stats.add_argument("--seed", type=int, default=0)
-    stats.add_argument("--compact", action="store_true")
-    stats.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="time-series sampling cadence in virtual seconds (<=0 disables "
-        "sampling; default 1.0)",
-    )
-    stats.add_argument(
-        "--json-out", metavar="PATH",
-        help="write the full stats snapshot as JSON (schema: "
-        "docs/schemas/stats_snapshot.schema.json)",
+        parents=_shared(*_WORKLOAD, "--compact", "--interval", "--json-out"),
     )
     stats.add_argument(
         "--series-out", metavar="PATH",
@@ -1146,37 +1020,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.set_defaults(fn=_cmd_stats)
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure")
+    figure = sub.add_parser(
+        "figure",
+        help="regenerate one paper figure",
+        parents=_shared("--scale", "--seed", "--delays", *_OBS_OUT),
+    )
     figure.add_argument("number", choices=sorted(_FIGURES))
-    figure.add_argument("--scale", default="tiny")
-    figure.add_argument("--seed", type=int, default=0)
-    figure.add_argument("--delays", type=float, nargs="*")
-    figure.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write one trace per run, suffixed -<variant>-<delay>",
-    )
-    figure.add_argument(
-        "--stats-out", metavar="PATH",
-        help="write per-run stats reports to one file ('-' for stdout)",
-    )
     figure.set_defaults(fn=_cmd_figure)
 
     compaction = sub.add_parser(
-        "compaction", help="sweep the delta-compaction fast path off vs on"
+        "compaction",
+        help="sweep the delta-compaction fast path off vs on",
+        parents=_shared("--view", "--variant", "--scale", "--seed", "--delays"),
     )
-    compaction.add_argument("--view", choices=["comps", "options"], default="comps")
-    compaction.add_argument(
-        "--variant",
-        choices=["unique", "on_symbol", "on_comp", "on_option"],
-        default="unique",
-    )
-    compaction.add_argument("--scale", default="tiny")
-    compaction.add_argument("--seed", type=int, default=0)
-    compaction.add_argument("--delays", type=float, nargs="*")
     compaction.set_defaults(fn=_cmd_compaction)
 
     dred = sub.add_parser(
-        "dred", help="run the deletion-heavy workload (close-outs, delistings)"
+        "dred",
+        help="run the deletion-heavy workload (close-outs, delistings)",
+        parents=_shared("--delay", "--seed", "--faults", "--fault-seed"),
     )
     dred.add_argument(
         "--maintenance",
@@ -1188,27 +1050,13 @@ def build_parser() -> argparse.ArgumentParser:
     dred.add_argument("--symbols", type=int, default=20)
     dred.add_argument("--positions", type=int, default=5)
     dred.add_argument("--events", type=int, default=400)
-    dred.add_argument("--delay", type=float, default=1.0)
-    dred.add_argument("--seed", type=int, default=0)
-    dred.add_argument(
-        "--faults", default=None,
-        help="fault plan, or 'default' for the bench suite's plan",
-    )
-    dred.add_argument("--fault-seed", type=int, default=0)
     dred.set_defaults(fn=_cmd_dred)
 
     fault = sub.add_parser(
-        "fault", help="run seeded fault-injection sweeps with the oracle"
+        "fault",
+        help="run seeded fault-injection sweeps with the oracle",
+        parents=_shared(*_WORKLOAD, "--max-retries"),
     )
-    fault.add_argument("--view", choices=["comps", "options"], default="comps")
-    fault.add_argument(
-        "--variant",
-        choices=["unique", "on_symbol", "on_comp", "on_option"],
-        default="unique",
-    )
-    fault.add_argument("--scale", default="tiny")
-    fault.add_argument("--seed", type=int, default=0)
-    fault.add_argument("--delay", type=float, default=1.0)
     fault.add_argument(
         "--plan", default=None,
         help="fault plan (default: the bench suite's DEFAULT_FAULT_PLAN)",
@@ -1217,13 +1065,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seeds", type=int, nargs="*", metavar="SEED",
         help="injection seeds to sweep (default 0 1 2)",
     )
-    fault.add_argument("--max-retries", type=int, default=5)
     fault.set_defaults(fn=_cmd_fault)
 
     recover = sub.add_parser(
         "recover",
         help="rebuild a crashed run from its WAL directory, drain the "
         "resurrected tasks, and run the convergence oracle",
+        parents=_shared("--max-retries", "--retry-backoff"),
     )
     recover.add_argument("wal_dir", metavar="WAL_DIR")
     recover.add_argument(
@@ -1231,16 +1079,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after recovery; do not execute resurrected tasks or "
         "run the oracle",
     )
-    recover.add_argument(
-        "--max-retries", type=int, default=5,
-        help="retry budget for orphaned (started-but-unfinished) tasks",
-    )
-    recover.add_argument("--retry-backoff", type=float, default=0.25)
     recover.set_defaults(fn=_cmd_recover)
 
-    trace = sub.add_parser("trace", help="generate / inspect a synthetic TAQ trace")
-    trace.add_argument("--scale", default="tiny")
-    trace.add_argument("--seed", type=int, default=0)
+    trace = sub.add_parser(
+        "trace",
+        help="generate / inspect a synthetic TAQ trace",
+        parents=_shared("--scale", "--seed"),
+    )
     trace.add_argument("--stats", action="store_true")
     trace.add_argument("--limit", type=int, default=20)
     trace.set_defaults(fn=_cmd_trace)

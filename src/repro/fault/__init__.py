@@ -10,14 +10,14 @@ The subsystem has three parts (see docs/FAULTS.md):
 * :mod:`repro.fault.recovery` — the retry-with-backoff policy that
   re-enqueues a killed/aborted unique task with its still-pending bound
   rows, and :mod:`repro.fault.oracle` — the post-quiescence batch
-  recomputation that must match the incrementally maintained state;
-* :mod:`repro.fault.crashcheck` — the crash-recover-converge harness:
-  ``crash`` actions at the WAL/checkpoint seams kill the process, the
-  persistence subsystem rebuilds it, and the oracle checks the rebuilt
-  state (docs/PERSISTENCE.md).
+  recomputation that must match the incrementally maintained state.
+
+The crash-recover-converge harness over these (``crash`` actions at the
+WAL/checkpoint seams kill the process, the persistence subsystem rebuilds
+it, the oracle checks the rebuilt state; docs/PERSISTENCE.md) is
+:func:`repro.pta.distributed.crash_recover_converge`.
 """
 
-from repro.fault.crashcheck import CrashCheckResult, crash_recover_converge
 from repro.fault.injector import Fault, FaultInjector, NullFaultInjector
 from repro.fault.oracle import ConvergenceReport, Divergence, check_convergence
 from repro.fault.plan import POINTS, FaultPlan, FaultSpec, parse_plan
@@ -26,7 +26,6 @@ from repro.fault.recovery import NullRecovery, RetryPolicy, is_injected_crash
 __all__ = [
     "POINTS",
     "ConvergenceReport",
-    "CrashCheckResult",
     "Divergence",
     "Fault",
     "FaultInjector",
@@ -36,7 +35,6 @@ __all__ = [
     "NullRecovery",
     "RetryPolicy",
     "check_convergence",
-    "crash_recover_converge",
     "is_injected_crash",
     "parse_plan",
 ]

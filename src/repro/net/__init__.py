@@ -18,7 +18,9 @@ Two transports: seeded in-process simulated channels on the virtual
 clock (:mod:`repro.net.sim`, with the ``net.accept`` / ``net.recv`` /
 ``net.send`` fault seams) and real asyncio sockets
 (:mod:`repro.net.aio`).  :mod:`repro.net.client` holds the protocol
-state machine and the bursty load generator.  See ``docs/NETWORK.md``.
+state machine and the bursty load generator.  See ``docs/NETWORK.md``
+(the PTA experiment over the wire is ``run_network_experiment``, in the
+experiment-driver layer above this package).
 """
 
 from repro.net.admission import AdmissionConfig, AdmissionController, TokenBucket
@@ -37,7 +39,7 @@ from repro.net.protocol import (
     encode_message,
 )
 from repro.net.server import AckRecord, NetServer, ServerConfig, Session
-from repro.net.sim import NetworkResult, SimNetTransport, run_network_experiment
+from repro.net.sim import SimNetTransport
 
 __all__ = [
     "AckRecord",
@@ -49,7 +51,6 @@ __all__ = [
     "LoadConfig",
     "NetClient",
     "NetServer",
-    "NetworkResult",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QuoteRequest",
@@ -59,5 +60,4 @@ __all__ = [
     "TokenBucket",
     "encode_message",
     "quote_stream",
-    "run_network_experiment",
 ]

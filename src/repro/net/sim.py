@@ -1,4 +1,4 @@
-"""The simulated transport and the network experiment harness.
+"""The simulated transport: clients and server on the virtual clock.
 
 :class:`SimNetTransport` runs N client connections against one
 :class:`~repro.net.server.NetServer` entirely on the **virtual clock**,
@@ -20,35 +20,23 @@ The co-simulation has two gears, exactly like replication:
   network event whenever the simulator drains — clients keep bursting
   even when the engine is idle.
 
-Everything is seeded: same seeds, same fault plan, same run.
-
-:func:`run_network_experiment` is the PTA-workload harness on top — the
-network sibling of :func:`repro.replic.cluster.run_replicated_experiment`
-— ending in the convergence oracle *plus* the server's zero-lost-acks
-check (:meth:`~repro.net.server.NetServer.lost_acked_mutations`).
+Everything is seeded: same seeds, same fault plan, same run.  The
+PTA-workload harness on top is ``run_network_experiment`` in the
+experiment-driver layer; nothing in this package imports a workload.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.database import Database
-from repro.fault import FaultInjector, RetryPolicy, check_convergence
-from repro.fault.oracle import ConvergenceReport
-from repro.net.admission import AdmissionConfig
-from repro.net.client import ClientStats, LoadConfig, NetClient, quote_stream
+from repro.net.client import NetClient
 from repro.net.protocol import FrameDecoder, encode_message
-from repro.net.server import NetServer, ServerConfig, Session
-from repro.obs.tracer import TraceCollector, Tracer
-from repro.pta.rules import install_comp_rule
-from repro.pta.tables import Scale, populate
-from repro.pta.workload import get_trace
+from repro.net.server import NetServer, Session
 from repro.replic.channel import NetworkConfig, SimChannel
 from repro.sim.simulator import Simulator
 
-__all__ = ["NetworkResult", "SimNetTransport", "run_network_experiment"]
+__all__ = ["SimNetTransport"]
 
 
 class _Connection:
@@ -235,195 +223,3 @@ class SimNetTransport:
                 for key, value in channel.stats().items():
                     totals[key] += value
         return totals
-
-
-# ------------------------------------------------------------------ harness
-
-
-@dataclass
-class NetworkResult:
-    """One network experiment, summarised for tables and BENCH JSON."""
-
-    n_clients: int
-    requests: int
-    sent: int
-    acked: int
-    throttled: int
-    shed: int
-    retransmits: int
-    gave_up: int
-    errors: int
-    refused_connections: int
-    admit_decisions: int
-    throttle_decisions: int
-    shed_decisions: int
-    end_time: float
-    throughput: float
-    p50_latency: Optional[float]
-    p95_latency: Optional[float]
-    lost_acked: list
-    faults: Optional[str]
-    faults_injected: int
-    channel: dict = field(default_factory=dict)
-    oracle_report: Optional[ConvergenceReport] = None
-
-    @property
-    def ok(self) -> bool:
-        oracle_ok = self.oracle_report.ok if self.oracle_report is not None else True
-        return oracle_ok and not self.lost_acked
-
-    def row(self) -> dict:
-        return {
-            "clients": self.n_clients,
-            "sent": self.sent,
-            "acked": self.acked,
-            "throttled": self.throttled,
-            "shed": self.shed,
-            "retransmits": self.retransmits,
-            "gave_up": self.gave_up,
-            "refused": self.refused_connections,
-            "throughput": round(self.throughput, 2),
-            "p50_ms": None if self.p50_latency is None else round(self.p50_latency * 1e3, 3),
-            "p95_ms": None if self.p95_latency is None else round(self.p95_latency * 1e3, 3),
-            "shed_rate": round(self.shed_decisions / max(self.sent, 1), 4),
-            "oracle": "ok" if self.ok else "FAIL",
-        }
-
-
-def run_network_experiment(
-    scale: Optional[Scale] = None,
-    variant: str = "unique",
-    delay: float = 0.5,
-    seed: int = 0,
-    n_clients: int = 4,
-    requests_per_client: int = 40,
-    load: Optional[LoadConfig] = None,
-    network: Optional[NetworkConfig] = None,
-    admission: Optional[AdmissionConfig] = None,
-    server_config: Optional[ServerConfig] = None,
-    ack_timeout: float = 0.5,
-    max_attempts: int = 8,
-    client_stagger: float = 0.01,
-    faults: Optional[str] = None,
-    fault_seed: int = 0,
-    max_retries: int = 5,
-    retry_backoff: float = 0.25,
-    until: Optional[float] = None,
-    tracer: Optional[Tracer] = None,
-    db_out: Optional[list] = None,
-    server_out: Optional[list] = None,
-    clients_out: Optional[list] = None,
-) -> NetworkResult:
-    """Run one PTA experiment fed entirely through the network front-end.
-
-    The same tables, rules, and virtual-time simulation as
-    :func:`repro.pta.workload.run_experiment`, but the quote stream
-    arrives from ``n_clients`` concurrent protocol sessions over lossy
-    simulated channels instead of a pre-built arrivals list.  A fault
-    plan may fault the network (``net.accept`` / ``net.recv`` /
-    ``net.send``) and the engine (e.g. ``task.exec:kill@...`` with
-    retry-based recovery) in the same run.  Ends with the convergence
-    oracle and the zero-lost-acknowledged-mutations check.
-    """
-    scale = scale or Scale.tiny()
-    load = load or LoadConfig()
-    injector = recovery = None
-    if faults:
-        injector = FaultInjector(faults, seed=fault_seed)
-        injector.enabled = False  # setup is not under test; armed before run
-        recovery = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
-    collector = tracer if isinstance(tracer, TraceCollector) else None
-    if tracer is None:
-        # Admission control needs the backpressure signal, which lives on
-        # a collector; a harness run always has one.
-        tracer = collector = TraceCollector()
-    db = Database(tracer=tracer, faults=injector, recovery=recovery)
-    db.metrics.set_keep_records(False)
-    trace, events = get_trace(scale, seed)
-    populate(db, scale, trace, events, seed)
-    install_comp_rule(db, variant, delay)
-
-    server = NetServer(
-        db,
-        collector=collector,
-        config=server_config or ServerConfig(admission=admission or AdmissionConfig()),
-    )
-    clients = []
-    for index in range(n_clients):
-        config = replace(
-            load,
-            n_requests=requests_per_client,
-            start=load.start + index * client_stagger,
-        )
-        quotes = quote_stream(
-            trace.symbols, trace.initial_prices, seed * 6151 + index, config
-        )
-        clients.append(
-            NetClient(
-                f"client-{index}",
-                quotes,
-                ack_timeout=ack_timeout,
-                max_attempts=max_attempts,
-                start=config.start,
-            )
-        )
-    transport = SimNetTransport(
-        server, clients, network=network, seed=seed, faults=injector
-    )
-    simulator = Simulator(db)
-    simulator.post_task_hooks.append(transport.pump)
-    if injector is not None:
-        injector.enabled = True
-    transport.drive(simulator, until=until)
-    if injector is not None:
-        injector.enabled = False  # oracle recomputation must run clean
-    for connection in transport.connections:
-        if connection.session is not None:
-            server.close_session(connection.session)
-
-    oracle_report = check_convergence(db)
-    lost = server.lost_acked_mutations()
-    totals = ClientStats()
-    for client in clients:
-        stats = client.stats
-        totals.sent += stats.sent
-        totals.acked += stats.acked
-        totals.throttled += stats.throttled
-        totals.retransmits += stats.retransmits
-        totals.shed += stats.shed
-        totals.errors += stats.errors
-        totals.gave_up += stats.gave_up
-        totals.latencies.extend(stats.latencies)
-    end_time = db.clock.base
-    counts = server.admission.counts()
-    result = NetworkResult(
-        n_clients=n_clients,
-        requests=n_clients * requests_per_client,
-        sent=totals.sent,
-        acked=totals.acked,
-        throttled=totals.throttled,
-        shed=totals.shed,
-        retransmits=totals.retransmits,
-        gave_up=totals.gave_up,
-        errors=totals.errors,
-        refused_connections=server.refused,
-        admit_decisions=counts["admit"],
-        throttle_decisions=counts["throttle"],
-        shed_decisions=counts["shed"],
-        end_time=end_time,
-        throughput=totals.acked / end_time if end_time > 0 else 0.0,
-        p50_latency=totals.latency_quantile(0.50),
-        p95_latency=totals.latency_quantile(0.95),
-        lost_acked=lost,
-        faults=faults or None,
-        faults_injected=db.faults.injected_count,
-        channel=transport.channel_stats(),
-        oracle_report=oracle_report,
-    )
-    if db_out is not None:
-        db_out.append(db)
-    if server_out is not None:
-        server_out.append(server)
-    if clients_out is not None:
-        clients_out.extend(clients)
-    return result

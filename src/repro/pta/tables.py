@@ -81,6 +81,21 @@ class Scale:
             n_updates=400,
         )
 
+    @classmethod
+    def parse(cls, name: str) -> "Scale":
+        """A preset name (``paper`` / ``small`` / ``tiny``) or a float
+        factor applied to the paper scale — the one spelling the CLI's
+        ``--scale`` and the benches' ``REPRO_BENCH_SCALE`` both accept."""
+        name = name.strip().lower()
+        if name in ("paper", "small", "tiny"):
+            return getattr(cls, name)()
+        try:
+            return cls.paper().scaled(float(name))
+        except ValueError:
+            raise ValueError(
+                f"unknown scale {name!r}: use paper/small/tiny or a float factor"
+            ) from None
+
     def scaled(self, factor: float) -> "Scale":
         return Scale(
             n_stocks=max(int(self.n_stocks * factor), 10),

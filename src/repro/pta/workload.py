@@ -11,20 +11,24 @@ virtual time on the single-server simulator; the returned
   no-rules baseline) as a fraction of the trace duration (Figures 9/12);
 * ``n_recomputes`` — N_r, the number of recompute transactions (10/13);
 * ``mean_recompute_length`` — mean system time minus queueing (11/14).
+
+Every driver — the three here and the replicated / networked / crash
+ones in :mod:`repro.pta.distributed` — runs on the
+:class:`~repro.pta.scaffold.ExperimentRun` scaffold and supplies only what
+is its own: tables and rules, the arrival stream, workload metrics.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.database import Database
-from repro.fault import ConvergenceReport, FaultInjector, RetryPolicy, check_convergence
 from repro.obs.tracer import TraceCollector, Tracer
-from repro.persist.manager import PersistenceManager
 from repro.pta.rules import install_comp_rule, install_option_rule, install_sector_rule
+from repro.pta.scaffold import ExperimentRun, RunOutcome
 from repro.pta.tables import Scale, populate, populate_sectors
 from repro.pta.trace import QuoteEvent, TaqTraceGenerator
 from repro.sim.costmodel import CostModel
@@ -57,7 +61,7 @@ def clear_caches() -> None:
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(RunOutcome):
     """Everything one experiment run produced."""
 
     view: str
@@ -85,22 +89,8 @@ class ExperimentResult:
     #: rows per recompute batch at start, and queue depth at each enqueue.
     batch_size_hist: Optional[dict] = None
     queue_depth_hist: Optional[dict] = None
-    #: Derived-view freshness and per-rule cost rollups (None without a
-    #: collector): staleness percentiles per view/rule, attribution rows.
-    staleness: Optional[dict] = None
+    #: Per-rule cost attribution rows (None without a collector).
     attribution: Optional[list] = None
-    #: Fault-injection outcome (all zero / None for fault-free runs).
-    faults: Optional[str] = None  # the plan string the run was faulted with
-    faults_injected: int = 0
-    fault_retries: int = 0
-    fault_drops: int = 0
-    oracle_divergent: Optional[int] = None  # None: oracle did not run
-    oracle_rows: int = 0
-    oracle_report: Optional[ConvergenceReport] = None
-    #: Durability outcome (None / zero for persistence-free runs).
-    wal_dir: Optional[str] = None  # the WAL directory the run logged into
-    wal_records: int = 0
-    checkpoints: int = 0
 
     @property
     def duration(self) -> float:
@@ -142,14 +132,7 @@ class ExperimentResult:
         if self.compact:
             out["compaction_ratio"] = round(self.compaction_ratio, 2)
             out["recomputed_rows"] = self.compact_rows_out
-        if self.faults is not None:
-            out["faults_injected"] = self.faults_injected
-            out["fault_retries"] = self.fault_retries
-            out["fault_drops"] = self.fault_drops
-            out["oracle_divergent"] = self.oracle_divergent
-        if self.wal_dir is not None:
-            out["wal_records"] = self.wal_records
-            out["checkpoints"] = self.checkpoints
+        out.update(self.outcome_row())
         return out
 
 
@@ -171,7 +154,7 @@ def _make_update_body(db: Database, symbol: str, price: float):
     return body
 
 
-def _trace_tasks(
+def trace_tasks(
     db: Database,
     events: Sequence[QuoteEvent],
     update_deadline: Optional[float] = None,
@@ -196,6 +179,25 @@ def _trace_tasks(
     ]
 
 
+def populate_trace(
+    db: Database, scale: Scale, seed: int = 0, trace_kwargs: Optional[dict] = None
+) -> tuple[TaqTraceGenerator, list[QuoteEvent]]:
+    """Populate the six PTA tables from the (cached) trace; returns it."""
+    trace, events = get_trace(scale, seed, trace_kwargs)
+    populate(db, scale, trace, events, seed)
+    return trace, events
+
+
+_VIEW_RULES = {"comps": install_comp_rule, "options": install_option_rule}
+
+
+def view_rule(view: str) -> Callable[..., str]:
+    """The rule installer maintaining ``view`` (Figures 9-11 / 12-14)."""
+    if view not in _VIEW_RULES:
+        raise ValueError(f"view must be 'comps' or 'options', got {view!r}")
+    return _VIEW_RULES[view]
+
+
 def _baseline_update_cpu(
     scale: Scale,
     seed: int,
@@ -209,9 +211,8 @@ def _baseline_update_cpu(
         return cached
     db = Database(cost_model=cost_model)
     db.metrics.set_keep_records(False)
-    trace, events = get_trace(scale, seed, trace_kwargs)
-    populate(db, scale, trace, events, seed)
-    Simulator(db).run(arrivals=_trace_tasks(db, events))
+    _trace, events = populate_trace(db, scale, seed, trace_kwargs)
+    Simulator(db).run(arrivals=trace_tasks(db, events))
     total = db.metrics.total_cpu("update")
     _BASELINE_CACHE[key] = total
     return total
@@ -263,68 +264,30 @@ def run_experiment(
         tracer: an observability hook (e.g. a
             :class:`~repro.obs.tracer.TraceCollector`); when it is a
             collector, the result carries batch/queue histogram snapshots.
-        faults: a fault plan (``repro.fault.parse_plan`` grammar).  The run
-            executes under seeded injection with the retry policy enabled,
-            and the convergence oracle checks every derived view after the
-            queues drain.  None (the default) leaves the fault machinery
-            entirely out of the hot path — the run is identical to one on a
-            build without the subsystem.
-        fault_seed: RNG seed for the injection schedule (reproducible runs).
-        max_retries / retry_backoff: the recovery policy's retry budget and
-            initial backoff (seconds) for faulted tasks.
-        wal_dir: write-ahead log + checkpoint directory.  Population and
-            rule DDL land in an initial checkpoint; every commit and task
-            event after that is redo-logged, so a crash at any point is
-            recoverable with ``repro.persist.recover`` (or ``python -m
-            repro recover``).  None (the default) keeps the run on the
-            zero-overhead :class:`~repro.persist.manager.NullPersistence`
-            path, byte-identical to a build without the subsystem.
-        checkpoint_every: fuzzy-checkpoint interval in virtual seconds
-            (consulted between tasks); None checkpoints only at setup.
-        wal_sync: fsync the WAL after every flush (slow, real durability).
+        faults / fault_seed / max_retries / retry_backoff / wal_dir /
+            checkpoint_every / wal_sync: fault injection and durability, as
+            documented on :class:`~repro.pta.scaffold.ExperimentRun`.  With
+            ``faults`` the convergence oracle checks every derived view
+            after the queues drain.
     """
-    if view not in ("comps", "options"):
-        raise ValueError(f"view must be 'comps' or 'options', got {view!r}")
-    injector = recovery = None
-    if faults:
-        injector = FaultInjector(faults, seed=fault_seed)
-        injector.enabled = False  # setup is not under test; armed before run
-        recovery = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
-    persist = None
-    if wal_dir is not None:
-        persist = PersistenceManager(
-            wal_dir, checkpoint_every=checkpoint_every, sync=wal_sync
-        )
-        persist.enabled = False  # setup goes into the initial checkpoint
-    db = Database(
-        cost_model=cost_model, policy=policy, tracer=tracer,
-        faults=injector, recovery=recovery, persist=persist,
+    install_rule = view_rule(view)
+    run = ExperimentRun(
+        cost_model=cost_model, policy=policy, processors=processors,
+        drop_late=drop_late, keep_records=keep_records, tracer=tracer,
+        faults=faults, fault_seed=fault_seed, max_retries=max_retries,
+        retry_backoff=retry_backoff, wal_dir=wal_dir,
+        checkpoint_every=checkpoint_every, wal_sync=wal_sync,
     )
-    db.metrics.set_keep_records(keep_records)
-    trace, events = get_trace(scale, seed, trace_kwargs)
-    populate(db, scale, trace, events, seed)
-    if view == "comps":
-        function_name = install_comp_rule(db, variant, delay, compact=compact)
-    else:
-        function_name = install_option_rule(db, variant, delay, compact=compact)
-    simulator = Simulator(db, processors, drop_late=drop_late)
-    if persist is not None:
-        # Arm durability only now: DDL never flows through the WAL, so the
-        # initial checkpoint is what makes the populated schema + rules
-        # durable.  Redo logging covers everything from here on.
-        persist.enabled = True
-        persist.checkpoint()
-    if injector is not None:
-        injector.enabled = True
-    simulator.run(arrivals=_trace_tasks(db, events, update_deadline))
-    oracle_report = None
-    if injector is not None:
-        injector.enabled = False  # the oracle's recomputation must run clean
-        oracle_report = check_convergence(db)
+    db = run.db
+    _trace, events = populate_trace(db, scale, seed, trace_kwargs)
+    function_name = install_rule(db, variant, delay, compact=compact)
+    run.run(trace_tasks(db, events, update_deadline))
+    outcome = run.finish(oracle=bool(faults))
 
     prefix = f"recompute:{function_name}"
     metrics = db.metrics
     summary = metrics.by_class.get(prefix)
+    collector = tracer if isinstance(tracer, TraceCollector) else None
     result = ExperimentResult(
         view=view,
         variant=variant,
@@ -343,45 +306,25 @@ def run_experiment(
         total_bound_rows=summary.total_bound_rows if summary else 0,
         context_switches=summary.total_context_switches if summary else 0,
         end_time=db.clock.base,
-        dropped_tasks=simulator.dropped,
+        dropped_tasks=run.simulator.dropped,
         compact=compact,
         compact_rows_in=db.unique_manager.compact_rows_in,
         compact_rows_out=db.unique_manager.compact_rows_out,
         batch_size_hist=(
-            tracer.metrics.histograms["batch_size_rows"].snapshot()
-            if isinstance(tracer, TraceCollector)
+            collector.metrics.histograms["batch_size_rows"].snapshot()
+            if collector is not None
             else None
         ),
         queue_depth_hist=(
-            tracer.metrics.histograms["queue_depth"].snapshot()
-            if isinstance(tracer, TraceCollector)
-            else None
-        ),
-        staleness=(
-            tracer.staleness.snapshot()
-            if isinstance(tracer, TraceCollector)
+            collector.metrics.histograms["queue_depth"].snapshot()
+            if collector is not None
             else None
         ),
         attribution=(
-            tracer.attribution.profile_rows()
-            if isinstance(tracer, TraceCollector)
-            else None
+            collector.attribution.profile_rows() if collector is not None else None
         ),
-        faults=faults or None,
-        faults_injected=db.faults.injected_count,
-        fault_retries=db.recovery.retry_count,
-        fault_drops=db.recovery.drop_count,
-        oracle_divergent=(
-            len(oracle_report.divergences) if oracle_report is not None else None
-        ),
-        oracle_rows=oracle_report.rows_checked if oracle_report is not None else 0,
-        oracle_report=oracle_report,
-        wal_dir=str(wal_dir) if wal_dir is not None else None,
-        wal_records=db.persist.records_logged,
-        checkpoints=db.persist.checkpoint_count,
+        **vars(outcome),
     )
-    if persist is not None:
-        persist.close()
     if db_out is not None:
         db_out.append(db)
     return result
@@ -393,7 +336,7 @@ def run_experiment(
 
 
 @dataclass
-class CascadeExperimentResult:
+class CascadeExperimentResult(RunOutcome):
     """Metrics of one two-level run (:func:`run_cascade_experiment`)."""
 
     variant: str  # the composite rule's batching unit
@@ -412,17 +355,6 @@ class CascadeExperimentResult:
     compact: bool = False
     compact_rows_in: int = 0  # rows that entered compacted bound tables
     compact_rows_out: int = 0  # rows the recompute tasks actually saw
-    staleness: Optional[dict] = None
-    faults: Optional[str] = None
-    faults_injected: int = 0
-    fault_retries: int = 0
-    fault_drops: int = 0
-    oracle_divergent: Optional[int] = None
-    oracle_rows: int = 0
-    oracle_report: Optional[ConvergenceReport] = None
-    wal_dir: Optional[str] = None
-    wal_records: int = 0
-    checkpoints: int = 0
 
     @property
     def compaction_ratio(self) -> float:
@@ -445,15 +377,7 @@ class CascadeExperimentResult:
         if self.compact:
             out["compaction_ratio"] = round(self.compaction_ratio, 2)
             out["recomputed_rows"] = self.compact_rows_out
-        if self.faults is not None:
-            out["faults_injected"] = self.faults_injected
-            out["fault_retries"] = self.fault_retries
-            out["fault_drops"] = self.fault_drops
-        if self.oracle_divergent is not None:
-            out["oracle_divergent"] = self.oracle_divergent
-        if self.wal_dir is not None:
-            out["wal_records"] = self.wal_records
-            out["checkpoints"] = self.checkpoints
+        out.update(self.outcome_row())
         return out
 
 
@@ -486,39 +410,19 @@ def run_cascade_experiment(
     released only after same-batch stratum-1 work has quiesced.  With
     ``oracle`` on (default), the convergence oracle recomputes both
     levels bottom-up from ``stocks`` after the queues drain."""
-    injector = recovery = None
-    if faults:
-        injector = FaultInjector(faults, seed=fault_seed)
-        injector.enabled = False  # setup is not under test; armed before run
-        recovery = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
-    persist = None
-    if wal_dir is not None:
-        persist = PersistenceManager(
-            wal_dir, checkpoint_every=checkpoint_every, sync=wal_sync
-        )
-        persist.enabled = False  # setup goes into the initial checkpoint
-    db = Database(
+    run = ExperimentRun(
         cost_model=cost_model, policy=policy, tracer=tracer,
-        faults=injector, recovery=recovery, persist=persist,
+        faults=faults, fault_seed=fault_seed, max_retries=max_retries,
+        retry_backoff=retry_backoff, wal_dir=wal_dir,
+        checkpoint_every=checkpoint_every, wal_sync=wal_sync,
     )
-    db.metrics.set_keep_records(False)
-    trace, events = get_trace(scale, seed)
-    populate(db, scale, trace, events, seed)
+    db = run.db
+    _trace, events = populate_trace(db, scale, seed)
     comp_function = install_comp_rule(db, variant, delay, compact=compact)
     populate_sectors(db, scale, seed=seed)
     sector_function = install_sector_rule(db, sector_delay, compact=compact)
-    simulator = Simulator(db)
-    if persist is not None:
-        persist.enabled = True
-        persist.checkpoint()
-    if injector is not None:
-        injector.enabled = True
-    simulator.run(arrivals=_trace_tasks(db, events))
-    oracle_report = None
-    if oracle:
-        if injector is not None:
-            injector.enabled = False  # the oracle's recomputation runs clean
-        oracle_report = check_convergence(db)
+    run.run(trace_tasks(db, events))
+    outcome = run.finish(oracle=oracle)
 
     metrics = db.metrics
     result = CascadeExperimentResult(
@@ -538,26 +442,8 @@ def run_cascade_experiment(
         compact=compact,
         compact_rows_in=db.unique_manager.compact_rows_in,
         compact_rows_out=db.unique_manager.compact_rows_out,
-        staleness=(
-            tracer.staleness.snapshot()
-            if isinstance(tracer, TraceCollector)
-            else None
-        ),
-        faults=faults or None,
-        faults_injected=db.faults.injected_count,
-        fault_retries=db.recovery.retry_count,
-        fault_drops=db.recovery.drop_count,
-        oracle_divergent=(
-            len(oracle_report.divergences) if oracle_report is not None else None
-        ),
-        oracle_rows=oracle_report.rows_checked if oracle_report is not None else 0,
-        oracle_report=oracle_report,
-        wal_dir=str(wal_dir) if wal_dir is not None else None,
-        wal_records=db.persist.records_logged,
-        checkpoints=db.persist.checkpoint_count,
+        **vars(outcome),
     )
-    if persist is not None:
-        persist.close()
     if db_out is not None:
         db_out.append(db)
     return result
@@ -569,7 +455,7 @@ def run_cascade_experiment(
 
 
 @dataclass
-class DeletionExperimentResult:
+class DeletionExperimentResult(RunOutcome):
     """Metrics of one deletion-heavy run (:func:`run_deletion_experiment`)."""
 
     maintenance: str  # the requested strategy ("auto" included)
@@ -594,14 +480,6 @@ class DeletionExperimentResult:
     cpu_maintenance: float  # CPU seconds in the view-maintenance tasks
     end_time: float
     wall_s: float
-    staleness: Optional[dict] = None
-    faults: Optional[str] = None
-    faults_injected: int = 0
-    fault_retries: int = 0
-    fault_drops: int = 0
-    oracle_divergent: Optional[int] = None
-    oracle_rows: int = 0
-    oracle_report: Optional[ConvergenceReport] = None
 
     @property
     def n_deletions(self) -> int:
@@ -629,11 +507,8 @@ class DeletionExperimentResult:
             "cpu_maint_s": round(self.cpu_maintenance, 4),
             "virtual_end_s": round(self.end_time, 2),
         }
-        if self.faults is not None:
-            out["faults_injected"] = self.faults_injected
-            out["fault_retries"] = self.fault_retries
-        if self.oracle_divergent is not None:
-            out["oracle_divergent"] = self.oracle_divergent
+        out.update(self.outcome_row())
+        out.pop("fault_drops", None)  # this table reports retries only
         return out
 
 
@@ -812,15 +687,11 @@ def run_deletion_experiment(
     """
     from repro.views.maintain import materialize
 
-    injector = recovery = None
-    if faults:
-        injector = FaultInjector(faults, seed=fault_seed)
-        injector.enabled = False  # setup is not under test; armed before run
-        recovery = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
-    db = Database(
-        cost_model=cost_model, tracer=tracer, faults=injector, recovery=recovery
+    run = ExperimentRun(
+        cost_model=cost_model, tracer=tracer, faults=faults, fault_seed=fault_seed,
+        max_retries=max_retries, retry_backoff=retry_backoff,
     )
-    db.metrics.set_keep_records(False)
+    db = run.db
     db.execute("create table stocks (symbol text, price real)")
     db.execute("create table positions (pos_id text, symbol text, shares real)")
     rng = random.Random(seed + 1)
@@ -891,17 +762,10 @@ def run_deletion_experiment(
                 estimated_cpu=200e-6,
             )
         )
-    simulator = Simulator(db)
-    if injector is not None:
-        injector.enabled = True
     wall_start = time.perf_counter()
-    simulator.run(arrivals=tasks)
+    run.run(tasks)
     wall_s = time.perf_counter() - wall_start
-    oracle_report = None
-    if oracle:
-        if injector is not None:
-            injector.enabled = False  # the oracle's recomputation runs clean
-        oracle_report = check_convergence(db)
+    outcome = run.finish(oracle=oracle)
 
     metrics = db.metrics
     plans = {"position_values": pv_plan, "symbol_exposure": se_plan}
@@ -943,24 +807,34 @@ def run_deletion_experiment(
         cpu_maintenance=cpu_maintenance,
         end_time=db.clock.base,
         wall_s=wall_s,
-        staleness=(
-            tracer.staleness.snapshot()
-            if isinstance(tracer, TraceCollector)
-            else None
-        ),
-        faults=faults or None,
-        faults_injected=db.faults.injected_count,
-        fault_retries=db.recovery.retry_count,
-        fault_drops=db.recovery.drop_count,
-        oracle_divergent=(
-            len(oracle_report.divergences) if oracle_report is not None else None
-        ),
-        oracle_rows=oracle_report.rows_checked if oracle_report is not None else 0,
-        oracle_report=oracle_report,
+        **vars(outcome),
     )
     if db_out is not None:
         db_out.append(db)
     return result
+
+
+#: The paper sweeps the delay window from 0.5 to 3 seconds (section 5.1).
+DELAYS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+#: The rule variants each figure family plots (the paper leaves ``unique on
+#: option_symbol`` out: an unmanageable number of transactions).
+FIGURE_VARIANTS = {
+    "comps": ("nonunique", "unique", "on_symbol", "on_comp"),
+    "options": ("nonunique", "unique", "on_symbol"),
+}
+
+
+def grid(
+    variants: Sequence[str], delays: Sequence[float]
+) -> Iterator[tuple[str, float]]:
+    """The paper's experiment grid: every (variant, delay) combination.
+
+    Non-unique variants run once, at delay 0 (the delay axis does not
+    apply)."""
+    for variant in variants:
+        for delay in (0.0,) if variant == "nonunique" else delays:
+            yield variant, delay
 
 
 def sweep(
@@ -971,18 +845,8 @@ def sweep(
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
 ) -> list[ExperimentResult]:
-    """The paper's experiment grid: every (variant, delay) combination.
-
-    Non-unique variants run once (the delay axis does not apply)."""
-    results: list[ExperimentResult] = []
-    for variant in variants:
-        if variant == "nonunique":
-            results.append(
-                run_experiment(scale, view, variant, 0.0, seed, cost_model)
-            )
-            continue
-        for delay in delays:
-            results.append(
-                run_experiment(scale, view, variant, delay, seed, cost_model)
-            )
-    return results
+    """One :func:`run_experiment` per point of :func:`grid`."""
+    return [
+        run_experiment(scale, view, variant, delay, seed, cost_model)
+        for variant, delay in grid(variants, delays)
+    ]

@@ -15,19 +15,17 @@ subsystem ships it:
   reporting apply lag;
 * :mod:`repro.replic.failover` — promotion of the freshest standby with
   orphan-retry resurrection, queue drain, and the convergence oracle;
-* :mod:`repro.replic.cluster` — the cluster harness, read routing with
-  freshness bounds, and :func:`run_replicated_experiment`.
+* :mod:`repro.replic.cluster` — the cluster harness and read routing
+  with freshness bounds.
+
+The PTA experiment on top of a cluster is ``run_replicated_experiment``,
+in the experiment-driver layer above this package.
 
 See docs/REPLICATION.md for modes, lag semantics, and the drill recipe.
 """
 
 from repro.replic.channel import NetworkConfig, SimChannel
-from repro.replic.cluster import (
-    ReplicationCluster,
-    ReplicationResult,
-    check_replica_equivalence,
-    run_replicated_experiment,
-)
+from repro.replic.cluster import ReplicationCluster, check_replica_equivalence
 from repro.replic.failover import FailoverController, FailoverReport
 from repro.replic.shipper import ReplicaLink, ReplicationError, ShipFrame, WalShipper
 from repro.replic.standby import Standby
@@ -39,11 +37,9 @@ __all__ = [
     "ReplicaLink",
     "ReplicationCluster",
     "ReplicationError",
-    "ReplicationResult",
     "ShipFrame",
     "SimChannel",
     "Standby",
     "WalShipper",
     "check_replica_equivalence",
-    "run_replicated_experiment",
 ]

@@ -1,4 +1,4 @@
-"""The replication cluster: one primary, N standbys, and the run harness.
+"""The replication cluster: one primary and N standbys.
 
 :class:`ReplicationCluster` wires the pieces together around an armed
 :class:`~repro.persist.manager.PersistenceManager`:
@@ -19,35 +19,24 @@
   standby applies frames stamped with their network arrival times, on
   its own clock).
 
-:func:`run_replicated_experiment` is the PTA workload harness on top —
-the replicated sibling of :func:`repro.pta.workload.run_experiment` —
-including the **failover drill**: if a fault plan crashes the primary
-mid-run, in-flight packets land, the freshest standby is promoted,
-drained, and oracle-checked.  Fault-free (or non-crash) runs instead
-drain replication to quiescence and assert full primary/standby
-**derived-data equivalence** row by row.
+The PTA workload harness on top (with the failover drill) is
+``run_replicated_experiment`` in the experiment-driver layer; nothing in
+this package imports a workload.
 """
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.database import Database
-from repro.fault import FaultInjector, RetryPolicy, check_convergence
 from repro.fault.oracle import ConvergenceReport, Divergence
-from repro.obs.tracer import TraceCollector, Tracer
+from repro.obs.tracer import Tracer
 from repro.persist.manager import PersistenceManager
 from repro.persist.wal import MAGIC
-from repro.pta.rules import function_registry, install_comp_rule, install_option_rule
-from repro.pta.tables import Scale, populate
-from repro.pta.workload import _trace_tasks, get_trace
 from repro.replic.channel import NetworkConfig
 from repro.replic.failover import FailoverController, FailoverReport
 from repro.replic.shipper import ReplicationError, WalShipper
 from repro.replic.standby import Standby
-from repro.sim.simulator import Simulator
 
 
 def check_replica_equivalence(
@@ -243,203 +232,3 @@ class ReplicationCluster:
             }
             for standby, link in zip(self.standbys, self.shipper.links)
         ]
-
-
-# --------------------------------------------------------------------------
-# The replicated PTA experiment harness
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ReplicationResult:
-    """Everything one replicated run produced."""
-
-    mode: str
-    replicas: int
-    n_updates: int
-    end_time: float
-    wal_records: int
-    shipped_frames: int
-    resent_frames: int
-    send_dropped: int
-    ack_dropped: int
-    apply_dropped: int
-    reordered: int
-    shipped_bytes: int
-    commit_waits: int
-    commit_wait_total: float
-    commit_wait_max: float
-    crashed: bool
-    faults: Optional[str]
-    faults_injected: int
-    replica_stats: list[dict] = field(default_factory=list)
-    #: Failover drill outcome (crash runs only).
-    failover: Optional[FailoverReport] = None
-    #: Primary-side oracle + per-replica equivalence (non-crash runs).
-    oracle_report: Optional[ConvergenceReport] = None
-    equivalence_reports: dict[str, ConvergenceReport] = field(
-        default_factory=dict
-    )
-    wal_dir: Optional[str] = None
-
-    @property
-    def commit_wait_mean(self) -> float:
-        return self.commit_wait_total / self.commit_waits if self.commit_waits else 0.0
-
-    @property
-    def converged(self) -> bool:
-        """The run's governing correctness verdict."""
-        if self.crashed:
-            return self.failover is not None and self.failover.oracle_ok
-        if self.oracle_report is not None and not self.oracle_report.ok:
-            return False
-        return all(report.ok for report in self.equivalence_reports.values())
-
-    def row(self) -> dict:
-        return {
-            "mode": self.mode,
-            "replicas": self.replicas,
-            "n_updates": self.n_updates,
-            "wal_records": self.wal_records,
-            "shipped_frames": self.shipped_frames,
-            "resent_frames": self.resent_frames,
-            "send_dropped": self.send_dropped,
-            "ack_dropped": self.ack_dropped,
-            "apply_dropped": self.apply_dropped,
-            "reordered": self.reordered,
-            "commit_waits": self.commit_waits,
-            "commit_wait_mean_s": self.commit_wait_mean,
-            "crashed": self.crashed,
-            "converged": self.converged,
-            "end_time": self.end_time,
-        }
-
-
-def run_replicated_experiment(
-    scale: Scale,
-    view: str = "comps",
-    variant: str = "unique",
-    delay: float = 1.0,
-    seed: int = 0,
-    replicas: int = 2,
-    mode: str = "async",
-    wal_dir: Optional[str] = None,
-    network: Optional[NetworkConfig] = None,
-    net_seed: int = 0,
-    batch_records: int = 8,
-    resend_timeout: float = 0.25,
-    faults: Optional[str] = None,
-    fault_seed: int = 0,
-    max_retries: int = 5,
-    retry_backoff: float = 0.25,
-    tracer: Optional[Tracer] = None,
-    db_out: Optional[list] = None,
-    cluster_out: Optional[list] = None,
-) -> ReplicationResult:
-    """Run one PTA experiment on a replicated cluster.
-
-    The same trace, rules, and virtual-time simulation as
-    :func:`repro.pta.workload.run_experiment`, with a WAL-shipping
-    cluster attached.  A fault plan may fault the engine *and* the
-    network (``ship.send`` / ``ship.ack`` / ``apply.frame`` seams); if it
-    crashes the primary (``wal.append:crash@...``), the run turns into a
-    failover drill and the result carries the promotion report instead of
-    the primary-side oracle.
-    """
-    from repro.errors import InjectedCrashError
-
-    injector = recovery = None
-    if faults:
-        injector = FaultInjector(faults, seed=fault_seed)
-        injector.enabled = False  # setup is not under test; armed before run
-        recovery = RetryPolicy(max_retries=max_retries, backoff=retry_backoff)
-    owns_wal_dir = wal_dir is None
-    if owns_wal_dir:
-        wal_dir = tempfile.mkdtemp(prefix="repro-replic-")
-    persist = PersistenceManager(wal_dir, checkpoint_every=None, sync=False)
-    persist.enabled = False  # setup goes into the initial checkpoint
-    db = Database(tracer=tracer, faults=injector, recovery=recovery, persist=persist)
-    db.metrics.set_keep_records(False)
-    trace, events = get_trace(scale, seed)
-    populate(db, scale, trace, events, seed)
-    if view == "comps":
-        install_comp_rule(db, variant, delay)
-    else:
-        install_option_rule(db, variant, delay)
-    persist.enabled = True
-    persist.checkpoint()
-    cluster = ReplicationCluster(
-        db,
-        persist,
-        replicas=replicas,
-        mode=mode,
-        network=network,
-        net_seed=net_seed,
-        batch_records=batch_records,
-        resend_timeout=resend_timeout,
-        functions=function_registry(),
-        tracer=tracer,
-    )
-    simulator = Simulator(db)
-    simulator.post_task_hooks.append(cluster.pump)
-    if injector is not None:
-        injector.enabled = True
-    crashed = False
-    try:
-        simulator.run(arrivals=_trace_tasks(db, events))
-    except InjectedCrashError:
-        crashed = True
-    if injector is not None:
-        injector.enabled = False  # oracle recomputation must run clean
-
-    failover_report: Optional[FailoverReport] = None
-    oracle_report: Optional[ConvergenceReport] = None
-    equivalence: dict[str, ConvergenceReport] = {}
-    if crashed:
-        cluster.crash_primary()
-        failover_report = cluster.failover(
-            max_retries=max_retries, backoff=retry_backoff
-        )
-    else:
-        cluster.finish()
-        oracle_report = check_convergence(db)
-        for standby in cluster.standbys:
-            equivalence[standby.name] = check_replica_equivalence(db, standby.db)
-        persist.close()
-
-    ship_stats = cluster.shipper.stats()
-    result = ReplicationResult(
-        mode=mode,
-        replicas=replicas,
-        n_updates=len(events),
-        end_time=db.clock.base,
-        wal_records=persist.records_logged,
-        shipped_frames=sum(link["frames_sent"] for link in ship_stats["links"]),
-        resent_frames=sum(link["frames_resent"] for link in ship_stats["links"]),
-        send_dropped=sum(link["send"]["dropped"] for link in ship_stats["links"]),
-        ack_dropped=sum(link["ack"]["dropped"] for link in ship_stats["links"]),
-        apply_dropped=ship_stats["frames_apply_dropped"],
-        reordered=sum(
-            link["send"]["reordered"] + link["ack"]["reordered"]
-            for link in ship_stats["links"]
-        ),
-        shipped_bytes=sum(
-            link["send"]["bytes_sent"] for link in ship_stats["links"]
-        ),
-        commit_waits=cluster.commit_waits,
-        commit_wait_total=cluster.commit_wait_total,
-        commit_wait_max=cluster.commit_wait_max,
-        crashed=crashed,
-        faults=faults or None,
-        faults_injected=db.faults.injected_count,
-        replica_stats=cluster.lag_snapshot(),
-        failover=failover_report,
-        oracle_report=oracle_report,
-        equivalence_reports=equivalence,
-        wal_dir=str(wal_dir),
-    )
-    if db_out is not None:
-        db_out.append(db)
-    if cluster_out is not None:
-        cluster_out.append(cluster)
-    return result

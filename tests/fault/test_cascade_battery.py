@@ -14,12 +14,13 @@ import shutil
 import pytest
 
 from repro.database import Database
-from repro.fault import check_convergence, crash_recover_converge
+from repro.fault import check_convergence
 from repro.obs.tracer import TraceCollector
 from repro.persist import recover
 from repro.persist.checkpoint import CHECKPOINT_FILE
 from repro.persist.manager import WAL_FILE
 from repro.persist.wal import MAGIC, iter_frames
+from repro.pta.distributed import crash_recover_converge
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
 from repro.pta.workload import run_cascade_experiment

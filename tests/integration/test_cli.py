@@ -238,3 +238,66 @@ class TestReplicationCommands:
         out = capsys.readouterr().out
         assert "Replicated experiment (semisync, 1 replicas)" in out
         assert "semisync:" in out
+
+
+class TestSharedFlagContract:
+    """Flags come from shared groups: wherever a flag appears it parses the
+    same way, and a subcommand that delegates has the flags it forwards."""
+
+    @staticmethod
+    def _subcommands():
+        import argparse
+
+        parser = build_parser()
+        (subparsers,) = (
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return subparsers.choices
+
+    def test_a_flag_has_one_type_and_one_set_of_choices(self):
+        seen = {}
+        for name, subparser in self._subcommands().items():
+            for action in subparser._actions:
+                for flag in action.option_strings:
+                    if flag in ("-h", "--help"):
+                        continue
+                    choices = tuple(action.choices) if action.choices else None
+                    spec = (type(action).__name__, action.type, choices, action.nargs)
+                    seen.setdefault(flag, {})[name] = spec
+        shared = {flag: by_sub for flag, by_sub in seen.items() if len(by_sub) > 1}
+        assert {"--variant", "--seed", "--faults", "--net-drop"} <= set(shared)
+        for flag, by_sub in shared.items():
+            assert len(set(by_sub.values())) == 1, (flag, by_sub)
+
+    def test_defaults_that_differ_on_purpose(self):
+        parse = build_parser().parse_args
+        assert parse(["experiment"]).delay == 1.0
+        assert parse(["serve"]).delay == 0.5
+        assert parse(["experiment"]).replicas == 0
+        assert parse(["replicate"]).replicas == 2
+
+    def test_experiment_accepts_what_it_forwards_to_replicate(self):
+        args = build_parser().parse_args(
+            ["experiment", "--replicas", "1", "--net-drop", "0.1"]
+        )
+        assert args.replicas == 1 and args.net_drop == 0.1
+        experiment = build_parser().parse_args(["experiment"])
+        replicate = build_parser().parse_args(["replicate"])
+        forwarded = (
+            "net_latency", "net_bandwidth", "net_jitter", "net_drop",
+            "net_reorder", "net_seed", "repl_batch", "resend_timeout",
+        )
+        for dest in forwarded:
+            assert getattr(experiment, dest) == getattr(replicate, dest), dest
+
+    def test_experiment_net_flags_reach_the_cluster(self, capsys):
+        code = main(
+            ["experiment", "--scale", "tiny", "--replicas", "1",
+             "--net-drop", "0.2", "--net-seed", "4"]
+        )
+        assert code == 0
+        header, _rule, row = capsys.readouterr().out.splitlines()[1:4]
+        dropped = dict(zip(header.split(), row.split()))["send_dropped"]
+        assert int(dropped) > 0

@@ -10,14 +10,9 @@ import pytest
 
 from repro.database import Database
 from repro.fault import FaultInjector, RetryPolicy
-from repro.net import (
-    AdmissionConfig,
-    LoadConfig,
-    NetServer,
-    ServerConfig,
-    run_network_experiment,
-)
+from repro.net import AdmissionConfig, LoadConfig, NetServer, ServerConfig
 from repro.obs import TraceCollector, TimeSeriesSampler
+from repro.pta.distributed import run_network_experiment
 from repro.replic import NetworkConfig
 from repro.sim.simulator import Simulator
 

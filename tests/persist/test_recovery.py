@@ -15,11 +15,12 @@ import pytest
 
 from repro.database import Database
 from repro.errors import PersistenceError
-from repro.fault import check_convergence, crash_recover_converge
+from repro.fault import check_convergence
 from repro.persist import recover
 from repro.persist.manager import WAL_FILE, PersistenceManager
 from repro.persist.checkpoint import CHECKPOINT_FILE
 from repro.persist.wal import MAGIC, iter_frames, read_wal
+from repro.pta.distributed import crash_recover_converge
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
 from repro.pta.workload import run_experiment

@@ -4,13 +4,9 @@ import pytest
 
 from repro.database import Database
 from repro.persist.manager import PersistenceManager
+from repro.pta.distributed import run_replicated_experiment
 from repro.pta.tables import Scale
-from repro.replic import (
-    NetworkConfig,
-    ReplicationCluster,
-    ReplicationError,
-    run_replicated_experiment,
-)
+from repro.replic import NetworkConfig, ReplicationCluster, ReplicationError
 
 MICRO = Scale(
     n_stocks=12, n_comps=3, stocks_per_comp=4,

@@ -4,13 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.pta.distributed import run_replicated_experiment
 from repro.pta.tables import Scale
-from repro.replic import (
-    FailoverController,
-    NetworkConfig,
-    ReplicationError,
-    run_replicated_experiment,
-)
+from repro.replic import FailoverController, NetworkConfig, ReplicationError
 
 MICRO = Scale(
     n_stocks=12, n_comps=3, stocks_per_comp=4,
