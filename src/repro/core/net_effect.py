@@ -23,8 +23,11 @@ update's two images side by side — the paper's rules alias them
 and new images by the ``old_``/``new_`` column-prefix convention, and the
 per-key chain collapses exactly as above.  :func:`compact_table_rows` is
 the batch form (it literally builds the image streams and calls
-:func:`net_effect`); :mod:`repro.core.unique` folds incrementally with the
-same :class:`CompactSpec` so the two paths agree row for row.
+:func:`net_effect`); :class:`FoldedTable` is the incremental form — the
+bound table a ``compact on`` task carries, and the only place a pending
+batch is folded, whether the row arrives from a live firing, WAL replay or
+a checkpoint — with the same :class:`CompactSpec`, so the two agree row
+for row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
-from repro.errors import SchemaError
+from repro.errors import BindingError, SchemaError
+from repro.storage.schema import Schema
 from repro.storage.temptable import TempTable
 
 INSERT = "insert"
@@ -283,6 +287,100 @@ def is_net_noop(values: Sequence[Any], spec: CompactSpec) -> bool:
     return all(values[old] == values[new] for old, new in spec.image_pairs)
 
 
+class FoldedTable(TempTable):
+    """A bound table kept folded to net effect per compaction key.
+
+    Fully materialized, one row per distinct key: every further row of a
+    key is folded into the row already held (:func:`fold_values`) instead
+    of appended.  ``index`` is the key -> row-position hash (the section
+    6.3-style lookup structure of the fast path) and ``rows_in`` counts
+    every row that entered — what the task would have carried uncompacted.
+    :meth:`seal` closes the batch when its task starts running; a sealed
+    table appends like a plain one (a fault-retried task keeps batching
+    firings, which its rerun then sees verbatim).
+    """
+
+    def __init__(self, name: str, schema: Schema, spec: CompactSpec) -> None:
+        super().__init__(name, schema)
+        self.spec = spec
+        self.index: dict[tuple, int] = {}
+        self.rows_in = 0
+        self.folding = True
+        # (position, previous row) of every fold since the last savepoint.
+        self._journal: Optional[list] = None
+
+    def append_row(self, ptrs: Sequence[Any], mats: Sequence[Any] = ()) -> None:
+        if self.folding and not ptrs:
+            self._fold(tuple(mats))
+        else:  # sealed — or a pointer row, which the plain append rejects
+            super().append_row(ptrs, mats)
+
+    def _fold(self, mats: tuple) -> None:
+        """Append ``mats`` as a new key's row, or fold it into the key's."""
+        key = tuple([mats[offset] for offset in self.spec.key_offsets])
+        at = self.index.get(key)
+        if at is None:
+            super().append_row((), mats)
+            self.index[key] = len(self._rows) - 1
+        else:
+            self._check_live()
+            previous = self._rows[at]
+            if self._journal is not None:
+                self._journal.append((at, previous))
+            self._rows[at] = ((), fold_values(previous[1], mats, self.spec))
+        self.rows_in += 1
+
+    def absorb(self, other: TempTable) -> int:
+        """Fold all of ``other``'s rows in *by value* — a firing's fresh
+        bound table is pointer-backed, this one never is.  Returns the
+        number of incoming rows, not the post-fold growth."""
+        if other.schema != self.schema:
+            raise BindingError(
+                f"bound table {self.name!r}: schema mismatch when batching "
+                f"({other.schema!r} vs {self.schema!r})"
+            )
+        take = self._fold if self.folding else self.append_values
+        for values in other.scan_values():
+            take(tuple(values))
+        return len(other)
+
+    def savepoint(self) -> Any:
+        """Start journaling folds; the mark also remembers length and
+        ``rows_in``.  The journal stays attached until the next savepoint,
+        rollback or seal, so it never outgrows one absorbed firing."""
+        self._journal = []
+        return len(self._rows), self.rows_in, self._journal
+
+    def rollback(self, mark: Any) -> None:
+        """Restore the rows folded since ``mark``, drop the rows appended
+        since, and forget their keys (a sealed table, still absorbing for a
+        retried task, has no keys left to forget)."""
+        length, rows_in, journal = mark
+        self._journal = None
+        if self.retired:
+            return
+        for at, previous in reversed(journal):
+            self._rows[at] = previous
+        key_offsets = self.spec.key_offsets
+        for _ptrs, mats in self._rows[length:]:
+            self.index.pop(tuple(mats[offset] for offset in key_offsets), None)
+        del self._rows[length:]
+        self.rows_in = rows_in
+
+    def seal(self) -> int:
+        """Close the batch: drop net no-ops (an insert met by its delete,
+        an update chain that ended where it began) and stop folding.
+        Returns the number of surviving rows."""
+        if self.spec.can_drop_noops:
+            self._rows[:] = [
+                row for row in self._rows if not is_net_noop(row[1], self.spec)
+            ]
+        self.folding = False
+        self.index.clear()
+        self._journal = None
+        return len(self._rows)
+
+
 def compact_table_rows(
     columns: Sequence[str],
     key_columns: Sequence[str],
@@ -295,9 +393,9 @@ def compact_table_rows(
     split into its old/new images (``old_``/``new_`` prefix convention,
     unprefixed columns in both) and the image streams are run through
     :func:`net_effect` as a single update chain; the surviving per-key
-    changes are reassembled into rows in first-seen key order.  The
-    incremental fold in :mod:`repro.core.unique` must produce exactly the
-    same rows — ``tests/core/test_compaction.py`` holds the two to that.
+    changes are reassembled into rows in first-seen key order.
+    :class:`FoldedTable` must produce exactly the same rows —
+    ``tests/core/test_compaction.py`` holds the two to that.
     """
     spec = compact_spec(columns, key_columns)
     old_stream: list[dict] = []

@@ -25,15 +25,15 @@ threaded so no locking is needed.)
 ``compact on (columns)`` rules additionally run the **delta-compaction
 fast path** (an opt-in departure from the paper's no-net-effect stance,
 section 2): each bound table containing every compaction key column is
-kept folded to net effect per key while the task is pending — a firing
+carried as a :class:`~repro.core.net_effect.FoldedTable`, which keeps
+itself folded to net effect per key while the task is pending — a firing
 absorbed into the task costs one key probe and one fold per row
 (``compact_lookup``/``compact_row``), and the action transaction's row
 count is bounded by the number of *distinct* keys touched in the window
-rather than the number of firings.  The folding semantics live in
-:mod:`repro.core.net_effect` (:func:`~repro.core.net_effect.fold_values` /
-:func:`~repro.core.net_effect.is_net_noop`); compacted tables are fully
-materialized, so the source records' pins are released at dispatch time
-instead of task retirement.
+rather than the number of firings.  The manager only *appends rows to* and
+*seals* such tables; the fold, its index and its undo live in the table.
+Folded tables are fully materialized, so the source records' pins are
+released at dispatch time instead of task retirement.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.net_effect import CompactSpec, compact_spec, fold_values, is_net_noop
+from repro.core.net_effect import FoldedTable, compact_spec
 from repro.errors import BindingError, RuleError, SchemaError
 from repro.storage.temptable import TempTable
 from repro.txn.tasks import Task, TaskState
@@ -51,21 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
 
 
-def _filtered_copy(
-    source: TempTable, offsets: tuple[int, ...], wanted: tuple, charge
-) -> TempTable:
-    """A fresh temp table with only the rows whose ``offsets`` match ``wanted``."""
-    copy = TempTable(source.name, source.schema, source.static_map)
-    for i, (ptrs, mats) in enumerate(source.scan_raw()):
-        charge("partition_row")
-        values = tuple(source.value_at(i, offset) for offset in offsets)
-        if values == wanted:
-            for record in ptrs:
-                record.pin()
-            copy._rows.append((ptrs, mats))
-    return copy
-
-
 def _full_copy(source: TempTable, charge) -> TempTable:
     copy = TempTable(source.name, source.schema, source.static_map)
     charge("partition_row", max(len(source), 1))
@@ -73,21 +58,29 @@ def _full_copy(source: TempTable, charge) -> TempTable:
     return copy
 
 
-class _CompactState:
-    """Per-task delta-compaction state (``Task.compact_info``).
-
-    ``specs`` maps each compacted bound table to its folding spec and
-    ``indexes`` to its key -> row-index hash (the section 6.3-style lookup
-    structure of the fast path); ``rows_in`` counts every row that entered
-    a compacted table, i.e. what the task would have carried uncompacted.
-    """
-
-    __slots__ = ("specs", "indexes", "rows_in")
-
-    def __init__(self) -> None:
-        self.specs: dict[str, CompactSpec] = {}
-        self.indexes: dict[str, dict[tuple, int]] = {}
-        self.rows_in = 0
+def _group_rows(source: TempTable, offsets: list[int]) -> dict[tuple, list]:
+    """``source``'s raw rows grouped by their values at ``offsets``, in
+    first-seen key order (one pass; partitions are built from the groups,
+    never by rescanning the source)."""
+    sources = source.static_map.sources
+    getters = [
+        (sources[at].kind == "ptr", sources[at].slot, sources[at].offset) for at in offsets
+    ]
+    groups: dict[tuple, list] = {}
+    for raw in source.scan_raw():
+        ptrs, mats = raw
+        key = tuple(
+            [
+                ptrs[slot].values[offset] if is_ptr else mats[slot]
+                for is_ptr, slot, offset in getters
+            ]
+        )
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [raw]
+        else:
+            group.append(raw)
+    return groups
 
 
 class UniqueManager:
@@ -131,29 +124,8 @@ class UniqueManager:
         same delta would be applied twice."""
         entries = self._undo
         self._undo = None
-        if not entries:
-            return
-        for entry in reversed(entries):
-            if entry[0] == "rows":
-                _kind, target, prior = entry
-                if target.retired:
-                    continue
-                while len(target._rows) > prior:
-                    ptrs, _mats = target._rows.pop()
-                    for record in ptrs:
-                        record.unpin()
-            else:  # "compact"
-                _kind, state, name, target, prior, folds, n = entry
-                state.rows_in -= n
-                if target.retired:
-                    continue
-                for at, prev in reversed(folds):
-                    target._rows[at] = prev
-                del target._rows[prior:]
-                index = state.indexes.get(name)
-                if index is not None:
-                    for key in [k for k, pos in index.items() if pos >= prior]:
-                        del index[key]
+        for table, mark in reversed(entries or ()):
+            table.rollback(mark)
 
     # ------------------------------------------------------------ dispatch
 
@@ -184,94 +156,27 @@ class UniqueManager:
         if not rule.unique_on:
             # Coarse batching: one pending task per user function.
             charge("unique_lookup")
-            pending = self._pending.setdefault(rule.function, {})
-            task = pending.get(())
-            if task is not None and task.state in (TaskState.DELAYED, TaskState.READY):
-                self._absorb(task, bound, origin=origin)
-                return []
-            fresh = self._new_task(rule, bound, commit_time, unique_key=(), origin=origin)
-            pending[()] = fresh
-            return [fresh]
+            fresh = self._absorb_or_create(rule, (), bound, commit_time, origin)
+            return [] if fresh is None else [fresh]
 
-        # unique on (columns): partition per Appendix A.  When a unique
-        # column lives in more than one bound table the product reading is
-        # undefined; if every owning table carries the full key we fall back
-        # to union partitioning (see _dispatch_union), otherwise the firing
-        # is rejected as ambiguous.
-        if any(
-            sum(1 for table in bound.values() if table.schema.has_column(column)) > 1
-            for column in rule.unique_on
-        ):
-            return self._dispatch_union(rule, bound, commit_time, origin=origin)
-        column_homes = self._locate_unique_columns(rule, bound)
-        u_tables = []  # (table name, offsets, global indexes)
-        seen_tables = []
-        for global_index, (column, table_name, offset) in enumerate(column_homes):
-            if table_name not in seen_tables:
-                seen_tables.append(table_name)
-                u_tables.append((table_name, [offset], [global_index]))
-            else:
-                entry = u_tables[seen_tables.index(table_name)]
-                entry[1].append(offset)
-                entry[2].append(global_index)
-
-        # Group each T^u table's rows by its unique-column values in one
-        # pass (the per-combo bound tables are then built straight from the
-        # grouped raw rows, never rescanning the source).
-        groups_per_table: list[dict[tuple, list]] = []
-        for table_name, offsets, _gidx in u_tables:
-            source = bound[table_name]
-            groups: dict[tuple, list] = {}
-            sources_map = source.static_map.sources
-            for raw in source.scan_raw():
-                ptrs, mats = raw
-                key_values = []
-                for offset in offsets:
-                    column_source = sources_map[offset]
-                    if column_source.kind == "ptr":
-                        key_values.append(
-                            ptrs[column_source.slot].values[column_source.offset]
-                        )
-                    else:
-                        key_values.append(mats[column_source.slot])
-                groups.setdefault(tuple(key_values), []).append(raw)
-            charge("partition_row", max(len(source), 1))
-            groups_per_table.append(groups)
-
+        keys, owners = self._route(rule, bound)
         new_tasks: list[Task] = []
-        pending = self._pending.setdefault(rule.function, {})
-        n_unique = len(column_homes)
         try:
-            for combo in itertools.product(*(g.keys() for g in groups_per_table)):
-                global_values: list = [None] * n_unique
-                for (table_name, offsets, gidxs), part in zip(u_tables, combo):
-                    for gidx, value in zip(gidxs, part):
-                        global_values[gidx] = value
-                key = tuple(global_values)
+            for key in keys:
                 charge("unique_lookup")
+                # Owners are filtered to the key's rows (possibly none),
+                # straight from the grouped raw rows; every other bound
+                # table is passed whole.
                 partition: dict[str, TempTable] = {}
-                for (table_name, _offsets, _g), groups, part in zip(
-                    u_tables, groups_per_table, combo
-                ):
-                    source = bound[table_name]
-                    copy = TempTable(source.name, source.schema, source.static_map)
-                    for ptrs, mats in groups[part]:
-                        for record in ptrs:
-                            record.pin()
-                        copy._rows.append((ptrs, mats))
-                    partition[table_name] = copy
-                u_names = {name for name, _o, _g in u_tables}
                 for name, table in bound.items():
-                    if name not in u_names:
+                    if name in owners:
+                        positions, groups = owners[name]
+                        part = tuple(key[position] for position in positions)
+                        partition[name] = table.subset(groups.get(part, ()))
+                    else:
                         partition[name] = _full_copy(table, charge)
-                task = pending.get(key)
-                if task is not None and task.state in (TaskState.DELAYED, TaskState.READY):
-                    self._absorb(task, partition, origin=origin)
-                else:
-                    fresh = self._new_task(
-                        rule, partition, commit_time, unique_key=key, origin=origin
-                    )
-                    pending[key] = fresh
+                fresh = self._absorb_or_create(rule, key, partition, commit_time, origin)
+                if fresh is not None:
                     new_tasks.append(fresh)
         except Exception:
             # A failure on a later partition must not strand the earlier
@@ -286,145 +191,84 @@ class UniqueManager:
             table.retire()
         return new_tasks
 
-    def _dispatch_union(
-        self,
-        rule: "Rule",
-        bound: dict[str, TempTable],
-        commit_time: float,
-        origin: Optional[Task] = None,
-    ) -> list[Task]:
-        """Union partitioning for unique columns shared by several tables.
+    def _route(
+        self, rule: "Rule", bound: dict[str, TempTable]
+    ) -> tuple[list[tuple], dict[str, tuple[list[int], dict[tuple, list]]]]:
+        """Appendix A routing of one ``unique on`` firing.
 
-        Derived-view maintenance rules routinely bind several delta tables
-        that all carry the view's key columns (e.g. an insert delta and a
-        deletion-mark query): the same key names the same logical group in
-        each.  Appendix A's product reading would call that ambiguous, so
-        instead: every bound table containing *any* unique column must
-        contain *all* of them (partial overlap keeps the historical
-        ambiguity error); each such owner is partitioned by the full key;
-        the pending-task key space is the union of the owners' key sets,
-        with owners filtered to their matching rows (possibly none) and
-        every other bound table passed whole.
+        Returns the pending-task keys the firing touches and, per *owner*
+        (a bound table holding unique columns — the paper's ``T^u``), the
+        positions of its columns in the key plus its rows grouped by them.
+
+        When every unique column has one owner the keys are the product of
+        the owners' groups.  Derived-view maintenance rules routinely bind
+        several delta tables that all carry the view's key (an insert delta
+        and a deletion-mark query, say): the same key names the same logical
+        group in each, and the product reading would call that ambiguous.
+        So when a column is shared and every owner carries the *full* key,
+        the keys are the union of the owners' keys; partial overlap keeps
+        the ambiguity error.
         """
-        charge = self.db.charge
-        owners_by_column = {
-            column: [
-                name
-                for name, table in bound.items()
-                if table.schema.has_column(column)
+        positions_of: dict[str, list[int]] = {}
+        shared: Optional[tuple[str, list[str]]] = None
+        for position, column in enumerate(rule.unique_on):
+            names = [
+                name for name, table in bound.items() if table.schema.has_column(column)
             ]
-            for column in rule.unique_on
-        }
-        for column, names in owners_by_column.items():
             if not names:
                 raise RuleError(
                     f"rule {rule.name!r}: unique column {column!r} is in no bound table"
                 )
-        owner_names = [
-            name
-            for name, table in bound.items()
-            if any(table.schema.has_column(column) for column in rule.unique_on)
-        ]
-        for name in owner_names:
-            if not all(
-                bound[name].schema.has_column(column) for column in rule.unique_on
-            ):
-                column = next(
-                    c for c, ns in owners_by_column.items() if len(ns) > 1
-                )
-                names = ", ".join(owners_by_column[column])
-                raise RuleError(
-                    f"rule {rule.name!r}: unique column {column!r} is ambiguous ({names})"
-                )
-
-        # Group each owner's rows by the full unique key in one pass.
-        groups_per_owner: dict[str, dict[tuple, list]] = {}
-        for name in owner_names:
+            if len(names) > 1 and shared is None:
+                shared = (column, names)
+            for name in names:
+                positions_of.setdefault(name, []).append(position)
+        if shared is not None and any(
+            len(positions) < len(rule.unique_on) for positions in positions_of.values()
+        ):
+            column, names = shared
+            raise RuleError(
+                f"rule {rule.name!r}: unique column {column!r} is ambiguous "
+                f"({', '.join(names)})"
+            )
+        owners = {}
+        for name, positions in positions_of.items():
             source = bound[name]
-            offsets = [source.schema.offset(column) for column in rule.unique_on]
-            sources_map = source.static_map.sources
-            groups: dict[tuple, list] = {}
-            for raw in source.scan_raw():
-                ptrs, mats = raw
-                key_values = []
-                for offset in offsets:
-                    column_source = sources_map[offset]
-                    if column_source.kind == "ptr":
-                        key_values.append(
-                            ptrs[column_source.slot].values[column_source.offset]
-                        )
-                    else:
-                        key_values.append(mats[column_source.slot])
-                groups.setdefault(tuple(key_values), []).append(raw)
-            charge("partition_row", max(len(source), 1))
-            groups_per_owner[name] = groups
+            offsets = [source.schema.offset(rule.unique_on[p]) for p in positions]
+            owners[name] = (positions, _group_rows(source, offsets))
+            self.db.charge("partition_row", max(len(source), 1))
+        if shared is not None:
+            union = dict.fromkeys(
+                key for _positions, groups in owners.values() for key in groups
+            )
+            return list(union), owners
+        keys = []
+        for combo in itertools.product(*(groups for _positions, groups in owners.values())):
+            key: list = [None] * len(rule.unique_on)
+            for (positions, _groups), part in zip(owners.values(), combo):
+                for position, value in zip(positions, part):
+                    key[position] = value
+            keys.append(tuple(key))
+        return keys, owners
 
-        keys: list[tuple] = []
-        seen: set = set()
-        for name in owner_names:
-            for key in groups_per_owner[name]:
-                if key not in seen:
-                    seen.add(key)
-                    keys.append(key)
-
-        new_tasks: list[Task] = []
+    def _absorb_or_create(
+        self,
+        rule: "Rule",
+        key: tuple,
+        bound: dict[str, TempTable],
+        commit_time: float,
+        origin: Optional[Task],
+    ) -> Optional[Task]:
+        """Batch ``bound`` onto the key's pending task, or open (and
+        register) a new one — which is returned."""
         pending = self._pending.setdefault(rule.function, {})
-        try:
-            for key in keys:
-                charge("unique_lookup")
-                partition: dict[str, TempTable] = {}
-                for name, table in bound.items():
-                    groups = groups_per_owner.get(name)
-                    if groups is None:
-                        partition[name] = _full_copy(table, charge)
-                        continue
-                    copy = TempTable(table.name, table.schema, table.static_map)
-                    for ptrs, mats in groups.get(key, ()):
-                        for record in ptrs:
-                            record.pin()
-                        copy._rows.append((ptrs, mats))
-                    partition[name] = copy
-                task = pending.get(key)
-                if task is not None and task.state in (TaskState.DELAYED, TaskState.READY):
-                    self._absorb(task, partition, origin=origin)
-                else:
-                    fresh = self._new_task(
-                        rule, partition, commit_time, unique_key=key, origin=origin
-                    )
-                    pending[key] = fresh
-                    new_tasks.append(fresh)
-        except Exception:
-            # Same stranded-task guard as the product path above.
-            for fresh in new_tasks:
-                self.forget(fresh)
-                fresh.retire_bound_tables()
-            raise
-        for table in bound.values():
-            table.retire()
-        return new_tasks
-
-    def _locate_unique_columns(
-        self, rule: "Rule", bound: dict[str, TempTable]
-    ) -> list[tuple[str, str, int]]:
-        """(column, bound table, offset) per unique column, in rule order."""
-        homes = []
-        for column in rule.unique_on:
-            owners = [
-                (name, table.schema.offset(column))
-                for name, table in bound.items()
-                if table.schema.has_column(column)
-            ]
-            if not owners:
-                raise RuleError(
-                    f"rule {rule.name!r}: unique column {column!r} is in no bound table"
-                )
-            if len(owners) > 1:
-                names = ", ".join(name for name, _ in owners)
-                raise RuleError(
-                    f"rule {rule.name!r}: unique column {column!r} is ambiguous ({names})"
-                )
-            homes.append((column, owners[0][0], owners[0][1]))
-        return homes
+        task = pending.get(key)
+        if task is not None and task.state in (TaskState.DELAYED, TaskState.READY):
+            self._absorb(task, bound, origin=origin)
+            return None
+        fresh = self._new_task(rule, bound, commit_time, unique_key=key, origin=origin)
+        pending[key] = fresh
+        return fresh
 
     def _absorb(
         self,
@@ -454,25 +298,22 @@ class UniqueManager:
                     for name, fresh in bound.items()
                 },
             )
-        state: Optional[_CompactState] = task.compact_info
         appended = 0
         for name, fresh in bound.items():
-            if state is not None and name in state.specs:
-                appended += self._compact_absorb(task, state, name, fresh)
+            target = task.bound_tables[name]
+            if self._undo is not None:
+                self._undo.append((target, target.savepoint()))
+            if target.folding:
+                appended += self._fold_into(target, fresh)
             else:
-                target = task.bound_tables[name]
-                if self._undo is not None:
-                    # Both branches below are append-only; truncating back
-                    # to the prior length is a full undo.
-                    self._undo.append(("rows", target, len(target._rows)))
                 if (
                     target.static_map.ptr_slots == 0
                     and target.static_map.signature() != fresh.static_map.signature()
                     and fresh.schema == target.schema
                 ):
-                    # A readopted task that was compacted before its faulted
-                    # attempt holds fully materialized tables; fold the fresh
-                    # pointer-backed rows in by value.
+                    # A resurrected task, or one sealed before its faulted
+                    # attempt, holds fully materialized tables; take the
+                    # fresh pointer-backed rows in by value.
                     added = len(fresh)
                     for values in fresh.scan_values():
                         target.append_values(values)
@@ -500,9 +341,8 @@ class UniqueManager:
         if faults.enabled:
             faults.check_raise("unique.dispatch", f"recompute:{rule.function}")
         charge("task_create")
-        state: Optional[_CompactState] = None
         if rule.compact_on:
-            state, bound = self._compact_setup(rule, bound)
+            bound = self._fold_bound(rule, bound)
         body = self.db.rule_engine.make_action_body(rule.function)
         rows = sum(len(table) for table in bound.values())
         cost_model = self.db.cost_model
@@ -524,7 +364,6 @@ class UniqueManager:
         if origin is not None:
             task.cascade_from = origin.task_id
         self.task_count += 1
-        task.compact_info = state
         persist = self.db.persist
         if persist.enabled:
             persist.note_task_new(task)
@@ -534,19 +373,26 @@ class UniqueManager:
 
     # --------------------------------------------------- delta compaction
 
-    def _compact_setup(
+    def _fold_into(self, target: FoldedTable, fresh: TempTable) -> int:
+        """Fold one firing's rows into a pending folded table: one key probe
+        plus one fold per incoming row, replacing the ``unique_append_row``
+        charge of the ordinary path.  Returns the incoming row count (the
+        firing's contribution, as reported to the tracer)."""
+        n = len(fresh)
+        self.db.charge("compact_lookup", max(n, 1))
+        self.db.charge("compact_row", max(n, 1))
+        return target.absorb(fresh)
+
+    def _fold_bound(
         self, rule: "Rule", bound: dict[str, TempTable]
-    ) -> tuple[_CompactState, dict[str, TempTable]]:
-        """Replace compactible bound tables with folded, all-materialized
-        copies and build the task's compaction state.
+    ) -> dict[str, TempTable]:
+        """Replace compactible bound tables with folded copies.
 
         A table is compactible when it carries *every* compaction key
         column; other tables pass through on the ordinary absorb path.
-        Source tables that were compacted are retired here — their record
+        Source tables that were folded are retired here — their record
         pins drop at dispatch instead of task retirement.
         """
-        charge = self.db.charge
-        state = _CompactState()
         out: dict[str, TempTable] = {}
         for name, table in bound.items():
             try:
@@ -554,111 +400,42 @@ class UniqueManager:
             except SchemaError:
                 out[name] = table
                 continue
-            compacted = TempTable(table.name, table.schema)
-            index: dict[tuple, int] = {}
-            n = len(table)
-            charge("compact_lookup", max(n, 1))
-            charge("compact_row", max(n, 1))
-            for values in table.scan_values():
-                key = tuple(values[offset] for offset in spec.key_offsets)
-                at = index.get(key)
-                if at is None:
-                    index[key] = len(compacted._rows)
-                    compacted.append_values(values)
-                else:
-                    prev = compacted._rows[at][1]
-                    compacted._rows[at] = ((), fold_values(prev, values, spec))
-            state.rows_in += n
-            state.specs[name] = spec
-            state.indexes[name] = index
+            out[name] = FoldedTable(table.name, table.schema, spec)
+            self._fold_into(out[name], table)
             table.retire()
-            out[name] = compacted
-        if not state.specs:
+        if not any(table.folding for table in out.values()):
             raise RuleError(
                 f"rule {rule.name!r}: no bound table contains all compaction "
                 f"key columns {list(rule.compact_on)}"
             )
-        return state, out
+        return out
 
-    def _compact_absorb(
-        self, task: Task, state: _CompactState, name: str, fresh: TempTable
-    ) -> int:
-        """Fold a fresh firing's rows into a compacted bound table in place.
-
-        One key probe plus one fold per incoming row, replacing the
-        ``unique_append_row`` charge of the ordinary path.  Returns the
-        number of incoming rows (the firing's contribution, as reported to
-        the tracer), not the post-fold growth.
-        """
-        charge = self.db.charge
-        spec = state.specs[name]
-        index = state.indexes[name]
-        target = task.bound_tables[name]
-        n = len(fresh)
-        folds: Optional[list] = None
-        if self._undo is not None:
-            folds = []
-            self._undo.append(
-                ("compact", state, name, target, len(target._rows), folds, n)
-            )
-        charge("compact_lookup", max(n, 1))
-        charge("compact_row", max(n, 1))
-        for values in fresh.scan_values():
-            key = tuple(values[offset] for offset in spec.key_offsets)
-            at = index.get(key)
-            if at is None:
-                index[key] = len(target._rows)
-                target.append_values(values)
-            else:
-                prev = target._rows[at][1]
-                if folds is not None:
-                    folds.append((at, target._rows[at]))
-                target._rows[at] = ((), fold_values(prev, values, spec))
-        state.rows_in += n
-        return n
-
-    def _finalize_compaction(self, task: Task) -> None:
-        """Close out a compacted task as it leaves the pending table.
-
-        Drops net-noop rows (an insert met by its delete, or an update
-        chain that ended where it began) from tables whose schemas carry
-        old/new image pairs, then records the compaction totals.  Aborted
-        or already-finished tasks (the drop-task path retires bound tables
-        before unpinning the pending entry) only discard the state.
-        """
-        if task.state in (TaskState.DONE, TaskState.ABORTED):
-            task.compact_info = None
-            return
+    def _seal(self, task: Task, folded: list[FoldedTable]) -> None:
+        """Close out a compacted task as it leaves the pending table: seal
+        its folded tables (dropping net no-ops where the schema carries
+        old/new image pairs) and record the compaction totals."""
         faults = self.db.faults
         if faults.enabled:
-            # Checked while compact_info is still attached: a retried task
-            # re-runs this finalization with its folded state intact.
+            # Checked before anything is sealed: a retried task re-runs
+            # this with its folded tables intact.
             faults.check_raise("unique.compact", task.klass)
-        state: _CompactState = task.compact_info
-        task.compact_info = None
-        charge = self.db.charge
-        rows_out = 0
-        for name, spec in state.specs.items():
-            table = task.bound_tables[name]
-            if spec.can_drop_noops and len(table):
-                charge("compact_row", len(table))
-                kept = [row for row in table._rows if not is_net_noop(row[1], spec)]
-                if len(kept) != len(table._rows):
-                    table._rows[:] = kept
-            rows_out += len(table)
+        rows_in = rows_out = 0
+        for table in folded:
+            if table.spec.can_drop_noops and len(table):
+                self.db.charge("compact_row", len(table))
+            rows_in += table.rows_in
+            rows_out += table.seal()
         self.compact_count += 1
-        self.compact_rows_in += state.rows_in
+        self.compact_rows_in += rows_in
         self.compact_rows_out += rows_out
         persist = self.db.persist
         if persist.enabled and task.function_name is not None:
             # The noop drop above is deterministic given the folded tables,
-            # so the WAL event carries no rows — replay re-runs the drop on
+            # so the WAL event carries no rows — replay re-runs the seal on
             # the resurrected task.
             persist.task_compact(task)
         if self.db.tracer.enabled:
-            self.db.tracer.unique_compact(
-                task, state.rows_in, rows_out, self.db.clock.now()
-            )
+            self.db.tracer.unique_compact(task, rows_in, rows_out, self.db.clock.now())
 
     # ----------------------------------------------------------- lifecycle
 
@@ -666,9 +443,12 @@ class UniqueManager:
         """Remove the pending-table entry the moment the task begins to run:
         from here on, new firings start a fresh transaction (section 6.3).
         Compacted tasks also drop their net-noop rows here — the batch is
-        sealed, so the fold is final."""
-        if task.compact_info is not None:
-            self._finalize_compaction(task)
+        sealed, so the fold is final.  (A dropped task arrives here already
+        aborted, its bound tables retired: nothing is left to seal.)"""
+        if task.state not in (TaskState.DONE, TaskState.ABORTED):
+            folded = [table for table in task.bound_tables.values() if table.folding]
+            if folded:
+                self._seal(task, folded)
         if task.function_name is None or task.unique_key is None:
             return
         pending = self._pending.get(task.function_name)
@@ -697,9 +477,8 @@ class UniqueManager:
         pending[task.unique_key] = task
 
     def forget(self, task: Task) -> None:
-        """Drop a task's pending entry and compaction state (fault recovery
-        exhausted its retries and released its rows)."""
-        task.compact_info = None
+        """Drop a task's pending entry (fault recovery exhausted its retries
+        and released its rows)."""
         if task.function_name is None or task.unique_key is None:
             return
         pending = self._pending.get(task.function_name)
@@ -723,7 +502,6 @@ class UniqueManager:
             return None
         self.db.charge("unique_lookup")
         del pending[unique_key]
-        task.compact_info = None
         task.state = TaskState.ABORTED
         task.retire_bound_tables()
         if self.db.persist.enabled and task.function_name is not None:

@@ -45,7 +45,7 @@ POINTS: dict[str, frozenset[str]] = {
     "unique.dispatch": frozenset({"abort"}),  # core/unique.py _new_task()
     "unique.absorb": frozenset({"abort"}),  # core/unique.py _absorb()
     "unique.release": frozenset({"kill"}),  # sim/simulator.py (function tasks)
-    "unique.compact": frozenset({"abort"}),  # core/unique.py _finalize_compaction()
+    "unique.compact": frozenset({"abort"}),  # core/unique.py _seal()
     "wal.append": frozenset({"crash"}),  # persist/manager.py _log(), pre-append
     "wal.flush": frozenset({"crash"}),  # persist/manager.py _log(), pre-flush
     "checkpoint.write": frozenset({"crash"}),  # persist/manager.py checkpoint()

@@ -13,8 +13,8 @@ tail alone:
 * **the full pending-task set** — STRIP's signature state.  Each pending
   unique task is serialized with its partition key (``unique on``), its
   release deadline and retry budget, and the *contents* of its bound
-  tables, including per-table ``compact on`` key columns so the
-  incremental fold index can be rebuilt on recovery.
+  tables, including per-table ``compact on`` key columns so a still-
+  folding table comes back as one (rebuilding its index) on recovery.
 
 Checkpoints are "fuzzy" in the main-memory sense: they run between tasks
 (never mid-commit), so the snapshot is transaction-consistent, and the
@@ -33,7 +33,7 @@ import json
 import os
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.net_effect import compact_spec
+from repro.core.net_effect import FoldedTable, compact_spec
 from repro.errors import PersistenceError
 from repro.sql import ast
 from repro.sql.printer import rule_to_sql
@@ -53,17 +53,16 @@ CHECKPOINT_FILE = "checkpoint.json"
 
 def task_to_record(task: Task) -> dict:
     """Serialize one pending rule-action task (its TCB plus bound data)."""
-    state = task.compact_info
     bound: dict[str, dict] = {}
+    folding = [table for table in task.bound_tables.values() if table.folding]
     for name, table in task.bound_tables.items():
         entry: dict[str, Any] = {
             "columns": [[c.name, c.type.value] for c in table.schema.columns],
             "rows": [list(values) for values in table.scan_values()],
         }
-        if state is not None and name in state.specs:
-            spec = state.specs[name]
+        if table.folding:
             names = table.schema.names()
-            entry["compact_keys"] = [names[i] for i in spec.key_offsets]
+            entry["compact_keys"] = [names[i] for i in table.spec.key_offsets]
         bound[name] = entry
     return {
         "task_id": task.task_id,
@@ -77,7 +76,7 @@ def task_to_record(task: Task) -> dict:
         "estimated_cpu": task.estimated_cpu,
         "retries": task.retries,
         "stratum": task.stratum,
-        "compact_rows_in": state.rows_in if state is not None else None,
+        "compact_rows_in": sum(t.rows_in for t in folding) if folding else None,
         "bound": bound,
     }
 
@@ -89,31 +88,31 @@ def record_to_task(db: "Database", record: dict) -> Task:
     keep an old-id -> task map while replaying the WAL tail.  Bound tables
     come back fully materialized — their source records died with the old
     process — which is exactly the representation a fault-retried task
-    already uses, so every downstream path (absorb, compaction finalize,
+    already uses, so every downstream path (absorb, the compaction seal,
     the action body) handles it unchanged.
     """
-    from repro.core.unique import _CompactState
-
     bound: dict[str, TempTable] = {}
-    compact_state: Optional[_CompactState] = None
+    # The record carries one task-wide ``compact_rows_in``; each folded
+    # table counts its own rows as they come back, so what remains is the
+    # rows folded away before the snapshot — only ever read as part of the
+    # task total, it rides on the first folded table.
+    folded_away = record.get("compact_rows_in") or 0
     for name, entry in record["bound"].items():
         schema = Schema.of(
             *[Column(cname, ColumnType(ctype)) for cname, ctype in entry["columns"]]
         )
-        table = TempTable(name, schema)
+        keys = entry.get("compact_keys")
+        if keys:
+            table = FoldedTable(name, schema, compact_spec(schema.names(), tuple(keys)))
+            folded_away -= len(entry["rows"])
+        else:
+            table = TempTable(name, schema)
         for values in entry["rows"]:
             table.append_values(values)
         bound[name] = table
-        keys = entry.get("compact_keys")
-        if keys:
-            if compact_state is None:
-                compact_state = _CompactState()
-            spec = compact_spec(schema.names(), tuple(keys))
-            index: dict[tuple, int] = {}
-            for at, values in enumerate(entry["rows"]):
-                index[tuple(values[offset] for offset in spec.key_offsets)] = at
-            compact_state.specs[name] = spec
-            compact_state.indexes[name] = index
+    folding = [table for table in bound.values() if table.folding]
+    if folding:
+        folding[0].rows_in += max(folded_away, 0)
     body = db.rule_engine.make_action_body(record["function"])
     key = record["unique_key"]
     task = Task(
@@ -132,9 +131,6 @@ def record_to_task(db: "Database", record: dict) -> Task:
         stratum=record.get("stratum") or db.stratum_for_function(record["function"]),
     )
     task.retries = record["retries"]
-    if compact_state is not None:
-        compact_state.rows_in = record.get("compact_rows_in") or 0
-        task.compact_info = compact_state
     return task
 
 

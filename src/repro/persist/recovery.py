@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.net_effect import fold_values, is_net_noop
 from repro.errors import PersistenceError
 from repro.persist.checkpoint import (
     CHECKPOINT_FILE,
@@ -102,48 +101,6 @@ def _apply_op(db: "Database", op: dict) -> None:
         table.update(target, op["new"])
 
 
-def _apply_absorb(task: "Task", bound: dict[str, list[list]]) -> None:
-    """Re-apply a logged absorb, folding through the compaction index when
-    the bound table is compacted (mirrors ``UniqueManager._compact_absorb``
-    minus cost charges)."""
-    state = task.compact_info
-    for name, rows in bound.items():
-        target = task.bound_tables[name]
-        if state is not None and name in state.specs:
-            spec = state.specs[name]
-            index = state.indexes[name]
-            for values in rows:
-                key = tuple(values[offset] for offset in spec.key_offsets)
-                at = index.get(key)
-                if at is None:
-                    index[key] = len(target._rows)
-                    target.append_values(values)
-                else:
-                    prev = target._rows[at][1]
-                    target._rows[at] = ((), fold_values(prev, values, spec))
-            state.rows_in += len(rows)
-        else:
-            for values in rows:
-                target.append_values(values)
-
-
-def _apply_compact_finalize(task: "Task") -> None:
-    """Replay the compaction finalize's deterministic no-op drop (the task
-    had started; its tables were already folded, so only the drop and the
-    state detach remain)."""
-    state = task.compact_info
-    task.compact_info = None
-    if state is None:
-        return
-    for name, spec in state.specs.items():
-        if not spec.can_drop_noops:
-            continue
-        target = task.bound_tables[name]
-        target._rows[:] = [
-            row for row in target._rows if not is_net_noop(row[1], spec)
-        ]
-
-
 class WalApplier:
     """Applies WAL records to a database in LSN order, idempotently.
 
@@ -195,7 +152,12 @@ class WalApplier:
             for absorb in record["absorbs"]:
                 task = pending.get(absorb["task_id"])
                 if task is not None:
-                    _apply_absorb(task, absorb["bound"])
+                    # Logged by value before the live fold; a table that is
+                    # still folding folds them again as they are appended.
+                    for name, rows in absorb["bound"].items():
+                        target = task.bound_tables[name]
+                        for values in rows:
+                            target.append_values(values)
             finished = record.get("finished_task")
             if finished is not None:
                 if pending.pop(finished, None) is not None:
@@ -215,9 +177,13 @@ class WalApplier:
                 task.retries = record["retries"]
             self.running.discard(record["task_id"])
         elif kind == "task_compact":
+            # The task had started: the seal's no-op drop is deterministic
+            # given the folded tables, so the record carries no rows.
             task = pending.get(record["task_id"])
             if task is not None:
-                _apply_compact_finalize(task)
+                for table in task.bound_tables.values():
+                    if table.folding:
+                        table.seal()
         else:
             raise PersistenceError(f"replay: unknown WAL record kind {kind!r}")
         self.applied_lsn = lsn

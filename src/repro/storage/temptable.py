@@ -99,6 +99,9 @@ class TempTable:
     """
 
     is_temporary = True
+    #: True while appended rows fold per key instead of accumulating — only
+    #: ever on :class:`repro.core.net_effect.FoldedTable`, before its seal.
+    folding = False
 
     def __init__(self, name: str, schema: Schema, static_map: Optional[StaticMap] = None) -> None:
         if static_map is None:
@@ -162,6 +165,30 @@ class TempTable:
             self._rows.append((ptrs, mats))
         return len(other._rows)
 
+    def subset(self, rows: Iterable[tuple]) -> "TempTable":
+        """A fresh table defined identically to this one, holding ``rows`` —
+        raw ``(ptrs, mats)`` pairs of this table (``unique on``
+        partitioning) — and pinning their records."""
+        copy = TempTable(self.name, self.schema, self.static_map)
+        for ptrs, mats in rows:
+            for record in ptrs:
+                record.pin()
+            copy._rows.append((ptrs, mats))
+        return copy
+
+    def savepoint(self) -> Any:
+        """A mark :meth:`rollback` can return the table to.  Appends are all
+        a plain table ever sees, so its length is the whole mark."""
+        return len(self._rows)
+
+    def rollback(self, mark: Any) -> None:
+        """Drop every row appended since ``mark``, unpinning its records.
+        A table retired in the meantime has nothing left to undo."""
+        while len(self._rows) > mark:
+            ptrs, _mats = self._rows.pop()
+            for record in ptrs:
+                record.unpin()
+
     def retire(self) -> None:
         """Release every pinned record.  Idempotent."""
         if self._retired:
@@ -217,7 +244,7 @@ class TempTable:
 
     def __repr__(self) -> str:
         state = "retired" if self._retired else f"{len(self._rows)} rows"
-        return f"TempTable({self.name!r}, {state})"
+        return f"{type(self).__name__}({self.name!r}, {state})"
 
     def _check_live(self) -> None:
         if self._retired:

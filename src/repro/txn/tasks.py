@@ -59,7 +59,6 @@ class Task:
         "context_switches",
         "seq",
         "estimated_cpu",
-        "compact_info",
         "retries",
         "stratum",
         "cascade_from",
@@ -101,9 +100,6 @@ class Task:
         self.context_switches = 0
         self.seq = self.task_id  # FIFO tiebreaker
         self.estimated_cpu = estimated_cpu
-        # Delta-compaction state set by the UniqueManager for ``compact on``
-        # rules (None otherwise); see repro.core.unique._CompactState.
-        self.compact_info: Optional[Any] = None
         # Fault-recovery re-executions so far (repro.fault.recovery).
         self.retries = 0
         # Rule-dependency stratum: 0 for application tasks, >= 1 for rule

@@ -64,7 +64,7 @@ view — over-deletion in the extreme, always safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.rules import Rule
@@ -407,132 +407,52 @@ def _mark_queries(
     by the old-by-new ``execute_order`` self-join.  Both project a
     ``maint_wild`` flag: 0 for anchored key marks, 1 for the wild fallback
     that recomputes the whole view.
+
+    Where the keys come from is the only thing that varies.  The anchor's
+    own rule reads them off its transition table alone — no join, so it
+    still marks correctly when every join partner died too.  Any other
+    table's rule joins its transition against the live anchor through the
+    WHERE conjuncts that mention only the two of them (conjuncts routed
+    through third tables are dropped — that over-marks, never under-marks).
+    Without an anchor there are no keys to project, only the wild flag.
     """
-    conjuncts = _conjuncts(select.where)
-    queries: list[ast.RuleQuery] = []
+    own = anchor is not None and base.binding == anchor.binding
+    joined = () if anchor is None or own else (anchor,)
+    within = {base.binding} | {ref.binding for ref in joined}
+    conjuncts = _conjuncts(select.where) if anchor is not None else []
+    kept = [conj for conj in conjuncts if _refs_within(conj, bindings, within)]
 
-    def danger_changed() -> Optional[ast.Expr]:
-        return _or_all(
-            [
-                ast.BinaryOp(
-                    "!=",
-                    ast.ColumnRef("old", column),
-                    ast.ColumnRef("new", column),
-                )
-                for column in danger_columns
+    def marks(transition: str, tables: tuple, guards: list[ast.Expr]) -> ast.Select:
+        if anchor is None:
+            items = [ast.SelectItem(ast.Literal(1), WILD_MARK)]
+        else:
+            source = transition if own else anchor.binding
+            items = [
+                ast.SelectItem(ast.ColumnRef(source, anchor_map[k]), k) for k in key_names
             ]
+            items.append(ast.SelectItem(ast.Literal(0), WILD_MARK))
+        moved = [_substitute_table(conj, base.binding, transition) for conj in kept]
+        return ast.Select(
+            items=tuple(items),
+            tables=tuple(ast.TableRef(name, None) for name in tables) + joined,
+            where=_and_all(moved + guards if own else guards + moved),
         )
 
-    order_join = ast.BinaryOp(
-        "=",
-        ast.ColumnRef("old", EXECUTE_ORDER),
-        ast.ColumnRef("new", EXECUTE_ORDER),
-    )
-
-    if anchor is None:
-        wild_items = (ast.SelectItem(ast.Literal(1), WILD_MARK),)
-        queries.append(
-            ast.RuleQuery(
-                ast.Select(items=wild_items, tables=(ast.TableRef("deleted", None),)),
-                "marks_del",
-            )
-        )
-        changed = danger_changed()
-        if changed is not None:
-            queries.append(
-                ast.RuleQuery(
-                    ast.Select(
-                        items=wild_items,
-                        tables=(ast.TableRef("old", None), ast.TableRef("new", None)),
-                        where=ast.BinaryOp("and", order_join, changed),
-                    ),
-                    "marks_old",
-                )
-            )
-        return queries
-
-    if base.binding == anchor.binding:
-        # The anchor's transition alone carries the keys: no join, so this
-        # query still marks correctly when every join partner died too.
-        local = [
-            conj
-            for conj in conjuncts
-            if _refs_within(conj, bindings, {anchor.binding})
-        ]
-
-        def anchored(transition: str, extra: Sequence[ast.Expr]) -> ast.Select:
-            items = tuple(
-                [
-                    ast.SelectItem(ast.ColumnRef(transition, anchor_map[k]), k)
-                    for k in key_names
-                ]
-                + [ast.SelectItem(ast.Literal(0), WILD_MARK)]
-            )
-            where = _and_all(
-                [_substitute_table(conj, anchor.binding, transition) for conj in local]
-                + list(extra)
-            )
-            tables: tuple[ast.TableRef, ...]
-            if transition == "old":
-                tables = (ast.TableRef("old", None), ast.TableRef("new", None))
-            else:
-                tables = (ast.TableRef(transition, None),)
-            return ast.Select(items=items, tables=tables, where=where)
-
-        queries.append(ast.RuleQuery(anchored("deleted", ()), "marks_del"))
-        changed = danger_changed()
-        if changed is not None:
-            queries.append(
-                ast.RuleQuery(anchored("old", (order_join, changed)), "marks_old")
-            )
-        return queries
-
-    # Non-anchor table: join its transition against the live anchor through
-    # the WHERE conjuncts that mention only the two of them, projecting the
-    # keys from the anchor.  Conjuncts routed through third tables are
-    # dropped — that over-marks (a superset), never under-marks.
-    pair = [
-        conj
-        for conj in conjuncts
-        if _refs_within(conj, bindings, {base.binding, anchor.binding})
-    ]
-    key_items = tuple(
+    queries = [ast.RuleQuery(marks("deleted", ("deleted",), []), "marks_del")]
+    changed = _or_all(
         [
-            ast.SelectItem(ast.ColumnRef(anchor.binding, anchor_map[k]), k)
-            for k in key_names
+            ast.BinaryOp("!=", ast.ColumnRef("old", column), ast.ColumnRef("new", column))
+            for column in danger_columns
         ]
-        + [ast.SelectItem(ast.Literal(0), WILD_MARK)]
     )
-    queries.append(
-        ast.RuleQuery(
-            ast.Select(
-                items=key_items,
-                tables=(ast.TableRef("deleted", None), anchor),
-                where=_and_all(
-                    [_substitute_table(conj, base.binding, "deleted") for conj in pair]
-                ),
-            ),
-            "marks_del",
-        )
-    )
-    changed = danger_changed()
     if changed is not None:
+        order_join = ast.BinaryOp(
+            "=",
+            ast.ColumnRef("old", EXECUTE_ORDER),
+            ast.ColumnRef("new", EXECUTE_ORDER),
+        )
         queries.append(
-            ast.RuleQuery(
-                ast.Select(
-                    items=key_items,
-                    tables=(
-                        ast.TableRef("old", None),
-                        ast.TableRef("new", None),
-                        anchor,
-                    ),
-                    where=_and_all(
-                        [order_join, changed]
-                        + [_substitute_table(conj, base.binding, "old") for conj in pair]
-                    ),
-                ),
-                "marks_old",
-            )
+            ast.RuleQuery(marks("old", ("old", "new"), [order_join, changed]), "marks_old")
         )
     return queries
 
@@ -666,28 +586,22 @@ def materialize(
     plan_record = MaintenancePlan(view, view_name, kind=info["kind"])
     plan_record.requested = maintenance
 
+    kind: _ViewKind
     if info["kind"] == "aggregate":
-        incremental = all(
-            agg.name in ("sum", "count", "avg") for agg, _n in info["aggs"]
-        )
-        plan_record.key_columns = tuple(name for _e, name in info["groups"])
-        populate_select = _aggregate_populate_select(select, info)
-        key_exprs = [(name, expr) for expr, name in info["groups"]]
+        kind = _AggregateKind(select, info, plan_record.stats)
     else:
-        incremental = True  # the targeted per-key upsert is delta-driven
         key_columns = tuple(key) if key else (out_columns[0][0],)
         for column in key_columns:
             if column not in [name for name, _t in out_columns]:
                 raise UnsupportedViewError(f"key column {column!r} is not selected")
+        kind = _ProjectionKind(select, info, key_columns, plan_record.stats)
         plan_record.compact = compact
-        plan_record.key_columns = key_columns
-        populate_select = select
-        by_name = {name: expr for expr, name in info["items"]}
-        key_exprs = [(name, by_name[name]) for name in key_columns]
+    plan_record.key_columns = kind.key_names
+    plan_record.incremental = kind.incremental
 
     # Populate before wiring rules: the strategy choice reads the sizes.
     txn = db.begin()
-    for values in db.run_select(populate_select, txn).rows():
+    for values in db.run_select(kind.populate_select, txn).rows():
         txn.insert_record(backing, values)
     txn.commit()
 
@@ -702,7 +616,8 @@ def materialize(
                 fanout=max(1.0, view_rows / max(base_rows, 1)),
                 rederive_rows=base_rows / max(view_rows, 1),
                 view_rows=float(view_rows),
-                incremental_ok=(info["kind"] == "projection") or incremental,
+                # The targeted per-key upsert of projections is delta-driven.
+                incremental_ok=(info["kind"] == "projection") or kind.incremental,
                 multi_table=len(base_refs) > 1,
             )
             advice = MaintenanceAdvisor.from_cost_model(db.cost_model).recommend(
@@ -715,21 +630,13 @@ def materialize(
     bindings = {
         ref.binding: db.catalog.table(ref.name).schema for ref in base_refs
     }
-    anchor, anchor_map = _select_anchor(select, key_exprs, bindings)
-
-    if info["kind"] == "aggregate":
-        plan_record.incremental = incremental
-        _materialize_aggregate(
-            db, view, info, plan_record, unique, unique_on, delay,
-            strategy, anchor, anchor_map, bindings, populate_select,
-        )
-    else:
-        plan_record.incremental = False
-        _materialize_projection(
-            db, view, info, plan_record, plan_record.key_columns,
-            unique, unique_on, delay, compact,
-            strategy, anchor, anchor_map, bindings,
-        )
+    anchor, anchor_map = _select_anchor(
+        select, list(zip(kind.key_names, kind.key_exprs)), bindings
+    )
+    _install(
+        db, view, plan_record, kind, unique, unique_on, delay, compact,
+        strategy, anchor, anchor_map, bindings,
+    )
 
     db.materialized_views[view_name] = plan_record
     if db.tracer.enabled:
@@ -742,57 +649,151 @@ def materialize(
     return plan_record
 
 
-def _group_key_names(info: dict) -> list[str]:
-    return [name for _expr, name in info["groups"]]
+def _find(table, key_names: Sequence[str], key: tuple) -> list:
+    """The backing-table rows of one view key."""
+    return list(table.lookup(key_names, key if len(key) > 1 else key[0]))
 
 
-def _aggregate_populate_select(select: ast.Select, info: dict) -> ast.Select:
-    items = [ast.SelectItem(expr, name) for expr, name in info["groups"]]
-    items.extend(ast.SelectItem(expr, name) for expr, name in info["aggs"])
-    items.append(ast.SelectItem(ast.FuncCall("count", (), star=True), HIDDEN_COUNT))
-    return ast.Select(
-        items=tuple(items),
-        tables=select.tables,
-        where=select.where,
-        group_by=select.group_by,
+class _ViewKind:
+    """What one class of maintained view supplies to the generator.
+
+    :func:`_install` writes the rules and the apply skeleton once; a kind
+    adds only what differs: the delta select items, which deltas ``dred``
+    leaves unbound, the fold of a task's bound rows into one result per
+    key, and how one key's folded result is written.
+    """
+
+    #: ``(bound name, transition table)`` of the delta queries, in
+    #: ``evaluate`` order.
+    deltas: tuple[tuple[str, str], ...]
+    #: Deltas the ``dred`` strategy does not bind (marks cover their keys).
+    dred_drops: frozenset
+    #: Output offsets of the key when the view holds one row per key and
+    #: the last in query order wins (keyed projections); None otherwise.
+    fold_offsets: Optional[list[int]] = None
+    #: Bound rows are deltas the fold can apply without a requery.
+    incremental = False
+
+    def __init__(
+        self,
+        select: ast.Select,
+        keys: Sequence[tuple[str, ast.Expr]],
+        value_exprs: Sequence[ast.Expr],
+        populate_select: ast.Select,
+        stats: MaintenanceStats,
+    ) -> None:
+        self.key_names = tuple(name for name, _expr in keys)
+        self.key_exprs = [expr for _name, expr in keys]
+        #: Non-key expressions whose base columns feed the view's values.
+        self.value_exprs = list(value_exprs)
+        self.populate_select = populate_select
+        self.stats = stats
+        # The key-restricted requery, built (and so planned) once per view:
+        # the key values arrive as parameters, not as literals in the AST.
+        self._key_params = [f"maint_key{i}" for i in range(len(keys))]
+        where = select.where
+        for expr, param in zip(self.key_exprs, self._key_params):
+            condition = ast.BinaryOp("=", expr, ast.Param(param))
+            where = condition if where is None else ast.BinaryOp("and", where, condition)
+        self._requery = replace(populate_select, where=where)
+
+    def delta_items(self, base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
+        """The select items of ``base``'s delta query over ``transition``."""
+        raise NotImplementedError
+
+    def fold(self, ctx: "FunctionContext") -> dict[tuple, object]:
+        """Fold the task's delta tables into one result per view key."""
+        raise NotImplementedError
+
+    def write(self, ctx: "FunctionContext", table, key: tuple, records: list, folded) -> None:
+        """Apply one key's folded result to its backing rows ``records``."""
+        raise NotImplementedError
+
+    def requery(self, ctx: "FunctionContext", key: tuple) -> list:
+        """The view's rows for ``key``, from the base tables as they are now."""
+        params = dict(zip(self._key_params, key))
+        return ctx.db.run_select(self._requery, ctx.txn, params).rows()
+
+    def remove(self, ctx: "FunctionContext", table, records: list, dred: bool) -> None:
+        """Delete a key's backing ``records`` ahead of a requery's rows;
+        under ``dred`` that is the overdeletion and is charged as such."""
+        for record in records:
+            if dred:
+                ctx.charge("dred_overdelete_row")
+            ctx.txn.delete_record(table, record)
+        if dred:
+            self.stats.rows_overdeleted += len(records)
+        self.stats.rows_touched += len(records)
+
+    def restore(self, ctx: "FunctionContext", table, rows: list, dred: bool) -> None:
+        """Insert a key's freshly requeried ``rows`` (the rederivation)."""
+        if not rows:
+            return
+        if dred:
+            ctx.charge("dred_rederive_row", len(rows))
+            self.stats.rows_rederived += len(rows)
+        for values in rows:
+            ctx.txn.insert_record(table, values)
+        self.stats.rows_touched += len(rows)
+
+    def rederive(self, ctx: "FunctionContext", table, key: tuple) -> None:
+        """Overdelete a marked key, then restore what still derives from
+        the surviving base data."""
+        self.remove(ctx, table, _find(table, self.key_names, key), dred=True)
+        self.restore(ctx, table, self.requery(ctx, key), dred=True)
+
+    def requeried(self, key: Optional[tuple], seq: int) -> None:
+        """``key`` (None: the whole view) was just rebuilt from the base
+        tables as of commit ``seq``."""
+
+
+class _AggregateKind(_ViewKind):
+    """``GROUP BY`` views: bound rows carry the group key plus the raw
+    aggregate arguments, folded as signed sums per group."""
+
+    deltas = (
+        ("plus_rows", "inserted"),
+        ("plus_upd", "new"),
+        ("minus_rows", "deleted"),
+        ("minus_upd", "old"),
     )
+    # Deleted keys are a subset of the marked keys, so the minus delta of
+    # deletions is dropped entirely: deletions pay marking plus
+    # rederivation, never delta arithmetic.
+    dred_drops = frozenset({"minus_rows"})
 
+    def __init__(self, select: ast.Select, info: dict, stats: MaintenanceStats) -> None:
+        self.groups: list[tuple[ast.Expr, str]] = info["groups"]
+        self.aggs: list[tuple[ast.FuncCall, str]] = info["aggs"]
+        self.incremental = all(
+            agg.name in ("sum", "count", "avg") for agg, _n in self.aggs
+        )
+        items = [ast.SelectItem(expr, name) for expr, name in self.groups]
+        items.extend(ast.SelectItem(expr, name) for expr, name in self.aggs)
+        items.append(ast.SelectItem(ast.FuncCall("count", (), star=True), HIDDEN_COUNT))
+        super().__init__(
+            select,
+            [(name, expr) for expr, name in self.groups],
+            [arg for agg, _n in self.aggs for arg in agg.args],
+            replace(select, items=tuple(items)),
+            stats,
+        )
+        # Commit-seq horizons left behind by requeries.  A rederivation (or a
+        # wild full recompute) reads the *live* base tables, so it reflects
+        # every commit made so far — including commits whose maintenance tasks
+        # are still in the queue.  When those tasks finally run, their folded
+        # deltas for the requeried keys have already been counted and must be
+        # skipped; the per-row MAINT_SEQ against these horizons decides.
+        # (Bounded by the view's distinct key count, like the table itself.)
+        self.rederived_at: dict[tuple, int] = {}
+        self.recomputed_at = 0
 
-def _materialize_aggregate(
-    db: "Database",
-    view: ViewDefinition,
-    info: dict,
-    plan_record: MaintenancePlan,
-    unique: bool,
-    unique_on: Sequence[str],
-    delay: float,
-    strategy: str,
-    anchor: Optional[ast.TableRef],
-    anchor_map: dict[str, str],
-    bindings: dict[str, Schema],
-    populate_select: ast.Select,
-) -> None:
-    select = view.select
-    groups: list[tuple[ast.Expr, str]] = info["groups"]
-    aggs: list[tuple[ast.FuncCall, str]] = info["aggs"]
-    incremental = plan_record.incremental
-    function_name = f"maintain_{view.name}"
-    plan_record.function_name = function_name
-    stats = plan_record.stats
-    multi_table = len(select.tables) > 1
-
-    group_names = _group_key_names(info)
-    agg_names = [name for _a, name in aggs]
-
-    # Per base table: one rule binding plus/minus delta rows.  The bound
-    # rows carry the group key plus the raw aggregate arguments.
-    def delta_items(base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
-        items = []
-        for expr, name in groups:
-            items.append(
-                ast.SelectItem(_substitute_table(expr, base.binding, transition), name)
-            )
-        for agg, name in aggs:
+    def delta_items(self, base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
+        items = [
+            ast.SelectItem(_substitute_table(expr, base.binding, transition), name)
+            for expr, name in self.groups
+        ]
+        for agg, name in self.aggs:
             if agg.star or not agg.args:
                 arg: ast.Expr = ast.Literal(1)
             else:
@@ -801,271 +802,129 @@ def _materialize_aggregate(
         items.append(ast.SelectItem(ast.ColumnRef(None, "commit_seq"), MAINT_SEQ))
         return items
 
-    for base in select.tables:
-        schema = db.catalog.table(base.name).schema
-        relevant = _columns_of_table(
-            [expr for expr, _n in groups]
-            + [arg for agg, _n in aggs for arg in agg.args]
-            + ([select.where] if select.where is not None else []),
-            base.binding,
-            schema,
-        )
-        # Columns whose change can move a row between groups or in/out of
-        # the view: the group keys and the WHERE-referenced columns, but
-        # not pure aggregate arguments (those stay incremental).
-        danger = _columns_of_table(
-            [expr for expr, _n in groups]
-            + ([select.where] if select.where is not None else []),
-            base.binding,
-            schema,
-        )
-        events = (
-            ast.Event("inserted"),
-            ast.Event("deleted"),
-            ast.Event("updated", tuple(sorted(relevant))),
-        )
-        deltas = {
-            "plus_rows": ast.RuleQuery(
-                _delta_select(select, base, "inserted", delta_items(base, "inserted")),
-                "plus_rows",
-            ),
-            "plus_upd": ast.RuleQuery(
-                _delta_select(select, base, "new", delta_items(base, "new")),
-                "plus_upd",
-            ),
-            "minus_rows": ast.RuleQuery(
-                _delta_select(select, base, "deleted", delta_items(base, "deleted")),
-                "minus_rows",
-            ),
-            "minus_upd": ast.RuleQuery(
-                _delta_select(select, base, "old", delta_items(base, "old")),
-                "minus_upd",
-            ),
-        }
-        if strategy == "dred":
-            # Deleted keys are a subset of the marked keys, so the minus
-            # delta of deletions is dropped entirely: deletions pay marking
-            # plus rederivation, never delta arithmetic.
-            evaluate = [deltas["plus_rows"], deltas["plus_upd"], deltas["minus_upd"]]
-            evaluate.extend(
-                _mark_queries(
-                    select, base, anchor, anchor_map, group_names,
-                    sorted(danger), bindings,
-                )
-            )
-        elif strategy == "incremental" and multi_table:
-            # The empty-join hardening: a deleted row whose join partner
-            # died in the same transaction produces no minus delta, so the
-            # marks catch the affected groups for requery.
-            evaluate = list(deltas.values())
-            evaluate.extend(
-                _mark_queries(
-                    select, base, anchor, anchor_map, group_names,
-                    sorted(danger), bindings,
-                )
-            )
+    def requeried(self, key: Optional[tuple], seq: int) -> None:
+        if key is None:
+            self.recomputed_at = seq
         else:
-            evaluate = list(deltas.values())
-        rule = Rule(
-            name=f"maintain_{view.name}_{base.binding}",
-            table=base.name,
-            events=events,
-            condition=(),
-            evaluate=tuple(evaluate),
-            function=function_name,
-            unique=unique,
-            unique_on=tuple(unique_on),
-            after=delay,
-            maintenance=strategy,
-            writes=(view.name,),
-        )
-        db.create_rule(rule)
-        plan_record.rules.append(rule)
+            self.rederived_at[key] = seq
 
-    view_select = select  # captured for per-group recomputation
-    group_exprs = [expr for expr, _n in groups]
+    def regroup(self, ctx: "FunctionContext", table, key: tuple, records: list, dred: bool) -> None:
+        """Recompute one group from the base tables.  (The requery runs —
+        and is charged — before the old row goes, unlike a projection's
+        rederivation; task CPU sums are order-sensitive in the last digit.)"""
+        rows = self.requery(ctx, key)
+        self.remove(ctx, table, records, dred)
+        self.restore(ctx, table, rows, dred)
 
-    def _requery_group(ctx, table, key, record, dred: bool) -> None:
-        """Recompute one group from the base tables (restricted requery)."""
-        where = view_select.where
-        for expr, value in zip(group_exprs, key):
-            condition = ast.BinaryOp("=", expr, ast.Literal(value))
-            where = condition if where is None else ast.BinaryOp("and", where, condition)
-        items = [ast.SelectItem(expr, name) for expr, name in groups]
-        items.extend(ast.SelectItem(agg, name) for agg, name in aggs)
-        items.append(ast.SelectItem(ast.FuncCall("count", (), star=True), HIDDEN_COUNT))
-        fresh = ast.Select(
-            items=tuple(items),
-            tables=view_select.tables,
-            where=where,
-            group_by=view_select.group_by,
-        )
-        rows = ctx.db.run_select(fresh, ctx.txn).rows()
-        if record is not None:
-            if dred:
-                ctx.charge("dred_overdelete_row")
-                stats.rows_overdeleted += 1
-            ctx.txn.delete_record(table, record)
-            stats.rows_touched += 1
-        if rows:
-            if dred:
-                ctx.charge("dred_rederive_row", len(rows))
-                stats.rows_rederived += len(rows)
-            for values in rows:
-                ctx.txn.insert_record(table, values)
-            stats.rows_touched += len(rows)
+    def rederive(self, ctx: "FunctionContext", table, key: tuple) -> None:
+        ctx.charge("cursor_fetch")
+        self.regroup(ctx, table, key, _find(table, self.key_names, key), dred=True)
 
-    # Commit-seq horizons left behind by requeries.  A rederivation (or a
-    # wild full recompute) reads the *live* base tables, so it reflects
-    # every commit made so far — including commits whose maintenance tasks
-    # are still in the queue.  When those tasks finally run, their folded
-    # deltas for the requeried keys have already been counted and must be
-    # skipped; the per-row MAINT_SEQ against these horizons decides.
-    # (Bounded by the view's distinct key count, like the table itself.)
-    rederived_at: dict[tuple, int] = {}
-    recomputed_at = [0]
-
-    def apply_deltas(ctx: "FunctionContext") -> None:
-        """Fold the delta tables into the backing table; marked keys are
-        overdeleted and rederived from the surviving base data instead."""
-        stats.tasks += 1
-        table = ctx.db.catalog.table(view.name)
-        schema = table.schema
-        if strategy == "recompute":
-            _full_recompute(ctx, table, populate_select, stats)
-            return
-        marked, wild = _collect_marks(ctx, group_names, stats)
-        if wild:
-            _full_recompute(ctx, table, populate_select, stats)
-            recomputed_at[0] = ctx.db.last_commit_seq
-            return
+    def fold(self, ctx: "FunctionContext") -> dict[tuple, list]:
+        """Per group: ``[count delta, sum delta per aggregate...]``."""
         changes: dict[tuple, list] = {}
-        for bound_name, sign in (
-            ("plus_rows", 1),
-            ("plus_upd", 1),
-            ("minus_rows", -1),
-            ("minus_upd", -1),
-        ):
+        for (bound_name, _transition), sign in zip(self.deltas, (1, 1, -1, -1)):
             if not ctx.has_bound(bound_name):
                 continue
             for row in ctx.rows(bound_name):
-                key = tuple(row[name] for name in group_names)
+                key = tuple(row[name] for name in self.key_names)
                 seq = row.get(MAINT_SEQ) or 0
-                horizon = max(recomputed_at[0], rederived_at.get(key, 0))
+                horizon = max(self.recomputed_at, self.rederived_at.get(key, 0))
                 if seq and seq <= horizon:
                     continue  # a requery already reflected this commit
                 entry = changes.get(key)
                 if entry is None:
-                    entry = changes[key] = [0] + [0.0] * len(agg_names)
+                    entry = changes[key] = [0] + [0.0] * len(self.aggs)
                 entry[0] += sign
-                for i, name in enumerate(agg_names):
+                for i, (_agg, name) in enumerate(self.aggs):
                     value = row[f"arg_{name}"]
                     if value is not None:
                         entry[1 + i] += sign * value
-        key_offsets = [schema.offset(name) for name in group_names]
-        cnt_offset = schema.offset(HIDDEN_COUNT)
+        return changes
 
-        def find(key):
-            return next(
-                (
-                    r
-                    for r in table.lookup(
-                        tuple(group_names), key if len(key) > 1 else key[0]
-                    )
-                ),
-                None,
-            )
-
-        # Marked keys are requeried against the surviving base data — the
-        # requery is ground truth at apply time, so any folded deltas for
-        # the same key are superseded and must be discarded (a delta
-        # already visible to the requery would otherwise apply twice).
-        for key in marked:
-            changes.pop(key, None)
-        horizon = ctx.db.last_commit_seq
-        for key in sorted(marked, key=repr):
-            ctx.charge("cursor_fetch")
-            _requery_group(ctx, table, key, find(key), dred=True)
-            rederived_at[key] = horizon
-        if not changes:
+    def write(self, ctx: "FunctionContext", table, key: tuple, records: list, entry: list) -> None:
+        if not self.incremental:
+            self.regroup(ctx, table, key, records, dred=False)  # MIN/MAX
             return
-        for key, entry in changes.items():
-            ctx.charge("cursor_fetch")
-            record = find(key)
-            if not incremental:
-                _requery_group(ctx, table, key, record, dred=False)
-                continue
-            count_delta = entry[0]
-            if record is None:
-                if count_delta <= 0:
-                    continue  # deltas for a group that never materialized
-                values = [None] * len(schema)
-                for offset, value in zip(key_offsets, key):
-                    values[offset] = value
-                for i, name in enumerate(agg_names):
-                    agg_kind = aggs[i][0].name
-                    if agg_kind == "count":
-                        values[schema.offset(name)] = count_delta
-                    elif agg_kind == "avg":
-                        values[schema.offset(name)] = entry[1 + i] / count_delta
-                    else:
-                        values[schema.offset(name)] = entry[1 + i]
-                values[cnt_offset] = count_delta
-                ctx.txn.insert_record(table, values)
-                stats.rows_touched += 1
-                continue
-            new_count = record.values[cnt_offset] + count_delta
-            if new_count <= 0:
-                ctx.txn.delete_record(table, record)
-                stats.rows_touched += 1
-                continue
-            values = list(record.values)
-            values[cnt_offset] = new_count
-            for i, name in enumerate(agg_names):
-                agg_kind = aggs[i][0].name
-                offset = schema.offset(name)
-                if agg_kind == "count":
-                    values[offset] = (values[offset] or 0) + count_delta
-                elif agg_kind == "sum":
-                    values[offset] = (values[offset] or 0) + entry[1 + i]
-                elif agg_kind == "avg":
-                    old_sum = (values[offset] or 0.0) * record.values[cnt_offset]
-                    values[offset] = (old_sum + entry[1 + i]) / new_count
-            ctx.txn.update_record(table, record, values)
+        stats = self.stats
+        schema = table.schema
+        cnt_offset = schema.offset(HIDDEN_COUNT)
+        count_delta = entry[0]
+        if not records:
+            if count_delta <= 0:
+                return  # deltas for a group that never materialized
+            values = [None] * len(schema)
+            for name, value in zip(self.key_names, key):
+                values[schema.offset(name)] = value
+            for i, (agg, name) in enumerate(self.aggs):
+                if agg.name == "count":
+                    values[schema.offset(name)] = count_delta
+                elif agg.name == "avg":
+                    values[schema.offset(name)] = entry[1 + i] / count_delta
+                else:
+                    values[schema.offset(name)] = entry[1 + i]
+            values[cnt_offset] = count_delta
+            ctx.txn.insert_record(table, values)
             stats.rows_touched += 1
+            return
+        record = records[0]
+        new_count = record.values[cnt_offset] + count_delta
+        if new_count <= 0:
+            ctx.txn.delete_record(table, record)
+            stats.rows_touched += 1
+            return
+        values = list(record.values)
+        values[cnt_offset] = new_count
+        for i, (agg, name) in enumerate(self.aggs):
+            offset = schema.offset(name)
+            if agg.name == "count":
+                values[offset] = (values[offset] or 0) + count_delta
+            elif agg.name == "sum":
+                values[offset] = (values[offset] or 0) + entry[1 + i]
+            elif agg.name == "avg":
+                old_sum = (values[offset] or 0.0) * record.values[cnt_offset]
+                values[offset] = (old_sum + entry[1 + i]) / new_count
+        ctx.txn.update_record(table, record, values)
+        stats.rows_touched += 1
 
-    db.register_function(function_name, apply_deltas, replace=True)
 
+class _ProjectionKind(_ViewKind):
+    """Keyed projection views: bound rows are whole output rows, and per
+    key the latest event wins."""
 
-def _materialize_projection(
-    db: "Database",
-    view: ViewDefinition,
-    info: dict,
-    plan_record: MaintenancePlan,
-    key_columns: tuple[str, ...],
-    unique: bool,
-    unique_on: Sequence[str],
-    delay: float,
-    compact: bool,
-    strategy: str,
-    anchor: Optional[ast.TableRef],
-    anchor_map: dict[str, str],
-    bindings: dict[str, Schema],
-) -> None:
-    select = view.select
-    items: list[tuple[ast.Expr, str]] = info["items"]
-    function_name = f"maintain_{view.name}"
-    plan_record.function_name = function_name
-    stats = plan_record.stats
-    multi_table = len(select.tables) > 1
+    # Old images of updates ("stale"): their keys may have left the view (a
+    # key-column update), so they retire before the refreshed rows apply.
+    deltas = (
+        ("added", "inserted"),
+        ("refreshed", "new"),
+        ("removed", "deleted"),
+        ("stale", "old"),
+    )
+    dred_drops = frozenset({"removed", "stale"})
 
-    column_names = [name for _e, name in items]
-    key_exprs = {name: expr for expr, name in items if name in key_columns}
+    def __init__(
+        self,
+        select: ast.Select,
+        info: dict,
+        key_columns: tuple[str, ...],
+        stats: MaintenanceStats,
+    ) -> None:
+        self.items: list[tuple[ast.Expr, str]] = info["items"]
+        self.column_names = [name for _e, name in self.items]
+        self.fold_offsets = [self.column_names.index(name) for name in key_columns]
+        by_name = {name: expr for expr, name in self.items}
+        super().__init__(
+            select,
+            [(name, by_name[name]) for name in key_columns],
+            [expr for expr, _n in self.items],
+            select,
+            stats,
+        )
 
-    def projected(base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
+    def delta_items(self, base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
         out = [
             ast.SelectItem(_substitute_table(expr, base.binding, transition), name)
-            for expr, name in items
+            for expr, name in self.items
         ]
         # Ordering columns so the apply fold can replay the batch's events
         # in true order: bind-time commit time, then within-transaction
@@ -1075,74 +934,121 @@ def _materialize_projection(
         out.append(ast.SelectItem(ast.ColumnRef(transition, EXECUTE_ORDER), ORDER_ORD))
         return out
 
+    def requery(self, ctx: "FunctionContext", key: tuple) -> list:
+        # The requery is pinned to one key, so duplicate base rows all land
+        # on it: keep the last, matching the per-key upsert ``write`` does.
+        return super().requery(ctx, key)[-1:]
+
+    def fold(self, ctx: "FunctionContext") -> dict[tuple, tuple]:
+        """Per key: ``(order, rank, row)`` of its latest event.
+
+        Transition-aware ordered fold: every delta row carries its commit
+        time and execute order, so per key the *latest* event decides the
+        outcome.  Removal events (removed/stale) rank below upserts at
+        the same position because an update's old and new image share one
+        execute order and the new image must win; across positions the
+        ordering columns decide, so a key-column update chain retires its
+        intermediate keys instead of resurrecting them.
+        """
+        latest: dict[tuple, tuple] = {}
+        seq = 0
+        for bound_name, rank in (("removed", 0), ("stale", 0), ("added", 1), ("refreshed", 1)):
+            if not ctx.has_bound(bound_name):
+                continue
+            for row in ctx.rows(bound_name):
+                key = tuple(row[name] for name in self.key_names)
+                order = (row.get(ORDER_CT) or 0.0, row.get(ORDER_ORD) or 0, rank, seq)
+                seq += 1
+                prev = latest.get(key)
+                if prev is None or order > prev[0]:
+                    latest[key] = (order, rank, row)
+        return latest
+
+    def write(self, ctx: "FunctionContext", table, key: tuple, records: list, folded: tuple) -> None:
+        _order, rank, row = folded
+        if rank == 0:  # the key's final event removed it from the view
+            for record in records:
+                ctx.txn.delete_record(table, record)
+            self.stats.rows_touched += len(records)
+            return
+        values = [row[name] for name in self.column_names]
+        if records:
+            ctx.txn.update_record(table, records[0], values)
+            for record in records[1:]:
+                ctx.txn.delete_record(table, record)
+            self.stats.rows_touched += len(records)
+        else:
+            ctx.txn.insert_record(table, values)
+            self.stats.rows_touched += 1
+
+
+def _install(
+    db: "Database",
+    view: ViewDefinition,
+    plan_record: MaintenancePlan,
+    kind: _ViewKind,
+    unique: bool,
+    unique_on: Sequence[str],
+    delay: float,
+    compact: bool,
+    strategy: str,
+    anchor: Optional[ast.TableRef],
+    anchor_map: dict[str, str],
+    bindings: dict[str, Schema],
+) -> None:
+    """Generate one view's maintenance rules — one per base table, binding
+    the delta rows derived from its transition tables — and register the
+    user function that applies them.  Nothing here depends on the view's
+    class; ``kind`` supplies what does."""
+    select = view.select
+    function_name = f"maintain_{view.name}"
+    plan_record.function_name = function_name
+    stats = plan_record.stats
+    where = [select.where] if select.where is not None else []
+    # dred marks instead of deleting by arithmetic.  incremental needs the
+    # marks on joins only — the empty-join hardening: a deleted row whose
+    # join partner died in the same transaction produces no minus delta, so
+    # the marks catch the affected keys for requery.
+    marking = strategy == "dred" or (strategy == "incremental" and len(select.tables) > 1)
+
     for base in select.tables:
         schema = db.catalog.table(base.name).schema
         relevant = _columns_of_table(
-            [expr for expr, _n in items]
-            + ([select.where] if select.where is not None else []),
-            base.binding,
-            schema,
+            kind.key_exprs + kind.value_exprs + where, base.binding, schema
         )
-        danger = _columns_of_table(
-            [expr for expr, name in items if name in key_columns]
-            + ([select.where] if select.where is not None else []),
-            base.binding,
-            schema,
-        )
-        events = (
-            ast.Event("inserted"),
-            ast.Event("deleted"),
-            ast.Event("updated", tuple(sorted(relevant))),
-        )
-        deltas = {
-            "added": ast.RuleQuery(
-                _delta_select(select, base, "inserted", projected(base, "inserted")),
-                "added",
-            ),
-            "refreshed": ast.RuleQuery(
-                _delta_select(select, base, "new", projected(base, "new")),
-                "refreshed",
-            ),
-            "removed": ast.RuleQuery(
-                _delta_select(select, base, "deleted", projected(base, "deleted")),
-                "removed",
-            ),
-            # Old images of updates: their keys may have left the view (a
-            # key-column update), so they are retired before the refreshed
-            # rows are applied.
-            "stale": ast.RuleQuery(
-                _delta_select(select, base, "old", projected(base, "old")),
-                "stale",
-            ),
-        }
-        if strategy == "dred":
-            evaluate = [deltas["added"], deltas["refreshed"]]
+        # Columns whose change can move a row between keys or in/out of
+        # the view: the keys and the WHERE-referenced columns, but not pure
+        # value expressions (those stay incremental).
+        danger = _columns_of_table(kind.key_exprs + where, base.binding, schema)
+        evaluate = [
+            ast.RuleQuery(
+                _delta_select(select, base, transition, kind.delta_items(base, transition)),
+                name,
+            )
+            for name, transition in kind.deltas
+            if not (strategy == "dred" and name in kind.dred_drops)
+        ]
+        if marking:
             evaluate.extend(
                 _mark_queries(
-                    select, base, anchor, anchor_map, key_columns,
+                    select, base, anchor, anchor_map, kind.key_names,
                     sorted(danger), bindings,
                 )
             )
-        elif strategy == "incremental" and multi_table:
-            evaluate = list(deltas.values())
-            evaluate.extend(
-                _mark_queries(
-                    select, base, anchor, anchor_map, key_columns,
-                    sorted(danger), bindings,
-                )
-            )
-        else:
-            evaluate = list(deltas.values())
         rule = Rule(
             name=f"maintain_{view.name}_{base.binding}",
             table=base.name,
-            events=events,
+            events=(
+                ast.Event("inserted"),
+                ast.Event("deleted"),
+                ast.Event("updated", tuple(sorted(relevant))),
+            ),
             condition=(),
             evaluate=tuple(evaluate),
             function=function_name,
             unique=unique,
             unique_on=tuple(unique_on),
-            compact_on=key_columns if compact else (),
+            compact_on=kind.key_names if compact else (),
             after=delay,
             maintenance=strategy,
             writes=(view.name,),
@@ -1150,112 +1056,31 @@ def _materialize_projection(
         db.create_rule(rule)
         plan_record.rules.append(rule)
 
-    key_offsets = [column_names.index(name) for name in key_columns]
-
-    def apply_projection(ctx: "FunctionContext") -> None:
+    def apply(ctx: "FunctionContext") -> None:
+        """Fold the delta tables into the backing table; marked keys are
+        overdeleted and rederived from the surviving base data instead."""
         stats.tasks += 1
         table = ctx.db.catalog.table(view.name)
         if strategy == "recompute":
-            _full_recompute(ctx, table, select, stats, key_offsets=key_offsets)
+            _full_recompute(ctx, table, kind.populate_select, stats, kind.fold_offsets)
             return
-
-        def key_of(row: dict) -> tuple:
-            return tuple(row[name] for name in key_columns)
-
-        def find_all(key: tuple) -> list:
-            lookup_key = key if len(key) > 1 else key[0]
-            return list(table.lookup(key_columns, lookup_key))
-
-        def rederive_key(key: tuple) -> None:
-            # Overdelete every row of the marked key, then restore the
-            # rows that still derive from the surviving base data.
-            doomed = find_all(key)
-            for record in doomed:
-                ctx.charge("dred_overdelete_row")
-                ctx.txn.delete_record(table, record)
-            stats.rows_overdeleted += len(doomed)
-            stats.rows_touched += len(doomed)
-            where = select.where
-            for name, value in zip(key_columns, key):
-                condition = ast.BinaryOp("=", key_exprs[name], ast.Literal(value))
-                where = (
-                    condition if where is None else ast.BinaryOp("and", where, condition)
-                )
-            fresh = ast.Select(
-                items=tuple(ast.SelectItem(expr, name) for expr, name in items),
-                tables=select.tables,
-                where=where,
-            )
-            rows = ctx.db.run_select(fresh, ctx.txn).rows()
-            if rows:
-                # The requery is pinned to one key, so duplicate base rows
-                # all land on it: keep the last, matching the per-key
-                # upsert the incremental apply performs.
-                rows = rows[-1:]
-                ctx.charge("dred_rederive_row", len(rows))
-                for values in rows:
-                    ctx.txn.insert_record(table, values)
-                stats.rows_rederived += len(rows)
-                stats.rows_touched += len(rows)
-
-        marked, wild = _collect_marks(ctx, key_columns, stats)
+        marked, wild = _collect_marks(ctx, kind.key_names, stats)
         if wild:
-            _full_recompute(ctx, table, select, stats, key_offsets=key_offsets)
+            _full_recompute(ctx, table, kind.populate_select, stats, kind.fold_offsets)
+            kind.requeried(None, ctx.db.last_commit_seq)
             return
-
-        # Transition-aware ordered fold: every delta row carries its commit
-        # time and execute order, so per key the *latest* event decides the
-        # outcome.  Removal events (removed/stale) rank below upserts at
-        # the same position because an update's old and new image share one
-        # execute order and the new image must win; across positions the
-        # ordering columns decide, so a key-column update chain retires its
-        # intermediate keys instead of resurrecting them.
-        latest: dict[tuple, tuple] = {}
-        seq = 0
-        for bound_name, rank in (
-            ("removed", 0),
-            ("stale", 0),
-            ("added", 1),
-            ("refreshed", 1),
-        ):
-            if not ctx.has_bound(bound_name):
-                continue
-            for row in ctx.rows(bound_name):
-                key = key_of(row)
-                order = (
-                    row.get(ORDER_CT) or 0.0,
-                    row.get(ORDER_ORD) or 0,
-                    rank,
-                    seq,
-                )
-                seq += 1
-                prev = latest.get(key)
-                if prev is None or order > prev[0]:
-                    latest[key] = (order, rank, row)
-
-        # Marked keys are rederived from base ground truth; their folded
-        # events are superseded (the requery already reflects them).
+        changes = kind.fold(ctx)
+        # Marked keys are requeried against the surviving base data — the
+        # requery is ground truth at apply time, so any folded result for
+        # the same key is superseded and must be discarded (a delta already
+        # visible to the requery would otherwise apply twice).
         for key in marked:
-            latest.pop(key, None)
+            changes.pop(key, None)
         for key in sorted(marked, key=repr):
-            rederive_key(key)
-
-        for key, (_order, rank, row) in latest.items():
+            kind.rederive(ctx, table, key)
+            kind.requeried(key, ctx.db.last_commit_seq)
+        for key, folded in changes.items():
             ctx.charge("cursor_fetch")
-            records = find_all(key)
-            if rank == 0:  # the key's final event removed it from the view
-                for record in records:
-                    ctx.txn.delete_record(table, record)
-                stats.rows_touched += len(records)
-                continue
-            values = [row[name] for name in column_names]
-            if records:
-                ctx.txn.update_record(table, records[0], values)
-                for record in records[1:]:
-                    ctx.txn.delete_record(table, record)
-                stats.rows_touched += len(records)
-            else:
-                ctx.txn.insert_record(table, values)
-                stats.rows_touched += 1
+            kind.write(ctx, table, key, _find(table, kind.key_names, key), folded)
 
-    db.register_function(function_name, apply_projection, replace=True)
+    db.register_function(function_name, apply, replace=True)

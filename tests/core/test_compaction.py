@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.net_effect import compact_table_rows
+from repro.core.net_effect import FoldedTable, compact_spec, compact_table_rows
 from repro.core.rules import Rule
 from repro.database import Database
 from repro.errors import RuleError, SqlError
@@ -19,6 +19,9 @@ from repro.obs.tracer import TraceCollector
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 from repro.sql.printer import rule_to_sql
+from repro.storage.schema import ColumnType, Schema
+from repro.storage.temptable import StaticMap, TempTable
+from repro.storage.tuples import Record
 
 
 RULE_SQL = (
@@ -315,7 +318,8 @@ class TestAbortedTasks:
         [task] = db.unique_manager.pending_tasks("f")
         drop_task(db, task, db.clock.base)
         assert task.state is TaskState.ABORTED
-        assert task.compact_info is None
+        # Dropped, not sealed: the retired tables hold nothing to compact.
+        assert all(len(table) == 0 for table in task.bound_tables.values())
         assert db.unique_manager.compact_count == 0
         assert db.unique_manager.pending_count("f") == 0
 
@@ -365,3 +369,82 @@ class TestEquivalence:
         ]
         incremental = [row for batch in seen for row in batch]
         assert incremental == expected
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_rollback_leaves_no_trace(self, seed):
+        """Fold a random prefix, savepoint, fold more, roll back, fold the
+        rest: rows, index and ``rows_in`` equal a run that never saw the
+        rolled-back rows — and sealing still matches the batch reference.
+        The same mark/rollback contract holds for a plain (pointer-backed,
+        append-only) bound table, down to the record pins."""
+        rng = random.Random(seed)
+        keys = ["a", "b", "c", "d"]
+        state = {key: round(rng.uniform(1, 9), 1) for key in keys}
+
+        def chain(n, state):
+            rows = []
+            for _ in range(n):
+                key = rng.choice(keys)
+                # A quarter of the updates return to an earlier value, so
+                # chains that net out to nothing occur.
+                value = state[key] if rng.random() < 0.25 else round(rng.uniform(1, 9), 1)
+                rows.append((key, "g", state[key], value))
+                state[key] = value
+            return rows
+
+        prefix = chain(rng.randrange(0, 12), state)
+        doomed = chain(rng.randrange(1, 12), dict(state))  # never happened
+        rest = chain(rng.randrange(0, 12), state)
+        new_mark = [True] + [rng.random() < 0.3 for _ in doomed[1:]]
+
+        schema = Schema.of(
+            ("k", ColumnType.TEXT), ("grp", ColumnType.TEXT),
+            ("old_v", ColumnType.REAL), ("new_v", ColumnType.REAL),
+        )
+        spec = compact_spec(self.COLUMNS, ("k",))
+
+        def run(table, append, with_rollback):
+            for row in prefix:
+                append(table, row)
+            if with_rollback:
+                # One commit can absorb into the same table several times:
+                # a mark per absorb, rolled back newest first.
+                marks = []
+                for row, marked in zip(doomed, new_mark):
+                    if marked:
+                        marks.append(table.savepoint())
+                    append(table, row)
+                for mark in reversed(marks):
+                    table.rollback(mark)
+            for row in rest:
+                append(table, row)
+            return table
+
+        def fold(table, row):
+            table.append_values(row)
+
+        folded = run(FoldedTable("m", schema, spec), fold, True)
+        clean = run(FoldedTable("m", schema, spec), fold, False)
+        assert list(folded.scan_values()) == list(clean.scan_values())
+        assert folded.index == clean.index
+        assert folded.rows_in == clean.rows_in == len(prefix) + len(rest)
+        folded.seal()
+        assert [tuple(row) for row in folded.scan_values()] == compact_table_rows(
+            self.COLUMNS, ("k",), prefix + rest
+        )
+
+        records = {}
+
+        def point(table, row):
+            record = records.setdefault(row, Record(list(row)))
+            table.append_row((record,))
+
+        pointer_map = StaticMap.all_pointer(schema)
+        plain = run(TempTable("m", schema, pointer_map), point, True)
+        pins = {row: record.pins for row, record in records.items()}
+        for record in records.values():
+            record.pins = 0
+        clean = run(TempTable("m", schema, pointer_map), point, False)
+        assert list(plain.scan_values()) == list(clean.scan_values())
+        assert len(plain) == len(prefix) + len(rest)
+        assert pins == {row: record.pins for row, record in records.items()}

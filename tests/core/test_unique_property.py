@@ -142,3 +142,128 @@ class TestUniquePartitioning:
                 reference.setdefault(row[0], []).append(row)
             delivered = {batch[0][0]: batch for batch in batches}
             assert delivered == reference
+
+
+# ---------------------------------------------------------------------------
+# Shared unique columns: several bound tables carry the key (union routing).
+# ---------------------------------------------------------------------------
+
+#: ``added`` and ``removed`` both carry the key; ``notes`` never does.
+SHARED_RULE = (
+    "create rule r on t when inserted deleted then evaluate "
+    "select k, grp, v from inserted bind as added, "
+    "select {removed} from deleted bind as removed, "
+    "select v as note from inserted bind as notes "
+    "execute f {clause} after 1 seconds"
+)
+
+#: One transaction: rows to insert, picks among the live rows to delete
+#: first, and whether to drain (closing the batching cycle) afterwards.
+txn_strategy = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, len(KEYS) - 1), st.integers(0, len(GROUPS) - 1)),
+        max_size=4,
+    ),
+    st.lists(st.integers(0, 50), max_size=3),
+    st.booleans(),
+)
+
+
+def union_reference(firings, owners, offsets):
+    """The value-level reading of union routing, firing by firing: the keys
+    a firing touches are the union of the owners' key values; each key's
+    task gets every owner filtered to that key (possibly to nothing) and
+    every other bound table whole."""
+    tasks: dict = {}
+    for firing in firings:
+        keys = []
+        for name in owners:
+            for row in firing[name]:
+                key = tuple(row[offset] for offset in offsets)
+                if key not in keys:
+                    keys.append(key)
+        for key in keys:
+            task = tasks.setdefault(key, {name: [] for name in firing})
+            for name, rows in firing.items():
+                task[name] += [
+                    row
+                    for row in rows
+                    if name not in owners
+                    or tuple(row[offset] for offset in offsets) == key
+                ]
+    return tasks
+
+
+def run_shared(txns, clause, removed_items, always_drain=False):
+    """Drive the shared-key rule; returns per-cycle (firings, delivered)."""
+    delivered: dict = {}
+
+    def fn(ctx):
+        bound = {
+            name: [tuple(row.values()) for row in ctx.bound(name).to_dicts()]
+            for name in ("added", "removed", "notes")
+        }
+        assert ctx.task.unique_key not in delivered  # one task per key per cycle
+        delivered[ctx.task.unique_key] = bound
+
+    db = Database()
+    db.execute("create table t (k text, grp text, v real)")
+    db.register_function("f", fn)
+    db.execute(SHARED_RULE.format(clause=clause, removed=removed_items))
+    live, cycles, firings, sequence = [], [], [], 0
+    for inserts, picks, drain in txns:
+        firing = {"added": [], "removed": [], "notes": []}
+        with db.begin() as txn:
+            for pick in picks:
+                if live:
+                    record = live.pop(pick % len(live))
+                    k, grp, v = record.values
+                    firing["removed"].append(
+                        (k, grp, v) if removed_items == "k, grp, v" else (v,)
+                    )
+                    txn.delete_record(db.catalog.table("t"), record)
+            for key_index, group_index in inserts:
+                row = (KEYS[key_index], GROUPS[group_index], float(sequence))
+                sequence += 1
+                live.append(txn.insert("t", row))
+                firing["added"].append(row)
+                firing["notes"].append((row[2],))
+        if firing["added"] or firing["removed"]:
+            firings.append(firing)
+        db.advance(0.25)
+        if drain or always_drain:
+            db.drain()
+            cycles.append((firings, dict(delivered)))
+            firings = []
+            delivered.clear()
+    db.drain()
+    cycles.append((firings, dict(delivered)))
+    assert db.unique_manager.pending_count("f") == 0
+    return cycles
+
+
+class TestSharedKeyRouting:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        txns=st.lists(txn_strategy, min_size=1, max_size=8),
+        unique_on=st.sampled_from([("k",), ("grp",), ("k", "grp"), ("grp", "k")]),
+    )
+    def test_shared_key_routes_by_value_level_union(self, txns, unique_on):
+        offsets = [COLUMNS.index(column) for column in unique_on]
+        clause = "unique on " + ", ".join(unique_on)
+        for firings, delivered in run_shared(txns, clause, "k, grp, v"):
+            assert delivered == union_reference(firings, ("added", "removed"), offsets)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(txns=st.lists(txn_strategy, min_size=1, max_size=8))
+    def test_single_owner_union_and_product_readings_coincide(self, txns):
+        """With one owner there is nothing to unite: the router must agree
+        with the union reference *and* with Appendix A's product."""
+        from repro.core import appendix_a
+
+        columns = {"added": COLUMNS, "removed": ("gone",), "notes": ("note",)}
+        cycles = run_shared(txns, "unique on k", "v as gone", always_drain=True)
+        for firings, delivered in cycles:
+            assert delivered == union_reference(firings, ("added",), [0])
+            for firing in firings:  # one firing per cycle
+                assert delivered == appendix_a.partition(firing, columns, ["k"])

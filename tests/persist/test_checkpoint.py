@@ -117,10 +117,21 @@ class TestRoundTrip:
         (original,) = pending_persistable_tasks(db)
         fresh, pending, _snapshot = restored_copy(db)
         resurrected = pending[original.task_id]
-        assert resurrected.compact_info is not None
-        assert set(resurrected.compact_info.specs) == set(original.compact_info.specs)
-        assert resurrected.compact_info.indexes == original.compact_info.indexes
-        assert resurrected.compact_info.rows_in == original.compact_info.rows_in
+        folding = {
+            name: table
+            for name, table in original.bound_tables.items()
+            if table.folding
+        }
+        assert folding
+        assert folding.keys() == {
+            name for name, table in resurrected.bound_tables.items() if table.folding
+        }
+        for name, table in folding.items():
+            assert resurrected.bound_tables[name].spec == table.spec
+            assert resurrected.bound_tables[name].index == table.index
+        assert sum(
+            table.rows_in for table in resurrected.bound_tables.values() if table.folding
+        ) == sum(table.rows_in for table in folding.values())
         assert strip_id(task_to_record(resurrected)) == strip_id(
             task_to_record(original)
         )

@@ -446,3 +446,50 @@ class TestMetamorphic:
             ops,
             batch=True,
         )
+
+
+# ---------------------------------------------------------------------------
+# The key-restricted requery is planned once per view, not once per key.
+# ---------------------------------------------------------------------------
+
+
+class TestRequeryPlanCache:
+    """Every rederived key used to compile and cache its own plan (the
+    requery carried the key as a literal and the plan cache keys on the
+    AST), so the cache grew with the key domain."""
+
+    def plans_after_marking(self, view_sql, n_keys, **kwargs):
+        db = Database()
+        db.execute_script(
+            "create table x (a text, b real); create table rates (a text, factor real);"
+        )
+        txn = db.begin()
+        for i in range(60):
+            txn.insert("x", [f"g{i}", float(i)])
+            txn.insert("x", [f"g{i}", float(i) + 0.5])
+            txn.insert("rates", [f"g{i}", 2.0])
+        txn.commit()
+        db.execute(view_sql)
+        plan = materialize(db, "v", **kwargs)
+        for i in range(n_keys):
+            # One base row per group survives, so every deletion marks a
+            # distinct key whose requery must run against live data.
+            db.execute("delete from x where a = :a and b = :b", {"a": f"g{i}", "b": float(i)})
+            db.drain()
+        assert plan.stats.keys_marked == n_keys
+        assert plan.stats.rows_overdeleted == n_keys
+        assert check_convergence(db).ok
+        return len(db.plan_cache)
+
+    @pytest.mark.parametrize("strategy", ["incremental", "dred"])
+    def test_aggregate_requery_plans_do_not_grow_with_keys(self, strategy):
+        few = self.plans_after_marking(AGG_VIEW, 5, maintenance=strategy)
+        many = self.plans_after_marking(AGG_VIEW, 50, maintenance=strategy)
+        assert few == many
+
+    @pytest.mark.parametrize("strategy", ["incremental", "dred"])
+    def test_projection_requery_plans_do_not_grow_with_keys(self, strategy):
+        kwargs = dict(key=("b", "a"), maintenance=strategy)
+        few = self.plans_after_marking(PROJ_VIEW, 5, **kwargs)
+        many = self.plans_after_marking(PROJ_VIEW, 50, **kwargs)
+        assert few == many
