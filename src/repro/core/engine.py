@@ -144,25 +144,17 @@ class RuleEngine:
         bound: dict[str, TempTable],
     ) -> list[Task]:
         db = self.db
-        condition_true = True
-        for query in rule.condition:
+        for position, query in enumerate(rule.all_queries()):
             db.charge("condition_base")
-            result = db.run_select(query.select, txn, pseudo=pseudo, namespace=namespace)
-            if len(result) == 0:
-                condition_true = False
+            # A query with ``bind as`` comes back as its bound table, filled
+            # by the plan's own loop nest.
+            result = db.run_select(query, txn, pseudo=pseudo, namespace=namespace)
             if query.bind_as is not None:
-                bound[query.bind_as] = result.bind(query.bind_as, charge=db.charge)
-            if not condition_true:
-                break
-        if not condition_true:
-            for table in bound.values():
-                table.retire()
-            return []
-        for query in rule.evaluate:
-            db.charge("condition_base")
-            result = db.run_select(query.select, txn, pseudo=pseudo, namespace=namespace)
-            if query.bind_as is not None:
-                bound[query.bind_as] = result.bind(query.bind_as, charge=db.charge)
+                bound[query.bind_as] = result
+            if len(result) == 0 and position < len(rule.condition):
+                for table in bound.values():
+                    table.retire()
+                return []
         self.firing_count += 1
         # A firing out of a rule-action transaction is a cascade: pass the
         # upstream task along so the dispatched work inherits its mutation

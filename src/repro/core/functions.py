@@ -91,9 +91,16 @@ class FunctionContext:
         """Iterate a bound table as dictionaries, charging per-row user cost."""
         table = self.bound(name)
         names = table.schema.names()
-        for i in range(len(table)):
-            self.db.charge("user_row")
-            yield dict(zip(names, table.row_values(i)))
+        meter, cost = self.db.metering()
+        seconds, count = cost["user_row"], 0
+        try:
+            for values in table.scan_values():
+                meter.total += seconds
+                count += 1
+                yield dict(zip(names, values))
+        finally:
+            if count:
+                meter.ops["user_row"] += count
 
     # ------------------------------------------------------------- utility
 

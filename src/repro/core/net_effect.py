@@ -344,6 +344,13 @@ class FoldedTable(TempTable):
             take(tuple(values))
         return len(other)
 
+    def move_from(self, other: TempTable) -> int:
+        """Rows enter a folded table by value, so nothing can move: absorb,
+        then retire ``other`` as a move would leave it."""
+        moved = self.absorb(other)
+        other.retire()
+        return moved
+
     def savepoint(self) -> Any:
         """Start journaling folds; the mark also remembers length and
         ``rows_in``.  The journal stays attached until the next savepoint,

@@ -318,7 +318,9 @@ class UniqueManager:
                     for values in fresh.scan_values():
                         target.append_values(values)
                 else:
-                    added = target.absorb(fresh)
+                    # The firing's table is ours alone: its rows move over
+                    # with the pins they already hold.
+                    added = target.move_from(fresh)
                 appended += added
                 charge("unique_append_row", max(added, 1))
             fresh.retire()

@@ -51,6 +51,7 @@ from repro.sql.planner import SelectResult
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
+from repro.storage.temptable import TempTable
 from repro.txn.locks import LockManager
 from repro.txn.queues import DelayQueue, ReadyQueue
 from repro.txn.scheduler import SchedulingPolicy, make_policy
@@ -252,6 +253,25 @@ class Database:
         meter.total += self._cost_seconds[op] * count
         meter.ops[op] += count
 
+    def metering(self) -> tuple[Meter, dict[str, float]]:
+        """The meter charges land on right now and the cost table, for row
+        loops that charge inline instead of calling :meth:`charge` per row:
+        ``meter.total += cost[op]`` once per occurrence, in program order
+        (float addition is not associative, so never ``cost[op] * n``), and
+        ``meter.ops[op] += n`` once when the loop ends (DESIGN.md 6a)."""
+        return self.clock.active_meter or self.background_meter, self._cost_seconds
+
+    def charge_each(self, op: str, count: int) -> None:
+        """``count`` separate charges of ``op``: the additions ``count``
+        calls of :meth:`charge` would make, without the calls."""
+        if count:
+            meter, cost = self.metering()
+            seconds, total = cost[op], meter.total
+            for _ in range(count):
+                total += seconds
+            meter.total = total
+            meter.ops[op] += count
+
     @property
     def now(self) -> float:
         return self.clock.now()
@@ -446,12 +466,14 @@ class Database:
 
     def run_select(
         self,
-        select: ast.Select,
+        select: ast.Select | ast.RuleQuery,
         txn: Optional[Transaction],
         params: Optional[dict[str, Any]] = None,
         pseudo: Optional[dict[str, Any]] = None,
         namespace: Optional[dict[str, Any]] = None,
-    ) -> SelectResult:
+    ) -> SelectResult | TempTable:
+        """Run a parsed SELECT — or a rule's query, which comes back as its
+        bound table when it has ``bind as`` (see ``execute_select``)."""
         return execute_select(self, select, txn, params, pseudo, namespace)
 
     # ----------------------------------------------------------------- DDL

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 # --------------------------------------------------------------- expressions
@@ -107,6 +107,18 @@ def contains_aggregate(expr: Expr) -> bool:
     if isinstance(expr, InSubquery):
         return contains_aggregate(expr.operand)
     # Exists / ScalarSubquery: aggregates inside belong to the subquery.
+    return False
+
+
+def calls_out(expr: Expr) -> bool:
+    """True if evaluating ``expr`` runs code that can charge the meter: a
+    function call or a subquery."""
+    if isinstance(expr, (FuncCall, ScalarSubquery, Exists, InSubquery)):
+        return True
+    if isinstance(expr, BinaryOp):
+        return calls_out(expr.left) or calls_out(expr.right)
+    if isinstance(expr, (UnaryOp, IsNull)):
+        return calls_out(expr.operand)
     return False
 
 
@@ -267,6 +279,9 @@ class RuleQuery:
 
     select: Select
     bind_as: Optional[str] = None
+    #: One-entry plan memo ``[db, source shapes, plan]`` kept by
+    #: ``sql.executor.select_plan``; not part of the query's value.
+    plan_memo: list = field(default_factory=list, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ lives here and runs inside a transaction, charging virtual-time costs.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
@@ -21,67 +21,81 @@ from repro.sql.planner import (
     plan_select,
 )
 from repro.storage.table import Table
+from repro.storage.temptable import TempTable
 from repro.storage.tuples import Record
 
 
-def _plan_key(db: Any, select: ast.Select, namespace: Optional[dict[str, Any]]) -> tuple:
-    """Cache key: the AST plus the *shape* of every referenced source.
+def _source_shapes(db: Any, select: ast.Select, namespace: Optional[dict[str, Any]]) -> tuple:
+    """The *shape* of every source ``select`` names, by value.
 
     Bound and transition tables are fresh instances per rule firing but keep
-    stable schemas and static maps, so plans compiled for one firing are
-    reused for the next.
+    equal schemas and static maps, so plans compiled for one firing are
+    reused for the next.  A plan bakes column offsets and pointer slots into
+    generated code, so the key is the shape itself, never an ``id()`` a
+    later, different shape could come to own.
     """
     shapes = []
     for ref in select.tables:
         name = ref.name
         if namespace and name in namespace:
             instance = namespace[name]
-            shapes.append((name, "tmp", id(instance.schema), id(instance.static_map)))
+            shapes.append((name, "tmp", instance.schema, instance.static_map.signature()))
         elif db.catalog.has_table(name):
             table = db.catalog.table(name)
-            shapes.append((name, "std", id(table.schema), table.index_version))
+            shapes.append((name, "std", table.schema, table.index_version))
         elif db.catalog.has_view(name):
             shapes.append((name, "view", db.view_version(name)))
         else:
             raise PlanError(f"unknown table or view {name!r}")
-    return (select, tuple(shapes))
+    return tuple(shapes)
 
 
 def select_plan(
-    db: Any, select: ast.Select, namespace: Optional[dict[str, Any]] = None
+    db: Any, select: Union[ast.Select, ast.RuleQuery], namespace: Optional[dict[str, Any]] = None
 ) -> CompiledSelect:
-    """Fetch (or build and cache) the compiled plan for ``select``."""
-    key = _plan_key(db, select, namespace)
+    """Fetch (or build and cache) the compiled plan for ``select``.
+
+    A rule's query answers from its own one-entry memo while the shapes
+    match: a firing then compares shape tuples (equal schemas are the same
+    objects from one firing to the next) instead of hashing the SELECT's AST.
+    """
+    query = select if isinstance(select, ast.RuleQuery) else None
+    if query is not None:
+        select = query.select
+    shapes = _source_shapes(db, select, namespace)
+    if query is not None and query.plan_memo:
+        memo_db, memo_shapes, plan = query.plan_memo
+        if memo_db is db and memo_shapes == shapes:
+            return plan
+    key = (select, shapes)
     plan = db.plan_cache.get(key)
     if plan is None:
         plan = plan_select(db, select, namespace)
         db.plan_cache[key] = plan
+    if query is not None:
+        query.plan_memo[:] = db, shapes, plan
     return plan
 
 
 def execute_select(
     db: Any,
-    select: ast.Select,
+    select: Union[ast.Select, ast.RuleQuery],
     txn: Any,
     params: Optional[dict[str, Any]] = None,
     pseudo: Optional[dict[str, Any]] = None,
     namespace: Optional[dict[str, Any]] = None,
-) -> SelectResult:
-    """Plan (cached) and execute one SELECT against catalog + namespace."""
+) -> Union[SelectResult, TempTable]:
+    """Plan (cached) and execute one SELECT against catalog + namespace.
+    A rule's query with ``bind as`` returns its rows as that bound table."""
     plan = select_plan(db, select, namespace)
+    if isinstance(select, ast.RuleQuery) and select.bind_as is not None:
+        return plan.bind(select.bind_as, db, txn, pseudo, namespace)
     return plan.execute(db, txn, params, pseudo, namespace)
 
 
 # --------------------------------------------------------------------------
 # DML
 # --------------------------------------------------------------------------
-
-
-class _NoTableResolution(_SelectResolution):
-    """Resolution context for expressions with no row scope (INSERT VALUES)."""
-
-    def __init__(self, db: Any) -> None:
-        super().__init__(db, [])
 
 
 def execute_insert(
@@ -113,7 +127,7 @@ def execute_insert(
             txn.insert_record(table, row)
             inserted += 1
         return inserted
-    resolution = _NoTableResolution(db)
+    resolution = _SelectResolution(db, [])  # INSERT VALUES: no row scope
     from repro.sql.planner import ExecState
 
     state = ExecState(db, txn, dict(params or {}), {})
@@ -204,7 +218,7 @@ class _CompiledUpdate:
 
 
 def _dml_plan(db: Any, stmt: Any, table: Table, factory) -> Any:
-    key = (stmt, id(table.schema), table.index_version)
+    key = (stmt, table.schema, table.index_version)
     plan = db.plan_cache.get(key)
     if plan is None:
         plan = db.plan_cache[key] = factory()

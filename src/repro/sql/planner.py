@@ -5,7 +5,12 @@ list ``[state, h1, h2, ..., hn]`` with one handle per planned table.  A
 handle is a :class:`~repro.storage.tuples.Record` for standard tables, a raw
 ``(ptrs, mats)`` row for temporary tables, or a plain value list for derived
 (view) sources.  Column getters are compiled once per plan into closures
-indexed by environment position, so per-row evaluation is tight.
+indexed by environment position.  The pipeline itself runs as one *fused
+loop nest* per plan: each step writes its loop into generated source
+(``emit``), compiled once and cached with the plan, with two sinks — collect
+environments, or append ``(ptrs, mats)`` rows straight into a bound table —
+and every charge made inline, in the order the generator pipeline (each
+step's ``start`` / ``run``, kept as the tests' oracle) makes it.
 
 Join order: temporary tables (transition and bound tables are small) come
 first, then tables reachable through equi-join predicates — via an index
@@ -28,9 +33,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
 from repro.sql.expressions import Getter, compile_expr, truthy
 from repro.storage.schema import Column, ColumnType, Schema
-from repro.storage.table import Table
 from repro.storage.temptable import ColumnSource, StaticMap, TempTable
-from repro.storage.tuples import Record
 
 # --------------------------------------------------------------------------
 # Source descriptions
@@ -53,9 +56,6 @@ class SourceDesc:
     subplan: Optional["CompiledSelect"] = None  # DERIVED only
     from_pos: int = 0  # position in the original FROM list
     env_pos: int = 0  # position in the environment (1-based; 0 is state)
-
-    def signature(self) -> tuple:
-        return (self.name, self.kind, id(self.schema), self.map_sources)
 
 
 class ExecState:
@@ -112,15 +112,30 @@ class CompiledSelect:
         sources: list[SourceDesc],
         steps: list["_Step"],
         output: "_OutputSpec",
+        inline: dict[Getter, str],
     ) -> None:
         self.select = select
         self.sources = sources  # planned order
         self.steps = steps
         self.output = output
+        self.inline = inline  # getter -> its source over the nest's handles
+        self._nests: dict[str, Callable] = {}  # sink -> compiled loop nest
 
-    @property
-    def column_names(self) -> list[str]:
-        return [column.name for column in self.output.columns]
+    def _state(self, db: Any, txn: Any, params: Any, pseudo: Any, namespace: Any) -> "ExecState":
+        state = ExecState(db, txn, dict(params or {}), dict(pseudo or {}), namespace)
+        state.instances = [
+            _fetch_instance(desc, db, txn, namespace, state) for desc in self.sources
+        ]
+        return state
+
+    def _run(self, sink: str, state: "ExecState", emit: Callable) -> None:
+        """One execution of the fused nest: the active meter and the cost
+        table are read now, not when the nest was compiled."""
+        nest = self._nests.get(sink)
+        if nest is None:
+            nest = self._nests[sink] = _build_nest(self, sink)
+        meter, cost = state.db.metering()
+        nest(state, state.instances, meter, cost, emit)
 
     def execute(
         self,
@@ -130,13 +145,185 @@ class CompiledSelect:
         pseudo: Optional[dict[str, Any]] = None,
         namespace: Optional[dict[str, Any]] = None,
     ) -> "SelectResult":
-        state = ExecState(db, txn, dict(params or {}), dict(pseudo or {}), namespace)
-        for desc in self.sources:
-            state.instances.append(_fetch_instance(desc, db, txn, namespace, state))
+        state = self._state(db, txn, params, pseudo, namespace)
+        emit, finish = self.output.collector(state)
+        self._run("collect", state, emit)
+        return finish()
+
+    def bind(
+        self,
+        name: str,
+        db: Any,
+        txn: Any,
+        pseudo: Optional[dict[str, Any]] = None,
+        namespace: Optional[dict[str, Any]] = None,
+    ) -> TempTable:
+        """Run the plan and bind its rows as temporary table ``name`` (a
+        rule query's ``bind as``).  When the output is the join's rows as
+        they come, the nest appends them to the table itself — each row is
+        touched once — and the ``row_output`` and ``bind_row`` charges
+        follow in the order ``execute`` + ``SelectResult.bind`` make them."""
+        if not self.output.streams:
+            return self.execute(db, txn, None, pseudo, namespace).bind(name, db)
+        spec = self.output.bind_spec()
+        table = TempTable(name, spec.schema, spec.static_map)
+        state = self._state(db, txn, None, pseudo, namespace)
+        try:
+            self._run("bind", state, table.row_sink(len(spec.ptr_keys), len(spec.mat_columns)))
+        except BaseException:
+            table.retire()
+            raise
+        db.charge_each("row_output", len(table))
+        db.charge_each("bind_row", len(table))
+        return table
+
+    def execute_reference(
+        self,
+        db: Any,
+        txn: Any,
+        params: Optional[dict[str, Any]] = None,
+        pseudo: Optional[dict[str, Any]] = None,
+        namespace: Optional[dict[str, Any]] = None,
+    ) -> "SelectResult":
+        """The generator pipeline the fused nest was written from, one
+        ``Database.charge`` call per charge.  Nothing in the library calls
+        it; tests hold ``execute`` and ``bind`` to it row for row and bit
+        for bit (tests/sql/test_compiled_pipeline.py)."""
+        state = self._state(db, txn, params, pseudo, namespace)
+        emit, finish = self.output.collector(state)
         envs = self.steps[0].start(state)
         for step in self.steps[1:]:
             envs = step.run(envs, state)
-        return self.output.produce(envs, state)
+        for env in envs:
+            emit(env)
+        return finish()
+
+
+class _Nest:
+    """The source of one plan's loop nest while its steps write it."""
+
+    def __init__(self, inline: dict[Getter, str], slots: int) -> None:
+        self.inline = inline
+        self.slots = slots  # handles per environment
+        self.head: list[str] = []  # per-execution set-up, before any charge
+        self.body: list[str] = []
+        self.tails: list[Callable[[], None]] = []  # written after the innermost body
+        self.names: dict[str, Any] = {"_index": _live_index}  # the nest's globals
+        self.counters: list[tuple[str, ...]] = []  # ops counted by k0, k1, ...
+
+    def line(self, depth: int, text: str) -> None:
+        self.body.append("    " * depth + text)
+
+    def charge(self, depth: int, *ops: str) -> None:
+        """Charge each of ``ops`` once, here, in this order."""
+        for op in ops:
+            self.line(depth, f"meter.total += c_{op}")
+        self.line(depth, f"k{len(self.counters)} += 1")
+        self.counters.append(ops)
+
+    def env(self, level: int) -> str:
+        """The environment list once ``level`` handles are bound."""
+        handles = [f"h{p}" if p <= level else "None" for p in range(1, self.slots + 1)]
+        return "[" + ", ".join(["state", *handles]) + "]"
+
+    def value(self, getter: Getter, level: int) -> str:
+        """Source evaluating ``getter``: inline for plain columns, else a
+        call of the compiled closure on a fresh environment list."""
+        source = self.inline.get(getter)
+        if source is None:
+            name = f"g{len(self.names)}"
+            self.names[name] = getter
+            source = f"{name}({self.env(level)})"
+        return source
+
+    def residual(self, depth: int, getter: Optional[Getter], level: int, *ops: str) -> None:
+        """Skip the row unless ``getter`` holds (if there is one), charging ``ops`` first."""
+        if getter is not None:
+            if ops:
+                self.charge(depth, *ops)
+            self.line(depth, f"if not {self.value(getter, level)}: continue")
+
+    def loop(self, depth: int, pos: int, rows: str, *ops: str) -> None:
+        """Open ``for h<pos> in <rows>:``, charging ``ops`` per handle."""
+        self.line(depth, f"for h{pos} in {rows}:")
+        if ops:
+            self.charge(depth + 1, *ops)
+
+    def scan(self, depth: int, desc: SourceDesc) -> Callable[[], None]:
+        """Open a loop over every handle of ``desc`` with ``_source_rows``'s
+        charges; returns what writes the loop's tail."""
+        pos = desc.env_pos
+        if desc.kind == STD:
+            self.charge(depth, "cursor_open")
+            self.loop(depth, pos, f"i{pos}.scan()", "row_scan")
+            return lambda: self.charge(depth, "cursor_close")
+        rows = f"i{pos}.scan_raw()"
+        if desc.kind == DERIVED:
+            rows = f"i{pos}.execute(state.db, state.txn, state.params, state.pseudo).rows()"
+        self.loop(depth, pos, rows, "row_scan")
+        return lambda: None
+
+    def gather(self, desc: SourceDesc, statement: str) -> None:
+        """A build loop: run ``statement`` on every handle of ``desc``."""
+        close = self.scan(2, desc)
+        self.line(3, statement)
+        close()
+
+
+def _tuple_source(parts: Sequence[str]) -> str:
+    return "(" + "".join(part + ", " for part in parts) + ")"
+
+
+def _live_index(table: Any, columns: tuple[str, ...], method: str) -> Callable:
+    """``table``'s index on ``columns``, by its probe method.  The plan key
+    carries ``index_version``, so a cached plan never gets here stale; a
+    plan object held across index DDL does."""
+    index = table.index_on(columns)
+    if index is None or not hasattr(index, method):
+        raise ExecutionError(f"index on {table.name!r} {columns} changed; plan is stale")
+    return getattr(index, method)
+
+
+def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
+    """Write, compile and return ``plan``'s fused loop nest for one sink:
+    ``collect`` calls ``emit(env)`` per joined row, ``bind`` pins a row's
+    records and calls ``emit((ptrs, mats))``.
+
+    Charges are float additions on ``meter.total`` in exactly the generator
+    pipeline's order — generators start last step first, so hash builds run
+    in reverse step order before the driving scan — with occurrences counted
+    in local ints that reach ``meter.ops`` in a ``finally``."""
+    nest = _Nest(plan.inline, len(plan.sources))
+    for step in reversed(plan.steps):
+        step.prelude(nest)
+    depth = 2
+    for step in plan.steps:
+        depth = step.emit(nest, depth)
+    if sink == "collect":
+        nest.line(depth, f"emit({nest.env(nest.slots)})")
+    else:
+        spec = plan.output.bind_spec()
+        records = [f"p{slot}" for slot in range(len(spec.ptr_keys))]
+        for record, (_kind, pos, *slot) in zip(records, spec.ptr_keys):
+            nest.line(depth, f"{record} = h{pos}" + (f"[0][{slot[0]}]" if slot else ""))
+        mats = [nest.value(column.value, nest.slots) for column in spec.mat_columns]
+        nest.line(depth, f"row = ({_tuple_source(records)}, {_tuple_source(mats)})")
+        for record in records:
+            nest.line(depth, f"{record}.pin()")
+        nest.line(depth, "emit(row)")
+    for tail in reversed(nest.tails):
+        tail()
+    ops = dict.fromkeys(op for counter in nest.counters for op in counter)
+    lines = ["def nest(state, instances, meter, cost, emit):"]
+    lines += [f"    i{p + 1} = instances[{p}]" for p in range(nest.slots)]
+    lines += [f"    c_{op} = cost[{op!r}]" for op in ops]
+    lines += ["    " + line for line in nest.head]
+    lines += [f"    k{k} = 0" for k in range(len(nest.counters))]
+    lines += ["    try:", *nest.body, "    finally:", "        ops = meter.ops"]
+    for k, counter in enumerate(nest.counters):
+        lines += [f"        if k{k}:"] + [f"            ops[{op!r}] += k{k}" for op in counter]
+    exec(compile("\n".join(lines), f"<nest {sink}>", "exec"), nest.names)
+    return nest.names["nest"]
 
 
 def _fetch_instance(
@@ -165,10 +352,21 @@ def _fetch_instance(
 
 
 class _Step:
+    """One pipeline operator, twice: ``start``/``run`` is the reference
+    generator, ``prelude``/``emit`` writes the same loop — same charges,
+    same order — into the fused nest."""
+
     def start(self, state: ExecState) -> Iterator[list[Any]]:  # first step only
         raise NotImplementedError
 
     def run(self, envs: Iterator[list[Any]], state: ExecState) -> Iterator[list[Any]]:
+        raise NotImplementedError
+
+    def prelude(self, nest: _Nest) -> None:
+        """Work a generator does before it pulls its first outer row."""
+
+    def emit(self, nest: _Nest, depth: int) -> int:
+        """Write this step's loop at ``depth``; returns its body's depth."""
         raise NotImplementedError
 
 
@@ -219,34 +417,28 @@ class _ScanStep(_Step):
         pos = self.desc.env_pos
         template: list[Any] = [None] * (self.n_slots + 1)
         template[0] = state
-        if self.eq_columns is not None and self.desc.kind == STD:
+        rows = None
+        if self.desc.kind == STD and self.eq_columns is not None:
             index = instance.index_on(self.eq_columns)
             if index is not None:
-                probe_env = list(template)
-                key = self.eq_key(probe_env)
-                charge("index_probe")
-                for record in index.lookup(key):
-                    charge("cursor_fetch")
-                    env = list(template)
-                    env[pos] = record
-                    if self.residual is None or truthy(self.residual(env)):
-                        yield env
-                return
-        if self.range_column is not None and self.desc.kind == STD:
+                rows = index.lookup(self.eq_key(list(template)))
+        elif self.desc.kind == STD and self.range_column is not None:
             index = instance.index_on((self.range_column,))
             if index is not None and hasattr(index, "range"):
                 probe_env = list(template)
                 low_getter, high_getter, include_low, include_high = self.range_spec
                 low = low_getter(probe_env) if low_getter is not None else None
                 high = high_getter(probe_env) if high_getter is not None else None
-                charge("index_probe")
-                for record in index.range(low, high, include_low, include_high):
-                    charge("cursor_fetch")
-                    env = list(template)
-                    env[pos] = record
-                    if self.residual is None or truthy(self.residual(env)):
-                        yield env
-                return
+                rows = index.range(low, high, include_low, include_high)
+        if rows is not None:
+            charge("index_probe")
+            for record in rows:
+                charge("cursor_fetch")
+                env = list(template)
+                env[pos] = record
+                if self.residual is None or truthy(self.residual(env)):
+                    yield env
+            return
         for handle in _source_rows(self.desc, instance, state):
             env = list(template)
             env[pos] = handle
@@ -255,6 +447,25 @@ class _ScanStep(_Step):
                 if not truthy(self.residual(env)):
                     continue
             yield env
+
+    def emit(self, nest: _Nest, depth: int) -> int:
+        pos = self.desc.env_pos
+        if self.desc.kind != STD or (self.eq_columns is None and self.range_column is None):
+            nest.tails.append(nest.scan(depth, self.desc))
+            nest.residual(depth + 1, self.residual, pos, "expr_eval")
+            return depth + 1
+        if self.eq_columns is not None:
+            nest.head.append(f"x{pos} = _index(i{pos}, {self.eq_columns!r}, 'lookup')")
+            nest.line(depth, f"rows = x{pos}({nest.value(self.eq_key, 0)})")
+        else:
+            low, high, *inclusive = self.range_spec
+            bounds = ["None" if g is None else nest.value(g, 0) for g in (low, high)]
+            nest.head.append(f"x{pos} = _index(i{pos}, {(self.range_column,)!r}, 'range')")
+            nest.line(depth, f"rows = x{pos}({', '.join(bounds)}, {inclusive[0]}, {inclusive[1]})")
+        nest.charge(depth, "index_probe")
+        nest.loop(depth, pos, "rows", "cursor_fetch")
+        nest.residual(depth + 1, self.residual, pos)  # probed rows filter uncharged
+        return depth + 1
 
 
 class _IndexJoinStep(_Step):
@@ -278,16 +489,8 @@ class _IndexJoinStep(_Step):
         charge = state.db.charge
         pos = self.desc.env_pos
         residual = self.residual
-        if index is None:
-            # The index was dropped since planning; degrade to a hash join.
-            step = _HashJoinStep(
-                self.desc,
-                build_key=_handle_key_getter(self.desc, self.index_columns),
-                probe_key=self.key,
-                residual=residual,
-            )
-            yield from step.run(envs, state)
-            return
+        if index is None:  # unreachable through the plan cache (index_version keys it)
+            raise ExecutionError(f"index on {self.desc.name!r} changed; plan is stale")
         for env in envs:
             charge("index_probe")
             for record in index.lookup(self.key(env)):
@@ -300,47 +503,23 @@ class _IndexJoinStep(_Step):
                         continue
                 yield out
 
-
-def _handle_key_getter(desc: SourceDesc, columns: tuple[str, ...]) -> Callable[[Any], Any]:
-    """Key extractor over a *raw handle* of ``desc`` (hash-join build side)."""
-    offsets = tuple(desc.schema.offset(c) for c in columns)
-    if desc.kind == STD:
-        if len(offsets) == 1:
-            off = offsets[0]
-            return lambda handle: handle.values[off]
-        return lambda handle: tuple(handle.values[off] for off in offsets)
-    if desc.kind == TMP:
-        sources = desc.map_sources
-
-        def tmp_value(handle: Any, offset: int) -> Any:
-            source = sources[offset]
-            if source.kind == "ptr":
-                return handle[0][source.slot].values[source.offset]
-            return handle[1][source.slot]
-
-        if len(offsets) == 1:
-            off = offsets[0]
-            return lambda handle: tmp_value(handle, off)
-        return lambda handle: tuple(tmp_value(handle, off) for off in offsets)
-    # DERIVED: handles are plain value lists
-    if len(offsets) == 1:
-        off = offsets[0]
-        return lambda handle: handle[off]
-    return lambda handle: tuple(handle[off] for off in offsets)
+    def emit(self, nest: _Nest, depth: int) -> int:
+        pos = self.desc.env_pos
+        nest.head.append(f"x{pos} = _index(i{pos}, {self.index_columns!r}, 'lookup')")
+        nest.charge(depth, "index_probe")
+        nest.loop(depth, pos, f"x{pos}({nest.value(self.key, pos - 1)})", "cursor_fetch")
+        nest.residual(depth + 1, self.residual, pos, "expr_eval")
+        return depth + 1
 
 
 class _HashJoinStep(_Step):
     """Build a hash table over the inner source, probe per outer row."""
 
     def __init__(
-        self,
-        desc: SourceDesc,
-        build_key: Callable[[Any], Any],
-        probe_key: Getter,
-        residual: Optional[Getter],
+        self, desc: SourceDesc, build_key: Getter, probe_key: Getter, residual: Optional[Getter]
     ) -> None:
         self.desc = desc
-        self.build_key = build_key
+        self.build_key = build_key  # over an environment holding only this source
         self.probe_key = probe_key
         self.residual = residual
 
@@ -348,9 +527,11 @@ class _HashJoinStep(_Step):
         instance = state.instances[self.desc.env_pos - 1]
         charge = state.db.charge
         buckets: dict[Any, list[Any]] = {}
-        for handle in _source_rows(self.desc, instance, state):
-            buckets.setdefault(self.build_key(handle), []).append(handle)
         pos = self.desc.env_pos
+        build_env: list[Any] = [state] + [None] * pos
+        for handle in _source_rows(self.desc, instance, state):
+            build_env[pos] = handle
+            buckets.setdefault(self.build_key(build_env), []).append(handle)
         residual = self.residual
         for env in envs:
             charge("join_probe")
@@ -362,6 +543,19 @@ class _HashJoinStep(_Step):
                     if not truthy(residual(out)):
                         continue
                 yield out
+
+    def prelude(self, nest: _Nest) -> None:
+        pos = self.desc.env_pos
+        key = nest.inline[self.build_key]  # plain columns of this source: always inline
+        nest.line(2, f"b{pos} = {{}}")
+        nest.gather(self.desc, f"b{pos}.setdefault({key}, []).append(h{pos})")
+
+    def emit(self, nest: _Nest, depth: int) -> int:
+        pos = self.desc.env_pos
+        nest.charge(depth, "join_probe")
+        nest.loop(depth, pos, f"b{pos}.get({nest.value(self.probe_key, pos - 1)}, ())")
+        nest.residual(depth + 1, self.residual, pos, "expr_eval")
+        return depth + 1
 
 
 class _NestedJoinStep(_Step):
@@ -388,18 +582,16 @@ class _NestedJoinStep(_Step):
                         continue
                 yield out
 
+    def prelude(self, nest: _Nest) -> None:
+        pos = self.desc.env_pos
+        nest.line(2, f"r{pos} = []")
+        nest.gather(self.desc, f"r{pos}.append(h{pos})")
 
-class _FilterStep(_Step):
-    def __init__(self, predicate: Getter) -> None:
-        self.predicate = predicate
-
-    def run(self, envs: Iterator[list[Any]], state: ExecState) -> Iterator[list[Any]]:
-        charge = state.db.charge
-        predicate = self.predicate
-        for env in envs:
-            charge("expr_eval")
-            if truthy(predicate(env)):
-                yield env
+    def emit(self, nest: _Nest, depth: int) -> int:
+        pos = self.desc.env_pos
+        nest.loop(depth, pos, f"r{pos}", "join_probe")
+        nest.residual(depth + 1, self.residual, pos, "expr_eval")
+        return depth + 1
 
 
 # --------------------------------------------------------------------------
@@ -416,10 +608,23 @@ class _AggSpec:
 
 class _OutputSpec:
     columns: list[OutputColumn]
-    _bind_spec = None  # lazily shared BindSpec (see SelectResult.bind_spec)
+    #: True when the result is the join's rows as they come, so a bound
+    #: table can be filled by the nest itself (CompiledSelect.bind).
+    streams = False
+    _bind_spec = None
 
-    def produce(self, envs: Iterator[list[Any]], state: ExecState) -> "SelectResult":
+    def collector(self, state: ExecState) -> tuple[Callable[[list[Any]], None], Callable]:
+        """``(emit, finish)``: the pipeline calls ``emit(env)`` per joined
+        row, as it produces it; ``finish()`` returns the SelectResult."""
         raise NotImplementedError
+
+    def bind_spec(self) -> "BindSpec":
+        """The (cached, shared) schema / static map / extractors used when
+        binding this result shape as a temporary table, so bound tables from
+        successive firings share Schema and StaticMap objects."""
+        if self._bind_spec is None:
+            self._bind_spec = BindSpec(self.columns)
+        return self._bind_spec
 
 
 class _PlainOutput(_OutputSpec):
@@ -429,32 +634,43 @@ class _PlainOutput(_OutputSpec):
         order_keys: list[tuple[Getter, bool]],
         limit: Optional[int],
         distinct: bool,
+        charge_free: bool,
     ) -> None:
         self.columns = columns
         self.order_keys = order_keys
         self.limit = limit
         self.distinct = distinct
+        # A column that can charge (a function call, a subquery) is evaluated
+        # at bind time, after every row_output charge: not while joining.
+        self.streams = charge_free and not order_keys and limit is None and not distinct
 
-    def produce(self, envs: Iterator[list[Any]], state: ExecState) -> "SelectResult":
-        charge = state.db.charge
-        env_list = list(envs)
-        if self.order_keys:
-            for getter, descending in reversed(self.order_keys):
-                charge("sort_row", max(len(env_list), 1))
-                env_list.sort(key=lambda env: _null_safe_key(getter(env)), reverse=descending)
+    def collector(self, state: ExecState) -> tuple[Callable[[list[Any]], None], Callable]:
+        envs: list[list[Any]] = []
+        return envs.append, lambda: self._finish(envs, state)
+
+    def _finish(self, env_list: list[list[Any]], state: ExecState) -> "SelectResult":
+        for getter, descending in reversed(self.order_keys):
+            state.db.charge("sort_row", max(len(env_list), 1))
+            env_list.sort(key=lambda env: _null_safe_key(getter(env)), reverse=descending)
+        meter, cost = state.db.metering()
+        seconds = cost["row_output"]
         result_envs: list[list[Any]] = []
         seen: set[tuple] = set()
-        for env in env_list:
-            if self.limit is not None and len(result_envs) >= self.limit:
-                break
-            if self.distinct:
-                key = tuple(column.value(env) for column in self.columns)
-                if key in seen:
-                    continue
-                seen.add(key)
-            charge("row_output")
-            result_envs.append(env)
-        return SelectResult(self.columns, envs=result_envs, spec_home=self)
+        try:
+            for env in env_list:
+                if self.limit is not None and len(result_envs) >= self.limit:
+                    break
+                if self.distinct:
+                    key = tuple(column.value(env) for column in self.columns)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                meter.total += seconds
+                result_envs.append(env)
+        finally:
+            if result_envs:
+                meter.ops["row_output"] += len(result_envs)
+        return SelectResult(self.columns, self, envs=result_envs)
 
 
 class _AggregateOutput(_OutputSpec):
@@ -475,24 +691,36 @@ class _AggregateOutput(_OutputSpec):
         self.order_keys = order_keys
         self.limit = limit
         self.distinct = distinct
-        self._materialized_columns: Optional[list[OutputColumn]] = None
+        self._materialized_columns = [
+            OutputColumn(c.name, c.type, _item_getter(i)) for i, c in enumerate(columns)
+        ]
 
-    def produce(self, envs: Iterator[list[Any]], state: ExecState) -> "SelectResult":
-        charge = state.db.charge
-        groups: dict[tuple, list[Any]] = {}
-        first_env: dict[tuple, list[Any]] = {}
+    def collector(self, state: ExecState) -> tuple[Callable[[list[Any]], None], Callable]:
+        first_env: dict[tuple, Optional[list[Any]]] = {}
         accums: dict[tuple, list[Any]] = {}
-        n_agg = len(self.agg_specs)
-        for env in envs:
-            charge("group_row")
-            key = tuple(getter(env) for getter in self.group_keys)
+        group_keys, agg_specs = self.group_keys, self.agg_specs
+        meter, cost = state.db.metering()
+        ops, c_group, c_update = meter.ops, cost["group_row"], cost["agg_update"]
+
+        def emit(env: list[Any]) -> None:
+            # Rows are folded as the join produces them, so these charges
+            # interleave with the join's own, row by row.
+            meter.total += c_group
+            ops["group_row"] += 1
+            key = tuple([getter(env) for getter in group_keys])
             acc = accums.get(key)
             if acc is None:
-                acc = accums[key] = [_agg_init(spec) for spec in self.agg_specs]
+                acc = accums[key] = [_agg_init(spec) for spec in agg_specs]
                 first_env[key] = env
-            for i in range(n_agg):
-                charge("agg_update")
-                _agg_step(self.agg_specs[i], acc[i], env)
+            for spec, slot in zip(agg_specs, acc):
+                meter.total += c_update
+                ops["agg_update"] += 1
+                _agg_step(spec, slot, env)
+
+        return emit, lambda: self._finish(accums, first_env, state)
+
+    def _finish(self, accums: dict, first_env: dict, state: ExecState) -> "SelectResult":
+        charge = state.db.charge
         # Global aggregate over an empty input still yields one row; there
         # is no representative row, so row-scoped getters must see None.
         if not accums and not self.group_keys:
@@ -523,12 +751,7 @@ class _AggregateOutput(_OutputSpec):
                 seen.add(key)
             charge("row_output")
             rows.append(values)
-        if self._materialized_columns is None:
-            self._materialized_columns = [
-                OutputColumn(c.name, c.type, _item_getter(i))
-                for i, c in enumerate(self.columns)
-            ]
-        return SelectResult(self._materialized_columns, value_rows=rows, spec_home=self)
+        return SelectResult(self._materialized_columns, self, value_rows=rows)
 
 
 def _item_getter(i: int) -> Getter:
@@ -603,11 +826,11 @@ class BindSpec:
     """Shared binding shape for one result-column list: schema, static map,
     and per-row extractors (pointer slots assigned per distinct source)."""
 
-    __slots__ = ("schema", "static_map", "ptr_getters", "mat_columns")
+    __slots__ = ("schema", "static_map", "ptr_getters", "ptr_keys", "mat_columns")
 
     def __init__(self, columns: list[OutputColumn]) -> None:
         self.schema = Schema([Column(c.name, c.type) for c in columns])
-        slot_of_key: dict[tuple, int] = {}
+        slot_of_key: dict[tuple, int] = {}  # pointer slot per distinct source
         self.ptr_getters: list[Getter] = []
         sources: list[ColumnSource] = []
         self.mat_columns: list[OutputColumn] = []
@@ -621,6 +844,7 @@ class BindSpec:
             else:
                 sources.append(ColumnSource("mat", len(self.mat_columns)))
                 self.mat_columns.append(column)
+        self.ptr_keys = list(slot_of_key)
         self.static_map = StaticMap(
             sources, ptr_labels=[f"p{i}" for i in range(len(self.ptr_getters))]
         )
@@ -632,15 +856,14 @@ class SelectResult:
     def __init__(
         self,
         columns: list[OutputColumn],
+        spec_home: "_OutputSpec",
         envs: Optional[list[list[Any]]] = None,
         value_rows: Optional[list[list[Any]]] = None,
-        spec_home: Optional["_OutputSpec"] = None,
     ) -> None:
         self.columns = columns
         self._envs = envs
         self._value_rows = value_rows
-        self._spec_home = spec_home
-        self._bind_spec = spec_home._bind_spec if spec_home is not None else None
+        self._spec_home = spec_home  # the plan's output: owns the binding shape
 
     @property
     def column_names(self) -> list[str]:
@@ -677,40 +900,35 @@ class SelectResult:
 
     # ----------------------------------------------------------- binding
 
-    def schema(self) -> Schema:
-        return self.bind_spec().schema
-
-    def bind_spec(self) -> "BindSpec":
-        """The (cached, shared) schema / static map / extractors used when
-        binding this result shape as a temporary table.  One BindSpec per
-        column list, so bound tables from successive firings share Schema
-        and StaticMap objects and plans compiled against them stay cached."""
-        spec = self._bind_spec
-        if spec is None:
-            spec = self._bind_spec = BindSpec(self.columns)
-            if self._spec_home is not None:
-                self._spec_home._bind_spec = spec
-        return spec
-
-    def bind(self, name: str, charge: Optional[Callable[[str, int], None]] = None) -> TempTable:
+    def bind(self, name: str, db: Any) -> TempTable:
         """Build a temporary table from this result, sharing record pointers
-        for direct-column outputs (paper section 6.1)."""
-        spec = self.bind_spec()
+        for direct-column outputs (paper section 6.1).  Each row charges
+        ``bind_row`` to ``db`` before its values are extracted."""
+        spec = self._spec_home.bind_spec()
         table = TempTable(name, spec.schema, spec.static_map)
-        if self._envs is None:
-            for row in self.rows():
-                if charge is not None:
-                    charge("bind_row", 1)
-                table.append_row((), tuple(row))
-            return table
+        append = table.row_sink(len(spec.ptr_keys), len(spec.mat_columns))
+        # An aggregate's rows are values already: its own columns index them.
+        items, mat_columns = (
+            (self.rows(), self.columns) if self._envs is None else (self._envs, spec.mat_columns)
+        )
         ptr_getters = spec.ptr_getters
-        mat_columns = spec.mat_columns
-        for env in self._envs:
-            if charge is not None:
-                charge("bind_row", 1)
-            ptrs = tuple(getter(env) for getter in ptr_getters)
-            mats = tuple(column.value(env) for column in mat_columns)
-            table.append_row(ptrs, mats)
+        meter, cost = db.metering()
+        seconds, count = cost["bind_row"], 0
+        try:
+            for item in items:
+                meter.total += seconds
+                count += 1
+                ptrs = tuple([getter(item) for getter in ptr_getters])
+                mats = tuple([column.value(item) for column in mat_columns])
+                for record in ptrs:
+                    record.pin()
+                append((ptrs, mats))
+        except BaseException:
+            table.retire()
+            raise
+        finally:
+            if count:
+                meter.ops["bind_row"] += count
         return table
 
 
@@ -732,6 +950,8 @@ class _SelectResolution:
         self.descs = descs
         self.by_binding = {desc.binding: desc for desc in descs}
         self.namespace = namespace
+        #: Getters a fused nest can write inline instead of calling.
+        self.inline: dict[Getter, str] = {}
 
     # -- ResolutionContext protocol --
 
@@ -804,20 +1024,35 @@ class _SelectResolution:
     ) -> tuple[Getter, Optional[tuple[Getter, int, tuple]]]:
         offset = desc.schema.offset(name)
         pos = desc.env_pos
+        ptr = None
         if desc.kind == STD:
             getter = lambda env, p=pos, o=offset: env[p].values[o]
-            record = lambda env, p=pos: env[p]
-            return getter, (record, offset, ("std", pos))
-        if desc.kind == TMP:
+            ptr = ((lambda env, p=pos: env[p]), offset, ("std", pos))
+            inline = f"h{pos}.values[{offset}]"
+        elif desc.kind == TMP:
             source = desc.map_sources[offset]
             if source.kind == "ptr":
                 slot, inner = source.slot, source.offset
                 getter = lambda env, p=pos, s=slot, o=inner: env[p][0][s].values[o]
-                record = lambda env, p=pos, s=slot: env[p][0][s]
-                return getter, (record, inner, ("tmp", pos, slot))
-            slot = source.slot
-            return (lambda env, p=pos, s=slot: env[p][1][s]), None
-        return (lambda env, p=pos, o=offset: env[p][o]), None
+                ptr = ((lambda env, p=pos, s=slot: env[p][0][s]), inner, ("tmp", pos, slot))
+                inline = f"h{pos}[0][{slot}].values[{inner}]"
+            else:
+                getter = lambda env, p=pos, s=source.slot: env[p][1][s]
+                inline = f"h{pos}[1][{source.slot}]"
+        else:
+            getter = lambda env, p=pos, o=offset: env[p][o]
+            inline = f"h{pos}[{offset}]"
+        self.inline[getter] = inline  # the same read, over the nest's handle h<pos>
+        return getter, ptr
+
+    def key(self, parts: list[Getter]) -> Getter:
+        """One getter for a join key of one or several parts (a tuple)."""
+        if len(parts) == 1:
+            return parts[0]
+        key = lambda env, parts=tuple(parts): tuple(part(env) for part in parts)
+        if all(part in self.inline for part in parts):
+            self.inline[key] = _tuple_source([self.inline[part] for part in parts])
+        return key
 
     def _pseudo_getter(self, name: str) -> Getter:
         def _pseudo(env: Any) -> Any:
@@ -1028,7 +1263,6 @@ def plan_select(
 
     # ---- assign residual conjuncts to pipeline positions ------------------
     residuals: list[list[ast.Expr]] = [[] for _ in order]
-    leftovers: list[ast.Expr] = []
     placed_sets = []
     running: set[str] = set()
     for desc in order:
@@ -1043,10 +1277,9 @@ def plan_select(
             if refs <= placed:
                 target = step_idx
                 break
-        if target is None:
-            leftovers.append(conjunct)
-        else:
-            residuals[target].append(conjunct)
+        # No position holds every alias only when one of them is unknown:
+        # compiling the conjunct anywhere raises the PlanError saying so.
+        residuals[target if target is not None else -1].append(conjunct)
 
     def _compile_conjunction(exprs: list[ast.Expr]) -> Optional[Getter]:
         if not exprs:
@@ -1128,30 +1361,17 @@ def plan_select(
         residual = _compile_conjunction(residuals[step_idx])
         if keys:
             columns = tuple(column for column, _ in keys)
-            probe_parts = [compile_expr(other, resolution) for _, other in keys]
-            if len(probe_parts) == 1:
-                probe_key = probe_parts[0]
-            else:
-                probe_key = lambda env, parts=tuple(probe_parts): tuple(p(env) for p in parts)
+            probe_key = resolution.key([compile_expr(other, resolution) for _, other in keys])
             if desc.kind == STD and db.catalog.table(desc.name).index_on(columns) is not None:
                 steps.append(_IndexJoinStep(desc, columns, probe_key, residual))
             else:
-                steps.append(
-                    _HashJoinStep(
-                        desc,
-                        build_key=_handle_key_getter(desc, columns),
-                        probe_key=probe_key,
-                        residual=residual,
-                    )
-                )
+                build_key = resolution.key([resolution.column_of(desc, c)[0] for c in columns])
+                steps.append(_HashJoinStep(desc, build_key, probe_key, residual))
         else:
             steps.append(_NestedJoinStep(desc, residual))
-    leftover_pred = _compile_conjunction(leftovers)
-    if leftover_pred is not None:
-        steps.append(_FilterStep(leftover_pred))
 
     output = _build_output(db, select, order, resolution)
-    return CompiledSelect(select, order, steps, output)
+    return CompiledSelect(select, order, steps, output, resolution.inline)
 
 
 # --------------------------------------------------------------------------
@@ -1266,7 +1486,8 @@ def _build_output(
         ]
         if select.having is not None:
             raise PlanError("HAVING requires GROUP BY or aggregates")
-        return _PlainOutput(columns, order_keys, select.limit, select.distinct)
+        charge_free = not any(ast.calls_out(expr) for expr, _alias in items)
+        return _PlainOutput(columns, order_keys, select.limit, select.distinct, charge_free)
 
     # ---- aggregate output --------------------------------------------------
     group_exprs = list(select.group_by)

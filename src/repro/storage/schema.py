@@ -103,7 +103,7 @@ class Column:
 class Schema:
     """An ordered, immutable list of columns with fast name -> offset lookup."""
 
-    __slots__ = ("columns", "_offsets")
+    __slots__ = ("columns", "_offsets", "_hash")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
@@ -112,6 +112,7 @@ class Schema:
             if column.name in self._offsets:
                 raise SchemaError(f"duplicate column name {column.name!r}")
             self._offsets[column.name] = offset
+        self._hash = hash(self.columns)  # plan-cache keys hash schemas per query
 
     @classmethod
     def of(cls, *specs: tuple[str, ColumnType] | Column) -> "Schema":
@@ -170,7 +171,7 @@ class Schema:
         return self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.type.value}" for c in self.columns)

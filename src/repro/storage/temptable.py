@@ -120,21 +120,30 @@ class TempTable:
 
     def append_row(self, ptrs: Sequence[Record], mats: Sequence[Any] = ()) -> None:
         """Add one row, pinning every referenced record."""
-        self._check_live()
         ptrs = tuple(ptrs)
         mats = tuple(mats)
-        if len(ptrs) != self.static_map.ptr_slots:
-            raise SchemaError(
-                f"row has {len(ptrs)} pointers, static map needs {self.static_map.ptr_slots}"
-            )
-        if len(mats) != self.static_map.mat_slots:
-            raise SchemaError(
-                f"row has {len(mats)} materialized values, "
-                f"static map needs {self.static_map.mat_slots}"
-            )
+        append = self.row_sink(len(ptrs), len(mats))
         for record in ptrs:
             record.pin()
-        self._rows.append((ptrs, mats))
+        append((ptrs, mats))
+
+    def row_sink(self, n_ptrs: int, n_mats: int):
+        """The append of this table's row list, for a loop that adds many
+        rows of one arity: the arity is checked here, once.  The caller
+        appends ``(ptrs, mats)`` tuple pairs and has pinned each pointer
+        once *before* appending its row, so a table abandoned half-built
+        retires cleanly."""
+        self._check_live()
+        if n_ptrs != self.static_map.ptr_slots:
+            raise SchemaError(
+                f"row has {n_ptrs} pointers, static map needs {self.static_map.ptr_slots}"
+            )
+        if n_mats != self.static_map.mat_slots:
+            raise SchemaError(
+                f"row has {n_mats} materialized values, "
+                f"static map needs {self.static_map.mat_slots}"
+            )
+        return self._rows.append
 
     def append_values(self, values: Sequence[Any]) -> None:
         """Add a fully materialized row (only valid for all-mat maps)."""
@@ -142,13 +151,9 @@ class TempTable:
             raise SchemaError("append_values requires an all-materialized static map")
         self.append_row((), tuple(values))
 
-    def absorb(self, other: "TempTable") -> int:
-        """Append all of ``other``'s rows to this table (unique-transaction
-        batching, paper sections 2 and 6.3).  Returns the number of rows added.
-
-        The two tables must be *defined identically*: same schema, same
-        static-map shape.
-        """
+    def _check_identical(self, other: "TempTable") -> None:
+        """Batched tables must be *defined identically*: same schema, same
+        static-map shape."""
         self._check_live()
         if other.schema != self.schema:
             raise BindingError(
@@ -159,11 +164,29 @@ class TempTable:
             raise BindingError(
                 f"bound table {self.name!r}: static map mismatch when batching"
             )
+
+    def absorb(self, other: "TempTable") -> int:
+        """Append all of ``other``'s rows to this table (unique-transaction
+        batching, paper sections 2 and 6.3), pinning their records again;
+        ``other`` is left as it was.  Returns the number of rows added."""
+        self._check_identical(other)
         for ptrs, mats in other._rows:
             for record in ptrs:
                 record.pin()
             self._rows.append((ptrs, mats))
         return len(other._rows)
+
+    def move_from(self, other: "TempTable") -> int:
+        """:meth:`absorb` for a table nobody else will read: ``other``'s
+        rows move here *with the pins they hold* and ``other`` is left
+        retired.  Returns the number of rows moved."""
+        self._check_identical(other)
+        other._check_live()
+        moved = len(other._rows)
+        self._rows += other._rows
+        other._rows = []
+        other._retired = True
+        return moved
 
     def subset(self, rows: Iterable[tuple]) -> "TempTable":
         """A fresh table defined identically to this one, holding ``rows`` —

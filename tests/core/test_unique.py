@@ -224,6 +224,56 @@ class TestPinning:
         # The batched bound table shows both superseded versions.
         assert seen == [[{"k": "a", "before": 1.0}, {"k": "a", "before": 2.0}]]
 
+    def test_failed_commit_after_move_absorb_rolls_back_with_pins_balanced(self, db):
+        """An absorbed firing's rows move into the pending task with the pins
+        they hold; when a later rule fails the commit, the undo journal
+        truncates the target and those pins drop — on the plain path as on
+        the compacted one (tests/core/test_compaction.py)."""
+        seen = []
+
+        def fn(ctx):
+            seen.append(ctx.bound("m").to_dicts())
+
+        def check(value):
+            if value == 666.0:
+                raise ValueError("refused")
+            return value
+
+        db.register_function("f", fn)
+        db.register_scalar("check_v", check)
+        db.execute(
+            "create rule a_batch on t when updated "
+            "if select old.k as k, old.v as before, new.v as after from old, new "
+            "where old.execute_order = new.execute_order bind as m "
+            "then execute f unique after 1.0 seconds"
+        )
+        db.execute(
+            "create rule b_guard on t when updated "
+            "if select check_v(v) as ok from new bind as g "
+            "then execute f_guard"
+        )
+        db.register_function("f_guard", lambda ctx: None)
+        db.execute("insert into t values ('a', 'g', 1.0)")
+        db.execute("update t set v = 2.0 where k = 'a'")
+        [task] = db.unique_manager.pending_tasks("f")
+        target = task.bound_tables["m"]
+        records = {record for ptrs, _mats in target.scan_raw() for record in ptrs}
+        held = {record: record.pins for record in records}
+        with pytest.raises(Exception, match="refused"):
+            db.execute("update t set v = 666.0 where k = 'a'")
+        # The failed firing had been moved in (a_batch fired first) and is gone again.
+        assert db.unique_manager.batch_count == 1
+        assert len(target) == 1
+        assert {record: record.pins for record in records} == held
+        db.execute("update t set v = 3.0 where k = 'a'")
+        records |= {record for ptrs, _mats in target.scan_raw() for record in ptrs}
+        db.drain()
+        assert seen == [
+            [{"k": "a", "before": 1.0, "after": 2.0}, {"k": "a", "before": 2.0, "after": 3.0}]
+        ]
+        records |= set(db.catalog.table("t").scan())
+        assert all(record.pins == 0 for record in records)
+
     def test_bound_tables_retired_after_task(self, db):
         install(db, "unique", [])
         db.execute("insert into t values ('a', 'g', 1.0)")

@@ -201,7 +201,7 @@ class TestBindingFromQueries:
 
         stmt = db.parse("select name, salary * 2 as double from emp where dept = 'hr'")
         result = execute_select(db, stmt, None)
-        bound = result.bind("b")
+        bound = result.bind("b", db)
         assert bound.static_map.ptr_slots == 1  # name via pointer
         assert bound.static_map.mat_slots == 1  # computed column materialized
         assert bound.to_dicts() == [{"name": "eve", "double": 120.0}]
@@ -211,7 +211,7 @@ class TestBindingFromQueries:
 
         stmt = db.parse("select name, dept, salary from emp where name = 'ann'")
         result = execute_select(db, stmt, None)
-        bound = result.bind("b")
+        bound = result.bind("b", db)
         assert bound.static_map.ptr_slots == 1  # all three from one record
 
     def test_bind_aggregate_all_materialized(self, db):
@@ -219,6 +219,6 @@ class TestBindingFromQueries:
 
         stmt = db.parse("select dept, sum(salary) as s from emp group by dept")
         result = execute_select(db, stmt, None)
-        bound = result.bind("b")
+        bound = result.bind("b", db)
         assert bound.static_map.ptr_slots == 0
         assert len(bound) == 3

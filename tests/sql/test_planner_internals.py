@@ -107,14 +107,86 @@ class TestPlanCache:
         second = select_plan(db, db.parse(sql), {"m": second_table})
         assert first is second
 
+    def test_equal_but_distinct_schemas_share_one_plan(self, db):
+        """The key is the shape by value: a collected schema whose ``id()``
+        a different shape later reuses can never be handed the wrong plan,
+        and equal shapes need not be the same objects to share one."""
+        first = select_plan(db, db.parse("select k from m"), {"m": bound_table([])})
+        second = select_plan(db, db.parse("select k from m"), {"m": bound_table([])})
+        assert first is second
+
     def test_different_schema_different_plan(self, db):
-        first = select_plan(
-            db, db.parse("select k from m"), {"m": bound_table([])}
+        """Two shapes under one name never share: the plan bakes offsets."""
+        sql = db.parse("select k from m")
+        first = select_plan(db, sql, {"m": bound_table([])})
+        wider = TempTable("m", Schema.of(("x", ColumnType.REAL), ("k", ColumnType.TEXT)))
+        second = select_plan(db, sql, {"m": wider})
+        assert first is not second
+        wider.append_values([1.0, "a"])
+        assert second.execute(db, None, namespace={"m": wider}).rows() == [["a"]]
+        # Same schema, different static map (pointer-backed vs materialized).
+        db.execute("insert into small values ('a', 't')")
+        pointer = db.query("select k, tag from small").bind("m", db)
+        inline = TempTable("m", pointer.schema)
+        by_pointer = select_plan(db, sql, {"m": pointer})
+        assert by_pointer is not select_plan(db, sql, {"m": inline})
+        assert by_pointer.execute(db, None, namespace={"m": pointer}).rows() == [["a"]]
+        pointer.retire()
+
+
+    def test_view_maintenance_run_keeps_the_plan_count(self):
+        """A run shaped like the e2e ``sql_views_mixed`` workload — two
+        maintained views, price updates, position opens and closes, three
+        kinds of read — caches one plan per statement shape however many
+        firings bind fresh tables: 34 on the parent of the value-keyed
+        cache, and no more with it."""
+        from repro.views.maintain import materialize
+
+        db = Database()
+        db.execute_script(
+            """
+            create table stocks (symbol text, price real);
+            create index stocks_symbol on stocks (symbol);
+            create table positions (pos_id text, symbol text, shares real);
+            create index positions_pos on positions (pos_id);
+            create index positions_symbol on positions (symbol);
+            """
         )
-        second = select_plan(
-            db, db.parse("select k from m"), {"m": bound_table([])}
+        for i in range(6):
+            db.execute(f"insert into stocks values ('S{i}', {10.0 + i})")
+        for i in range(18):
+            db.execute(f"insert into positions values ('P{i}', 'S{i % 6}', {1.0 + i})")
+        db.execute(
+            "create view position_values as "
+            "select pos_id, positions.symbol as symbol, shares * price as value "
+            "from positions, stocks where positions.symbol = stocks.symbol"
         )
-        assert first is not second  # fresh Schema objects => fresh plans
+        db.execute(
+            "create view symbol_exposure as "
+            "select positions.symbol as symbol, sum(shares * price) as exposure "
+            "from positions, stocks where positions.symbol = stocks.symbol "
+            "group by positions.symbol"
+        )
+        materialize(db, "position_values", unique=True, delay=0.5, key=("pos_id",))
+        materialize(db, "symbol_exposure", unique=True, unique_on=("symbol",), delay=0.5)
+        for i in range(40):
+            symbol = {"symbol": f"S{i % 6}"}
+            db.execute(
+                "update stocks set price = :price where symbol = :symbol",
+                {**symbol, "price": 20.0 + i},
+            )
+            db.execute(
+                "insert into positions values (:pos_id, :symbol, :shares)",
+                {**symbol, "pos_id": f"X{i}", "shares": 2.0},
+            )
+            if i % 3 == 0:
+                db.execute("delete from positions where pos_id = :pos_id", {"pos_id": f"P{i // 3}"})
+            db.query("select exposure from symbol_exposure where symbol = :symbol", symbol)
+            db.query("select pos_id, value from position_values where symbol = :symbol", symbol)
+            db.query("select symbol, exposure from symbol_exposure order by exposure desc limit 10")
+            db.advance(0.3)
+            db.drain()
+        assert len(db.plan_cache) <= 34
 
 
 class TestBindingProvenance:

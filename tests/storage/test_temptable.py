@@ -141,6 +141,54 @@ class TestAbsorb:
         assert r2.pins == 1  # still pinned by the absorbing table
         assert first.row_values(1) == ["B", 2.0, 1]
 
+    def test_move_from_moves_rows_and_their_pins(self):
+        """The absorb for a table nobody else reads: no second pin, and the
+        source is left retired with nothing to unpin."""
+        _table, r1, r2 = stock_table()
+        schema, static_map = pointer_schema(), pointer_map()
+        first = TempTable("matches", schema, static_map)
+        first.append_row((r1,), (0,))
+        second = TempTable("matches", schema, static_map)
+        second.append_row((r2,), (1,))
+        mark = first.savepoint()
+        assert first.move_from(second) == 1
+        assert len(first) == 2 and len(second) == 0
+        assert second.retired
+        assert r2.pins == 1  # the pin second took, now first's
+        second.retire()  # idempotent: the moved pin is not dropped
+        assert r2.pins == 1
+        assert first.row_values(1) == ["B", 2.0, 1]
+        with pytest.raises(SchemaError):
+            first.move_from(second)  # a retired source has nothing to give
+        first.rollback(mark)  # the undo journal's truncate releases moved pins
+        assert len(first) == 1 and r2.pins == 0 and r1.pins == 1
+        first.retire()
+        assert r1.pins == 0
+
+    def test_move_from_checks_definitions(self):
+        schema = pointer_schema()
+        first = TempTable("m", schema, pointer_map())
+        with pytest.raises(BindingError):
+            first.move_from(TempTable("m", schema))  # all materialized
+        with pytest.raises(BindingError):
+            first.move_from(TempTable("m", Schema.of(("a", ColumnType.INT))))
+
+    def test_row_sink_checks_arity_once(self):
+        _table, r1, _r2 = stock_table()
+        table = TempTable("m", pointer_schema(), pointer_map())
+        with pytest.raises(SchemaError):
+            table.row_sink(2, 1)
+        with pytest.raises(SchemaError):
+            table.row_sink(1, 0)
+        append = table.row_sink(1, 1)
+        r1.pin()  # the sink's contract: pinned by the caller, before the append
+        append(((r1,), (7,)))
+        assert table.row_values(0) == ["A", 1.0, 7]
+        table.retire()
+        assert r1.pins == 0
+        with pytest.raises(SchemaError):
+            table.row_sink(1, 1)  # retired
+
     def test_absorb_schema_mismatch(self):
         first = TempTable("m", Schema.of(("a", ColumnType.INT)))
         second = TempTable("m", Schema.of(("b", ColumnType.INT)))
