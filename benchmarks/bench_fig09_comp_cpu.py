@@ -8,7 +8,7 @@ small delays (the critical region) but approaches coarse at 3s.
 
 import pytest
 
-from repro.bench.experiments import bench_scale, comp_sweep, delays_default, series_of
+from repro.bench.experiments import bench_scale, comp_sweep, series_of
 from repro.bench.reporting import emit, format_series
 
 

@@ -8,7 +8,6 @@ all come from the composite-maintenance grid) only pay for it once.
 from repro.bench.experiments import (
     bench_scale,
     comp_sweep,
-    delays_default,
     is_strict_scale,
     option_sweep,
 )
@@ -17,7 +16,6 @@ from repro.bench.reporting import format_series, format_table
 __all__ = [
     "bench_scale",
     "comp_sweep",
-    "delays_default",
     "format_series",
     "is_strict_scale",
     "format_table",

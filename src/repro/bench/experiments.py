@@ -32,11 +32,6 @@ def _cached(key: tuple, compute: Callable[[], list]) -> list:
     return _SWEEP_CACHE[key]
 
 
-def delays_default() -> tuple[float, ...]:
-    """The delay-window sweep of the paper (0.5 to 3 seconds)."""
-    return DELAYS
-
-
 def is_strict_scale(scale: Optional[Scale] = None) -> bool:
     """True when the scale is large enough for the paper's magnitude claims
     (order-of-magnitude ratios) to hold; tiny smoke scales only preserve the
@@ -325,8 +320,3 @@ def series_of(
     for points in curves.values():
         points.sort()
     return curves
-
-
-def clear_sweep_cache() -> None:
-    """Drop cached sweep results (tests / rerunning with changed code)."""
-    _SWEEP_CACHE.clear()

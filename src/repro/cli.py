@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from repro.bench.reporting import format_series, format_table
 from repro.errors import InjectedCrashError
-from repro.fault import ConvergenceReport, check_convergence
+from repro.fault import ConvergenceReport, RetryPolicy, check_convergence
 from repro.obs import (
     TimeSeriesSampler,
     TraceCollector,
@@ -687,7 +687,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.pta.distributed import recover_run
     from repro.sim.simulator import Simulator
 
-    db, report = recover_run(args.wal_dir, args.max_retries, args.retry_backoff)
+    db, report = recover_run(
+        args.wal_dir, RetryPolicy(args.max_retries, args.retry_backoff)
+    )
     print(report.describe())
     if args.no_drain:
         return 0

@@ -34,7 +34,7 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.temptable import StaticMap, TempTable
 from repro.txn.tasks import Task
-from repro.txn.transaction import Transaction, TransactionState
+from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
@@ -107,8 +107,7 @@ class RuleEngine:
             # registered as pending while never reaching the scheduler —
             # later firings would absorb rows into work that never runs.
             for task in created:
-                db.unique_manager.forget(task)
-                task.retire_bound_tables()
+                db.unique_manager.abandon(task, "aborted")
             raise
         for task in created:
             db.task_manager.enqueue(task)
@@ -174,17 +173,14 @@ class RuleEngine:
         def body(task: Task) -> None:
             db.charge("user_func_base")
             fn = db.functions.get(function_name)
-            txn = Transaction(db, task)
-            ctx = FunctionContext(db, task, txn)
-            try:
-                fn(ctx)
-            except Exception as exc:
-                if txn.state is TransactionState.ACTIVE:
-                    txn.abort()
-                raise FunctionError(
-                    f"user function {function_name!r} failed: {exc}"
-                ) from exc
-            if txn.state is TransactionState.ACTIVE:
-                txn.commit()
+            with db.begin(task) as txn:
+                ctx = FunctionContext(db, task, txn)
+                try:
+                    fn(ctx)
+                except Exception as exc:
+                    # Only the function's error is wrapped, never the commit's.
+                    raise FunctionError(
+                        f"user function {function_name!r} failed: {exc}"
+                    ) from exc
 
         return body

@@ -184,8 +184,7 @@ class UniqueManager:
             # never be returned to the engine (and so never enqueued), and
             # subsequent firings would absorb rows into them forever.
             for fresh in new_tasks:
-                self.forget(fresh)
-                fresh.retire_bound_tables()
+                self.abandon(fresh, "aborted")
             raise
         for table in bound.values():
             table.retire()
@@ -445,17 +444,11 @@ class UniqueManager:
         """Remove the pending-table entry the moment the task begins to run:
         from here on, new firings start a fresh transaction (section 6.3).
         Compacted tasks also drop their net-noop rows here — the batch is
-        sealed, so the fold is final.  (A dropped task arrives here already
-        aborted, its bound tables retired: nothing is left to seal.)"""
-        if task.state not in (TaskState.DONE, TaskState.ABORTED):
-            folded = [table for table in task.bound_tables.values() if table.folding]
-            if folded:
-                self._seal(task, folded)
-        if task.function_name is None or task.unique_key is None:
-            return
-        pending = self._pending.get(task.function_name)
-        if pending is not None and pending.get(task.unique_key) is task:
-            del pending[task.unique_key]
+        sealed, so the fold is final."""
+        folded = [table for table in task.bound_tables.values() if table.folding]
+        if folded:
+            self._seal(task, folded)
+        self.forget(task)
 
     def readopt(self, task: Task) -> None:
         """Put a fault-retried task back in the pending table (recovery).
@@ -479,18 +472,31 @@ class UniqueManager:
         pending[task.unique_key] = task
 
     def forget(self, task: Task) -> None:
-        """Drop a task's pending entry (fault recovery exhausted its retries
-        and released its rows)."""
+        """Drop a task's pending entry, if it still holds one."""
         if task.function_name is None or task.unique_key is None:
             return
         pending = self._pending.get(task.function_name)
         if pending is not None and pending.get(task.unique_key) is task:
             del pending[task.unique_key]
 
+    def abandon(self, task: Task, outcome: str) -> None:
+        """Give ``task`` up — the one way a task ends without running to
+        completion (firm-deadline drop, retry budget exhausted, superseded,
+        creating commit rolled back, recovery orphan past its budget).  No
+        firing can batch onto it any more, its pins are released, the log
+        gets its terminal record; the queues skip it by state when popped.
+        Callers add only their own charge and tracer event."""
+        self.forget(task)
+        task.state = TaskState.ABORTED
+        task.retire_bound_tables()
+        persist = self.db.persist
+        if persist.enabled and task.function_name is not None:
+            persist.task_finished(task, outcome)
+
     def supersede(
         self, function: str, unique_key: tuple, now: float
     ) -> Optional[Task]:
-        """Abort the pending task for one unique key because newer state
+        """Abandon the pending task for one unique key because newer state
         made its work moot (e.g. a deletion removed every derived row the
         task would have maintained).
 
@@ -498,16 +504,11 @@ class UniqueManager:
         runs to completion and the maintenance logic itself must cope.
         Returns the aborted task, or None when there was nothing pending.
         """
-        pending = self._pending.get(function)
-        task = pending.get(unique_key) if pending is not None else None
+        task = self._pending.get(function, {}).get(unique_key)
         if task is None or task.state not in (TaskState.DELAYED, TaskState.READY):
             return None
         self.db.charge("unique_lookup")
-        del pending[unique_key]
-        task.state = TaskState.ABORTED
-        task.retire_bound_tables()
-        if self.db.persist.enabled and task.function_name is not None:
-            self.db.persist.task_finished(task, "superseded")
+        self.abandon(task, "superseded")
         if self.db.tracer.enabled:
             self.db.tracer.task_superseded(task, now)
         return task

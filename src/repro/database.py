@@ -56,8 +56,18 @@ from repro.txn.locks import LockManager
 from repro.txn.queues import DelayQueue, ReadyQueue
 from repro.txn.scheduler import SchedulingPolicy, make_policy
 from repro.txn.tasks import Task, TaskState
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import Transaction, TransactionState
 from repro.views.definition import ViewDefinition
+
+#: The one SQL dispatch: statement type -> run(db, stmt, txn, params, namespace).
+#: Executors are read from this module's globals per call (the e2e tracer
+#: patches them here); UPDATE and DELETE take no temp-table namespace.
+_SQL_EXECUTORS = {
+    ast.Select: lambda db, s, txn, p, ns: execute_select(db, s, txn, p, namespace=ns),
+    ast.Insert: lambda db, s, txn, p, ns: execute_insert(db, s, txn, p, namespace=ns),
+    ast.Update: lambda db, s, txn, p, ns: execute_update(db, s, txn, p),
+    ast.Delete: lambda db, s, txn, p, ns: execute_delete(db, s, txn, p),
+}
 
 
 class TaskManager:
@@ -233,9 +243,8 @@ class Database:
         # whether a rederivation requery already saw a pending task's source
         # commit (see the ``commit_seq`` pseudo column).
         self.last_commit_seq = 0
-        # Live transactions by id, so a task killed mid-body by an injected
-        # fault can have its half-done transaction rolled back (update-task
-        # bodies have no exception handler of their own).
+        # Live transactions by id, so a task whose body died inside commit
+        # can have its half-done transaction rolled back (abort_orphaned_txns).
         self._active_txns: dict[int, Transaction] = {}
 
     # --------------------------------------------------------------- costs
@@ -333,8 +342,6 @@ class Database:
         return Transaction(self, task)
 
     def on_txn_finished(self, txn: Transaction) -> None:
-        from repro.txn.transaction import TransactionState
-
         self._active_txns.pop(txn.txn_id, None)
         if txn.state is TransactionState.COMMITTED:
             self.committed_txns += 1
@@ -342,11 +349,9 @@ class Database:
             self.aborted_txns += 1
 
     def abort_orphaned_txns(self, task: Task) -> int:
-        """Roll back any transaction ``task`` left active (fault recovery:
-        an injected failure can unwind a task body mid-transaction before
-        that body's own cleanup, or the body may have none)."""
-        from repro.txn.transaction import TransactionState
-
+        """Roll back any transaction ``task`` left active: one whose commit
+        raised without rolling back (a crash while logging), or one a body
+        began by hand and never finished."""
         orphans = [
             txn
             for txn in list(self._active_txns.values())
@@ -386,17 +391,12 @@ class Database:
     def execute_statement(
         self, stmt: ast.Statement, params: Optional[dict[str, Any]], sql_text: str = ""
     ) -> Any:
-        if isinstance(stmt, ast.Select):
-            return execute_select(self, stmt, None, params)
-        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            txn = self.begin()
-            try:
-                count = self._run_dml(stmt, txn, params)
-            except Exception:
-                txn.abort()
-                raise
-            txn.commit()
-            return count
+        run = _SQL_EXECUTORS.get(type(stmt))
+        if run is not None:
+            if isinstance(stmt, ast.Select):
+                return run(self, stmt, None, params, None)
+            with self.begin() as txn:  # auto-commit DML: aborted on error
+                return run(self, stmt, txn, params, None)
         if isinstance(stmt, ast.CreateTable):
             schema = Schema(
                 [Column(c.name, ColumnType.from_sql(c.type_name)) for c in stmt.columns]
@@ -423,17 +423,6 @@ class Database:
             return self._drop(stmt)
         raise ExecutionError(f"cannot execute statement {type(stmt).__name__}")
 
-    def _run_dml(
-        self, stmt: ast.Statement, txn: Transaction, params: Optional[dict[str, Any]]
-    ) -> int:
-        if isinstance(stmt, ast.Insert):
-            return execute_insert(self, stmt, txn, params)
-        if isinstance(stmt, ast.Update):
-            return execute_update(self, stmt, txn, params)
-        if isinstance(stmt, ast.Delete):
-            return execute_delete(self, stmt, txn, params)
-        raise ExecutionError(f"not a DML statement: {type(stmt).__name__}")
-
     def execute_in_txn(
         self,
         sql: str,
@@ -442,15 +431,12 @@ class Database:
         namespace: Optional[dict[str, Any]] = None,
     ) -> Any:
         stmt = self.parse(sql)
-        if isinstance(stmt, ast.Select):
-            return execute_select(self, stmt, txn, params, namespace=namespace)
-        if isinstance(stmt, ast.Insert):
-            return execute_insert(self, stmt, txn, params, namespace=namespace)
-        if isinstance(stmt, ast.Update):
-            return execute_update(self, stmt, txn, params)
-        if isinstance(stmt, ast.Delete):
-            return execute_delete(self, stmt, txn, params)
-        raise ExecutionError("only SELECT/INSERT/UPDATE/DELETE may run inside a transaction")
+        run = _SQL_EXECUTORS.get(type(stmt))
+        if run is None:
+            raise ExecutionError(
+                "only SELECT/INSERT/UPDATE/DELETE may run inside a transaction"
+            )
+        return run(self, stmt, txn, params, namespace)
 
     def query_in_txn(
         self,
@@ -579,19 +565,8 @@ class Database:
 
         def make_body(release: float):
             def body(task: Task) -> None:
-                txn = self.begin(task)
-                try:
+                with self.begin(task) as txn:
                     fn(FunctionContext(self, task, txn))
-                except Exception:
-                    from repro.txn.transaction import TransactionState
-
-                    if txn.state is TransactionState.ACTIVE:
-                        txn.abort()
-                    raise
-                from repro.txn.transaction import TransactionState
-
-                if txn.state is TransactionState.ACTIVE:
-                    txn.commit()
                 successor = release + interval
                 if until is None or successor <= until:
                     self.submit(

@@ -50,10 +50,6 @@ class LockError(StripError):
     """Base class for lock manager failures."""
 
 
-class LockTimeoutError(LockError):
-    """A lock request waited longer than the configured timeout."""
-
-
 class DeadlockError(LockError):
     """The lock manager chose this transaction as a deadlock victim."""
 

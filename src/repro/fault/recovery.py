@@ -7,8 +7,9 @@ aborted because of a fault is re-enqueued with exponential backoff, keeping
 its still-pending bound rows (the executor skips bound-table retirement
 when the policy elects to retry) and re-registering it in the unique
 manager's pending table so later firings batch onto the retry instead of
-racing it.  When the retry budget is exhausted the task's rows are dropped
-— a decision the convergence oracle will then surface as divergence.
+racing it.  When the retry budget is exhausted the task is abandoned
+(``UniqueManager.abandon``) and its rows dropped — a decision the
+convergence oracle will then surface as divergence.
 
 Organic failures (anything whose cause chain does not contain
 :class:`~repro.errors.InjectedFaultError`) are never handled: real bugs
@@ -69,7 +70,11 @@ class NullRecovery:
 
 
 class RetryPolicy(NullRecovery):
-    """Retry injected-fault failures with exponential backoff."""
+    """Retry injected-fault failures with exponential backoff.
+
+    The retry budget has this one owner: the live engine (:meth:`on_failure`)
+    and crash recovery / standby promotion (``WalApplier.resurrect``, for
+    orphans) both spend it through :meth:`next_release`."""
 
     def __init__(
         self, max_retries: int = 5, backoff: float = 0.25, multiplier: float = 2.0
@@ -84,32 +89,32 @@ class RetryPolicy(NullRecovery):
         self.retry_count = 0
         self.drop_count = 0
 
+    def next_release(self, task: "Task", now: float) -> Optional[float]:
+        """Spend one retry of ``task``'s budget: the time its next attempt
+        may start, or None when the budget is exhausted."""
+        if task.retries >= self.max_retries:
+            return None
+        task.retries += 1
+        return now + self.backoff * self.multiplier ** (task.retries - 1)
+
     def on_failure(
         self, db: "Database", task: "Task", exc: BaseException, now: float
     ) -> Optional[str]:
         if not is_injected(exc) or is_injected_crash(exc):
             return None  # organic bug, or the whole process is "dead"
-        persist = db.persist
-        if task.retries >= self.max_retries:
-            from repro.txn.tasks import TaskState
-
+        release = self.next_release(task, now)
+        if release is None:
             self.drop_count += 1
             if db.tracer.enabled:
                 db.tracer.fault_drop(task, task.retries, now)
-            task.state = TaskState.ABORTED  # pre-start failures are still READY
-            task.retire_bound_tables()
-            db.unique_manager.forget(task)
-            if persist.enabled and task.function_name is not None:
-                persist.task_finished(task, "dropped")
+            db.unique_manager.abandon(task, "dropped")
             return "drop"
-        task.retries += 1
         self.retry_count += 1
-        release = now + self.backoff * self.multiplier ** (task.retries - 1)
         task.release_time = release
         db.task_manager.enqueue(task)
         db.unique_manager.readopt(task)
-        if persist.enabled and task.function_name is not None:
-            persist.task_requeued(task)
+        if db.persist.enabled and task.function_name is not None:
+            db.persist.task_requeued(task)
         if db.tracer.enabled:
             db.tracer.fault_retry(task, task.retries, release, now)
         return "retry"

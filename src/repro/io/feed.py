@@ -70,19 +70,8 @@ class ImportFeed:
         handler = self.handler
 
         def body(task: Task) -> None:
-            txn = db.begin(task)
-            try:
+            with db.begin(task) as txn:
                 handler(txn, record.payload)
-            except Exception:
-                from repro.txn.transaction import TransactionState
-
-                if txn.state is TransactionState.ACTIVE:
-                    txn.abort()
-                raise
-            from repro.txn.transaction import TransactionState
-
-            if txn.state is TransactionState.ACTIVE:
-                txn.commit()
 
         self.records_seen += 1
         return Task(

@@ -232,6 +232,13 @@ class PersistenceManager:
         )
 
     def task_finished(self, task: "Task", outcome: str) -> None:
+        buffer = self._buffer
+        if buffer is not None and task.task_id in buffer.new_ids:
+            # Created by the commit still in flight and given up before it
+            # landed: the log never knew this task, and now never will.
+            buffer.new_ids.discard(task.task_id)
+            buffer.tasks_new.remove(task)
+            return
         if task.task_id in self._finished_logged:
             return
         self._finished_logged.add(task.task_id)

@@ -13,10 +13,10 @@ the log as task events.
 record but no matching retirement was running when the process died.  It
 is not replayed blindly — its effects were never durable (the action
 transaction's commit record is what carries them, and retirement rides
-in that same record) — instead it is re-enqueued through the same retry
-accounting :class:`repro.fault.recovery.RetryPolicy` uses: increment the
-retry count, push the release deadline by the backoff schedule, and drop
-the task once the budget is exhausted.
+in that same record) — instead it spends one retry of a
+:class:`repro.fault.recovery.RetryPolicy` budget, exactly like a faulted
+task in the live engine: re-enqueued at the backoff release time, or
+abandoned once the budget is exhausted.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import PersistenceError
+from repro.fault.recovery import RetryPolicy
 from repro.persist.checkpoint import (
     CHECKPOINT_FILE,
     load_snapshot,
@@ -189,18 +190,14 @@ class WalApplier:
         self.applied_lsn = lsn
         return True
 
-    def resurrect(
-        self,
-        max_retries: int = 5,
-        backoff: float = 0.25,
-        multiplier: float = 2.0,
-    ) -> list["Task"]:
-        """Re-enqueue every pending task; orphans go through the retry
-        budget (:class:`repro.fault.recovery.RetryPolicy` semantics).
+    def resurrect(self, retry: Optional[RetryPolicy] = None) -> list["Task"]:
+        """Re-enqueue every pending task; orphans spend one retry of
+        ``retry``'s budget first (a default :class:`RetryPolicy` when None).
         Advances the clock to the latest replayed commit time first so
         backoff deadlines land in the future."""
         db = self.db
         report = self.report
+        retry = retry or RetryPolicy()
         max_time = max(self.max_time, db.clock.base)
         db.clock.set_base(max_time)
         report.recovered_now = max_time
@@ -210,16 +207,13 @@ class WalApplier:
             if old_id in self.running:
                 # Orphan: started but never retired — its effects were not
                 # durable, so re-run it, but through the retry budget rather
-                # than blindly (repro.fault.recovery semantics).
-                if task.retries >= max_retries:
-                    task.retire_bound_tables()
+                # than blindly.
+                release = retry.next_release(task, max_time)
+                if release is None:
+                    db.unique_manager.abandon(task, "dropped")
                     report.orphans_dropped += 1
                     continue
-                task.retries += 1
-                task.release_time = max(
-                    task.release_time,
-                    max_time + backoff * multiplier ** (task.retries - 1),
-                )
+                task.release_time = max(task.release_time, release)
                 report.orphans_retried += 1
             db.task_manager.enqueue(task)
             db.unique_manager.readopt(task)
@@ -235,16 +229,13 @@ def recover(
     db: "Database",
     wal_dir: str,
     functions: Optional[dict[str, Callable]] = None,
-    max_retries: int = 5,
-    backoff: float = 0.25,
-    multiplier: float = 2.0,
+    retry: Optional[RetryPolicy] = None,
 ) -> RecoveryReport:
     """Rebuild ``db`` (which must be empty) from ``wal_dir``.
 
     ``functions`` maps user-function names to callables; they are
     registered before tasks are resurrected so re-enqueued action bodies
-    resolve.  The retry knobs take the same defaults as
-    :class:`repro.fault.recovery.RetryPolicy` and govern orphans only.
+    resolve.  ``retry`` governs orphans only (:meth:`WalApplier.resurrect`).
     """
     report = RecoveryReport(wal_dir=str(wal_dir))
     checkpoint_path = os.path.join(wal_dir, CHECKPOINT_FILE)
@@ -274,5 +265,5 @@ def recover(
     )
     for record in records:
         applier.apply(record)
-    applier.resurrect(max_retries=max_retries, backoff=backoff, multiplier=multiplier)
+    applier.resurrect(retry)
     return report

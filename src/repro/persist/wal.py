@@ -203,12 +203,6 @@ class WriteAheadLog:
         self.flush()
         self._file.close()
 
-    def read_all(self) -> list[dict]:
-        """Re-read every durable (flushed) record from the file."""
-        self._file.flush()
-        records, _valid, _torn = read_wal(self.path)
-        return records
-
     def read_from(self, offset: int) -> tuple[list[tuple[dict, int]], int, int]:
         """Tail durable frames from an absolute byte ``offset`` (see
         :func:`read_wal_from`).  Buffered-but-unflushed appends are *not*

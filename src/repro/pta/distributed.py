@@ -33,7 +33,7 @@ from typing import Optional
 
 from repro.database import Database
 from repro.errors import InjectedCrashError
-from repro.fault import ConvergenceReport, check_convergence, is_injected_crash
+from repro.fault import ConvergenceReport, RetryPolicy, check_convergence, is_injected_crash
 from repro.net.admission import AdmissionConfig
 from repro.net.client import ClientStats, LoadConfig, NetClient, quote_stream
 from repro.net.server import NetServer, ServerConfig
@@ -195,9 +195,8 @@ def run_replicated_experiment(
         equivalence: dict[str, ConvergenceReport] = {}
         if crashed:
             cluster.crash_primary()
-            failover_report = cluster.failover(
-                max_retries=max_retries, backoff=retry_backoff
-            )
+            # A crash implies a fault plan, so db.recovery is the run's RetryPolicy.
+            failover_report = cluster.failover(db.recovery)
         else:
             cluster.finish()
             for standby in cluster.standbys:
@@ -425,20 +424,14 @@ def run_network_experiment(
 
 
 def recover_run(
-    wal_dir: str, max_retries: int = 5, retry_backoff: float = 0.25
+    wal_dir: str, retry: Optional[RetryPolicy] = None
 ) -> tuple[Database, RecoveryReport]:
     """Rebuild a dead PTA run from its WAL directory into a fresh database
     (registering the PTA user functions so resurrected action bodies
-    resolve).  The caller drains the resurrected queues."""
+    resolve; orphans spend ``retry``'s budget).  The caller drains the
+    resurrected queues."""
     db = Database()
-    report = recover(
-        db,
-        wal_dir,
-        functions=function_registry(),
-        max_retries=max_retries,
-        backoff=retry_backoff,
-    )
-    return db, report
+    return db, recover(db, wal_dir, functions=function_registry(), retry=retry)
 
 
 @dataclass
@@ -478,8 +471,7 @@ def crash_recover_converge(
     faults: Optional[str] = None,
     fault_seed: int = 0,
     checkpoint_every: Optional[float] = None,
-    max_retries: int = 5,
-    retry_backoff: float = 0.25,
+    retry: Optional[RetryPolicy] = None,
     **experiment_kwargs,
 ) -> CrashCheckResult:
     """Run one crash-recover-converge cycle.
@@ -517,7 +509,7 @@ def crash_recover_converge(
     except Exception as exc:
         if not is_injected_crash(exc):
             raise
-        db, report = recover_run(wal_dir, max_retries, retry_backoff)
+        db, report = recover_run(wal_dir, retry)
         executed = Simulator(db).run()
         return CrashCheckResult(
             crashed=True,

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.database import Database
+from repro.errors import SimulationError
+from repro.io.feed import FeedRecord, ImportFeed, quote_feed
 from repro.obs.tracer import TraceCollector, Tracer
 from repro.pta.rules import install_comp_rule, install_option_rule, install_sector_rule
 from repro.pta.scaffold import ExperimentRun, RunOutcome
@@ -136,22 +138,13 @@ class ExperimentResult(RunOutcome):
         return out
 
 
-def _make_update_body(db: Database, symbol: str, price: float):
-    """One update transaction: the Table 1 simple-update path, by cursor."""
-
-    def body(task: Task) -> None:
-        txn = db.begin(task)
-        stocks = db.catalog.table("stocks")
-        db.charge("cursor_open")
-        db.charge("index_probe")
-        record = stocks.get_one("symbol", symbol)
-        db.charge("cursor_fetch")
-        if record is not None and record.values[1] != price:
-            txn.update_columns(stocks, record, {"price": price})
-        db.charge("cursor_close")
-        txn.commit()
-
-    return body
+def _update_task(feed: ImportFeed, time: float, symbol: str, price: float) -> Task:
+    """One quote as an update task: the feed's Table 1 simple-update path,
+    with the value and CPU estimate the EDF/VDF policies order by."""
+    task = feed.task_for(FeedRecord(time, (symbol, price)))
+    task.value = 10.0
+    task.estimated_cpu = 200e-6
+    return task
 
 
 def trace_tasks(
@@ -165,18 +158,9 @@ def trace_tasks(
 
     ``update_deadline`` gives each update task a relative deadline — only
     meaningful under the EDF scheduling policy (ablation experiments)."""
-    return [
-        Task(
-            body=_make_update_body(db, event.symbol, event.price),
-            klass="update",
-            release_time=event.time,
-            created_time=event.time,
-            deadline=None if update_deadline is None else event.time + update_deadline,
-            value=10.0,
-            estimated_cpu=200e-6,
-        )
-        for event in events
-    ]
+    feed = quote_feed(db)
+    feed.deadline = update_deadline
+    return [_update_task(feed, event.time, event.symbol, event.price) for event in events]
 
 
 def populate_trace(
@@ -512,17 +496,33 @@ class DeletionExperimentResult(RunOutcome):
         return out
 
 
+def _listed_quote_feed(db: Database) -> ImportFeed:
+    """The quote feed for a run that delists symbols: a faulted update can
+    be retried past its symbol's delisting and then has nothing left to do,
+    where the market feed proper treats an unknown symbol as a feed error."""
+    feed = quote_feed(db)
+    apply_quote = feed.handler
+
+    def handler(txn, payload) -> None:
+        try:
+            apply_quote(txn, payload)
+        except SimulationError:
+            db.charge("cursor_close")  # the cursor the failed lookup left open
+
+    feed.handler = handler
+    return feed
+
+
 def _make_open_body(db: Database, pos_id: str, symbol: str, shares: float):
     """Open a fresh position (keeps deletion-heavy runs from draining)."""
 
     def body(task: Task) -> None:
-        txn = db.begin(task)
-        db.charge("cursor_open")
-        txn.insert(
-            "positions", {"pos_id": pos_id, "symbol": symbol, "shares": shares}
-        )
-        db.charge("cursor_close")
-        txn.commit()
+        with db.begin(task) as txn:
+            db.charge("cursor_open")
+            txn.insert(
+                "positions", {"pos_id": pos_id, "symbol": symbol, "shares": shares}
+            )
+            db.charge("cursor_close")
 
     return body
 
@@ -531,16 +531,15 @@ def _make_closeout_body(db: Database, pos_id: str):
     """Close one position: delete its row, maintenance reflects the rest."""
 
     def body(task: Task) -> None:
-        txn = db.begin(task)
-        positions = db.catalog.table("positions")
-        db.charge("cursor_open")
-        db.charge("index_probe")
-        record = positions.get_one("pos_id", pos_id)
-        db.charge("cursor_fetch")
-        if record is not None:
-            txn.delete_record(positions, record)
-        db.charge("cursor_close")
-        txn.commit()
+        with db.begin(task) as txn:
+            positions = db.catalog.table("positions")
+            db.charge("cursor_open")
+            db.charge("index_probe")
+            record = positions.get_one("pos_id", pos_id)
+            db.charge("cursor_fetch")
+            if record is not None:
+                txn.delete_record(positions, record)
+            db.charge("cursor_close")
 
     return body
 
@@ -553,29 +552,28 @@ def _make_delist_body(
     now-moot pending exposure-maintenance task for that symbol."""
 
     def body(task: Task) -> None:
-        txn = db.begin(task)
-        stocks = db.catalog.table("stocks")
-        positions = db.catalog.table("positions")
-        position_values = db.catalog.table("position_values")
-        exposure = db.catalog.table("symbol_exposure")
-        db.charge("cursor_open")
-        db.charge("index_probe")
-        record = stocks.get_one("symbol", symbol)
-        if record is not None:
-            txn.delete_record(stocks, record)
-        for doomed in list(positions.lookup(("symbol",), symbol)):
-            db.charge("cursor_fetch")
-            txn.delete_record(positions, doomed)
-        # The application purges the derived rows itself: the delisting is
-        # definitive, there is nothing left to maintain for this symbol.
-        for doomed in list(position_values.lookup(("symbol",), symbol)):
-            db.charge("cursor_fetch")
-            txn.delete_record(position_values, doomed)
-        record = exposure.get_one("symbol", symbol)
-        if record is not None:
-            txn.delete_record(exposure, record)
-        db.charge("cursor_close")
-        txn.commit()
+        with db.begin(task) as txn:
+            stocks = db.catalog.table("stocks")
+            positions = db.catalog.table("positions")
+            position_values = db.catalog.table("position_values")
+            exposure = db.catalog.table("symbol_exposure")
+            db.charge("cursor_open")
+            db.charge("index_probe")
+            record = stocks.get_one("symbol", symbol)
+            if record is not None:
+                txn.delete_record(stocks, record)
+            for doomed in list(positions.lookup(("symbol",), symbol)):
+                db.charge("cursor_fetch")
+                txn.delete_record(positions, doomed)
+            # The application purges the derived rows itself: the delisting
+            # is definitive, there is nothing left to maintain for this symbol.
+            for doomed in list(position_values.lookup(("symbol",), symbol)):
+                db.charge("cursor_fetch")
+                txn.delete_record(position_values, doomed)
+            record = exposure.get_one("symbol", symbol)
+            if record is not None:
+                txn.delete_record(exposure, record)
+            db.charge("cursor_close")
         if db.unique_manager.supersede(
             exposure_function, (symbol,), db.clock.now()
         ) is not None:
@@ -738,12 +736,14 @@ def run_deletion_experiment(
     superseded: list = []
     tasks = []
     n_updates = n_opens = n_closeouts = n_delists = 0
+    quotes = _listed_quote_feed(db)
     for event in events:
         kind, t = event[0], event[1]
         if kind == "update":
-            body = _make_update_body(db, event[2], event[3])
+            tasks.append(_update_task(quotes, t, event[2], event[3]))
             n_updates += 1
-        elif kind == "open":
+            continue
+        if kind == "open":
             body = _make_open_body(db, event[2], event[3], event[4])
             n_opens += 1
         elif kind == "close":

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 from repro.database import Database
 from repro.fault.oracle import ConvergenceReport, Divergence
+from repro.fault.recovery import RetryPolicy
 from repro.obs.tracer import Tracer
 from repro.persist.manager import PersistenceManager
 from repro.persist.wal import MAGIC
@@ -214,13 +215,8 @@ class ReplicationCluster:
         self.persist.abandon()
         return self.shipper.deliver_in_flight(self.db.clock.base)
 
-    def failover(
-        self, max_retries: int = 5, backoff: float = 0.25
-    ) -> FailoverReport:
-        controller = FailoverController(
-            self.standbys, max_retries=max_retries, backoff=backoff
-        )
-        return controller.promote()
+    def failover(self, retry: Optional[RetryPolicy] = None) -> FailoverReport:
+        return FailoverController(self.standbys, retry).promote()
 
     def lag_snapshot(self) -> list[dict]:
         now = self.db.clock.base

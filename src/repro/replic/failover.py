@@ -31,6 +31,7 @@ from repro.replic.shipper import ReplicationError
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fault.recovery import RetryPolicy
     from repro.replic.standby import Standby
 
 
@@ -80,14 +81,12 @@ class FailoverController:
     def __init__(
         self,
         standbys: list["Standby"],
-        max_retries: int = 5,
-        backoff: float = 0.25,
+        retry: Optional["RetryPolicy"] = None,
     ) -> None:
         if not standbys:
             raise ReplicationError("failover needs at least one standby")
         self.standbys = standbys
-        self.max_retries = max_retries
-        self.backoff = backoff
+        self.retry = retry
 
     def choose(self) -> "Standby":
         """The freshest replica wins (highest applied LSN; first on ties)."""
@@ -105,9 +104,7 @@ class FailoverController:
             report_before.orphans_retried,
             report_before.orphans_dropped,
         )
-        resurrected = target.promote(
-            max_retries=self.max_retries, backoff=self.backoff
-        )
+        resurrected = target.promote(self.retry)
         report = FailoverReport(
             promoted=target.name,
             applied_lsn=target.applied_lsn,

@@ -34,6 +34,7 @@ from repro.persist.checkpoint import CHECKPOINT_FILE, load_snapshot, restore_sna
 from repro.persist.recovery import RecoveryReport, WalApplier
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fault.recovery import RetryPolicy
     from repro.txn.tasks import Task
 
 
@@ -158,22 +159,15 @@ class Standby:
 
     # ------------------------------------------------------------ promotion
 
-    def promote(
-        self,
-        max_retries: int = 5,
-        backoff: float = 0.25,
-        multiplier: float = 2.0,
-    ) -> list["Task"]:
+    def promote(self, retry: Optional["RetryPolicy"] = None) -> list["Task"]:
         """Become the primary: re-enqueue every restored pending task
-        (orphans go through the retry budget — the PR 4 path) and drop the
-        reorder buffer (frames past a gap the dead primary will never
-        refill).  Returns the resurrected tasks."""
+        (orphans spend ``retry``'s budget) and drop the reorder buffer
+        (frames past a gap the dead primary will never refill).  Returns
+        the resurrected tasks."""
         self.promoted = True
         self.discarded_frames = len(self.buffer)
         self.buffer.clear()
-        return self.applier.resurrect(
-            max_retries=max_retries, backoff=backoff, multiplier=multiplier
-        )
+        return self.applier.resurrect(retry)
 
     def stats(self) -> dict:
         return {

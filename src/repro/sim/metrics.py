@@ -96,10 +96,6 @@ class ClassSummary:
         return self.total_response / self.count if self.count else 0.0
 
     @property
-    def mean_cpu(self) -> float:
-        return self.total_cpu / self.count if self.count else 0.0
-
-    @property
     def stdev_length(self) -> float:
         if self.count < 2:
             return 0.0

@@ -91,20 +91,10 @@ def execute_task(
         # tables kept; drop released them).  Record the wasted attempt under
         # an "aborted:" class so recompute/update aggregates stay clean, and
         # return it so the run loop advances past the burned CPU.
-        record = TaskRecord(
-            task_id=task.task_id,
-            klass=f"aborted:{task.klass}",
-            release_time=release_time,
-            start_time=start,
-            end_time=end,
-            cpu_time=cpu,
-            lock_wait=task.lock_wait,
-            bound_rows=bound_rows,
-            deadline=task.deadline,
-            dropped=(outcome == "drop"),
+        return _record(
+            db, task, f"aborted:{task.klass}", release_time, start, end,
+            cpu, bound_rows, dropped=(outcome == "drop"),
         )
-        db.metrics.record(record)
-        return record
     db.charge("end_task")
     cpu = meter.total - charged_before
     quantum = db.cost_model.preempt_quantum
@@ -122,10 +112,33 @@ def execute_task(
         # already carried the retirement.  Covers bodies that committed
         # nothing (the manager dedups by task id).
         db.persist.task_finished(task, "done")
+    record = _record(
+        db, task, task.klass, release_time, start, end, cpu, bound_rows, switches
+    )
+    if db.tracer.enabled:
+        if switches:
+            db.tracer.task_preempt(task, switches, end)
+        db.tracer.task_done(task, record, server)
+    return record
+
+
+def _record(
+    db: "Database",
+    task: Task,
+    klass: str,
+    release_time: float,
+    start: float,
+    end: float,
+    cpu: float = 0.0,
+    bound_rows: int = 0,
+    switches: int = 0,
+    dropped: bool = False,
+) -> TaskRecord:
+    """The metrics record every task leaves behind, however it ended."""
     record = TaskRecord(
         task_id=task.task_id,
-        klass=task.klass,
-        release_time=task.release_time,
+        klass=klass,
+        release_time=release_time,
         start_time=start,
         end_time=end,
         cpu_time=cpu,
@@ -133,12 +146,9 @@ def execute_task(
         bound_rows=bound_rows,
         context_switches=switches,
         deadline=task.deadline,
+        dropped=dropped,
     )
     db.metrics.record(record)
-    if db.tracer.enabled:
-        if switches:
-            db.tracer.task_preempt(task, switches, end)
-        db.tracer.task_done(task, record, server)
     return record
 
 
@@ -150,23 +160,9 @@ def drop_task(db: "Database", task: Task, now: float) -> TaskRecord:
     priority transaction is blocked" (section 3); under a firm-deadline
     policy a late task is simply abandoned, paying only the abort cost.
     """
-    task.state = TaskState.ABORTED
     db.charge("abort_txn")
-    task.retire_bound_tables()
-    db.unique_manager.on_task_start(task)  # pending entry must not go stale
-    if db.persist.enabled and task.function_name is not None:
-        db.persist.task_finished(task, "dropped")
-    record = TaskRecord(
-        task_id=task.task_id,
-        klass=task.klass,
-        release_time=task.release_time,
-        start_time=now,
-        end_time=now,
-        cpu_time=0.0,
-        deadline=task.deadline,
-        dropped=True,
-    )
-    db.metrics.record(record)
+    db.unique_manager.abandon(task, "dropped")
+    record = _record(db, task, task.klass, task.release_time, now, now, dropped=True)
     if db.tracer.enabled:
         db.tracer.task_drop(task, now)
     return record

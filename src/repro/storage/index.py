@@ -35,11 +35,6 @@ class BaseIndex:
             return record.values[self._single]
         return tuple(record.values[offset] for offset in self._offsets)
 
-    def key_of_values(self, values: list[Any]) -> Any:
-        if self._single is not None:
-            return values[self._single]
-        return tuple(values[offset] for offset in self._offsets)
-
     # The concrete structures implement these three.
     def add(self, record: Record) -> None:
         raise NotImplementedError

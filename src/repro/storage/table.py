@@ -81,9 +81,6 @@ class Table:
         self.insert_count += 1
         return record
 
-    def insert_mapping(self, mapping: dict[str, Any]) -> Record:
-        return self.insert(self.schema.row_from_mapping(mapping))
-
     def delete(self, record: Record) -> None:
         """Unlink ``record``.  It stays alive while pinned by temp tables."""
         for index in self.indexes.values():

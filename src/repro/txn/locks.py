@@ -139,9 +139,11 @@ class LockManager:
         return granted
 
     def cancel_waits(self, txn_id: int) -> None:
-        """Remove ``txn_id`` from every wait queue (abort path)."""
+        """Remove ``txn_id`` from every wait queue (a refused request, or a
+        transaction ending; uncontended locks cost one truth test each)."""
         for state in self._locks.values():
-            state.waiters = [(t, m) for t, m in state.waiters if t != txn_id]
+            if state.waiters:
+                state.waiters = [(t, m) for t, m in state.waiters if t != txn_id]
         self._waits_for.pop(txn_id, None)
 
     def held_resources(self, txn_id: int) -> set[Resource]:
@@ -204,26 +206,3 @@ class LockManager:
             self.grant_count += 1
             granted.append((txn_id, resource, mode))
         return granted
-
-
-class NullLockManager:
-    """A no-op drop-in used when an experiment turns locking off entirely."""
-
-    grant_count = 0
-    wait_count = 0
-    deadlock_count = 0
-
-    def acquire(self, txn_id: int, resource: Resource, mode: LockMode) -> bool:
-        return True
-
-    def holds(self, txn_id: int, resource: Resource, mode: LockMode) -> bool:
-        return True
-
-    def release_all(self, txn_id: int) -> list:
-        return []
-
-    def cancel_waits(self, txn_id: int) -> None:
-        return None
-
-    def held_resources(self, txn_id: int) -> set:
-        return set()

@@ -17,13 +17,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DelayQueue:
-    """Tasks waiting for their release time, earliest first."""
+    """Tasks waiting for their release time, earliest first.
+
+    A task given up while it waits (``UniqueManager.abandon``) is not
+    removed: it stays counted until its release time and is skipped by its
+    state when popped (``TaskManager.release_due``)."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Task]] = []
-        self._cancelled: set[int] = set()
-        self._members: set[int] = set()
-        self._live = 0
         # The queue.delay injection point; the Database's TaskManager
         # attaches its fault injector here (None for a standalone queue).
         self.faults = None
@@ -37,56 +38,25 @@ class DelayQueue:
                 task.release_time += fault.arg
         task.state = TaskState.DELAYED
         heapq.heappush(self._heap, (task.release_time, task.seq, task))
-        self._members.add(task.task_id)
-        self._live += 1
-
-    def cancel(self, task: Task) -> None:
-        """Lazily remove ``task`` (it will be skipped when popped).
-        Cancelling a task that is not queued is a no-op."""
-        if task.task_id not in self._members or task.task_id in self._cancelled:
-            return
-        self._cancelled.add(task.task_id)
-        self._live -= 1
 
     def peek_time(self) -> Optional[float]:
-        self._skip_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+        return self._heap[0][0] if self._heap else None
 
     def pop_due(self, now: float) -> list[Task]:
         """All tasks with ``release_time <= now``, in release order."""
+        heap = self._heap
         due = []
-        while True:
-            self._skip_cancelled()
-            if not self._heap or self._heap[0][0] > now:
-                break
-            _release, _seq, task = heapq.heappop(self._heap)
-            self._members.discard(task.task_id)
-            self._live -= 1
-            due.append(task)
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[2])
         return due
 
-    def _skip_cancelled(self) -> None:
-        while self._heap and self._heap[0][2].task_id in self._cancelled:
-            _r, _s, task = heapq.heappop(self._heap)
-            self._cancelled.discard(task.task_id)
-            self._members.discard(task.task_id)
-
     def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap)
 
     def __iter__(self) -> Iterator[Task]:
-        """Live (non-cancelled) tasks in release order, without popping —
-        the checkpointer enumerates the queue in place."""
-        return (
-            task
-            for _release, _seq, task in sorted(self._heap)
-            if task.task_id not in self._cancelled
-        )
+        """Tasks in release order, without popping — the checkpointer
+        enumerates the queue in place."""
+        return (task for _release, _seq, task in sorted(self._heap))
 
 
 class ReadyQueue:

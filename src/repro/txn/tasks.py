@@ -31,7 +31,6 @@ class TaskState(enum.Enum):
     DELAYED = "delayed"  # waiting in the delay queue for its release time
     READY = "ready"  # released, waiting for a processor
     RUNNING = "running"
-    BLOCKED = "blocked"  # waiting for a lock
     DONE = "done"
     ABORTED = "aborted"
 

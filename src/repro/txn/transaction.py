@@ -119,49 +119,37 @@ class Transaction:
         if table_name in self._read_locked_tables:
             return
         self._check_active()
-        self.db.charge("lock_acquire")
-        granted = self.db.lock_manager.acquire(
-            self.txn_id, (table_name, None), LockMode.SHARED
+        self._acquire(
+            (table_name, None),
+            LockMode.SHARED,
+            "; the serial engine cannot wait (see DESIGN.md)",
         )
-        if not granted:
-            if self.db.tracer.enabled:
-                self.db.tracer.lock_wait(self, (table_name, None), self.db.clock.now())
-            raise LockError(
-                f"transaction {self.txn_id} blocked on table {table_name!r}; "
-                "the serial engine cannot wait (see DESIGN.md)"
-            )
         self._read_locked_tables.add(table_name)
 
     def _lock_row(self, table_name: str, record: Record) -> None:
         # Two-level hierarchy: an intention lock on the table (so table-level
         # readers conflict with row writers) plus the exclusive row lock.
         if table_name not in self._ix_locked_tables:
-            self.db.charge("lock_acquire")
-            granted = self.db.lock_manager.acquire(
-                self.txn_id, (table_name, None), LockMode.INTENTION_EXCLUSIVE
+            self._acquire(
+                (table_name, None), LockMode.INTENTION_EXCLUSIVE, " (held by a reader)"
             )
-            if not granted:
-                if self.db.tracer.enabled:
-                    self.db.tracer.lock_wait(
-                        self, (table_name, None), self.db.clock.now()
-                    )
-                raise LockError(
-                    f"transaction {self.txn_id} blocked on table {table_name!r} "
-                    "(held by a reader)"
-                )
             self._ix_locked_tables.add(table_name)
-        self.db.charge("lock_acquire")
-        granted = self.db.lock_manager.acquire(
-            self.txn_id, (table_name, record.rid), LockMode.EXCLUSIVE
-        )
-        if not granted:
-            if self.db.tracer.enabled:
-                self.db.tracer.lock_wait(
-                    self, (table_name, record.rid), self.db.clock.now()
-                )
-            raise LockError(
-                f"transaction {self.txn_id} blocked on row {table_name}:{record.rid}"
-            )
+        self._acquire((table_name, record.rid), LockMode.EXCLUSIVE, "")
+
+    def _acquire(self, resource: tuple, mode: LockMode, message: str) -> None:
+        """The one lock request.  The serial engine cannot wait, so a
+        refusal raises — after withdrawing the request the manager queued,
+        or a later release would grant it to a transaction long finished."""
+        db = self.db
+        db.charge("lock_acquire")
+        if db.lock_manager.acquire(self.txn_id, resource, mode):
+            return
+        db.lock_manager.cancel_waits(self.txn_id)
+        if db.tracer.enabled:
+            db.tracer.lock_wait(self, resource, db.clock.now())
+        table_name, rid = resource
+        what = f"table {table_name!r}" if rid is None else f"row {table_name}:{rid}"
+        raise LockError(f"transaction {self.txn_id} blocked on {what}{message}")
 
     # ------------------------------------------------------------- lifecycle
 
@@ -248,7 +236,6 @@ class Transaction:
                 live = current(entry.new_record)
                 restored = table.update(live, list(entry.old_record.values))
                 redirect[entry.old_record.rid] = restored
-        self.db.lock_manager.cancel_waits(self.txn_id)
         self._release_locks()
         self.state = TransactionState.ABORTED
         self.db.on_txn_finished(self)
@@ -256,10 +243,12 @@ class Transaction:
             self.db.tracer.txn_abort(self, self.db.clock.now())
 
     def _release_locks(self) -> None:
-        held = self.db.lock_manager.held_resources(self.txn_id)
+        manager = self.db.lock_manager
+        manager.cancel_waits(self.txn_id)  # commit or abort: leave no request queued
+        held = manager.held_resources(self.txn_id)
         if held:
             self.db.charge("lock_release", len(held))
-        self.db.lock_manager.release_all(self.txn_id)
+        manager.release_all(self.txn_id)
         self._read_locked_tables.clear()
         self._ix_locked_tables.clear()
 

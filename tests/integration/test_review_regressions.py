@@ -4,8 +4,6 @@ import pytest
 
 from repro.database import Database
 from repro.errors import RuleError, StripError
-from repro.txn.queues import DelayQueue
-from repro.txn.tasks import Task
 
 
 class TestCommitFailureRollsBack:
@@ -82,26 +80,3 @@ class TestCountColumnViewRejected:
         db.execute("insert into x values ('g', null)")
         db.drain()
         assert db.query("select n from v where a = 'g'").scalar() == 1
-
-
-class TestDelayQueueCancelGuards:
-    def test_cancel_unqueued_is_noop(self):
-        queue = DelayQueue()
-        stranger = Task(body=lambda t: None, release_time=1.0)
-        queue.cancel(stranger)  # never pushed
-        assert len(queue) == 0
-        member = Task(body=lambda t: None, release_time=2.0)
-        queue.push(member)
-        assert len(queue) == 1
-        queue.pop_due(5.0)
-        queue.cancel(member)  # already popped
-        assert len(queue) == 0
-
-    def test_double_cancel_counts_once(self):
-        queue = DelayQueue()
-        task = Task(body=lambda t: None, release_time=1.0)
-        queue.push(task)
-        queue.cancel(task)
-        queue.cancel(task)
-        assert len(queue) == 0
-        assert queue.pop_due(10.0) == []

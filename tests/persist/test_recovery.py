@@ -15,7 +15,7 @@ import pytest
 
 from repro.database import Database
 from repro.errors import PersistenceError
-from repro.fault import check_convergence
+from repro.fault import RetryPolicy, check_convergence
 from repro.persist import recover
 from repro.persist.manager import WAL_FILE, PersistenceManager
 from repro.persist.checkpoint import CHECKPOINT_FILE
@@ -175,7 +175,7 @@ class TestOrphanRetryAccounting:
         db = Database()
         report = recover(
             db, wal_dir, functions={"f": lambda ctx: None},
-            max_retries=5, backoff=0.25,
+            retry=RetryPolicy(max_retries=5, backoff=0.25),
         )
         assert report.orphans_retried == 1
         assert report.orphans_dropped == 0
@@ -191,7 +191,7 @@ class TestOrphanRetryAccounting:
         db = Database()
         report = recover(
             db, wal_dir, functions={"f": lambda ctx: None},
-            max_retries=5, backoff=0.25, multiplier=2.0,
+            retry=RetryPolicy(max_retries=5, backoff=0.25, multiplier=2.0),
         )
         (resurrected,) = report.resurrected
         assert resurrected.retries == 4

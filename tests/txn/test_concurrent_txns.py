@@ -77,3 +77,47 @@ class TestInterleaving:
         txn2.update_columns(table, table.get_one("k", "a"), {"v": 12.0})
         txn2.commit()
         assert db.query("select v from t where k = 'a'").scalar() == 12.0
+
+
+class TestRefusedRequestIsWithdrawn:
+    """A refused lock request used to stay queued in the lock manager after
+    LockError; if the refused transaction then *committed* (the caller caught
+    the error), the holder's release granted the lock to the finished
+    transaction and nothing ever released it."""
+
+    def test_refused_table_lock_then_commit_leaves_nothing_held(self, db):
+        txn1 = db.begin()
+        txn1.query("select v from t")  # shared table lock
+        txn2 = db.begin()
+        with pytest.raises(LockError):
+            txn2.insert("t", {"k": "c", "v": 3.0})  # IX refused by the reader
+        txn2.commit()  # the caller swallowed the error and carries on
+        txn1.commit()
+        assert db.lock_manager._locks == {}
+        with db.begin() as txn3:  # every later reader used to be blocked
+            assert txn3.query("select count(*) as n from t").scalar() == 3
+
+    def test_refused_row_lock_then_commit_leaves_nothing_held(self, db):
+        table = db.catalog.table("t")
+        txn1 = db.begin()
+        txn1.update_columns(table, table.get_one("k", "a"), {"v": 10.0})
+        txn2 = db.begin()
+        with pytest.raises(LockError):
+            txn2.update_columns(table, table.get_one("k", "a"), {"v": 99.0})
+        txn2.commit()
+        txn1.commit()
+        assert db.lock_manager._locks == {}
+        with db.begin() as txn3:
+            txn3.update_columns(table, table.get_one("k", "a"), {"v": 11.0})
+        assert db.query("select v from t where k = 'a'").scalar() == 11.0
+
+    def test_refusal_leaves_no_wait_queued(self, db):
+        txn1 = db.begin()
+        txn1.query("select v from t")
+        txn2 = db.begin()
+        with pytest.raises(LockError, match="blocked on table 't' \\(held by a reader\\)"):
+            txn2.insert("t", {"k": "c", "v": 3.0})
+        assert all(not state.waiters for state in db.lock_manager._locks.values())
+        assert db.lock_manager._waits_for == {}
+        txn2.abort()
+        txn1.commit()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError
-from repro.txn.locks import LockManager, LockMode, NullLockManager
+from repro.txn.locks import LockManager, LockMode
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
@@ -152,15 +152,6 @@ class TestDeadlock:
         manager.acquire(2, ROW, S)
         assert manager.grant_count == 1
         assert manager.wait_count == 1
-
-
-class TestNullLockManager:
-    def test_always_grants(self):
-        manager = NullLockManager()
-        assert manager.acquire(1, ROW, X)
-        assert manager.acquire(2, ROW, X)
-        assert manager.release_all(1) == []
-        assert manager.held_resources(1) == set()
 
 
 IX = LockMode.INTENTION_EXCLUSIVE

@@ -90,17 +90,6 @@ class TestDelayQueue:
         assert queue.pop_due(5.0) == []
         assert len(queue) == 1
 
-    def test_cancel(self):
-        queue = DelayQueue()
-        task = make_task(release=1.0)
-        other = make_task(release=2.0)
-        queue.push(task)
-        queue.push(other)
-        queue.cancel(task)
-        assert len(queue) == 1
-        assert queue.peek_time() == 2.0
-        assert queue.pop_due(10.0) == [other]
-
     def test_push_sets_state(self):
         queue = DelayQueue()
         task = make_task(release=1.0)
