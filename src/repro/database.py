@@ -61,12 +61,12 @@ from repro.views.definition import ViewDefinition
 
 #: The one SQL dispatch: statement type -> run(db, stmt, txn, params, namespace).
 #: Executors are read from this module's globals per call (the e2e tracer
-#: patches them here); UPDATE and DELETE take no temp-table namespace.
+#: patches them here); ``namespace`` is the running task's bound tables.
 _SQL_EXECUTORS = {
     ast.Select: lambda db, s, txn, p, ns: execute_select(db, s, txn, p, namespace=ns),
-    ast.Insert: lambda db, s, txn, p, ns: execute_insert(db, s, txn, p, namespace=ns),
-    ast.Update: lambda db, s, txn, p, ns: execute_update(db, s, txn, p),
-    ast.Delete: lambda db, s, txn, p, ns: execute_delete(db, s, txn, p),
+    ast.Insert: lambda db, s, txn, p, ns: execute_insert(db, s, txn, p, ns),
+    ast.Update: lambda db, s, txn, p, ns: execute_update(db, s, txn, p, ns),
+    ast.Delete: lambda db, s, txn, p, ns: execute_delete(db, s, txn, p, ns),
 }
 
 
@@ -268,7 +268,7 @@ class Database:
         ``meter.total += cost[op]`` once per occurrence, in program order
         (float addition is not associative, so never ``cost[op] * n``), and
         ``meter.ops[op] += n`` once when the loop ends (DESIGN.md 6a)."""
-        return self.clock.active_meter or self.background_meter, self._cost_seconds
+        return self.clock._meter or self.background_meter, self._cost_seconds
 
     def charge_each(self, op: str, count: int) -> None:
         """``count`` separate charges of ``op``: the additions ``count``

@@ -191,12 +191,19 @@ class Select:
     distinct: bool = False
 
 
+def _plan_memo() -> list:
+    """A statement's one-entry plan memo, kept by ``sql.executor``: a list
+    the (frozen) node owns, not part of its value, hash or repr."""
+    return field(default_factory=list, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Insert:
     table: str
     columns: tuple[str, ...]  # empty means "all, in schema order"
     rows: tuple[tuple[Expr, ...], ...] = ()
     select: Optional[Select] = None
+    plan_memo: list = _plan_memo()  # [table, index version, subqueries, shapes, run]
 
 
 @dataclass(frozen=True)
@@ -212,12 +219,14 @@ class Update:
     table: str
     assignments: tuple[Assignment, ...]
     where: Optional[Expr] = None
+    plan_memo: list = _plan_memo()
 
 
 @dataclass(frozen=True)
 class Delete:
     table: str
     where: Optional[Expr] = None
+    plan_memo: list = _plan_memo()
 
 
 @dataclass(frozen=True)
@@ -279,9 +288,8 @@ class RuleQuery:
 
     select: Select
     bind_as: Optional[str] = None
-    #: One-entry plan memo ``[db, source shapes, plan]`` kept by
-    #: ``sql.executor.select_plan``; not part of the query's value.
-    plan_memo: list = field(default_factory=list, init=False, compare=False, repr=False)
+    #: ``[db, source shapes, plan]``, kept by ``sql.executor.select_plan``.
+    plan_memo: list = _plan_memo()
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,36 @@
-"""Statement execution: SELECT dispatch, DML, and the plan cache.
+"""Statement execution: SELECT dispatch, prepared DML, and the plan cache.
 
 DDL statements (CREATE/DROP) are handled by the :class:`~repro.database.
 Database` itself since they mutate the catalog; everything row-touching
 lives here and runs inside a transaction, charging virtual-time costs.
+UPDATE, DELETE and INSERT are *prepared* on first execution into one closure
+per statement, kept on the statement node (DESIGN.md 6a, "Prepared DML").
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
-from repro.sql.expressions import compile_expr, truthy
+from repro.sql.expressions import compile_expr
 from repro.sql.planner import (
     STD,
     CompiledSelect,
+    ExecState,
     SelectResult,
     SourceDesc,
+    _compile_conjunction,
     _SelectResolution,
+    _split_conjuncts,
     plan_select,
 )
 from repro.storage.table import Table
 from repro.storage.temptable import TempTable
 from repro.storage.tuples import Record
+
+#: A prepared statement: ``run(txn, params, namespace) -> rows affected``.
+Prepared = Callable[[Any, Optional[dict[str, Any]], Optional[dict[str, Any]]], int]
 
 
 def _source_shapes(db: Any, select: ast.Select, namespace: Optional[dict[str, Any]]) -> tuple:
@@ -94,8 +102,243 @@ def execute_select(
 
 
 # --------------------------------------------------------------------------
-# DML
+# DML: prepared on first execution, then one closure call per statement
 # --------------------------------------------------------------------------
+
+
+def _prepared(
+    db: Any,
+    stmt: Union[ast.Insert, ast.Update, ast.Delete],
+    table: Table,
+    namespace: Optional[dict[str, Any]],
+    prepare: Callable[..., tuple[Prepared, list[ast.Select]]],
+) -> Prepared:
+    """``stmt``'s prepared closure, from its one-entry memo when still valid.
+
+    A closure holds the live ``table``, the index it probes and column
+    offsets, so it serves while ``table`` is the very object the catalog has
+    under that name (a dropped and re-created table is a new object; the
+    held reference keeps the old identity from being reused) and no index
+    DDL has touched it.  A statement with subqueries also compares their
+    sources' shapes, as the SELECT plan cache does; one without (every
+    statement of the benchmark workloads) pays nothing for that.
+    """
+    memo = stmt.plan_memo
+    if memo:
+        memo_table, index_version, selects, shapes, run = memo
+        if (
+            memo_table is table
+            and index_version == table.index_version
+            and (not selects or shapes == [_source_shapes(db, s, namespace) for s in selects])
+        ):
+            return run
+    run, selects = prepare(db, table, stmt, namespace)
+    shapes = [_source_shapes(db, select, namespace) for select in selects]
+    memo[:] = table, table.index_version, selects, shapes, run
+    return run
+
+
+def _row_scope(db: Any, table: Table, namespace: Optional[dict[str, Any]]) -> _SelectResolution:
+    """Name resolution for UPDATE / DELETE: the target's columns at
+    environment slot 1; ``namespace`` (a task's bound tables) is what the
+    statement's subqueries may read beside the catalog."""
+    desc = SourceDesc(name=table.name, binding=table.name, kind=STD, schema=table.schema)
+    desc.env_pos = 1
+    return _SelectResolution(db, [desc], namespace)
+
+
+def _prepare_match(
+    db: Any, table: Table, where: Optional[ast.Expr], resolution: _SelectResolution
+) -> Callable[[ExecState], list[Record]]:
+    """Compile a single-table WHERE into ``match(state) -> records``.
+
+    One conjunct of the form ``column = <expression over no column>`` on an
+    indexed column becomes an index probe; every other conjunct is the
+    residual evaluated per candidate.  The probed conjunct itself holds for
+    every candidate of a non-NULL key, so it leaves the residual — unless
+    its operand can charge (function call, subquery), when re-evaluating it
+    per candidate is part of the statement's cost.  Without such a conjunct
+    the table is scanned.  Charges are inline (DESIGN.md 6a), in the order
+    cursor_open, index_probe | row_scan (one addition for the whole scan),
+    per candidate cursor_fetch then expr_eval, cursor_close.
+    """
+    conjuncts = residual_of = _split_conjuncts(where)
+    index = key_expr = None
+    for position, conjunct in enumerate(conjuncts):
+        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+            continue
+        for side, other in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if (
+                isinstance(side, ast.ColumnRef)
+                and (side.table in (None, table.name))
+                and table.schema.has_column(side.name)
+                and not ast.column_refs(other)
+            ):
+                index = table.index_on((side.name,))
+                if index is not None:
+                    key_expr = other
+                    if not ast.calls_out(other):
+                        residual_of = conjuncts[:position] + conjuncts[position + 1 :]
+                    break
+        if index is not None:
+            break
+    residual = _compile_conjunction(residual_of, resolution)
+    key_of = compile_expr(key_expr, resolution) if index is not None else None
+    filtered = where is not None  # every candidate of a WHERE costs one expr_eval
+
+    def match(state: ExecState) -> list[Record]:
+        meter, cost = db.metering()
+        ops, fetch_cost, eval_cost = meter.ops, cost["cursor_fetch"], cost["expr_eval"]
+        env: list[Any] = [state, None]
+        matches: list[Record] = []
+        meter.total += cost["cursor_open"]
+        ops["cursor_open"] += 1
+        if index is not None:
+            key = key_of(env)
+            meter.total += cost["index_probe"]
+            ops["index_probe"] += 1
+            candidates = index.lookup(key)
+            unknown = key is None  # ``column = NULL`` holds for no row
+        else:
+            scanned = max(len(table), 1)
+            meter.total += cost["row_scan"] * scanned
+            ops["row_scan"] += scanned
+            candidates = table.scan()
+            unknown = False
+        fetched = 0
+        try:
+            for record in candidates:
+                meter.total += fetch_cost
+                fetched += 1
+                if filtered:
+                    meter.total += eval_cost
+                    if residual is not None:
+                        env[1] = record
+                        if not residual(env):
+                            continue
+                    if unknown:
+                        continue
+                matches.append(record)
+        finally:
+            if fetched:
+                ops["cursor_fetch"] += fetched
+                if filtered:
+                    ops["expr_eval"] += fetched
+        meter.total += cost["cursor_close"]
+        ops["cursor_close"] += 1
+        return matches
+
+    return match
+
+
+def _prepare_update(
+    db: Any, table: Table, stmt: ast.Update, namespace: Optional[dict[str, Any]]
+) -> tuple[Prepared, list[ast.Select]]:
+    resolution = _row_scope(db, table, namespace)
+    match = _prepare_match(db, table, stmt.where, resolution)
+    assignments = [
+        (
+            table.schema.offset(assignment.column),
+            compile_expr(assignment.expr, resolution),
+            1 if assignment.increment else -1 if assignment.decrement else 0,
+        )
+        for assignment in stmt.assignments
+    ]
+
+    def run(txn: Any, params: Any, namespace: Any) -> int:
+        state = ExecState(db, txn, params or {}, {}, namespace)
+        matches = match(state)
+        env = [state, None]
+        for record in matches:
+            env[1] = record
+            values = list(record.values)
+            for offset, value_of, sign in assignments:
+                value = value_of(env)
+                if sign:
+                    current = values[offset]
+                    if current is None or value is None:
+                        value = None
+                    else:
+                        value = current + value if sign > 0 else current - value
+                values[offset] = value
+            txn.update_record(table, record, values)
+        return len(matches)
+
+    return run, resolution.subqueries
+
+
+def _prepare_delete(
+    db: Any, table: Table, stmt: ast.Delete, namespace: Optional[dict[str, Any]]
+) -> tuple[Prepared, list[ast.Select]]:
+    resolution = _row_scope(db, table, namespace)
+    match = _prepare_match(db, table, stmt.where, resolution)
+
+    def run(txn: Any, params: Any, namespace: Any) -> int:
+        matches = match(ExecState(db, txn, params or {}, {}, namespace))
+        for record in matches:
+            txn.delete_record(table, record)
+        return len(matches)
+
+    return run, resolution.subqueries
+
+
+def _prepare_insert(
+    db: Any, table: Table, stmt: ast.Insert, namespace: Optional[dict[str, Any]]
+) -> tuple[Prepared, list[ast.Select]]:
+    schema = table.schema
+    width = len(schema)
+    if stmt.columns:
+        offsets = [schema.offset(column) for column in stmt.columns]
+    else:
+        offsets = list(range(width))
+
+    if stmt.select is not None:
+        query = ast.RuleQuery(stmt.select)  # carries the SELECT's own plan memo
+
+        def run_select(txn: Any, params: Any, namespace: Any) -> int:
+            result = execute_select(db, query, txn, params, namespace=namespace)
+            if len(result.columns) != len(offsets):
+                raise ExecutionError(
+                    f"INSERT ... SELECT arity mismatch: {len(result.columns)} columns "
+                    f"for {len(offsets)} targets"
+                )
+            rows = result.rows()
+            for values in rows:
+                row: list[Any] = [None] * width
+                for offset, value in zip(offsets, values):
+                    row[offset] = value
+                txn.insert_record(table, row)
+            return len(rows)
+
+        return run_select, []
+
+    resolution = _SelectResolution(db, [], namespace)  # INSERT VALUES: no row scope
+    rows: list[list[tuple[int, Callable]]] = []
+    arity_error = None
+    for exprs in stmt.rows:
+        if len(exprs) != len(offsets):
+            # Raised when a run reaches this row: the rows before it go in.
+            arity_error = f"INSERT arity mismatch: {len(exprs)} values for {len(offsets)} targets"
+            break
+        rows.append(
+            [(offset, compile_expr(expr, resolution)) for offset, expr in zip(offsets, exprs)]
+        )
+
+    def run_values(txn: Any, params: Any, namespace: Any) -> int:
+        env = [ExecState(db, txn, params or {}, {}, namespace)]
+        for getters in rows:
+            row: list[Any] = [None] * width
+            for offset, value_of in getters:
+                row[offset] = value_of(env)
+            txn.insert_record(table, row)
+        if arity_error is not None:
+            raise ExecutionError(arity_error)
+        return len(rows)
+
+    return run_values, resolution.subqueries
 
 
 def execute_insert(
@@ -107,122 +350,7 @@ def execute_insert(
 ) -> int:
     """Run one INSERT (VALUES or SELECT form); returns rows inserted."""
     table = db.catalog.table(stmt.table)
-    schema = table.schema
-    if stmt.columns:
-        offsets = [schema.offset(column) for column in stmt.columns]
-    else:
-        offsets = list(range(len(schema)))
-    inserted = 0
-    if stmt.select is not None:
-        result = execute_select(db, stmt.select, txn, params, namespace=namespace)
-        width = len(result.columns)
-        if width != len(offsets):
-            raise ExecutionError(
-                f"INSERT ... SELECT arity mismatch: {width} columns for {len(offsets)} targets"
-            )
-        for values in result.rows():
-            row: list[Any] = [None] * len(schema)
-            for offset, value in zip(offsets, values):
-                row[offset] = value
-            txn.insert_record(table, row)
-            inserted += 1
-        return inserted
-    resolution = _SelectResolution(db, [])  # INSERT VALUES: no row scope
-    from repro.sql.planner import ExecState
-
-    state = ExecState(db, txn, dict(params or {}), {})
-    env = [state]
-    for exprs in stmt.rows:
-        if len(exprs) != len(offsets):
-            raise ExecutionError(
-                f"INSERT arity mismatch: {len(exprs)} values for {len(offsets)} targets"
-            )
-        row = [None] * len(schema)
-        for offset, expr in zip(offsets, exprs):
-            row[offset] = compile_expr(expr, resolution)(env)
-        txn.insert_record(table, row)
-        inserted += 1
-    return inserted
-
-
-class _CompiledMatcher:
-    """Compiled single-table WHERE evaluation with optional index probe."""
-
-    def __init__(self, db: Any, table: Table, where: Optional[ast.Expr]) -> None:
-        from repro.sql.planner import _split_conjuncts
-
-        desc = SourceDesc(name=table.name, binding=table.name, kind=STD, schema=table.schema)
-        desc.env_pos = 1
-        self.resolution = _SelectResolution(db, [desc])
-        self.predicate = compile_expr(where, self.resolution) if where is not None else None
-        self.index_column: Optional[str] = None
-        self.index_key = None
-        if where is not None:
-            for conjunct in _split_conjuncts(where):
-                if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-                    continue
-                for side, other in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
-                ):
-                    if (
-                        isinstance(side, ast.ColumnRef)
-                        and (side.table in (None, table.name))
-                        and table.schema.has_column(side.name)
-                        and not ast.column_refs(other)
-                        and table.index_on((side.name,)) is not None
-                    ):
-                        self.index_column = side.name
-                        self.index_key = compile_expr(other, self.resolution)
-                        break
-                if self.index_column is not None:
-                    break
-
-    def matches(self, db: Any, table: Table, state: Any) -> list[Record]:
-        charge = db.charge
-        charge("cursor_open")
-        if self.index_column is not None:
-            key = self.index_key([state])
-            charge("index_probe")
-            candidates = list(table.lookup((self.index_column,), key))
-        else:
-            candidates = list(table.scan())
-            charge("row_scan", max(len(candidates), 1))
-        predicate = self.predicate
-        matches = []
-        env = [state, None]
-        for record in candidates:
-            charge("cursor_fetch")
-            if predicate is not None:
-                env[1] = record
-                charge("expr_eval")
-                if not truthy(predicate(env)):
-                    continue
-            matches.append(record)
-        charge("cursor_close")
-        return matches
-
-
-class _CompiledUpdate:
-    def __init__(self, db: Any, table: Table, stmt: ast.Update) -> None:
-        self.matcher = _CompiledMatcher(db, table, stmt.where)
-        self.assignments = [
-            (
-                table.schema.offset(assignment.column),
-                compile_expr(assignment.expr, self.matcher.resolution),
-                assignment.increment,
-                assignment.decrement,
-            )
-            for assignment in stmt.assignments
-        ]
-
-
-def _dml_plan(db: Any, stmt: Any, table: Table, factory) -> Any:
-    key = (stmt, table.schema, table.index_version)
-    plan = db.plan_cache.get(key)
-    if plan is None:
-        plan = db.plan_cache[key] = factory()
-    return plan
+    return _prepared(db, stmt, table, namespace, _prepare_insert)(txn, params, namespace)
 
 
 def execute_update(
@@ -230,32 +358,13 @@ def execute_update(
     stmt: ast.Update,
     txn: Any,
     params: Optional[dict[str, Any]] = None,
+    namespace: Optional[dict[str, Any]] = None,
 ) -> int:
-    """Run one UPDATE (index-accelerated, compiled-plan cached); returns
-    the number of rows updated."""
-    from repro.sql.planner import ExecState
-
+    """Run one UPDATE (index-accelerated); returns the number of rows
+    updated.  ``namespace`` holds the bound tables its subqueries may read."""
     table = db.catalog.table(stmt.table)
-    txn.lock_table_shared(table.name)
-    plan: _CompiledUpdate = _dml_plan(db, stmt, table, lambda: _CompiledUpdate(db, table, stmt))
-    state = ExecState(db, txn, params or {}, {})
-    matches = plan.matcher.matches(db, table, state)
-    env = [state, None]
-    for record in matches:
-        env[1] = record
-        values = list(record.values)
-        for offset, getter, increment, decrement in plan.assignments:
-            value = getter(env)
-            if increment:
-                current = values[offset]
-                values[offset] = None if current is None or value is None else current + value
-            elif decrement:
-                current = values[offset]
-                values[offset] = None if current is None or value is None else current - value
-            else:
-                values[offset] = value
-        txn.update_record(table, record, values)
-    return len(matches)
+    txn.lock_table_shared(table.name)  # before preparing: held even if that fails
+    return _prepared(db, stmt, table, namespace, _prepare_update)(txn, params, namespace)
 
 
 def execute_delete(
@@ -263,17 +372,9 @@ def execute_delete(
     stmt: ast.Delete,
     txn: Any,
     params: Optional[dict[str, Any]] = None,
+    namespace: Optional[dict[str, Any]] = None,
 ) -> int:
     """Run one DELETE; returns the number of rows deleted."""
-    from repro.sql.planner import ExecState
-
     table = db.catalog.table(stmt.table)
     txn.lock_table_shared(table.name)
-    plan: _CompiledMatcher = _dml_plan(
-        db, stmt, table, lambda: _CompiledMatcher(db, table, stmt.where)
-    )
-    state = ExecState(db, txn, params or {}, {})
-    matches = plan.matches(db, table, state)
-    for record in matches:
-        txn.delete_record(table, record)
-    return len(matches)
+    return _prepared(db, stmt, table, namespace, _prepare_delete)(txn, params, namespace)

@@ -952,6 +952,9 @@ class _SelectResolution:
         self.namespace = namespace
         #: Getters a fused nest can write inline instead of calling.
         self.inline: dict[Getter, str] = {}
+        #: Every subquery compiled through this resolution: what a prepared
+        #: DML statement's memo watches beside its own table.
+        self.subqueries: list[ast.Select] = []
 
     # -- ResolutionContext protocol --
 
@@ -974,6 +977,7 @@ class _SelectResolution:
     def resolve_subquery(self, select: ast.Select) -> Getter:
         """Plan an uncorrelated subquery now; run it once per execution."""
         subplan = plan_select(self.db, select, self.namespace)
+        self.subqueries.append(select)
         key = id(subplan)
 
         def rows(env: Any) -> list:
@@ -1098,6 +1102,18 @@ def _split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "and":
         return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
     return [expr]
+
+
+def _compile_conjunction(
+    exprs: list[ast.Expr], resolution: "_SelectResolution"
+) -> Optional[Getter]:
+    """One getter for the AND of ``exprs`` in order (None for none)."""
+    if not exprs:
+        return None
+    combined = exprs[0]
+    for expr in exprs[1:]:
+        combined = ast.BinaryOp("and", combined, expr)
+    return compile_expr(combined, resolution)
 
 
 def _aliases_in(expr: ast.Expr, resolution_aliases: dict[str, SourceDesc]) -> set[str]:
@@ -1281,14 +1297,6 @@ def plan_select(
         # compiling the conjunct anywhere raises the PlanError saying so.
         residuals[target if target is not None else -1].append(conjunct)
 
-    def _compile_conjunction(exprs: list[ast.Expr]) -> Optional[Getter]:
-        if not exprs:
-            return None
-        combined = exprs[0]
-        for expr in exprs[1:]:
-            combined = ast.BinaryOp("and", combined, expr)
-        return compile_expr(combined, resolution)
-
     # ---- build the pipeline steps -----------------------------------------
     steps: list[_Step] = []
     first = order[0]
@@ -1348,7 +1356,7 @@ def plan_select(
         _ScanStep(
             first,
             n_slots=len(order),
-            residual=_compile_conjunction(scan_residuals),
+            residual=_compile_conjunction(scan_residuals, resolution),
             eq_columns=eq_columns,
             eq_key=eq_key,
             range_column=range_column,
@@ -1358,7 +1366,7 @@ def plan_select(
     for step_idx in range(1, len(order)):
         desc = order[step_idx]
         keys = join_specs[step_idx]
-        residual = _compile_conjunction(residuals[step_idx])
+        residual = _compile_conjunction(residuals[step_idx], resolution)
         if keys:
             columns = tuple(column for column, _ in keys)
             probe_key = resolution.key([compile_expr(other, resolution) for _, other in keys])

@@ -100,10 +100,21 @@ class Column:
             raise SchemaError(f"invalid column name {self.name!r}")
 
 
+#: The Python type a stored value of each column type has: what
+#: :meth:`ColumnType.validate` returns for any value it accepts.
+_STORED_AS = {
+    ColumnType.INT: int,
+    ColumnType.REAL: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOL: bool,
+    ColumnType.TIME: float,
+}
+
+
 class Schema:
     """An ordered, immutable list of columns with fast name -> offset lookup."""
 
-    __slots__ = ("columns", "_offsets", "_hash")
+    __slots__ = ("columns", "_offsets", "_hash", "_stored")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
@@ -113,6 +124,7 @@ class Schema:
                 raise SchemaError(f"duplicate column name {column.name!r}")
             self._offsets[column.name] = offset
         self._hash = hash(self.columns)  # plan-cache keys hash schemas per query
+        self._stored = tuple(_STORED_AS[column.type] for column in self.columns)
 
     @classmethod
     def of(cls, *specs: tuple[str, ColumnType] | Column) -> "Schema":
@@ -137,13 +149,24 @@ class Schema:
         return tuple(column.name for column in self.columns)
 
     def validate_row(self, values: Iterable[Any]) -> list[Any]:
-        """Type-check a full row, returning coerced values in column order."""
+        """Type-check a full row, returning coerced values in column order.
+
+        A value that already has exactly the type its column stores (and is
+        not NaN) is what :meth:`ColumnType.validate` would hand back, so it
+        passes through: most written values were read from a validated
+        record.  NULL, coercions and every rejection take ``validate``."""
         row = list(values)
-        if len(row) != len(self.columns):
+        stored = self._stored
+        if len(row) != len(stored):
             raise SchemaError(
-                f"row has {len(row)} values but schema has {len(self.columns)} columns"
+                f"row has {len(row)} values but schema has {len(stored)} columns"
             )
-        return [column.type.validate(value) for column, value in zip(self.columns, row)]
+        offset = 0
+        for value in row:
+            if type(value) is not stored[offset] or value != value:
+                row[offset] = self.columns[offset].type.validate(value)
+            offset += 1
+        return row
 
     def row_from_mapping(self, mapping: dict[str, Any]) -> list[Any]:
         """Build a full row from a ``{column: value}`` mapping (all columns required)."""

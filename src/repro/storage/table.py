@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, TransactionError
 from repro.storage.index import BaseIndex, HashIndex, RBTreeIndex
 from repro.storage.schema import Schema
 from repro.storage.tuples import Record, RecordList
@@ -81,8 +81,19 @@ class Table:
         self.insert_count += 1
         return record
 
+    def _not_current(self, record: Record) -> TransactionError:
+        """A write must name the *current* version of its row: an image
+        already replaced or deleted (say, by this transaction's earlier
+        update) is refused before any index is touched."""
+        return TransactionError(
+            f"record {record.rid} is no longer the current version of a row "
+            f"in table {self.name!r}"
+        )
+
     def delete(self, record: Record) -> None:
         """Unlink ``record``.  It stays alive while pinned by temp tables."""
+        if not record.in_table:
+            raise self._not_current(record)
         for index in self.indexes.values():
             index.remove(record)
         self._records.unlink(record)
@@ -96,12 +107,15 @@ class Table:
         Returns the new record.  The old record is unlinked, never mutated,
         and remains readable through any temporary table that pinned it.
         """
+        if not record.in_table:
+            raise self._not_current(record)
         fresh = Record(self.schema.validate_row(new_values))
-        for index in self.indexes.values():
+        indexes = self.indexes.values()
+        for index in indexes:
             index.remove(record)
         self._records.unlink(record)
         self._records.append(fresh)
-        for index in self.indexes.values():
+        for index in indexes:
             index.add(fresh)
         self.update_count += 1
         if record.pins:

@@ -16,7 +16,6 @@ every row lock in that table and vice versa (coarse two-level hierarchy).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from repro.errors import DeadlockError
@@ -45,10 +44,15 @@ class LockMode(enum.Enum):
         return self is other
 
 
-@dataclass
 class _LockState:
-    holders: dict[int, LockMode] = field(default_factory=dict)  # txn id -> mode
-    waiters: list[tuple[int, LockMode]] = field(default_factory=list)
+    """Who holds one resource and who waits for it; exists only while
+    someone does (built by the first grant, dropped by the last release)."""
+
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self, holders: dict[int, LockMode]) -> None:
+        self.holders = holders  # txn id -> mode
+        self.waiters: list[tuple[int, LockMode]] = []
 
 
 class LockManager:
@@ -81,7 +85,18 @@ class LockManager:
             # Injected deadlock: the requester is picked as a victim, as if
             # a concurrent peer had closed a waits-for cycle with it.
             faults.check_raise("lock.acquire", str(resource[0]))
-        state = self._locks.setdefault(resource, _LockState())
+        state = self._locks.get(resource)
+        if state is None:
+            # Nobody holds or waits for it (every row write's case): granted
+            # outright, building only what is kept.
+            self._locks[resource] = _LockState({txn_id: mode})
+            mine = self._held_by_txn.get(txn_id)
+            if mine is None:
+                self._held_by_txn[txn_id] = {resource}
+            else:
+                mine.add(resource)
+            self.grant_count += 1
+            return True
         held = state.holders.get(txn_id)
         if held is not None:
             if held.covers(mode):
@@ -129,7 +144,8 @@ class LockManager:
             if state is None:
                 continue
             state.holders.pop(txn_id, None)
-            granted.extend(self._grant_waiters(resource, state))
+            if state.waiters:
+                granted.extend(self._grant_waiters(resource, state))
             if not state.holders and not state.waiters:
                 del self._locks[resource]
         # Drop any waits-for edges pointing at the departing transaction.

@@ -11,7 +11,6 @@ condition can pair them (paper section 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.storage.tuples import Record
@@ -21,15 +20,28 @@ DELETE = "delete"
 UPDATE = "update"
 
 
-@dataclass(frozen=True)
 class LogEntry:
-    """One logged change to one standard table."""
+    """One logged change to one standard table (written once, never
+    changed; one is built per row write, so a plain slotted class)."""
 
-    kind: str  # INSERT / DELETE / UPDATE
-    table: str
-    old_record: Optional[Record]  # None for inserts
-    new_record: Optional[Record]  # None for deletes
-    execute_order: int
+    __slots__ = ("kind", "table", "old_record", "new_record", "execute_order")
+
+    def __init__(
+        self,
+        kind: str,  # INSERT / DELETE / UPDATE
+        table: str,
+        old_record: Optional[Record],  # None for inserts
+        new_record: Optional[Record],  # None for deletes
+        execute_order: int,
+    ) -> None:
+        self.kind = kind
+        self.table = table
+        self.old_record = old_record
+        self.new_record = new_record
+        self.execute_order = execute_order
+
+    def __repr__(self) -> str:
+        return f"LogEntry({self.kind} {self.table}#{self.execute_order})"
 
     def changed_offsets(self) -> set[int]:
         """Column offsets whose value actually changed (updates only)."""
@@ -55,13 +67,13 @@ class TransactionLog:
         self._next_order = 1
 
     def log_insert(self, table: str, record: Record) -> LogEntry:
-        return self._append(LogEntry(INSERT, table, None, record, self._take_order()))
+        return self._append(INSERT, table, None, record)
 
     def log_delete(self, table: str, record: Record) -> LogEntry:
-        return self._append(LogEntry(DELETE, table, record, None, self._take_order()))
+        return self._append(DELETE, table, record, None)
 
     def log_update(self, table: str, old: Record, new: Record) -> LogEntry:
-        return self._append(LogEntry(UPDATE, table, old, new, self._take_order()))
+        return self._append(UPDATE, table, old, new)
 
     def for_table(self, table: str) -> list[LogEntry]:
         return self._by_table.get(table, [])
@@ -75,12 +87,15 @@ class TransactionLog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _take_order(self) -> int:
-        order = self._next_order
+    def _append(
+        self, kind: str, table: str, old: Optional[Record], new: Optional[Record]
+    ) -> LogEntry:
+        entry = LogEntry(kind, table, old, new, self._next_order)
         self._next_order += 1
-        return order
-
-    def _append(self, entry: LogEntry) -> LogEntry:
         self.entries.append(entry)
-        self._by_table.setdefault(entry.table, []).append(entry)
+        of_table = self._by_table.get(table)
+        if of_table is None:
+            self._by_table[table] = [entry]
+        else:
+            of_table.append(entry)
         return entry

@@ -58,15 +58,25 @@ class Transaction:
 
     # ----------------------------------------------------------- DML (core)
 
+    # The three row writes meter inline (DESIGN.md 6a): what ``db.charge``
+    # would add, to ``meter.total`` and ``meter.ops``, at the same points.
+
     def insert_record(self, table: Table, values: Iterable[Any]) -> Record:
         self._check_active()
-        self.db.charge("cursor_insert")
+        meter, cost = self.db.metering()
+        name = table.name
+        meter.total += cost["cursor_insert"]
+        meter.ops["cursor_insert"] += 1
         record = table.insert(values)
         # Log before taking the row lock: the physical insert must be
         # undoable the moment it exists, or a failed acquisition (deadlock)
         # would strand an unlogged row that abort() cannot remove.
-        self.log.log_insert(table.name, record)
-        self._lock_row(table.name, record)
+        self.log.log_insert(name, record)
+        if name not in self._ix_locked_tables:
+            self._lock_table_intent(name)
+        meter.total += cost["lock_acquire"]
+        meter.ops["lock_acquire"] += 1
+        self._acquire((name, record.rid), LockMode.EXCLUSIVE, "")
         return record
 
     def insert(self, table_name: str, row: Any) -> Record:
@@ -78,15 +88,24 @@ class Transaction:
 
     def update_record(self, table: Table, record: Record, values: Iterable[Any]) -> Record:
         self._check_active()
-        self._lock_row(table.name, record)
-        self.db.charge("cursor_update")
+        meter, cost = self.db.metering()
+        ops, name, lock_cost = meter.ops, table.name, cost["lock_acquire"]
+        if name not in self._ix_locked_tables:
+            self._lock_table_intent(name)
+        meter.total += lock_cost
+        ops["lock_acquire"] += 1
+        self._acquire((name, record.rid), LockMode.EXCLUSIVE, "")
+        meter.total += cost["cursor_update"]
+        ops["cursor_update"] += 1
         fresh = table.update(record, values)
         # Same write-ahead discipline as insert_record: the update is live in
         # the table now, so it must hit the undo log before the (fallible)
         # lock on the fresh record — otherwise a deadlock between the two
         # leaves a dirty write that survives the abort.
-        self.log.log_update(table.name, record, fresh)
-        self._lock_row(table.name, fresh)
+        self.log.log_update(name, record, fresh)
+        meter.total += lock_cost
+        ops["lock_acquire"] += 1
+        self._acquire((name, fresh.rid), LockMode.EXCLUSIVE, "")
         return fresh
 
     def update_columns(self, table: Table, record: Record, changes: dict[str, Any]) -> Record:
@@ -97,10 +116,17 @@ class Transaction:
 
     def delete_record(self, table: Table, record: Record) -> None:
         self._check_active()
-        self._lock_row(table.name, record)
-        self.db.charge("cursor_delete")
+        meter, cost = self.db.metering()
+        name = table.name
+        if name not in self._ix_locked_tables:
+            self._lock_table_intent(name)
+        meter.total += cost["lock_acquire"]
+        meter.ops["lock_acquire"] += 1
+        self._acquire((name, record.rid), LockMode.EXCLUSIVE, "")
+        meter.total += cost["cursor_delete"]
+        meter.ops["cursor_delete"] += 1
         table.delete(record)
-        self.log.log_delete(table.name, record)
+        self.log.log_delete(name, record)
 
     # ------------------------------------------------------------ SQL sugar
 
@@ -119,6 +145,7 @@ class Transaction:
         if table_name in self._read_locked_tables:
             return
         self._check_active()
+        self.db.charge("lock_acquire")
         self._acquire(
             (table_name, None),
             LockMode.SHARED,
@@ -126,22 +153,22 @@ class Transaction:
         )
         self._read_locked_tables.add(table_name)
 
-    def _lock_row(self, table_name: str, record: Record) -> None:
-        # Two-level hierarchy: an intention lock on the table (so table-level
-        # readers conflict with row writers) plus the exclusive row lock.
-        if table_name not in self._ix_locked_tables:
-            self._acquire(
-                (table_name, None), LockMode.INTENTION_EXCLUSIVE, " (held by a reader)"
-            )
-            self._ix_locked_tables.add(table_name)
-        self._acquire((table_name, record.rid), LockMode.EXCLUSIVE, "")
+    def _lock_table_intent(self, table_name: str) -> None:
+        """Two-level hierarchy: before its first exclusive row lock in a
+        table, a transaction takes (once) an intention lock on the table, so
+        table-level readers conflict with row writers."""
+        self.db.charge("lock_acquire")
+        self._acquire(
+            (table_name, None), LockMode.INTENTION_EXCLUSIVE, " (held by a reader)"
+        )
+        self._ix_locked_tables.add(table_name)
 
     def _acquire(self, resource: tuple, mode: LockMode, message: str) -> None:
-        """The one lock request.  The serial engine cannot wait, so a
-        refusal raises — after withdrawing the request the manager queued,
-        or a later release would grant it to a transaction long finished."""
+        """The one lock request; the caller has charged ``lock_acquire``.
+        The serial engine cannot wait, so a refusal raises — after
+        withdrawing the request the manager queued, or a later release would
+        grant it to a transaction long finished."""
         db = self.db
-        db.charge("lock_acquire")
         if db.lock_manager.acquire(self.txn_id, resource, mode):
             return
         db.lock_manager.cancel_waits(self.txn_id)

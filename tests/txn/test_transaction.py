@@ -166,3 +166,48 @@ class TestSqlInTxn:
         assert txn.query("select v from t where k = 'a'").scalar() == 2.0
         txn.abort()
         assert rows(db) == []
+
+
+class TestStaleRecord:
+    """A write must name the current version of its row.  An image this
+    transaction already replaced used to fail untyped, after touching the
+    indexes: ``ValueError: list.remove(x)`` on an indexed table,
+    ``RuntimeError: record N is not linked`` on an unindexed one."""
+
+    @pytest.fixture(params=["indexed", "unindexed"])
+    def table(self, db, request):
+        if request.param == "unindexed":
+            db.execute("drop index t_k")
+        db.execute("insert into t values ('a', 1.0), ('b', 5.0)")
+        return db.catalog.table("t")
+
+    @pytest.mark.parametrize("write", ["update", "delete"])
+    def test_write_to_a_replaced_version_fails_typed(self, db, table, write):
+        txn = db.begin()
+        stale = table.get_one("k", "a")
+        live = txn.update_record(table, stale, ["a", 2.0])
+        updates, deletes = table.update_count, table.delete_count
+        with pytest.raises(TransactionError, match=rf"record {stale.rid} .* table 't'"):
+            if write == "update":
+                txn.update_record(table, stale, ["a", 3.0])
+            else:
+                txn.delete_record(table, stale)
+        assert (table.update_count, table.delete_count) == (updates, deletes)
+        assert live.in_table and live.values == ["a", 2.0]
+        assert [r.values for r in table.lookup(("k",), "a")] == [["a", 2.0]]
+        assert len(txn.log) == 1  # the refused write logged nothing
+        txn.commit()
+        assert rows(db) == [["a", 2.0], ["b", 5.0]]
+
+    @pytest.mark.parametrize("write", ["update", "delete"])
+    def test_write_to_a_deleted_row_fails_typed(self, db, table, write):
+        txn = db.begin()
+        gone = table.get_one("k", "a")
+        txn.delete_record(table, gone)
+        with pytest.raises(TransactionError, match="no longer the current version"):
+            if write == "update":
+                txn.update_record(table, gone, ["a", 3.0])
+            else:
+                txn.delete_record(table, gone)
+        txn.abort()
+        assert rows(db) == [["a", 1.0], ["b", 5.0]]
