@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
+from repro.errors import PersistenceError
 from repro.persist.checkpoint import (
     CHECKPOINT_FILE,
     build_snapshot,
@@ -267,7 +268,16 @@ class PersistenceManager:
     # ---------------------------------------------------- checkpointing
 
     def checkpoint(self) -> int:
-        """Snapshot the database and truncate the WAL; returns bytes written."""
+        """Snapshot the database and truncate the WAL; returns bytes written.
+
+        Refused while replicas are attached: truncation would pull the log
+        out from under the shipper's byte offset, and every later commit
+        would silently never reach a standby."""
+        if self.shipper is not None:
+            raise PersistenceError(
+                "checkpoint refused: replicas are attached and a checkpoint "
+                "truncates the WAL under the shipper's byte offset"
+            )
         db = self._db
         faults = db.faults
         if faults.enabled:

@@ -38,7 +38,6 @@ from repro.persist.wal import read_wal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
-    from repro.storage.table import Table
     from repro.txn.tasks import Task
 
 
@@ -51,6 +50,7 @@ class RecoveryReport:
     wal_records: int = 0
     records_replayed: int = 0
     ops_applied: int = 0
+    rows_examined: int = 0  # candidates compared while locating redo targets
     torn_bytes: int = 0
     tasks_from_checkpoint: int = 0
     tasks_from_wal: int = 0
@@ -77,20 +77,18 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def _find_record(table: "Table", values: list):
-    for record in table.scan():
-        if list(record.values) == values:
-            return record
-    return None
-
-
-def _apply_op(db: "Database", op: dict) -> None:
+def _apply_op(db: "Database", op: dict, report: RecoveryReport) -> None:
+    """Redo one logged operation.  An update or delete finds its row by the
+    logged before-image (:meth:`Table.find`: a probe of the replica's own
+    index, then the whole-row comparison), so no locator is logged."""
     table = db.catalog.table(op["table"])
     kind = op["op"]
     if kind == "insert":
         table.insert(op["values"])
         return
-    target = _find_record(table, op["old"] if kind == "update" else op["values"])
+    examined = table.rows_examined
+    target = table.find(op["old"] if kind == "update" else op["values"])
+    report.rows_examined += table.rows_examined - examined
     if target is None:
         raise PersistenceError(
             f"replay: no row in {op['table']!r} matches {kind} image "
@@ -145,7 +143,7 @@ class WalApplier:
         if kind == "commit":
             self.max_time = max(self.max_time, record["time"])
             for op in record["ops"]:
-                _apply_op(db, op)
+                _apply_op(db, op, report)
                 report.ops_applied += 1
             for task_record in record["tasks_new"]:
                 pending[task_record["task_id"]] = record_to_task(db, task_record)

@@ -119,26 +119,29 @@ class ReplicationCluster:
         self.network = network if network is not None else NetworkConfig()
         if persist.checkpoint_count == 0:
             persist.checkpoint()
-        self.shipper = WalShipper(
-            persist.wal_path,
-            start_lsn=persist.next_lsn - 1,
-            start_offset=len(MAGIC),
-            faults=db.faults,  # channels gate on faults.enabled themselves
-            batch_records=batch_records,
-            resend_timeout=resend_timeout,
-        )
-        self.standbys: list[Standby] = []
-        for index in range(replicas):
-            standby = Standby(
+        self.standbys = [
+            Standby(
                 f"r{index}",
                 persist.wal_dir,
                 functions=functions,
                 tracer=tracer if tracer is not None else db.tracer,
             )
+            for index in range(replicas)
+        ]
+        # Ship from the standbys' bootstrap LSN (the checkpoint's), not from
+        # ``persist.next_lsn``: the primary may have committed since.
+        self.shipper = WalShipper(
+            persist.wal_path,
+            start_lsn=self.standbys[0].applied_lsn,
+            start_offset=len(MAGIC),
+            faults=db.faults,  # channels gate on faults.enabled themselves
+            batch_records=batch_records,
+            resend_timeout=resend_timeout,
+        )
+        for index, standby in enumerate(self.standbys):
             self.shipper.attach(
                 standby, self.network, seed=net_seed * 1000 + index * 2
             )
-            self.standbys.append(standby)
         self.commit_waits = 0
         self.commit_wait_total = 0.0
         self.commit_wait_max = 0.0

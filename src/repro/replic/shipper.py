@@ -153,7 +153,13 @@ class WalShipper:
         for payload, end in frames:
             expected = self.first_lsn + len(self.records)
             lsn = payload.get("lsn", 0)
-            if lsn != expected:  # pragma: no cover - defensive
+            if lsn < expected and not self.records:
+                # Head-of-file records the standbys' checkpoint already
+                # reflects (a crash between checkpoint write and WAL
+                # truncation leaves them); WalApplier would skip them too.
+                self.read_offset = end
+                continue
+            if lsn != expected:
                 raise ReplicationError(
                     f"WAL tail out of sequence: read lsn {lsn}, expected "
                     f"{expected} (was the log truncated under the shipper?)"

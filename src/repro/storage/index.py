@@ -30,12 +30,14 @@ class BaseIndex:
         self._offsets = tuple(schema.offset(column) for column in self.columns)
         self._single = self._offsets[0] if len(self._offsets) == 1 else None
 
-    def key_of(self, record: Record) -> Any:
+    def key_of(self, values: list) -> Any:
+        """The index key held by a full row of ``values`` (a record's, or a
+        logged image's: a composite key is a tuple either way)."""
         if self._single is not None:
-            return record.values[self._single]
-        return tuple(record.values[offset] for offset in self._offsets)
+            return values[self._single]
+        return tuple(values[offset] for offset in self._offsets)
 
-    # The concrete structures implement these three.
+    # The concrete structures implement these four.
     def add(self, record: Record) -> None:
         raise NotImplementedError
 
@@ -43,6 +45,13 @@ class BaseIndex:
         raise NotImplementedError
 
     def lookup(self, key: Any) -> Iterator[Record]:
+        """Current records holding ``key``, in table-list order: ``add``
+        appends to the bucket as the table appends to its list, and
+        ``remove`` keeps the order of what stays."""
+        raise NotImplementedError
+
+    def key_count(self) -> int:
+        """Distinct keys currently held, in O(1)."""
         raise NotImplementedError
 
 
@@ -56,10 +65,10 @@ class HashIndex(BaseIndex):
         self._buckets: dict[Any, list[Record]] = {}
 
     def add(self, record: Record) -> None:
-        self._buckets.setdefault(self.key_of(record), []).append(record)
+        self._buckets.setdefault(self.key_of(record.values), []).append(record)
 
     def remove(self, record: Record) -> None:
-        key = self.key_of(record)
+        key = self.key_of(record.values)
         bucket = self._buckets.get(key)
         if not bucket:
             raise KeyError(f"record {record.rid} not in index {self.name}")
@@ -69,6 +78,9 @@ class HashIndex(BaseIndex):
 
     def lookup(self, key: Any) -> Iterator[Record]:
         return iter(self._buckets.get(key, ()))
+
+    def key_count(self) -> int:
+        return len(self._buckets)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -85,7 +97,7 @@ class RBTreeIndex(BaseIndex):
         self._count = 0
 
     def add(self, record: Record) -> None:
-        key = self.key_of(record)
+        key = self.key_of(record.values)
         bucket = self._tree.get(key)
         if bucket is None:
             self._tree.insert(key, [record])
@@ -94,7 +106,7 @@ class RBTreeIndex(BaseIndex):
         self._count += 1
 
     def remove(self, record: Record) -> None:
-        key = self.key_of(record)
+        key = self.key_of(record.values)
         bucket = self._tree.get(key)
         if not bucket:
             raise KeyError(f"record {record.rid} not in index {self.name}")
@@ -106,6 +118,9 @@ class RBTreeIndex(BaseIndex):
     def lookup(self, key: Any) -> Iterator[Record]:
         bucket = self._tree.get(key)
         return iter(bucket) if bucket else iter(())
+
+    def key_count(self) -> int:
+        return len(self._tree)
 
     def range(
         self,

@@ -36,6 +36,7 @@ class Table:
         self.delete_count = 0
         self.update_count = 0
         self.retired_pinned = 0  # old versions kept alive for bound tables
+        self.rows_examined = 0  # candidates `find` compared against an image
 
     # ------------------------------------------------------------- indexing
 
@@ -155,6 +156,34 @@ class Table:
     def get_one(self, column: str, key: Any) -> Optional[Record]:
         """The first record with ``column == key`` or None."""
         return next(self.lookup((column,), key), None)
+
+    def find(self, values: list) -> Optional[Record]:
+        """The first current record, in list order, whose values equal the
+        full-row image ``values`` — or None.
+
+        The index with the most distinct keys (ties: the older one) narrows
+        where to look; the whole-row comparison stays the check.  A bucket
+        holds its records in list order (:meth:`BaseIndex.lookup`) and every
+        record equal to the image shares its key, so the probe returns the
+        record a scan would have returned, fully duplicate rows included.
+        Only a table with no index is scanned.
+        """
+        best: Optional[BaseIndex] = None
+        most = -1
+        for index in self.indexes.values():
+            count = index.key_count()
+            if count > most:  # strictly: a tie stays with the older index
+                best, most = index, count
+        candidates = self.scan() if best is None else best.lookup(best.key_of(values))
+        found = None
+        examined = 0
+        for record in candidates:
+            examined += 1
+            if record.values == values:
+                found = record
+                break
+        self.rows_examined += examined
+        return found
 
     def __len__(self) -> int:
         return len(self._records)

@@ -10,21 +10,30 @@ convergence oracle to find zero divergent rows every time.
 
 import os
 import shutil
+import tempfile
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.database import Database
 from repro.errors import PersistenceError
 from repro.fault import RetryPolicy, check_convergence
 from repro.persist import recover
 from repro.persist.manager import WAL_FILE, PersistenceManager
-from repro.persist.checkpoint import CHECKPOINT_FILE
+from repro.persist.checkpoint import CHECKPOINT_FILE, build_snapshot, write_snapshot
+from repro.persist.recovery import WalApplier
 from repro.persist.wal import MAGIC, iter_frames, read_wal
 from repro.pta.distributed import crash_recover_converge
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
 from repro.pta.workload import run_experiment
+from repro.replic import Standby, check_replica_equivalence
 from repro.sim.simulator import Simulator
+from repro.storage.index import HashIndex
+from repro.storage.table import Table
 
 #: Small enough that the every-record sweep stays in the sub-second range,
 #: big enough to exercise absorbs, retirements, and multiple partitions.
@@ -365,3 +374,320 @@ class TestLiveVersusReplayedBatches:
                     assert twin.rows_in == table.rows_in
                     folded_away += table.rows_in - len(table)
         assert bool(folded_away) == bool(compact)  # the fold really ran
+
+
+# ------------------------------------------------------- locate by probe
+
+
+def scan_find(table, values):
+    """The reference locator — the table walk replay used to do."""
+    for record in table.scan():
+        if list(record.values) == values:
+            return record
+    return None
+
+
+#: Indexes the generated table ``t (k text, n int, x real)`` may carry.
+#: Only ``k`` is ever NULL, and it is only hash-indexed: a red-black tree
+#: cannot order NULL against text (the primary itself refuses the insert).
+INDEX_MENU = [
+    ("k_hash", ("k",), "hash"),
+    ("n_hash", ("n",), "hash"),
+    ("n_tree", ("n",), "rbtree"),
+    ("x_hash", ("x",), "hash"),
+    ("x_tree", ("x",), "rbtree"),
+    ("kn_hash", ("k", "n"), "hash"),
+    ("nx_tree", ("n", "x"), "rbtree"),
+]
+# Small pools: fully duplicate rows, shared keys and re-used images are the
+# common case, and 0.1 + 0.2 must survive the log at repr() precision.
+_POOLS = {
+    "k": st.sampled_from([None, "a", "b"]),
+    "n": st.sampled_from([0, 1, 2]),
+    "x": st.sampled_from([0.5, 0.1 + 0.2, -1.25]),
+}
+_ROW = st.tuples(_POOLS["k"], _POOLS["n"], _POOLS["x"])
+_COLUMN_VALUE = st.sampled_from(sorted(_POOLS)).flatmap(
+    lambda column: st.tuples(st.just(column), _POOLS[column])
+)
+_TABLE = st.sampled_from(["t", "plain"])  # ``plain`` never has an index
+_STEP = st.one_of(
+    st.tuples(st.just("insert"), _TABLE, _ROW),
+    st.tuples(st.just("update"), _TABLE, _COLUMN_VALUE, _COLUMN_VALUE),
+    st.tuples(st.just("delete"), _TABLE, _COLUMN_VALUE),
+    st.tuples(st.just("reinsert"), _TABLE, _ROW),
+    st.tuples(st.just("touch"), _TABLE, st.integers(0, 40), _COLUMN_VALUE),
+    st.tuples(st.just("index"), st.integers(0, len(INDEX_MENU) - 1)),
+)
+
+
+def _equals(column, value, param):
+    return f"{column} is null" if value is None else f"{column} = :{param}"
+
+
+def _toggle_index(db, position):
+    name, columns, kind = INDEX_MENU[position]
+    if name in db.catalog.table("t").indexes:
+        db.execute(f"drop index {name} on t")
+    else:
+        db.execute(f"create index {name} on t ({', '.join(columns)}) using {kind}")
+
+
+def _run_step(db, step):
+    kind, table = step[0], step[1]
+    if kind == "insert":
+        k, n, x = step[2]
+        db.execute(f"insert into {table} values (:k, :n, :x)", {"k": k, "n": n, "x": x})
+    elif kind == "update":
+        (column, value), (where, wanted) = step[2], step[3]
+        db.execute(
+            f"update {table} set {column} = :v where {_equals(where, wanted, 'w')}",
+            {"v": value, "w": wanted},
+        )
+    elif kind == "delete":
+        where, wanted = step[2]
+        db.execute(f"delete from {table} where {_equals(where, wanted, 'w')}", {"w": wanted})
+    elif kind == "touch":
+        # One record through the cursor path, as the Table 1 feed writes.  SQL
+        # cannot tell the copies of a duplicated row apart, so only this step
+        # shows *which* copy replay picks; aimed at the first copy of its
+        # image, the primary stays the in-order reference.
+        target = db.catalog.table(table)
+        records = list(target.scan())
+        if records:
+            image = records[step[2] % len(records)].values
+            first = next(record for record in records if record.values == image)
+            column, value = step[3]
+            with db.begin() as txn:
+                txn.update_columns(target, first, {column: value})
+    else:  # delete every copy of an image and put one back, in one commit
+        k, n, x = step[2]
+        params = {"k": k, "n": n, "x": x}
+        with db.begin() as txn:
+            txn.execute(
+                f"delete from {table} where n = :n and x = :x and {_equals('k', k, 'k')}",
+                params,
+            )
+            txn.execute(f"insert into {table} values (:k, :n, :x)", params)
+
+
+def _rows_in_order(db):
+    return {
+        table.name: [record.values for record in table.scan()]
+        for table in db.catalog.tables()
+    }
+
+
+def _index_names(db):
+    return {table.name: sorted(table.indexes) for table in db.catalog.tables()}
+
+
+def _assert_indexes_agree_with_a_scan(db):
+    """Every bucket holds the scanned records under its key, in scan order."""
+    for table in db.catalog.tables():
+        scanned = list(table.scan())
+        assert all(record.in_table for record in scanned)
+        for index in table.indexes.values():
+            assert len(index) == len(scanned)
+            by_key: dict = {}
+            for record in scanned:
+                by_key.setdefault(index.key_of(record.values), []).append(record)
+            assert index.key_count() == len(by_key)
+            for key, records in by_key.items():
+                assert list(index.lookup(key)) == records
+
+
+def _checkpoint_bytes(db, path):
+    write_snapshot(build_snapshot(db, 0), path)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestLocateByProbe:
+    """Redo finds its row by probing the replica's own index
+    (``Table.find``); held here to the scan it replaced and to the live
+    primary."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        initial_indexes=st.lists(
+            st.integers(0, len(INDEX_MENU) - 1), max_size=3, unique=True
+        ),
+        initial_rows=st.lists(st.tuples(_TABLE, _ROW), max_size=6),
+        steps=st.lists(_STEP, min_size=1, max_size=25),
+    )
+    def test_probe_agrees_with_scan_and_with_the_primary(
+        self, initial_indexes, initial_rows, steps
+    ):
+        with tempfile.TemporaryDirectory(prefix="repro-probe-") as wal_dir:
+            manager = PersistenceManager(wal_dir)
+            manager.enabled = False
+            primary = Database(persist=manager)
+            for name in ("t", "plain"):
+                primary.execute(f"create table {name} (k text, n int, x real)")
+            for table, row in initial_rows:
+                _run_step(primary, ("insert", table, row))
+            for position in initial_indexes:
+                _toggle_index(primary, position)
+            manager.enabled = True
+            manager.checkpoint()
+            standby = Standby("r0", wal_dir)  # bootstraps from the first checkpoint
+
+            shipped = []  # every record ever logged, across re-checkpoints
+            for step in steps:
+                if step[0] == "index":
+                    # Index DDL never reaches the log: re-checkpoint makes it
+                    # durable (and truncates, so collect the records first).
+                    _toggle_index(primary, step[1])
+                    shipped.extend(read_wal(manager.wal_path)[0])
+                    manager.checkpoint()
+                else:
+                    _run_step(primary, step)
+            manager.close()
+            shipped.extend(read_wal(manager.wal_path)[0])
+            expected = _rows_in_order(primary)
+
+            recovered = Database()
+            report = recover(recovered, wal_dir)
+            assert _rows_in_order(recovered) == expected
+            _assert_indexes_agree_with_a_scan(recovered)
+            assert _index_names(recovered) == _index_names(primary)
+
+            for start in range(0, len(shipped), 3):
+                standby.receive(shipped[start:start + 3], arrival=float(start))
+            assert standby.applied_lsn == manager.next_lsn - 1
+            assert _rows_in_order(standby.db) == expected
+            _assert_indexes_agree_with_a_scan(standby.db)
+
+            reference = Database()
+            with mock.patch.object(Table, "find", scan_find):
+                reference_report = recover(reference, wal_dir)
+            assert reference_report.ops_applied == report.ops_applied
+            assert _checkpoint_bytes(recovered, os.path.join(wal_dir, "probe.json")) == (
+                _checkpoint_bytes(reference, os.path.join(wal_dir, "scan.json"))
+            )
+
+    def test_stale_image_is_a_typed_miss(self):
+        """Updated twice, first image replayed: the row that image names is
+        gone, and replay says so in the parent's words."""
+        db = Database()
+        db.execute("create table t (k text, v real)")
+        db.execute("create index t_k on t (k)")
+        db.execute("insert into t values ('a', 1.0), ('b', 1.0)")
+        applier = WalApplier(db, start_lsn=0)
+
+        def commit(lsn, *ops):
+            return {
+                "kind": "commit", "lsn": lsn, "time": 0.0, "ops": list(ops),
+                "tasks_new": [], "absorbs": [], "finished_task": None,
+            }
+
+        def update(old, new):
+            return {"op": "update", "table": "t", "old": old, "new": new}
+
+        applier.apply(commit(1, update(["a", 1.0], ["a", 2.0])))
+        applier.apply(commit(2, update(["a", 2.0], ["a", 3.0])))
+        with pytest.raises(PersistenceError) as raised:
+            applier.apply(commit(3, update(["a", 1.0], ["a", 4.0])))
+        assert str(raised.value) == (
+            "replay: no row in 't' matches update image ['a', 1.0]"
+        )
+        with pytest.raises(PersistenceError) as raised:
+            applier.apply(commit(3, {"op": "delete", "table": "t", "values": ["c", 1.0]}))
+        assert str(raised.value) == (
+            "replay: no row in 't' matches delete image ['c', 1.0]"
+        )
+        assert applier.applied_lsn == 2  # a refused record is not applied
+        assert sorted(r.values for r in db.catalog.table("t").scan()) == [
+            ["a", 3.0], ["b", 1.0],
+        ]
+
+
+# --------------------------------------------------- replay work, counted
+
+
+def _durable_tiny_run(wal_dir):
+    """A ``Scale.tiny()`` comps / ``unique`` run: final db and WAL records."""
+    db_out = []
+    run_experiment(
+        Scale.tiny(), "comps", "unique", delay=1.0, seed=0,
+        wal_dir=wal_dir, db_out=db_out,
+    )
+    records, _valid, torn = read_wal(os.path.join(wal_dir, WAL_FILE))
+    assert torn == 0
+    return db_out[0], records
+
+
+class TestReplayWorkCounted:
+    """What replaying one write costs, counted from outside, not timed: one
+    index probe and about one compared row per located row — the work is
+    proportional to the log, never to the table."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of ``Table.scan`` / ``HashIndex.lookup`` made from inside
+        ``WalApplier.apply`` (bootstrap and verification are not replay)."""
+        counts: Counter = Counter()
+        applying = [0]
+        apply = WalApplier.apply
+
+        def scoped_apply(self, record):
+            applying[0] += 1
+            try:
+                return apply(self, record)
+            finally:
+                applying[0] -= 1
+
+        monkeypatch.setattr(WalApplier, "apply", scoped_apply)
+        for owner, name in ((Table, "scan"), (HashIndex, "lookup")):
+            def counted(*args, _original=getattr(owner, name), _key=name):
+                counts[_key] += applying[0]
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    def test_replay_probes_and_never_walks_a_table(self, tmp_path, counts):
+        wal_dir = str(tmp_path)
+        primary, records = _durable_tiny_run(wal_dir)
+        located = sum(
+            op["op"] != "insert"
+            for record in records if record["kind"] == "commit"
+            for op in record["ops"]
+        )
+        assert located > 500  # stocks and comp_prices updates
+
+        recovered = Database()
+        report = recover(recovered, wal_dir, functions=function_registry())
+        standby = Standby("r0", wal_dir, functions=function_registry())
+        for start in range(0, len(records), 8):
+            standby.receive(records[start:start + 8], arrival=float(start))
+
+        assert +counts == {"lookup": 2 * located}  # once per located row; no scan
+        for replayed, its_report in ((recovered, report), (standby.db, standby.report)):
+            assert its_report.ops_applied >= located
+            assert located <= its_report.rows_examined <= 1.05 * its_report.ops_applied
+            assert check_replica_equivalence(primary, replayed).ok
+
+    def test_without_an_index_replay_falls_back_to_the_scan(
+        self, tmp_path, counts, monkeypatch
+    ):
+        checkpoint = PersistenceManager.checkpoint
+
+        def drop_every_index_first(self):
+            for table in self._db.catalog.tables():
+                for name in list(table.indexes):
+                    table.drop_index(name)
+            return checkpoint(self)
+
+        monkeypatch.setattr(PersistenceManager, "checkpoint", drop_every_index_first)
+        wal_dir = str(tmp_path)
+        primary, _records = _durable_tiny_run(wal_dir)
+
+        recovered = Database()
+        report = recover(recovered, wal_dir, functions=function_registry())
+        assert not any(table.indexes for table in recovered.catalog.tables())
+        assert check_replica_equivalence(primary, recovered).ok
+        assert counts["lookup"] == 0
+        assert counts["scan"] > 500  # one table walk per located row
+        assert report.rows_examined > 20 * report.ops_applied

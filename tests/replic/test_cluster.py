@@ -3,10 +3,16 @@
 import pytest
 
 from repro.database import Database
+from repro.errors import PersistenceError
 from repro.persist.manager import PersistenceManager
 from repro.pta.distributed import run_replicated_experiment
 from repro.pta.tables import Scale
-from repro.replic import NetworkConfig, ReplicationCluster, ReplicationError
+from repro.replic import (
+    NetworkConfig,
+    ReplicationCluster,
+    ReplicationError,
+    check_replica_equivalence,
+)
 
 MICRO = Scale(
     n_stocks=12, n_comps=3, stocks_per_comp=4,
@@ -130,32 +136,110 @@ class TestReadRouting:
         assert cluster.reads_standby == before + 1
 
 
-class TestConfigurationGuards:
-    def _armed(self, tmp_path, **kwargs):
+@pytest.fixture
+def durable(tmp_path):
+    """Factory for a small durable primary — ``t (k int, v real)``, indexed
+    on ``k``, five rows, none of it logged.  Every manager it opened is
+    closed at teardown (a refused cluster never owned it)."""
+    managers = []
+
+    def make(enabled=True, **kwargs):
         persist = PersistenceManager(str(tmp_path), sync=False, **kwargs)
+        managers.append(persist)
+        persist.enabled = False  # set-up goes into the checkpoint, as in the harnesses
         db = Database(persist=persist)
-        db.execute("create table t (x int)")
-        persist.enabled = True
+        db.execute("create table t (k int, v real)")
+        db.execute("create index t_k on t (k)")
+        for k in range(5):
+            db.execute("insert into t values (:k, 0.0)", {"k": k})
+        persist.enabled = enabled
         return db, persist
 
-    def test_periodic_checkpoints_are_forbidden(self, tmp_path):
-        db, persist = self._armed(tmp_path, checkpoint_every=5.0)
+    yield make
+    for persist in managers:
+        persist.close()
+
+
+class TestConfigurationGuards:
+    def test_periodic_checkpoints_are_forbidden(self, durable):
+        db, persist = durable(checkpoint_every=5.0)
         with pytest.raises(ReplicationError, match="checkpoint"):
             ReplicationCluster(db, persist, replicas=1)
 
-    def test_unknown_mode_rejected(self, tmp_path):
-        db, persist = self._armed(tmp_path)
+    def test_unknown_mode_rejected(self, durable):
+        db, persist = durable()
         with pytest.raises(ReplicationError, match="repl-mode"):
             ReplicationCluster(db, persist, replicas=1, mode="sync")
 
-    def test_zero_replicas_rejected(self, tmp_path):
-        db, persist = self._armed(tmp_path)
+    def test_zero_replicas_rejected(self, durable):
+        db, persist = durable()
         with pytest.raises(ReplicationError, match="replica"):
             ReplicationCluster(db, persist, replicas=0)
 
-    def test_disarmed_persistence_rejected(self, tmp_path):
-        persist = PersistenceManager(str(tmp_path), sync=False)
-        persist.enabled = False  # still in setup, as the harnesses do
-        db = Database(persist=persist)
+    def test_disarmed_persistence_rejected(self, durable):
+        db, persist = durable(enabled=False)  # still in setup
         with pytest.raises(ReplicationError, match="armed"):
             ReplicationCluster(db, persist, replicas=1)
+
+
+class TestCheckpointsAndAttachment:
+    """The WAL is pinned while replicas are attached, and replicas may
+    attach to a primary that has committed since its checkpoint."""
+
+    @pytest.fixture
+    def primary(self, durable):
+        return durable()
+
+    @staticmethod
+    def bump(db, k, v):
+        db.execute("update t set v = :v where k = :k", {"k": k, "v": v})
+
+    @staticmethod
+    def assert_converged(db, persist, cluster):
+        cluster.finish()
+        for standby in cluster.standbys:
+            assert standby.applied_lsn == persist.next_lsn - 1
+            assert check_replica_equivalence(db, standby.db).ok
+
+    def test_checkpoint_is_refused_while_replicas_are_attached(self, primary):
+        db, persist = primary
+        cluster = ReplicationCluster(db, persist, replicas=1)
+        self.bump(db, 0, 1.0)
+        cluster.pump(db.clock.now())
+        with open(persist.wal_path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(PersistenceError, match="replicas are attached"):
+            persist.checkpoint()
+        with open(persist.wal_path, "rb") as handle:
+            assert handle.read() == before  # not truncated under the shipper
+        self.bump(db, 1, 2.0)
+        self.bump(db, 2, 3.0)
+        assert persist.next_lsn - 1 == 3
+        self.assert_converged(db, persist, cluster)
+
+    def test_replicas_attach_after_commits_since_the_checkpoint(self, primary):
+        db, persist = primary
+        persist.checkpoint()
+        self.bump(db, 0, 1.0)  # lsn 1: in the WAL, not in the checkpoint
+        cluster = ReplicationCluster(db, persist, replicas=2)
+        assert cluster.shipper.first_lsn == 1
+        self.bump(db, 1, 2.0)
+        self.assert_converged(db, persist, cluster)
+
+    def test_attach_skips_records_the_checkpoint_already_reflects(self, primary):
+        """A crash between checkpoint write and WAL truncation leaves the
+        head of the log at or below the checkpoint's LSN."""
+        db, persist = primary
+        persist.checkpoint()
+        self.bump(db, 0, 1.0)
+        self.bump(db, 1, 2.0)
+        with open(persist.wal_path, "rb") as handle:
+            untruncated = handle.read()
+        persist.checkpoint()  # reflects lsn 1-2 ...
+        with open(persist.wal_path, "wb") as handle:
+            handle.write(untruncated)  # ... which the log still holds
+        self.bump(db, 2, 3.0)
+        cluster = ReplicationCluster(db, persist, replicas=1)
+        assert cluster.shipper.poll_wal() == 1  # lsn 3 only
+        assert cluster.shipper.first_lsn == 3
+        self.assert_converged(db, persist, cluster)

@@ -69,6 +69,26 @@ class TestTailing:
         assert shipper.poll_wal() == 1
         assert shipper.last_lsn == 6
 
+    def test_head_records_at_or_below_the_start_are_skipped(self, tmp_path):
+        path = tmp_path / "wal.log"
+        write_wal(path, 5)
+        shipper = WalShipper(str(path), start_lsn=3, start_offset=len(MAGIC))
+        assert shipper.poll_wal() == 2
+        assert [record["lsn"] for record in shipper.records] == [4, 5]
+        assert shipper.read_offset == path.stat().st_size
+
+    def test_a_log_truncated_under_the_shipper_is_out_of_sequence(self, tmp_path):
+        path = tmp_path / "wal.log"
+        write_wal(path, 3)
+        shipper = make_shipper(path)
+        assert shipper.poll_wal() == 3
+        # By hand, what a checkpoint does: cut the log back to its magic.
+        # Same-sized records then grow it past the shipper's byte offset.
+        path.write_bytes(MAGIC)
+        write_wal(path, 6, start=4)
+        with pytest.raises(ReplicationError, match="read lsn 7, expected 4"):
+            shipper.poll_wal()
+
 
 class TestCleanShipping:
     def test_drain_delivers_everything_without_resends(self, tmp_path):

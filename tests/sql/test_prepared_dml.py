@@ -398,7 +398,7 @@ def _check_indexes(table) -> None:
         assert len(index) == len(scanned)
         by_key: dict = {}
         for record in scanned:
-            by_key.setdefault(index.key_of(record), []).append(record.rid)
+            by_key.setdefault(index.key_of(record.values), []).append(record.rid)
         for key, rids in by_key.items():
             assert sorted(r.rid for r in index.lookup(key)) == sorted(rids)
 

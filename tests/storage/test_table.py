@@ -216,3 +216,106 @@ class TestIndexMaintenance:
         assert table.index_version == v0 + 1
         table.drop_index("i")
         assert table.index_version == v0 + 2
+
+
+class TestFindByImage:
+    """``Table.find``: the first current record equal to a full-row image,
+    through the most selective index, or by scan when there is none."""
+
+    KINDS = [None, "hash", "rbtree"]
+
+    @staticmethod
+    def indexed(kind, columns=("symbol",)):
+        table = make_table()
+        if kind is not None:
+            table.create_index("i", columns, kind)
+        return table
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_table_finds_nothing(self, kind):
+        table = self.indexed(kind)
+        assert table.find(["a", 1.0]) is None
+        assert table.rows_examined == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_miss_in_a_non_empty_bucket(self, kind):
+        table = self.indexed(kind)
+        table.insert(["a", 1.0])
+        table.insert(["a", 2.0])
+        table.insert(["b", 3.0])
+        assert table.find(["a", 3.0]) is None  # the key is there, the row is not
+        assert table.rows_examined == (3 if kind is None else 2)
+        assert table.find(["zzz", 1.0]) is None  # no such key
+        assert table.rows_examined == (6 if kind is None else 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_first_of_fully_duplicate_rows_in_list_order(self, kind):
+        table = self.indexed(kind)
+        first = table.insert(["a", 1.0])
+        other = table.insert(["b", 1.0])
+        second = table.insert(["a", 1.0])
+        assert table.find(["a", 1.0]) is first
+        moved = table.update(first, ["a", 1.0])  # same image, now last in the list
+        assert table.find(["a", 1.0]) is second
+        table.delete(second)
+        assert table.find(["a", 1.0]) is moved
+        assert table.find(["b", 1.0]) is other
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_never_returns_a_retired_version(self, kind):
+        table = self.indexed(kind)
+        old = table.insert(["a", 1.0])
+        old.pin()  # a bound table still reads the old version
+        new = table.update(old, ["a", 2.0])
+        assert table.find(["a", 1.0]) is None
+        assert table.find(["a", 2.0]) is new
+        table.delete(new)
+        new.pin()
+        assert table.find(["a", 2.0]) is None
+        assert not old.in_table and not new.in_table
+
+    @pytest.mark.parametrize("kind", ["hash", "rbtree"])
+    def test_composite_key_comes_from_the_image(self, kind):
+        table = self.indexed(kind, ("symbol", "price"))
+        table.insert(["a", 1.0])
+        wanted = table.insert(["a", 0.1 + 0.2])
+        assert table.find(["a", 0.30000000000000004]) is wanted
+        assert table.rows_examined == 1
+
+    def test_null_key_is_a_key(self):
+        table = self.indexed("hash")
+        table.insert(["a", 1.0])
+        wanted = table.insert([None, 1.0])
+        assert table.find([None, 1.0]) is wanted
+        assert table.rows_examined == 1
+
+    def test_probes_the_index_with_the_most_distinct_keys(self):
+        table = make_table()
+        by_price = table.create_index("by_price", ["price"])
+        by_symbol = table.create_index("by_symbol", ["symbol"], "rbtree")
+        for symbol in "abcd":
+            table.insert([symbol, 1.0])
+        assert (by_price.key_count(), by_symbol.key_count()) == (1, 4)
+        assert table.find(["c", 1.0]).values == ["c", 1.0]
+        assert table.rows_examined == 1  # one candidate under 'c', not four under 1.0
+        # Decided per call from what the table holds now: spread the prices,
+        # collapse the symbols, and the other index is the selective one.
+        for price, record in enumerate(list(table.scan())):
+            table.update(record, ["a", float(price)])
+        assert (by_price.key_count(), by_symbol.key_count()) == (4, 1)
+        assert table.find(["a", 2.0]).values == ["a", 2.0]
+        assert table.rows_examined == 2
+
+    def test_a_tie_goes_to_the_older_index(self, monkeypatch):
+        table = make_table()
+        table.create_index("older", ["symbol"])
+        table.create_index("newer", ["price"])
+        table.insert(["a", 1.0])
+        probed = []
+        lookup = HashIndex.lookup
+        monkeypatch.setattr(
+            HashIndex, "lookup",
+            lambda self, key: probed.append(self.name) or lookup(self, key),
+        )
+        assert table.find(["a", 1.0]) is not None
+        assert probed == ["older"]
