@@ -177,8 +177,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if incompatible:
             raise SystemExit(
                 f"--replicas does not combine with {', '.join(incompatible)} "
-                "(replication pins the scheduler defaults and forbids "
-                "periodic checkpoints; see docs/REPLICATION.md)"
+                "(the replicated driver pins the scheduler defaults and "
+                "checkpoints once, when armed; see docs/REPLICATION.md)"
             )
         return _cmd_replicate(args)
     if args.cascade and args.view != "comps":

@@ -36,6 +36,7 @@ from repro.net.protocol import (
     parse_text_response,
 )
 from repro.net.server import NetServer, Session
+from repro.persist.codec import MAX_FRAME_BYTES
 from repro.sim.simulator import Simulator
 
 __all__ = ["AsyncNetClient", "AsyncNetServer"]
@@ -175,8 +176,15 @@ class AsyncNetServer:
                     continue
                 session.next_text_id = max(session.next_text_id, msg["id"] + 1)
                 self._dispatch(session, msg, writer)
+            overlong = len(buffer) > MAX_FRAME_BYTES  # a line with no end in sight
+            if overlong:
+                self._send(
+                    writer,
+                    session,
+                    {"t": "error", "id": 0, "error": "line exceeds the frame bound"},
+                )
             await writer.drain()
-            if session.closed:
+            if overlong or session.closed:
                 break
             chunk = await reader.read(65536)
             if not chunk:

@@ -15,8 +15,9 @@ single transaction's commit:
   bound rows, ``unique on`` partition keys, release deadlines, retry
   budgets) that truncate the WAL;
 * :mod:`repro.persist.recovery` — checkpoint load + idempotent WAL-tail
-  replay that re-enqueues resurrected tasks with their original
-  deadlines, and retries (with budget) tasks orphaned mid-execution;
+  replay (``bootstrap``, which is also how a replication standby boots)
+  that re-enqueues resurrected tasks with their original deadlines, and
+  retries (with budget) tasks orphaned mid-execution;
 * :mod:`repro.persist.manager` — the ``db.persist`` hook point; the
   default :class:`NullPersistence` costs one attribute check per site.
 
@@ -33,13 +34,12 @@ from repro.persist.checkpoint import (
     write_snapshot,
 )
 from repro.persist.manager import NullPersistence, PersistenceManager
-from repro.persist.recovery import RecoveryReport, WalApplier, recover
+from repro.persist.recovery import RecoveryReport, WalApplier, bootstrap, recover
 from repro.persist.wal import (
     WriteAheadLog,
     encode_record,
     iter_frames,
     read_wal,
-    read_wal_from,
 )
 
 __all__ = [
@@ -50,13 +50,13 @@ __all__ = [
     "RecoveryReport",
     "WalApplier",
     "WriteAheadLog",
+    "bootstrap",
     "build_snapshot",
     "encode_frame",
     "encode_record",
     "iter_frames",
     "load_snapshot",
     "read_wal",
-    "read_wal_from",
     "record_to_task",
     "recover",
     "restore_snapshot",

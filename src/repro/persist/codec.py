@@ -30,6 +30,13 @@ from repro.errors import StripError
 #: Frame header: payload length, crc32(payload).
 FRAME = struct.Struct("<II")
 
+#: The most a live peer may make a reader buffer for one frame or one text
+#: line (the largest frame of a ``Scale.small()`` WAL is under 6 KiB, a wire
+#: request under 200 B).  Stream readers only: ``iter_frames`` reads a file
+#: that is already there, where a cap would turn a large legitimate record
+#: into a "torn tail" and truncate durable data.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
 
 class FrameError(StripError):
     """A stream frame failed its checksum or did not decode (stream mode
@@ -84,7 +91,9 @@ class FrameDecoder:
     ``feed`` buffers arbitrary chunks and returns every complete payload;
     a partial frame waits for more bytes.  Unlike :func:`iter_frames`, a
     corrupt frame raises :class:`FrameError` — on a live connection there
-    is no "tail" to truncate, only a peer speaking garbage.
+    is no "tail" to truncate, only a peer speaking garbage — and so does a
+    header announcing more than :data:`MAX_FRAME_BYTES`, before any of that
+    body is buffered.  After either the stream is lost; close the connection.
     """
 
     def __init__(self) -> None:
@@ -100,6 +109,11 @@ class FrameDecoder:
         total = len(buffer)
         while offset + FRAME.size <= total:
             length, crc = FRAME.unpack_from(buffer, offset)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(
+                    f"frame header announces {length} bytes; the bound is "
+                    f"{MAX_FRAME_BYTES}"
+                )
             start = offset + FRAME.size
             end = start + length
             if end > total:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import PersistenceError
 from repro.persist.checkpoint import (
     CHECKPOINT_FILE,
     build_snapshot,
@@ -111,10 +110,12 @@ class PersistenceManager:
         self.checkpoint_count = 0
         self._last_checkpoint_time: Optional[float] = None
         # Set by the replication cluster: an object with
-        # ``on_record(kind, lsn, now) -> float`` called after every flush.
-        # A non-zero return is virtual seconds the committing task must
-        # wait for standby acknowledgement (semi-synchronous mode); the
-        # wait lands on the active meter exactly like an injected delay.
+        # ``on_record(frame, kind, lsn, now) -> float`` called after every
+        # flush with the frame it made durable (the one way a record leaves
+        # for a replica).  A non-zero return is virtual seconds the
+        # committing task must wait for standby acknowledgement (semi-
+        # synchronous mode); the wait lands on the active meter exactly
+        # like an injected delay.
         self.shipper = None
         next_lsn = (self.wal.last_lsn or 0) + 1
         snapshot = load_snapshot(self.checkpoint_path)
@@ -135,7 +136,7 @@ class PersistenceManager:
             faults.check_raise("wal.append", label)
         payload["lsn"] = self.next_lsn
         self.next_lsn += 1
-        self.wal.append(payload)
+        frame = self.wal.append(payload)
         if faults.enabled:
             faults.check_raise("wal.flush", label)
         nbytes = self.wal.flush()
@@ -143,7 +144,9 @@ class PersistenceManager:
         if db.tracer.enabled:
             db.tracer.persist_flush(payload["kind"], nbytes, payload["lsn"], db.clock.now())
         if self.shipper is not None:
-            wait = self.shipper.on_record(payload["kind"], payload["lsn"], db.clock.now())
+            wait = self.shipper.on_record(
+                frame, payload["kind"], payload["lsn"], db.clock.now()
+            )
             if wait > 0.0:
                 meter = db.clock.active_meter
                 if meter is not None:
@@ -268,16 +271,7 @@ class PersistenceManager:
     # ---------------------------------------------------- checkpointing
 
     def checkpoint(self) -> int:
-        """Snapshot the database and truncate the WAL; returns bytes written.
-
-        Refused while replicas are attached: truncation would pull the log
-        out from under the shipper's byte offset, and every later commit
-        would silently never reach a standby."""
-        if self.shipper is not None:
-            raise PersistenceError(
-                "checkpoint refused: replicas are attached and a checkpoint "
-                "truncates the WAL under the shipper's byte offset"
-            )
+        """Snapshot the database and truncate the WAL; returns bytes written."""
         db = self._db
         faults = db.faults
         if faults.enabled:
@@ -315,7 +309,5 @@ class PersistenceManager:
         self.wal.close()
 
     def abandon(self) -> None:
-        """Close without flushing buffered appends — the simulated process
-        died, and records it never flushed must not become durable."""
-        self.wal._pending.clear()
-        self.wal.close()
+        """The simulated process died: close the log without flushing."""
+        self.wal.abandon()

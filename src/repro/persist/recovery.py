@@ -103,10 +103,10 @@ def _apply_op(db: "Database", op: dict, report: RecoveryReport) -> None:
 class WalApplier:
     """Applies WAL records to a database in LSN order, idempotently.
 
-    This is the replay loop shared by crash recovery (:func:`recover`,
-    which applies the whole tail once) and the replication standby
-    (:class:`repro.replic.standby.Standby`, which applies shipped frames
-    continuously).  Idempotence is structural: every record carries a
+    This is the replay loop shared by :func:`bootstrap` (crash recovery
+    and a standby's boot: the whole durable tail, once) and the replication
+    standby (:class:`repro.replic.standby.Standby`, which then applies shipped
+    frames continuously).  Idempotence is structural: every record carries a
     monotone ``lsn`` and :meth:`apply` skips anything at or below
     ``applied_lsn``, so re-applying an overlapping range — a checkpoint
     that raced WAL truncation, a retransmitted replication frame — is a
@@ -223,18 +223,16 @@ class WalApplier:
         return resurrected
 
 
-def recover(
+def bootstrap(
     db: "Database",
     wal_dir: str,
     functions: Optional[dict[str, Callable]] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> RecoveryReport:
-    """Rebuild ``db`` (which must be empty) from ``wal_dir``.
-
-    ``functions`` maps user-function names to callables; they are
-    registered before tasks are resurrected so re-enqueued action bodies
-    resolve.  ``retry`` governs orphans only (:meth:`WalApplier.resurrect`).
-    """
+) -> WalApplier:
+    """Rebuild ``db`` (which must be empty) from ``wal_dir`` up to its newest
+    durable record: load the checkpoint, register ``functions`` (user-function
+    names to callables, so resurrected action bodies resolve), restore, replay
+    the WAL tail.  The first half of :func:`recover` and the whole of a
+    standby's boot; the applier it returns goes on applying from there."""
     report = RecoveryReport(wal_dir=str(wal_dir))
     checkpoint_path = os.path.join(wal_dir, CHECKPOINT_FILE)
     wal_path = os.path.join(wal_dir, WAL_FILE)
@@ -263,5 +261,17 @@ def recover(
     )
     for record in records:
         applier.apply(record)
+    return applier
+
+
+def recover(
+    db: "Database",
+    wal_dir: str,
+    functions: Optional[dict[str, Callable]] = None,
+    retry: Optional[RetryPolicy] = None,
+) -> RecoveryReport:
+    """:func:`bootstrap` ``db`` from ``wal_dir``, then re-enqueue what was
+    pending.  ``retry`` governs orphans only (:meth:`WalApplier.resurrect`)."""
+    applier = bootstrap(db, wal_dir, functions)
     applier.resurrect(retry)
-    return report
+    return applier.report

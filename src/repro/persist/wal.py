@@ -27,7 +27,11 @@ Appends are buffered in the log object and only reach the file (and,
 optionally, ``fsync``) on :meth:`WriteAheadLog.flush`.  The manager
 flushes once per logical record, *after* the ``wal.flush`` fault seam —
 so an injected ``crash`` between append and flush models exactly the
-process death that loses buffered-but-unflushed records.
+process death that loses buffered-but-unflushed records.  ``append``
+returns the frame it buffered and the manager hands that frame to the
+replication shipper once the flush has returned: a live process never
+reads its own log back, and the file is read whole, by :func:`read_wal`,
+only to rebuild a database from a directory.
 """
 
 from __future__ import annotations
@@ -62,45 +66,6 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def read_wal_from(
-    path: Union[str, "os.PathLike[str]"], offset: int
-) -> tuple[list[tuple[dict, int]], int, int]:
-    """Tail a WAL file from an absolute byte ``offset``.
-
-    Returns ``(frames, valid_bytes, torn_bytes)`` where ``frames`` is a
-    list of ``(payload, end_offset)`` pairs — ``end_offset`` is the
-    absolute file offset just past that frame, i.e. the resume point a
-    consumer hands back next time — ``valid_bytes`` is the offset of the
-    last intact frame and ``torn_bytes`` whatever trailing garbage
-    follows it.  Pass ``offset=0`` (or ``len(MAGIC)``) to start at the
-    beginning; the magic is only validated when reading from the start,
-    since a mid-file offset is by construction past it.  This is the
-    incremental sibling of :func:`read_wal`: a poller that remembers
-    ``valid_bytes`` re-reads only appended bytes, never the whole file.
-    """
-    start = max(offset, 0)
-    try:
-        with open(path, "rb") as handle:
-            if start < len(MAGIC):
-                magic = handle.read(len(MAGIC))
-                if not magic:
-                    return [], 0, 0
-                if magic != MAGIC:
-                    raise PersistenceError(f"{path}: not a STRIP WAL (bad magic)")
-                start = len(MAGIC)
-            else:
-                handle.seek(start)
-            data = handle.read()
-    except FileNotFoundError:
-        return [], 0, 0
-    frames: list[tuple[dict, int]] = []
-    valid = start
-    for payload, end in iter_frames(data):
-        frames.append((payload, start + end))
-        valid = start + end
-    return frames, valid, len(data) - (valid - start)
-
-
 def read_wal(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int, int]:
     """Read every intact record from a WAL file.
 
@@ -110,8 +75,19 @@ def read_wal(path: Union[str, "os.PathLike[str]"]) -> tuple[list[dict], int, int
     file reads as empty; a file with the wrong magic is an error (it is
     not a WAL, and truncating it would destroy someone else's data).
     """
-    frames, valid, torn = read_wal_from(path, 0)
-    return [payload for payload, _end in frames], valid, torn
+    try:
+        with open(path, "rb") as handle:
+            magic = handle.read(len(MAGIC))
+            data = handle.read()
+    except FileNotFoundError:
+        return [], 0, 0
+    if not magic:
+        return [], 0, 0
+    if magic != MAGIC:
+        raise PersistenceError(f"{path}: not a STRIP WAL (bad magic)")
+    frames = list(iter_frames(data))
+    valid = frames[-1][1] if frames else 0
+    return [payload for payload, _end in frames], len(MAGIC) + valid, len(data) - valid
 
 
 class WriteAheadLog:
@@ -160,11 +136,12 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------- writes
 
-    def append(self, payload: dict) -> int:
-        """Buffer one record; returns its framed size in bytes."""
+    def append(self, payload: dict) -> bytes:
+        """Buffer one record; returns its frame — the bytes the next
+        :meth:`flush` makes durable, which is also what a replica is sent."""
         frame = encode_record(payload)
         self._pending.append(frame)
-        return len(frame)
+        return frame
 
     def flush(self) -> int:
         """Write all buffered frames; returns the bytes written."""
@@ -203,12 +180,11 @@ class WriteAheadLog:
         self.flush()
         self._file.close()
 
-    def read_from(self, offset: int) -> tuple[list[tuple[dict, int]], int, int]:
-        """Tail durable frames from an absolute byte ``offset`` (see
-        :func:`read_wal_from`).  Buffered-but-unflushed appends are *not*
-        visible — a tailer only ever sees what a crash would preserve."""
-        self._file.flush()
-        return read_wal_from(self.path, offset)
+    def abandon(self) -> None:
+        """Close without flushing: the simulated process died, and records
+        it never flushed must not become durable."""
+        self._pending.clear()
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WriteAheadLog({self.path!r}, pending={len(self._pending)})"

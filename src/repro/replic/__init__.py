@@ -7,9 +7,10 @@ subsystem ships it:
 * :mod:`repro.replic.channel` — the simulated transport (latency,
   bandwidth, jitter, drop, reorder on the virtual clock) with the
   ``ship.send`` / ``ship.ack`` fault seams;
-* :mod:`repro.replic.shipper` — the primary-side tailer: byte-offset WAL
-  polling, batched frames, cumulative acks, go-back-N retransmission,
-  async and semi-synchronous commit modes;
+* :mod:`repro.replic.shipper` — the primary side: each durable frame
+  handed over by the flush and kept until acked, batched frames,
+  cumulative acks, go-back-N retransmission, async and semi-synchronous
+  commit modes;
 * :mod:`repro.replic.standby` — a replica database continuously rebuilt
   through the crash-recovery apply path, serving read-only SELECTs and
   reporting apply lag;

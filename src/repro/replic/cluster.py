@@ -3,17 +3,18 @@
 :class:`ReplicationCluster` wires the pieces together around an armed
 :class:`~repro.persist.manager.PersistenceManager`:
 
-* it takes (or requires) the **initial checkpoint** every standby
-  bootstraps from, then *pins* the WAL — periodic checkpoints are
-  forbidden while replicas are attached, because a checkpoint truncates
-  the log out from under the shipper's byte offsets (log retention until
-  consumers catch up, the same rule physical-replication systems apply);
-* it registers itself as the manager's ``shipper`` hook: in **async**
-  mode every flushed record is simply picked up by the next pump (zero
-  cost to the committing task — the persistence no-overhead invariant
-  holds); in **semisync** mode a flushed *commit* record blocks the
-  committing task until the first standby acks it, and the ack wait is
-  charged to the task's meter — commit latency buys bounded replica lag;
+* it makes sure there is a checkpoint, and every standby boots from the
+  directory as crash recovery would (checkpoint + durable WAL tail), so
+  it starts at the primary's newest durable record;
+* it registers itself as the manager's ``shipper`` hook, the one way a
+  record leaves for a replica: every flush hands over the frame it made
+  durable and the shipper buffers it until every standby has acked it —
+  checkpoints may truncate the file at any time, nothing reads it back.
+  In **async** mode the record goes out with the next pump (zero cost to
+  the committing task — the persistence no-overhead invariant holds); in
+  **semisync** mode a flushed *commit* record blocks the committing task
+  until the first standby acks it, and the ack wait is charged to the
+  task's meter — commit latency buys bounded replica lag;
 * it hangs a post-task hook on the simulator so frames and acks advance
   with virtual time between tasks (one virtual executor per replica: the
   standby applies frames stamped with their network arrival times, on
@@ -33,7 +34,6 @@ from repro.fault.oracle import ConvergenceReport, Divergence
 from repro.fault.recovery import RetryPolicy
 from repro.obs.tracer import Tracer
 from repro.persist.manager import PersistenceManager
-from repro.persist.wal import MAGIC
 from repro.replic.channel import NetworkConfig
 from repro.replic.failover import FailoverController, FailoverReport
 from repro.replic.shipper import ReplicationError, WalShipper
@@ -107,12 +107,6 @@ class ReplicationCluster:
                 "the persistence manager must be armed (enabled, with an "
                 "initial checkpoint) before replicas attach"
             )
-        if persist.checkpoint_every is not None:
-            raise ReplicationError(
-                "periodic checkpoints truncate the WAL out from under the "
-                "shipper's byte offsets; replication requires "
-                "checkpoint_every=None (log retention until replicas consume)"
-            )
         self.db = db
         self.persist = persist
         self.mode = mode
@@ -128,12 +122,10 @@ class ReplicationCluster:
             )
             for index in range(replicas)
         ]
-        # Ship from the standbys' bootstrap LSN (the checkpoint's), not from
-        # ``persist.next_lsn``: the primary may have committed since.
+        # The standbys booted through the durable tail, so the buffer starts
+        # empty at the newest durable record (attach checks that they did).
         self.shipper = WalShipper(
-            persist.wal_path,
-            start_lsn=self.standbys[0].applied_lsn,
-            start_offset=len(MAGIC),
+            start_lsn=persist.next_lsn - 1,
             faults=db.faults,  # channels gate on faults.enabled themselves
             batch_records=batch_records,
             resend_timeout=resend_timeout,
@@ -156,13 +148,14 @@ class ReplicationCluster:
         """The simulator's post-task hook: advance shipping to ``now``."""
         self.shipper.pump(now)
 
-    def on_record(self, kind: str, lsn: int, now: float) -> float:
-        """PersistenceManager hook: one record just became durable.
+    def on_record(self, frame: bytes, kind: str, lsn: int, now: float) -> float:
+        """PersistenceManager hook: ``frame`` just became durable.
 
         Async mode returns 0 — shipping rides the between-task pump and
         costs committing transactions nothing.  Semi-sync mode waits for
         the first standby to ack the commit record and returns the wait,
         which the manager charges to the running task's meter."""
+        self.shipper.offer(frame)
         if self.mode != "semisync" or kind != "commit":
             return 0.0
         acked_at = self.shipper.wait_for_ack(lsn, now)

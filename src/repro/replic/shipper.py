@@ -1,19 +1,21 @@
-"""The primary-side WAL shipper: tail the log, stream acked batches.
+"""The primary-side WAL shipper: take each durable frame, stream acked batches.
 
-The shipper polls the primary's WAL file **by byte offset** — it
-remembers the offset of the last intact frame it has seen and re-reads
-only appended bytes (:func:`repro.persist.wal.read_wal_from`) — so a run
-of N records costs O(N) total read work, not O(N²).  Every durable
-record enters an in-memory retransmission buffer; per replica, a
-:class:`ReplicaLink` tracks a classic go-back-N window:
+The shipper never touches the log file.  The persistence manager hands it
+every frame **once the flush that made it durable has returned**
+(:meth:`WalShipper.offer`) — the very bytes the file now holds, so what a
+standby is sent is what a crash would have preserved — and the shipper
+decodes it through the shared codec, once for all replicas, into an
+in-memory retransmission buffer that holds a record until every standby
+has acked it.  Per replica, a :class:`ReplicaLink` tracks a classic
+go-back-N window:
 
 * ``sent_lsn`` — highest LSN handed to the link's send channel;
 * ``acked_lsn`` — highest LSN the standby has cumulatively acked;
 * on ack-progress timeout, ``sent_lsn`` rewinds to ``acked_lsn`` and the
   window is resent (drops and reorders on either direction heal here).
 
-Everything happens inside :meth:`WalShipper.pump`, called with the
-current virtual time: new records are batched into frames and offered to
+Everything else happens inside :meth:`WalShipper.pump`, called with the
+current virtual time: buffered records are batched into frames and offered to
 each link's :class:`~repro.replic.channel.SimChannel`; frames whose
 arrival time has passed are delivered to the standby (through the
 ``apply.frame`` fault seam); acks ride the reverse channel with their own
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import StripError
-from repro.persist.wal import read_wal_from
+from repro.persist.codec import iter_frames
 from repro.replic.channel import NetworkConfig, SimChannel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,12 +54,9 @@ ACK_BYTES = 16
 class ShipFrame:
     """One batch of contiguous records in flight to one replica."""
 
-    seq: int
     first_lsn: int
     last_lsn: int
     records: list[dict]
-    nbytes: int
-    sent_at: float
 
 
 @dataclass
@@ -85,25 +84,22 @@ class ReplicaLink:
 
 
 class WalShipper:
-    """Tails one WAL file and streams it to every attached replica."""
+    """Streams every durable record it is offered to every attached replica."""
 
     def __init__(
         self,
-        wal_path: str,
         start_lsn: int,
-        start_offset: int,
         faults=None,
         batch_records: int = 8,
         resend_timeout: float = 0.25,
         max_pump_rounds: int = 100_000,
     ) -> None:
-        self.wal_path = wal_path
-        self.read_offset = start_offset
         self.faults = faults
         self.batch_records = max(batch_records, 1)
         self.resend_timeout = resend_timeout
         self.max_pump_rounds = max_pump_rounds
-        # Retransmission buffer: records[i] has lsn == first_lsn + i.
+        # Retransmission buffer: records[i] has lsn == first_lsn + i, and a
+        # record stays until every standby has acked it (see pump).
         self.first_lsn = start_lsn + 1
         self.records: list[dict] = []
         self.sizes: list[int] = []
@@ -111,7 +107,6 @@ class WalShipper:
         self.dead = False  # a crashed primary ships nothing more
         self._seq = 0
         self.frames_apply_dropped = 0
-        self.torn_bytes = 0
 
     # ----------------------------------------------------------- attachment
 
@@ -122,6 +117,12 @@ class WalShipper:
         seed: int = 0,
     ) -> ReplicaLink:
         """Connect one standby over a fresh pair of simulated channels."""
+        if standby.applied_lsn < self.first_lsn - 1:
+            raise ReplicationError(
+                f"standby {standby.name!r} starts at lsn {standby.applied_lsn}, "
+                f"before the buffer does ({self.first_lsn}): the records "
+                "between were acked by every replica and dropped"
+            )
         link = ReplicaLink(
             standby=standby,
             send_channel=SimChannel(
@@ -138,44 +139,36 @@ class WalShipper:
         self.links.append(link)
         return link
 
-    # ------------------------------------------------------------- tailing
+    # ------------------------------------------------------------- hand-off
 
     @property
     def last_lsn(self) -> int:
-        """Highest LSN the shipper has read from the durable log."""
+        """Highest LSN the shipper has been offered."""
         return self.first_lsn + len(self.records) - 1
 
-    def poll_wal(self) -> int:
-        """Pull newly durable frames off the file; returns records gained."""
-        frames, valid, torn = read_wal_from(self.wal_path, self.read_offset)
-        self.torn_bytes = torn
-        gained = 0
-        for payload, end in frames:
-            expected = self.first_lsn + len(self.records)
-            lsn = payload.get("lsn", 0)
-            if lsn < expected and not self.records:
-                # Head-of-file records the standbys' checkpoint already
-                # reflects (a crash between checkpoint write and WAL
-                # truncation leaves them); WalApplier would skip them too.
-                self.read_offset = end
-                continue
-            if lsn != expected:
-                raise ReplicationError(
-                    f"WAL tail out of sequence: read lsn {lsn}, expected "
-                    f"{expected} (was the log truncated under the shipper?)"
-                )
-            self.records.append(payload)
-            self.sizes.append(end - self.read_offset)
-            self.read_offset = end
-            gained += 1
-        return gained
+    def offer(self, frame: bytes) -> None:
+        """Take one frame the primary's flush just made durable.  It is
+        decoded here, once for every replica, from the bytes and not from
+        the primary's payload: the buffer holds what a crash would keep."""
+        decoded = list(iter_frames(frame))
+        if len(decoded) != 1 or decoded[0][1] != len(frame):
+            raise ReplicationError(
+                f"offered {len(frame)} bytes that do not decode to exactly "
+                "one WAL record"
+            )
+        payload = decoded[0][0]
+        if payload.get("lsn") != self.last_lsn + 1:
+            raise ReplicationError(
+                f"offered record out of sequence: lsn {payload.get('lsn')}, "
+                f"expected {self.last_lsn + 1}"
+            )
+        self.records.append(payload)
+        self.sizes.append(len(frame))
 
     # ---------------------------------------------------------------- pump
 
     def pump(self, now: float) -> None:
         """Advance the whole pipeline to virtual time ``now``."""
-        if not self.dead:
-            self.poll_wal()
         for link in self.links:
             # Land what the network owes us first, so a stale ack never
             # triggers a spurious go-back-N rewind.
@@ -184,30 +177,34 @@ class WalShipper:
             if not self.dead:
                 self._maybe_resend(link, now)
                 self._fill_window(link, now)
+        if self.links:
+            # Retention is by acknowledgement: what every standby has acked
+            # can never be resent, so it leaves the buffer.
+            keep_from = min(link.acked_lsn for link in self.links) + 1
+            if keep_from > self.first_lsn:
+                del self.records[: keep_from - self.first_lsn]
+                del self.sizes[: keep_from - self.first_lsn]
+                self.first_lsn = keep_from
 
     def _fill_window(self, link: ReplicaLink, now: float) -> None:
+        if link.sent_lsn <= link.acked_lsn and link.sent_lsn < self.last_lsn:
+            # The window goes from empty to non-empty: silence counts from
+            # here (and not from every later send — under sustained load
+            # that would postpone the timeout forever).
+            link.last_progress = max(link.last_progress, now)
         while link.sent_lsn < self.last_lsn:
             first = link.sent_lsn + 1
             last = min(first + self.batch_records - 1, self.last_lsn)
             lo = first - self.first_lsn
             hi = last - self.first_lsn + 1
             nbytes = sum(self.sizes[lo:hi]) + FRAME_HEADER_BYTES
-            frame = ShipFrame(
-                seq=self._seq,
-                first_lsn=first,
-                last_lsn=last,
-                records=self.records[lo:hi],
-                nbytes=nbytes,
-                sent_at=now,
-            )
-            self._seq += 1
+            frame = ShipFrame(first, last, self.records[lo:hi])
             link.sent_lsn = last
             link.frames_sent += 1
-            if link.last_progress < now:
-                link.last_progress = now
             arrival = link.send_channel.send(nbytes, now)
             if arrival is not None:
-                link.inflight.append((arrival, frame.seq, frame))
+                self._seq += 1  # equal arrivals land in send order
+                link.inflight.append((arrival, self._seq, frame))
 
     def _deliver(self, link: ReplicaLink, now: float) -> None:
         if not link.inflight:
@@ -250,10 +247,15 @@ class WalShipper:
             return
         if now - link.last_progress < self.resend_timeout:
             return
-        if any(arrival > now for arrival, _s, _f in link.inflight) or any(
-            arrival > now for arrival, _a in link.acks
-        ):
-            return  # the pipe is still moving; let deliveries land first
+        wanted = link.acked_lsn + 1
+        if any(
+            frame.first_lsn <= wanted <= frame.last_lsn
+            for _arrival, _s, frame in link.inflight
+        ) or any(acked >= wanted for _arrival, acked in link.acks):
+            # Something that can move the cumulative ack is still on its
+            # way; let it land first.  Frames past a gap do not count — they
+            # will only be parked, however many more the primary commits.
+            return
         outstanding = link.sent_lsn - link.acked_lsn
         link.sent_lsn = link.acked_lsn
         link.resend_rounds += 1
@@ -303,7 +305,6 @@ class WalShipper:
     def drain(self, now: float) -> float:
         """Run until **every** standby acked the newest durable record
         (quiescence); returns the virtual instant it happened."""
-        self.poll_wal()
         target = self.last_lsn
         return self._run_until(
             now, lambda: all(link.acked_lsn >= target for link in self.links)
@@ -314,23 +315,15 @@ class WalShipper:
         arrive, but nothing new is sent and nothing is retransmitted.
         Returns the time the last of them landed."""
         self.dead = True
-        time = now
-        while any(link.inflight or link.acks for link in self.links):
-            pending = [
-                entry[0]
-                for link in self.links
-                for entry in (*link.inflight, *link.acks)
-            ]
-            time = max(time, max(pending))
-            self.pump(time)
-        return time
+        return self._run_until(
+            now, lambda: not any(link.inflight or link.acks for link in self.links)
+        )
 
     # -------------------------------------------------------------- stats
 
     def stats(self) -> dict:
         return {
             "last_lsn": self.last_lsn,
-            "read_offset": self.read_offset,
             "links": [
                 {
                     "replica": link.name,

@@ -1,12 +1,13 @@
 """A hot standby: a full database continuously rebuilt from shipped WAL.
 
-A :class:`Standby` bootstraps exactly like crash recovery does — load the
-primary's initial checkpoint, register the user functions, restore tables
-/ rules / pending tasks — but instead of replaying a dead process's WAL
-tail once, it keeps a :class:`~repro.persist.recovery.WalApplier` open
-and feeds it frames as the shipper delivers them.  Idempotence is
-inherited: the applier skips any record at or below its ``applied_lsn``,
-so retransmitted frames (the shipper resends on timeout) are no-ops.
+A :class:`Standby` boots the way crash recovery does, through the same
+:func:`~repro.persist.recovery.bootstrap` — load the primary's newest
+checkpoint, register the user functions, restore tables / rules / pending
+tasks, replay whatever durable WAL tail the directory holds — and then
+keeps the :class:`~repro.persist.recovery.WalApplier` open and feeds it
+frames as the shipper delivers them.  Idempotence is inherited: the
+applier skips any record at or below its ``applied_lsn``, so
+retransmitted frames (the shipper resends on timeout) are no-ops.
 
 Frames can arrive **out of LSN order** (the channel reorders); redo
 replay is only sound over a contiguous prefix, so a frame whose first
@@ -24,14 +25,11 @@ the primary is traced, on the ``counter.replication_lag`` Chrome track.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.database import Database
-from repro.errors import PersistenceError
 from repro.obs.metrics import Histogram
-from repro.persist.checkpoint import CHECKPOINT_FILE, load_snapshot, restore_snapshot
-from repro.persist.recovery import RecoveryReport, WalApplier
+from repro.persist.recovery import bootstrap
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fault.recovery import RetryPolicy
@@ -52,23 +50,8 @@ class Standby:
         self.tracer = tracer  # the *primary's* tracer (may be None)
         self.db = Database()
         self.db.metrics.set_keep_records(False)
-        if functions:
-            for fn_name, fn in functions.items():
-                self.db.functions.register(fn_name, fn, replace=True)
-        snapshot = load_snapshot(os.path.join(wal_dir, CHECKPOINT_FILE))
-        if snapshot is None:
-            raise PersistenceError(
-                f"{wal_dir}: no checkpoint to bootstrap standby {name!r} from"
-            )
-        pending = restore_snapshot(self.db, snapshot)
-        self.report = RecoveryReport(wal_dir=str(wal_dir))
-        self.applier = WalApplier(
-            self.db,
-            start_lsn=snapshot["lsn"],
-            pending=pending,
-            start_time=snapshot["now"],
-            report=self.report,
-        )
+        self.applier = bootstrap(self.db, wal_dir, functions)
+        self.report = self.applier.report
         # factor=2 buckets: decade buckets would round a 20ms lag up to
         # the 100ms bound in the percentile estimate.
         self.lag_hist = Histogram(

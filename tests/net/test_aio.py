@@ -5,8 +5,10 @@ import asyncio
 import pytest
 
 from repro.database import Database
+from repro.net import aio
 from repro.net.aio import AsyncNetClient, AsyncNetServer
 from repro.net.server import NetServer
+from repro.persist.codec import FRAME
 
 
 def make_server():
@@ -126,6 +128,63 @@ class TestTextFraming:
             assert lines[0].startswith("OK 0")
             assert lines[1].startswith("ERR")
             assert lines[2].startswith("ROWS")
+            writer.close()
+            await server.close()
+
+        run(scenario())
+
+
+class TestHostilePeers:
+    """Neither framing lets a peer make the server buffer without bound."""
+
+    def test_binary_header_past_the_bound_closes_the_connection(self):
+        async def scenario():
+            server = make_server()
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(FRAME.pack(0xFFFFFFFF, 0))  # "4 GiB follow"
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), 10.0) == b""  # hung up
+            writer.close()
+            assert all(s.closed for s in server.core.sessions.values())
+            await server.close()
+
+        run(scenario())
+
+    def test_text_line_past_the_bound_gets_an_err_and_a_hangup(self, monkeypatch):
+        monkeypatch.setattr(aio, "MAX_FRAME_BYTES", 4096)
+
+        async def scenario():
+            server = make_server()
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(b"HELLO strip/1\n")
+            await writer.drain()
+            assert (await reader.readline()).startswith(b"OK 0")
+            writer.write(b"select " + b"x" * 8192)  # and never a newline
+            await writer.drain()
+            rest = await asyncio.wait_for(reader.read(), 10.0)  # to EOF
+            assert rest.startswith(b"ERR") and b"frame bound" in rest
+            writer.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_text_line_of_the_bound_is_still_served(self, monkeypatch):
+        monkeypatch.setattr(aio, "MAX_FRAME_BYTES", 4096)
+
+        async def scenario():
+            server = make_server()
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            query = b"select price from stocks where symbol = 'A'"
+            writer.write(b"HELLO strip/1\n" + query.ljust(4096))  # no newline yet
+            await writer.drain()
+            assert (await reader.readline()).startswith(b"OK 0")
+            await asyncio.sleep(0.05)  # the server has buffered the partial line
+            writer.write(b"\n")
+            await writer.drain()
+            assert (await asyncio.wait_for(reader.readline(), 10.0)).startswith(b"ROWS")
             writer.close()
             await server.close()
 

@@ -11,8 +11,10 @@ import zlib
 
 import pytest
 
+from repro.persist import codec
 from repro.persist.codec import (
     FRAME,
+    MAX_FRAME_BYTES,
     FrameDecoder,
     FrameError,
     decode_payload,
@@ -104,3 +106,35 @@ class TestStreamMode:
         body = b"[1,2,3]"  # valid JSON, wrong shape
         with pytest.raises(FrameError, match="object"):
             decode_payload(body, zlib.crc32(body))
+
+
+class TestStreamFrameBound:
+    """A peer's length prefix is a claim, not a fact: the stream decoder
+    refuses one past the bound on the header alone."""
+
+    @pytest.mark.parametrize("announced", [MAX_FRAME_BYTES + 1, 0xFFFFFFFF])
+    def test_oversized_header_raises_before_any_body_is_buffered(self, announced):
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError, match=f"announces {announced} bytes"):
+            decoder.feed(FRAME.pack(announced, 0))
+        assert decoder.pending_bytes == FRAME.size
+        assert decoder.frames_decoded == 0
+
+    def test_oversized_header_behind_good_frames_still_raises(self):
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError, match="bound"):
+            decoder.feed(blob_of(PAYLOADS) + FRAME.pack(MAX_FRAME_BYTES + 1, 0) + b"x" * 64)
+
+    def test_a_frame_of_exactly_the_bound_still_decodes(self, monkeypatch):
+        payload = {"pad": "x" * 1000}
+        frame = encode_frame(payload)
+        monkeypatch.setattr(codec, "MAX_FRAME_BYTES", len(frame) - FRAME.size)
+        assert FrameDecoder().feed(frame) == [payload]
+        monkeypatch.setattr(codec, "MAX_FRAME_BYTES", len(frame) - FRAME.size - 1)
+        with pytest.raises(FrameError, match="bound"):
+            FrameDecoder().feed(frame)
+
+    def test_the_file_reader_has_no_bound(self, monkeypatch):
+        """A cap there would read a large durable record as a torn tail."""
+        monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 8)
+        assert [p for p, _ in iter_frames(blob_of(PAYLOADS))] == PAYLOADS

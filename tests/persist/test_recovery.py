@@ -659,9 +659,8 @@ class TestReplayWorkCounted:
 
         recovered = Database()
         report = recover(recovered, wal_dir, functions=function_registry())
+        # A standby boots through the same durable tail, the same way.
         standby = Standby("r0", wal_dir, functions=function_registry())
-        for start in range(0, len(records), 8):
-            standby.receive(records[start:start + 8], arrival=float(start))
 
         assert +counts == {"lookup": 2 * located}  # once per located row; no scan
         for replayed, its_report in ((recovered, report), (standby.db, standby.report)):

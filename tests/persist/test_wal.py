@@ -13,7 +13,6 @@ from repro.persist.wal import (
     encode_record,
     iter_frames,
     read_wal,
-    read_wal_from,
 )
 
 
@@ -85,87 +84,6 @@ class TestReadWal:
         assert valid == os.path.getsize(path) - 17
 
 
-class TestReadWalFrom:
-    """The replication tailing helper: incremental reads by byte offset."""
-
-    def test_offset_zero_equals_read_wal(self, tmp_path):
-        path = tmp_path / "wal.log"
-        write_records(path, [{"lsn": 1}, {"lsn": 2}])
-        frames, valid, torn = read_wal_from(path, 0)
-        assert [p["lsn"] for p, _end in frames] == [1, 2]
-        assert (valid, torn) == (os.path.getsize(path), 0)
-
-    def test_tail_from_frame_boundary(self, tmp_path):
-        path = tmp_path / "wal.log"
-        write_records(path, [{"lsn": 1}, {"lsn": 2}, {"lsn": 3}])
-        frames, _valid, _torn = read_wal_from(path, 0)
-        # Resume from the end of the first frame: only the tail comes back,
-        # and end offsets stay absolute (resumable).
-        first_end = frames[0][1]
-        tail, valid, torn = read_wal_from(path, first_end)
-        assert [p["lsn"] for p, _end in tail] == [2, 3]
-        assert [end for _p, end in tail] == [frames[1][1], frames[2][1]]
-        assert valid == os.path.getsize(path)
-        assert torn == 0
-
-    def test_tail_at_eof_is_empty(self, tmp_path):
-        path = tmp_path / "wal.log"
-        write_records(path, [{"lsn": 1}])
-        size = os.path.getsize(path)
-        frames, valid, torn = read_wal_from(path, size)
-        assert (frames, valid, torn) == ([], size, 0)
-
-    def test_torn_tail_then_grows(self, tmp_path):
-        """A torn frame at the tail is skipped, and once the writer
-        completes it, re-reading from the same offset sees the record."""
-        path = tmp_path / "wal.log"
-        write_records(path, [{"lsn": 1}])
-        offset = os.path.getsize(path)
-        whole = encode_record({"lsn": 2, "pad": "z" * 64})
-        with open(path, "ab") as handle:
-            handle.write(whole[:-20])  # mid-file from the reader's view
-        frames, valid, torn = read_wal_from(path, offset)
-        assert frames == []
-        assert valid == offset
-        assert torn == len(whole) - 20
-        with open(path, "ab") as handle:
-            handle.write(whole[-20:])
-        frames, valid, torn = read_wal_from(path, offset)
-        assert [p["lsn"] for p, _end in frames] == [2]
-        assert torn == 0
-        assert valid == os.path.getsize(path)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert read_wal_from(tmp_path / "nope.log", 0) == ([], 0, 0)
-        assert read_wal_from(tmp_path / "nope.log", 100) == ([], 0, 0)
-
-    def test_bad_magic_checked_only_at_start(self, tmp_path):
-        path = tmp_path / "not-a-wal"
-        path.write_bytes(b"XXXXXXXX" + encode_record({"lsn": 1}))
-        with pytest.raises(PersistenceError):
-            read_wal_from(path, 0)
-        # Past the header the bytes are trusted to be frame-aligned.
-        frames, _valid, _torn = read_wal_from(path, 8)
-        assert [p["lsn"] for p, _end in frames] == [1]
-
-    def test_live_wal_read_from_sees_only_durable(self, tmp_path):
-        """WriteAheadLog.read_from exposes flushed frames only — a tailer
-        sees exactly what a crash would preserve, never buffered appends."""
-        path = tmp_path / "wal.log"
-        wal = WriteAheadLog(path)
-        wal.append({"lsn": 1})
-        wal.flush()
-        frames, valid, _torn = wal.read_from(len(MAGIC))
-        assert [p["lsn"] for p, _end in frames] == [1]
-        wal.append({"lsn": 2})  # buffered, not yet flushed
-        assert wal.read_from(valid)[0] == []
-        wal.flush()
-        frames, valid2, _torn = wal.read_from(valid)
-        assert [p["lsn"] for p, _end in frames] == [2]
-        assert valid2 > valid
-        wal.close()
-
-
 class TestWriteAheadLog:
     def test_append_is_buffered_until_flush(self, tmp_path):
         path = tmp_path / "wal.log"
@@ -220,6 +138,28 @@ class TestWriteAheadLog:
         wal.append({"lsn": 1})
         wal.close()
         assert [r["lsn"] for r in read_wal(path)[0]] == [1]
+
+    def test_append_returns_the_frame_the_flush_writes(self, tmp_path):
+        """What the manager hands a replica is byte for byte what the file
+        holds: the hand-off never sees more than a crash would preserve."""
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        frames = [wal.append({"lsn": lsn, "kind": "noop"}) for lsn in (1, 2)]
+        assert frames == [encode_record({"lsn": lsn, "kind": "noop"}) for lsn in (1, 2)]
+        wal.flush()
+        wal.close()
+        assert path.read_bytes() == MAGIC + b"".join(frames)
+
+    def test_abandon_closes_without_flushing(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        wal.append({"lsn": 1})
+        wal.flush()
+        wal.append({"lsn": 2})  # buffered when the process "dies"
+        wal.abandon()
+        assert wal.pending_count == 0
+        assert [r["lsn"] for r in read_wal(path)[0]] == [1]
+        wal.close()  # idempotent on a closed log
 
     def test_sync_mode_round_trips(self, tmp_path):
         path = tmp_path / "wal.log"

@@ -1,17 +1,21 @@
 """Standby tests: continuous apply, reorder buffering, idempotence, lag.
 
-The fixture is a real completed primary run (checkpoint + WAL on disk);
-the standby is fed that WAL's records by hand, which lets every delivery
-order — in-order, gapped, stale, overlapping — be staged precisely.
+The fixture is a real completed primary run (checkpoint + WAL on disk).
+A standby boots through whatever durable WAL tail its directory holds, so
+the standbys here boot from a directory holding the checkpoint only and
+are fed the WAL's records by hand, which lets every delivery order —
+in-order, gapped, stale, overlapping — be staged precisely.
 """
 
 import os
+import shutil
 
 import pytest
 
 from repro.errors import PersistenceError
+from repro.persist.checkpoint import CHECKPOINT_FILE
 from repro.persist.manager import WAL_FILE
-from repro.persist.wal import read_wal
+from repro.persist.wal import WriteAheadLog, read_wal
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
 from repro.pta.workload import run_experiment
@@ -25,7 +29,8 @@ MICRO = Scale(
 
 @pytest.fixture(scope="module")
 def primary_run(tmp_path_factory):
-    """A completed persistence-on run: WAL dir, final db, WAL records."""
+    """A completed persistence-on run: a directory holding its checkpoint
+    only, the final db, and the WAL records the checkpoint does not hold."""
     wal_dir = str(tmp_path_factory.mktemp("repl-primary"))
     db_out = []
     run_experiment(
@@ -34,7 +39,9 @@ def primary_run(tmp_path_factory):
     )
     records, _valid, _torn = read_wal(os.path.join(wal_dir, WAL_FILE))
     assert len(records) >= 40
-    return wal_dir, db_out[0], records
+    boot_dir = str(tmp_path_factory.mktemp("repl-checkpoint-only"))
+    shutil.copy(os.path.join(wal_dir, CHECKPOINT_FILE), boot_dir)
+    return boot_dir, db_out[0], records
 
 
 def make_standby(wal_dir, name="r0"):
@@ -116,6 +123,30 @@ class TestBootstrap:
     def test_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(PersistenceError):
             Standby("r0", str(tmp_path))
+
+    def test_boots_through_the_durable_tail_as_recovery_does(
+        self, primary_run, tmp_path
+    ):
+        """Checkpoint + WAL in the directory: the standby starts at the newest
+        durable record, row-identical to the primary, having been shipped
+        nothing — and a retransmission of that tail is stale."""
+        boot_dir, primary_db, records = primary_run
+        shutil.copy(os.path.join(boot_dir, CHECKPOINT_FILE), tmp_path)
+        wal = WriteAheadLog(tmp_path / WAL_FILE)
+        for record in records:
+            wal.append(record)
+        wal.close()
+        standby = make_standby(str(tmp_path))
+        assert standby.applied_lsn == records[-1]["lsn"]
+        assert standby.report.records_replayed == len(records)
+        assert standby.applied_records == 0
+        assert standby.last_commit_time == max(
+            r["time"] for r in records if r["kind"] == "commit"
+        )
+        report = check_replica_equivalence(primary_db, standby.db)
+        assert report.ok, report.format()
+        standby.receive(records[-8:], 1.0)
+        assert standby.frames_stale == 1 and standby.applied_records == 0
 
 
 class TestPromotion:
