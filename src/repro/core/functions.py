@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from repro.errors import FunctionError
+from repro.errors import FunctionError, SchemaError
 from repro.storage.temptable import TempTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,6 +52,20 @@ class FunctionRegistry:
         return sorted(self._functions)
 
 
+def _charged(rows: Iterator[tuple], meter: Any, seconds: float) -> Iterator[tuple]:
+    """``rows``, with ``user_row`` charged before each one is handed over
+    and the count landed once, however the consumer stops (DESIGN.md 6a)."""
+    count = 0
+    try:
+        for values in rows:
+            meter.total += seconds
+            count += 1
+            yield values
+    finally:
+        if count:
+            meter.ops["user_row"] += count
+
+
 class FunctionContext:
     """Runtime environment handed to a user function.
 
@@ -87,20 +101,25 @@ class FunctionContext:
     def has_bound(self, name: str) -> bool:
         return name in self.task.bound_tables
 
-    def rows(self, name: str) -> Iterator[dict[str, Any]]:
-        """Iterate a bound table as dictionaries, charging per-row user cost."""
+    def columns(self, name: str, *columns: str) -> Iterator[tuple]:
+        """Iterate the named columns of a bound table, one tuple per row,
+        charging per-row user cost.  Table, offsets and the compiled reader
+        are resolved here, at the call — a wrong name fails now, not at the
+        first ``next()`` — so a row costs one read and one charge."""
         table = self.bound(name)
-        names = table.schema.names()
-        meter, cost = self.db.metering()
-        seconds, count = cost["user_row"], 0
         try:
-            for values in table.scan_values():
-                meter.total += seconds
-                count += 1
-                yield dict(zip(names, values))
-        finally:
-            if count:
-                meter.ops["user_row"] += count
+            offsets = [table.schema.offset(column) for column in columns]
+        except SchemaError as exc:  # names the column and the ones available
+            raise FunctionError(f"bound table {name!r}: {exc}") from None
+        rows = table.scan_columns(offsets)
+        meter, cost = self.db.metering()
+        return _charged(rows, meter, cost["user_row"])
+
+    def rows(self, name: str) -> Iterator[dict[str, Any]]:
+        """Iterate a bound table as dictionaries: :meth:`columns` over every
+        column, zipped with the names (same charges, a dict per row)."""
+        names = self.bound(name).schema.names()
+        return map(lambda values: dict(zip(names, values)), self.columns(name, *names))
 
     # ------------------------------------------------------------- utility
 

@@ -340,8 +340,8 @@ class FoldedTable(TempTable):
                 f"({other.schema!r} vs {self.schema!r})"
             )
         take = self._fold if self.folding else self.append_values
-        for values in other.scan_values():
-            take(tuple(values))
+        for values in other.scan_columns(range(len(self.schema))):
+            take(values)
         return len(other)
 
     def move_from(self, other: TempTable) -> int:

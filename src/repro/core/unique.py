@@ -62,19 +62,8 @@ def _group_rows(source: TempTable, offsets: list[int]) -> dict[tuple, list]:
     """``source``'s raw rows grouped by their values at ``offsets``, in
     first-seen key order (one pass; partitions are built from the groups,
     never by rescanning the source)."""
-    sources = source.static_map.sources
-    getters = [
-        (sources[at].kind == "ptr", sources[at].slot, sources[at].offset) for at in offsets
-    ]
     groups: dict[tuple, list] = {}
-    for raw in source.scan_raw():
-        ptrs, mats = raw
-        key = tuple(
-            [
-                ptrs[slot].values[offset] if is_ptr else mats[slot]
-                for is_ptr, slot, offset in getters
-            ]
-        )
+    for key, raw in zip(source.scan_columns(offsets), source.scan_raw()):
         group = groups.get(key)
         if group is None:
             groups[key] = [raw]
@@ -280,7 +269,7 @@ class UniqueManager:
         faults = self.db.faults
         if faults.enabled:
             faults.check_raise("unique.absorb", task.klass)
-        if set(bound) != set(task.bound_tables):
+        if bound.keys() != task.bound_tables.keys():
             raise BindingError(
                 f"function {task.function_name!r}: bound tables differ across rules "
                 f"({sorted(bound)} vs {sorted(task.bound_tables)})"

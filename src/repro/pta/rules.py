@@ -63,6 +63,12 @@ _OPTION_CONDITION = """
     bind as matches
 """
 
+#: What the functions read of a bound row, as ``ctx.columns`` hands it over
+#: (a tuple in this order): the derived key first, then the delta's inputs.
+_COMP_ROW = ("comp", "weight", "old_price", "new_price")
+_SECTOR_ROW = ("sector", "weight", "old_price", "new_price")
+_OPTION_ROW = ("option_symbol", "stock_symbol", "strike", "expiration", "new_price")
+
 
 # --------------------------------------------------------------------------
 # Composite maintenance functions
@@ -71,12 +77,12 @@ _OPTION_CONDITION = """
 
 def compute_comps1(ctx: "FunctionContext") -> None:
     """Figure 3: incremental update, one read-modify-write per bound row."""
-    for row in ctx.rows("matches"):
-        change = row["weight"] * (row["new_price"] - row["old_price"])
+    for comp, weight, old_price, new_price in ctx.columns("matches", *_COMP_ROW):
+        change = weight * (new_price - old_price)
         ctx.charge("arith", 2)
         ctx.execute(
             "update comp_prices set price += :d where comp = :c",
-            {"d": change, "c": row["comp"]},
+            {"d": change, "c": comp},
         )
 
 
@@ -84,10 +90,10 @@ def compute_comps2(ctx: "FunctionContext") -> None:
     """Figure 6: group the batch by composite in application code, then
     apply one aggregated change per composite."""
     diffs: dict[str, float] = {}
-    for row in ctx.rows("matches"):
+    for comp, weight, old_price, new_price in ctx.columns("matches", *_COMP_ROW):
         ctx.charge("user_group_row")
-        delta = row["weight"] * (row["new_price"] - row["old_price"])
-        diffs[row["comp"]] = diffs.get(row["comp"], 0.0) + delta
+        delta = weight * (new_price - old_price)
+        diffs[comp] = diffs.get(comp, 0.0) + delta
     for comp, diff in diffs.items():
         ctx.execute(
             "update comp_prices set price += :d where comp = :c",
@@ -99,10 +105,9 @@ def compute_comps3(ctx: "FunctionContext") -> None:
     """Figure 7: all rows concern one composite; accumulate and apply once."""
     total = 0.0
     comp = None
-    for row in ctx.rows("matches"):
+    for comp, weight, old_price, new_price in ctx.columns("matches", *_COMP_ROW):
         ctx.charge("arith", 2)
-        comp = row["comp"]
-        total += row["weight"] * (row["new_price"] - row["old_price"])
+        total += weight * (new_price - old_price)
     if comp is not None:
         ctx.execute(
             "update comp_prices set price += :d where comp = :c",
@@ -115,10 +120,10 @@ def compute_sectors(ctx: "FunctionContext") -> None:
     indexes.  Same telescoping-delta shape as :func:`compute_comps2`, one
     stratum up — the bound rows came from another rule's action writes."""
     diffs: dict[str, float] = {}
-    for row in ctx.rows("matches"):
+    for sector, weight, old_price, new_price in ctx.columns("matches", *_SECTOR_ROW):
         ctx.charge("user_group_row")
-        delta = row["weight"] * (row["new_price"] - row["old_price"])
-        diffs[row["sector"]] = diffs.get(row["sector"], 0.0) + delta
+        delta = weight * (new_price - old_price)
+        diffs[sector] = diffs.get(sector, 0.0) + delta
     for sector, diff in diffs.items():
         ctx.execute(
             "update sector_prices set price += :d where sector = :s",
@@ -150,28 +155,27 @@ def _reprice(ctx: "FunctionContext", option_symbol: str, price: float) -> None:
 
 def compute_options1(ctx: "FunctionContext") -> None:
     """Figure 8: recompute every bound row (one Black-Scholes per quote)."""
-    for row in ctx.rows("matches"):
-        stdev = _stdev_of(ctx, row["stock_symbol"])
+    for option_symbol, stock, strike, expiration, new_price in ctx.columns("matches", *_OPTION_ROW):
+        stdev = _stdev_of(ctx, stock)
         ctx.charge("f_bs")
-        price = call_price(row["new_price"], row["strike"], row["expiration"], stdev)
-        _reprice(ctx, row["option_symbol"], price)
+        price = call_price(new_price, strike, expiration, stdev)
+        _reprice(ctx, option_symbol, price)
 
 
 def compute_options2(ctx: "FunctionContext") -> None:
     """Coarse batching: group by option in application code, keep only the
     last quote per option, price once."""
-    last: dict[str, dict] = {}
-    for row in ctx.rows("matches"):
+    last: dict[str, tuple] = {}
+    for row in ctx.columns("matches", *_OPTION_ROW):
         ctx.charge("user_group_row")
-        last[row["option_symbol"]] = row  # rows arrive in commit order
+        last[row[0]] = row  # rows arrive in commit order
     stdev_cache: dict[str, float] = {}
-    for option_symbol, row in last.items():
-        stock = row["stock_symbol"]
+    for option_symbol, stock, strike, expiration, new_price in last.values():
         stdev = stdev_cache.get(stock)
         if stdev is None:
             stdev = stdev_cache[stock] = _stdev_of(ctx, stock)
         ctx.charge("f_bs")
-        price = call_price(row["new_price"], row["strike"], row["expiration"], stdev)
+        price = call_price(new_price, strike, expiration, stdev)
         _reprice(ctx, option_symbol, price)
 
 
@@ -179,17 +183,17 @@ def compute_options_sym(ctx: "FunctionContext") -> None:
     """``unique on stock_symbol``: every row concerns one stock, so the
     stdev is fetched once and partial results are shared; only the last
     quote per option is priced."""
-    last: dict[str, dict] = {}
-    for row in ctx.rows("matches"):
+    last: dict[str, tuple] = {}
+    for row in ctx.columns("matches", *_OPTION_ROW):
         ctx.charge("arith")
-        last[row["option_symbol"]] = row
+        last[row[0]] = row
     if not last:
         return
     any_row = next(iter(last.values()))
-    stdev = _stdev_of(ctx, any_row["stock_symbol"])
-    for option_symbol, row in last.items():
+    stdev = _stdev_of(ctx, any_row[1])
+    for option_symbol, _stock, strike, expiration, new_price in last.values():
         ctx.charge("f_bs")
-        price = call_price(row["new_price"], row["strike"], row["expiration"], stdev)
+        price = call_price(new_price, strike, expiration, stdev)
         _reprice(ctx, option_symbol, price)
 
 
@@ -197,14 +201,15 @@ def compute_options_opt(ctx: "FunctionContext") -> None:
     """``unique on option_symbol``: price the single option from its last
     quote in the window."""
     row = None
-    for row in ctx.rows("matches"):
+    for row in ctx.columns("matches", *_OPTION_ROW):
         ctx.charge("arith")
     if row is None:
         return
-    stdev = _stdev_of(ctx, row["stock_symbol"])
+    option_symbol, stock, strike, expiration, new_price = row
+    stdev = _stdev_of(ctx, stock)
     ctx.charge("f_bs")
-    price = call_price(row["new_price"], row["strike"], row["expiration"], stdev)
-    _reprice(ctx, row["option_symbol"], price)
+    price = call_price(new_price, strike, expiration, stdev)
+    _reprice(ctx, option_symbol, price)
 
 
 # --------------------------------------------------------------------------
@@ -387,23 +392,23 @@ def maintain_option_listings(ctx: "FunctionContext") -> None:
     when the option exchanges create new options and expunge expired
     options" and leaves those rules out of its experiments; this is the
     rule the full application would carry."""
-    for row in ctx.rows("expunged"):
+    for (option_symbol,) in ctx.columns("expunged", "option_symbol"):
         ctx.execute(
             "delete from option_prices where option_symbol = :o",
-            {"o": row["option_symbol"]},
+            {"o": option_symbol},
         )
-    for row in ctx.rows("listed"):
-        stock = ctx.db.catalog.table("stocks").get_one("symbol", row["stock_symbol"])
+    for option_symbol, stock_symbol, strike, expiration in ctx.columns("listed", *_OPTION_ROW[:4]):
+        stock = ctx.db.catalog.table("stocks").get_one("symbol", stock_symbol)
         ctx.charge("index_probe")
         ctx.charge("cursor_fetch")
         if stock is None:
             continue
-        stdev = _stdev_of(ctx, row["stock_symbol"])
+        stdev = _stdev_of(ctx, stock_symbol)
         ctx.charge("f_bs")
-        price = call_price(stock.values[1], row["strike"], row["expiration"], stdev)
+        price = call_price(stock.values[1], strike, expiration, stdev)
         ctx.execute(
             "insert into option_prices values (:o, :p)",
-            {"o": row["option_symbol"], "p": price},
+            {"o": option_symbol, "p": price},
         )
 
 

@@ -33,7 +33,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
 from repro.sql.expressions import Getter, compile_expr, truthy
 from repro.storage.schema import Column, ColumnType, Schema
-from repro.storage.temptable import ColumnSource, StaticMap, TempTable
+from repro.storage.temptable import ColumnSource, StaticMap, TempTable, generate
 
 # --------------------------------------------------------------------------
 # Source descriptions
@@ -322,8 +322,7 @@ def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
     lines += ["    try:", *nest.body, "    finally:", "        ops = meter.ops"]
     for k, counter in enumerate(nest.counters):
         lines += [f"        if k{k}:"] + [f"            ops[{op!r}] += k{k}" for op in counter]
-    exec(compile("\n".join(lines), f"<nest {sink}>", "exec"), nest.names)
-    return nest.names["nest"]
+    return generate(lines, "nest", f"<nest {sink}>", nest.names)
 
 
 def _fetch_instance(
@@ -1039,10 +1038,9 @@ class _SelectResolution:
                 slot, inner = source.slot, source.offset
                 getter = lambda env, p=pos, s=slot, o=inner: env[p][0][s].values[o]
                 ptr = ((lambda env, p=pos, s=slot: env[p][0][s]), inner, ("tmp", pos, slot))
-                inline = f"h{pos}[0][{slot}].values[{inner}]"
             else:
                 getter = lambda env, p=pos, s=source.slot: env[p][1][s]
-                inline = f"h{pos}[1][{source.slot}]"
+            inline = source.text(f"h{pos}[0]", f"h{pos}[1]")  # handle = (ptrs, mats)
         else:
             getter = lambda env, p=pos, o=offset: env[p][o]
             inline = f"h{pos}[{offset}]"

@@ -16,8 +16,10 @@ retired (reference counting).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from itertools import starmap
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import BindingError, SchemaError
 from repro.storage.schema import Schema
@@ -39,6 +41,37 @@ class ColumnSource:
     def __post_init__(self) -> None:
         if self.kind not in ("ptr", "mat"):
             raise SchemaError(f"bad column source kind {self.kind!r}")
+
+    def text(self, ptrs: str, mats: str) -> str:
+        """The one spelling of "this column of a raw row", as source text
+        over the expressions that name the row's pointer tuple and its
+        materialized tuple.  Integers only (``:d`` refuses anything else):
+        no table or column name ever reaches generated code."""
+        if self.kind == "ptr":
+            return f"{ptrs}[{self.slot:d}].values[{self.offset:d}]"
+        return f"{mats}[{self.slot:d}]"
+
+
+def generate(lines: Sequence[str], name: str, filename: str, names: dict[str, Any]) -> Callable:
+    """Compile generated source that defines function ``name`` with
+    ``names`` as its globals, and return the function.  The only ``exec``
+    in the library (DESIGN.md 6a): the SELECT loop nests of
+    ``sql/planner.py`` and the row readers below both come through here,
+    and what they interpolate is offsets, slots and names they made up
+    themselves — never text from a statement or a schema."""
+    exec(compile("\n".join(lines), filename, "exec"), names)
+    return names[name]
+
+
+@functools.lru_cache(maxsize=512)
+def _reader(sources: tuple[ColumnSource, ...], display: str) -> Callable:
+    """``(ptrs, mats) -> values`` for one tuple of column sources, as a
+    tuple (``display`` "()") or a fresh list ("[]").  Cached by the sources
+    themselves, so every table, task and database with the same column
+    shape shares one function and nothing is compiled per table."""
+    items = "".join(source.text("ptrs", "mats") + ", " for source in sources)
+    line = f"def read(ptrs, mats): return {display[0]}{items}{display[1]}"
+    return generate([line], "read", f"<reader {display}>", {})
 
 
 class StaticMap:
@@ -75,6 +108,15 @@ class StaticMap:
             [ColumnSource("ptr", 0, offset) for offset in range(len(schema))],
             ptr_labels=(label,),
         )
+
+    def reader(self, offsets: Iterable[int]) -> Callable:
+        """The compiled read of the columns at ``offsets`` from one raw
+        row: ``(ptrs, mats) -> tuple``."""
+        return _reader(tuple([self.sources[at] for at in offsets]), "()")
+
+    def row_reader(self) -> Callable:
+        """The compiled read of a whole row: ``(ptrs, mats) -> list``."""
+        return _reader(self.sources, "[]")
 
     def signature(self) -> tuple:
         """A comparable shape identity (bound tables of one user function
@@ -170,6 +212,7 @@ class TempTable:
         batching, paper sections 2 and 6.3), pinning their records again;
         ``other`` is left as it was.  Returns the number of rows added."""
         self._check_identical(other)
+        other._check_live()
         for ptrs, mats in other._rows:
             for record in ptrs:
                 record.pin()
@@ -192,6 +235,7 @@ class TempTable:
         """A fresh table defined identically to this one, holding ``rows`` —
         raw ``(ptrs, mats)`` pairs of this table (``unique on``
         partitioning) — and pinning their records."""
+        self._check_live()
         copy = TempTable(self.name, self.schema, self.static_map)
         for ptrs, mats in rows:
             for record in ptrs:
@@ -228,39 +272,36 @@ class TempTable:
 
     # -------------------------------------------------------------- access
 
+    # Every read goes through the static map's compiled reader and refuses
+    # a retired table as the writes do: a retired table holds no rows, and
+    # reading "nothing" from it would let derived data go stale silently.
+
     def value_at(self, row_index: int, column_offset: int) -> Any:
-        ptrs, mats = self._rows[row_index]
-        source = self.static_map.sources[column_offset]
-        if source.kind == "ptr":
-            return ptrs[source.slot].values[source.offset]
-        return mats[source.slot]
+        self._check_live()
+        return self.static_map.reader((column_offset,))(*self._rows[row_index])[0]
 
     def row_values(self, row_index: int) -> list[Any]:
-        ptrs, mats = self._rows[row_index]
-        values = []
-        for source in self.static_map.sources:
-            if source.kind == "ptr":
-                values.append(ptrs[source.slot].values[source.offset])
-            else:
-                values.append(mats[source.slot])
-        return values
+        self._check_live()
+        return self.static_map.row_reader()(*self._rows[row_index])
 
     def scan_values(self) -> Iterator[list[Any]]:
         """Iterate rows as plain value lists (the executor's row source)."""
-        sources = self.static_map.sources
-        for ptrs, mats in self._rows:
-            yield [
-                ptrs[s.slot].values[s.offset] if s.kind == "ptr" else mats[s.slot]
-                for s in sources
-            ]
+        self._check_live()
+        return starmap(self.static_map.row_reader(), self._rows)
+
+    def scan_columns(self, offsets: Iterable[int]) -> Iterator[tuple]:
+        """Iterate rows as tuples of the columns at ``offsets`` only."""
+        self._check_live()
+        return starmap(self.static_map.reader(offsets), self._rows)
 
     def scan_raw(self) -> Iterator[tuple[tuple[Record, ...], tuple[Any, ...]]]:
+        self._check_live()
         return iter(self._rows)
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Rows as dictionaries — convenient in user functions and tests."""
         names = self.schema.names()
-        return [dict(zip(names, self.row_values(i))) for i in range(len(self._rows))]
+        return [dict(zip(names, values)) for values in self.scan_values()]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -281,7 +322,7 @@ def project_columns(
     offsets = [table.schema.offset(column) for column in columns]
     schema = Schema([table.schema.columns[offset] for offset in offsets])
     result = TempTable(name, schema)
-    for i in range(len(table)):
-        values = table.row_values(i)
-        result.append_values([values[offset] for offset in offsets])
+    append = result.row_sink(0, len(offsets))
+    for mats in table.scan_columns(offsets):
+        append(((), mats))
     return result

@@ -65,7 +65,7 @@ view — over-deletion in the extreme, always safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.core.rules import Rule
 from repro.core.transition import EXECUTE_ORDER
@@ -457,6 +457,24 @@ def _mark_queries(
     return queries
 
 
+def _bound_columns(
+    ctx: "FunctionContext", bound_name: str, required: Sequence[str], optional: Sequence[str]
+) -> Iterator[tuple]:
+    """``ctx.columns`` over ``required`` then ``optional``; nothing for a table
+    the strategy leaves unbound.  An optional column the table does not have
+    reads as None in every row — decided here, once, from its schema."""
+    if not ctx.has_bound(bound_name):
+        return iter(())
+    schema = ctx.bound(bound_name).schema
+    present = [name for name in optional if schema.has_column(name)]
+    rows = ctx.columns(bound_name, *required, *present)
+    if len(present) == len(optional):
+        return rows
+    at = {name: position for position, name in enumerate((*required, *present))}
+    picks = [at.get(name) for name in (*required, *optional)]
+    return (tuple([None if p is None else values[p] for p in picks]) for values in rows)
+
+
 def _collect_marks(
     ctx: "FunctionContext", key_names: Sequence[str], stats: MaintenanceStats
 ) -> tuple[set[tuple], bool]:
@@ -464,16 +482,15 @@ def _collect_marks(
     marked: set[tuple] = set()
     wild = False
     for bound_name in ("marks_del", "marks_old"):
-        if not ctx.has_bound(bound_name):
-            continue
-        for row in ctx.rows(bound_name):
+        # A wild mark table projects the flag alone; its keys are not looked at.
+        for *key, flag in _bound_columns(ctx, bound_name, (), (*key_names, WILD_MARK)):
             ctx.charge("dred_mark")
             if bound_name == "marks_del":
                 stats.deletions_seen += 1
-            if row.get(WILD_MARK):
+            if flag:
                 wild = True
             else:
-                marked.add(tuple(row[name] for name in key_names))
+                marked.add(tuple(key))
     stats.keys_marked += len(marked)
     return marked, wild
 
@@ -823,12 +840,11 @@ class _AggregateKind(_ViewKind):
     def fold(self, ctx: "FunctionContext") -> dict[tuple, list]:
         """Per group: ``[count delta, sum delta per aggregate...]``."""
         changes: dict[tuple, list] = {}
+        n_keys = len(self.key_names)
+        columns = (*self.key_names, *(f"arg_{name}" for _agg, name in self.aggs))
         for (bound_name, _transition), sign in zip(self.deltas, (1, 1, -1, -1)):
-            if not ctx.has_bound(bound_name):
-                continue
-            for row in ctx.rows(bound_name):
-                key = tuple(row[name] for name in self.key_names)
-                seq = row.get(MAINT_SEQ) or 0
+            for values in _bound_columns(ctx, bound_name, columns, (MAINT_SEQ,)):
+                key, seq = values[:n_keys], values[-1]
                 horizon = max(self.recomputed_at, self.rederived_at.get(key, 0))
                 if seq and seq <= horizon:
                     continue  # a requery already reflected this commit
@@ -836,10 +852,9 @@ class _AggregateKind(_ViewKind):
                 if entry is None:
                     entry = changes[key] = [0] + [0.0] * len(self.aggs)
                 entry[0] += sign
-                for i, (_agg, name) in enumerate(self.aggs):
-                    value = row[f"arg_{name}"]
+                for i, value in enumerate(values[n_keys:-1], 1):
                     if value is not None:
-                        entry[1 + i] += sign * value
+                        entry[i] += sign * value
         return changes
 
     def write(self, ctx: "FunctionContext", table, key: tuple, records: list, entry: list) -> None:
@@ -953,11 +968,11 @@ class _ProjectionKind(_ViewKind):
         latest: dict[tuple, tuple] = {}
         seq = 0
         for bound_name, rank in (("removed", 0), ("stale", 0), ("added", 1), ("refreshed", 1)):
-            if not ctx.has_bound(bound_name):
-                continue
-            for row in ctx.rows(bound_name):
-                key = tuple(row[name] for name in self.key_names)
-                order = (row.get(ORDER_CT) or 0.0, row.get(ORDER_ORD) or 0, rank, seq)
+            for *row, commit_time, execute_order in _bound_columns(
+                ctx, bound_name, self.column_names, (ORDER_CT, ORDER_ORD)
+            ):
+                key = tuple([row[at] for at in self.fold_offsets])
+                order = (commit_time or 0.0, execute_order or 0, rank, seq)
                 seq += 1
                 prev = latest.get(key)
                 if prev is None or order > prev[0]:
@@ -971,7 +986,7 @@ class _ProjectionKind(_ViewKind):
                 ctx.txn.delete_record(table, record)
             self.stats.rows_touched += len(records)
             return
-        values = [row[name] for name in self.column_names]
+        values = list(row)
         if records:
             ctx.txn.update_record(table, records[0], values)
             for record in records[1:]:

@@ -448,3 +448,24 @@ class TestEquivalence:
         assert list(plain.scan_values()) == list(clean.scan_values())
         assert len(plain) == len(prefix) + len(rest)
         assert pins == {row: record.pins for row, record in records.items()}
+
+
+class TestExperimentOffAndOn:
+    """The PTA experiment with the knob off and on (was an inline block of
+    ci.yml's smoke job; it belongs where the fold's reader is changed)."""
+
+    def test_off_path_matches_baseline_and_on_path_folds_rows(self):
+        from repro.pta.tables import Scale
+        from repro.pta.workload import run_experiment
+
+        scale = Scale.tiny()
+        baseline = run_experiment(scale, "comps", "unique", 3.0, 0)
+        off = run_experiment(scale, "comps", "unique", 3.0, 0, compact=False)
+        # compact=False must be byte-identical to the pre-knob baseline.
+        assert off.row() == baseline.row(), (off.row(), baseline.row())
+        assert off.compact_rows_in == 0 and off.compaction_ratio == 1.0
+
+        on = run_experiment(scale, "comps", "unique", 3.0, 0, compact=True)
+        assert on.compaction_ratio > 1.0, on.compaction_ratio
+        assert on.compact_rows_out < on.compact_rows_in
+        assert on.cpu_recompute < off.cpu_recompute

@@ -219,3 +219,34 @@ class TestSqlSurface:
         db.drain()
         assert db.query("select total from v where a = 'g1'").scalar() == 7.0
         assert "v" in db.materialized_views
+
+
+class TestBoundColumns:
+    def test_optional_columns_are_resolved_from_the_schema_once_per_call(self, db):
+        """The generated rules always project their ordering / sequence /
+        flag columns; a bound table without one reads it as None (what
+        ``row.get`` answered), and a table the strategy left unbound reads
+        as no rows.  Each row read is one ``user_row``, as before."""
+        from repro.views.maintain import _bound_columns
+
+        seen = {}
+
+        def fn(ctx):
+            seen["present"] = list(_bound_columns(ctx, "m", ("a",), ("b",)))
+            seen["absent"] = list(_bound_columns(ctx, "m", ("b",), ("maint_ct", "a", "maint_ord")))
+            seen["unbound"] = list(_bound_columns(ctx, "marks_del", ("a",), ()))
+            seen["user_row"] = ctx.task.meter.ops["user_row"]
+
+        db.register_function("f", fn)
+        db.execute(
+            "create rule r on x when inserted "
+            "if select a, b from inserted bind as m then execute f"
+        )
+        db.execute("insert into x values ('g9', 4.0)")
+        db.drain()
+        assert seen == {
+            "present": [("g9", 4.0)],
+            "absent": [(4.0, None, "g9", None)],
+            "unbound": [],
+            "user_row": 2,
+        }
