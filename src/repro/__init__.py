@@ -47,20 +47,3 @@ __all__ = [
     "net_effect",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    # Heavier subsystems load lazily so `import repro` stays light.
-    if name == "Scale":
-        from repro.pta.tables import Scale
-
-        return Scale
-    if name == "run_experiment":
-        from repro.pta.workload import run_experiment
-
-        return run_experiment
-    if name == "materialize":
-        from repro.views.maintain import materialize
-
-        return materialize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

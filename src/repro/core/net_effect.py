@@ -82,7 +82,6 @@ def _events_from_tables(
     deleted: Optional[ChangeStream],
     new: Optional[ChangeStream],
     old: Optional[ChangeStream],
-    order_column: str = "execute_order",
 ) -> list[_Event]:
     events: list[_Event] = []
 
@@ -104,7 +103,7 @@ def _events_from_tables(
         # before inserts.
         return (
             row.get("commit_time", 0.0),
-            row.get(order_column, index),
+            row.get("execute_order", index),
             _STREAM_RANK[kind],
             index,
         )

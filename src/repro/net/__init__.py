@@ -1,8 +1,7 @@
 """The network front-end: protocol, server, admission control, clients.
 
 External clients reach the engine through a socket protocol
-(:mod:`repro.net.protocol`: line-delimited SQL text, or binary frames on
-the WAL's shared codec) handled by a transport-agnostic server core
+(:mod:`repro.net.protocol`: binary frames on the WAL's shared codec) handled by a transport-agnostic server core
 (:mod:`repro.net.server`) that bridges accepted writes into the same
 :class:`~repro.io.feed.ImportFeed` task path internal workloads use —
 commits run rule processing, staleness stamps, WAL, and replication, and

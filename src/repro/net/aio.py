@@ -9,9 +9,9 @@ event loop interleaves *connections*, while engine work stays serial
 (the engine is single-threaded by design, so this is the honest
 concurrency model, not a limitation bolted on).
 
-Framing is sniffed from the first bytes of each connection: a line
-starting ``HELLO`` selects the text framing, anything else the binary
-frame codec.  Both speak to the same dispatch; acknowledgements for
+One framing: every connection is a stream of the binary frames of
+:mod:`repro.net.protocol`.  A peer that sends anything else fails the
+frame check in its first read and is hung up on; acknowledgements for
 admitted writes flush after the drain that committed them.
 
 :class:`AsyncNetClient` is the matching stdlib client used by the tests
@@ -31,12 +31,8 @@ from repro.net.protocol import (
     FrameError,
     ProtocolError,
     encode_message,
-    format_text_response,
-    parse_text_request,
-    parse_text_response,
 )
 from repro.net.server import NetServer, Session
-from repro.persist.codec import MAX_FRAME_BYTES
 from repro.sim.simulator import Simulator
 
 __all__ = ["AsyncNetClient", "AsyncNetServer"]
@@ -84,14 +80,6 @@ class AsyncNetServer:
         if writer is None:
             return
         for response in pending:
-            self._send(writer, session, response)
-
-    def _send(
-        self, writer: asyncio.StreamWriter, session: Session, response: dict
-    ) -> None:
-        if session.framing == "text":
-            writer.write((format_text_response(response) + "\n").encode("utf-8"))
-        else:
             writer.write(encode_message(response))
 
     # --------------------------------------------------------- connections
@@ -101,21 +89,20 @@ class AsyncNetServer:
     ) -> None:
         self._peers += 1
         name = f"peer-{self._peers}"
-        first = await reader.read(4096)
-        if not first:
-            writer.close()
-            return
-        framing = "text" if first[:5].upper() == b"HELLO" else "binary"
-        session = self.core.open_session(name, framing=framing)
+        session = self.core.open_session(name)
         if session is None:
             writer.close()  # refused: net.accept fault or session limit
             return
-        self._writers[name] = session_writer = writer
+        self._writers[name] = writer
+        decoder = FrameDecoder()
         try:
-            if framing == "text":
-                await self._serve_text(session, reader, writer, first)
-            else:
-                await self._serve_binary(session, reader, writer, first)
+            while not session.closed:
+                chunk = await reader.read(65536)
+                if not chunk:
+                    break
+                for msg in decoder.feed(chunk):
+                    self._dispatch(session, msg, writer)
+                await writer.drain()
         except (ConnectionError, FrameError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -123,73 +110,16 @@ class AsyncNetServer:
             self._writers.pop(name, None)
             self._outbox.pop(name, None)
             try:
-                session_writer.close()
+                writer.close()
             except Exception:  # pragma: no cover - platform-dependent teardown
                 pass
 
     def _dispatch(self, session: Session, msg: dict, writer: asyncio.StreamWriter) -> None:
         response = self.core.handle(session, msg, self.core.db.clock.now())
         if response is not None:
-            self._send(writer, session, response)
+            writer.write(encode_message(response))
         self._drain_engine()
         self._flush(session)
-
-    async def _serve_binary(
-        self,
-        session: Session,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        decoder = FrameDecoder()
-        chunk = first
-        while chunk:
-            for msg in decoder.feed(chunk):
-                self._dispatch(session, msg, writer)
-            await writer.drain()
-            if session.closed:
-                break
-            chunk = await reader.read(65536)
-
-    async def _serve_text(
-        self,
-        session: Session,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        buffer = first
-        while True:
-            while b"\n" in buffer:
-                line, _, buffer = buffer.partition(b"\n")
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                try:
-                    msg = parse_text_request(text, session.next_text_id)
-                except ProtocolError as exc:
-                    self._send(
-                        writer,
-                        session,
-                        {"t": "error", "id": 0, "error": str(exc)},
-                    )
-                    continue
-                session.next_text_id = max(session.next_text_id, msg["id"] + 1)
-                self._dispatch(session, msg, writer)
-            overlong = len(buffer) > MAX_FRAME_BYTES  # a line with no end in sight
-            if overlong:
-                self._send(
-                    writer,
-                    session,
-                    {"t": "error", "id": 0, "error": "line exceeds the frame bound"},
-                )
-            await writer.drain()
-            if overlong or session.closed:
-                break
-            chunk = await reader.read(65536)
-            if not chunk:
-                break
-            buffer += chunk
 
 
 class AsyncNetClient:

@@ -30,6 +30,9 @@ from repro.net.protocol import PROTOCOL_VERSION
 
 __all__ = ["ClientStats", "LoadConfig", "NetClient", "QuoteRequest", "quote_stream"]
 
+#: Throttle answers one request sits through before the client gives it up.
+MAX_THROTTLE_RETRIES = 16
+
 
 @dataclass(frozen=True)
 class QuoteRequest:
@@ -157,7 +160,6 @@ class NetClient:
         quotes: list[QuoteRequest],
         ack_timeout: float = 0.5,
         max_attempts: int = 8,
-        max_throttle_retries: int = 16,
         start: float = 0.0,
     ) -> None:
         self.name = name
@@ -166,7 +168,6 @@ class NetClient:
         self.queue.sort(key=lambda quote: quote.send_time)
         self.ack_timeout = ack_timeout
         self.max_attempts = max_attempts
-        self.max_throttle_retries = max_throttle_retries
         self.stats = ClientStats()
         self.state = "init"  # init -> hello -> streaming -> done
         self.version: Optional[int] = None
@@ -262,7 +263,7 @@ class NetClient:
         elif kind == "throttle":
             self.stats.throttled += 1
             entry.throttle_retries += 1
-            if entry.throttle_retries > self.max_throttle_retries:
+            if entry.throttle_retries > MAX_THROTTLE_RETRIES:
                 del self.pending[request_id]
                 self.stats.gave_up += 1
             else:
@@ -279,7 +280,3 @@ class NetClient:
                 self.stats.shed += 1
             else:
                 self.stats.errors += 1
-
-    @property
-    def finished(self) -> bool:
-        return self.state == "done" and not self.pending

@@ -1,4 +1,4 @@
-"""The wire protocol: two framings, one message model.
+"""The wire protocol: one message model, one framing.
 
 Every message is a dict with a type tag ``t``; requests carry a
 session-unique ``id`` the matching response echoes, so clients can
@@ -16,16 +16,10 @@ Typed responses: ``ok`` (write acknowledged — sent only after the commit),
 ``retry_after`` seconds), ``error`` (bad request, unknown symbol, or a
 shed write — ``shed: true``).
 
-Two framings carry the same dicts:
-
-* **binary** — the WAL's checksummed length-prefixed frame codec
-  (:mod:`repro.persist.codec`), one JSON payload per frame.  The compact
-  default for programmatic clients; corrupt frames are a hard
-  :class:`~repro.persist.codec.FrameError` on a live connection.
-* **text** — newline-delimited, human-typable: ``HELLO strip/1``, then
-  SQL statements (optionally ``#<id>``-prefixed; ids are auto-assigned
-  otherwise), answered by ``OK`` / ``ROWS`` / ``THROTTLE`` / ``ERR``
-  lines.
+Framing: the WAL's checksummed length-prefixed frame codec
+(:mod:`repro.persist.codec`), one JSON payload per frame; a corrupt or
+oversized frame is a hard :class:`~repro.persist.codec.FrameError` on a
+live connection, so a peer that speaks anything else is hung up on.
 
 Version negotiation: the first message must be ``hello`` naming the
 highest protocol version the client speaks; the server answers with the
@@ -35,7 +29,6 @@ close when there is none.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Optional
 
 from repro.errors import StripError
@@ -55,10 +48,6 @@ __all__ = [
     "throttle_response",
     "negotiate_version",
     "validate_request",
-    "format_text_request",
-    "parse_text_request",
-    "format_text_response",
-    "parse_text_response",
 ]
 
 #: The newest protocol revision this build speaks.
@@ -73,7 +62,7 @@ class ProtocolError(StripError):
     """A peer sent a message this protocol revision cannot accept."""
 
 
-# ------------------------------------------------------------------ binary
+# ------------------------------------------------------------------ frames
 
 
 def encode_message(msg: dict) -> bytes:
@@ -151,108 +140,6 @@ def validate_request(msg: Any) -> dict:
         if not isinstance(msg.get("q"), str) or not msg["q"].strip():
             raise ProtocolError("sql needs a non-empty 'q'")
     return msg
-
-
-# -------------------------------------------------------------------- text
-
-_TEXT_MAGIC = "strip"
-
-
-def format_text_request(msg: dict) -> str:
-    """The text-framing line for one request dict (client side)."""
-    kind = msg["t"]
-    if kind == "hello":
-        return f"HELLO {_TEXT_MAGIC}/{msg.get('v', PROTOCOL_VERSION)}"
-    if kind == "bye":
-        return "BYE"
-    if kind == "sql":
-        return f"#{msg['id']} {msg['q']}"
-    if kind == "update":
-        # Updates ride as SQL in the text framing: one UPDATE per quote.
-        return (
-            f"#{msg['id']} update stocks set price = {msg['price']!r} "
-            f"where symbol = '{msg['symbol']}'"
-        )
-    raise ProtocolError(f"cannot frame request type {kind!r} as text")
-
-
-def parse_text_request(line: str, next_id: int) -> dict:
-    """One request dict from one text-framing line (server side).
-
-    ``next_id`` is assigned to id-less SQL lines, so plain ``telnet``
-    users never have to number their statements.
-    """
-    line = line.strip()
-    if not line:
-        raise ProtocolError("empty request line")
-    upper = line.upper()
-    if upper.startswith("HELLO"):
-        parts = line.split()
-        version = PROTOCOL_VERSION
-        if len(parts) > 1:
-            token = parts[1]
-            prefix = f"{_TEXT_MAGIC}/"
-            if not token.lower().startswith(prefix):
-                raise ProtocolError(f"bad hello token {token!r}: expected {prefix}N")
-            try:
-                version = int(token[len(prefix):])
-            except ValueError:
-                raise ProtocolError(f"bad hello version in {token!r}") from None
-        return {"t": "hello", "id": 0, "v": version}
-    if upper == "BYE":
-        return {"t": "bye", "id": next_id}
-    request_id = next_id
-    if line.startswith("#"):
-        head, _, rest = line.partition(" ")
-        try:
-            request_id = int(head[1:])
-        except ValueError:
-            raise ProtocolError(f"bad request id in {head!r}") from None
-        line = rest.strip()
-        if not line:
-            raise ProtocolError("request id with no statement")
-    return {"t": "sql", "id": request_id, "q": line}
-
-
-def format_text_response(msg: dict) -> str:
-    """The text-framing line for one response dict (server side)."""
-    kind = msg["t"]
-    request_id = msg.get("id", 0)
-    if kind == "ok":
-        extra = {k: v for k, v in msg.items() if k not in ("t", "id")}
-        suffix = f" {json.dumps(extra, sort_keys=True)}" if extra else ""
-        return f"OK {request_id}{suffix}"
-    if kind == "rows":
-        body = json.dumps({"cols": msg["cols"], "rows": msg["rows"]}, sort_keys=True)
-        return f"ROWS {request_id} {body}"
-    if kind == "throttle":
-        return f"THROTTLE {request_id} {msg['retry_after']:g}"
-    if kind == "error":
-        return f"ERR {request_id} {msg['error']}"
-    raise ProtocolError(f"cannot frame response type {kind!r} as text")
-
-
-def parse_text_response(line: str) -> dict:
-    """One response dict from one text-framing line (client side)."""
-    line = line.strip()
-    head, _, rest = line.partition(" ")
-    tag = head.upper()
-    if tag in ("OK", "ROWS", "THROTTLE", "ERR"):
-        id_token, _, body = rest.partition(" ")
-        try:
-            request_id = int(id_token)
-        except ValueError:
-            raise ProtocolError(f"bad response id in {line!r}") from None
-        if tag == "OK":
-            extra = json.loads(body) if body else {}
-            return ok_response(request_id, **extra)
-        if tag == "ROWS":
-            payload = json.loads(body)
-            return rows_response(request_id, payload["cols"], payload["rows"])
-        if tag == "THROTTLE":
-            return throttle_response(request_id, float(body), "server")
-        return error_response(request_id, body)
-    raise ProtocolError(f"unparseable response line {line!r}")
 
 
 def response_id(msg: dict) -> Optional[int]:

@@ -76,27 +76,23 @@ class Session:
 
     __slots__ = (
         "name",
-        "framing",
         "version",
         "bucket",
         "done",
         "inflight",
-        "next_text_id",
         "closed",
         "received",
         "responded",
     )
 
-    def __init__(self, name: str, framing: str, bucket: TokenBucket) -> None:
+    def __init__(self, name: str, bucket: TokenBucket) -> None:
         self.name = name
-        self.framing = framing
         self.version: Optional[int] = None
         self.bucket = bucket
         #: request id -> cached response (re-sent verbatim on retransmit).
         self.done: dict[int, dict] = {}
         #: admitted ids whose commit (and ack) is still pending.
         self.inflight: set[int] = set()
-        self.next_text_id = 1
         self.closed = False
         self.received = 0
         self.responded = 0
@@ -139,7 +135,7 @@ class NetServer:
 
     # ------------------------------------------------------------ sessions
 
-    def open_session(self, name: str, framing: str = "binary") -> Optional[Session]:
+    def open_session(self, name: str) -> Optional[Session]:
         """Accept (or refuse) one connection; ``None`` means refused.
 
         Refusal paths: an armed ``net.accept`` drop fault, or the
@@ -159,9 +155,7 @@ class NetServer:
             return None
         admission = self.config.admission
         session = Session(
-            name,
-            framing,
-            TokenBucket(admission.session_rate, admission.session_burst, now),
+            name, TokenBucket(admission.session_rate, admission.session_burst, now)
         )
         self.sessions[name] = session
         if tracer.enabled:

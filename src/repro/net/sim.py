@@ -38,6 +38,10 @@ from repro.sim.simulator import Simulator
 
 __all__ = ["SimNetTransport"]
 
+#: Loop guard of :meth:`SimNetTransport.drive`: a run that has not gone idle
+#: after this many clock jumps is stuck, not busy.
+MAX_DRIVE_STEPS = 1_000_000
+
 
 class _Connection:
     """One client's two channels, decoders, and wake bookkeeping."""
@@ -92,7 +96,7 @@ class SimNetTransport:
         )
         self._by_session: dict[str, _Connection] = {}
         for index, client in enumerate(clients):
-            session = server.open_session(client.name, framing="binary")
+            session = server.open_session(client.name)
             connection = _Connection(
                 client,
                 session,
@@ -190,19 +194,14 @@ class SimNetTransport:
 
     # --------------------------------------------------------------- drive
 
-    def drive(
-        self,
-        simulator: Simulator,
-        until: Optional[float] = None,
-        max_steps: int = 1_000_000,
-    ) -> int:
+    def drive(self, simulator: Simulator, until: Optional[float] = None) -> int:
         """Co-simulate engine and network to quiescence; returns tasks
         executed.  The simulator drains the task queues (the pump hook
         delivering between tasks); when it runs dry the clock jumps to
         the next pending network event."""
         db = self.server.db
         executed = 0
-        for _ in range(max_steps):
+        for _ in range(MAX_DRIVE_STEPS):
             executed += simulator.run(until=until, arrivals=[])
             self.pump(db.clock.now())
             when = self.next_event_time()

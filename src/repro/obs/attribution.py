@@ -15,12 +15,11 @@ as its own row) and accumulates a rule-level profile:
 * WAL records and bytes, attributed to the task running when the flush
   happened (flushes outside any task land on ``"(engine)"``).
 
-Beyond reporting, the profile closes the loop the paper's section 8
-proposes: a least-squares fit of task CPU against bound rows yields the
-per-task overhead and per-row cost that parameterise the batching advisor
-(:meth:`repro.views.advisor.BatchingAdvisor.from_profile`), so the
-recommended unit of batching and delay window can come from *measured*
-statistics instead of hand-supplied constants.
+Beyond the raw sums, a least-squares fit of task CPU against bound rows
+yields each rule's per-task overhead and per-row cost (``task_overhead_s``
+/ ``row_cost_s`` in :meth:`AttributionProfiler.rows`) — the two measured
+parameters the batching advisor of the paper's section 8
+(:class:`repro.views.advisor.BatchingAdvisor`) is built from.
 """
 
 from __future__ import annotations
@@ -237,22 +236,3 @@ class AttributionProfiler:
                 }
             )
         return rows
-
-    def advisor_inputs(self, key: str, horizon: float) -> dict[str, float]:
-        """Measured parameters for :class:`~repro.views.advisor.BatchingAdvisor`.
-
-        ``update_rate`` is the rule's firing rate (one firing per triggering
-        commit) and ``rows_per_change`` its mean fan-out, so the advisor's
-        ``update_rate * rows_per_change`` reproduces the observed row rate.
-        """
-        entry = self._stats.get(key)
-        if entry is None or entry.firings == 0 or horizon <= 0:
-            raise ValueError(f"no attribution profile for rule {key!r}")
-        overhead, row_cost = entry.cost_fit()
-        return {
-            "update_rate": entry.firings / horizon,
-            "horizon": horizon,
-            "rows_per_change": entry.bound_rows / entry.firings,
-            "task_overhead": overhead,
-            "row_cost": row_cost,
-        }

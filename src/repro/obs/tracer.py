@@ -183,18 +183,15 @@ class TraceCollector(Tracer):
 
     def __init__(
         self,
-        metrics: Optional[MetricsRegistry] = None,
-        staleness: Optional[StalenessTracker] = None,
-        attribution: Optional[AttributionProfiler] = None,
         sample_interval: float = 1.0,
         timeseries: Optional[TimeSeriesSampler] = None,
     ) -> None:
         """``sample_interval`` sets the time-series cadence in virtual
         seconds; pass 0 (or a negative value) to disable sampling."""
         self.events: list[TraceEvent] = []
-        self.metrics = metrics or MetricsRegistry()
-        self.staleness = staleness or StalenessTracker()
-        self.attribution = attribution or AttributionProfiler()
+        self.metrics = MetricsRegistry()
+        self.staleness = StalenessTracker()
+        self.attribution = AttributionProfiler()
         if timeseries is not None:
             self.timeseries: Optional[TimeSeriesSampler] = timeseries
         elif sample_interval > 0:

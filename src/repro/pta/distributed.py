@@ -299,10 +299,8 @@ def run_network_experiment(
     load: Optional[LoadConfig] = None,
     network: Optional[NetworkConfig] = None,
     admission: Optional[AdmissionConfig] = None,
-    server_config: Optional[ServerConfig] = None,
     ack_timeout: float = 0.5,
     max_attempts: int = 8,
-    client_stagger: float = 0.01,
     faults: Optional[str] = None,
     fault_seed: int = 0,
     max_retries: int = 5,
@@ -342,14 +340,14 @@ def run_network_experiment(
     server = NetServer(
         db,
         collector=collector,
-        config=server_config or ServerConfig(admission=admission or AdmissionConfig()),
+        config=ServerConfig(admission=admission or AdmissionConfig()),
     )
     clients = []
     for index in range(n_clients):
         config = replace(
             load,
             n_requests=requests_per_client,
-            start=load.start + index * client_stagger,
+            start=load.start + index * 0.01,  # clients do not all knock at once
         )
         quotes = quote_stream(
             trace.symbols, trace.initial_prices, seed * 6151 + index, config

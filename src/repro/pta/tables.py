@@ -163,9 +163,7 @@ def create_sector_schema(db: "Database") -> None:
     )
 
 
-def populate_sectors(
-    db: "Database", scale: Scale, seed: int = 0, comps_per_sector: int = 4
-) -> dict[str, list[str]]:
+def populate_sectors(db: "Database", scale: Scale, seed: int = 0) -> dict[str, list[str]]:
     """Create and fill the sector tables over the already-populated comps.
 
     Every composite lands in exactly one sector (disjoint round-robin over
@@ -180,7 +178,7 @@ def populate_sectors(
     }
     comps = sorted(comp_rows)
     rng.shuffle(comps)
-    per_sector = max(2, min(comps_per_sector, len(comps)))
+    per_sector = max(2, min(4, len(comps)))  # four composites to a sector
     members: dict[str, list[str]] = {}
     sectors_list = db.catalog.table("sectors_list")
     sector_prices = db.catalog.table("sector_prices")

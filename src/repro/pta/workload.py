@@ -588,7 +588,6 @@ def make_deletion_events(
     n_events: int,
     duration: float,
     delete_mix: float,
-    delist_share: float,
     seed: int,
 ) -> list[tuple]:
     """A seeded schedule of ``(kind, time, ...)`` events over live state.
@@ -618,7 +617,7 @@ def make_deletion_events(
         deleting = rng.random() < delete_mix
         if (
             deleting
-            and rng.random() < delist_share
+            and rng.random() < 0.25  # a quarter of the deletions are delistings
             and len(live_symbols) > delist_floor
         ):
             symbol = live_symbols.pop(rng.randrange(len(live_symbols)))
@@ -647,7 +646,6 @@ def run_deletion_experiment(
     n_events: int = 400,
     duration: float = 60.0,
     delete_mix: float = 0.4,
-    delist_share: float = 0.25,
     maintenance: str = "auto",
     delay: float = 1.0,
     seed: int = 0,
@@ -672,8 +670,8 @@ def run_deletion_experiment(
       dispatch uses union partitioning).
 
     The event stream mixes price updates with position close-outs and
-    index delistings (``delete_mix`` deletions overall, ``delist_share``
-    of those delistings).  A delisting deletes the stock, its positions,
+    index delistings (``delete_mix`` deletions overall, a quarter of those
+    delistings).  A delisting deletes the stock, its positions,
     and the derived rows in the same transaction, then supersedes the
     pending per-symbol maintenance task — the deletion IS the reflection.
 
@@ -731,7 +729,7 @@ def run_deletion_experiment(
 
     events = make_deletion_events(
         n_symbols, positions_per_symbol, n_events, duration,
-        delete_mix, delist_share, seed,
+        delete_mix, seed,
     )
     superseded: list = []
     tasks = []

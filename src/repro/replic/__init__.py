@@ -16,8 +16,7 @@ subsystem ships it:
   reporting apply lag;
 * :mod:`repro.replic.failover` — promotion of the freshest standby with
   orphan-retry resurrection, queue drain, and the convergence oracle;
-* :mod:`repro.replic.cluster` — the cluster harness and read routing
-  with freshness bounds.
+* :mod:`repro.replic.cluster` — the cluster harness.
 
 The PTA experiment on top of a cluster is ``run_replicated_experiment``,
 in the experiment-driver layer above this package.

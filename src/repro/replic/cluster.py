@@ -81,7 +81,7 @@ def check_replica_equivalence(
 
 
 class ReplicationCluster:
-    """Owns the shipper, the standbys, and the read-routing policy."""
+    """Owns the shipper and the standbys."""
 
     def __init__(
         self,
@@ -137,9 +137,6 @@ class ReplicationCluster:
         self.commit_waits = 0
         self.commit_wait_total = 0.0
         self.commit_wait_max = 0.0
-        self.reads_primary = 0
-        self.reads_standby = 0
-        self._read_rr = 0
         persist.shipper = self  # the manager calls on_record after flushes
 
     # ------------------------------------------------------------- pumping
@@ -164,40 +161,6 @@ class ReplicationCluster:
         self.commit_wait_total += wait
         self.commit_wait_max = max(self.commit_wait_max, wait)
         return wait
-
-    # ------------------------------------------------------------- reading
-
-    def read(
-        self,
-        sql: str,
-        params: Optional[dict] = None,
-        max_staleness: Optional[float] = None,
-        min_lsn: Optional[int] = None,
-    ):
-        """Serve a SELECT from a replica when freshness rules allow.
-
-        ``min_lsn`` is read-your-writes: only a standby that has applied
-        at least that LSN may answer (a client that just wrote passes the
-        commit's LSN).  ``max_staleness`` bounds the replica's lag behind
-        the primary clock in virtual seconds.  When no standby qualifies
-        the primary answers — the fallback the freshness accounting
-        (``reads_primary`` vs ``reads_standby``) makes visible."""
-        now = self.db.clock.now()
-        n = len(self.standbys)
-        for offset in range(n):
-            standby = self.standbys[(self._read_rr + offset) % n]
-            if min_lsn is not None and standby.applied_lsn < min_lsn:
-                continue
-            if (
-                max_staleness is not None
-                and standby.lag_behind(now) > max_staleness
-            ):
-                continue
-            self._read_rr = (self._read_rr + offset + 1) % n
-            self.reads_standby += 1
-            return standby.read(sql, params)
-        self.reads_primary += 1
-        return self.db.query(sql, params)
 
     # ----------------------------------------------------------- lifecycle
 

@@ -16,22 +16,10 @@ from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costmodel import CostModel
 from repro.sim.metrics import MetricsCollector, TaskRecord
 
-
-def __getattr__(name: str):
-    # Imported lazily: simulator depends on repro.txn, which itself imports
-    # repro.sim.clock — an eager import here would be circular.
-    if name == "Simulator":
-        from repro.sim.simulator import Simulator
-
-        return Simulator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CostModel",
     "Meter",
     "MetricsCollector",
-    "Simulator",
     "TaskRecord",
     "VirtualClock",
 ]

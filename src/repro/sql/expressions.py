@@ -9,6 +9,7 @@ row-filter layer treats NULL as false.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Protocol
 
 from repro.errors import ExecutionError, PlanError
@@ -73,24 +74,28 @@ def _nne(a: Any, b: Any) -> Any:
     return None if a is None or b is None else a != b
 
 
-def _nlt(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a < b
+def _ordering(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
+    """NULL-safe ``<``, ``<=``, ``>`` or ``>=``: values of two types that do not
+    order against each other (a REAL column and a text literal) are an error."""
 
+    def compare(a: Any, b: Any) -> Any:
+        if a is None or b is None:
+            return None
+        try:
+            return op(a, b)
+        except TypeError:
+            raise ExecutionError(
+                f"cannot compare {type(a).__name__} with {type(b).__name__}"
+            ) from None
 
-def _nle(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a <= b
-
-
-def _ngt(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a > b
-
-
-def _nge(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a >= b
+    return compare
 
 
 _ARITH = {"+": _nadd, "-": _nsub, "*": _nmul, "/": _ndiv, "%": _nmod}
-_COMPARE = {"=": _neq, "!=": _nne, "<": _nlt, "<=": _nle, ">": _ngt, ">=": _nge}
+_COMPARE = {
+    "=": _neq, "!=": _nne, "<": _ordering(operator.lt), "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
+}
 
 
 def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
-from repro.errors import SchemaError
+from repro.errors import ExecutionError, SchemaError
 from repro.storage.rbtree import RedBlackTree
 from repro.storage.schema import Schema
 from repro.storage.tuples import Record
@@ -86,6 +86,14 @@ class HashIndex(BaseIndex):
         return sum(len(bucket) for bucket in self._buckets.values())
 
 
+def _ordered(key: Any) -> tuple:
+    """``key`` in a total order with NULL first: ``None < 5`` is a TypeError,
+    ``(False, None) < (True, 5)`` is not, so both index kinds take the same rows."""
+    if type(key) is tuple:
+        return tuple([(value is not None, value) for value in key])
+    return (key is not None, key)
+
+
 class RBTreeIndex(BaseIndex):
     """A non-unique ordered index backed by a red-black tree."""
 
@@ -97,7 +105,7 @@ class RBTreeIndex(BaseIndex):
         self._count = 0
 
     def add(self, record: Record) -> None:
-        key = self.key_of(record.values)
+        key = _ordered(self.key_of(record.values))
         bucket = self._tree.get(key)
         if bucket is None:
             self._tree.insert(key, [record])
@@ -106,7 +114,7 @@ class RBTreeIndex(BaseIndex):
         self._count += 1
 
     def remove(self, record: Record) -> None:
-        key = self.key_of(record.values)
+        key = _ordered(self.key_of(record.values))
         bucket = self._tree.get(key)
         if not bucket:
             raise KeyError(f"record {record.rid} not in index {self.name}")
@@ -116,7 +124,10 @@ class RBTreeIndex(BaseIndex):
         self._count -= 1
 
     def lookup(self, key: Any) -> Iterator[Record]:
-        bucket = self._tree.get(key)
+        try:
+            bucket = self._tree.get(_ordered(key))
+        except TypeError:  # a key of another type equals no key held, as in a hash index
+            bucket = None
         return iter(bucket) if bucket else iter(())
 
     def key_count(self) -> int:
@@ -129,9 +140,17 @@ class RBTreeIndex(BaseIndex):
         include_low: bool = True,
         include_high: bool = True,
     ) -> Iterator[Record]:
-        """All current records with index key in the given range, key-ordered."""
-        for _key, bucket in self._tree.range(low, high, include_low, include_high):
-            yield from bucket
+        """All current records with index key in the given range, key-ordered;
+        a NULL key is in no range, and a missing bound starts just past it."""
+        below = None if high is None else _ordered(high)
+        walk = self._tree.range(_ordered(low), below, include_low and low is not None, include_high)
+        try:
+            for _key, bucket in walk:
+                yield from bucket
+        except TypeError:
+            held = next((type(key[1]).__name__ for key, _ in self._tree.items() if key[0]), "NULL")
+            given = " and ".join(type(b).__name__ for b in (low, high) if b is not None)
+            raise ExecutionError(f"cannot compare {held} with {given} ({self.name})") from None
 
     def __len__(self) -> int:
         return self._count

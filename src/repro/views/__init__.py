@@ -11,22 +11,18 @@ implements both:
   and generate STRIP rules that keep it maintained (incremental delta rules
   for distributive aggregates, recompute rules otherwise);
 * :mod:`repro.views.advisor` — the future-work extension: pick batching
-  unit and delay window from table statistics.
+  unit and delay window from an update rate, a fan-out and two costs the
+  caller measured (``examples/view_advisor.py``).
 """
 
 from repro.views.advisor import AdvisorReport, BatchingAdvisor
 from repro.views.definition import ViewDefinition
 from repro.views.maintain import MaintenancePlan, materialize
-from repro.views.stats import advise, distinct_count, join_fan_out, table_activity
 
 __all__ = [
     "AdvisorReport",
     "BatchingAdvisor",
     "MaintenancePlan",
     "ViewDefinition",
-    "advise",
-    "distinct_count",
-    "join_fan_out",
     "materialize",
-    "table_activity",
 ]

@@ -40,11 +40,6 @@ class BatchingCandidate:
     unique: bool
     unique_on: tuple[str, ...]
     n_keys: int  # distinct batching keys (1 for coarse batching)
-    rows_per_task_bound: Optional[int] = None  # max rows one task may touch
-    # True when the bound rows fold to net effect per batching key (the
-    # ``compact on`` fast path is sound); requires rows_per_task_bound,
-    # which then bounds the *recomputed* rows per task.
-    compactible: bool = False
 
 
 @dataclass
@@ -56,7 +51,6 @@ class AdvisorReport:
     predicted_cpu: float
     predicted_recomputes: float
     predicted_task_length: float
-    compact: bool = False  # recommendation includes the compact on fast path
     curves: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     rationale: str = ""
 
@@ -74,7 +68,6 @@ class BatchingAdvisor:
         max_delay: float = 3.0,
         max_task_length: Optional[float] = None,
         diminishing_returns: float = 0.05,
-        compact_row_cost: float = 0.0,
     ) -> None:
         """
         Args:
@@ -88,9 +81,6 @@ class BatchingAdvisor:
             max_task_length: schedulability bound on one recompute task.
             diminishing_returns: stop lengthening the window once the
                 marginal CPU saving per step drops below this fraction.
-            compact_row_cost: per-input-row cost of the delta-compaction
-                fold (probe + fold); 0 disables compaction modelling, so
-                defaults reproduce the pre-compaction advisor exactly.
         """
         if update_rate <= 0 or horizon <= 0:
             raise ValueError("update_rate and horizon must be positive")
@@ -102,35 +92,6 @@ class BatchingAdvisor:
         self.max_delay = max_delay
         self.max_task_length = max_task_length
         self.diminishing_returns = diminishing_returns
-        self.compact_row_cost = compact_row_cost
-
-    @classmethod
-    def from_profile(
-        cls,
-        profiler,
-        key: str,
-        horizon: float,
-        **kwargs,
-    ) -> "BatchingAdvisor":
-        """Build an advisor from a measured cost attribution profile.
-
-        ``profiler`` is an :class:`repro.obs.attribution.AttributionProfiler`
-        and ``key`` one of its rule keys — the advisor's inputs (update rate,
-        fan-out, per-task overhead, per-row cost) come straight from
-        ``profiler.advisor_inputs`` instead of hand-supplied estimates,
-        closing the observe → advise loop from the paper's section 8.
-        Keyword arguments (``max_delay`` etc.) pass through to the
-        constructor.
-        """
-        inputs = profiler.advisor_inputs(key, horizon)
-        return cls(
-            update_rate=inputs["update_rate"],
-            horizon=inputs["horizon"],
-            rows_per_change=inputs["rows_per_change"],
-            task_overhead=inputs["task_overhead"],
-            row_cost=inputs["row_cost"],
-            **kwargs,
-        )
 
     # ------------------------------------------------------------ modelling
 
@@ -143,45 +104,18 @@ class BatchingAdvisor:
         rate_per_key = firings / keys
         return keys * rate_per_key * self.horizon / (1.0 + rate_per_key * delay)
 
-    def cpu(
-        self, candidate: BatchingCandidate, delay: float, compact: bool = False
-    ) -> float:
-        """Expected CPU seconds over the horizon (section 5.1 decomposition).
-
-        Without compaction the per-row term is fixed (batching does not
-        change how many rows are recomputed).  With compaction each task
-        recomputes at most its distinct keys (``rows_per_task_bound``), and
-        every arriving row pays the fold cost instead.
-        """
+    def cpu(self, candidate: BatchingCandidate, delay: float) -> float:
+        """Expected CPU seconds over the horizon (section 5.1 decomposition):
+        the per-row term is fixed — batching does not change how many rows
+        are recomputed — so only the per-task overhead moves with the delay."""
         total_rows = self.update_rate * self.rows_per_change * self.horizon
-        n_r = self.recomputes(candidate, delay)
-        if compact:
-            if not candidate.compactible or candidate.rows_per_task_bound is None:
-                raise ValueError(
-                    f"candidate {candidate.name!r} cannot model compaction"
-                )
-            recomputed = min(total_rows, n_r * candidate.rows_per_task_bound)
-            return (
-                n_r * self.task_overhead
-                + recomputed * self.row_cost
-                + total_rows * self.compact_row_cost
-            )
-        return n_r * self.task_overhead + total_rows * self.row_cost
+        return self.recomputes(candidate, delay) * self.task_overhead + total_rows * self.row_cost
 
-    def task_length(
-        self, candidate: BatchingCandidate, delay: float, compact: bool = False
-    ) -> float:
+    def task_length(self, candidate: BatchingCandidate, delay: float) -> float:
         """Expected per-task execution time."""
         total_rows = self.update_rate * self.rows_per_change * self.horizon
         n_r = max(self.recomputes(candidate, delay), 1.0)
-        rows_per_task = total_rows / n_r
-        if compact or candidate.rows_per_task_bound is not None:
-            if candidate.rows_per_task_bound is None:
-                raise ValueError(
-                    f"candidate {candidate.name!r} cannot model compaction"
-                )
-            rows_per_task = min(rows_per_task, candidate.rows_per_task_bound)
-        return self.task_overhead + rows_per_task * self.row_cost
+        return self.task_overhead + (total_rows / n_r) * self.row_cost
 
     # ---------------------------------------------------------- recommend
 
@@ -200,57 +134,33 @@ class BatchingAdvisor:
             raise ValueError("no delay candidates within max_delay")
 
         curves: dict[str, list[tuple[float, float]]] = {}
-        best: Optional[tuple[tuple, BatchingCandidate, float, bool]] = None
+        best: Optional[tuple[tuple, BatchingCandidate, float]] = None
         for candidate in candidates:
-            # Compactible candidates are scored both plain and with the
-            # delta-compaction fast path (when its cost is modelled); the
-            # fold only pays off when per-key redundancy outruns its
-            # per-row cost, so neither dominates a priori.
-            variants = [False]
-            if (
-                candidate.unique
-                and candidate.compactible
-                and candidate.rows_per_task_bound is not None
-                and self.compact_row_cost > 0
-            ):
-                variants.append(True)
-            for compact in variants:
-                label = candidate.name + ("+compact" if compact else "")
-                curve = [(d, self.cpu(candidate, d, compact)) for d in delays]
-                curves[label] = curve
-                if not candidate.unique:
-                    # Baseline: delay is irrelevant; evaluate at 0.
-                    delay_choice: float = 0.0
-                    cpu_choice = self.cpu(candidate, 0.0)
-                else:
-                    delay_choice = self._knee(candidate, delays, compact)
-                    cpu_choice = self.cpu(candidate, delay_choice, compact)
-                length = self.task_length(candidate, delay_choice, compact)
-                if self.max_task_length is not None and length > self.max_task_length:
-                    continue  # schedulability bound violated
-                score = (cpu_choice, length)
-                if best is None or score < best[0]:
-                    best = (score, candidate, delay_choice, compact)
+            curves[candidate.name] = [(d, self.cpu(candidate, d)) for d in delays]
+            # The non-batched baseline ignores the delay; evaluate it at 0.
+            delay_choice = self._knee(candidate, delays) if candidate.unique else 0.0
+            length = self.task_length(candidate, delay_choice)
+            if self.max_task_length is not None and length > self.max_task_length:
+                continue  # schedulability bound violated
+            score = (self.cpu(candidate, delay_choice), length)
+            if best is None or score < best[0]:
+                best = (score, candidate, delay_choice)
         if best is None:
             raise ValueError(
                 "every candidate exceeds max_task_length; relax the bound"
             )
-        _score, candidate, delay, compact = best
-        report = AdvisorReport(
+        _score, candidate, delay = best
+        return AdvisorReport(
             candidate=candidate,
             delay=delay,
-            predicted_cpu=self.cpu(candidate, delay, compact),
+            predicted_cpu=self.cpu(candidate, delay),
             predicted_recomputes=self.recomputes(candidate, delay),
-            predicted_task_length=self.task_length(candidate, delay, compact),
-            compact=compact,
+            predicted_task_length=self.task_length(candidate, delay),
             curves=curves,
-            rationale=self._rationale(candidate, delay, compact),
+            rationale=self._rationale(candidate, delay),
         )
-        return report
 
-    def _knee(
-        self, candidate: BatchingCandidate, delays: Sequence[float], compact: bool = False
-    ) -> float:
+    def _knee(self, candidate: BatchingCandidate, delays: Sequence[float]) -> float:
         """Smallest delay at which marginal CPU saving has petered out.
 
         The paper's rule of thumb: "a small window should be chosen to
@@ -258,7 +168,7 @@ class BatchingAdvisor:
         stop where lengthening yields diminishing returns.
         """
         ordered = sorted(delays)
-        cpu_values = [self.cpu(candidate, d, compact) for d in ordered]
+        cpu_values = [self.cpu(candidate, d) for d in ordered]
         base = cpu_values[0]
         floor = min(cpu_values)
         span = max(base - floor, 1e-12)
@@ -270,24 +180,16 @@ class BatchingAdvisor:
                 break
         return choice
 
-    def _rationale(
-        self, candidate: BatchingCandidate, delay: float, compact: bool = False
-    ) -> str:
+    def _rationale(self, candidate: BatchingCandidate, delay: float) -> str:
         n_r = self.recomputes(candidate, delay)
-        extra = (
-            " Delta compaction folds each task's rows to net effect per key, "
-            "bounding recomputed rows by its distinct keys."
-            if compact
-            else ""
-        )
         return (
             f"unit of batching {candidate.name!r} with a {delay:.2f}s window: "
             f"~{n_r:.0f} recompute tasks over {self.horizon:.0f}s, predicted CPU "
-            f"{self.cpu(candidate, delay, compact):.1f}s, task length "
-            f"{self.task_length(candidate, delay, compact) * 1e3:.2f}ms. Batching "
+            f"{self.cpu(candidate, delay):.1f}s, task length "
+            f"{self.task_length(candidate, delay) * 1e3:.2f}ms. Batching "
             "unit chosen just large enough to capture recomputation redundancy; "
             "window chosen at the diminishing-returns knee (paper section 8 rules "
-            f"of thumb).{extra}"
+            "of thumb)."
         )
 
 

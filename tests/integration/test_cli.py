@@ -130,13 +130,13 @@ class TestObservabilityOptions:
 
         from repro.obs.schema import check
 
-        schema_path = os.path.join(
-            os.path.dirname(__file__), "..", "..",
-            "docs", "schemas", "stats_snapshot.schema.json",
-        )
+        def schema(name):
+            path = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "schemas", name)
+            with open(path) as handle:
+                return json.load(handle)
+
         snapshot = json.loads(snapshot_path.read_text())
-        with open(schema_path) as handle:
-            check(snapshot, json.load(handle))
+        check(snapshot, schema("stats_snapshot.schema.json"))
         assert snapshot["staleness"]["views"]
         assert snapshot["attribution"]
         assert snapshot["meta"]["scale"] == "tiny"
@@ -145,7 +145,10 @@ class TestObservabilityOptions:
             for line in series_path.read_text().splitlines()
             if line.strip()
         ]
-        assert samples and all("ts" in sample for sample in samples)
+        assert samples
+        series_schema = schema("stats_series.schema.json")
+        for sample in samples:
+            check(sample, series_schema)
 
     def test_stats_subcommand_interval_off(self, capsys):
         assert main(["stats", "--scale", "tiny", "--interval", "0"]) == 0
@@ -206,6 +209,36 @@ class TestObservabilityOptions:
         out = capsys.readouterr().out
         assert "Fault sweep" in out
         assert out.count("OK") >= 2
+
+
+class TestServeCommand:
+    """The two simulated-channel runs of CI's [network] steps, read back
+    from the ``--json-out`` summary the command writes."""
+
+    def summary(self, tmp_path, *flags):
+        path = tmp_path / "net.json"
+        assert main(["serve", *flags, "--json-out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def test_lossy_channels_under_a_kill_fault_lose_no_acknowledged_write(self, tmp_path, capsys):
+        lossy = self.summary(
+            tmp_path, "--clients", "4", "--requests", "20", "--seed", "3",
+            "--net-drop", "0.08", "--net-reorder", "0.15", "--net-jitter", "0.01",
+            "--faults", "task.exec[net.update]:kill@nth=7", "--fault-seed", "0",
+        )
+        assert lossy["ok"] and lossy["converged"], lossy
+        assert lossy["lost_acked"] == [], lossy
+        assert lossy["acked"] == 4 * 20, lossy
+        assert "zero lost acknowledged mutations" in capsys.readouterr().out
+
+    def test_overload_degrades_by_refusal_not_queueing(self, tmp_path):
+        over = self.summary(
+            tmp_path, "--clients", "8", "--requests", "25", "--seed", "11",
+            "--burst-size", "20", "--burst-gap", "0.05", "--intra-gap", "0.001",
+        )
+        assert over["ok"] and over["converged"], over
+        assert over["lost_acked"] == [], over
+        assert over["throttle_decisions"] > 0, over
 
 
 class TestReplicationCommands:

@@ -8,7 +8,7 @@ from repro.database import Database
 from repro.net import aio
 from repro.net.aio import AsyncNetClient, AsyncNetServer
 from repro.net.server import NetServer
-from repro.persist.codec import FRAME
+from repro.persist.codec import FRAME, MAX_FRAME_BYTES
 
 
 def make_server():
@@ -83,59 +83,8 @@ class TestBinaryClients:
         run(scenario())
 
 
-class TestTextFraming:
-    async def _lines(self, reader, n):
-        return [
-            (await asyncio.wait_for(reader.readline(), 10.0)).decode().strip()
-            for _ in range(n)
-        ]
-
-    def test_telnet_style_session(self):
-        async def scenario():
-            server = make_server()
-            await server.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(b"HELLO strip/1\n")
-            await writer.drain()
-            [hello] = await self._lines(reader, 1)
-            assert hello.startswith("OK 0")
-            writer.write(b"#1 update stocks set price = 44.0 where symbol = 'B'\n")
-            writer.write(b"select price from stocks where symbol = 'B'\n")
-            await writer.drain()
-            lines = await self._lines(reader, 2)
-            # The write's OK is deferred to its commit, but the engine
-            # drains before responses flush, so both lines arrive in order.
-            assert lines[0].startswith("OK 1")
-            assert lines[1].startswith("ROWS 2")
-            assert "44.0" in lines[1]
-            writer.write(b"BYE\n")
-            await writer.drain()
-            [bye] = await self._lines(reader, 1)
-            assert bye.startswith("OK")
-            writer.close()
-            await server.close()
-
-        run(scenario())
-
-    def test_bad_line_gets_an_err_not_a_hangup(self):
-        async def scenario():
-            server = make_server()
-            await server.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(b"HELLO strip/1\n#x broken\nselect 1 from stocks\n")
-            await writer.drain()
-            lines = await self._lines(reader, 3)
-            assert lines[0].startswith("OK 0")
-            assert lines[1].startswith("ERR")
-            assert lines[2].startswith("ROWS")
-            writer.close()
-            await server.close()
-
-        run(scenario())
-
-
 class TestHostilePeers:
-    """Neither framing lets a peer make the server buffer without bound."""
+    """No peer makes the server buffer without bound, whatever it speaks."""
 
     def test_binary_header_past_the_bound_closes_the_connection(self):
         async def scenario():
@@ -151,41 +100,40 @@ class TestHostilePeers:
 
         run(scenario())
 
-    def test_text_line_past_the_bound_gets_an_err_and_a_hangup(self, monkeypatch):
-        monkeypatch.setattr(aio, "MAX_FRAME_BYTES", 4096)
+    @pytest.mark.parametrize(
+        "garbage", [b"HELLO strip/1\n", b"A" * 65536], ids=["hello-line", "64KiB-of-A"]
+    )
+    def test_a_peer_that_speaks_text_is_refused_not_served_and_not_buffered(
+        self, monkeypatch, garbage
+    ):
+        feeds = []
+
+        class WatchedDecoder(aio.FrameDecoder):
+            def feed(self, chunk):
+                try:
+                    return super().feed(chunk)
+                finally:
+                    feeds.append(self.pending_bytes)
+
+        monkeypatch.setattr(aio, "FrameDecoder", WatchedDecoder)
 
         async def scenario():
             server = make_server()
             await server.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(b"HELLO strip/1\n")
+            writer.write(garbage)
             await writer.drain()
-            assert (await reader.readline()).startswith(b"OK 0")
-            writer.write(b"select " + b"x" * 8192)  # and never a newline
-            await writer.drain()
-            rest = await asyncio.wait_for(reader.read(), 10.0)  # to EOF
-            assert rest.startswith(b"ERR") and b"frame bound" in rest
+            assert await asyncio.wait_for(reader.read(), 10.0) == b""  # not one byte back
             writer.close()
-            await server.close()
-
-        run(scenario())
-
-    def test_text_line_of_the_bound_is_still_served(self, monkeypatch):
-        monkeypatch.setattr(aio, "MAX_FRAME_BYTES", 4096)
-
-        async def scenario():
-            server = make_server()
-            await server.start()
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            query = b"select price from stocks where symbol = 'A'"
-            writer.write(b"HELLO strip/1\n" + query.ljust(4096))  # no newline yet
-            await writer.drain()
-            assert (await reader.readline()).startswith(b"OK 0")
-            await asyncio.sleep(0.05)  # the server has buffered the partial line
-            writer.write(b"\n")
-            await writer.drain()
-            assert (await asyncio.wait_for(reader.readline(), 10.0)).startswith(b"ROWS")
-            writer.close()
+            assert len(feeds) == 1  # hung up within the first read
+            assert max(feeds) <= MAX_FRAME_BYTES
+            assert not [s for s in server.core.sessions.values() if not s.closed]
+            # The listener is unharmed: a binary client is served as usual.
+            client = AsyncNetClient("127.0.0.1", server.port)
+            await client.connect()
+            ack = await client.update("A", 12.5)
+            assert ack["t"] == "ok"
+            await client.bye()
             await server.close()
 
         run(scenario())

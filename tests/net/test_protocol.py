@@ -1,4 +1,4 @@
-"""Wire protocol tests: both framings, negotiation, request validation."""
+"""Wire protocol tests: framing, negotiation, request validation."""
 
 import pytest
 
@@ -10,12 +10,8 @@ from repro.net.protocol import (
     decode_messages,
     encode_message,
     error_response,
-    format_text_request,
-    format_text_response,
     negotiate_version,
     ok_response,
-    parse_text_request,
-    parse_text_response,
     response_id,
     rows_response,
     throttle_response,
@@ -58,56 +54,6 @@ class TestBinaryFraming:
         assert decoder.pending_bytes == len(blob) - 4
         # The missing tail completes it.
         assert decoder.feed(blob[-4:]) == [REQUESTS[1]]
-
-
-class TestTextFraming:
-    def test_hello_round_trip(self):
-        line = format_text_request({"t": "hello", "id": 0, "v": 1})
-        assert line == "HELLO strip/1"
-        assert parse_text_request(line, next_id=5) == {"t": "hello", "id": 0, "v": 1}
-
-    def test_sql_with_explicit_id(self):
-        msg = {"t": "sql", "id": 3, "q": "select price from stocks"}
-        assert parse_text_request(format_text_request(msg), next_id=9) == msg
-
-    def test_bare_sql_gets_the_next_id(self):
-        msg = parse_text_request("select 1 from t", next_id=4)
-        assert msg == {"t": "sql", "id": 4, "q": "select 1 from t"}
-
-    def test_update_rides_as_sql(self):
-        line = format_text_request(
-            {"t": "update", "id": 2, "symbol": "S1", "price": 10.5}
-        )
-        parsed = parse_text_request(line, next_id=0)
-        assert parsed["t"] == "sql"
-        assert parsed["id"] == 2
-        assert "update stocks" in parsed["q"]
-
-    def test_bye(self):
-        assert parse_text_request("BYE", next_id=7) == {"t": "bye", "id": 7}
-
-    @pytest.mark.parametrize(
-        "line", ["", "HELLO http/1", "HELLO strip/x", "#zzz select 1", "#4 "]
-    )
-    def test_bad_lines_raise(self, line):
-        with pytest.raises(ProtocolError):
-            parse_text_request(line, next_id=1)
-
-    @pytest.mark.parametrize(
-        "response",
-        [
-            ok_response(4, commit_seq=17),
-            rows_response(5, ["a", "b"], [[1, 2.5], [3, None]]),
-            throttle_response(6, 0.125, "server"),
-            error_response(7, "unknown symbol 'X'"),
-        ],
-    )
-    def test_response_round_trip(self, response):
-        assert parse_text_response(format_text_response(response)) == response
-
-    def test_unparseable_response_raises(self):
-        with pytest.raises(ProtocolError):
-            parse_text_response("WHAT 1 ???")
 
 
 class TestNegotiation:

@@ -1,4 +1,4 @@
-"""Cost attribution: the per-rule rollup and the advisor handoff."""
+"""Cost attribution: the per-rule rollup."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.obs import ENGINE_KEY, AttributionProfiler, TraceCollector
 from repro.obs.attribution import RuleStats
 from repro.sim.simulator import Simulator
 from repro.txn.tasks import Task
-from repro.views.advisor import BatchingAdvisor
 
 
 def make_task(rule="r", klass="recompute:f"):
@@ -107,57 +106,6 @@ class TestProfiler:
         profiler.on_task_done(costly, FakeRecord(cpu=0.90))
         rows = profiler.profile_rows()
         assert [row["rule"] for row in rows] == ["costly", "cheap"]
-
-    def test_advisor_inputs_errors(self):
-        profiler = AttributionProfiler()
-        with pytest.raises(ValueError):
-            profiler.advisor_inputs("missing", 10.0)
-        task = make_task()
-        profiler.on_task_done(task, FakeRecord())  # tasks but no firings
-        with pytest.raises(ValueError):
-            profiler.advisor_inputs("r", 10.0)
-        profiler.on_unique_new(task, 0.0)
-        with pytest.raises(ValueError):
-            profiler.advisor_inputs("r", 0.0)  # bad horizon
-
-    def test_advisor_inputs_reproduce_observed_rates(self):
-        profiler = AttributionProfiler()
-        task = make_task()
-        for _ in range(20):
-            profiler.on_unique_new(task, 0.0)
-        profiler.on_task_done(task, FakeRecord(cpu=0.05, rows=60))
-        inputs = profiler.advisor_inputs("r", horizon=10.0)
-        assert inputs["update_rate"] == pytest.approx(2.0)  # 20 firings / 10 s
-        assert inputs["rows_per_change"] == pytest.approx(3.0)  # 60 rows / 20
-        # update_rate * rows_per_change reproduces the observed row rate.
-        assert inputs["update_rate"] * inputs["rows_per_change"] == pytest.approx(6.0)
-
-
-class TestAdvisorHandoff:
-    def test_from_profile_builds_working_advisor(self):
-        profiler = AttributionProfiler()
-        task = make_task()
-        for _ in range(100):
-            profiler.on_unique_new(task, 0.0)
-        for rows in (1, 4, 16, 64):
-            profiler.on_task_done(
-                task, FakeRecord(cpu=0.002 + rows * 0.0005, rows=rows)
-            )
-        advisor = BatchingAdvisor.from_profile(profiler, "r", horizon=30.0)
-        assert advisor.update_rate == pytest.approx(100 / 30.0)
-        assert advisor.task_overhead == pytest.approx(0.002, rel=1e-6)
-        assert advisor.row_cost == pytest.approx(0.0005, rel=1e-6)
-        assert advisor.horizon == 30.0
-
-    def test_from_profile_passes_kwargs(self):
-        profiler = AttributionProfiler()
-        task = make_task()
-        profiler.on_unique_new(task, 0.0)
-        profiler.on_task_done(task, FakeRecord(cpu=0.01, rows=2))
-        advisor = BatchingAdvisor.from_profile(
-            profiler, "r", horizon=10.0, max_delay=1.5
-        )
-        assert advisor.max_delay == 1.5
 
 
 class TestEngineIntegration:

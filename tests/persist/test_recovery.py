@@ -388,10 +388,11 @@ def scan_find(table, values):
 
 
 #: Indexes the generated table ``t (k text, n int, x real)`` may carry.
-#: Only ``k`` is ever NULL, and it is only hash-indexed: a red-black tree
-#: cannot order NULL against text (the primary itself refuses the insert).
+#: Only ``k`` is ever NULL; both index kinds hold a NULL key.
 INDEX_MENU = [
     ("k_hash", ("k",), "hash"),
+    ("k_tree", ("k",), "rbtree"),
+    ("kn_tree", ("k", "n"), "rbtree"),
     ("n_hash", ("n",), "hash"),
     ("n_tree", ("n",), "rbtree"),
     ("x_hash", ("x",), "hash"),

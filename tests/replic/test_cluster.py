@@ -1,4 +1,4 @@
-"""Cluster tests: end-to-end replicated runs, commit modes, read routing."""
+"""Cluster tests: end-to-end replicated runs, commit modes."""
 
 import builtins
 
@@ -117,30 +117,6 @@ class TestLossyNetwork:
         assert result.converged
         assert result.faults_injected > 0
         assert result.send_dropped + result.ack_dropped > 0
-
-
-class TestReadRouting:
-    def test_reads_round_robin_standbys_and_fall_back(self, async_run):
-        _result, db, cluster = async_run
-        sql = "select count(*) as n from stocks"
-        expected = db.query(sql).dicts()
-        before = cluster.reads_standby
-        assert cluster.read(sql).dicts() == expected
-        assert cluster.read(sql).dicts() == expected
-        assert cluster.reads_standby == before + 2
-        # Read-your-writes past every replica's applied LSN: only the
-        # primary can answer.
-        top = max(s.applied_lsn for s in cluster.standbys)
-        primary_before = cluster.reads_primary
-        assert cluster.read(sql, min_lsn=top + 1).dicts() == expected
-        assert cluster.reads_primary == primary_before + 1
-
-    def test_min_lsn_at_applied_watermark_uses_a_standby(self, async_run):
-        _result, _db, cluster = async_run
-        watermark = min(s.applied_lsn for s in cluster.standbys)
-        before = cluster.reads_standby
-        cluster.read("select count(*) as n from stocks", min_lsn=watermark)
-        assert cluster.reads_standby == before + 1
 
 
 @pytest.fixture
@@ -411,6 +387,3 @@ class TestResendUnderSustainedLoad:
                 assert not standby.buffer
         assert link.resend_rounds == 1
         assert standby.applied_lsn >= 398
-        # Bounded-staleness reads stay on the standby the whole time.
-        cluster.read("select count(*) as n from t", max_staleness=0.1)
-        assert cluster.reads_standby == 1 and cluster.reads_primary == 0

@@ -169,6 +169,43 @@ class TestDml:
         assert db.execute("delete from emp") == 5
 
 
+class TestNullKeysAndMismatchedTypes:
+    """Hash and rbtree indexes accept the same rows; a comparison across
+    types is a typed error whichever access path meets it."""
+
+    @staticmethod
+    def make(index):
+        db = Database()
+        db.execute("create table t (k text, v real)")
+        if index:
+            db.execute(f"create index t_v on t (v) using {index}")
+        db.execute("insert into t values ('a', 1.5), ('b', 2.5)")
+        return db
+
+    @pytest.mark.parametrize("index", [None, "hash", "rbtree"])
+    def test_null_in_an_indexed_column(self, index):
+        db = self.make(index)
+        db.execute("insert into t values ('n', null)")
+        db.execute("update t set v = null where k = 'a'")
+        assert db.query("select k from t where v is null order by k").rows() == [["a"], ["n"]]
+        assert db.query("select k from t where v > 0").rows() == [["b"]]
+        assert db.query("select k from t where v < 9").rows() == [["b"]]
+        db.execute("delete from t where v is null")
+        assert db.query("select k, v from t").rows() == [["b", 2.5]]
+        table = db.catalog.table("t")
+        for held in table.indexes.values():
+            assert len(held) == 1 and list(held.lookup(2.5)) == list(table.scan())
+
+    @pytest.mark.parametrize("index", [None, "hash", "rbtree"])
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_ordering_a_real_against_text_is_an_execution_error(self, index, op):
+        db = self.make(index)
+        for query in (f"select k from t where v {op} 'a'", f"select k from t where 'a' {op} v"):
+            with pytest.raises(ExecutionError, match="float.*str|str.*float"):
+                db.query(query)
+        assert db.query("select k from t where v = 'a'").rows() == []
+
+
 class TestViews:
     def test_view_expansion(self, db):
         db.execute("create view rich as select name, salary from emp where salary >= 90")

@@ -191,6 +191,42 @@ class TestIndexMaintenance:
         assert isinstance(index, RBTreeIndex)
         assert [r.values[0] for r in index.range(2, 6)] == [3, 5]
 
+    def test_rbtree_range_holds_no_null(self):
+        table = Table("t", Schema.of(("k", ColumnType.INT),))
+        index = table.create_index("by_k", ["k"], "rbtree")
+        for k in (5, None, 1):
+            table.insert([k])
+        assert [r.values[0] for r in index.range(None, 6)] == [1, 5]
+        assert [r.values[0] for r in index.range(0, None, False, False)] == [1, 5]
+
+    @pytest.mark.parametrize("kind", ["hash", "rbtree"])
+    @pytest.mark.parametrize("columns", [("symbol",), ("symbol", "price")])
+    def test_null_keyed_rows_are_indexed_like_any_other(self, kind, columns):
+        """A NULL key used to reach the red-black tree as a bare ``None``,
+        which orders against nothing: the TypeError came after the table
+        had changed, leaving the row in the scan and in no bucket."""
+        table = make_table()
+        index = table.create_index("i", columns, kind)
+        null_row = table.insert([None, 1.0])
+        kept = table.insert(["A", 2.0])
+        assert table.find([None, 1.0]) is null_row
+        moved = table.update(kept, [None, 2.0])  # a key becomes NULL ...
+        back = table.update(null_row, ["B", 1.0])  # ... and a NULL key a value
+        table.delete(table.insert([None, None]))
+        by_key: dict = {}
+        for record in table.scan():
+            by_key.setdefault(index.key_of(record.values), []).append(record)
+        assert {key: list(index.lookup(key)) for key in by_key} == by_key
+        assert len(index) == 2 and index.key_count() == 2
+        assert table.find([None, 2.0]) is moved and table.find(["B", 1.0]) is back
+        assert table.find([None, 1.0]) is None
+
+    def test_a_key_of_another_type_equals_no_rbtree_key(self):
+        table = make_table()
+        table.create_index("i", ["price"], "rbtree")
+        table.insert(["A", 1.0])
+        assert list(table.lookup(("price",), "1.0")) == []  # as a hash index answers
+
     def test_duplicate_index_name(self):
         table = make_table()
         table.create_index("i", ["symbol"])
