@@ -71,52 +71,43 @@ class RuleEngine:
 
     # ------------------------------------------------------ commit hook
 
-    def process_commit(self, txn: Transaction) -> list[Task]:
-        """Run rule processing for a committing transaction; returns the
-        newly created tasks (already enqueued)."""
+    def process_commit(self, txn: Transaction) -> None:
+        """Run rule processing for a committing transaction.  What the
+        firings do to pending work lands on ``txn.effects``, for the commit
+        to enqueue — or, if any rule fails, to take back; ``check_count`` and
+        ``firing_count`` grow once every rule ran (never for a failed commit)."""
         db = self.db
-        created: list[Task] = []
-        try:
-            for table_name in txn.log.tables_touched():
-                rules = [rule for rule in db.catalog.rules_on(table_name) if rule.enabled]
-                if not rules:
-                    continue
-                table = db.catalog.table(table_name)
-                entries = txn.log.for_table(table_name)
-                transitions: Optional[TransitionTables] = None
-                try:
-                    for rule in rules:
-                        db.charge("rule_log_scan", len(entries))
-                        if not rule.matches(entries, table.schema):
-                            continue
-                        self.check_count += 1
-                        if db.tracer.enabled:
-                            db.tracer.rule_check(rule.name, txn.txn_id, db.clock.now())
-                        if transitions is None:
-                            transitions = TransitionTables(db, table, entries)
-                        tasks = self._fire(rule, txn, transitions)
-                        created.extend(tasks)
-                finally:
-                    # Retire even when a condition or dispatch raised, so the
-                    # records pinned by this firing's temp tables are released.
-                    if transitions is not None:
-                        transitions.retire()
-        except Exception:
-            # The commit will abort and (possibly) retry, which re-fires
-            # every rule.  Tasks already created for it must not stay
-            # registered as pending while never reaching the scheduler —
-            # later firings would absorb rows into work that never runs.
-            for task in created:
-                db.unique_manager.abandon(task, "aborted")
-            raise
-        for task in created:
-            db.task_manager.enqueue(task)
-        return created
+        checks = firings = 0
+        for table_name in txn.log.tables_touched():
+            rules = [rule for rule in db.catalog.rules_on(table_name) if rule.enabled]
+            if not rules:
+                continue
+            table = db.catalog.table(table_name)
+            entries = txn.log.for_table(table_name)
+            transitions: Optional[TransitionTables] = None
+            try:
+                for rule in rules:
+                    db.charge("rule_log_scan", len(entries))
+                    if not rule.matches(entries, table.schema):
+                        continue
+                    checks += 1
+                    if db.tracer.enabled:
+                        db.tracer.rule_check(rule.name, txn.txn_id, db.clock.now())
+                    if transitions is None:
+                        transitions = TransitionTables(db, table, entries)
+                    if self._fire(rule, txn, transitions):
+                        firings += 1
+            finally:
+                # Retire even when a condition or dispatch raised, so the
+                # records pinned by this firing's temp tables are released.
+                if transitions is not None:
+                    transitions.retire()
+        self.check_count += checks
+        self.firing_count += firings
 
-    def _fire(
-        self, rule: Rule, txn: Transaction, transitions: TransitionTables
-    ) -> list[Task]:
-        """Condition check + binding + dispatch for one triggered rule."""
+    def _fire(self, rule: Rule, txn: Transaction, transitions: TransitionTables) -> bool:
+        """Condition check + binding + dispatch for one triggered rule;
+        True when the condition held."""
         db = self.db
         namespace = transitions.namespace()
         if txn.task is not None and txn.task.bound_tables:
@@ -128,41 +119,25 @@ class RuleEngine:
         pseudo = {"commit_time": txn.commit_time, "commit_seq": txn.commit_seq}
         bound: dict[str, TempTable] = {}
         try:
-            return self._fire_inner(rule, txn, namespace, pseudo, bound)
+            for position, query in enumerate(rule.all_queries()):
+                db.charge("condition_base")
+                # A query with ``bind as`` comes back as its bound table,
+                # filled by the plan's own loop nest.
+                result = db.run_select(query, txn, pseudo=pseudo, namespace=namespace)
+                if query.bind_as is not None:
+                    bound[query.bind_as] = result
+                if len(result) == 0 and position < len(rule.condition):
+                    for table in bound.values():
+                        table.retire()
+                    return False
+            tasks = db.unique_manager.dispatch(rule, bound, txn)
         except Exception:
             for table in bound.values():
                 table.retire()
             raise
-
-    def _fire_inner(
-        self,
-        rule: Rule,
-        txn: Transaction,
-        namespace: dict[str, TempTable],
-        pseudo: dict,
-        bound: dict[str, TempTable],
-    ) -> list[Task]:
-        db = self.db
-        for position, query in enumerate(rule.all_queries()):
-            db.charge("condition_base")
-            # A query with ``bind as`` comes back as its bound table, filled
-            # by the plan's own loop nest.
-            result = db.run_select(query, txn, pseudo=pseudo, namespace=namespace)
-            if query.bind_as is not None:
-                bound[query.bind_as] = result
-            if len(result) == 0 and position < len(rule.condition):
-                for table in bound.values():
-                    table.retire()
-                return []
-        self.firing_count += 1
-        # A firing out of a rule-action transaction is a cascade: pass the
-        # upstream task along so the dispatched work inherits its mutation
-        # stamps (staleness) and records its provenance.
-        origin = txn.task if txn.task is not None and txn.task.function_name else None
-        tasks = db.unique_manager.dispatch(rule, bound, txn.commit_time, origin=origin)
         if db.tracer.enabled:
             db.tracer.rule_fire(rule.name, txn.txn_id, len(tasks), db.clock.now())
-        return tasks
+        return True
 
     # ----------------------------------------------------- action bodies
 

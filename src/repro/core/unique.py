@@ -44,11 +44,13 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.net_effect import FoldedTable, compact_spec
 from repro.errors import BindingError, RuleError, SchemaError
 from repro.storage.temptable import TempTable
+from repro.txn.log import PendingEffect
 from repro.txn.tasks import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.rules import Rule
     from repro.database import Database
+    from repro.txn.transaction import Transaction
 
 
 def _full_copy(source: TempTable, charge) -> TempTable:
@@ -86,95 +88,62 @@ class UniqueManager:
         self.compact_count = 0
         self.compact_rows_in = 0
         self.compact_rows_out = 0
-        # Absorb-undo journal for the currently committing transaction
-        # (None outside a commit); see begin_undo/rollback_undo.
-        self._undo: Optional[list] = None
-
-    # ------------------------------------------------- commit-scoped undo
-
-    def begin_undo(self) -> None:
-        """Start journaling absorb mutations for one committing transaction.
-
-        Commits run one at a time (rule processing happens inline at the
-        commit point, and action bodies never commit while another commit
-        is mid-flight), so a single journal suffices."""
-        self._undo = []
-
-    def discard_undo(self) -> None:
-        """The commit succeeded; its absorbs are permanent."""
-        self._undo = None
-
-    def rollback_undo(self) -> None:
-        """Rescind every absorb the aborting commit performed.
-
-        Incremental user functions apply bound rows as deltas, so rows
-        describing a rolled-back change must not stay behind in pending
-        tasks: the transaction's retry would fire the rules again and the
-        same delta would be applied twice."""
-        entries = self._undo
-        self._undo = None
-        for table, mark in reversed(entries or ()):
-            table.rollback(mark)
 
     # ------------------------------------------------------------ dispatch
 
     def dispatch(
-        self,
-        rule: "Rule",
-        bound: dict[str, TempTable],
-        commit_time: float,
-        origin: Optional[Task] = None,
+        self, rule: "Rule", bound: dict[str, TempTable], txn: "Transaction"
     ) -> list[Task]:
-        """Create or extend action tasks for one rule firing.
+        """Create or extend action tasks for one rule firing of the
+        committing ``txn``.
 
         Takes ownership of ``bound``: tables handed to a new task are kept,
         tables absorbed into a pending task (or partitioned into copies) are
         retired here.  Returns the newly created tasks (possibly empty when
-        every partition was absorbed by pending work).
+        every partition was absorbed by pending work); they, and every
+        absorb, are also on ``txn.effects``, where a failing commit finds
+        them (:meth:`rescind`).
 
-        ``origin`` is the upstream rule task whose action transaction fired
-        this rule (None for base-table firings): the cascade provenance is
-        stamped onto the new or extended task so staleness accounting
-        inherits the originating mutation stamps instead of minting fresh
-        ones.
+        A firing out of a rule-action transaction is a cascade: the
+        upstream task is the ``origin`` stamped onto the new or extended
+        task, so staleness accounting inherits the originating mutation
+        stamps instead of minting fresh ones.
         """
         charge = self.db.charge
+        origin = txn.task if txn.task is not None and txn.task.function_name else None
         if not rule.unique:
-            return [self._new_task(rule, bound, commit_time, unique_key=None, origin=origin)]
+            return [self._new_task(rule, bound, txn, unique_key=None, origin=origin)]
 
         if not rule.unique_on:
             # Coarse batching: one pending task per user function.
             charge("unique_lookup")
-            fresh = self._absorb_or_create(rule, (), bound, commit_time, origin)
+            fresh = self._absorb_or_create(rule, (), bound, txn, origin)
             return [] if fresh is None else [fresh]
 
         keys, owners = self._route(rule, bound)
         new_tasks: list[Task] = []
-        try:
-            for key in keys:
-                charge("unique_lookup")
-                # Owners are filtered to the key's rows (possibly none),
-                # straight from the grouped raw rows; every other bound
-                # table is passed whole.
-                partition: dict[str, TempTable] = {}
-                for name, table in bound.items():
-                    if name in owners:
-                        positions, groups = owners[name]
-                        part = tuple(key[position] for position in positions)
-                        partition[name] = table.subset(groups.get(part, ()))
-                    else:
-                        partition[name] = _full_copy(table, charge)
-                fresh = self._absorb_or_create(rule, key, partition, commit_time, origin)
-                if fresh is not None:
-                    new_tasks.append(fresh)
-        except Exception:
-            # A failure on a later partition must not strand the earlier
-            # partitions' tasks: they are registered as pending but will
-            # never be returned to the engine (and so never enqueued), and
-            # subsequent firings would absorb rows into them forever.
-            for fresh in new_tasks:
-                self.abandon(fresh, "aborted")
-            raise
+        for key in keys:
+            charge("unique_lookup")
+            # Owners are filtered to the key's rows (possibly none),
+            # straight from the grouped raw rows; every other bound
+            # table is passed whole.
+            partition: dict[str, TempTable] = {}
+            for name, table in bound.items():
+                if name in owners:
+                    positions, groups = owners[name]
+                    part = tuple(key[position] for position in positions)
+                    partition[name] = table.subset(groups.get(part, ()))
+                else:
+                    partition[name] = _full_copy(table, charge)
+            try:
+                fresh = self._absorb_or_create(rule, key, partition, txn, origin)
+            except Exception:
+                # Ours until a task owns it (the caller retires ``bound``).
+                for table in partition.values():
+                    table.retire()
+                raise
+            if fresh is not None:
+                new_tasks.append(fresh)
         for table in bound.values():
             table.retire()
         return new_tasks
@@ -244,7 +213,7 @@ class UniqueManager:
         rule: "Rule",
         key: tuple,
         bound: dict[str, TempTable],
-        commit_time: float,
+        txn: "Transaction",
         origin: Optional[Task],
     ) -> Optional[Task]:
         """Batch ``bound`` onto the key's pending task, or open (and
@@ -252,9 +221,9 @@ class UniqueManager:
         pending = self._pending.setdefault(rule.function, {})
         task = pending.get(key)
         if task is not None and task.state in (TaskState.DELAYED, TaskState.READY):
-            self._absorb(task, bound, origin=origin)
+            self._absorb(task, bound, txn, origin)
             return None
-        fresh = self._new_task(rule, bound, commit_time, unique_key=key, origin=origin)
+        fresh = self._new_task(rule, bound, txn, unique_key=key, origin=origin)
         pending[key] = fresh
         return fresh
 
@@ -262,7 +231,8 @@ class UniqueManager:
         self,
         task: Task,
         bound: dict[str, TempTable],
-        origin: Optional[Task] = None,
+        txn: "Transaction",
+        origin: Optional[Task],
     ) -> None:
         """Append a new firing's rows onto a pending task's bound tables."""
         charge = self.db.charge
@@ -274,23 +244,22 @@ class UniqueManager:
                 f"function {task.function_name!r}: bound tables differ across rules "
                 f"({sorted(bound)} vs {sorted(task.bound_tables)})"
             )
-        persist = self.db.persist
-        if persist.enabled:
+        effect = PendingEffect(task, marks=[])
+        if self.db.persist.enabled:
             # Capture the incoming rows by value before they are folded in
             # (and the fresh tables retired): the WAL's absorb event must
             # replay against a resurrected, fully materialized task.
-            persist.note_absorb(
-                task,
-                {
-                    name: [list(values) for values in fresh.scan_values()]
-                    for name, fresh in bound.items()
-                },
-            )
+            effect.rows = {
+                name: [list(values) for values in fresh.scan_values()]
+                for name, fresh in bound.items()
+            }
+        # On the list before the first row moves: a commit that fails from
+        # here on rolls the tables back.
+        txn.effects.append(effect)
         appended = 0
         for name, fresh in bound.items():
             target = task.bound_tables[name]
-            if self._undo is not None:
-                self._undo.append((target, target.savepoint()))
+            effect.marks.append((target, target.savepoint()))
             if target.folding:
                 appended += self._fold_into(target, fresh)
             else:
@@ -313,18 +282,17 @@ class UniqueManager:
                 charge("unique_append_row", max(added, 1))
             fresh.retire()
         self.batch_count += 1
+        effect.time = now = self.db.clock.now()
         if self.db.tracer.enabled:
-            self.db.tracer.unique_append(
-                task, appended, self.db.clock.now(), origin=origin
-            )
+            self.db.tracer.unique_append(task, appended, now, origin=origin)
 
     def _new_task(
         self,
         rule: "Rule",
         bound: dict[str, TempTable],
-        commit_time: float,
+        txn: "Transaction",
         unique_key: Optional[tuple],
-        origin: Optional[Task] = None,
+        origin: Optional[Task],
     ) -> Task:
         charge = self.db.charge
         faults = self.db.faults
@@ -340,8 +308,8 @@ class UniqueManager:
         task = Task(
             body=body,
             klass=f"recompute:{rule.function}",
-            release_time=commit_time + rule.after,
-            created_time=commit_time,
+            release_time=txn.commit_time + rule.after,
+            created_time=txn.commit_time,
             function_name=rule.function,
             rule_name=(
                 f"{rule.name}@{rule.maintenance}" if rule.maintenance else rule.name
@@ -354,9 +322,7 @@ class UniqueManager:
         if origin is not None:
             task.cascade_from = origin.task_id
         self.task_count += 1
-        persist = self.db.persist
-        if persist.enabled:
-            persist.note_task_new(task)
+        txn.effects.append(PendingEffect(task))
         if self.db.tracer.enabled:
             self.db.tracer.unique_new(task, self.db.clock.now(), origin=origin)
         return task
@@ -473,14 +439,37 @@ class UniqueManager:
         completion (firm-deadline drop, retry budget exhausted, superseded,
         creating commit rolled back, recovery orphan past its budget).  No
         firing can batch onto it any more, its pins are released, the log
-        gets its terminal record; the queues skip it by state when popped.
-        Callers add only their own charge and tracer event."""
+        gets its terminal record if it knew the task; the queues skip it by
+        state when popped.  Callers add only their own charge and event."""
         self.forget(task)
         task.state = TaskState.ABORTED
         task.retire_bound_tables()
         persist = self.db.persist
         if persist.enabled and task.function_name is not None:
             persist.task_finished(task, outcome)
+
+    def rescind(self, effect: PendingEffect, txn: "Transaction") -> None:
+        """Take back one effect of ``txn``, whose commit failed (it walks
+        its effects newest first).  The retry re-fires the rules, so nothing
+        may stay behind: a task it opened would sit pending yet never reach
+        the scheduler, swallowing every later firing's rows; an absorbed
+        delta would be applied twice by an incremental action.  Counters
+        and the tracer's stamps go back too."""
+        task = effect.task
+        if effect.marks is None:
+            self.task_count -= 1
+            task.log_closed = True  # never logged as created: no terminal record
+            self.abandon(task, "aborted")
+        else:
+            for table, mark in reversed(effect.marks):
+                table.rollback(mark)
+            if effect.time is None:
+                return  # raised part-way: never counted, never stamped
+            self.batch_count -= 1
+        if self.db.tracer.enabled:
+            self.db.tracer.unique_rescind(
+                task, effect.marks is None, self.db.clock.now(), origin=txn.task
+            )
 
     def supersede(
         self, function: str, unique_key: tuple, now: float

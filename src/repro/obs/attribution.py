@@ -136,6 +136,9 @@ class AttributionProfiler:
     def on_unique_append(self, task: "Task", rows: int, now: float) -> None:
         self._entry(self.key_of(task)).firings += 1
 
+    def on_unique_rescind(self, task: "Task") -> None:
+        self._entry(self.key_of(task)).firings -= 1
+
     def on_unique_compact(
         self, task: "Task", rows_in: int, rows_out: int, now: float
     ) -> None:

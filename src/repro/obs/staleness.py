@@ -143,6 +143,26 @@ class StalenessTracker:
         else:
             entry.stamps.extend(stamps)
 
+    def on_task_rescind(
+        self, task: "Task", created: bool, origin: Optional["Task"] = None
+    ) -> None:
+        """The commit that stamped a firing onto ``task`` rolled back: the
+        mutation never happened.  Commits are serial, so what the failed one
+        added — one fresh stamp, or for a cascade a copy of the upstream
+        task's — is the tail of the entry (all of it if ``created``).
+        ``origin`` is the failed transaction's task: only a rule task has
+        an entry here, so an application task reads as no upstream."""
+        upstream = self._outstanding.get(origin.task_id) if origin is not None else None
+        if upstream is not None:
+            upstream.forwarded = False  # forwarded by the failed commit only
+        if created:
+            self._outstanding.pop(task.task_id, None)
+            return
+        entry = self._outstanding.get(task.task_id)
+        added = 1 if upstream is None else len(upstream.stamps)
+        if entry is not None and added:
+            del entry.stamps[-added:]
+
     def on_task_done(self, task: "Task", end_time: float) -> None:
         """The task committed: every stamped mutation is now reflected —
         unless the stamps were forwarded to a downstream cascade task, in

@@ -20,6 +20,8 @@ Event taxonomy (``TraceEvent.kind``):
 ``unique.append``           dispatch coalesced a firing onto a pending task
 ``unique.compact``          a compacted task was sealed; carries the rows
                             that entered the fold vs the rows that survived
+``unique.rescind``          the dispatching commit failed: one ``unique.new``
+                            or ``unique.append`` of it was taken back
 ``task.enqueue``            a task entered the delay or ready queue
 ``task.release``            the delay queue released a task at its time
 ``task``                    one task execution (a span: start .. end)
@@ -128,6 +130,9 @@ class Tracer:
     ) -> None: ...
     def unique_compact(
         self, task: "Task", rows_in: int, rows_out: int, now: float
+    ) -> None: ...
+    def unique_rescind(
+        self, task: "Task", created: bool, now: float, origin: Optional["Task"] = None
     ) -> None: ...
 
     # -------------------------------------------------------------- tasks
@@ -343,6 +348,24 @@ class TraceCollector(Tracer):
             now, "unique.compact", task.function_name or task.klass, track="unique",
             task_id=task.task_id, rows_in=rows_in, rows_out=rows_out,
             key=repr(task.unique_key),
+        )
+
+    def unique_rescind(
+        self, task: "Task", created: bool, now: float, origin: Optional["Task"] = None
+    ) -> None:
+        """The commit whose firing opened ``task`` (``created``) or was
+        coalesced onto it rolled back: withdraw the firing from the batch
+        size, the staleness stamps and the rule's attribution."""
+        self.metrics.counter("unique_rescinds").inc()
+        if created:
+            self._batch_firings.pop(task.task_id, None)
+        elif task.task_id in self._batch_firings:
+            self._batch_firings[task.task_id] -= 1
+        self.staleness.on_task_rescind(task, created, origin)
+        self.attribution.on_unique_rescind(task)
+        self._emit(
+            now, "unique.rescind", task.function_name or task.klass, track="unique",
+            task_id=task.task_id, created=created, key=repr(task.unique_key),
         )
 
     # -------------------------------------------------------------- tasks

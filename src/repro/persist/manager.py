@@ -12,12 +12,12 @@ The :class:`PersistenceManager` turns engine events into WAL records
     One composite record per committed transaction carrying its DML
     (redo images from the operation log), every pending task the commit
     *created* (with a snapshot of its bound tables), every absorb into a
-    pre-existing pending task, and — for action transactions — the
-    retirement of the task that ran.  Bundling all of it into a single
-    checksummed frame is the atomicity argument: a crash can never make
-    a task durable without the commit that triggered it, nor an action's
-    effects durable without its retirement (which would double-apply the
-    delta on replay).
+    pre-existing pending task (both read off ``txn.effects``), and — for
+    action transactions — the retirement of the task that ran.  Bundling
+    all of it into a single checksummed frame is the atomicity argument:
+    a crash can never make a task durable without the commit that
+    triggered it, nor an action's effects durable without its retirement
+    (which would double-apply the delta on replay).
 
 ``task_started`` / ``task_finished`` / ``task_requeued`` / ``task_compact``
     Standalone frames for events with no commit of their own: execution
@@ -25,11 +25,11 @@ The :class:`PersistenceManager` turns engine events into WAL records
     recovery requeues (new release deadline + retry count), and the
     compaction finalize's deterministic no-op drop.
 
-Events are buffered per commit (``begin_commit`` .. ``commit``), mirroring
-the unique manager's absorb-undo journal: if rule processing fails and
-rolls back, the buffered events are discarded with it.  Absorbs into a
-task created *by the same commit* are dropped — the creation snapshot is
-taken at record-build time and already contains them.
+The record is built once, after rule processing succeeded: a commit that
+fails and rolls back never reaches the log.  Absorbs into a task created
+*by the same commit* are left out — the creation snapshot is taken at
+record-build time and already contains them.  ``Task.log_closed`` keeps a
+task to one terminal record — none if its creating commit never landed.
 """
 
 from __future__ import annotations
@@ -68,18 +68,6 @@ class NullPersistence:
         pass
 
 
-class _CommitBuffer:
-    """Rule-engine events of the currently committing transaction."""
-
-    __slots__ = ("tasks_new", "new_ids", "absorbs")
-
-    def __init__(self) -> None:
-        self.tasks_new: list["Task"] = []
-        self.new_ids: set[int] = set()
-        # task_id -> bound-table name -> appended row values
-        self.absorbs: dict[int, dict[str, list[list]]] = {}
-
-
 class PersistenceManager:
     """Write-ahead logging + fuzzy checkpoints for one database.
 
@@ -104,8 +92,6 @@ class PersistenceManager:
         self.checkpoint_every = checkpoint_every
         self.enabled = True
         self._db: Optional["Database"] = None
-        self._buffer: Optional[_CommitBuffer] = None
-        self._finished_logged: set[int] = set()
         self.records_logged = 0
         self.checkpoint_count = 0
         self._last_checkpoint_time: Optional[float] = None
@@ -155,29 +141,7 @@ class PersistenceManager:
 
     # ----------------------------------------------------- commit events
 
-    def begin_commit(self, txn: "Transaction") -> None:
-        self._buffer = _CommitBuffer()
-
-    def rollback_commit(self) -> None:
-        self._buffer = None
-
-    def note_task_new(self, task: "Task") -> None:
-        buffer = self._buffer
-        if buffer is None:
-            return
-        buffer.tasks_new.append(task)
-        buffer.new_ids.add(task.task_id)
-
-    def note_absorb(self, task: "Task", rows_by_name: dict[str, list[list]]) -> None:
-        buffer = self._buffer
-        if buffer is None or task.task_id in buffer.new_ids:
-            return  # creation snapshot (taken at flush) already covers these
-        merged = buffer.absorbs.setdefault(task.task_id, {})
-        for name, rows in rows_by_name.items():
-            merged.setdefault(name, []).extend(rows)
-
     def commit(self, txn: "Transaction") -> None:
-        buffer, self._buffer = self._buffer, None
         ops = []
         for entry in txn.log.entries:
             if entry.kind == "insert":
@@ -199,19 +163,22 @@ class PersistenceManager:
                 )
         finished: Optional[int] = None
         task = txn.task
-        if (
-            task is not None
-            and task.function_name is not None
-            and task.task_id not in self._finished_logged
-        ):
+        if task is not None and task.function_name is not None and not task.log_closed:
             finished = task.task_id
-            self._finished_logged.add(task.task_id)
-        tasks_new = [task_to_record(created) for created in (buffer.tasks_new if buffer else [])]
-        absorbs = (
-            [{"task_id": task_id, "bound": rows} for task_id, rows in buffer.absorbs.items()]
-            if buffer
-            else []
-        )
+            task.log_closed = True
+        tasks_new = []
+        new_ids: set[int] = set()
+        merged: dict[int, dict[str, list[list]]] = {}
+        for effect in txn.effects:
+            task_id = effect.task.task_id
+            if effect.marks is None:
+                tasks_new.append(task_to_record(effect.task))
+                new_ids.add(task_id)
+            elif task_id not in new_ids:  # else its creation snapshot has the rows
+                bound = merged.setdefault(task_id, {})
+                for name, rows in effect.rows.items():
+                    bound.setdefault(name, []).extend(rows)
+        absorbs = [{"task_id": task_id, "bound": rows} for task_id, rows in merged.items()]
         if not (ops or tasks_new or absorbs or finished is not None):
             return
         self._log(
@@ -236,16 +203,9 @@ class PersistenceManager:
         )
 
     def task_finished(self, task: "Task", outcome: str) -> None:
-        buffer = self._buffer
-        if buffer is not None and task.task_id in buffer.new_ids:
-            # Created by the commit still in flight and given up before it
-            # landed: the log never knew this task, and now never will.
-            buffer.new_ids.discard(task.task_id)
-            buffer.tasks_new.remove(task)
+        if task.log_closed:
             return
-        if task.task_id in self._finished_logged:
-            return
-        self._finished_logged.add(task.task_id)
+        task.log_closed = True
         self._log(
             {"kind": "task_finished", "task_id": task.task_id, "outcome": outcome},
             label=outcome,
@@ -280,7 +240,6 @@ class PersistenceManager:
         nbytes = write_snapshot(snapshot, self.checkpoint_path)
         self.wal.truncate()
         self.checkpoint_count += 1
-        self._finished_logged.clear()
         self._last_checkpoint_time = db.clock.now()
         if db.tracer.enabled:
             db.tracer.persist_checkpoint(

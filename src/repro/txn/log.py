@@ -11,9 +11,13 @@ condition can pair them (paper section 2).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.storage.tuples import Record
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.storage.temptable import TempTable
+    from repro.txn.tasks import Task
 
 INSERT = "insert"
 DELETE = "delete"
@@ -54,6 +58,30 @@ class LogEntry:
             )
             if old != new
         }
+
+
+class PendingEffect:
+    """One thing a rule firing of a committing transaction did to pending
+    work: opened ``task`` (``marks`` is None) or batched a firing onto it.
+    ``Transaction.effects`` lists them in order and is their only record:
+    success enqueues and logs from it, failure walks it backwards.
+
+    For an absorb, ``marks`` pairs each bound table absorbed into with the
+    ``savepoint()`` that returns it to where it stood; ``rows`` holds the
+    absorbed rows by value, per table, only while commits are logged (the
+    WAL's absorb event replays them); ``time`` is the virtual time the
+    absorb landed — None if it raised part-way, when it is rolled back but
+    was never counted or stamped."""
+
+    __slots__ = ("task", "marks", "rows", "time")
+
+    def __init__(
+        self, task: "Task", marks: Optional[list[tuple["TempTable", Any]]] = None
+    ) -> None:
+        self.task = task
+        self.marks = marks
+        self.rows: Optional[dict[str, list[list]]] = None
+        self.time: Optional[float] = None
 
 
 class TransactionLog:

@@ -61,6 +61,7 @@ class Task:
         "retries",
         "stratum",
         "cascade_from",
+        "log_closed",
     )
 
     def __init__(
@@ -109,6 +110,9 @@ class Task:
         # this one (None for base-table firings); the staleness tracker uses
         # it to inherit mutation stamps instead of minting fresh ones.
         self.cascade_from: Optional[int] = None
+        # True once the WAL owes this task no terminal record: it wrote
+        # one, or the creating commit rolled back and it never knew the task.
+        self.log_closed = False
 
     @property
     def bound_rows(self) -> int:

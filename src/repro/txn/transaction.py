@@ -21,7 +21,7 @@ from repro.errors import LockError, TransactionError
 from repro.storage.table import Table
 from repro.storage.tuples import Record
 from repro.txn.locks import LockMode
-from repro.txn.log import DELETE, INSERT, UPDATE, TransactionLog
+from repro.txn.log import DELETE, INSERT, UPDATE, PendingEffect, TransactionLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
@@ -47,6 +47,9 @@ class Transaction:
         self.state = TransactionState.ACTIVE
         db._active_txns[self.txn_id] = self
         self.log = TransactionLog()
+        # What the commit did to pending unique tasks: appended by
+        # UniqueManager._new_task / _absorb, read by commit() and the WAL.
+        self.effects: list[PendingEffect] = []
         self.commit_time: Optional[float] = None
         self.commit_seq: Optional[int] = None
         self.begin_time = db.clock.now()
@@ -203,40 +206,31 @@ class Transaction:
         # used by view maintenance to tell whether a rederivation requery
         # already reflected a pending task's source transaction.
         self.commit_seq = self.db.next_commit_seq()
-        persist = self.db.persist
-        persisting = persist.enabled
-        if persisting:
-            # Buffer this commit's rule-engine events (task creations,
-            # absorbs) so they land in ONE composite WAL record with the
-            # DML — or vanish with it if the commit fails.
-            persist.begin_commit(self)
+        db = self.db
         if len(self.log):
-            # Absorbs into *pending* tasks are visible side effects of this
-            # commit; journal them so a failing commit can rescind them —
-            # the retry re-fires the rules, and incremental actions would
-            # otherwise apply the same bound deltas twice.
-            unique = self.db.unique_manager
-            unique.begin_undo()
             try:
-                self.db.rule_engine.process_commit(self)
+                db.rule_engine.process_commit(self)
             except Exception:
-                # A failing rule fails the commit: roll the transaction back
-                # so no locks or half-applied changes survive, then re-raise.
-                unique.rollback_undo()
-                if persisting:
-                    persist.rollback_commit()
+                # A failing rule fails the commit: one walk, newest first,
+                # takes back what its firings did to pending work, then the
+                # transaction rolls back (no lock, no half-applied change).
+                for effect in reversed(self.effects):
+                    db.unique_manager.rescind(effect, self)
                 self.commit_time = None
                 self.commit_seq = None
                 self.abort()
                 raise
-            unique.discard_undo()
-        if persisting:
+            for effect in self.effects:
+                if effect.marks is None:
+                    db.task_manager.enqueue(effect.task)
+        persist = db.persist
+        if persist.enabled:
             # The redo record is built after rule processing (new tasks'
             # bound tables — and their release times — are final) and
-            # before the commit point; a crash here loses the whole
-            # commit, never part of it.
+            # before the commit point, DML and pending-work effects in ONE
+            # frame; a crash here loses the whole commit, never part of it.
             persist.commit(self)
-        self.db.charge("commit_txn")
+        db.charge("commit_txn")
         self._release_locks()
         self.state = TransactionState.COMMITTED
         self.db.on_txn_finished(self)

@@ -226,9 +226,9 @@ class TestPinning:
 
     def test_failed_commit_after_move_absorb_rolls_back_with_pins_balanced(self, db):
         """An absorbed firing's rows move into the pending task with the pins
-        they hold; when a later rule fails the commit, the undo journal
-        truncates the target and those pins drop — on the plain path as on
-        the compacted one (tests/core/test_compaction.py)."""
+        they hold; when a later rule fails the commit, the walk over its
+        effects truncates the target and those pins drop — on the plain path
+        as on the compacted one (tests/core/test_compaction.py)."""
         seen = []
 
         def fn(ctx):
@@ -259,10 +259,14 @@ class TestPinning:
         target = task.bound_tables["m"]
         records = {record for ptrs, _mats in target.scan_raw() for record in ptrs}
         held = {record: record.pins for record in records}
+        rolled_back, rollback = [], target.rollback
+        target.rollback = lambda mark: (rolled_back.append(mark), rollback(mark))
         with pytest.raises(Exception, match="refused"):
             db.execute("update t set v = 666.0 where k = 'a'")
-        # The failed firing had been moved in (a_batch fired first) and is gone again.
-        assert db.unique_manager.batch_count == 1
+        # The failed firing had been moved in (a_batch fired first) and is
+        # gone again, uncounted.
+        assert rolled_back == [1]
+        assert db.unique_manager.batch_count == 0
         assert len(target) == 1
         assert {record: record.pins for record in records} == held
         db.execute("update t set v = 3.0 where k = 'a'")

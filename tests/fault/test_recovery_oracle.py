@@ -1,4 +1,4 @@
-"""Tests for the retry policy, the absorb-undo journal, and the oracle.
+"""Tests for the retry policy, the rollback of a failed commit's absorbs, and the oracle.
 
 The experiment-level tests double as regressions for three engine bugs the
 fault subsystem surfaced (docs/FAULTS.md tells the full story):

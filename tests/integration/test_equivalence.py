@@ -190,7 +190,7 @@ def apply_updates_with_retry(db, updates, gap):
 
 #: A plan that exercises every recovery path the metamorphic claim relies
 #: on: commit aborts (client retry), absorb aborts mid-rule-processing (the
-#: absorb-undo journal), and task kills (the retry policy).
+#: walk over the failed commit's effects), and task kills (the retry policy).
 METAMORPHIC_PLAN = (
     "txn.commit:abort@every=9;"
     "unique.absorb:abort@every=7;"

@@ -168,7 +168,7 @@ class TestAbsorb:
         assert first.row_values(1) == ["B", 2.0, 1]
         with pytest.raises(SchemaError):
             first.move_from(second)  # a retired source has nothing to give
-        first.rollback(mark)  # the undo journal's truncate releases moved pins
+        first.rollback(mark)  # the failed commit's rollback releases moved pins
         assert len(first) == 1 and r2.pins == 0 and r1.pins == 1
         first.retire()
         assert r1.pins == 0

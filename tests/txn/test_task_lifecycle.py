@@ -7,7 +7,9 @@ the task's state is terminal, the unique manager holds no pending entry for
 it, every record its bound tables pinned is back to zero pins, no
 transaction is left active and no lock held, and (with persistence on) the
 log carries exactly one terminal event for a task it ever knew — none for
-one it never did.
+one it never did.  The observers agree: no staleness stamp is owed for a
+task that ended, every firing the profiler counted is reflected, lost or
+still owed exactly once, and ``db.stats()`` counts only firings that landed.
 """
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.database import Database
 from repro.errors import FunctionError, InjectedFaultError
 from repro.fault import FaultInjector, RetryPolicy
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import TraceCollector
 from repro.persist import recover
 from repro.persist.manager import PersistenceManager
 from repro.persist.wal import read_wal
@@ -23,15 +25,16 @@ from repro.sim.simulator import Simulator
 from repro.txn.tasks import TaskState
 
 
-class TaskSpy(Tracer):
-    """Collects every rule-action task the unique manager creates."""
-
-    enabled = True
+class TaskSpy(TraceCollector):
+    """The full collector, also keeping every rule-action task the unique
+    manager creates."""
 
     def __init__(self):
+        super().__init__()
         self.tasks = []
 
     def unique_new(self, task, now, origin=None):
+        super().unique_new(task, now, origin=origin)
         self.tasks.append(task)
 
 
@@ -188,7 +191,7 @@ def ends_orphan_past_budget(tmp_path, durable):
     dead.persist.close()
 
     persist = PersistenceManager(str(tmp_path / "wal")) if durable else None
-    db = Database(persist=persist)
+    db = Database(tracer=TaskSpy(), persist=persist)
     given_up = []
     abandon = db.unique_manager.abandon
     db.unique_manager.abandon = lambda task, outcome: (
@@ -250,6 +253,20 @@ def test_every_ending_leaves_nothing_behind(tmp_path, ending, durable):
         assert db._active_txns == {}
         assert db.lock_manager._locks == {}
         assert db.task_manager.pending == 0
+        # The observers: stamps stay owed only for a task left to recovery
+        # (its mutations are still unreflected); nothing is owed otherwise,
+        # so admission sees an idle system.
+        staleness = db.tracer.staleness
+        owed = 1 if logged == LEFT_TO_RECOVERY else 0
+        assert staleness.outstanding() == owed
+        if not owed:
+            assert db.tracer.backpressure(db.clock.now() + 100.0) == 0.0
+        landed = sum(row["firings"] for row in db.tracer.attribution.snapshot())
+        assert landed == staleness.reflected + staleness.lost + owed
+        stats = db.stats()
+        assert stats["rule_firings"] == landed
+        assert stats["unique_pending"] == stats["unique_batched_firings"] == 0
+        assert stats["tasks_pending"] == 0
         if durable:
             created, ended = log_of(db, task.task_id)
             if logged == NEVER_LOGGED:
