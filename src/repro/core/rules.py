@@ -1,4 +1,4 @@
-"""Rule definitions and event matching.
+"""Rule definitions and stratification.
 
 A rule (Figure 2) is defined on one table and triggered by insertions,
 deletions, or updates (optionally restricted to named columns).  Event
@@ -9,12 +9,11 @@ the transaction's log (sections 2 and 6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import CreateRuleError, RuleError
 from repro.sql import ast
-from repro.storage.schema import Schema
-from repro.txn.log import DELETE, INSERT, UPDATE, LogEntry
+from repro.txn.log import DELETE, INSERT, UPDATE
 
 
 @dataclass
@@ -123,37 +122,6 @@ class Rule:
 
     def all_queries(self) -> tuple[ast.RuleQuery, ...]:
         return (*self.condition, *self.evaluate)
-
-    # ------------------------------------------------------- event matching
-
-    def matches(self, entries: Iterable[LogEntry], schema: Schema) -> bool:
-        """True if any logged change to this rule's table triggers it."""
-        wanted_updates: Optional[set[int]] = None
-        wants_insert = False
-        wants_delete = False
-        wants_any_update = False
-        for event in self.events:
-            if event.kind == "inserted":
-                wants_insert = True
-            elif event.kind == "deleted":
-                wants_delete = True
-            elif event.kind == "updated":
-                if not event.columns:
-                    wants_any_update = True
-                else:
-                    offsets = {schema.offset(column) for column in event.columns}
-                    wanted_updates = (wanted_updates or set()) | offsets
-        for entry in entries:
-            if entry.kind == INSERT and wants_insert:
-                return True
-            if entry.kind == DELETE and wants_delete:
-                return True
-            if entry.kind == UPDATE:
-                if wants_any_update:
-                    return True
-                if wanted_updates is not None and entry.changed_offsets() & wanted_updates:
-                    return True
-        return False
 
     def __repr__(self) -> str:
         parts = [f"Rule({self.name!r} on {self.table!r} -> {self.function!r}"]

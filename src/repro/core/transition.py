@@ -1,11 +1,12 @@
 """Transition tables: ``inserted``, ``deleted``, ``new`` and ``old``.
 
 Built once per (transaction, table) during the commit-time log pass and
-shared by every rule on that table (paper section 6.3).  STRIP does not
-reduce transition tables to net effect: a tuple inserted and deleted in the
-same transaction appears in both tables, preserving the audit trail
-(section 2).  Each row carries the ``execute_order`` sequence number; the
-old and new images of one update share the same number.
+shared by every rule on that table (paper section 6.3) — the ones some
+triggered rule's queries name.  STRIP does not reduce transition tables to
+net effect: a tuple inserted and deleted in the same transaction appears in
+both tables, preserving the audit trail (section 2).  Each row carries the
+``execute_order`` sequence number; the old and new images of one update
+share the same number.
 
 Rows are pointer-based: each row holds one pointer to the standard record
 (live, or retired-but-pinned for old images) plus the materialized
@@ -14,12 +15,12 @@ Rows are pointer-based: each row holds one pointer to the standard record
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
 from repro.storage.temptable import ColumnSource, StaticMap, TempTable
-from repro.txn.log import DELETE, INSERT, UPDATE, LogEntry
+from repro.txn.log import INSERT, UPDATE, LogEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
@@ -41,35 +42,48 @@ def transition_static_map(table_schema: Schema, label: str) -> StaticMap:
     return StaticMap(sources, ptr_labels=(label,))
 
 
-class TransitionTables:
-    """The four transition tables for one (transaction, table) pair."""
+class TransitionShape:
+    """The schema and four static maps of one ``Table`` object's transition
+    tables (a table re-created under its name is a new object, with its own),
+    shared by every firing of every rule on it so their plans stay valid."""
 
-    def __init__(self, db: "Database", table: Table, entries: list[LogEntry]) -> None:
-        schema = db.rule_engine.transition_schema_for(table)
-        self.tables: dict[str, TempTable] = {}
-        for name in TRANSITION_NAMES:
-            static_map = db.rule_engine.transition_map_for(table, name)
-            self.tables[name] = TempTable(name, schema, static_map)
-        charge = db.charge
+    __slots__ = ("schema", "maps")
+
+    def __init__(self, table: Table) -> None:
+        self.schema = transition_schema(table.schema)
+        self.maps = {
+            name: transition_static_map(table.schema, label=f"{table.name}.{name}")
+            for name in TRANSITION_NAMES
+        }
+
+    def build(
+        self, db: "Database", entries: list[LogEntry], names: Iterable[str]
+    ) -> dict[str, TempTable]:
+        """The transition tables ``names`` over one transaction's ``entries``;
+        ``transition_row`` is charged for every entry in log order (two per
+        update) whichever tables are built."""
+        tables = {name: TempTable(name, self.schema, self.maps[name]) for name in names}
+        inserted, deleted, new, old = [
+            tables[name].row_sink(1, 1) if name in tables else None for name in TRANSITION_NAMES
+        ]
+        meter, cost = db.metering()
+        one = cost["transition_row"]
+        two = one * 2  # what charge("transition_row", 2) adds
+        total, rows = meter.total, 0
         for entry in entries:
-            order = (entry.execute_order,)
-            if entry.kind == INSERT:
-                charge("transition_row")
-                self.tables["inserted"].append_row((entry.new_record,), order)
-            elif entry.kind == DELETE:
-                charge("transition_row")
-                self.tables["deleted"].append_row((entry.old_record,), order)
-            elif entry.kind == UPDATE:
-                charge("transition_row", 2)
-                self.tables["new"].append_row((entry.new_record,), order)
-                self.tables["old"].append_row((entry.old_record,), order)
-
-    def namespace(self) -> dict[str, TempTable]:
-        return dict(self.tables)
-
-    def retire(self) -> None:
-        for table in self.tables.values():
-            table.retire()
-
-    def __getitem__(self, name: str) -> TempTable:
-        return self.tables[name]
+            if entry.kind == UPDATE:
+                total, rows = total + two, rows + 2
+                images = ((new, entry.new_record), (old, entry.old_record))
+            elif entry.kind == INSERT:
+                total, rows = total + one, rows + 1
+                images = ((inserted, entry.new_record),)
+            else:
+                total, rows = total + one, rows + 1
+                images = ((deleted, entry.old_record),)
+            for sink, record in images:
+                if sink is not None:
+                    record.pin()
+                    sink(((record,), (entry.execute_order,)))
+        meter.total = total
+        meter.ops["transition_row"] += rows
+        return tables

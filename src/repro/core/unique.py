@@ -265,6 +265,7 @@ class UniqueManager:
             else:
                 if (
                     target.static_map.ptr_slots == 0
+                    and target.static_map is not fresh.static_map
                     and target.static_map.signature() != fresh.static_map.signature()
                     and fresh.schema == target.schema
                 ):

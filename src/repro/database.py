@@ -25,9 +25,12 @@ benchmark harness measures.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Any, Optional
 
-from repro.core.engine import RuleEngine
+from repro.core.engine import PreparedRule, RuleEngine
 from repro.core.functions import FunctionRegistry, UserFunction
 from repro.core.rules import Rule, stratify
 from repro.core.unique import UniqueManager
@@ -51,7 +54,6 @@ from repro.sql.planner import SelectResult
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
-from repro.storage.temptable import TempTable
 from repro.txn.locks import LockManager
 from repro.txn.queues import DelayQueue, ReadyQueue
 from repro.txn.scheduler import SchedulingPolicy, make_policy
@@ -270,16 +272,15 @@ class Database:
         ``meter.ops[op] += n`` once when the loop ends (DESIGN.md 6a)."""
         return self.clock._meter or self.background_meter, self._cost_seconds
 
-    def charge_each(self, op: str, count: int) -> None:
-        """``count`` separate charges of ``op``: the additions ``count``
-        calls of :meth:`charge` would make, without the calls."""
+    def charge_each(self, count: int, *ops: str) -> None:
+        """``count`` separate charges of each of ``ops``, op after op: the
+        additions ``count`` calls of :meth:`charge` per op would make,
+        without the calls (left folds, so the same float sums as loops)."""
         if count:
             meter, cost = self.metering()
-            seconds, total = cost[op], meter.total
-            for _ in range(count):
-                total += seconds
-            meter.total = total
-            meter.ops[op] += count
+            for op in ops:
+                meter.total = reduce(add, repeat(cost[op], count), meter.total)
+                meter.ops[op] += count
 
     @property
     def now(self) -> float:
@@ -452,15 +453,13 @@ class Database:
 
     def run_select(
         self,
-        select: ast.Select | ast.RuleQuery,
+        select: ast.Select,
         txn: Optional[Transaction],
         params: Optional[dict[str, Any]] = None,
-        pseudo: Optional[dict[str, Any]] = None,
         namespace: Optional[dict[str, Any]] = None,
-    ) -> SelectResult | TempTable:
-        """Run a parsed SELECT — or a rule's query, which comes back as its
-        bound table when it has ``bind as`` (see ``execute_select``)."""
-        return execute_select(self, select, txn, params, pseudo, namespace)
+    ) -> SelectResult:
+        """Run a parsed SELECT."""
+        return execute_select(self, select, txn, params, namespace=namespace)
 
     # ----------------------------------------------------------------- DDL
 
@@ -470,10 +469,11 @@ class Database:
 
     def create_rule(self, rule: Rule) -> Rule:
         """Register ``rule``, enforcing that all rules executing the same
-        user function define their bound tables identically (section 2) and
-        that the rule program stays acyclic: the dependency graph over the
-        declared write sets is stratified up front, so a cycle raises
-        :class:`~repro.errors.CreateRuleError` and leaves the catalog
+        user function define their bound tables identically (section 2),
+        that the rule program stays acyclic — the dependency graph over the
+        declared write sets is stratified up front — and that every column an
+        ``updated`` event names exists.  A cycle or an unknown event column
+        raises :class:`~repro.errors.CreateRuleError` and leaves the catalog
         unchanged."""
         names = tuple(sorted(rule.bind_names()))
         existing = self.functions.bound_names.get(rule.function)
@@ -483,6 +483,10 @@ class Database:
                 f"with tables {list(existing)}, not {list(names)}"
             )
         strata = stratify([*self.catalog.rules(), rule])  # CreateRuleError on a cycle
+        if self.catalog.has_table(rule.table):
+            # CreateRuleError on an unknown event column (a rule on an
+            # unknown table is the catalog's to refuse, just below).
+            PreparedRule(rule, self.catalog.table(rule.table).schema)
         self.catalog.create_rule(rule)
         self.functions.bound_names.setdefault(rule.function, names)
         self._apply_strata(strata)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Optional, Union
 
 # --------------------------------------------------------------- expressions
@@ -191,6 +191,17 @@ class Select:
     distinct: bool = False
 
 
+def table_names(node: object) -> set[str]:
+    """Every FROM name in ``node`` (a SELECT), its subqueries' included."""
+    if isinstance(node, TableRef):
+        return {node.name}
+    if isinstance(node, tuple):
+        return set().union(*map(table_names, node))
+    if is_dataclass(node):
+        return set().union(*map(table_names, vars(node).values()))
+    return set()
+
+
 def _plan_memo() -> list:
     """A statement's one-entry plan memo, kept by ``sql.executor``: a list
     the (frozen) node owns, not part of its value, hash or repr."""
@@ -288,8 +299,6 @@ class RuleQuery:
 
     select: Select
     bind_as: Optional[str] = None
-    #: ``[db, source shapes, plan]``, kept by ``sql.executor.select_plan``.
-    plan_memo: list = _plan_memo()
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ per statement, kept on the statement node (DESIGN.md 6a, "Prepared DML").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
 from repro.sql.expressions import compile_expr
 from repro.sql.planner import (
     STD,
+    TMP,
     CompiledSelect,
     ExecState,
     SelectResult,
@@ -59,46 +60,71 @@ def _source_shapes(db: Any, select: ast.Select, namespace: Optional[dict[str, An
 
 
 def select_plan(
-    db: Any, select: Union[ast.Select, ast.RuleQuery], namespace: Optional[dict[str, Any]] = None
+    db: Any, select: ast.Select, namespace: Optional[dict[str, Any]] = None
 ) -> CompiledSelect:
-    """Fetch (or build and cache) the compiled plan for ``select``.
-
-    A rule's query answers from its own one-entry memo while the shapes
-    match: a firing then compares shape tuples (equal schemas are the same
-    objects from one firing to the next) instead of hashing the SELECT's AST.
-    """
-    query = select if isinstance(select, ast.RuleQuery) else None
-    if query is not None:
-        select = query.select
-    shapes = _source_shapes(db, select, namespace)
-    if query is not None and query.plan_memo:
-        memo_db, memo_shapes, plan = query.plan_memo
-        if memo_db is db and memo_shapes == shapes:
-            return plan
-    key = (select, shapes)
+    """Fetch (or build and cache) the compiled plan for ``select``."""
+    key = (select, _source_shapes(db, select, namespace))
     plan = db.plan_cache.get(key)
     if plan is None:
-        plan = plan_select(db, select, namespace)
-        db.plan_cache[key] = plan
-    if query is not None:
-        query.plan_memo[:] = db, shapes, plan
+        plan = db.plan_cache[key] = plan_select(db, select, namespace)
     return plan
+
+
+class PreparedSelect:
+    """A rule's query, planned with its S-locks and sources once per shape of
+    what its FROM names resolve to (DESIGN.md 6a, "Prepared firings"): the
+    ``fixed`` (transition) names to the namespace, any other to the catalog
+    unless the namespace holds it too — a cascade's bound table."""
+
+    __slots__ = ("select", "bind_as", "_loose", "_plans")
+
+    def __init__(self, select: ast.Select, bind_as: Optional[str], fixed: Sequence[str]) -> None:
+        self.select, self.bind_as = select, bind_as
+        self._loose = [ref.name for ref in select.tables if ref.name not in fixed]
+        self._plans: dict[tuple, tuple] = {}  # shadowing shapes -> (plan, locks, sources)
+
+    def run(self, db: Any, txn: Any, pseudo: dict[str, Any], namespace: dict[str, Any]) -> Any:
+        """The result set — with ``bind as``, the bound table."""
+        key: tuple = ()
+        for name in self._loose:
+            if name in namespace:  # bound tables shadow catalog names: key on their shapes
+                shadowed = [(n, namespace[n]) for n in self._loose if n in namespace]
+                key = tuple((n, t.schema, t.static_map.signature()) for n, t in shadowed)
+                break
+        prepared = self._plans.get(key)
+        if prepared is None:
+            plan = plan_select(db, self.select, namespace)
+            locks = [desc.name for desc in plan.sources if desc.kind == STD]
+            # Per source: the table or view plan it reads, or None when the
+            # namespace hands it over per firing.
+            catalog = db.catalog
+            sources = [
+                (desc.name, None if desc.kind == TMP else desc.subplan or catalog.table(desc.name))
+                for desc in plan.sources
+            ]
+            prepared = self._plans[key] = plan, locks, sources
+        plan, locks, sources = prepared
+        for name in locks:
+            txn.lock_table_shared(name)
+        state = ExecState(db, txn, {}, pseudo, namespace)
+        state.instances = [namespace[name] if fixed is None else fixed for name, fixed in sources]
+        return plan.collect(state) if self.bind_as is None else plan.bind(self.bind_as, state)
 
 
 def execute_select(
     db: Any,
-    select: Union[ast.Select, ast.RuleQuery],
+    select: Union[ast.Select, PreparedSelect],
     txn: Any,
     params: Optional[dict[str, Any]] = None,
     pseudo: Optional[dict[str, Any]] = None,
     namespace: Optional[dict[str, Any]] = None,
 ) -> Union[SelectResult, TempTable]:
-    """Plan (cached) and execute one SELECT against catalog + namespace.
-    A rule's query with ``bind as`` returns its rows as that bound table."""
-    plan = select_plan(db, select, namespace)
-    if isinstance(select, ast.RuleQuery) and select.bind_as is not None:
-        return plan.bind(select.bind_as, db, txn, pseudo, namespace)
-    return plan.execute(db, txn, params, pseudo, namespace)
+    """Plan (cached) and execute one SELECT against catalog + namespace.  A
+    rule's prepared query runs its own plan, and with ``bind as`` returns
+    its rows as that bound table."""
+    if isinstance(select, PreparedSelect):
+        return select.run(db, txn, pseudo, namespace)
+    return select_plan(db, select, namespace).execute(db, txn, params, pseudo, namespace)
 
 
 # --------------------------------------------------------------------------
@@ -296,10 +322,10 @@ def _prepare_insert(
         offsets = list(range(width))
 
     if stmt.select is not None:
-        query = ast.RuleQuery(stmt.select)  # carries the SELECT's own plan memo
+        select = stmt.select
 
         def run_select(txn: Any, params: Any, namespace: Any) -> int:
-            result = execute_select(db, query, txn, params, namespace=namespace)
+            result = execute_select(db, select, txn, params, namespace=namespace)
             if len(result.columns) != len(offsets):
                 raise ExecutionError(
                     f"INSERT ... SELECT arity mismatch: {len(result.columns)} columns "

@@ -76,7 +76,7 @@ class ExecState:
         self.params = params
         self.pseudo = pseudo
         self.namespace = namespace
-        self.instances: list[Any] = []  # filled by CompiledSelect.execute
+        self.instances: list[Any] = []  # one per planned source, filled by the caller
         self.subqueries: dict[int, list] = {}  # per-execution subquery cache
 
 
@@ -121,14 +121,17 @@ class CompiledSelect:
         self.inline = inline  # getter -> its source over the nest's handles
         self._nests: dict[str, Callable] = {}  # sink -> compiled loop nest
 
-    def _state(self, db: Any, txn: Any, params: Any, pseudo: Any, namespace: Any) -> "ExecState":
+    def state(self, db: Any, txn: Any, params: Any, pseudo: Any, namespace: Any) -> ExecState:
+        """One execution's state, each source looked up by name in plan order
+        (``namespace``, else the catalog, S-locking a standard table); a
+        prepared rule query builds its own (``sql.executor.PreparedSelect``)."""
         state = ExecState(db, txn, dict(params or {}), dict(pseudo or {}), namespace)
         state.instances = [
             _fetch_instance(desc, db, txn, namespace, state) for desc in self.sources
         ]
         return state
 
-    def _run(self, sink: str, state: "ExecState", emit: Callable) -> None:
+    def _run(self, sink: str, state: ExecState, emit: Callable) -> None:
         """One execution of the fused nest: the active meter and the cost
         table are read now, not when the nest was compiled."""
         nest = self._nests.get(sink)
@@ -145,36 +148,32 @@ class CompiledSelect:
         pseudo: Optional[dict[str, Any]] = None,
         namespace: Optional[dict[str, Any]] = None,
     ) -> "SelectResult":
-        state = self._state(db, txn, params, pseudo, namespace)
+        return self.collect(self.state(db, txn, params, pseudo, namespace))
+
+    def collect(self, state: ExecState) -> "SelectResult":
+        """Run the plan over ``state``'s instances into a result set."""
         emit, finish = self.output.collector(state)
         self._run("collect", state, emit)
         return finish()
 
-    def bind(
-        self,
-        name: str,
-        db: Any,
-        txn: Any,
-        pseudo: Optional[dict[str, Any]] = None,
-        namespace: Optional[dict[str, Any]] = None,
-    ) -> TempTable:
-        """Run the plan and bind its rows as temporary table ``name`` (a
-        rule query's ``bind as``).  When the output is the join's rows as
-        they come, the nest appends them to the table itself — each row is
-        touched once — and the ``row_output`` and ``bind_row`` charges
-        follow in the order ``execute`` + ``SelectResult.bind`` make them."""
+    def bind(self, name: str, state: ExecState) -> TempTable:
+        """Run the plan over ``state``'s instances and bind its rows as
+        temporary table ``name`` (a rule query's ``bind as``).  When the
+        output is the join's rows as they come, the nest appends them to the
+        table itself — each row is touched once — and the ``row_output`` and
+        ``bind_row`` charges follow in the order ``collect`` +
+        ``SelectResult.bind`` make them."""
+        db = state.db
         if not self.output.streams:
-            return self.execute(db, txn, None, pseudo, namespace).bind(name, db)
+            return self.collect(state).bind(name, db)
         spec = self.output.bind_spec()
         table = TempTable(name, spec.schema, spec.static_map)
-        state = self._state(db, txn, None, pseudo, namespace)
         try:
             self._run("bind", state, table.row_sink(len(spec.ptr_keys), len(spec.mat_columns)))
         except BaseException:
             table.retire()
             raise
-        db.charge_each("row_output", len(table))
-        db.charge_each("bind_row", len(table))
+        db.charge_each(len(table), "row_output", "bind_row")
         return table
 
     def execute_reference(
@@ -189,7 +188,7 @@ class CompiledSelect:
         ``Database.charge`` call per charge.  Nothing in the library calls
         it; tests hold ``execute`` and ``bind`` to it row for row and bit
         for bit (tests/sql/test_compiled_pipeline.py)."""
-        state = self._state(db, txn, params, pseudo, namespace)
+        state = self.state(db, txn, params, pseudo, namespace)
         emit, finish = self.output.collector(state)
         envs = self.steps[0].start(state)
         for step in self.steps[1:]:

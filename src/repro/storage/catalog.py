@@ -27,23 +27,29 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, "ViewDefinition"] = {}
         self._rules: dict[str, "Rule"] = {}
-        self._rules_by_table: dict[str, list["Rule"]] = {}
+        #: Bumped by every DDL on a name or an index: what anything prepared
+        #: against the catalog (the rule engine's firings) compares to know
+        #: it is still current — one integer, however much was prepared.
+        self.version = 0
 
     # -------------------------------------------------------------- tables
 
     def create_table(self, name: str, schema: Schema) -> Table:
         self._check_free(name)
         table = Table(name, schema)
+        table.catalog = self  # its index DDL bumps the version too
         self._tables[name] = table
+        self.version += 1
         return table
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"no table {name!r}")
-        if self._rules_by_table.get(name):
-            rules = ", ".join(rule.name for rule in self._rules_by_table[name])
-            raise CatalogError(f"table {name!r} still has rules: {rules}")
+        rules = [rule.name for rule in self._rules.values() if rule.table == name]
+        if rules:
+            raise CatalogError(f"table {name!r} still has rules: {', '.join(rules)}")
         del self._tables[name]
+        self.version += 1
 
     def table(self, name: str) -> Table:
         try:
@@ -62,11 +68,13 @@ class Catalog:
     def create_view(self, view: "ViewDefinition") -> None:
         self._check_free(view.name)
         self._views[view.name] = view
+        self.version += 1
 
     def drop_view(self, name: str) -> None:
         if name not in self._views:
             raise CatalogError(f"no view {name!r}")
         del self._views[name]
+        self.version += 1
 
     def view(self, name: str) -> "ViewDefinition":
         try:
@@ -88,13 +96,12 @@ class Catalog:
         if rule.table not in self._tables:
             raise CatalogError(f"rule {rule.name!r} is on unknown table {rule.table!r}")
         self._rules[rule.name] = rule
-        self._rules_by_table.setdefault(rule.table, []).append(rule)
+        self.version += 1
 
     def drop_rule(self, name: str) -> None:
-        rule = self._rules.pop(name, None)
-        if rule is None:
+        if self._rules.pop(name, None) is None:
             raise CatalogError(f"no rule {name!r}")
-        self._rules_by_table[rule.table].remove(rule)
+        self.version += 1
 
     def rule(self, name: str) -> "Rule":
         try:
@@ -106,11 +113,8 @@ class Catalog:
         return name in self._rules
 
     def rules(self) -> Iterable["Rule"]:
+        """Every rule, in creation order (enabled and disabled alike)."""
         return self._rules.values()
-
-    def rules_on(self, table_name: str) -> list["Rule"]:
-        """Rules defined on ``table_name`` (enabled and disabled alike)."""
-        return list(self._rules_by_table.get(table_name, ()))
 
     # ------------------------------------------------------------ internals
 

@@ -12,12 +12,15 @@ Mirrors paper section 6.1:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from repro.errors import SchemaError, TransactionError
 from repro.storage.index import BaseIndex, HashIndex, RBTreeIndex
 from repro.storage.schema import Schema
 from repro.storage.tuples import Record, RecordList
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.storage.catalog import Catalog
 
 
 class Table:
@@ -31,6 +34,7 @@ class Table:
         self._records = RecordList()
         self.indexes: dict[str, BaseIndex] = {}
         self.index_version = 0  # bumped on index DDL; part of plan-cache keys
+        self.catalog: Optional["Catalog"] = None  # set by the catalog holding it
         # Statistics kept for the view advisor and for tests.
         self.insert_count = 0
         self.delete_count = 0
@@ -53,7 +57,7 @@ class Table:
         for record in self._records:
             index.add(record)
         self.indexes[name] = index
-        self.index_version += 1
+        self._indexes_changed()
         return index
 
     def drop_index(self, name: str) -> None:
@@ -61,7 +65,12 @@ class Table:
             del self.indexes[name]
         except KeyError:
             raise SchemaError(f"no index {name!r} on table {self.name!r}") from None
+        self._indexes_changed()
+
+    def _indexes_changed(self) -> None:
         self.index_version += 1
+        if self.catalog is not None:
+            self.catalog.version += 1
 
     def index_on(self, columns: Iterable[str]) -> Optional[BaseIndex]:
         """The first index whose key columns exactly match ``columns``."""

@@ -197,6 +197,8 @@ class TempTable:
         """Batched tables must be *defined identically*: same schema, same
         static-map shape."""
         self._check_live()
+        if other.schema is self.schema and other.static_map is self.static_map:
+            return  # one bind spec made both: every firing of one query
         if other.schema != self.schema:
             raise BindingError(
                 f"bound table {self.name!r}: schema mismatch when batching "

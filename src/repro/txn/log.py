@@ -47,18 +47,6 @@ class LogEntry:
     def __repr__(self) -> str:
         return f"LogEntry({self.kind} {self.table}#{self.execute_order})"
 
-    def changed_offsets(self) -> set[int]:
-        """Column offsets whose value actually changed (updates only)."""
-        if self.kind != UPDATE or self.old_record is None or self.new_record is None:
-            return set()
-        return {
-            offset
-            for offset, (old, new) in enumerate(
-                zip(self.old_record.values, self.new_record.values)
-            )
-            if old != new
-        }
-
 
 class PendingEffect:
     """One thing a rule firing of a committing transaction did to pending

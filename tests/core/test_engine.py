@@ -4,7 +4,7 @@ binding, action execution, cascades."""
 import pytest
 
 from repro.database import Database
-from repro.errors import BindingError, FunctionError
+from repro.errors import BindingError, CreateRuleError, FunctionError
 
 
 @pytest.fixture
@@ -293,3 +293,43 @@ class TestBoundNameConsistency:
                 "create rule r2 on t when deleted "
                 "if select k from deleted bind as other then execute f"
             )
+
+
+class TestRecreatedTable:
+    """A table dropped and re-created under its name is a new table: its
+    rules fire against the new schema, not a transition shape remembered
+    under the name."""
+
+    @pytest.mark.parametrize(
+        "columns, row",
+        [("x int, y int", "1, 2"), ("x int, y int, z int", "1, 2, 3")],
+        ids=["same width", "wider"],
+    )
+    def test_rule_on_recreated_table_fires(self, columns, row):
+        db = Database()
+        seen = []
+        db.register_function("f", lambda ctx: seen.append(ctx.bound("m").to_dicts()))
+        db.execute("create table t (a int, b int)")
+        db.execute("create rule r on t when updated if select a, b from new bind as m then execute f")
+        db.execute("insert into t values (1, 2)")
+        db.execute("update t set b = 3 where a = 1")
+        db.execute("drop rule r")
+        db.execute("drop table t")
+        db.execute(f"create table t ({columns})")
+        db.execute("create rule r on t when updated if select x, y from new bind as m then execute f")
+        db.execute(f"insert into t values ({row})")
+        db.execute("update t set y = 5 where x = 1")
+        db.drain()
+        assert seen == [[{"a": 1, "b": 3}], [{"x": 1, "y": 5}]]
+
+
+class TestEventColumns:
+    def test_unknown_event_column_is_refused_at_create_rule(self, db):
+        """It used to be accepted, and every later UPDATE of the table then
+        failed at commit (``SchemaError: no column 'nosuch'``)."""
+        db.register_function("f", lambda ctx: None)
+        db.execute("insert into t values ('a', 1.0)")
+        with pytest.raises(CreateRuleError, match="no column 'nosuch'"):
+            db.execute("create rule r on t when updated nosuch then execute f")
+        assert list(db.catalog.rules()) == []
+        assert db.execute("update t set v = 2.0 where k = 'a'") == 1

@@ -1,9 +1,10 @@
-"""Tests for rule definitions and event matching."""
+"""Tests for rule definitions and event masks."""
 
 import pytest
 
+from repro.core.engine import PreparedRule
 from repro.core.rules import Rule
-from repro.errors import RuleError
+from repro.errors import CreateRuleError, RuleError
 from repro.sql import ast
 from repro.storage.schema import ColumnType, Schema
 from repro.storage.tuples import Record
@@ -81,39 +82,44 @@ class TestValidation:
 class TestEventMatching:
     def test_insert_event(self):
         rule = make_rule(events=(ast.Event("inserted"),))
-        assert rule.matches(log_with(("insert", None, ["A", 1.0])), SCHEMA)
-        assert not rule.matches(log_with(("delete", ["A", 1.0], None)), SCHEMA)
+        assert PreparedRule(rule, SCHEMA).hit(log_with(("insert", None, ["A", 1.0])))
+        assert not PreparedRule(rule, SCHEMA).hit(log_with(("delete", ["A", 1.0], None)))
 
     def test_delete_event(self):
         rule = make_rule(events=(ast.Event("deleted"),))
-        assert rule.matches(log_with(("delete", ["A", 1.0], None)), SCHEMA)
-        assert not rule.matches(log_with(("insert", None, ["A", 1.0])), SCHEMA)
+        assert PreparedRule(rule, SCHEMA).hit(log_with(("delete", ["A", 1.0], None)))
+        assert not PreparedRule(rule, SCHEMA).hit(log_with(("insert", None, ["A", 1.0])))
 
     def test_update_any_column(self):
         rule = make_rule(events=(ast.Event("updated"),))
-        assert rule.matches(log_with(("update", ["A", 1.0], ["A", 2.0])), SCHEMA)
+        assert PreparedRule(rule, SCHEMA).hit(log_with(("update", ["A", 1.0], ["A", 2.0])))
 
     def test_update_named_column_hit(self):
         rule = make_rule(events=(ast.Event("updated", ("price",)),))
-        assert rule.matches(log_with(("update", ["A", 1.0], ["A", 2.0])), SCHEMA)
+        assert PreparedRule(rule, SCHEMA).hit(log_with(("update", ["A", 1.0], ["A", 2.0])))
 
     def test_update_named_column_miss(self):
         """An update that does not change the named column does not trigger."""
         rule = make_rule(events=(ast.Event("updated", ("price",)),))
-        assert not rule.matches(log_with(("update", ["A", 1.0], ["B", 1.0])), SCHEMA)
+        assert not PreparedRule(rule, SCHEMA).hit(log_with(("update", ["A", 1.0], ["B", 1.0])))
 
     def test_update_no_change_at_all(self):
         rule = make_rule(events=(ast.Event("updated", ("price",)),))
-        assert not rule.matches(log_with(("update", ["A", 1.0], ["A", 1.0])), SCHEMA)
+        assert not PreparedRule(rule, SCHEMA).hit(log_with(("update", ["A", 1.0], ["A", 1.0])))
 
     def test_multi_event(self):
         rule = make_rule(events=(ast.Event("inserted"), ast.Event("deleted")))
-        assert rule.matches(log_with(("delete", ["A", 1.0], None)), SCHEMA)
-        assert rule.matches(log_with(("insert", None, ["A", 1.0])), SCHEMA)
-        assert not rule.matches(log_with(("update", ["A", 1.0], ["A", 2.0])), SCHEMA)
+        assert PreparedRule(rule, SCHEMA).hit(log_with(("delete", ["A", 1.0], None)))
+        assert PreparedRule(rule, SCHEMA).hit(log_with(("insert", None, ["A", 1.0])))
+        assert not PreparedRule(rule, SCHEMA).hit(log_with(("update", ["A", 1.0], ["A", 2.0])))
 
     def test_empty_log(self):
-        assert not make_rule().matches([], SCHEMA)
+        assert not PreparedRule(make_rule(), SCHEMA).hit([])
+
+    def test_unknown_column_is_refused_when_the_mask_is_built(self):
+        rule = make_rule(events=(ast.Event("updated", ("nosuch",)),))
+        with pytest.raises(CreateRuleError, match="no column 'nosuch'"):
+            PreparedRule(rule, SCHEMA)
 
     def test_bind_names(self):
         query = ast.RuleQuery(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.transition import (
     TRANSITION_NAMES,
-    TransitionTables,
+    TransitionShape,
     transition_schema,
     transition_static_map,
 )
@@ -23,7 +23,7 @@ def build(db, mutate):
     txn = db.begin()
     mutate(txn)
     table = db.catalog.table("t")
-    transitions = TransitionTables(db, table, txn.log.for_table("t"))
+    transitions = TransitionShape(table).build(db, txn.log.for_table("t"), TRANSITION_NAMES)
     txn.commit()
     return transitions
 
@@ -99,15 +99,31 @@ class TestConstruction:
 
         transitions = build(db, mutate)
         assert record.pins > 0  # kept alive for the transition table
-        transitions.retire()
+        transitions["deleted"].retire()
         assert record.pins == 0
 
     def test_schema_objects_cached_per_table(self, db):
-        """Plan caching requires the same Schema instance across firings."""
+        """Plans are prepared against one transition shape per table object:
+        every firing reuses it until DDL moves the catalog version."""
+        db.register_function("f", lambda ctx: None)
+        db.execute("create rule r on t when inserted then execute f")
         table = db.catalog.table("t")
-        first = db.rule_engine.transition_schema_for(table)
-        second = db.rule_engine.transition_schema_for(table)
-        assert first is second
-        map_a = db.rule_engine.transition_map_for(table, "new")
-        map_b = db.rule_engine.transition_map_for(table, "new")
-        assert map_a is map_b
+        first = db.rule_engine.programs()[table][0]
+        db.execute("insert into t values ('a', 1.0)")
+        assert db.rule_engine.programs()[table][0] is first
+        assert first.schema == transition_schema(table.schema)
+        db.execute("create index t_k on t (k)")
+        assert db.rule_engine.programs()[table][0] is not first
+
+    def test_only_the_named_tables_are_built_all_entries_charged(self, db):
+        db.execute("insert into t values ('x', 0.0)")
+        table = db.catalog.table("t")
+        txn = db.begin()
+        txn.insert("t", {"k": "a", "v": 1.0})
+        txn.update_columns(table, table.get_one("k", "x"), {"v": 5.0})
+        before = db.background_meter.ops["transition_row"]
+        transitions = TransitionShape(table).build(db, txn.log.for_table("t"), ["new"])
+        assert list(transitions) == ["new"]
+        assert db.background_meter.ops["transition_row"] - before == 3
+        transitions["new"].retire()
+        txn.abort()

@@ -108,7 +108,7 @@ class TestRuleInstallation:
         populate(db, Scale.tiny().scaled(0.5), seed=1)
         function = install_comp_rule(db, variant, delay=1.0)
         assert db.functions.has(function)
-        rules = db.catalog.rules_on("stocks")
+        rules = [rule for rule in db.catalog.rules() if rule.table == "stocks"]
         assert len(rules) == 1
         rule = rules[0]
         assert rule.unique == (variant != "nonunique")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.transition import TransitionTables
+from repro.core.transition import TRANSITION_NAMES, TransitionShape
 from repro.database import Database
 from repro.errors import ExecutionError
 from repro.pta.rules import install_comp_rule
@@ -153,8 +153,8 @@ class World:
                 values = list(record.values)
                 values[1] = (values[1] or 0) + 1
                 live[position] = self.txn.update_record(a, record, values)
-        self.transitions = TransitionTables(db, a, self.txn.log.for_table("a"))
-        self.namespace = {**self.transitions.namespace(), "m": self.m, "t": t}
+        self.transitions = TransitionShape(a).build(db, self.txn.log.for_table("a"), TRANSITION_NAMES)
+        self.namespace = {**self.transitions, "m": self.m, "t": t}
         self.records: list[Record] = [*a.scan(), *b.scan()]
         for table in self.namespace.values():
             self.records.extend(record for ptrs, _mats in table.scan_raw() for record in ptrs)
@@ -166,7 +166,8 @@ class World:
         return metered(self.db, run)
 
     def close(self) -> None:
-        self.transitions.retire()
+        for table in self.transitions.values():
+            table.retire()
         self.m.retire()
         self.txn.abort()
 
@@ -218,7 +219,9 @@ def test_compiled_nest_matches_reference(spec, query):
             return
 
         before = world.pins()
-        bound, got_meter = world.metered(lambda: plan.bind("bt", db, None, PSEUDO, namespace))
+        bound, got_meter = world.metered(
+            lambda: plan.bind("bt", plan.state(db, None, None, PSEUDO, namespace))
+        )
         reference, want_meter = world.metered(
             lambda: plan.execute_reference(db, None, None, PSEUDO, namespace).bind("bt", db)
         )
@@ -290,7 +293,7 @@ def test_function_raising_mid_loop_leaves_everything_balanced(db):
     plan = plan_select(db, stmt, None)
     records = [*db.catalog.table("a").scan(), *db.catalog.table("b").scan()]
 
-    error, got = metered(db, lambda: plan.bind("bt", db, None))
+    error, got = metered(db, lambda: plan.bind("bt", plan.state(db, None, None, None, None)))
     reference_error, want = metered(db, lambda: plan.execute_reference(db, None).bind("bt", db))
     assert "boom" in str(error) and str(error) == str(reference_error)
     same_meter(got, want)

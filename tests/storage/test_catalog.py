@@ -102,8 +102,7 @@ class TestRules:
         catalog.create_rule(rule)
         assert catalog.rule("r") is rule
         assert catalog.has_rule("r")
-        assert catalog.rules_on("t") == [rule]
-        assert catalog.rules_on("other") == []
+        assert list(catalog.rules()) == [rule]
 
     def test_rule_on_unknown_table(self):
         with pytest.raises(CatalogError):
@@ -120,7 +119,7 @@ class TestRules:
         catalog.create_rule(make_rule())
         catalog.drop_rule("r")
         assert not catalog.has_rule("r")
-        assert catalog.rules_on("t") == []
+        assert list(catalog.rules()) == []
 
     def test_drop_missing_rule(self):
         with pytest.raises(CatalogError):

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core.engine import PreparedRule
+from repro.core.rules import Rule
 from repro.errors import SimulationError
+from repro.sql import ast
+from repro.storage.schema import ColumnType, Schema
 from repro.storage.tuples import Record
 from repro.txn.log import DELETE, INSERT, UPDATE, TransactionLog
 from repro.txn.queues import DelayQueue, ReadyQueue
@@ -13,6 +17,13 @@ from repro.txn.scheduler import (
     make_policy,
 )
 from repro.txn.tasks import Task, TaskState
+
+
+def updated_mask(column):
+    """The prepared rule ``on t when updated <column>`` over (a, b, c)."""
+    rule = Rule("r", "t", (ast.Event("updated", (column,)),), function="f")
+    schema = Schema.of(("a", ColumnType.INT), ("b", ColumnType.TEXT), ("c", ColumnType.REAL))
+    return PreparedRule(rule, schema)
 
 
 def make_task(release=0.0, deadline=None, value=1.0, estimated=1e-4):
@@ -52,14 +63,16 @@ class TestTransactionLog:
         assert set(log.tables_touched()) == {"a", "b"}
 
     def test_changed_offsets(self):
+        """Which columns an update changed is read off its two images, at
+        the offsets an ``updated c`` event mask names."""
         log = TransactionLog()
         entry = log.log_update("t", Record([1, "x", 3.0]), Record([1, "y", 3.0]))
-        assert entry.changed_offsets() == {1}
+        assert [updated_mask(column).hit([entry]) for column in "abc"] == [False, True, False]
 
     def test_changed_offsets_non_update(self):
         log = TransactionLog()
-        entry = log.log_insert("t", Record([1]))
-        assert entry.changed_offsets() == set()
+        entry = log.log_insert("t", Record([1, "x", 3.0]))
+        assert not any(updated_mask(column).hit([entry]) for column in "abc")
 
     def test_no_net_effect_reduction(self):
         """Insert-then-delete of the same tuple keeps both log entries."""
