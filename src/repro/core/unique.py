@@ -39,10 +39,13 @@ released at dispatch time instead of task retirement.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.core.net_effect import FoldedTable, compact_spec
-from repro.errors import BindingError, RuleError, SchemaError
+from repro.core.net_effect import CompactSpec, FoldedTable, compact_spec
+from repro.core.transition import TRANSITION_NAMES, transition_schema
+from repro.errors import BindingError, CreateRuleError, PlanError, RuleError, SchemaError
+from repro.sql.planner import output_names
+from repro.storage.schema import Schema
 from repro.storage.temptable import TempTable
 from repro.txn.log import PendingEffect
 from repro.txn.tasks import Task, TaskState
@@ -53,25 +56,152 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.txn.transaction import Transaction
 
 
-def _full_copy(source: TempTable, charge) -> TempTable:
+def _full_copy(source: TempTable) -> TempTable:
     copy = TempTable(source.name, source.schema, source.static_map)
-    charge("partition_row", max(len(source), 1))
     copy.absorb(source)
     return copy
 
 
 def _group_rows(source: TempTable, offsets: list[int]) -> dict[tuple, list]:
     """``source``'s raw rows grouped by their values at ``offsets``, in
-    first-seen key order (one pass; partitions are built from the groups,
-    never by rescanning the source)."""
+    first-seen key order.  The key columns are read once, through the
+    compiled reader; when every row has the same key, the one group holds
+    the table's rows as they are, with no per-row dict work."""
+    rows = list(source.scan_raw())
+    if not rows:
+        return {}
+    keys = list(source.scan_columns(offsets))
+    first = keys[0]
+    if keys.count(first) == len(keys):
+        return {first: rows}
     groups: dict[tuple, list] = {}
-    for key, raw in zip(source.scan_columns(offsets), source.scan_raw()):
+    for key, raw in zip(keys, rows):
         group = groups.get(key)
         if group is None:
             groups[key] = [raw]
         else:
             group.append(raw)
     return groups
+
+
+def _partitions(
+    keys: list[tuple],
+    owners: dict[str, tuple[list[int], dict[tuple, list]]],
+    bound: dict[str, TempTable],
+) -> list[dict[str, TempTable]]:
+    """The bound tables of each key of a firing with several keys (or none).
+
+    An owner's rows move, with their pins, into one table per group; a key
+    with no rows in an owner gets an empty table.  Every other table goes
+    whole.  A table that several keys receive — a non-owner, or one owner
+    group under a product of owners — goes to the first and is copied, with
+    pins, for each of the others.  The sources end empty and retired, or
+    handed to a partition; with no key they are retired here.
+    """
+    if not keys:
+        for table in bound.values():
+            table.retire()
+        return []
+    partitions: list[dict[str, TempTable]] = [{} for _ in keys]
+    for name, source in bound.items():
+        if name in owners:
+            positions, groups = owners[name]
+            parts = source.split(groups)
+            column = [parts.get(tuple(key[at] for at in positions)) for key in keys]
+        else:
+            column = [source] * len(keys)
+        given: set[TempTable] = set()
+        for partition, table in zip(partitions, column):
+            if table is None:
+                table = TempTable(source.name, source.schema, source.static_map)
+            elif table in given:
+                table = _full_copy(table)
+            else:
+                given.add(table)
+            partition[name] = table
+    return partitions
+
+
+def _owners(
+    rule: "Rule", has_column: dict[str, Callable[[str], bool]]
+) -> tuple[dict[str, list[int]], bool]:
+    """Appendix A's ``T^u`` among bound tables given by name and column
+    test: per *owner* (a table holding unique columns) the positions of its
+    columns in the key, and whether some unique column is shared.
+
+    Derived-view maintenance rules routinely bind several delta tables that
+    all carry the view's key (an insert delta and a deletion-mark query,
+    say): the same key names the same logical group in each.  So a shared
+    column is allowed when every owner carries the *full* key; partial
+    overlap is ambiguous.  A unique column no table holds is an error too.
+    """
+    positions_of: dict[str, list[int]] = {}
+    shared: Optional[tuple[str, list[str]]] = None
+    for position, column in enumerate(rule.unique_on):
+        names = [name for name, has in has_column.items() if has(column)]
+        if not names:
+            raise RuleError(
+                f"rule {rule.name!r}: unique column {column!r} is in no bound table"
+            )
+        if len(names) > 1 and shared is None:
+            shared = (column, names)
+        for name in names:
+            positions_of.setdefault(name, []).append(position)
+    if shared is not None and any(
+        len(positions) < len(rule.unique_on) for positions in positions_of.values()
+    ):
+        column, names = shared
+        raise RuleError(
+            f"rule {rule.name!r}: unique column {column!r} is ambiguous "
+            f"({', '.join(names)})"
+        )
+    return positions_of, shared is not None
+
+
+def _compaction_specs(
+    rule: "Rule", columns: dict[str, Sequence[str]]
+) -> dict[str, Optional[CompactSpec]]:
+    """Per bound table (by name, with its column names) the folding spec,
+    or None for a table lacking a compaction key column (it takes the
+    ordinary path).  No table with every key column is an error."""
+    specs: dict[str, Optional[CompactSpec]] = {}
+    for name, names in columns.items():
+        try:
+            specs[name] = compact_spec(names, rule.compact_on)
+        except SchemaError:
+            specs[name] = None
+    if all(spec is None for spec in specs.values()):
+        raise RuleError(
+            f"rule {rule.name!r}: no bound table contains all compaction "
+            f"key columns {list(rule.compact_on)}"
+        )
+    return specs
+
+
+def check_columns(db: "Database", rule: "Rule", schema: Schema) -> None:
+    """CREATE RULE's check of ``unique on`` / ``compact on``: the routing
+    and folding errors every firing of ``rule`` would otherwise raise at
+    commit, raised once, as :class:`CreateRuleError`.  A bound table's
+    columns are the planner's own output names over the trigger table's
+    transition tables (``schema``) and the catalog; a query that reads a
+    name neither knows (say, an upstream task's bound table) leaves the
+    rule to be checked by its firings."""
+    shadowing = dict.fromkeys(TRANSITION_NAMES, transition_schema(schema))
+    try:
+        columns = {
+            query.bind_as: output_names(db, query.select, shadowing)
+            for query in rule.all_queries()
+            if query.bind_as is not None
+        }
+    except PlanError:
+        return
+    try:
+        if rule.unique_on:
+            _owners(rule, {name: set(names).__contains__ for name, names in columns.items()})
+        if rule.compact_on:
+            _compaction_specs(rule, columns)
+    except RuleError as exc:
+        raise CreateRuleError(str(exc)) from None
 
 
 class UniqueManager:
@@ -98,7 +228,7 @@ class UniqueManager:
         committing ``txn``.
 
         Takes ownership of ``bound``: tables handed to a new task are kept,
-        tables absorbed into a pending task (or partitioned into copies) are
+        tables absorbed into a pending task (or split into partitions) are
         retired here.  Returns the newly created tasks (possibly empty when
         every partition was absorbed by pending work); they, and every
         absorb, are also on ``txn.effects``, where a failing commit finds
@@ -121,31 +251,26 @@ class UniqueManager:
             return [] if fresh is None else [fresh]
 
         keys, owners = self._route(rule, bound)
+        # One key (almost every firing): each owner's rows all belong to
+        # it, so every table goes over whole, rows and pins untouched.
+        partitions = [bound] if len(keys) == 1 else _partitions(keys, owners, bound)
         new_tasks: list[Task] = []
-        for key in keys:
+        for at, (key, partition) in enumerate(zip(keys, partitions)):
             charge("unique_lookup")
-            # Owners are filtered to the key's rows (possibly none),
-            # straight from the grouped raw rows; every other bound
-            # table is passed whole.
-            partition: dict[str, TempTable] = {}
-            for name, table in bound.items():
-                if name in owners:
-                    positions, groups = owners[name]
-                    part = tuple(key[position] for position in positions)
-                    partition[name] = table.subset(groups.get(part, ()))
-                else:
-                    partition[name] = _full_copy(table, charge)
+            # Every non-owner a key receives is charged, moved or copied.
+            for name, table in partition.items():
+                if name not in owners:
+                    charge("partition_row", max(len(table), 1))
             try:
                 fresh = self._absorb_or_create(rule, key, partition, txn, origin)
             except Exception:
-                # Ours until a task owns it (the caller retires ``bound``).
-                for table in partition.values():
-                    table.retire()
+                # Ours until a task owns them (the caller retires ``bound``).
+                for unowned in partitions[at:]:
+                    for table in unowned.values():
+                        table.retire()
                 raise
             if fresh is not None:
                 new_tasks.append(fresh)
-        for table in bound.values():
-            table.retire()
         return new_tasks
 
     def _route(
@@ -153,48 +278,23 @@ class UniqueManager:
     ) -> tuple[list[tuple], dict[str, tuple[list[int], dict[tuple, list]]]]:
         """Appendix A routing of one ``unique on`` firing.
 
-        Returns the pending-task keys the firing touches and, per *owner*
-        (a bound table holding unique columns — the paper's ``T^u``), the
-        positions of its columns in the key plus its rows grouped by them.
-
-        When every unique column has one owner the keys are the product of
-        the owners' groups.  Derived-view maintenance rules routinely bind
-        several delta tables that all carry the view's key (an insert delta
-        and a deletion-mark query, say): the same key names the same logical
-        group in each, and the product reading would call that ambiguous.
-        So when a column is shared and every owner carries the *full* key,
-        the keys are the union of the owners' keys; partial overlap keeps
-        the ambiguity error.
+        Returns the pending-task keys the firing touches and, per owner
+        (:func:`_owners`), the positions of its columns in the key plus its
+        rows grouped by them.  When every unique column has one owner the
+        keys are the product of the owners' groups; when a column is shared
+        (every owner carries the full key) they are the union of the
+        owners' keys — the product reading would call that ambiguous.
         """
-        positions_of: dict[str, list[int]] = {}
-        shared: Optional[tuple[str, list[str]]] = None
-        for position, column in enumerate(rule.unique_on):
-            names = [
-                name for name, table in bound.items() if table.schema.has_column(column)
-            ]
-            if not names:
-                raise RuleError(
-                    f"rule {rule.name!r}: unique column {column!r} is in no bound table"
-                )
-            if len(names) > 1 and shared is None:
-                shared = (column, names)
-            for name in names:
-                positions_of.setdefault(name, []).append(position)
-        if shared is not None and any(
-            len(positions) < len(rule.unique_on) for positions in positions_of.values()
-        ):
-            column, names = shared
-            raise RuleError(
-                f"rule {rule.name!r}: unique column {column!r} is ambiguous "
-                f"({', '.join(names)})"
-            )
+        positions_of, shared = _owners(
+            rule, {name: table.schema.has_column for name, table in bound.items()}
+        )
         owners = {}
         for name, positions in positions_of.items():
             source = bound[name]
             offsets = [source.schema.offset(rule.unique_on[p]) for p in positions]
             owners[name] = (positions, _group_rows(source, offsets))
             self.db.charge("partition_row", max(len(source), 1))
-        if shared is not None:
+        if shared:
             union = dict.fromkeys(
                 key for _positions, groups in owners.values() for key in groups
             )
@@ -350,21 +450,18 @@ class UniqueManager:
         Source tables that were folded are retired here — their record
         pins drop at dispatch instead of task retirement.
         """
+        specs = _compaction_specs(
+            rule, {name: table.schema.names() for name, table in bound.items()}
+        )
         out: dict[str, TempTable] = {}
         for name, table in bound.items():
-            try:
-                spec = compact_spec(table.schema.names(), rule.compact_on)
-            except SchemaError:
+            spec = specs[name]
+            if spec is None:
                 out[name] = table
                 continue
             out[name] = FoldedTable(table.name, table.schema, spec)
             self._fold_into(out[name], table)
             table.retire()
-        if not any(table.folding for table in out.values()):
-            raise RuleError(
-                f"rule {rule.name!r}: no bound table contains all compaction "
-                f"key columns {list(rule.compact_on)}"
-            )
         return out
 
     def _seal(self, task: Task, folded: list[FoldedTable]) -> None:

@@ -33,7 +33,7 @@ from typing import Any, Optional
 from repro.core.engine import PreparedRule, RuleEngine
 from repro.core.functions import FunctionRegistry, UserFunction
 from repro.core.rules import Rule, stratify
-from repro.core.unique import UniqueManager
+from repro.core.unique import UniqueManager, check_columns
 from repro.errors import BindingError, CatalogError, ExecutionError
 from repro.fault.injector import NullFaultInjector
 from repro.fault.recovery import NullRecovery
@@ -471,10 +471,11 @@ class Database:
         """Register ``rule``, enforcing that all rules executing the same
         user function define their bound tables identically (section 2),
         that the rule program stays acyclic — the dependency graph over the
-        declared write sets is stratified up front — and that every column an
-        ``updated`` event names exists.  A cycle or an unknown event column
-        raises :class:`~repro.errors.CreateRuleError` and leaves the catalog
-        unchanged."""
+        declared write sets is stratified up front — that every column an
+        ``updated`` event names exists, and that ``unique on`` / ``compact
+        on`` name columns the bound tables carry, unambiguously.  Any of
+        these raises :class:`~repro.errors.CreateRuleError` and leaves the
+        catalog unchanged."""
         names = tuple(sorted(rule.bind_names()))
         existing = self.functions.bound_names.get(rule.function)
         if existing is not None and existing != names:
@@ -484,9 +485,13 @@ class Database:
             )
         strata = stratify([*self.catalog.rules(), rule])  # CreateRuleError on a cycle
         if self.catalog.has_table(rule.table):
-            # CreateRuleError on an unknown event column (a rule on an
-            # unknown table is the catalog's to refuse, just below).
-            PreparedRule(rule, self.catalog.table(rule.table).schema)
+            # CreateRuleError on an unknown event column or a unique / compact
+            # column no bound table carries (a rule on an unknown table is
+            # the catalog's to refuse, just below).
+            schema = self.catalog.table(rule.table).schema
+            PreparedRule(rule, schema)
+            if rule.unique_on or rule.compact_on:
+                check_columns(self, rule, schema)
         self.catalog.create_rule(rule)
         self.functions.bound_names.setdefault(rule.function, names)
         self._apply_strata(strata)

@@ -1462,6 +1462,25 @@ def _expand_items(
     return items
 
 
+def output_names(db: Any, select: ast.Select, shadowing: dict[str, Schema]) -> list[str]:
+    """The names of ``select``'s output columns — the columns a ``bind as``
+    table of it carries — without planning it.  A FROM name in
+    ``shadowing`` has that schema; any other is the catalog's (a
+    :class:`PlanError` for a name it does not know)."""
+    descs = []
+    for from_pos, ref in enumerate(select.tables):
+        if ref.name in shadowing:
+            desc = SourceDesc(ref.name, ref.binding, TMP, shadowing[ref.name])
+        else:
+            desc = _describe_source(db, ref, None)
+        desc.from_pos = from_pos
+        descs.append(desc)
+    return [
+        alias or _default_name(expr, index)
+        for index, (expr, alias) in enumerate(_expand_items(select, descs))
+    ]
+
+
 def _build_output(
     db: Any, select: ast.Select, order: list[SourceDesc], resolution: _SelectResolution
 ) -> _OutputSpec:

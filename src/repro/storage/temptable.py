@@ -233,17 +233,25 @@ class TempTable:
         other._retired = True
         return moved
 
-    def subset(self, rows: Iterable[tuple]) -> "TempTable":
-        """A fresh table defined identically to this one, holding ``rows`` —
-        raw ``(ptrs, mats)`` pairs of this table (``unique on``
-        partitioning) — and pinning their records."""
+    def split(self, groups: dict[Any, list]) -> dict[Any, "TempTable"]:
+        """``unique on`` partitioning: per group of ``groups`` — this table's
+        raw ``(ptrs, mats)`` rows, each in exactly one group — a table
+        defined identically to this one (the same schema and static map
+        objects) holding that group's rows.  The rows move *with the pins
+        they hold*: this table is left empty and retired, nothing unpinned.
+        A single group holds every row, so it is this table itself."""
         self._check_live()
-        copy = TempTable(self.name, self.schema, self.static_map)
-        for ptrs, mats in rows:
-            for record in ptrs:
-                record.pin()
-            copy._rows.append((ptrs, mats))
-        return copy
+        if sum(map(len, groups.values())) != len(self._rows):
+            raise BindingError(f"temp table {self.name!r}: groups do not partition its rows")
+        if len(groups) == 1:
+            return dict.fromkeys(groups, self)
+        parts = {}
+        for key, rows in groups.items():
+            part = parts[key] = TempTable(self.name, self.schema, self.static_map)
+            part._rows = list(rows)
+        self._rows = []
+        self._retired = True
+        return parts
 
     def savepoint(self) -> Any:
         """A mark :meth:`rollback` can return the table to.  Appends are all

@@ -14,7 +14,7 @@ import pytest
 from repro.core.net_effect import FoldedTable, compact_spec, compact_table_rows
 from repro.core.rules import Rule
 from repro.database import Database
-from repro.errors import RuleError, SqlError
+from repro.errors import CreateRuleError, RuleError, SqlError
 from repro.obs.tracer import TraceCollector
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -106,11 +106,12 @@ class TestRuleValidation:
         with pytest.raises(RuleError):
             db.execute(RULE_SQL.format(clause="compact on k"))
 
-    def test_no_compactible_bound_table_errors_at_dispatch(self, db):
-        install(db, clause="unique on k compact on missing_col")
+    def test_no_compactible_bound_table_is_refused_at_create_rule(self, db):
+        with pytest.raises(CreateRuleError, match="compaction key"):
+            install(db, clause="unique on k compact on missing_col")
+        assert list(db.catalog.rules()) == []
         seed(db)
-        with pytest.raises(RuleError, match="compaction key"):
-            db.execute("update t set v = 2.0 where k = 'a'")
+        assert db.execute("update t set v = 2.0 where k = 'a'") == 1
 
 
 class TestIncrementalFold:

@@ -333,3 +333,74 @@ class TestEventColumns:
             db.execute("create rule r on t when updated nosuch then execute f")
         assert list(db.catalog.rules()) == []
         assert db.execute("update t set v = 2.0 where k = 'a'") == 1
+
+
+class TestUniqueAndCompactColumns:
+    """A ``unique on`` / ``compact on`` column the bound tables cannot carry
+    used to be accepted, and from then on every write to the table failed at
+    commit.  The bound tables' columns are known at CREATE RULE (the
+    planner's output naming over the trigger table's transition shape and
+    the catalog), so the rule is refused there and the table stays
+    writable."""
+
+    @pytest.mark.parametrize(
+        "tables, rule, error",
+        [
+            (
+                "create table t (a int, b int)",
+                "create rule r on t when inserted if select a, b from inserted "
+                "bind as m then execute f unique on nosuch",
+                "unique column 'nosuch' is in no bound table",
+            ),
+            (
+                "create table t (k int, x int)",
+                "create rule r on t when inserted if select k, x from inserted "
+                "bind as m1, select k from inserted bind as m2 then execute f unique on k, x",
+                r"unique column 'k' is ambiguous \(m1, m2\)",
+            ),
+            (
+                "create table t (a int, b int)",
+                "create rule r on t when inserted if select a, b from inserted "
+                "bind as m then execute f unique compact on nosuch",
+                r"no bound table contains all compaction key columns \['nosuch'\]",
+            ),
+        ],
+        ids=["unknown unique column", "ambiguous unique column", "unknown compaction column"],
+    )
+    def test_refused_at_create_rule(self, tables, rule, error):
+        db = Database()
+        db.execute(tables)
+        db.register_function("f", lambda ctx: None)
+        with pytest.raises(CreateRuleError, match=f"rule 'r': {error}"):
+            db.execute(rule)
+        assert list(db.catalog.rules()) == []
+        assert db.execute("insert into t values (1, 2)") == 1
+        assert db.query("select count(*) as n from t").scalar() == 1
+
+    def test_columns_come_from_the_output_naming(self):
+        """Aliases, ``*`` over a transition table, catalog tables and views
+        name the columns a firing's bound tables carry."""
+        db = Database()
+        db.execute("create table t (k text, v real)")
+        db.execute("create table u (k text, n real)")
+        db.execute("create view w as select k as key, n from u")
+        db.register_function("f", lambda ctx: None)
+        db.execute(
+            "create rule r1 on t when inserted if select * from inserted bind as m "
+            "then execute f unique on execute_order"
+        )
+        db.execute(
+            "create rule r2 on t when inserted if select v as price from inserted "
+            "bind as m then execute f unique on price"
+        )
+        db.register_function("g", lambda ctx: None)
+        db.execute(
+            "create rule r3 on t when inserted then evaluate select key, n from w "
+            "bind as m execute g unique on key"
+        )
+        with pytest.raises(CreateRuleError, match="'v' is in no bound table"):
+            db.execute(
+                "create rule r4 on t when inserted if select v as price from inserted "
+                "bind as m then execute f unique on v"
+            )
+        assert [rule.name for rule in db.catalog.rules()] == ["r1", "r2", "r3"]

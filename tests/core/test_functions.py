@@ -198,7 +198,7 @@ class TestContext:
                 stale.to_dicts,
                 lambda: stale.value_at(0, 0),
                 lambda: ctx.bound("m").absorb(stale),
-                lambda: stale.subset([]),
+                lambda: stale.split({}),
             ):
                 with pytest.raises(SchemaError, match="temp table 'm' is retired"):
                     read()

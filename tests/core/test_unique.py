@@ -4,6 +4,7 @@ Appendix A partitioning, fixed-once-running semantics."""
 import pytest
 
 from repro.database import Database
+from repro.errors import CreateRuleError
 from repro.txn.tasks import TaskState
 
 
@@ -192,16 +193,14 @@ class TestAppendixAMultiTable:
             assert len(right_rows) == 1
 
     def test_unique_column_missing_everywhere(self, db):
-        from repro.errors import RuleError
-
         db.register_function("f3", lambda ctx: None)
-        db.execute(
-            "create rule r3 on t when inserted "
-            "if select k from inserted bind as m "
-            "then execute f3 unique on nonexistent"
-        )
-        with pytest.raises(Exception):
-            db.execute("insert into t values ('a', 'g', 1.0)")
+        with pytest.raises(CreateRuleError, match="'nonexistent' is in no bound table"):
+            db.execute(
+                "create rule r3 on t when inserted "
+                "if select k from inserted bind as m "
+                "then execute f3 unique on nonexistent"
+            )
+        db.execute("insert into t values ('a', 'g', 1.0)")
 
 
 class TestPinning:
@@ -344,15 +343,16 @@ class TestUnionPartitioning:
     def test_partial_key_overlap_is_ambiguous(self, db):
         db.execute("create table u (k text, n real)")
         db.register_function("fa", lambda ctx: None)
-        db.execute(
-            "create rule ra on t when inserted "
-            "then evaluate select k, grp, v from inserted bind as ma, "
-            "select k, n from u bind as mb "
-            "execute fa unique on k, grp after 1.0 seconds"
-        )
-        # mb owns k but not grp: the historical "ambiguous" rejection.
-        with pytest.raises(Exception, match="ambiguous"):
-            db.execute("insert into t values ('a', 'g', 1.0)")
+        # mb owns k but not grp: the historical "ambiguous" rejection, now
+        # made when the rule is created rather than at every commit.
+        with pytest.raises(CreateRuleError, match="ambiguous"):
+            db.execute(
+                "create rule ra on t when inserted "
+                "then evaluate select k, grp, v from inserted bind as ma, "
+                "select k, n from u bind as mb "
+                "execute fa unique on k, grp after 1.0 seconds"
+            )
+        db.execute("insert into t values ('a', 'g', 1.0)")
 
     def test_absorbs_into_pending_union_task(self, db):
         seen = []

@@ -14,11 +14,16 @@ class TestCommitFailureRollsBack:
         db = Database()
         db.execute("create table t (k text)")
         db.register_function("f", lambda ctx: None)
-        # unique on a column absent from the bound table -> dispatch raises
+
+        def refuse(value):
+            raise ValueError(f"refused {value!r}")
+
+        # The condition's scalar function raises -> the rule fails the commit.
+        db.register_scalar("refuse", refuse)
         db.execute(
             "create rule broken on t when inserted "
-            "if select k from inserted bind as m "
-            "then execute f unique on missing_col"
+            "if select k from inserted where refuse(k) bind as m "
+            "then execute f unique on k"
         )
         return db
 

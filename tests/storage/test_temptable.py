@@ -211,6 +211,90 @@ class TestAbsorb:
             first.absorb(second)
 
 
+class TestSplit:
+    """``unique on`` partitioning: rows move into the partitions with the
+    pins they hold; nothing is copied and nothing pinned twice."""
+
+    def two_keys(self):
+        table, r1, r2 = stock_table()
+        r3 = table.insert(["A", 3.0])
+        temp = TempTable("m", pointer_schema(), pointer_map())
+        for tag, record in enumerate((r1, r2, r3)):
+            temp.append_row((record,), (tag,))
+        return temp, (r1, r2, r3)
+
+    def test_rows_move_with_their_pins(self):
+        temp, records = self.two_keys()
+        groups = _group_rows(temp, [0])
+        assert list(groups) == [("A",), ("B",)]
+        parts = temp.split(groups)
+        assert [record.pins for record in records] == [1, 1, 1]  # carried, not added
+        assert {key: part.to_dicts() for key, part in parts.items()} == {
+            ("A",): [{"symbol": "A", "price": 1.0, "tag": 0}, {"symbol": "A", "price": 3.0, "tag": 2}],
+            ("B",): [{"symbol": "B", "price": 2.0, "tag": 1}],
+        }
+        for part in parts.values():
+            assert part.schema is temp.schema and part.static_map is temp.static_map
+        assert temp.retired and len(temp) == 0
+        temp.retire()  # idempotent: the moved pins stay with the parts
+        assert [record.pins for record in records] == [1, 1, 1]
+        for part in parts.values():
+            part.retire()
+        assert [record.pins for record in records] == [0, 0, 0]
+
+    def test_a_single_group_is_the_source_itself(self):
+        temp, records = self.two_keys()
+        rows = list(temp.scan_raw())
+        assert temp.split({("any",): rows}) == {("any",): temp}
+        assert not temp.retired and list(temp.scan_raw()) == rows
+        assert [record.pins for record in records] == [1, 1, 1]
+        temp.retire()
+
+    def test_an_empty_table_splits_into_nothing(self):
+        temp = TempTable("m", pointer_schema(), pointer_map())
+        assert _group_rows(temp, [0]) == {}
+        assert temp.split({}) == {}
+        assert temp.retired and len(temp) == 0
+
+    def test_groups_must_partition_the_rows(self):
+        temp, records = self.two_keys()
+        first, *_rest = temp.scan_raw()
+        with pytest.raises(BindingError, match="do not partition"):
+            temp.split({("A",): [first], ("B",): []})
+        assert len(temp) == 3 and not temp.retired
+        assert [record.pins for record in records] == [1, 1, 1]
+        temp.retire()
+
+    def test_a_retired_source_is_refused(self):
+        temp, _records = self.two_keys()
+        temp.retire()
+        with pytest.raises(SchemaError, match="is retired"):
+            temp.split({})
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_split_of_the_groups_against_the_source(self, data):
+        table = data.draw(bound_tables())
+        width = len(table.schema)
+        offsets = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width))
+        records = list({id(r): r for ptrs, _mats in table.scan_raw() for r in ptrs}.values())
+        pins = [record.pins for record in records]
+        groups = _group_rows(table, offsets)
+        parts = table.split(groups)
+        assert list(parts) == list(groups)
+        for key, part in parts.items():
+            assert list(map(id, part.scan_raw())) == list(map(id, groups[key]))
+        assert [record.pins for record in records] == pins  # carried, not added
+        if len(parts) == 1:
+            assert next(iter(parts.values())) is table
+        else:
+            assert table.retired and len(table) == 0
+        for part in parts.values():
+            part.retire()
+        table.retire()
+        assert all(record.pins == 0 for record in records)
+
+
 class TestProjectColumns:
     def test_projection(self):
         _table, r1, r2 = stock_table()
@@ -243,13 +327,13 @@ class TestRetiredReads:
             lambda t: t.value_at(0, 0),
             lambda t: t.to_dicts(),
             lambda t: project_columns(t, "p", ["a"]),
-            lambda t: t.subset([]),
+            lambda t: t.split({}),
             lambda t: TempTable("m", t.schema).absorb(t),
             lambda t: _group_rows(t, [0]),
         ],
         ids=[
             "scan_values", "scan_raw", "scan_columns", "row_values", "value_at",
-            "to_dicts", "project_columns", "subset", "absorb", "group_rows",
+            "to_dicts", "project_columns", "split", "absorb", "group_rows",
         ],
     )
     def test_every_read_entry_point_refuses(self, read):
