@@ -232,7 +232,6 @@ class Database:
         self.rule_engine = RuleEngine(self)
         self.unique_manager = UniqueManager(self)
         self.task_manager = TaskManager(self, make_policy(policy))
-        self.plan_cache: dict[Any, Any] = {}
         self._parse_cache: dict[str, ast.Statement] = {}
         self.materialized_views: dict[str, Any] = {}
         self.background_meter = Meter()
@@ -302,13 +301,16 @@ class Database:
         fn: Any,
         cost_op: Optional[str] = None,
     ) -> None:
-        """Register a scalar function callable from SQL expressions."""
+        """Register a scalar function callable from SQL expressions.  A
+        compiled plan holds the function it resolved, so (re)registering one
+        moves ``Catalog.version`` like DDL does."""
         lowered = name.lower()
         if cost_op is not None:
             charge = lambda op=cost_op: self.charge(op)
         else:
             charge = lambda: self.charge("expr_eval")
         self._scalar_functions[lowered] = (fn, charge)
+        self.catalog.version += 1
 
     def resolve_scalar_function(self, name: str):
         try:
@@ -522,8 +524,6 @@ class Database:
         if stmt.kind == "table":
             self.catalog.drop_table(stmt.name)
         elif stmt.kind == "view":
-            view = self.catalog.view(stmt.name)
-            view.bump()
             self.catalog.drop_view(stmt.name)
         elif stmt.kind == "rule":
             self.catalog.drop_rule(stmt.name)
@@ -539,9 +539,6 @@ class Database:
                 raise CatalogError(f"no index {stmt.name!r} on any table")
         else:  # pragma: no cover - parser restricts kinds
             raise ExecutionError(f"cannot DROP {stmt.kind!r}")
-
-    def view_version(self, name: str) -> int:
-        return self.catalog.view(name).version
 
     # --------------------------------------------------------------- tasks
 

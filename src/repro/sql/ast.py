@@ -179,6 +179,12 @@ class OrderItem:
     descending: bool = False
 
 
+def _plan_memo() -> list:
+    """A statement's plan memo, kept by ``sql.executor``: a list the
+    (frozen) node owns, not part of its value, hash or repr."""
+    return field(default_factory=list, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Select:
     items: tuple[Union[SelectItem, StarItem], ...]
@@ -189,10 +195,11 @@ class Select:
     order_by: tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
     distinct: bool = False
+    plan_memo: list = _plan_memo()  # [catalog, version, names, {namespace key: plan}]
 
 
 def table_names(node: object) -> set[str]:
-    """Every FROM name in ``node`` (a SELECT), its subqueries' included."""
+    """Every FROM name in ``node`` (a statement), its subqueries' included."""
     if isinstance(node, TableRef):
         return {node.name}
     if isinstance(node, tuple):
@@ -202,19 +209,13 @@ def table_names(node: object) -> set[str]:
     return set()
 
 
-def _plan_memo() -> list:
-    """A statement's one-entry plan memo, kept by ``sql.executor``: a list
-    the (frozen) node owns, not part of its value, hash or repr."""
-    return field(default_factory=list, init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class Insert:
     table: str
     columns: tuple[str, ...]  # empty means "all, in schema order"
     rows: tuple[tuple[Expr, ...], ...] = ()
     select: Optional[Select] = None
-    plan_memo: list = _plan_memo()  # [table, index version, subqueries, shapes, run]
+    plan_memo: list = _plan_memo()  # [catalog, version, names, {namespace key: run}]
 
 
 @dataclass(frozen=True)

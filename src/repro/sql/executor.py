@@ -1,17 +1,19 @@
-"""Statement execution: SELECT dispatch, prepared DML, and the plan cache.
+"""Statement execution: SELECT dispatch, prepared DML, and the memo they share.
 
 DDL statements (CREATE/DROP) are handled by the :class:`~repro.database.
 Database` itself since they mutate the catalog; everything row-touching
 lives here and runs inside a transaction, charging virtual-time costs.
-UPDATE, DELETE and INSERT are *prepared* on first execution into one closure
-per statement, kept on the statement node (DESIGN.md 6a, "Prepared DML").
+A SELECT is compiled into its plan and UPDATE, DELETE and INSERT are
+*prepared* into one closure, each on first execution, and kept on the
+statement node until ``Catalog.version`` moves (DESIGN.md 6a, "Prepared
+DML").
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.expressions import compile_expr
 from repro.sql.planner import (
@@ -34,63 +36,73 @@ from repro.storage.tuples import Record
 Prepared = Callable[[Any, Optional[dict[str, Any]], Optional[dict[str, Any]]], int]
 
 
-def _source_shapes(db: Any, select: ast.Select, namespace: Optional[dict[str, Any]]) -> tuple:
-    """The *shape* of every source ``select`` names, by value.
+def namespace_key(names: Sequence[str], namespace: Optional[dict[str, Any]]) -> tuple:
+    """What a plan of a statement naming ``names`` (subqueries' FROM names
+    included) depends on in ``namespace``: ``()`` when the namespace holds
+    none of them, else ``(name, schema, static-map signature)`` per name it
+    holds.
 
-    Bound and transition tables are fresh instances per rule firing but keep
-    equal schemas and static maps, so plans compiled for one firing are
-    reused for the next.  A plan bakes column offsets and pointer slots into
-    generated code, so the key is the shape itself, never an ``id()`` a
-    later, different shape could come to own.
+    Bound and transition tables shadow catalog names and are fresh instances
+    per rule firing, but keep equal schemas and static maps, so what was
+    prepared for one firing serves the next.  A plan bakes column offsets and
+    pointer slots into generated code, so the key is the shape by value,
+    never an ``id()`` a later, different shape could come to own.
     """
-    shapes = []
-    for ref in select.tables:
-        name = ref.name
-        if namespace and name in namespace:
-            instance = namespace[name]
-            shapes.append((name, "tmp", instance.schema, instance.static_map.signature()))
-        elif db.catalog.has_table(name):
-            table = db.catalog.table(name)
-            shapes.append((name, "std", table.schema, table.index_version))
-        elif db.catalog.has_view(name):
-            shapes.append((name, "view", db.view_version(name)))
-        else:
-            raise PlanError(f"unknown table or view {name!r}")
-    return tuple(shapes)
+    if namespace:
+        for name in names:
+            if name in namespace:
+                shadowed = [(n, namespace[n]) for n in names if n in namespace]
+                return tuple((n, t.schema, t.static_map.signature()) for n, t in shadowed)
+    return ()
+
+
+def _memoized(db: Any, stmt: Any, namespace: Optional[dict[str, Any]], prepare: Callable) -> Any:
+    """What ``prepare(db, stmt, namespace)`` makes of ``stmt``, from the
+    statement's memo while it is valid.
+
+    The memo is ``[catalog, version, names, {namespace key: prepared}]``, a
+    list the node owns.  A plan or closure holds what the catalog resolved
+    when it was made: tables, indexes, column offsets, view subplans, scalar
+    functions.  So it serves while the memo's catalog *is* ``db.catalog``
+    (the same node run against another database re-prepares) and
+    ``Catalog.version``, which every DDL moves, has not moved; otherwise the
+    memo starts over.  Within one stamp only the namespace varies: ``names``
+    (walked once per stamp) and :func:`namespace_key` key it.
+    """
+    memo, catalog = stmt.plan_memo, db.catalog
+    if not memo or memo[0] is not catalog or memo[1] != catalog.version:
+        memo[:] = catalog, catalog.version, sorted(ast.table_names(stmt)), {}
+    key = namespace_key(memo[2], namespace)
+    prepared = memo[3].get(key)
+    if prepared is None:
+        prepared = memo[3][key] = prepare(db, stmt, namespace)
+    return prepared
 
 
 def select_plan(
     db: Any, select: ast.Select, namespace: Optional[dict[str, Any]] = None
 ) -> CompiledSelect:
-    """Fetch (or build and cache) the compiled plan for ``select``."""
-    key = (select, _source_shapes(db, select, namespace))
-    plan = db.plan_cache.get(key)
-    if plan is None:
-        plan = db.plan_cache[key] = plan_select(db, select, namespace)
-    return plan
+    """The compiled plan for ``select``, from its memo or built now."""
+    return _memoized(db, select, namespace, plan_select)
 
 
 class PreparedSelect:
     """A rule's query, planned with its S-locks and sources once per shape of
-    what its FROM names resolve to (DESIGN.md 6a, "Prepared firings"): the
-    ``fixed`` (transition) names to the namespace, any other to the catalog
-    unless the namespace holds it too — a cascade's bound table."""
+    the bound tables that shadow its names (DESIGN.md 6a, "Prepared
+    firings"): the ``fixed`` (transition) names resolve to the namespace, any
+    other to the catalog unless the namespace holds it too — a cascade's
+    bound table.  The rule engine rebuilds it when ``Catalog.version`` moves."""
 
     __slots__ = ("select", "bind_as", "_loose", "_plans")
 
     def __init__(self, select: ast.Select, bind_as: Optional[str], fixed: Sequence[str]) -> None:
         self.select, self.bind_as = select, bind_as
-        self._loose = [ref.name for ref in select.tables if ref.name not in fixed]
-        self._plans: dict[tuple, tuple] = {}  # shadowing shapes -> (plan, locks, sources)
+        self._loose = sorted(ast.table_names(select).difference(fixed))
+        self._plans: dict[tuple, tuple] = {}  # namespace key -> (plan, locks, sources)
 
     def run(self, db: Any, txn: Any, pseudo: dict[str, Any], namespace: dict[str, Any]) -> Any:
         """The result set — with ``bind as``, the bound table."""
-        key: tuple = ()
-        for name in self._loose:
-            if name in namespace:  # bound tables shadow catalog names: key on their shapes
-                shadowed = [(n, namespace[n]) for n in self._loose if n in namespace]
-                key = tuple((n, t.schema, t.static_map.signature()) for n, t in shadowed)
-                break
+        key = namespace_key(self._loose, namespace)
         prepared = self._plans.get(key)
         if prepared is None:
             plan = plan_select(db, self.select, namespace)
@@ -119,7 +131,7 @@ def execute_select(
     pseudo: Optional[dict[str, Any]] = None,
     namespace: Optional[dict[str, Any]] = None,
 ) -> Union[SelectResult, TempTable]:
-    """Plan (cached) and execute one SELECT against catalog + namespace.  A
+    """Plan (memoised) and execute one SELECT against catalog + namespace.  A
     rule's prepared query runs its own plan, and with ``bind as`` returns
     its rows as that bound table."""
     if isinstance(select, PreparedSelect):
@@ -130,38 +142,6 @@ def execute_select(
 # --------------------------------------------------------------------------
 # DML: prepared on first execution, then one closure call per statement
 # --------------------------------------------------------------------------
-
-
-def _prepared(
-    db: Any,
-    stmt: Union[ast.Insert, ast.Update, ast.Delete],
-    table: Table,
-    namespace: Optional[dict[str, Any]],
-    prepare: Callable[..., tuple[Prepared, list[ast.Select]]],
-) -> Prepared:
-    """``stmt``'s prepared closure, from its one-entry memo when still valid.
-
-    A closure holds the live ``table``, the index it probes and column
-    offsets, so it serves while ``table`` is the very object the catalog has
-    under that name (a dropped and re-created table is a new object; the
-    held reference keeps the old identity from being reused) and no index
-    DDL has touched it.  A statement with subqueries also compares their
-    sources' shapes, as the SELECT plan cache does; one without (every
-    statement of the benchmark workloads) pays nothing for that.
-    """
-    memo = stmt.plan_memo
-    if memo:
-        memo_table, index_version, selects, shapes, run = memo
-        if (
-            memo_table is table
-            and index_version == table.index_version
-            and (not selects or shapes == [_source_shapes(db, s, namespace) for s in selects])
-        ):
-            return run
-    run, selects = prepare(db, table, stmt, namespace)
-    shapes = [_source_shapes(db, select, namespace) for select in selects]
-    memo[:] = table, table.index_version, selects, shapes, run
-    return run
 
 
 def _row_scope(db: Any, table: Table, namespace: Optional[dict[str, Any]]) -> _SelectResolution:
@@ -260,9 +240,8 @@ def _prepare_match(
     return match
 
 
-def _prepare_update(
-    db: Any, table: Table, stmt: ast.Update, namespace: Optional[dict[str, Any]]
-) -> tuple[Prepared, list[ast.Select]]:
+def _prepare_update(db: Any, stmt: ast.Update, namespace: Optional[dict[str, Any]]) -> Prepared:
+    table = db.catalog.table(stmt.table)
     resolution = _row_scope(db, table, namespace)
     match = _prepare_match(db, table, stmt.where, resolution)
     assignments = [
@@ -293,12 +272,11 @@ def _prepare_update(
             txn.update_record(table, record, values)
         return len(matches)
 
-    return run, resolution.subqueries
+    return run
 
 
-def _prepare_delete(
-    db: Any, table: Table, stmt: ast.Delete, namespace: Optional[dict[str, Any]]
-) -> tuple[Prepared, list[ast.Select]]:
+def _prepare_delete(db: Any, stmt: ast.Delete, namespace: Optional[dict[str, Any]]) -> Prepared:
+    table = db.catalog.table(stmt.table)
     resolution = _row_scope(db, table, namespace)
     match = _prepare_match(db, table, stmt.where, resolution)
 
@@ -308,12 +286,11 @@ def _prepare_delete(
             txn.delete_record(table, record)
         return len(matches)
 
-    return run, resolution.subqueries
+    return run
 
 
-def _prepare_insert(
-    db: Any, table: Table, stmt: ast.Insert, namespace: Optional[dict[str, Any]]
-) -> tuple[Prepared, list[ast.Select]]:
+def _prepare_insert(db: Any, stmt: ast.Insert, namespace: Optional[dict[str, Any]]) -> Prepared:
+    table = db.catalog.table(stmt.table)
     schema = table.schema
     width = len(schema)
     if stmt.columns:
@@ -339,7 +316,7 @@ def _prepare_insert(
                 txn.insert_record(table, row)
             return len(rows)
 
-        return run_select, []
+        return run_select
 
     resolution = _SelectResolution(db, [], namespace)  # INSERT VALUES: no row scope
     rows: list[list[tuple[int, Callable]]] = []
@@ -364,7 +341,7 @@ def _prepare_insert(
             raise ExecutionError(arity_error)
         return len(rows)
 
-    return run_values, resolution.subqueries
+    return run_values
 
 
 def execute_insert(
@@ -375,8 +352,7 @@ def execute_insert(
     namespace: Optional[dict[str, Any]] = None,
 ) -> int:
     """Run one INSERT (VALUES or SELECT form); returns rows inserted."""
-    table = db.catalog.table(stmt.table)
-    return _prepared(db, stmt, table, namespace, _prepare_insert)(txn, params, namespace)
+    return _memoized(db, stmt, namespace, _prepare_insert)(txn, params, namespace)
 
 
 def execute_update(
@@ -388,9 +364,8 @@ def execute_update(
 ) -> int:
     """Run one UPDATE (index-accelerated); returns the number of rows
     updated.  ``namespace`` holds the bound tables its subqueries may read."""
-    table = db.catalog.table(stmt.table)
-    txn.lock_table_shared(table.name)  # before preparing: held even if that fails
-    return _prepared(db, stmt, table, namespace, _prepare_update)(txn, params, namespace)
+    txn.lock_table_shared(db.catalog.table(stmt.table).name)  # held even if preparing fails
+    return _memoized(db, stmt, namespace, _prepare_update)(txn, params, namespace)
 
 
 def execute_delete(
@@ -401,6 +376,5 @@ def execute_delete(
     namespace: Optional[dict[str, Any]] = None,
 ) -> int:
     """Run one DELETE; returns the number of rows deleted."""
-    table = db.catalog.table(stmt.table)
-    txn.lock_table_shared(table.name)
-    return _prepared(db, stmt, table, namespace, _prepare_delete)(txn, params, namespace)
+    txn.lock_table_shared(db.catalog.table(stmt.table).name)
+    return _memoized(db, stmt, namespace, _prepare_delete)(txn, params, namespace)

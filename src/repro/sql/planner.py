@@ -104,7 +104,8 @@ class OutputColumn:
 
 
 class CompiledSelect:
-    """An executable SELECT plan (cached per Database and binding shape)."""
+    """An executable SELECT plan (kept by its statement's memo per
+    namespace shape, or by a rule's prepared query)."""
 
     def __init__(
         self,
@@ -274,9 +275,10 @@ def _tuple_source(parts: Sequence[str]) -> str:
 
 
 def _live_index(table: Any, columns: tuple[str, ...], method: str) -> Callable:
-    """``table``'s index on ``columns``, by its probe method.  The plan key
-    carries ``index_version``, so a cached plan never gets here stale; a
-    plan object held across index DDL does."""
+    """``table``'s index on ``columns``, by its probe method.  Index DDL
+    moves ``Catalog.version``, so a plan reached through a statement's memo
+    or a prepared firing never gets here stale; a plan object held across
+    the DDL does."""
     index = table.index_on(columns)
     if index is None or not hasattr(index, method):
         raise ExecutionError(f"index on {table.name!r} {columns} changed; plan is stale")
@@ -487,7 +489,7 @@ class _IndexJoinStep(_Step):
         charge = state.db.charge
         pos = self.desc.env_pos
         residual = self.residual
-        if index is None:  # unreachable through the plan cache (index_version keys it)
+        if index is None:  # a plan held across index DDL (Catalog.version moved)
             raise ExecutionError(f"index on {self.desc.name!r} changed; plan is stale")
         for env in envs:
             charge("index_probe")
@@ -950,9 +952,6 @@ class _SelectResolution:
         self.namespace = namespace
         #: Getters a fused nest can write inline instead of calling.
         self.inline: dict[Getter, str] = {}
-        #: Every subquery compiled through this resolution: what a prepared
-        #: DML statement's memo watches beside its own table.
-        self.subqueries: list[ast.Select] = []
 
     # -- ResolutionContext protocol --
 
@@ -975,7 +974,6 @@ class _SelectResolution:
     def resolve_subquery(self, select: ast.Select) -> Getter:
         """Plan an uncorrelated subquery now; run it once per execution."""
         subplan = plan_select(self.db, select, self.namespace)
-        self.subqueries.append(select)
         key = id(subplan)
 
         def rows(env: Any) -> list:

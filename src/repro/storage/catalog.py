@@ -27,9 +27,9 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, "ViewDefinition"] = {}
         self._rules: dict[str, "Rule"] = {}
-        #: Bumped by every DDL on a name or an index: what anything prepared
-        #: against the catalog (the rule engine's firings) compares to know
-        #: it is still current — one integer, however much was prepared.
+        #: Bumped by every DDL on a name or an index and by register_scalar:
+        #: what anything prepared against the catalog (a statement's memo, the
+        #: rule engine's firings) compares to know it is still current.
         self.version = 0
 
     # -------------------------------------------------------------- tables

@@ -33,8 +33,7 @@ class Table:
         self.schema = schema
         self._records = RecordList()
         self.indexes: dict[str, BaseIndex] = {}
-        self.index_version = 0  # bumped on index DDL; part of plan-cache keys
-        self.catalog: Optional["Catalog"] = None  # set by the catalog holding it
+        self.catalog: Optional["Catalog"] = None  # set by its catalog; index DDL moves its version
         # Statistics kept for the view advisor and for tests.
         self.insert_count = 0
         self.delete_count = 0
@@ -68,7 +67,6 @@ class Table:
         self._indexes_changed()
 
     def _indexes_changed(self) -> None:
-        self.index_version += 1
         if self.catalog is not None:
             self.catalog.version += 1
 

@@ -21,13 +21,8 @@ class ViewDefinition:
     name: str
     select: ast.Select
     sql: Optional[str] = None
-    version: int = 0
     backing_table: Optional[str] = None
 
     @property
     def materialized(self) -> bool:
         return self.backing_table is not None
-
-    def bump(self) -> None:
-        """Invalidate cached plans that referenced this view."""
-        self.version += 1

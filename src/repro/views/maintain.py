@@ -593,7 +593,6 @@ def materialize(
     base_rows = sum(len(db.catalog.table(ref.name)) for ref in base_refs)
 
     # Replace the view with its backing table.
-    view.bump()
     db.catalog.drop_view(view_name)
     columns = [Column(name, col_type) for name, col_type in out_columns]
     if info["kind"] == "aggregate":

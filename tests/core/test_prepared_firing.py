@@ -255,6 +255,40 @@ def test_cascade_reads_the_upstream_bound_table_before_the_catalog():
     assert seen == [("a", 10.0), ("d", -4.0)]
 
 
+def test_cascade_condition_keys_on_bound_tables_inside_a_subquery():
+    """Two upstream rules bind ``m`` from tables that store ``x`` at
+    different offsets; the downstream condition names ``m`` only inside a
+    subquery.  The plan prepared for the first cascade must not serve the
+    second (it read ``y`` there, 200 instead of 2); alone, the second reads 2."""
+
+    def run(upstream: list[str]) -> list:
+        db = Database()
+        db.execute_script(
+            """
+            create table p (x int, y int);
+            create table q (y int, x int);
+            create table t (a int);
+            create table w (n int);
+            insert into t values (2), (200);
+            """
+        )
+        seen: list = []
+        db.register_function("f", lambda ctx: ctx.execute("insert into w values (1)"))
+        db.register_function("g", lambda ctx: seen.append(list(ctx.columns("got", "a"))))
+        for table in upstream:
+            db.execute(f"create rule r{table} on {table} when inserted "
+                       "if select x, y from inserted bind as m then execute f writes w")
+        db.execute("create rule r3 on w when inserted if select a from t "
+                   "where a in (select x from m) bind as got then execute g")
+        for table in upstream:
+            db.execute(f"insert into {table} (x, y) values (2, 200)")
+            db.drain()
+        return seen
+
+    assert run(["p", "q"]) == [[(2,)], [(2,)]]
+    assert run(["q"]) == [[(2,)]]
+
+
 # ------------------------------------------------------ one pinned commit
 
 MIXED_RULES = [

@@ -96,6 +96,20 @@ class TestExecution:
         db.register_scalar("twice", lambda x: x * 2)
         assert db.query("select twice(a) as b from t").scalar() == 4.0
 
+    def test_replacing_a_scalar_reaches_prepared_statements(self, db):
+        """A compiled plan holds the function it resolved: replacing it must
+        reach a SELECT and an INSERT ... SELECT already run once."""
+        db.execute_script(
+            "create table t (a real); create table u (b real); insert into t values (2.0)"
+        )
+        db.register_scalar("f", lambda x: x * 2)
+        assert db.query("select f(a) as b from t").scalar() == 4.0
+        db.execute("insert into u select f(a) from t")
+        db.register_scalar("f", lambda x: x * 3)
+        assert db.query("select f(a) as b from t").scalar() == 6.0
+        db.execute("insert into u select f(a) from t")
+        assert sorted(db.query("select b from u").rows()) == [[4.0], [6.0]]
+
     def test_scalar_with_cost_op(self, db):
         db.execute("create table t (a real)")
         db.execute("insert into t values (2.0)")

@@ -23,6 +23,7 @@ from repro.pta.tables import Scale
 from repro.pta.workload import populate_trace, trace_tasks
 from repro.sim.clock import Meter
 from repro.sim.simulator import Simulator
+from repro.sql import executor
 from repro.sql.parser import parse_statement
 from repro.sql.planner import plan_select
 from repro.storage.schema import ColumnType, Schema
@@ -304,15 +305,29 @@ def test_function_raising_mid_loop_leaves_everything_balanced(db):
     assert all(record.pins == 0 for record in records)
 
 
-def test_dropped_index_replans_same_rows_other_charges(db):
+def plan_builds(monkeypatch) -> list:
+    """Every plan the executor builds from here on (each statement's memo
+    and each prepared rule query call its ``plan_select``), in order."""
+    builds: list = []
+    build = executor.plan_select
+
+    def counted(db, select, namespace):
+        builds.append(build(db, select, namespace))
+        return builds[-1]
+
+    monkeypatch.setattr(executor, "plan_select", counted)
+    return builds
+
+
+def test_dropped_index_replans_same_rows_other_charges(db, monkeypatch):
     sql = "select a.v, b.w from b, a where a.k = b.k"
     first, first_meter = metered(db, lambda: db.query(sql).rows())
     stale = plan_select(db, db.parse(sql), None)
-    plans = len(db.plan_cache)
+    builds = plan_builds(monkeypatch)
     db.execute("drop index a_k")
     second, second_meter = metered(db, lambda: db.query(sql).rows())
     assert sorted(first) == sorted(second) == [[10, 100], [20, 200], [30, 300]]
-    assert len(db.plan_cache) == plans + 1  # index_version is in the key
+    assert len(builds) == 1  # the DDL moved Catalog.version, which stamps the memo
     assert first_meter.ops["index_probe"] == 3 and "join_probe" not in first_meter.ops
     assert second_meter.ops["join_probe"] == 3 and "index_probe" not in second_meter.ops
     # A plan object held across the DDL is refused, not silently degraded.

@@ -1,5 +1,5 @@
-"""White-box tests of planning decisions: join strategies, ordering, the
-plan cache, and provenance through binding."""
+"""White-box tests of planning decisions: join strategies, ordering, each
+statement's plan memo, and provenance through binding."""
 
 import pytest
 
@@ -15,6 +15,7 @@ from repro.sql.planner import (
 )
 from repro.storage.temptable import TempTable
 from repro.storage.schema import ColumnType, Schema
+from tests.sql.test_compiled_pipeline import plan_builds
 
 
 @pytest.fixture
@@ -134,14 +135,18 @@ class TestPlanCache:
         pointer.retire()
 
 
-    def test_view_maintenance_run_keeps_the_plan_count(self):
+    def test_view_maintenance_run_keeps_the_plan_count(self, monkeypatch):
         """A run shaped like the e2e ``sql_views_mixed`` workload — two
         maintained views, price updates, position opens and closes, three
-        kinds of read — caches one plan per statement shape however many
-        firings bind fresh tables: 34 on the parent of the value-keyed
-        cache, and no more with it."""
+        kinds of read — plans each statement shape once however many
+        firings bind fresh tables: every build happens by the end of the
+        first round.  The value-keyed plan cache built 32; one more here is
+        ``materialize``'s populate, planned again after its own DDL moved
+        ``Catalog.version``."""
         from repro.views.maintain import materialize
 
+        builds = plan_builds(monkeypatch)
+        after_first_round = None
         db = Database()
         db.execute_script(
             """
@@ -186,7 +191,9 @@ class TestPlanCache:
             db.query("select symbol, exposure from symbol_exposure order by exposure desc limit 10")
             db.advance(0.3)
             db.drain()
-        assert len(db.plan_cache) <= 34
+            if after_first_round is None:
+                after_first_round = len(builds)
+        assert len(builds) == after_first_round <= 33
 
 
 class TestBindingProvenance:

@@ -10,16 +10,18 @@ change that *means* to move one of these regenerates the file::
     PYTHONPATH=src python -m tests.sql.test_prepared_dml --regenerate
 
 Beside it: a hypothesis run against a dict-of-rows model, the stale-plan
-cases (one SQL text executed across index DDL, a re-created table, two
-databases), and the regression tests for DML that reads a task's bound
-tables.
+cases (one SQL text — DML or SELECT — executed across index DDL, a
+re-created table or view, ``materialize``, rule DDL, two databases), and the
+regression tests for DML that reads a task's bound tables.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
+import weakref
 from collections import Counter
 from typing import Any, Optional
 
@@ -38,8 +40,9 @@ from repro.storage.schema import ColumnType
 from repro.txn import locks
 from repro.txn.locks import LockMode
 from repro.txn.transaction import Transaction
+from repro.views.maintain import materialize
 from tests.integration import test_golden_virtual as golden_virtual
-from tests.sql.test_compiled_pipeline import metered
+from tests.sql.test_compiled_pipeline import metered, plan_builds, same_meter
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_dml.json")
 
@@ -458,7 +461,7 @@ SET_V = "update t set v = :x where k = :k"
 
 class TestStalePlans:
     """One SQL text, hence one statement node and one memo, executed across
-    whatever can invalidate what its closure holds."""
+    whatever can invalidate what its closure or plan holds."""
 
     def test_index_created_then_dropped_replans(self):
         db = make_db(None)
@@ -546,6 +549,96 @@ class TestStalePlans:
         db.execute("drop table t")
         with pytest.raises(CatalogError, match="no table 't'"):
             db.execute(SET_V, {"x": 0.5, "k": "b"})
+
+    # The SELECT memo and the DDL that moves Catalog.version: each case runs
+    # one statement node on a database that lived through the DDL and on a
+    # fresh one built in the state it reached, and holds the two together.
+
+    @staticmethod
+    def agrees_with(fresh: Database, db: Database, run) -> None:
+        """``run(db)`` returns what ``run(fresh)`` returns, charging the same."""
+        got, got_meter = metered(db, lambda: run(db))
+        want, want_meter = metered(fresh, lambda: run(fresh))
+        assert got == want
+        same_meter(got_meter, want_meter)
+
+    def test_select_across_index_ddl(self):
+        db = make_db(None)
+        read = lambda d: d.query("select k, v from t where k = 'a'").rows()
+        for ddl, index in ((None, None), ("create index t_k on t (k)", "hash"),
+                           ("drop index t_k", None)):
+            if ddl:
+                db.execute(ddl)
+            self.agrees_with(make_db(index), db, read)
+
+    def test_view_dropped_and_recreated_with_another_body(self):
+        bodies = ["select k, v from t where g = 1", "select k, w as v from t where g = 2"]
+        read = lambda d: sorted(d.query("select k, v from tv").rows(), key=repr)
+        db = make_db("hash")
+        db.execute(f"create view tv as {bodies[0]}")
+        assert read(db) == [["a", 10.0], ["b", 20.0]]
+        db.execute("drop view tv")
+        db.execute(f"create view tv as {bodies[1]}")
+        fresh = make_db("hash")
+        fresh.execute(f"create view tv as {bodies[1]}")
+        self.agrees_with(fresh, db, read)
+        assert read(db) == [["c", 3.0], ["d", 4.0]]
+
+    def test_view_materialized_under_a_prepared_select(self):
+        view = "create view tv as select g, sum(v) as total from t group by g"
+        read = lambda d: d.query("select g, total from tv where g = 2").rows()
+
+        def materialized(db: Database) -> Database:
+            materialize(db, "tv")
+            db.execute("update t set v = 41.0 where k = 'd'")
+            db.drain()
+            return db
+
+        db = make_db("hash")
+        db.execute(view)
+        assert read(db) == [[2, 40.0]]  # planned over the view's subplan
+        fresh = make_db("hash")
+        fresh.execute(view)
+        self.agrees_with(materialized(fresh), materialized(db), read)
+        assert read(db) == [[2, 41.0]]
+
+    def test_rule_created_then_dropped(self):
+        rule = ("create rule r on t when updated v if select k, v from new bind as m "
+                "then execute f after 1.0 seconds")
+
+        def build(with_rule: bool) -> Database:
+            db = make_db("hash")
+            db.register_function("f", lambda ctx: None)
+            if with_rule:
+                db.execute(rule)
+            return db
+
+        write = lambda d: d.execute("update t set v = v + 1 where k = :k", {"k": "a"})
+        db = build(False)
+        write(db)
+        for ddl, with_rule in ((rule, True), ("drop rule r", False)):
+            db.execute(ddl)
+            fresh = build(with_rule)
+            self.agrees_with(fresh, db, write)
+            assert db.drain() == fresh.drain() == int(with_rule)
+
+    def test_one_select_across_twenty_index_cycles_keeps_one_stamps_plans(self, monkeypatch):
+        """Each index DDL re-plans the statement, and the plans of the stamps
+        before it go: the value-keyed plan cache kept all 40, with the
+        dropped indexes they held."""
+        builds = plan_builds(monkeypatch)
+        db = make_db(None)
+        read = lambda d: d.query("select k, v from t where k = 'a'").rows()
+        for _ in range(20):
+            read(db)
+            db.execute("create index t_k on t (k)")
+            read(db)
+            db.execute("drop index t_k")
+        alive = [weakref.ref(plan) for plan in builds]
+        builds.clear()
+        gc.collect()
+        assert len(alive) == 40 and sum(ref() is not None for ref in alive) == 1
+        self.agrees_with(make_db(None), db, read)
 
 
 # ------------------------------------- DML that reads the task's bound tables

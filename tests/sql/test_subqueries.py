@@ -138,3 +138,34 @@ class TestSubqueriesInRules:
             "delete from emp where salary < (select avg(salary) as a from emp)"
         )
         assert count == 2
+
+    def test_bound_table_shapes_inside_a_subquery_are_not_mixed_up(self):
+        """Two rules bind ``m`` from tables that store ``x`` at different
+        offsets, so the two bound tables read ``x`` through different static
+        maps.  One function's query names ``m`` only inside its subquery: a
+        plan made for the first firing must not serve the second (it read
+        ``y`` there, 200 instead of 2)."""
+
+        def run(tables):
+            db = Database()
+            db.execute_script(
+                """
+                create table p (x int, y int);
+                create table q (y int, x int);
+                create table t (a int);
+                insert into t values (2), (200);
+                """
+            )
+            seen = []
+            db.register_function("f", lambda ctx: seen.append(
+                ctx.query("select a from t where a in (select x from m)").rows()))
+            for table in tables:
+                db.execute(f"create rule r{table} on {table} when inserted "
+                           "if select x, y from inserted bind as m then execute f")
+            for table in tables:
+                db.execute(f"insert into {table} (x, y) values (2, 200)")
+                db.drain()
+            return seen
+
+        assert run(["p", "q"]) == [[[2]], [[2]]]
+        assert run(["q"]) == [[[2]]]

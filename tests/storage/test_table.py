@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
+from repro.storage.catalog import Catalog
 from repro.storage.index import HashIndex, RBTreeIndex
 from repro.storage.schema import ColumnType, Schema
 from repro.storage.table import Table
@@ -245,13 +246,16 @@ class TestIndexMaintenance:
         with pytest.raises(SchemaError):
             table.drop_index("i")
 
-    def test_index_version_bumps(self):
-        table = make_table()
-        v0 = table.index_version
+    def test_index_ddl_moves_the_catalog_version(self):
+        catalog = Catalog()
+        table = catalog.create_table("stocks", make_table().schema)
+        v0 = catalog.version
         table.create_index("i", ["symbol"])
-        assert table.index_version == v0 + 1
+        assert catalog.version == v0 + 1
         table.drop_index("i")
-        assert table.index_version == v0 + 2
+        assert catalog.version == v0 + 2
+        make_table().create_index("i", ["symbol"])  # a table no catalog holds
+        assert catalog.version == v0 + 2
 
 
 class TestFindByImage:

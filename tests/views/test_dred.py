@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.database import Database
 from repro.fault import check_convergence
 from repro.views.maintain import STRATEGIES, UnsupportedViewError, materialize
+from tests.sql.test_compiled_pipeline import plan_builds
 
 
 def multi(db, statements):
@@ -455,10 +456,11 @@ class TestMetamorphic:
 
 class TestRequeryPlanCache:
     """Every rederived key used to compile and cache its own plan (the
-    requery carried the key as a literal and the plan cache keys on the
-    AST), so the cache grew with the key domain."""
+    requery carried the key as a literal, so each key was a new statement),
+    so the plans built grew with the key domain."""
 
-    def plans_after_marking(self, view_sql, n_keys, **kwargs):
+    def plans_after_marking(self, monkeypatch, view_sql, n_keys, **kwargs):
+        builds = plan_builds(monkeypatch)
         db = Database()
         db.execute_script(
             "create table x (a text, b real); create table rates (a text, factor real);"
@@ -479,17 +481,18 @@ class TestRequeryPlanCache:
         assert plan.stats.keys_marked == n_keys
         assert plan.stats.rows_overdeleted == n_keys
         assert check_convergence(db).ok
-        return len(db.plan_cache)
+        monkeypatch.undo()
+        return len(builds)
 
     @pytest.mark.parametrize("strategy", ["incremental", "dred"])
-    def test_aggregate_requery_plans_do_not_grow_with_keys(self, strategy):
-        few = self.plans_after_marking(AGG_VIEW, 5, maintenance=strategy)
-        many = self.plans_after_marking(AGG_VIEW, 50, maintenance=strategy)
+    def test_aggregate_requery_plans_do_not_grow_with_keys(self, monkeypatch, strategy):
+        few = self.plans_after_marking(monkeypatch, AGG_VIEW, 5, maintenance=strategy)
+        many = self.plans_after_marking(monkeypatch, AGG_VIEW, 50, maintenance=strategy)
         assert few == many
 
     @pytest.mark.parametrize("strategy", ["incremental", "dred"])
-    def test_projection_requery_plans_do_not_grow_with_keys(self, strategy):
+    def test_projection_requery_plans_do_not_grow_with_keys(self, monkeypatch, strategy):
         kwargs = dict(key=("b", "a"), maintenance=strategy)
-        few = self.plans_after_marking(PROJ_VIEW, 5, **kwargs)
-        many = self.plans_after_marking(PROJ_VIEW, 50, **kwargs)
+        few = self.plans_after_marking(monkeypatch, PROJ_VIEW, 5, **kwargs)
+        many = self.plans_after_marking(monkeypatch, PROJ_VIEW, 50, **kwargs)
         assert few == many
