@@ -177,9 +177,11 @@ class RuleEngine:
             # behind the transition tables of the same name.
             namespace = {**txn.task.bound_tables, **transitions}
         bound: dict[str, TempTable] = {}
+        meter, cost = db.metering()
         try:
             for query, condition in prepared.queries:
-                db.charge("condition_base")
+                meter.total += cost["condition_base"]
+                meter.ops["condition_base"] += 1
                 # A query with ``bind as`` comes back as its bound table,
                 # filled by the plan's own loop nest.  ``execute_select`` is
                 # looked up per call: the e2e tracer's sql.select seam.

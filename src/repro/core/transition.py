@@ -62,10 +62,12 @@ class TransitionShape:
         """The transition tables ``names`` over one transaction's ``entries``;
         ``transition_row`` is charged for every entry in log order (two per
         update) whichever tables are built."""
-        tables = {name: TempTable(name, self.schema, self.maps[name]) for name in names}
-        inserted, deleted, new, old = [
-            tables[name].row_sink(1, 1) if name in tables else None for name in TRANSITION_NAMES
-        ]
+        tables: dict[str, TempTable] = {}
+        sinks: list = [None] * len(TRANSITION_NAMES)
+        for name in names:
+            table = tables[name] = TempTable(name, self.schema, self.maps[name])
+            sinks[TRANSITION_NAMES.index(name)] = table.row_sink(1, 1)
+        inserted, deleted, new, old = sinks
         meter, cost = db.metering()
         one = cost["transition_row"]
         two = one * 2  # what charge("transition_row", 2) adds
@@ -82,7 +84,7 @@ class TransitionShape:
                 images = ((deleted, entry.old_record),)
             for sink, record in images:
                 if sink is not None:
-                    record.pin()
+                    record.pins += 1
                     sink(((record,), (entry.execute_order,)))
         meter.total = total
         meter.ops["transition_row"] += rows

@@ -246,7 +246,9 @@ class UniqueManager:
 
         if not rule.unique_on:
             # Coarse batching: one pending task per user function.
-            charge("unique_lookup")
+            meter, cost = self.db.metering()
+            meter.total += cost["unique_lookup"]
+            meter.ops["unique_lookup"] += 1
             fresh = self._absorb_or_create(rule, (), bound, txn, origin)
             return [] if fresh is None else [fresh]
 
@@ -335,17 +337,17 @@ class UniqueManager:
         origin: Optional[Task],
     ) -> None:
         """Append a new firing's rows onto a pending task's bound tables."""
-        charge = self.db.charge
-        faults = self.db.faults
-        if faults.enabled:
-            faults.check_raise("unique.absorb", task.klass)
-        if bound.keys() != task.bound_tables.keys():
+        db = self.db
+        if db.faults.enabled:
+            db.faults.check_raise("unique.absorb", task.klass)
+        targets = task.bound_tables
+        if bound.keys() != targets.keys():
             raise BindingError(
                 f"function {task.function_name!r}: bound tables differ across rules "
-                f"({sorted(bound)} vs {sorted(task.bound_tables)})"
+                f"({sorted(bound)} vs {sorted(targets)})"
             )
         effect = PendingEffect(task, marks=[])
-        if self.db.persist.enabled:
+        if db.persist.enabled:
             # Capture the incoming rows by value before they are folded in
             # (and the fresh tables retired): the WAL's absorb event must
             # replay against a resurrected, fully materialized task.
@@ -356,36 +358,41 @@ class UniqueManager:
         # On the list before the first row moves: a commit that fails from
         # here on rolls the tables back.
         txn.effects.append(effect)
+        meter, cost = db.metering()
         appended = 0
         for name, fresh in bound.items():
-            target = task.bound_tables[name]
+            target = targets[name]
             effect.marks.append((target, target.savepoint()))
             if target.folding:
                 appended += self._fold_into(target, fresh)
+                fresh.retire()
+                continue
+            shape = target.static_map
+            if (
+                shape is not fresh.static_map
+                and shape.ptr_slots == 0
+                and shape.signature() != fresh.static_map.signature()
+                and fresh.schema == target.schema
+            ):
+                # A resurrected task, or one sealed before its faulted
+                # attempt, holds fully materialized tables; take the
+                # fresh pointer-backed rows in by value.
+                added = len(fresh)
+                for values in fresh.scan_values():
+                    target.append_values(values)
+                fresh.retire()
             else:
-                if (
-                    target.static_map.ptr_slots == 0
-                    and target.static_map is not fresh.static_map
-                    and target.static_map.signature() != fresh.static_map.signature()
-                    and fresh.schema == target.schema
-                ):
-                    # A resurrected task, or one sealed before its faulted
-                    # attempt, holds fully materialized tables; take the
-                    # fresh pointer-backed rows in by value.
-                    added = len(fresh)
-                    for values in fresh.scan_values():
-                        target.append_values(values)
-                else:
-                    # The firing's table is ours alone: its rows move over
-                    # with the pins they already hold.
-                    added = target.move_from(fresh)
-                appended += added
-                charge("unique_append_row", max(added, 1))
-            fresh.retire()
+                # The firing's table is ours alone: its rows move over with
+                # the pins they already hold, and it is left retired.
+                added = target.move_from(fresh)
+            appended += added
+            added = max(added, 1)  # what charge("unique_append_row", added) adds
+            meter.total += cost["unique_append_row"] * added
+            meter.ops["unique_append_row"] += added
         self.batch_count += 1
-        effect.time = now = self.db.clock.now()
-        if self.db.tracer.enabled:
-            self.db.tracer.unique_append(task, appended, now, origin=origin)
+        effect.time = now = db.clock.now()
+        if db.tracer.enabled:
+            db.tracer.unique_append(task, appended, now, origin=origin)
 
     def _new_task(
         self,

@@ -25,9 +25,6 @@ benchmark harness measures.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import repeat
-from operator import add
 from typing import Any, Optional
 
 from repro.core.engine import PreparedRule, RuleEngine
@@ -270,16 +267,6 @@ class Database:
         (float addition is not associative, so never ``cost[op] * n``), and
         ``meter.ops[op] += n`` once when the loop ends (DESIGN.md 6a)."""
         return self.clock._meter or self.background_meter, self._cost_seconds
-
-    def charge_each(self, count: int, *ops: str) -> None:
-        """``count`` separate charges of each of ``ops``, op after op: the
-        additions ``count`` calls of :meth:`charge` per op would make,
-        without the calls (left folds, so the same float sums as loops)."""
-        if count:
-            meter, cost = self.metering()
-            for op in ops:
-                meter.total = reduce(add, repeat(cost[op], count), meter.total)
-                meter.ops[op] += count
 
     @property
     def now(self) -> float:

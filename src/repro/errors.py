@@ -20,6 +20,11 @@ class CatalogError(StripError):
     """A named object (table, view, rule, function) is missing or duplicated."""
 
 
+class StorageError(StripError):
+    """A record's bookkeeping was broken: unpinned more often than pinned,
+    linked into a table twice, or unlinked while not linked."""
+
+
 class SqlError(StripError):
     """Base class for errors in the SQL front end."""
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+from repro.errors import SimulationError
+
 
 class Meter:
     """Accumulates virtual CPU charged to one task (or one phase).
@@ -90,7 +92,7 @@ class VirtualClock:
         clock.
         """
         if self._meter is not None:
-            raise RuntimeError("a meter is already active")
+            raise SimulationError("a meter is already active")
         self._frontier = self._base
         self._base = start
         self._meter = meter
@@ -100,7 +102,7 @@ class VirtualClock:
         """Stop metering.  The base becomes the later of the task's end time
         and the pre-task frontier.  Returns the task's end time."""
         if self._meter is None:
-            raise RuntimeError("no active meter")
+            raise SimulationError("no active meter")
         end = self._base + (self._meter.total - self._meter_offset)
         self._base = max(end, self._frontier)
         self._meter = None

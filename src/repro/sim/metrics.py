@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Timing of one completed task, all times in seconds."""
 
@@ -42,17 +42,9 @@ class TaskRecord:
         return self.start_time - self.release_time
 
     @property
-    def response_time(self) -> float:
-        return self.end_time - self.release_time
-
-    @property
     def length(self) -> float:
         """System time minus queueing (the Figure 11/14 metric)."""
         return self.end_time - self.start_time
-
-    @property
-    def missed_deadline(self) -> bool:
-        return self.deadline is not None and (self.dropped or self.end_time > self.deadline)
 
 
 @dataclass
@@ -73,19 +65,24 @@ class ClassSummary:
     _sq_length: float = 0.0
 
     def add(self, record: TaskRecord) -> None:
+        """Fold one record in; a dropped task, or one that ended past its
+        deadline, is a deadline miss."""
+        release, start, end = record.release_time, record.start_time, record.end_time
+        length = end - start
         self.count += 1
-        if record.missed_deadline:
+        if record.deadline is not None and (record.dropped or end > record.deadline):
             self.deadline_misses += 1
         if record.dropped:
             self.dropped += 1
         self.total_cpu += record.cpu_time
-        self.total_length += record.length
-        self.total_response += record.response_time
-        self.total_queueing += record.queueing
+        self.total_length += length
+        self.total_response += end - release
+        self.total_queueing += start - release
         self.total_bound_rows += record.bound_rows
         self.total_context_switches += record.context_switches
-        self.max_length = max(self.max_length, record.length)
-        self._sq_length += record.length * record.length
+        if length > self.max_length:
+            self.max_length = length
+        self._sq_length += length * length
 
     @property
     def mean_length(self) -> float:

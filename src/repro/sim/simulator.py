@@ -42,7 +42,12 @@ def execute_task(
     """
     if task.state in (TaskState.DONE, TaskState.ABORTED):
         raise TaskAlreadyFinishedError(f"task {task.task_id} already finished")
-    db.unique_manager.on_task_start(task)
+    # A task with neither bound tables nor a user function (an update, a
+    # feed task) has no pending entry to drop and nothing pinned to release.
+    tables = task.bound_tables
+    rule_task = bool(tables) or task.function_name is not None
+    if rule_task:
+        db.unique_manager.on_task_start(task)
     task.state = TaskState.RUNNING
     if start is None:
         start = max(db.clock.base, task.release_time)
@@ -56,11 +61,13 @@ def execute_task(
         # The orphan-detection marker: started-but-never-finished tasks are
         # re-enqueued with retry accounting on recovery.
         db.persist.task_started(task)
-    bound_rows = task.bound_rows
+    bound_rows = task.bound_rows if tables else 0
     meter = task.meter
     charged_before = meter.total
     db.clock.activate(meter, start)
-    db.charge("begin_task")
+    cost = db.metering()[1]
+    meter.total += cost["begin_task"]
+    meter.ops["begin_task"] += 1
     faults = db.faults
     try:
         if faults.enabled:
@@ -77,7 +84,8 @@ def execute_task(
     except Exception as exc:
         task.state = TaskState.ABORTED
         db.abort_orphaned_txns(task)
-        db.charge("end_task")
+        meter.total += cost["end_task"]
+        meter.ops["end_task"] += 1
         cpu = meter.total - charged_before
         end = db.clock.deactivate()
         task.end_time = end
@@ -95,7 +103,8 @@ def execute_task(
             db, task, f"aborted:{task.klass}", release_time, start, end,
             cpu, bound_rows, dropped=(outcome == "drop"),
         )
-    db.charge("end_task")
+    meter.total += cost["end_task"]
+    meter.ops["end_task"] += 1
     cpu = meter.total - charged_before
     quantum = db.cost_model.preempt_quantum
     switches = int(cpu / quantum) if quantum > 0 else 0
@@ -106,7 +115,8 @@ def execute_task(
     end = db.clock.deactivate()
     task.end_time = end
     task.state = TaskState.DONE
-    task.retire_bound_tables()
+    if rule_task:
+        task.retire_bound_tables()
     if db.persist.enabled and task.function_name is not None:
         # Usually a no-op: the action transaction's own commit record
         # already carried the retirement.  Covers bodies that committed
@@ -209,45 +219,36 @@ class Simulator:
         server, which is what the latency metrics measure.
         """
         db = self.db
-        manager = db.task_manager
-        free_at = [db.clock.base] * self.processors
+        clock, manager = db.clock, db.task_manager
+        ready = manager.ready
+        servers = range(self.processors)
+        free_at = [clock.base] * self.processors
         executed = 0
-        pending_arrivals = list(arrivals) if arrivals else []
-        pending_arrivals.sort(key=lambda task: task.release_time)
-        arrival_index = 0
-
-        def admit_arrivals(now: float) -> None:
-            nonlocal arrival_index
-            while (
-                arrival_index < len(pending_arrivals)
-                and pending_arrivals[arrival_index].release_time <= now
-            ):
-                manager.enqueue(pending_arrivals[arrival_index])
-                arrival_index += 1
-
-        def next_arrival_time() -> Optional[float]:
-            if arrival_index < len(pending_arrivals):
-                return pending_arrivals[arrival_index].release_time
-            return None
-
+        # Arrivals in release order (ties as given), reversed: the next is last.
+        waiting = sorted(arrivals or (), key=lambda task: task.release_time)
+        waiting.reverse()
+        finished = (TaskState.DONE, TaskState.ABORTED)
         while True:
-            admit_arrivals(db.clock.base)
-            manager.release_due(db.clock.base)
-            if not manager.ready:
-                next_release = manager.next_release_time()
-                arrival = next_arrival_time()
-                if arrival is not None and (next_release is None or arrival < next_release):
-                    next_release = arrival
-                if next_release is None:
+            now = clock.base
+            while waiting and waiting[-1].release_time <= now:
+                manager.enqueue(waiting.pop())
+            due = manager.next_release_time()
+            if manager.held or (due is not None and due <= now):
+                manager.release_due(now)  # nothing due and nothing held: a no-op
+                due = manager.next_release_time()
+            if not ready:
+                if waiting and (due is None or waiting[-1].release_time < due):
+                    due = waiting[-1].release_time
+                if due is None:
                     break
-                if until is not None and next_release > until:
+                if until is not None and due > until:
                     break
-                db.clock.set_base(max(db.clock.base, next_release))
+                clock.set_base(max(now, due))
                 continue
             task = manager.pop_ready()
-            if task.state in (TaskState.DONE, TaskState.ABORTED):
+            if task.state in finished:
                 continue  # finished out of band; drop it
-            server = min(range(self.processors), key=free_at.__getitem__)
+            server = 0 if len(free_at) == 1 else min(servers, key=free_at.__getitem__)
             start = max(free_at[server], task.release_time)
             if (
                 self.drop_late

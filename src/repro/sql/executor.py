@@ -98,7 +98,8 @@ class PreparedSelect:
     def __init__(self, select: ast.Select, bind_as: Optional[str], fixed: Sequence[str]) -> None:
         self.select, self.bind_as = select, bind_as
         self._loose = sorted(ast.table_names(select).difference(fixed))
-        self._plans: dict[tuple, tuple] = {}  # namespace key -> (plan, locks, sources)
+        #: namespace key -> (plan, locks, instance vector recipe, names handed over)
+        self._plans: dict[tuple, tuple] = {}
 
     def run(self, db: Any, txn: Any, pseudo: dict[str, Any], namespace: dict[str, Any]) -> Any:
         """The result set — with ``bind as``, the bound table."""
@@ -106,20 +107,22 @@ class PreparedSelect:
         prepared = self._plans.get(key)
         if prepared is None:
             plan = plan_select(db, self.select, namespace)
-            locks = [desc.name for desc in plan.sources if desc.kind == STD]
-            # Per source: the table or view plan it reads, or None when the
-            # namespace hands it over per firing.
-            catalog = db.catalog
-            sources = [
-                (desc.name, None if desc.kind == TMP else desc.subplan or catalog.table(desc.name))
-                for desc in plan.sources
-            ]
-            prepared = self._plans[key] = plan, locks, sources
-        plan, locks, sources = prepared
+            sources, catalog = plan.sources, db.catalog
+            # Per source the table or view plan it reads, or None: a slot
+            # the namespace fills per firing.
+            prepared = self._plans[key] = (
+                plan,
+                [desc.name for desc in sources if desc.kind == STD],
+                [None if d.kind == TMP else d.subplan or catalog.table(d.name) for d in sources],
+                [(at, desc.name) for at, desc in enumerate(sources) if desc.kind == TMP],
+            )
+        plan, locks, recipe, named = prepared
         for name in locks:
             txn.lock_table_shared(name)
         state = ExecState(db, txn, {}, pseudo, namespace)
-        state.instances = [namespace[name] if fixed is None else fixed for name, fixed in sources]
+        instances = state.instances = recipe.copy()
+        for at, name in named:
+            instances[at] = namespace[name]
         return plan.collect(state) if self.bind_as is None else plan.bind(self.bind_as, state)
 
 

@@ -26,6 +26,7 @@ section 6.1).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -120,6 +121,9 @@ class CompiledSelect:
         self.steps = steps
         self.output = output
         self.inline = inline  # getter -> its source over the nest's handles
+        #: (environment position, columns, method) of each index the nest probes.
+        self.probes = [(step.desc.env_pos, *step.index) for step in steps if step.index]
+        self._indexes: tuple = (None, -1, [])  # (catalog, version, index objects)
         self._nests: dict[str, Callable] = {}  # sink -> compiled loop nest
 
     def state(self, db: Any, txn: Any, params: Any, pseudo: Any, namespace: Any) -> ExecState:
@@ -132,14 +136,34 @@ class CompiledSelect:
         ]
         return state
 
+    def indexes(self, catalog: Any, instances: list) -> list:
+        """The index objects the nest probes, resolved once per catalog
+        version.  Index DDL moves the version, so a plan reached through a
+        statement's memo or a prepared firing is never stale here; a plan
+        object held across the DDL resolves again, and raises if its index
+        is gone."""
+        stamp = self._indexes
+        if stamp[0] is not catalog or stamp[1] != catalog.version:
+            resolved = []
+            for pos, columns, method in self.probes:
+                table = instances[pos - 1]
+                index = table.index_on(columns)
+                if index is None or not hasattr(index, method):
+                    stale = f"index on {table.name!r} {columns} changed; plan is stale"
+                    raise ExecutionError(stale)
+                resolved.append(index)
+            stamp = self._indexes = (catalog, catalog.version, resolved)
+        return stamp[2]
+
     def _run(self, sink: str, state: ExecState, emit: Callable) -> None:
         """One execution of the fused nest: the active meter and the cost
         table are read now, not when the nest was compiled."""
         nest = self._nests.get(sink)
         if nest is None:
             nest = self._nests[sink] = _build_nest(self, sink)
-        meter, cost = state.db.metering()
-        nest(state, state.instances, meter, cost, emit)
+        db, instances = state.db, state.instances
+        meter, cost = db.metering()
+        nest(state, instances, self.indexes(db.catalog, instances), meter, cost, emit)
 
     def execute(
         self,
@@ -161,12 +185,11 @@ class CompiledSelect:
         """Run the plan over ``state``'s instances and bind its rows as
         temporary table ``name`` (a rule query's ``bind as``).  When the
         output is the join's rows as they come, the nest appends them to the
-        table itself — each row is touched once — and the ``row_output`` and
-        ``bind_row`` charges follow in the order ``collect`` +
+        table itself — each row is touched once — and charges ``row_output``
+        and ``bind_row`` after its loops, in the order ``collect`` +
         ``SelectResult.bind`` make them."""
-        db = state.db
         if not self.output.streams:
-            return self.collect(state).bind(name, db)
+            return self.collect(state).bind(name, state.db)
         spec = self.output.bind_spec()
         table = TempTable(name, spec.schema, spec.static_map)
         try:
@@ -174,7 +197,6 @@ class CompiledSelect:
         except BaseException:
             table.retire()
             raise
-        db.charge_each(len(table), "row_output", "bind_row")
         return table
 
     def execute_reference(
@@ -205,14 +227,24 @@ class _Nest:
     def __init__(self, inline: dict[Getter, str], slots: int) -> None:
         self.inline = inline
         self.slots = slots  # handles per environment
-        self.head: list[str] = []  # per-execution set-up, before any charge
         self.body: list[str] = []
         self.tails: list[Callable[[], None]] = []  # written after the innermost body
-        self.names: dict[str, Any] = {"_index": _live_index}  # the nest's globals
+        self.names: dict[str, Any] = {}  # the nest's globals
         self.counters: list[tuple[str, ...]] = []  # ops counted by k0, k1, ...
+        #: Per bound handle h<pos>: where, and at which depth, its loop's
+        #: body ends so far — the place for a line that reads no later handle.
+        self.ends: dict[int, list[int]] = {}
 
     def line(self, depth: int, text: str) -> None:
         self.body.append("    " * depth + text)
+
+    def hoist(self, level: int, text: str) -> None:
+        """Write ``text`` at the end of the body of h<level>'s loop so far."""
+        at, depth = self.ends[level]
+        self.body.insert(at, "    " * depth + text)
+        for end in self.ends.values():
+            if end[0] >= at:
+                end[0] += 1
 
     def charge(self, depth: int, *ops: str) -> None:
         """Charge each of ``ops`` once, here, in this order."""
@@ -274,55 +306,65 @@ def _tuple_source(parts: Sequence[str]) -> str:
     return "(" + "".join(part + ", " for part in parts) + ")"
 
 
-def _live_index(table: Any, columns: tuple[str, ...], method: str) -> Callable:
-    """``table``'s index on ``columns``, by its probe method.  Index DDL
-    moves ``Catalog.version``, so a plan reached through a statement's memo
-    or a prepared firing never gets here stale; a plan object held across
-    the DDL does."""
-    index = table.index_on(columns)
-    if index is None or not hasattr(index, method):
-        raise ExecutionError(f"index on {table.name!r} {columns} changed; plan is stale")
-    return getattr(index, method)
-
-
 def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
     """Write, compile and return ``plan``'s fused loop nest for one sink:
     ``collect`` calls ``emit(env)`` per joined row, ``bind`` pins a row's
-    records and calls ``emit((ptrs, mats))``.
+    records and calls ``emit((ptrs, mats))``, then charges ``row_output``
+    and ``bind_row`` once per row bound.
 
     Charges are float additions on ``meter.total`` in exactly the generator
     pipeline's order — generators start last step first, so hash builds run
     in reverse step order before the driving scan — with occurrences counted
-    in local ints that reach ``meter.ops`` in a ``finally``."""
+    in local ints that reach ``meter.ops`` in a ``finally``.  Each index is
+    the object ``indexes`` holds (``CompiledSelect.indexes``), probed per
+    call through it (``x2.lookup(key)``), never through a method captured
+    at compile time.  What charges nothing and reads one handle — an inline
+    hash-probe key, a bound row's pointer — is read once per row of that
+    handle's loop (``_Nest.hoist``); no charge moves."""
     nest = _Nest(plan.inline, len(plan.sources))
     for step in reversed(plan.steps):
         step.prelude(nest)
     depth = 2
     for step in plan.steps:
         depth = step.emit(nest, depth)
-    if sink == "collect":
+        nest.ends[step.desc.env_pos] = [len(nest.body), depth]
+    bound = sink == "bind"
+    if not bound:
         nest.line(depth, f"emit({nest.env(nest.slots)})")
     else:
         spec = plan.output.bind_spec()
-        records = [f"p{slot}" for slot in range(len(spec.ptr_keys))]
-        for record, (_kind, pos, *slot) in zip(records, spec.ptr_keys):
-            nest.line(depth, f"{record} = h{pos}" + (f"[0][{slot[0]}]" if slot else ""))
+        records = []  # per pointer slot: a standard handle, or a bound row's pointer
+        for at, (_kind, pos, *slot) in enumerate(spec.ptr_keys):
+            records.append(f"p{at}" if slot else f"h{pos}")
+            if slot:
+                nest.hoist(pos, f"p{at} = h{pos}[0][{slot[0]}]")
         mats = [nest.value(column.value, nest.slots) for column in spec.mat_columns]
         nest.line(depth, f"row = ({_tuple_source(records)}, {_tuple_source(mats)})")
         for record in records:
-            nest.line(depth, f"{record}.pin()")
+            nest.line(depth, f"{record}.pins += 1")
         nest.line(depth, "emit(row)")
+        nest.line(depth, "n += 1")
     for tail in reversed(nest.tails):
         tail()
     ops = dict.fromkeys(op for counter in nest.counters for op in counter)
-    lines = ["def nest(state, instances, meter, cost, emit):"]
+    if bound:
+        ops.update(dict.fromkeys(("row_output", "bind_row")))
+    lines = ["def nest(state, instances, indexes, meter, cost, emit):"]
     lines += [f"    i{p + 1} = instances[{p}]" for p in range(nest.slots)]
+    lines += [f"    x{pos} = indexes[{at}]" for at, (pos, *_index) in enumerate(plan.probes)]
     lines += [f"    c_{op} = cost[{op!r}]" for op in ops]
-    lines += ["    " + line for line in nest.head]
     lines += [f"    k{k} = 0" for k in range(len(nest.counters))]
+    if bound:
+        lines.append("    n = 0")
     lines += ["    try:", *nest.body, "    finally:", "        ops = meter.ops"]
     for k, counter in enumerate(nest.counters):
         lines += [f"        if k{k}:"] + [f"            ops[{op!r}] += k{k}" for op in counter]
+    if bound:  # n additions of each, op after op, as n charge calls would make
+        lines += ["    if n:", "        total = meter.total"]
+        for op in ("row_output", "bind_row"):
+            lines += ["        for _ in range(n):", f"            total += c_{op}"]
+        lines += ["        meter.total = total"]
+        lines += [f"        ops[{op!r}] += n" for op in ("row_output", "bind_row")]
     return generate(lines, "nest", f"<nest {sink}>", nest.names)
 
 
@@ -355,6 +397,9 @@ class _Step:
     """One pipeline operator, twice: ``start``/``run`` is the reference
     generator, ``prelude``/``emit`` writes the same loop — same charges,
     same order — into the fused nest."""
+
+    #: ``(columns, method)`` of the index the nest probes, or None.
+    index: Optional[tuple[tuple[str, ...], str]] = None
 
     def start(self, state: ExecState) -> Iterator[list[Any]]:  # first step only
         raise NotImplementedError
@@ -410,6 +455,8 @@ class _ScanStep(_Step):
         self.eq_key = eq_key
         self.range_column = range_column
         self.range_spec = range_spec
+        if desc.kind == STD and (eq_columns or range_column):
+            self.index = (eq_columns, "lookup") if eq_columns else ((range_column,), "range")
 
     def start(self, state: ExecState) -> Iterator[list[Any]]:
         instance = state.instances[self.desc.env_pos - 1]
@@ -450,18 +497,18 @@ class _ScanStep(_Step):
 
     def emit(self, nest: _Nest, depth: int) -> int:
         pos = self.desc.env_pos
-        if self.desc.kind != STD or (self.eq_columns is None and self.range_column is None):
+        if self.index is None:
             nest.tails.append(nest.scan(depth, self.desc))
             nest.residual(depth + 1, self.residual, pos, "expr_eval")
             return depth + 1
         if self.eq_columns is not None:
-            nest.head.append(f"x{pos} = _index(i{pos}, {self.eq_columns!r}, 'lookup')")
-            nest.line(depth, f"rows = x{pos}({nest.value(self.eq_key, 0)})")
+            nest.line(depth, f"rows = x{pos}.lookup({nest.value(self.eq_key, 0)})")
         else:
             low, high, *inclusive = self.range_spec
             bounds = ["None" if g is None else nest.value(g, 0) for g in (low, high)]
-            nest.head.append(f"x{pos} = _index(i{pos}, {(self.range_column,)!r}, 'range')")
-            nest.line(depth, f"rows = x{pos}({', '.join(bounds)}, {inclusive[0]}, {inclusive[1]})")
+            nest.line(
+                depth, f"rows = x{pos}.range({', '.join(bounds)}, {inclusive[0]}, {inclusive[1]})"
+            )
         nest.charge(depth, "index_probe")
         nest.loop(depth, pos, "rows", "cursor_fetch")
         nest.residual(depth + 1, self.residual, pos)  # probed rows filter uncharged
@@ -482,6 +529,7 @@ class _IndexJoinStep(_Step):
         self.index_columns = index_columns
         self.key = key
         self.residual = residual
+        self.index = (index_columns, "lookup")
 
     def run(self, envs: Iterator[list[Any]], state: ExecState) -> Iterator[list[Any]]:
         instance = state.instances[self.desc.env_pos - 1]
@@ -505,9 +553,8 @@ class _IndexJoinStep(_Step):
 
     def emit(self, nest: _Nest, depth: int) -> int:
         pos = self.desc.env_pos
-        nest.head.append(f"x{pos} = _index(i{pos}, {self.index_columns!r}, 'lookup')")
         nest.charge(depth, "index_probe")
-        nest.loop(depth, pos, f"x{pos}({nest.value(self.key, pos - 1)})", "cursor_fetch")
+        nest.loop(depth, pos, f"x{pos}.lookup({nest.value(self.key, pos - 1)})", "cursor_fetch")
         nest.residual(depth + 1, self.residual, pos, "expr_eval")
         return depth + 1
 
@@ -551,9 +598,20 @@ class _HashJoinStep(_Step):
         nest.gather(self.desc, f"b{pos}.setdefault({key}, []).append(h{pos})")
 
     def emit(self, nest: _Nest, depth: int) -> int:
+        """The probe of a key written inline charges nothing, so it moves
+        out to the loop binding the last handle the key reads, and runs once
+        per row of that loop; ``join_probe`` stays charged per outer row.  A
+        key that can charge (a function call) is probed where it stands."""
         pos = self.desc.env_pos
+        key = nest.inline.get(self.probe_key)
+        if key is None:
+            rows = f"b{pos}.get({nest.value(self.probe_key, pos - 1)}, ())"
+        else:  # the last handle a key reads: h3 in ``h3[1][0]``
+            level = max(int(handle) for handle in re.findall(r"\bh(\d+)\b", key))
+            nest.hoist(level, f"m{pos} = b{pos}.get({key}, ())")
+            rows = f"m{pos}"
         nest.charge(depth, "join_probe")
-        nest.loop(depth, pos, f"b{pos}.get({nest.value(self.probe_key, pos - 1)}, ())")
+        nest.loop(depth, pos, rows)
         nest.residual(depth + 1, self.residual, pos, "expr_eval")
         return depth + 1
 
@@ -921,7 +979,7 @@ class SelectResult:
                 ptrs = tuple([getter(item) for getter in ptr_getters])
                 mats = tuple([column.value(item) for column in mat_columns])
                 for record in ptrs:
-                    record.pin()
+                    record.pins += 1
                 append((ptrs, mats))
         except BaseException:
             table.retire()

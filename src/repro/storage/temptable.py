@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from repro.errors import BindingError, SchemaError
+from repro.errors import BindingError, SchemaError, StorageError
 from repro.storage.schema import Schema
 from repro.storage.tuples import Record
 
@@ -50,6 +50,15 @@ class ColumnSource:
         if self.kind == "ptr":
             return f"{ptrs}[{self.slot:d}].values[{self.offset:d}]"
         return f"{mats}[{self.slot:d}]"
+
+
+def _unpin(rows: Iterable[tuple[tuple[Record, ...], tuple[Any, ...]]]) -> None:
+    """Take back the pin each record pointer of ``rows`` holds."""
+    for ptrs, _mats in rows:
+        for record in ptrs:
+            if record.pins <= 0:
+                raise StorageError(f"unpin of record {record.rid} with no pins")
+            record.pins -= 1
 
 
 def generate(lines: Sequence[str], name: str, filename: str, names: dict[str, Any]) -> Callable:
@@ -166,7 +175,7 @@ class TempTable:
         mats = tuple(mats)
         append = self.row_sink(len(ptrs), len(mats))
         for record in ptrs:
-            record.pin()
+            record.pins += 1
         append((ptrs, mats))
 
     def row_sink(self, n_ptrs: int, n_mats: int):
@@ -217,7 +226,7 @@ class TempTable:
         other._check_live()
         for ptrs, mats in other._rows:
             for record in ptrs:
-                record.pin()
+                record.pins += 1
             self._rows.append((ptrs, mats))
         return len(other._rows)
 
@@ -261,19 +270,16 @@ class TempTable:
     def rollback(self, mark: Any) -> None:
         """Drop every row appended since ``mark``, unpinning its records.
         A table retired in the meantime has nothing left to undo."""
-        while len(self._rows) > mark:
-            ptrs, _mats = self._rows.pop()
-            for record in ptrs:
-                record.unpin()
+        dropped = self._rows[mark:]
+        del self._rows[mark:]
+        _unpin(dropped)
 
     def retire(self) -> None:
         """Release every pinned record.  Idempotent."""
         if self._retired:
             return
         self._retired = True
-        for ptrs, _mats in self._rows:
-            for record in ptrs:
-                record.unpin()
+        _unpin(self._rows)
         self._rows.clear()
 
     @property

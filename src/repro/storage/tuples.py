@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional
 
+from repro.errors import StorageError
+
 _record_ids = itertools.count(1)
 
 
@@ -30,7 +32,10 @@ class Record:
         in_table: ``True`` while the record is linked into its table, i.e.
             it is the *current* version of its row.
         pins: number of temporary-table references keeping this record
-            alive after it has been unlinked.
+            alive after it has been unlinked.  Whatever stores a pointer to
+            the record adds one, in line; the table holding it takes it back
+            when it drops the row (:mod:`repro.storage.temptable`), and never
+            below zero.
     """
 
     __slots__ = ("values", "rid", "in_table", "pins", "prev", "next", "__weakref__")
@@ -43,23 +48,10 @@ class Record:
         self.prev: Optional[Record] = None
         self.next: Optional[Record] = None
 
-    def pin(self) -> None:
-        """Register a temporary-table reference to this record."""
-        self.pins += 1
-
-    def unpin(self) -> bool:
-        """Drop one reference; return True if the record became reclaimable.
-
-        A record is reclaimable once it is no longer the current version of
-        its row *and* no temporary table references it.
-        """
-        if self.pins <= 0:
-            raise RuntimeError(f"unpin of record {self.rid} with no pins")
-        self.pins -= 1
-        return self.pins == 0 and not self.in_table
-
     @property
     def reclaimable(self) -> bool:
+        """No longer the current version of its row *and* referenced by no
+        temporary table."""
         return self.pins == 0 and not self.in_table
 
     def __getitem__(self, offset: int) -> Any:
@@ -88,7 +80,7 @@ class RecordList:
 
     def append(self, record: Record) -> None:
         if record.in_table:
-            raise RuntimeError(f"record {record.rid} is already linked")
+            raise StorageError(f"record {record.rid} is already linked")
         record.prev = self.tail
         record.next = None
         if self.tail is not None:
@@ -101,7 +93,7 @@ class RecordList:
 
     def unlink(self, record: Record) -> None:
         if not record.in_table:
-            raise RuntimeError(f"record {record.rid} is not linked")
+            raise StorageError(f"record {record.rid} is not linked")
         if record.prev is not None:
             record.prev.next = record.next
         else:

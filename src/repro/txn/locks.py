@@ -16,7 +16,7 @@ every row lock in that table and vice versa (coarse two-level hierarchy).
 from __future__ import annotations
 
 import enum
-from typing import Hashable, Optional
+from typing import AbstractSet, Hashable, Optional
 
 from repro.errors import DeadlockError
 
@@ -62,6 +62,7 @@ class LockManager:
         self._locks: dict[Resource, _LockState] = {}
         self._held_by_txn: dict[int, set[Resource]] = {}
         self._waits_for: dict[int, set[int]] = {}
+        self._queued = 0  # requests in wait queues right now
         self.grant_count = 0
         self.wait_count = 0
         self.deadlock_count = 0
@@ -139,15 +140,16 @@ class LockManager:
         """Release every lock held by ``txn_id``; returns newly granted
         ``(txn_id, resource, mode)`` triples for the caller to unblock."""
         granted: list[tuple[int, Resource, LockMode]] = []
-        for resource in self._held_by_txn.pop(txn_id, set()):
-            state = self._locks.get(resource)
+        locks = self._locks
+        for resource in self._held_by_txn.pop(txn_id, ()):
+            state = locks.get(resource)
             if state is None:
                 continue
             state.holders.pop(txn_id, None)
             if state.waiters:
                 granted.extend(self._grant_waiters(resource, state))
             if not state.holders and not state.waiters:
-                del self._locks[resource]
+                del locks[resource]
         # Drop any waits-for edges pointing at the departing transaction.
         self._waits_for.pop(txn_id, None)
         for edges in self._waits_for.values():
@@ -156,14 +158,19 @@ class LockManager:
 
     def cancel_waits(self, txn_id: int) -> None:
         """Remove ``txn_id`` from every wait queue (a refused request, or a
-        transaction ending; uncontended locks cost one truth test each)."""
-        for state in self._locks.values():
-            if state.waiters:
-                state.waiters = [(t, m) for t, m in state.waiters if t != txn_id]
+        transaction ending); the queues are walked only while one is not
+        empty."""
+        if self._queued:
+            for state in self._locks.values():
+                if state.waiters:
+                    kept = [(t, m) for t, m in state.waiters if t != txn_id]
+                    self._queued -= len(state.waiters) - len(kept)
+                    state.waiters = kept
         self._waits_for.pop(txn_id, None)
 
-    def held_resources(self, txn_id: int) -> set[Resource]:
-        return set(self._held_by_txn.get(txn_id, set()))
+    def held_resources(self, txn_id: int) -> AbstractSet[Resource]:
+        """What ``txn_id`` holds: the manager's own set, to read, not keep."""
+        return self._held_by_txn.get(txn_id, frozenset())
 
     # ----------------------------------------------------------- internals
 
@@ -183,6 +190,7 @@ class LockManager:
                 f"transaction {txn_id} would deadlock waiting for {sorted(blockers)}"
             )
         state.waiters.append((txn_id, mode))
+        self._queued += 1
         self.wait_count += 1
         return False
 
@@ -218,6 +226,7 @@ class LockManager:
             else:
                 break
             state.waiters.pop(0)
+            self._queued -= 1
             self._waits_for.pop(txn_id, None)
             self.grant_count += 1
             granted.append((txn_id, resource, mode))

@@ -264,12 +264,12 @@ class Transaction:
             self.db.tracer.txn_abort(self, self.db.clock.now())
 
     def _release_locks(self) -> None:
-        manager = self.db.lock_manager
-        manager.cancel_waits(self.txn_id)  # commit or abort: leave no request queued
-        held = manager.held_resources(self.txn_id)
+        manager, txn_id = self.db.lock_manager, self.txn_id
+        manager.cancel_waits(txn_id)  # commit or abort: leave no request queued
+        held = len(manager.held_resources(txn_id))
         if held:
-            self.db.charge("lock_release", len(held))
-        manager.release_all(self.txn_id)
+            self.db.charge("lock_release", held)
+        manager.release_all(txn_id)
         self._read_locked_tables.clear()
         self._ix_locked_tables.clear()
 

@@ -17,6 +17,9 @@ from typing import Any, Callable, Optional
 import pytest
 
 from repro.database import Database
+from repro.pta.rules import install_comp_rule
+from repro.pta.tables import Scale
+from repro.pta.workload import populate_trace
 from repro.sim.clock import Meter
 from repro.views.maintain import materialize
 from tests.integration.test_golden_virtual import task_meters
@@ -287,6 +290,33 @@ def test_cascade_condition_keys_on_bound_tables_inside_a_subquery():
 
     assert run(["p", "q"]) == [[(2,)], [(2,)]]
     assert run(["q"]) == [[(2,)]]
+
+
+def comps_firings(index_ddl: bool) -> dict[str, Any]:
+    """Two commits of the comps rule's ``unique`` variant on one symbol;
+    between them, with ``index_ddl``, the index the condition probes
+    ``comps_list`` through is dropped and created again.  A new member of
+    that symbol's composites, inserted after the DDL, is only in the new
+    index: a firing still probing the dropped one would miss it."""
+    db = Database()
+    populate_trace(db, Scale.tiny())
+    install_comp_rule(db, "unique", 1.0)
+    symbol = db.query("select symbol from comps_list").rows()[0][0]
+    update = f"update stocks set price = price + 1 where symbol = '{symbol}'"
+    commits = [metered(db, [update])]
+    if index_ddl:
+        db.execute("drop index comps_list_symbol")
+        db.execute("create index comps_list_symbol on comps_list (symbol)")
+    db.execute(f"insert into comps_list values ('CNEW', '{symbol}', 0.5)")
+    commits.append(metered(db, [update]))
+    (task,) = db.unique_manager.pending_tasks()
+    return {"commits": commits, "bound": task.bound_tables["matches"].to_dicts()}
+
+
+def test_comps_firing_across_index_ddl_matches_a_fresh_database():
+    changed, built = comps_firings(index_ddl=True), comps_firings(index_ddl=False)
+    assert changed == built
+    assert any(row["comp"] == "CNEW" for row in changed["bound"])
 
 
 # ------------------------------------------------------ one pinned commit

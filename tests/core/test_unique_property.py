@@ -20,7 +20,7 @@ from repro.core.unique import UniqueManager
 from repro.database import Database
 from repro.errors import InjectedFaultError
 from repro.fault import FaultInjector
-from repro.storage.tuples import Record
+from repro.storage.temptable import TempTable
 
 KEYS = ["a", "b", "c"]
 GROUPS = ["g1", "g2"]
@@ -221,7 +221,7 @@ class TestFailureMidSplit:
         prelude = [([(0, 0), (1, 0), (2, 0)], False, None)] if seam == "unique.absorb" else []
         txns = prelude + [([(0, 0), (1, 1), (2, 0)], False, 0), ([(1, 0)], False, 2)]
         pins, inside = [], []  # pins taken per dispatch call
-        real_pin, real_dispatch = Record.pin, UniqueManager.dispatch
+        real_absorb, real_dispatch = TempTable.absorb, UniqueManager.dispatch
 
         def dispatch(self, rule, bound, txn):
             inside.append(0)
@@ -230,13 +230,13 @@ class TestFailureMidSplit:
             finally:
                 pins.append(inside.pop())
 
-        def pin(record):
+        def absorb(table, other):  # a copy pins each pointer of ``other`` again
             if inside:
-                inside[-1] += 1
-            real_pin(record)
+                inside[-1] += sum(len(ptrs) for ptrs, _mats in other.scan_raw())
+            return real_absorb(table, other)
 
         monkeypatch.setattr(UniqueManager, "dispatch", dispatch)
-        monkeypatch.setattr(Record, "pin", pin)
+        monkeypatch.setattr(TempTable, "absorb", absorb)
         faulted = Run("unique on k", f"{seam}:abort@nth={nth}")
         got = faulted.cycles(txns, fault_at=len(prelude))
         assert faulted.failed == 1

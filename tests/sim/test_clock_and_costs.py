@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.clock import Meter, VirtualClock
 from repro.sim.costmodel import SIMPLE_UPDATE_PATH, CostModel
 
@@ -61,11 +62,11 @@ class TestVirtualClock:
     def test_double_activate_rejected(self):
         clock = VirtualClock()
         clock.activate(Meter(), 0.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SimulationError):
             clock.activate(Meter(), 0.0)
 
     def test_deactivate_without_activate(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SimulationError):
             VirtualClock().deactivate()
 
 

@@ -67,8 +67,9 @@ class TestDroppedAccounting:
         assert collector.deadline_misses("r") == 1
 
     def test_dropped_record_is_a_miss_even_within_deadline_time(self):
-        dropped = record(deadline=100.0, dropped=True, end=1.0)
-        assert dropped.missed_deadline
+        summary = ClassSummary("c")
+        summary.add(record(deadline=100.0, dropped=True, end=1.0))
+        assert summary.deadline_misses == 1
 
 
 class TestKeepRecords:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.database import Database
-from repro.sim.metrics import MetricsCollector, TaskRecord
+from repro.sim.metrics import ClassSummary, MetricsCollector, TaskRecord
 from repro.sim.simulator import Simulator, execute_task
 from repro.txn.tasks import Task, TaskState
 
@@ -204,8 +204,10 @@ class TestMetricsCollector:
             cpu_time=1.0,
         )
         assert record.queueing == 2.0
-        assert record.response_time == 3.0
         assert record.length == 1.0
+        summary = ClassSummary("x")
+        summary.add(record)
+        assert summary.total_response == 3.0
 
     def test_cpu_fraction_bad_duration(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from repro.pta.tables import Scale
 from repro.pta.workload import populate_trace, trace_tasks
 from repro.sim.clock import Meter
 from repro.sim.simulator import Simulator
-from repro.sql import executor
+from repro.sql import executor, planner
 from repro.sql.parser import parse_statement
 from repro.sql.planner import plan_select
 from repro.storage.schema import ColumnType, Schema
@@ -336,14 +336,100 @@ def test_dropped_index_replans_same_rows_other_charges(db, monkeypatch):
             run(db, None).rows()
 
 
+@pytest.mark.parametrize(
+    "sql", ["select a.v, b.w from b, a where a.k = b.k", "select v from a where k = 2"]
+)
+def test_a_plan_run_then_held_across_drop_index_is_stale(db, sql):
+    """A plan resolves its index objects once per catalog version, at its
+    first run: held across DROP INDEX it refuses its next run, and across a
+    re-created index it probes the new one."""
+    plan = plan_select(db, db.parse(sql), None)
+    rows = plan.execute(db, None).rows()
+    assert rows
+    db.execute("drop index a_k")
+    with pytest.raises(ExecutionError, match="plan is stale"):
+        plan.execute(db, None).rows()
+    db.execute("create index a_k on a (k)")
+    db.execute("insert into a values (2, 21)")
+    again = plan.execute(db, None).rows()
+    assert len(again) == len(rows) + 1
+
+
+def nest_sources(monkeypatch) -> list[str]:
+    """The source of every loop nest compiled from here on, in order."""
+    sources: list[str] = []
+    generate = planner.generate
+
+    def captured(lines, name, filename, names):
+        if filename.startswith("<nest"):
+            sources.append("\n".join(lines))
+        return generate(lines, name, filename, names)
+
+    monkeypatch.setattr(planner, "generate", captured)
+    return sources
+
+
+def loop_line(source: str, text: str) -> tuple[int, int]:
+    """(line number, indentation) of the one line of ``source`` holding ``text``."""
+    lines = [(at, line) for at, line in enumerate(source.splitlines()) if text in line]
+    assert len(lines) == 1, lines
+    at, line = lines[0]
+    return at, len(line) - len(line.lstrip())
+
+
+def test_the_comps_condition_probes_old_once_per_new_row(monkeypatch):
+    """The hash probe of ``old`` reads only ``new``, so it sits in the loop
+    over ``new``, before the ``comps_list`` index loop; ``join_probe`` is
+    still charged per ``comps_list`` row."""
+    sources = nest_sources(monkeypatch)
+    calls, _pin_samples, ops, rows = comps_run(monkeypatch, Scale.tiny())
+    (source,) = sources
+    probe, probe_indent = loop_line(source, ".get(")
+    lookup, lookup_indent = loop_line(source, ".lookup(")
+    assert probe < lookup and probe_indent == lookup_indent
+    assert source.splitlines()[lookup].lstrip().startswith("for h")
+    assert ops["join_probe"] == rows and calls["join_probe"] == 0
+
+
+@pytest.mark.parametrize("key, hoisted", [("t.k", True), ("abs(t.k)", False)])
+def test_only_an_inline_probe_key_is_hoisted(db, monkeypatch, key, hoisted):
+    """``u`` is hash-joined on a key of ``t`` below the index join into
+    ``a``.  A plain column key is probed once per ``t`` row; a key that
+    calls a scalar function (which charges) is probed, and charged, per
+    ``(t, a)`` row where it stands — the reference's charges either way."""
+    db.execute("insert into a values (1, 11)")  # two a rows for t.k = 1
+    t = TempTable("t", Schema.of(("k", ColumnType.INT), ("x", ColumnType.INT)))
+    u = TempTable("u", Schema.of(("k", ColumnType.INT), ("y", ColumnType.INT)))
+    for row in ([1, 0], [2, 0], [-1, 0]):
+        t.append_values(row)
+    for row in ([1, 5], [2, 6], [1, 7]):
+        u.append_values(row)
+    namespace = {"t": t, "u": u}
+    sql = f"select t.k, a.v, u.y from t, a, u where a.k = t.k and u.k = {key}"
+    sources = nest_sources(monkeypatch)
+    plan = plan_select(db, parse_statement(sql), namespace)
+    args = (db, None, None, PSEUDO, namespace)
+    got, got_meter = metered(db, lambda: outcome(plan.execute(*args)))
+    want, want_meter = metered(db, lambda: outcome(plan.execute_reference(*args)))
+    assert got == want and len(got[1]) == 5
+    same_meter(got_meter, want_meter)
+    (source,) = sources
+    probe, probe_indent = loop_line(source, ".get(")
+    lookup, lookup_indent = loop_line(source, ".lookup(")
+    assert (probe < lookup and probe_indent == lookup_indent) is hoisted
+    assert got_meter.ops["expr_eval"] == (0 if hoisted else 3)
+
+
 # -------------------------------------------------- per-row work, counted
 
 
 def comps_run(monkeypatch, scale: Scale):
     """A ``unique`` comps run (the pta_comps_unique shape) with every
-    ``Database.charge`` call and every pin / unpin counted from outside."""
+    ``Database.charge`` call counted from outside, and every record ever
+    made kept: at the start of each recompute — its batch at its peak — the
+    pins on all of them, against the pointers every live bound table
+    holds."""
     calls: Counter = Counter()
-    pins: Counter = Counter()
     charge = Database.charge
 
     def counting(self, op, count=1):
@@ -351,28 +437,48 @@ def comps_run(monkeypatch, scale: Scale):
         charge(self, op, count)
 
     monkeypatch.setattr(Database, "charge", counting)
-    for name in ("pin", "unpin"):
-        method = getattr(Record, name)
-        monkeypatch.setattr(
-            Record, name, lambda self, _m=method, _n=name: (pins.update([_n]), _m(self))[1]
-        )
+    records: list[Record] = []
+    made = Record.__init__
+
+    def kept(self, values):
+        made(self, values)
+        records.append(self)
+
+    monkeypatch.setattr(Record, "__init__", kept)
     db = Database()
     db.metrics.set_keep_records(False)
     _trace, events = populate_trace(db, scale)
     function = install_comp_rule(db, "unique", 1.0)
+    recompute = db.functions.get(function)
+    samples: list[tuple[int, int]] = []  # (pins on every record, pointers held)
+
+    def sampled(ctx) -> None:
+        manager = db.task_manager
+        live = [ctx.task, *manager.delay, *manager.ready, *manager.held]
+        pointers = sum(
+            len(ptrs)
+            for task in live
+            for table in task.bound_tables.values()
+            for ptrs, _mats in table.scan_raw()
+        )
+        samples.append((sum(record.pins for record in records), pointers))
+        recompute(ctx)
+
+    db.register_function(function, sampled, replace=True)
     calls.clear()
     with task_meters() as meters:
         Simulator(db).run(arrivals=trace_tasks(db, events))
     ops: Counter = Counter()
     for meter in meters[id(db)].values():
         ops.update(meter.ops)
-    return calls, pins, ops, db.metrics.by_class[f"recompute:{function}"].total_bound_rows
+    rows = db.metrics.by_class[f"recompute:{function}"].total_bound_rows
+    return calls, (samples, records), ops, rows
 
 
 def test_row_loops_do_not_call_charge(monkeypatch):
     """No ``Database.charge`` call per bound row — the loops meter inline —
     while ``meter.ops`` still counts every occurrence."""
-    calls, _pins, ops, rows = comps_run(monkeypatch, Scale.tiny())
+    calls, _pin_samples, ops, rows = comps_run(monkeypatch, Scale.tiny())
     assert rows > 1000
     for op in ("join_probe", "row_output", "bind_row", "user_row"):
         assert calls[op] == 0, op
@@ -381,10 +487,13 @@ def test_row_loops_do_not_call_charge(monkeypatch):
 
 def test_per_bound_row_work_on_the_comps_workload(monkeypatch):
     """At the benchmark's size: the charge calls left per bound row are the
-    user function's own plus the per-firing ones spread over ~24 rows (the
-    parent made 7.6), and each of a row's three pointers is pinned once and
-    unpinned once (the parent: twice each, 12 per row) plus transition rows."""
-    calls, pins, _ops, rows = comps_run(monkeypatch, Scale.small())
+    user function's own plus the per-firing ones spread over ~24 rows, and
+    pins are counted inline yet exactly — at every batch's peak the records
+    carry one pin per pointer a live bound table holds (a pin dropped or
+    doubled anywhere shows here), and at quiescence none is left pinned."""
+    calls, (samples, records), _ops, rows = comps_run(monkeypatch, Scale.small())
     assert sum(calls.values()) / rows <= 3.0
-    assert pins["pin"] == pins["unpin"]
-    assert (pins["pin"] + pins["unpin"]) / rows <= 7.0
+    assert len(samples) > 100
+    assert all(pins == pointers for pins, pointers in samples)
+    assert max(pointers for _pins, pointers in samples) >= 3 * 100  # three per bound row
+    assert not any(record.pins for record in records)

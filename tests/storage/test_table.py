@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, StorageError
 from repro.storage.catalog import Catalog
 from repro.storage.index import HashIndex, RBTreeIndex
 from repro.storage.schema import ColumnType, Schema
 from repro.storage.table import Table
+from repro.storage.temptable import StaticMap, TempTable
 from repro.storage.tuples import Record, RecordList
 
 
@@ -55,11 +56,11 @@ class TestRecordList:
         records = RecordList()
         a = Record([1])
         records.append(a)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(StorageError):
             records.append(a)
 
     def test_unlink_not_linked(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(StorageError):
             RecordList().unlink(Record([1]))
 
 
@@ -103,18 +104,25 @@ class TestTable:
         """The reference-counting scheme for bound tables (section 6.1)."""
         table = make_table()
         old = table.insert(["IBM", 100.0])
-        old.pin()
+        bound = TempTable("bound", table.schema, StaticMap.all_pointer(table.schema))
+        bound.append_row((old,))
         table.update(old, ["IBM", 101.0])
         assert not old.reclaimable  # pinned: must survive
         assert old.values == ["IBM", 100.0]
-        assert old.unpin() is True  # now reclaimable
+        bound.retire()
         assert old.reclaimable
         assert table.retired_pinned == 1
 
     def test_unpin_without_pin(self):
-        record = Record([1])
-        with pytest.raises(RuntimeError):
-            record.unpin()
+        """A table dropping a row takes back a pin its record no longer
+        holds: refused, typed."""
+        table = make_table()
+        record = table.insert(["IBM", 100.0])
+        bound = TempTable("bound", table.schema, StaticMap.all_pointer(table.schema))
+        bound.append_row((record,))
+        record.pins -= 1  # taken back behind the table's back
+        with pytest.raises(StorageError, match="with no pins"):
+            bound.retire()
 
     def test_scan_order(self):
         table = make_table()
@@ -305,12 +313,12 @@ class TestFindByImage:
     def test_never_returns_a_retired_version(self, kind):
         table = self.indexed(kind)
         old = table.insert(["a", 1.0])
-        old.pin()  # a bound table still reads the old version
+        old.pins += 1  # a bound table still reads the old version
         new = table.update(old, ["a", 2.0])
         assert table.find(["a", 1.0]) is None
         assert table.find(["a", 2.0]) is new
         table.delete(new)
-        new.pin()
+        new.pins += 1
         assert table.find(["a", 2.0]) is None
         assert not old.in_table and not new.in_table
 

@@ -189,7 +189,7 @@ class TestAbsorb:
         with pytest.raises(SchemaError):
             table.row_sink(1, 0)
         append = table.row_sink(1, 1)
-        r1.pin()  # the sink's contract: pinned by the caller, before the append
+        r1.pins += 1  # the sink's contract: pinned by the caller, before the append
         append(((r1,), (7,)))
         assert table.row_values(0) == ["A", 1.0, 7]
         table.retire()

@@ -20,8 +20,11 @@ operations = st.lists(
 
 
 def check_invariants(manager: LockManager) -> None:
-    """No resource may have incompatible concurrent holders, and no waiter
-    may be grantable-but-waiting while the queue head is grantable."""
+    """No resource may have incompatible concurrent holders, no waiter may
+    be grantable-but-waiting while the queue head is grantable, and the
+    count of queued requests (which lets a commit skip the wait queues)
+    is the number in the queues."""
+    assert manager._queued == sum(len(state.waiters) for state in manager._locks.values())
     for resource, state in manager._locks.items():
         modes = list(state.holders.values())
         if X in modes:
@@ -88,3 +91,4 @@ class TestLockInvariants:
             not state.holders and not state.waiters
             for state in manager._locks.values()
         )
+        assert manager._queued == 0

@@ -170,9 +170,10 @@ class TestSqlInTxn:
 
 class TestStaleRecord:
     """A write must name the current version of its row.  An image this
-    transaction already replaced used to fail untyped, after touching the
-    indexes: ``ValueError: list.remove(x)`` on an indexed table,
-    ``RuntimeError: record N is not linked`` on an unindexed one."""
+    transaction already replaced used to fail after touching the indexes:
+    ``ValueError: list.remove(x)`` on an indexed table, the record list's
+    ``record N is not linked`` (now a ``StorageError``, then untyped) on an
+    unindexed one.  Now it fails typed, before any index is touched."""
 
     @pytest.fixture(params=["indexed", "unindexed"])
     def table(self, db, request):
