@@ -31,7 +31,7 @@ from repro.core.engine import PreparedRule, RuleEngine
 from repro.core.functions import FunctionRegistry, UserFunction
 from repro.core.rules import Rule, stratify
 from repro.core.unique import UniqueManager, check_columns
-from repro.errors import BindingError, CatalogError, ExecutionError
+from repro.errors import BindingError, CatalogError, ExecutionError, SimulationError
 from repro.fault.injector import NullFaultInjector
 from repro.fault.recovery import NullRecovery
 from repro.obs.tracer import NullTracer, Tracer
@@ -257,7 +257,10 @@ class Database:
         meter = self.clock._meter
         if meter is None:
             meter = self.background_meter
-        meter.total += self._cost_seconds[op] * count
+        try:
+            meter.total += self._cost_seconds[op] * count
+        except KeyError:
+            raise SimulationError(f"unknown cost-model operation {op!r}") from None
         meter.ops[op] += count
 
     def metering(self) -> tuple[Meter, dict[str, float]]:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+from repro.errors import SimulationError
+
 
 #: Reconstructed Table 1 itemization (microseconds).  The simple-update path
 #: begin_task + begin_txn + lock_acquire + cursor_open + cursor_fetch
@@ -149,7 +151,7 @@ class CostModel:
         try:
             return self._seconds[op]
         except KeyError:
-            raise KeyError(f"unknown cost-model operation {op!r}") from None
+            raise SimulationError(f"unknown cost-model operation {op!r}") from None
 
     def simple_update_us(self) -> float:
         """The Table 1 simple-update path total, in microseconds."""

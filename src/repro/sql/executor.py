@@ -3,34 +3,33 @@
 DDL statements (CREATE/DROP) are handled by the :class:`~repro.database.
 Database` itself since they mutate the catalog; everything row-touching
 lives here and runs inside a transaction, charging virtual-time costs.
-A SELECT is compiled into its plan and UPDATE, DELETE and INSERT are
-*prepared* into one closure, each on first execution, and kept on the
-statement node until ``Catalog.version`` moves (DESIGN.md 6a, "Prepared
+A SELECT is compiled into its plan, UPDATE and DELETE into one generated
+function and INSERT into one closure, each on first execution, and kept on
+the statement node until ``Catalog.version`` moves (DESIGN.md 6a, "Prepared
 DML").
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ExecutionError
 from repro.sql import ast
-from repro.sql.expressions import compile_expr
+from repro.sql.expressions import Getter, compile_expr
 from repro.sql.planner import (
+    MISSING_PARAM,
     STD,
     TMP,
     CompiledSelect,
     ExecState,
     SelectResult,
     SourceDesc,
-    _compile_conjunction,
     _SelectResolution,
     _split_conjuncts,
     plan_select,
 )
-from repro.storage.table import Table
-from repro.storage.temptable import TempTable
-from repro.storage.tuples import Record
+from repro.storage.temptable import TempTable, generate
 
 #: A prepared statement: ``run(txn, params, namespace) -> rows affected``.
 Prepared = Callable[[Any, Optional[dict[str, Any]], Optional[dict[str, Any]]], int]
@@ -143,43 +142,43 @@ def execute_select(
 
 
 # --------------------------------------------------------------------------
-# DML: prepared on first execution, then one closure call per statement
+# DML: prepared on first execution, then one call per statement
 # --------------------------------------------------------------------------
 
 
-def _row_scope(db: Any, table: Table, namespace: Optional[dict[str, Any]]) -> _SelectResolution:
-    """Name resolution for UPDATE / DELETE: the target's columns at
-    environment slot 1; ``namespace`` (a task's bound tables) is what the
-    statement's subqueries may read beside the catalog."""
+def _prepare_write(
+    db: Any, stmt: Union[ast.Update, ast.Delete], namespace: Optional[dict[str, Any]]
+) -> Prepared:
+    """Write, compile and return one UPDATE or DELETE as a generated
+    ``run(txn, params, namespace) -> rows written`` (DESIGN.md 6a).
+
+    One conjunct ``column = <expression over no column>`` on an indexed
+    column becomes an index probe; every other conjunct is the residual
+    evaluated per candidate.  The probed conjunct holds for every candidate
+    of a non-NULL key, so it leaves the residual — unless its operand can
+    charge (function call, subquery): then re-evaluating it per candidate is
+    part of the cost.  Without such a conjunct the table is scanned.  A NULL
+    key still fetches its candidates and matches none.
+
+    Parameter (after the check that raises the getter's error), literal and
+    own-column reads are inline; any other expression calls its getter on
+    ``env``, built — with its ``ExecState`` — only then.  Names, values,
+    messages and getters reach the source through ``names``, never as text.
+    Charges are inline, in the order cursor_open, index_probe | row_scan
+    (one addition for the scan), per candidate cursor_fetch then expr_eval,
+    cursor_close, then the row writes."""
+    table = db.catalog.table(stmt.table)
+    # The target's columns at environment slot 1; ``namespace`` (a task's
+    # bound tables) is what subqueries may read beside the catalog.
     desc = SourceDesc(name=table.name, binding=table.name, kind=STD, schema=table.schema)
     desc.env_pos = 1
-    return _SelectResolution(db, [desc], namespace)
-
-
-def _prepare_match(
-    db: Any, table: Table, where: Optional[ast.Expr], resolution: _SelectResolution
-) -> Callable[[ExecState], list[Record]]:
-    """Compile a single-table WHERE into ``match(state) -> records``.
-
-    One conjunct of the form ``column = <expression over no column>`` on an
-    indexed column becomes an index probe; every other conjunct is the
-    residual evaluated per candidate.  The probed conjunct itself holds for
-    every candidate of a non-NULL key, so it leaves the residual — unless
-    its operand can charge (function call, subquery), when re-evaluating it
-    per candidate is part of the statement's cost.  Without such a conjunct
-    the table is scanned.  Charges are inline (DESIGN.md 6a), in the order
-    cursor_open, index_probe | row_scan (one addition for the whole scan),
-    per candidate cursor_fetch then expr_eval, cursor_close.
-    """
-    conjuncts = residual_of = _split_conjuncts(where)
+    resolution = _SelectResolution(db, [desc], namespace)
+    conjuncts = residual_of = _split_conjuncts(stmt.where)
     index = key_expr = None
     for position, conjunct in enumerate(conjuncts):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             continue
-        for side, other in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
+        for side, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
             if (
                 isinstance(side, ast.ColumnRef)
                 and (side.table in (None, table.name))
@@ -194,102 +193,120 @@ def _prepare_match(
                     break
         if index is not None:
             break
-    residual = _compile_conjunction(residual_of, resolution)
-    key_of = compile_expr(key_expr, resolution) if index is not None else None
-    filtered = where is not None  # every candidate of a WHERE costs one expr_eval
+    names: dict[str, Any] = {"db": db, "table": table, "x1": index}
+    names.update(ExecState=ExecState, ExecutionError=ExecutionError)
+    calls: list[Getter] = []  # getters the source calls on env
+    checks: dict[str, str] = {}  # a parameter read -> the check a line reading it runs first
 
-    def match(state: ExecState) -> list[Record]:
-        meter, cost = db.metering()
-        ops, fetch_cost, eval_cost = meter.ops, cost["cursor_fetch"], cost["expr_eval"]
-        env: list[Any] = [state, None]
-        matches: list[Record] = []
-        meter.total += cost["cursor_open"]
-        ops["cursor_open"] += 1
-        if index is not None:
-            key = key_of(env)
-            meter.total += cost["index_probe"]
-            ops["index_probe"] += 1
-            candidates = index.lookup(key)
-            unknown = key is None  # ``column = NULL`` holds for no row
-        else:
-            scanned = max(len(table), 1)
-            meter.total += cost["row_scan"] * scanned
-            ops["row_scan"] += scanned
-            candidates = table.scan()
-            unknown = False
-        fetched = 0
-        try:
-            for record in candidates:
-                meter.total += fetch_cost
-                fetched += 1
-                if filtered:
-                    meter.total += eval_cost
-                    if residual is not None:
-                        env[1] = record
-                        if not residual(env):
-                            continue
-                    if unknown:
-                        continue
-                matches.append(record)
-        finally:
-            if fetched:
-                ops["cursor_fetch"] += fetched
-                if filtered:
-                    ops["expr_eval"] += fetched
-        meter.total += cost["cursor_close"]
-        ops["cursor_close"] += 1
-        return matches
+    def const(value: Any) -> str:
+        name = f"k{len(names)}"
+        names[name] = value
+        return name
 
-    return match
+    def value(expr: ast.Expr) -> str:
+        if isinstance(expr, ast.Literal):
+            return const(expr.value)
+        if isinstance(expr, ast.Param):
+            name, text = const(expr.name), const(MISSING_PARAM.format(expr.name))
+            checks[f"params[{name}]"] = f"if {name} not in params: raise ExecutionError({text})"
+            return f"params[{name}]"
+        getter = compile_expr(expr, resolution)
+        inline = resolution.inline.get(getter)  # an own column: h1.values[o]
+        if inline is not None:
+            return inline
+        calls.append(getter)
+        return f"{const(getter)}(env)"
 
+    def reading(pad: str, source: Optional[str], line: str) -> list[str]:
+        """``line``, after the check of the parameter it reads, if any."""
+        return [pad + checks[source], pad + line] if source in checks else [pad + line]
 
-def _prepare_update(db: Any, stmt: ast.Update, namespace: Optional[dict[str, Any]]) -> Prepared:
-    table = db.catalog.table(stmt.table)
-    resolution = _row_scope(db, table, namespace)
-    match = _prepare_match(db, table, stmt.where, resolution)
-    assignments = [
-        (
-            table.schema.offset(assignment.column),
-            compile_expr(assignment.expr, resolution),
-            1 if assignment.increment else -1 if assignment.decrement else 0,
-        )
-        for assignment in stmt.assignments
+    residual = None
+    if residual_of:
+        residual = value(functools.reduce(lambda a, b: ast.BinaryOp("and", a, b), residual_of))
+    residual_calls = bool(calls)
+    key = value(key_expr) if index is not None else None
+    where_calls = len(calls)
+    write = []  # the body of the write loop
+    if isinstance(stmt, ast.Update):
+        write.append("        values = list(h1.values)")
+        for assignment in stmt.assignments:
+            offset = table.schema.offset(assignment.column)
+            source = value(assignment.expr)
+            sign = "+" if assignment.increment else "-" if assignment.decrement else ""
+            if not sign:
+                write += reading("        ", source, f"values[{offset:d}] = {source}")
+                continue
+            write += [
+                *reading("        ", source, f"v = {source}"),
+                f"        c = values[{offset:d}]",
+                f"        values[{offset:d}] = None if c is None or v is None else c {sign} v",
+            ]
+        write.append("        txn.update_record(table, h1, values)")
+    else:
+        write.append("        txn.delete_record(table, h1)")
+    if len(calls) > where_calls:  # a getter reads the row being written
+        write.insert(0, "        env[1] = h1")
+
+    filtered = stmt.where is not None  # every candidate of a WHERE costs one expr_eval
+    lines = ["def run(txn, params, namespace):"]
+    if calls or checks:
+        lines.append("    params = params or {}")
+    if calls:
+        lines.append("    env = [ExecState(db, txn, params, {}, namespace), None]")
+    lines += [
+        "    meter, cost = db.metering()",
+        "    ops = meter.ops",
+        "    c_fetch, c_eval = cost['cursor_fetch'], cost['expr_eval']",
+        "    matches = []",
+        "    meter.total += cost['cursor_open']",
+        "    ops['cursor_open'] += 1",
     ]
-
-    def run(txn: Any, params: Any, namespace: Any) -> int:
-        state = ExecState(db, txn, params or {}, {}, namespace)
-        matches = match(state)
-        env = [state, None]
-        for record in matches:
-            env[1] = record
-            values = list(record.values)
-            for offset, value_of, sign in assignments:
-                value = value_of(env)
-                if sign:
-                    current = values[offset]
-                    if current is None or value is None:
-                        value = None
-                    else:
-                        value = current + value if sign > 0 else current - value
-                values[offset] = value
-            txn.update_record(table, record, values)
-        return len(matches)
-
-    return run
-
-
-def _prepare_delete(db: Any, stmt: ast.Delete, namespace: Optional[dict[str, Any]]) -> Prepared:
-    table = db.catalog.table(stmt.table)
-    resolution = _row_scope(db, table, namespace)
-    match = _prepare_match(db, table, stmt.where, resolution)
-
-    def run(txn: Any, params: Any, namespace: Any) -> int:
-        matches = match(ExecState(db, txn, params or {}, {}, namespace))
-        for record in matches:
-            txn.delete_record(table, record)
-        return len(matches)
-
-    return run
+    if index is not None:
+        lines += [
+            *reading("    ", key, f"key = {key}"),
+            "    meter.total += cost['index_probe']",
+            "    ops['index_probe'] += 1",
+            "    rows = x1.lookup(key)",
+        ]
+    else:
+        lines += [
+            "    scanned = len(table) or 1",
+            "    meter.total += cost['row_scan'] * scanned",
+            "    ops['row_scan'] += scanned",
+            "    rows = table.scan()",
+        ]
+    lines += [
+        "    fetched = 0",
+        "    try:",
+        "        for h1 in rows:",
+        "            meter.total += c_fetch",
+        "            fetched += 1",
+    ]
+    if filtered:
+        lines.append("            meter.total += c_eval")
+    if residual_calls:
+        lines.append("            env[1] = h1")
+    if residual is not None:
+        lines += reading("            ", residual, f"if not {residual}: continue")
+    if index is not None:
+        lines.append("            if key is None: continue")
+    lines += [
+        "            matches.append(h1)",
+        "    finally:",
+        "        if fetched:",
+        "            ops['cursor_fetch'] += fetched",
+    ]
+    if filtered:
+        lines.append("            ops['expr_eval'] += fetched")
+    lines += [
+        "    meter.total += cost['cursor_close']",
+        "    ops['cursor_close'] += 1",
+        "    for h1 in matches:",
+        *write,
+        "    return len(matches)",
+    ]
+    return generate(lines, "run", f"<dml {type(stmt).__name__.lower()}>", names)
 
 
 def _prepare_insert(db: Any, stmt: ast.Insert, namespace: Optional[dict[str, Any]]) -> Prepared:
@@ -368,7 +385,7 @@ def execute_update(
     """Run one UPDATE (index-accelerated); returns the number of rows
     updated.  ``namespace`` holds the bound tables its subqueries may read."""
     txn.lock_table_shared(db.catalog.table(stmt.table).name)  # held even if preparing fails
-    return _memoized(db, stmt, namespace, _prepare_update)(txn, params, namespace)
+    return _memoized(db, stmt, namespace, _prepare_write)(txn, params, namespace)
 
 
 def execute_delete(
@@ -380,4 +397,4 @@ def execute_delete(
 ) -> int:
     """Run one DELETE; returns the number of rows deleted."""
     txn.lock_table_shared(db.catalog.table(stmt.table).name)
-    return _memoized(db, stmt, namespace, _prepare_delete)(txn, params, namespace)
+    return _memoized(db, stmt, namespace, _prepare_write)(txn, params, namespace)

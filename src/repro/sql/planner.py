@@ -995,6 +995,10 @@ class SelectResult:
 # --------------------------------------------------------------------------
 
 
+#: What reading ``:name`` with no value for it raises, from a getter or generated DML.
+MISSING_PARAM = "missing parameter :{}"
+
+
 class _SelectResolution:
     """Column / param / function resolution for one SELECT's sources."""
 
@@ -1022,7 +1026,7 @@ class _SelectResolution:
             try:
                 return env[0].params[name]
             except KeyError:
-                raise ExecutionError(f"missing parameter :{name}") from None
+                raise ExecutionError(MISSING_PARAM.format(name)) from None
 
         return _param
 

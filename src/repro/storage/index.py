@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
-from repro.errors import ExecutionError, SchemaError
+from repro.errors import ExecutionError, SchemaError, StorageError
 from repro.storage.rbtree import RedBlackTree
 from repro.storage.schema import Schema
 from repro.storage.tuples import Record
@@ -37,7 +37,10 @@ class BaseIndex:
             return values[self._single]
         return tuple(values[offset] for offset in self._offsets)
 
-    # The concrete structures implement these four.
+    # The concrete structures implement these four, and ``replace(old,
+    # fresh)``: ``remove(old)`` then ``add(fresh)`` for an update, whose
+    # ``fresh`` goes to the end of the table's list — so when the key is kept
+    # and ``old`` is its bucket's last record, ``fresh`` just takes its slot.
     def add(self, record: Record) -> None:
         raise NotImplementedError
 
@@ -71,10 +74,20 @@ class HashIndex(BaseIndex):
         key = self.key_of(record.values)
         bucket = self._buckets.get(key)
         if not bucket:
-            raise KeyError(f"record {record.rid} not in index {self.name}")
+            raise StorageError(f"record {record.rid} not in index {self.name}")
         bucket.remove(record)
         if not bucket:
             del self._buckets[key]
+
+    def replace(self, old: Record, fresh: Record) -> None:
+        single = self._single
+        key = fresh.values[single] if single is not None else self.key_of(fresh.values)
+        bucket = self._buckets.get(key)
+        if bucket and bucket[-1] is old:  # ``old`` is under ``fresh``'s key: it is kept
+            bucket[-1] = fresh
+        else:
+            self.remove(old)
+            self.add(fresh)
 
     def lookup(self, key: Any) -> Iterator[Record]:
         return iter(self._buckets.get(key, ()))
@@ -117,11 +130,19 @@ class RBTreeIndex(BaseIndex):
         key = _ordered(self.key_of(record.values))
         bucket = self._tree.get(key)
         if not bucket:
-            raise KeyError(f"record {record.rid} not in index {self.name}")
+            raise StorageError(f"record {record.rid} not in index {self.name}")
         bucket.remove(record)
         if not bucket:
             self._tree.delete(key)
         self._count -= 1
+
+    def replace(self, old: Record, fresh: Record) -> None:
+        bucket = self._tree.get(_ordered(self.key_of(fresh.values)))
+        if bucket and bucket[-1] is old:
+            bucket[-1] = fresh
+        else:
+            self.remove(old)
+            self.add(fresh)
 
     def lookup(self, key: Any) -> Iterator[Record]:
         try:

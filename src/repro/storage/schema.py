@@ -10,9 +10,10 @@ paper's static maps (section 6.1).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import SchemaError
 
@@ -111,10 +112,36 @@ _STORED_AS = {
 }
 
 
-class Schema:
-    """An ordered, immutable list of columns with fast name -> offset lookup."""
+@functools.lru_cache(maxsize=256)
+def _validator(types: tuple[ColumnType, ...]) -> Callable[[Iterable[Any]], list[Any]]:
+    """``Schema.validate_row`` for one tuple of column types, generated once
+    for every schema of that tuple: type-check a full row, returning coerced
+    values in column order.  A value that already has exactly the type its
+    column stores (and is not NaN) is what :meth:`ColumnType.validate` would
+    hand back, so it passes: most written values were read from a validated
+    record.  NULL, coercions and every rejection take ``validate``."""
+    from repro.storage.temptable import generate  # temptable imports this module
 
-    __slots__ = ("columns", "_offsets", "_hash", "_stored")
+    width = len(types)
+    message = f"row has {{}} values but schema has {width} columns"
+    names: dict[str, Any] = {"width_error": lambda got: SchemaError(message.format(got))}
+    lines = ["def validate_row(values):", "    row = list(values)"]
+    lines += [f"    if len(row) != {width:d}:", "        raise width_error(len(row))"]
+    lines.append("    (" + "".join(f"a{at}, " for at in range(width)) + ") = row")
+    for at, column_type in enumerate(types):
+        names[f"s{at}"], names[f"t{at}"] = _STORED_AS[column_type], column_type
+        nan = f" or a{at} != a{at}" if _STORED_AS[column_type] is float else ""
+        lines.append(f"    if type(a{at}) is not s{at}{nan}:")
+        lines.append(f"        row[{at:d}] = t{at}.validate(a{at})")
+    lines.append("    return row")
+    return generate(lines, "validate_row", "<validate_row>", names)
+
+
+class Schema:
+    """An ordered, immutable list of columns with fast name -> offset lookup.
+    ``validate_row(values)`` type-checks a full row (:func:`_validator`)."""
+
+    __slots__ = ("columns", "_offsets", "_hash", "validate_row")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         self.columns: tuple[Column, ...] = tuple(columns)
@@ -124,7 +151,7 @@ class Schema:
                 raise SchemaError(f"duplicate column name {column.name!r}")
             self._offsets[column.name] = offset
         self._hash = hash(self.columns)  # plan-cache keys hash schemas per query
-        self._stored = tuple(_STORED_AS[column.type] for column in self.columns)
+        self.validate_row = _validator(tuple(column.type for column in self.columns))
 
     @classmethod
     def of(cls, *specs: tuple[str, ColumnType] | Column) -> "Schema":
@@ -147,26 +174,6 @@ class Schema:
 
     def names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.columns)
-
-    def validate_row(self, values: Iterable[Any]) -> list[Any]:
-        """Type-check a full row, returning coerced values in column order.
-
-        A value that already has exactly the type its column stores (and is
-        not NaN) is what :meth:`ColumnType.validate` would hand back, so it
-        passes through: most written values were read from a validated
-        record.  NULL, coercions and every rejection take ``validate``."""
-        row = list(values)
-        stored = self._stored
-        if len(row) != len(stored):
-            raise SchemaError(
-                f"row has {len(row)} values but schema has {len(stored)} columns"
-            )
-        offset = 0
-        for value in row:
-            if type(value) is not stored[offset] or value != value:
-                row[offset] = self.columns[offset].type.validate(value)
-            offset += 1
-        return row
 
     def row_from_mapping(self, mapping: dict[str, Any]) -> list[Any]:
         """Build a full row from a ``{column: value}`` mapping (all columns required)."""

@@ -118,13 +118,9 @@ class Table:
         if not record.in_table:
             raise self._not_current(record)
         fresh = Record(self.schema.validate_row(new_values))
-        indexes = self.indexes.values()
-        for index in indexes:
-            index.remove(record)
-        self._records.unlink(record)
-        self._records.append(fresh)
-        for index in indexes:
-            index.add(fresh)
+        for index in self.indexes.values():
+            index.replace(record, fresh)
+        self._records.replace(record, fresh)
         self.update_count += 1
         if record.pins:
             self.retired_pinned += 1

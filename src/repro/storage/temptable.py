@@ -64,8 +64,8 @@ def _unpin(rows: Iterable[tuple[tuple[Record, ...], tuple[Any, ...]]]) -> None:
 def generate(lines: Sequence[str], name: str, filename: str, names: dict[str, Any]) -> Callable:
     """Compile generated source that defines function ``name`` with
     ``names`` as its globals, and return the function.  The only ``exec``
-    in the library (DESIGN.md 6a): the SELECT loop nests of
-    ``sql/planner.py`` and the row readers below both come through here,
+    in the library (DESIGN.md 6a): SELECT loop nests, UPDATE / DELETE
+    statements, row validators and the row readers below come through here,
     and what they interpolate is offsets, slots and names they made up
     themselves — never text from a statement or a schema."""
     exec(compile("\n".join(lines), filename, "exec"), names)

@@ -107,6 +107,23 @@ class RecordList:
         record.in_table = False
         self.length -= 1
 
+    def replace(self, old: Record, fresh: Record) -> None:
+        """``unlink(old)`` then ``append(fresh)``, in one pass."""
+        if not old.in_table or fresh.in_table:
+            raise StorageError(f"record {old.rid} cannot be replaced by record {fresh.rid}")
+        before, after = old.prev, old.next
+        if after is None:  # ``old`` is the tail: ``fresh`` takes its place
+            after, fresh.prev = fresh, before
+        else:
+            after.prev, fresh.prev, self.tail.next = before, self.tail, fresh
+        if before is None:
+            self.head = after
+        else:
+            before.next = after
+        self.tail = fresh
+        old.prev = old.next = None
+        old.in_table, fresh.in_table = False, True
+
     def __iter__(self):
         node = self.head
         while node is not None:

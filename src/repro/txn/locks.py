@@ -16,7 +16,7 @@ every row lock in that table and vice versa (coarse two-level hierarchy).
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Hashable, Optional
+from typing import AbstractSet, Hashable, Optional, Sequence
 
 from repro.errors import DeadlockError
 
@@ -46,13 +46,14 @@ class LockMode(enum.Enum):
 
 class _LockState:
     """Who holds one resource and who waits for it; exists only while
-    someone does (built by the first grant, dropped by the last release)."""
+    someone does (built by the first grant, dropped by the last release);
+    ``waiters`` is the empty tuple until the first request waits."""
 
     __slots__ = ("holders", "waiters")
 
     def __init__(self, holders: dict[int, LockMode]) -> None:
         self.holders = holders  # txn id -> mode
-        self.waiters: list[tuple[int, LockMode]] = []
+        self.waiters: Sequence[tuple[int, LockMode]] = ()
 
 
 class LockManager:
@@ -145,6 +146,9 @@ class LockManager:
             state = locks.get(resource)
             if state is None:
                 continue
+            if not state.waiters and len(state.holders) == 1:
+                del locks[resource]  # this transaction's alone: every row lock
+                continue
             state.holders.pop(txn_id, None)
             if state.waiters:
                 granted.extend(self._grant_waiters(resource, state))
@@ -189,6 +193,8 @@ class LockManager:
             raise DeadlockError(
                 f"transaction {txn_id} would deadlock waiting for {sorted(blockers)}"
             )
+        if not state.waiters:
+            state.waiters = []  # the first wait on this resource
         state.waiters.append((txn_id, mode))
         self._queued += 1
         self.wait_count += 1

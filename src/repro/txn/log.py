@@ -11,6 +11,7 @@ condition can pair them (paper section 2).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.storage.tuples import Record
@@ -73,23 +74,32 @@ class PendingEffect:
 
 
 class TransactionLog:
-    """Ordered list of changes made by one transaction, indexed by table."""
+    """Ordered list of changes made by one transaction, indexed by table;
+    an entry's ``execute_order`` is its position, counted from 1."""
 
-    __slots__ = ("entries", "_by_table", "_next_order")
+    __slots__ = ("entries", "_by_table")
 
     def __init__(self) -> None:
         self.entries: list[LogEntry] = []
-        self._by_table: dict[str, list[LogEntry]] = {}
-        self._next_order = 1
+        self._by_table: defaultdict[str, list[LogEntry]] = defaultdict(list)
 
     def log_insert(self, table: str, record: Record) -> LogEntry:
-        return self._append(INSERT, table, None, record)
+        entry = LogEntry(INSERT, table, None, record, len(self.entries) + 1)
+        self.entries.append(entry)
+        self._by_table[table].append(entry)
+        return entry
 
     def log_delete(self, table: str, record: Record) -> LogEntry:
-        return self._append(DELETE, table, record, None)
+        entry = LogEntry(DELETE, table, record, None, len(self.entries) + 1)
+        self.entries.append(entry)
+        self._by_table[table].append(entry)
+        return entry
 
     def log_update(self, table: str, old: Record, new: Record) -> LogEntry:
-        return self._append(UPDATE, table, old, new)
+        entry = LogEntry(UPDATE, table, old, new, len(self.entries) + 1)
+        self.entries.append(entry)
+        self._by_table[table].append(entry)
+        return entry
 
     def for_table(self, table: str) -> list[LogEntry]:
         return self._by_table.get(table, [])
@@ -102,16 +112,3 @@ class TransactionLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def _append(
-        self, kind: str, table: str, old: Optional[Record], new: Optional[Record]
-    ) -> LogEntry:
-        entry = LogEntry(kind, table, old, new, self._next_order)
-        self._next_order += 1
-        self.entries.append(entry)
-        of_table = self._by_table.get(table)
-        if of_table is None:
-            self._by_table[table] = [entry]
-        else:
-            of_table.append(entry)
-        return entry

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
 
 from repro.errors import LockError, TransactionError
 from repro.storage.table import Table
@@ -35,6 +35,10 @@ class TransactionState(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
+
+
+_ACTIVE = TransactionState.ACTIVE
+_X = LockMode.EXCLUSIVE  # every row lock
 
 
 class Transaction:
@@ -62,14 +66,16 @@ class Transaction:
     # ----------------------------------------------------------- DML (core)
 
     # The three row writes meter inline (DESIGN.md 6a): what ``db.charge``
-    # would add, to ``meter.total`` and ``meter.ops``, at the same points.
+    # would add, to ``meter.total`` and ``meter.ops``, at the same points; a
+    # granted row lock is one ``acquire`` call (``_refused`` is the rest).
 
     def insert_record(self, table: Table, values: Iterable[Any]) -> Record:
-        self._check_active()
+        if self.state is not _ACTIVE:
+            self._check_active()
         meter, cost = self.db.metering()
-        name = table.name
+        ops, name = meter.ops, table.name
         meter.total += cost["cursor_insert"]
-        meter.ops["cursor_insert"] += 1
+        ops["cursor_insert"] += 1
         record = table.insert(values)
         # Log before taking the row lock: the physical insert must be
         # undoable the moment it exists, or a failed acquisition (deadlock)
@@ -78,8 +84,9 @@ class Transaction:
         if name not in self._ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += cost["lock_acquire"]
-        meter.ops["lock_acquire"] += 1
-        self._acquire((name, record.rid), LockMode.EXCLUSIVE, "")
+        ops["lock_acquire"] += 1
+        if not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
+            self._refused((name, record.rid))
         return record
 
     def insert(self, table_name: str, row: Any) -> Record:
@@ -90,14 +97,17 @@ class Transaction:
         return self.insert_record(table, row)
 
     def update_record(self, table: Table, record: Record, values: Iterable[Any]) -> Record:
-        self._check_active()
-        meter, cost = self.db.metering()
-        ops, name, lock_cost = meter.ops, table.name, cost["lock_acquire"]
+        if self.state is not _ACTIVE:
+            self._check_active()
+        db = self.db
+        meter, cost = db.metering()
+        ops, name, lock_cost, txn_id = meter.ops, table.name, cost["lock_acquire"], self.txn_id
         if name not in self._ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += lock_cost
         ops["lock_acquire"] += 1
-        self._acquire((name, record.rid), LockMode.EXCLUSIVE, "")
+        if not db.lock_manager.acquire(txn_id, (name, record.rid), _X):
+            self._refused((name, record.rid))
         meter.total += cost["cursor_update"]
         ops["cursor_update"] += 1
         fresh = table.update(record, values)
@@ -108,7 +118,8 @@ class Transaction:
         self.log.log_update(name, record, fresh)
         meter.total += lock_cost
         ops["lock_acquire"] += 1
-        self._acquire((name, fresh.rid), LockMode.EXCLUSIVE, "")
+        if not db.lock_manager.acquire(txn_id, (name, fresh.rid), _X):
+            self._refused((name, fresh.rid))
         return fresh
 
     def update_columns(self, table: Table, record: Record, changes: dict[str, Any]) -> Record:
@@ -118,16 +129,18 @@ class Transaction:
         return self.update_record(table, record, values)
 
     def delete_record(self, table: Table, record: Record) -> None:
-        self._check_active()
+        if self.state is not _ACTIVE:
+            self._check_active()
         meter, cost = self.db.metering()
-        name = table.name
+        ops, name = meter.ops, table.name
         if name not in self._ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += cost["lock_acquire"]
-        meter.ops["lock_acquire"] += 1
-        self._acquire((name, record.rid), LockMode.EXCLUSIVE, "")
+        ops["lock_acquire"] += 1
+        if not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
+            self._refused((name, record.rid))
         meter.total += cost["cursor_delete"]
-        meter.ops["cursor_delete"] += 1
+        ops["cursor_delete"] += 1
         table.delete(record)
         self.log.log_delete(name, record)
 
@@ -149,11 +162,9 @@ class Transaction:
             return
         self._check_active()
         self.db.charge("lock_acquire")
-        self._acquire(
-            (table_name, None),
-            LockMode.SHARED,
-            "; the serial engine cannot wait (see DESIGN.md)",
-        )
+        resource = (table_name, None)
+        if not self.db.lock_manager.acquire(self.txn_id, resource, LockMode.SHARED):
+            self._refused(resource, "; the serial engine cannot wait (see DESIGN.md)")
         self._read_locked_tables.add(table_name)
 
     def _lock_table_intent(self, table_name: str) -> None:
@@ -161,19 +172,17 @@ class Transaction:
         table, a transaction takes (once) an intention lock on the table, so
         table-level readers conflict with row writers."""
         self.db.charge("lock_acquire")
-        self._acquire(
-            (table_name, None), LockMode.INTENTION_EXCLUSIVE, " (held by a reader)"
-        )
+        resource = (table_name, None)
+        if not self.db.lock_manager.acquire(self.txn_id, resource, LockMode.INTENTION_EXCLUSIVE):
+            self._refused(resource, " (held by a reader)")
         self._ix_locked_tables.add(table_name)
 
-    def _acquire(self, resource: tuple, mode: LockMode, message: str) -> None:
-        """The one lock request; the caller has charged ``lock_acquire``.
-        The serial engine cannot wait, so a refusal raises — after
-        withdrawing the request the manager queued, or a later release would
-        grant it to a transaction long finished."""
+    def _refused(self, resource: tuple, message: str = "") -> NoReturn:
+        """A lock request the manager did not grant.  The serial engine
+        cannot wait, so it raises — after withdrawing the request the
+        manager queued, or a later release would grant it to a transaction
+        long finished."""
         db = self.db
-        if db.lock_manager.acquire(self.txn_id, resource, mode):
-            return
         db.lock_manager.cancel_waits(self.txn_id)
         if db.tracer.enabled:
             db.tracer.lock_wait(self, resource, db.clock.now())

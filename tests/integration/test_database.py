@@ -3,7 +3,7 @@
 import pytest
 
 from repro.database import Database
-from repro.errors import CatalogError, ExecutionError, SqlSyntaxError, StripError
+from repro.errors import CatalogError, ExecutionError, SimulationError, SqlSyntaxError, StripError
 
 
 @pytest.fixture
@@ -148,5 +148,5 @@ class TestChargeRouting:
         assert record.cpu_time > 100 * db.cost_model.seconds("row_scan") * 0.99
 
     def test_unknown_op_raises(self, db):
-        with pytest.raises(KeyError):
+        with pytest.raises(SimulationError, match="unknown cost-model operation 'not_an_op'"):
             db.charge("not_an_op")

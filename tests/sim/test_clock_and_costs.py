@@ -85,7 +85,7 @@ class TestCostModel:
         assert model.seconds("begin_task") == pytest.approx(model.begin_task * 1e-6)
 
     def test_unknown_op(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SimulationError, match="unknown cost-model operation 'frobnicate'"):
             CostModel().seconds("frobnicate")
 
     def test_scaled(self):

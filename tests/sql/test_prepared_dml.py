@@ -18,15 +18,19 @@ regression tests for DML that reads a task's bound tables.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
+import re
 import sys
+import tokenize
 import weakref
+from ast import literal_eval as ast_literal
 from collections import Counter
 from typing import Any, Optional
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.database import Database
@@ -36,7 +40,9 @@ from repro.sim.costmodel import CostModel
 from repro.sql import ast, executor, expressions, planner
 from repro.sql.executor import execute_delete, execute_update
 from repro.sql.parser import parse_statement
+from repro.storage.index import HashIndex
 from repro.storage.schema import ColumnType
+from repro.storage.table import Table
 from repro.txn import locks
 from repro.txn.locks import LockMode
 from repro.txn.transaction import Transaction
@@ -379,7 +385,9 @@ def scripts(draw):
     """Index DDL for ``t``, its first rows, then transactions of statements,
     each committed or aborted."""
     return {
-        "indexes": draw(st.sampled_from([(), ("hash k",), ("rbtree g",), ("hash g", "hash k")])),
+        "indexes": draw(st.sampled_from(
+            [(), ("hash k",), ("rbtree k",), ("rbtree g",), ("hash g", "hash k")]
+        )),
         "rows": draw(st.lists(st.tuples(KEYS, GROUPS, REALS), max_size=6)),
         "txns": draw(
             st.lists(
@@ -395,7 +403,8 @@ def _null_first(row):
 
 
 def _check_indexes(table) -> None:
-    """Every index holds exactly the scanned records, under their keys."""
+    """Every index holds exactly the scanned records, under their keys, in
+    the scan's order (what ``BaseIndex.lookup`` and ``Table.find`` promise)."""
     scanned = list(table.scan())
     for index in table.indexes.values():
         assert len(index) == len(scanned)
@@ -403,11 +412,27 @@ def _check_indexes(table) -> None:
         for record in scanned:
             by_key.setdefault(index.key_of(record.values), []).append(record.rid)
         for key, rids in by_key.items():
-            assert sorted(r.rid for r in index.lookup(key)) == sorted(rids)
+            assert [r.rid for r in index.lookup(key)] == rids
+
+
+def _key_keeping(index: str) -> dict:
+    """Three rows share key ``a``; updates that keep it hit the bucket's
+    first, middle and last record (only the last may be swapped in place),
+    once in a transaction that aborts and once in one that commits."""
+    set_v = [
+        ("update", " where g = :n", "v = :x", {"k": "a", "n": n, "x": 7.25}) for n in (0, 1, 2)
+    ]
+    return {
+        "indexes": (index,),
+        "rows": [("a", 0, 0.5), ("a", 1, 0.5), ("b", 3, None), ("a", 2, 0.5)],
+        "txns": [(set_v[1:2] + set_v[2:] + set_v[:1], False), (set_v[::-1], True)],
+    }
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scripts())
+@example(_key_keeping("hash k"))
+@example(_key_keeping("rbtree k"))
 def test_dml_agrees_with_a_dict_of_rows(script):
     db = Database()
     db.execute("create table t (k text, g int, v real)")
@@ -696,9 +721,13 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
     """A tiny options / ``on_symbol`` run, counted from outside, not timed:
     a DML statement and a row write charge inline (the feed's cursor path and
     the user function's own ``ctx.charge`` still call ``Database.charge``: they
-    are not statements), build no lock state they discard, compile and hash
-    nothing after a text's first execution, and validate no value that needs
-    no validation."""
+    are not statements), build no lock state they discard and no waiter list
+    while nothing waits, compile and hash nothing after a text's first
+    execution, validate no value that needs no validation, build no
+    ``ExecState`` for a statement that reads only parameters, literals and
+    its row, and swap a key-keeping update's record into its index bucket
+    without ``remove`` / ``add``.  The generated statement's source names no
+    table, column or parameter."""
     inline = ("cursor_open", "index_probe", "cursor_fetch", "expr_eval", "cursor_close",
               "cursor_update", "cursor_insert", "cursor_delete")
     counts: Counter = Counter()
@@ -746,6 +775,41 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
         counted(node, "__hash__", "dml_hashes")
     counted(ColumnType, "validate", "validations", lambda self, value: counts.update(
         ["needless_validations"] if type(value) is stored_as[self] and value == value else []))
+    counted(planner.ExecState, "__init__", "exec_states", lambda *a, **k: counts.update(
+        ["dml_exec_states"] if writing[0] else []))
+    release_all = locks.LockManager.release_all
+
+    def releasing(self, txn_id):
+        counts["waiter_lists"] += sum(type(s.waiters) is not tuple for s in self._locks.values())
+        return release_all(self, txn_id)
+
+    monkeypatch.setattr(locks.LockManager, "release_all", releasing)
+    swapping = [False]  # inside a Table.update whose record can be swapped in place
+    table_update = Table.update
+
+    def update(self, record, values):
+        keep = [index.key_of(record.values) == index.key_of(list(values))
+                and list(index.lookup(index.key_of(record.values)))[-1] is record
+                for index in self.indexes.values()]
+        swapping[0] = bool(keep) and all(keep)
+        counts["swappable_updates"] += swapping[0]
+        try:
+            return table_update(self, record, values)
+        finally:
+            swapping[0] = False
+
+    monkeypatch.setattr(Table, "update", update)
+    for name in ("add", "remove"):
+        counted(HashIndex, name, "hash_index_edits", lambda *a: counts.update(
+            ["swap_edits"] if swapping[0] else []))
+    sources: list = []
+    generate = executor.generate
+
+    def generating(lines, name, filename, names):
+        sources.append(("\n".join(lines), names))
+        return generate(lines, name, filename, names)
+
+    monkeypatch.setattr(executor, "generate", generating)
     execute_in_txn = Database.execute_in_txn
 
     def watching(self, sql, *args, **kwargs):
@@ -777,6 +841,23 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
     assert recompiled == []
     assert counts["dml_hashes"] == 0
     assert counts["needless_validations"] == 0
+    assert counts["exec_states"] > 0 and counts["dml_exec_states"] == 0
+    assert counts["waiter_lists"] == 0
+    assert counts["swappable_updates"] > 500 and counts["swap_edits"] == 0
+    assert len(sources) == len(seen_texts) == 1
+    for source, names in sources:
+        table = names["table"]
+        params = {p for sql in seen_texts for p in re.findall(r":(\w+)", sql)}
+        words = {table.name, *table.schema.names(), *params}
+        spelled = set()  # every name, string value and comment word of the source
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                spelled.add(token.string)
+            elif token.type == tokenize.STRING:
+                spelled.add(ast_literal(token.string))
+            elif token.type == tokenize.COMMENT:
+                spelled.update(re.findall(r"\w+", token.string))
+        assert words and not words & spelled, words & spelled
 
 
 if __name__ == "__main__":

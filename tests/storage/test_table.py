@@ -63,6 +63,45 @@ class TestRecordList:
         with pytest.raises(StorageError):
             RecordList().unlink(Record([1]))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_replace_is_unlink_then_append(self, position):
+        """One pass, one result: ``fresh`` at the end, ``old`` unlinked —
+        for the head, a middle record and the tail alike."""
+        one, two = RecordList(), RecordList()
+        for records in (one, two):
+            originals = [Record([i]) for i in range(3)]
+            for record in originals:
+                records.append(record)
+            old, fresh = originals[position], Record([9])
+            if records is one:
+                records.replace(old, fresh)
+            else:
+                records.unlink(old)
+                records.append(fresh)
+            assert not old.in_table and old.prev is None and old.next is None
+        assert [r.values for r in one] == [r.values for r in two]
+        assert one.head.values == two.head.values and one.tail.values == [9]
+        assert [r.values for r in _backwards(one)] == [r.values for r in _backwards(two)]
+
+    def test_replace_the_only_record(self):
+        records = RecordList()
+        old, fresh = Record([1]), Record([2])
+        records.append(old)
+        records.replace(old, fresh)
+        assert records.head is fresh and records.tail is fresh and len(records) == 1
+        with pytest.raises(StorageError):
+            records.replace(old, Record([3]))  # no longer linked
+        with pytest.raises(StorageError):
+            records.replace(fresh, fresh)  # already linked
+
+
+def _backwards(records: RecordList) -> list:
+    out, node = [], records.tail
+    while node is not None:
+        out.append(node)
+        node = node.prev
+    return out
+
 
 class TestTable:
     def test_insert_validates(self):
@@ -175,6 +214,29 @@ class TestIndexMaintenance:
         table.create_index("by_symbol", ["symbol"], kind)
         table.delete(record)
         assert list(table.lookup(("symbol",), "A")) == []
+
+    @pytest.mark.parametrize("kind", ["hash", "rbtree"])
+    def test_update_keeps_each_bucket_in_list_order(self, kind):
+        """``replace`` swaps a fresh record into the slot of a key-keeping
+        update's record when that record is its bucket's last; otherwise it
+        removes and adds.  Either way a bucket lists its records in the
+        table's list order."""
+        table = Table("t", Schema.of(("k", ColumnType.INT), ("v", ColumnType.INT)))
+        index = table.create_index("by_k", ["k"], kind)
+        first, middle, last = (table.insert([7, v]) for v in range(3))
+        table.insert([8, 0])
+        for record, values in ((last, [7, 10]), (first, [7, 11]), (middle, [8, 12])):
+            table.update(record, values)
+            for key in (7, 8):
+                assert list(index.lookup(key)) == [r for r in table.scan() if r.values[0] == key]
+        assert [r.values[1] for r in index.lookup(7)] == [10, 11]
+
+    @pytest.mark.parametrize("kind", ["hash", "rbtree"])
+    def test_removing_a_record_the_index_lacks_is_a_storage_error(self, kind):
+        table = make_table()
+        index = table.create_index("by_symbol", ["symbol"], kind)
+        with pytest.raises(StorageError, match="not in index by_symbol"):
+            index.remove(Record(["A", 1.0]))
 
     def test_duplicate_keys(self):
         table = Table("t", Schema.of(("k", ColumnType.INT), ("v", ColumnType.INT)))
