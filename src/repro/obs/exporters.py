@@ -1,7 +1,8 @@
 """Trace/metrics exporters: JSONL, Chrome ``trace_event`` JSON, text stats.
 
 Three output formats, all derived from a :class:`~repro.obs.tracer.TraceCollector`
-(or any iterable of :class:`~repro.obs.tracer.TraceEvent`):
+(read through its event log's :class:`~repro.obs.tracer.TraceEvent` view, one
+record at a time) or any iterable of :class:`~repro.obs.tracer.TraceEvent`:
 
 * :func:`write_jsonl` / :func:`read_jsonl` — one JSON object per line,
   lossless round-trip of the event stream (grep/jq-friendly);
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
 from repro.obs.tracer import TraceCollector, TraceEvent
 
@@ -33,10 +34,10 @@ EventSource = Union[TraceCollector, Iterable[TraceEvent]]
 TRACE_PID = 1
 
 
-def _events_of(source: EventSource) -> list[TraceEvent]:
+def _events_of(source: EventSource) -> Sequence[TraceEvent]:
     if isinstance(source, TraceCollector):
         return source.events
-    return list(source)
+    return source if isinstance(source, Sequence) else list(source)
 
 
 # ------------------------------------------------------ file-path plumbing

@@ -35,6 +35,7 @@ to the function name, so every rule-maintained table is tracked either way.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.obs.metrics import Histogram, log_bounds
@@ -49,12 +50,15 @@ STALENESS_BOUNDS = log_bounds(1e-3, 1e3, 2.0)
 class _Outstanding:
     """Stamps carried by one pending/running task."""
 
-    __slots__ = ("view", "rule", "stamps", "forwarded")
+    __slots__ = ("view", "rule", "stamps", "oldest", "forwarded")
 
     def __init__(self, view: str, rule: str, stamps: list[float]) -> None:
         self.view = view
         self.rule = rule
         self.stamps = stamps
+        # min(stamps), inf when empty: a cascade firing extends the stamps
+        # with its upstream's, which can be older than any already here.
+        self.oldest = min(stamps, default=math.inf)
         # True once the stamps were inherited by a downstream cascade task:
         # this task's completion then records intermediate-view lag but the
         # mutations stay outstanding until the deepest task retires them.
@@ -98,19 +102,17 @@ class StalenessTracker:
             histogram = table[label] = Histogram(label, bounds=self.bounds)
         return histogram
 
-    def _inherited(self, origin: Optional["Task"]) -> Optional[list[float]]:
-        """The upstream task's stamps, when the firing is a cascade.
+    def _upstream(self, origin: Optional["Task"]) -> Optional[_Outstanding]:
+        """The upstream task's entry, when the firing is a cascade.
 
-        Marks the upstream entry forwarded — the base mutations stay
-        outstanding (carried by the downstream task) until the deepest
-        stratum reflects them."""
+        Marks it forwarded — the base mutations stay outstanding (carried
+        by the downstream task) until the deepest stratum reflects them."""
         if origin is None:
             return None
         upstream = self._outstanding.get(origin.task_id)
-        if upstream is None:
-            return None
-        upstream.forwarded = True
-        return list(upstream.stamps)
+        if upstream is not None:
+            upstream.forwarded = True
+        return upstream
 
     def on_task_new(
         self, task: "Task", now: float, origin: Optional["Task"] = None
@@ -122,9 +124,8 @@ class StalenessTracker:
         — stamping it fresh would count the same base mutation twice."""
         if task.function_name is None:
             return
-        stamps = self._inherited(origin)
-        if stamps is None:
-            stamps = [task.created_time]
+        upstream = self._upstream(origin)
+        stamps = [task.created_time] if upstream is None else list(upstream.stamps)
         self._outstanding[task.task_id] = _Outstanding(
             self.view_of(task), task.rule_name or task.klass, stamps
         )
@@ -137,11 +138,13 @@ class StalenessTracker:
         entry = self._outstanding.get(task.task_id)
         if entry is None:
             return
-        stamps = self._inherited(origin)
-        if stamps is None:
+        upstream = self._upstream(origin)
+        if upstream is None:
             entry.stamps.append(now)
+            entry.oldest = min(entry.oldest, now)
         else:
-            entry.stamps.extend(stamps)
+            entry.stamps.extend(upstream.stamps)
+            entry.oldest = min(entry.oldest, upstream.oldest)
 
     def on_task_rescind(
         self, task: "Task", created: bool, origin: Optional["Task"] = None
@@ -162,6 +165,7 @@ class StalenessTracker:
         added = 1 if upstream is None else len(upstream.stamps)
         if entry is not None and added:
             del entry.stamps[-added:]
+            entry.oldest = min(entry.stamps, default=math.inf)
 
     def on_task_done(self, task: "Task", end_time: float) -> None:
         """The task committed: every stamped mutation is now reflected —
@@ -223,14 +227,11 @@ class StalenessTracker:
         )
 
     def oldest_stamp(self) -> Optional[float]:
-        oldest: Optional[float] = None
-        for entry in self._outstanding.values():
-            if entry.forwarded or not entry.stamps:
-                continue
-            first = entry.stamps[0]  # stamps are appended in time order
-            if oldest is None or first < oldest:
-                oldest = first
-        return oldest
+        oldest = min(
+            (entry.oldest for entry in self._outstanding.values() if not entry.forwarded),
+            default=math.inf,
+        )
+        return None if oldest == math.inf else oldest
 
     def watermark(self, now: float) -> float:
         """Age of the oldest unreflected mutation (0.0 when caught up).

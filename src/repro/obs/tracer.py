@@ -4,59 +4,16 @@ The engine carries a single hook point, ``db.tracer``, sitting next to
 ``db.charge``: instrumentation sites test ``tracer.enabled`` (one attribute
 load and a branch — the :class:`NullTracer` default keeps tracing strictly
 pay-for-what-you-use) and, when tracing is on, call a named hook.  The
-recording implementation, :class:`TraceCollector`, appends virtual-clock-
-stamped :class:`TraceEvent` records and feeds the metrics registry
+recording implementation, :class:`TraceCollector`, keeps virtual-clock-
+stamped events in a columnar :class:`EventLog` (read back as
+:class:`TraceEvent` records) and feeds the metrics registry
 (queue-depth, batch-size, and task/transaction-length histograms, plus the
 per-charge-kind CPU breakdown derived from each finished task's meter).
 
-Event taxonomy (``TraceEvent.kind``):
-
-========================  ====================================================
-``txn.begin/commit/abort``  transaction lifecycle (commit/abort carry the
-                            transaction's duration as a span)
-``rule.check``              a rule's events matched; its condition ran
-``rule.fire``               a condition held; bound tables were dispatched
-``unique.new``              dispatch created a fresh pending task
-``unique.append``           dispatch coalesced a firing onto a pending task
-``unique.compact``          a compacted task was sealed; carries the rows
-                            that entered the fold vs the rows that survived
-``unique.rescind``          the dispatching commit failed: one ``unique.new``
-                            or ``unique.append`` of it was taken back
-``task.enqueue``            a task entered the delay or ready queue
-``task.release``            the delay queue released a task at its time
-``task``                    one task execution (a span: start .. end)
-``task.preempt``            quantum preemption charged to a long task
-``task.abort``              a task body raised; the task was aborted
-``task.drop``               firm-deadline policy discarded a late task
-``task.supersede``          a deletion made a pending task moot; aborted
-``lock.wait``               a lock request could not be granted immediately
-``counter.queues``          delay/ready queue depths (a Chrome counter track)
-``fault.inject``            the fault injector fired at one of its points
-``fault.retry``             recovery re-enqueued a faulted task with backoff
-``fault.drop``              recovery exhausted a task's retries; rows dropped
-``persist.flush``           one WAL record was appended and flushed; carries
-                            its kind, LSN, and flushed bytes
-``persist.checkpoint``      a fuzzy checkpoint was written and the WAL
-                            truncated; carries snapshot size, table count,
-                            and the pending tasks captured
-``view.register``           a maintained view was registered for staleness
-                            labelling; carries its function and rule names
-``counter.pending``         pending unique tasks and outstanding (stamped,
-                            unreflected) mutations (a Chrome counter track)
-``counter.staleness``       the staleness watermark in virtual seconds
-``counter.backpressure``    the admission signal in [0, 1]
-``counter.replication_lag`` a standby's apply lag in virtual seconds — how
-                            far a commit's arrival at the replica trailed
-                            its commit time on the primary (one Chrome
-                            counter track per replica, beside staleness)
-``net.session``             a client session opened, closed, or was refused
-                            at the ``net.accept`` fault seam
-``net.admit``               one admission decision for a client write:
-                            admit, throttle (retry later), or shed (reject)
-``counter.admission``       the admission controller's view — backpressure
-                            reading plus cumulative throttled/shed counts
-                            (a Chrome counter track)
-========================  ====================================================
+Every event kind — its track, how its name is read and its argument names
+— is declared once, as an event shape below (``TXN_BEGIN`` ...
+``BACKPRESSURE``); ``docs/OBSERVABILITY.md`` ("Event taxonomy") says what
+each one means.
 
 The collector composes the second observability layer from three parts it
 owns and feeds: a :class:`~repro.obs.staleness.StalenessTracker` (mutation
@@ -68,8 +25,10 @@ roll-up), and a :class:`~repro.obs.timeseries.TimeSeriesSampler`
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.obs.attribution import AttributionProfiler
 from repro.obs.metrics import MetricsRegistry
@@ -78,12 +37,13 @@ from repro.obs.timeseries import TimeSeriesSampler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
+    from repro.obs.metrics import Counter, Histogram
     from repro.sim.metrics import TaskRecord
     from repro.txn.tasks import Task
     from repro.txn.transaction import Transaction
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One trace record; ``ts``/``dur`` are virtual seconds."""
 
@@ -93,6 +53,130 @@ class TraceEvent:
     track: str = "engine"
     dur: Optional[float] = None
     args: dict[str, Any] = field(default_factory=dict)
+
+
+#: ``dur`` of an event that is not a span.
+NO_DUR = math.nan
+
+
+class _Shape:
+    """What every event of one code shares: kind, track, the name — a
+    constant, or read from the first stored value (as is when ``name`` is
+    None) — and the argument names, each with the function that turns its
+    stored value into the exported one (``None``: stored as exported)."""
+
+    __slots__ = ("kind", "track", "name", "fields", "width")
+
+    def __init__(self, kind: str, track: str, name: Any, fields: tuple) -> None:
+        self.kind, self.track, self.name = kind, track, name
+        self.fields = [(f, None) if isinstance(f, str) else f for f in fields]
+        self.width = len(fields) + (not isinstance(name, str))
+
+    def event(self, ts: float, dur: float, values: Sequence[Any]) -> TraceEvent:
+        name = self.name
+        if not isinstance(name, str):
+            name = values[0] if name is None else name(values[0])
+            values = values[1:]
+        args = {arg: v if read is None else read(v) for (arg, read), v in zip(self.fields, values)}
+        return TraceEvent(ts, self.kind, name, self.track, None if dur != dur else dur, args)
+
+
+#: The shapes every log starts with; a collector adds one ``task`` and one
+#: ``task.abort`` shape per server and one lag shape per replica.
+_SHAPES: list[_Shape] = []
+
+
+def _shape(kind: str, track: str, name: Any, *fields: Any) -> int:
+    _SHAPES.append(_Shape(kind, track, name, fields))
+    return len(_SHAPES) - 1
+
+
+_txn = "txn#{}".format
+_key = ("key", repr)
+TXN_BEGIN = _shape("txn.begin", "txn", _txn)
+TXN_COMMIT = _shape("txn.commit", "txn", _txn, "ops")
+TXN_ABORT = _shape("txn.abort", "txn", _txn)
+LOCK_WAIT = _shape("lock.wait", "locks", _txn, "resource")
+VIEW_REGISTER = _shape("view.register", "views", None, "function", ("rules", list))
+RULE_CHECK = _shape("rule.check", "rules", None, "txn")
+RULE_FIRE = _shape("rule.fire", "rules", None, "txn", "new_tasks")
+UNIQUE_NEW = _shape("unique.new", "unique", None, "task_id", _key, "stratum", "cascade_from")
+UNIQUE_APPEND = _shape("unique.append", "unique", None, "task_id", "rows", _key)
+UNIQUE_COMPACT = _shape("unique.compact", "unique", None, "task_id", "rows_in", "rows_out", _key)
+UNIQUE_RESCIND = _shape("unique.rescind", "unique", None, "task_id", "created", _key)
+QUEUES = _shape("counter.queues", "queues", "queues", "delay", "ready")
+TASK_ENQUEUE = _shape("task.enqueue", "sched", None, "task_id", "release")
+TASK_RELEASE = _shape("task.release", "sched", None, "task_id", "ready")
+TASK_PREEMPT = _shape("task.preempt", "sched", None, "task_id", "switches")
+TASK_DROP = _shape("task.drop", "sched", None, "task_id", "deadline")
+TASK_SUPERSEDE = _shape("task.supersede", "sched", None, "task_id")
+FAULT_INJECT = _shape("fault.inject", "faults", None, "action", "target")
+FAULT_RETRY = _shape("fault.retry", "faults", None, "task_id", "attempt", "release")
+FAULT_DROP = _shape("fault.drop", "faults", None, "task_id", "attempts")
+PERSIST_FLUSH = _shape("persist.flush", "persist", None, "lsn", "bytes")
+CHECKPOINT = _shape("persist.checkpoint", "persist", "checkpoint", "bytes", "tables", "pending_tasks")
+NET_SESSION = _shape("net.session", "net", None, "event")
+NET_ADMIT = _shape("net.admit", "net", None, "decision", "pressure")
+ADMISSION = _shape("counter.admission", "admission", "admission", "pressure", "throttled", "shed")
+PENDING = _shape("counter.pending", "pending", "pending", "pending_unique", "outstanding")
+STALENESS = _shape("counter.staleness", "staleness", "staleness", "watermark_s")
+BACKPRESSURE = _shape("counter.backpressure", "backpressure", "backpressure", "value")
+
+
+class EventLog(Sequence[TraceEvent]):
+    """The collector's events, column by column.
+
+    Every event keeps its ``ts`` and ``dur`` (NaN: not a span) in
+    ``array('d')``, one small-int code naming its :class:`_Shape`, and where
+    its values start in one flat list: the name when it varies, then the
+    arguments.  A value is kept as the hook held it (a task id, a unique
+    key); strings such as ``txn#<id>`` or ``repr(key)`` are made when the
+    event is read.
+
+    As a sequence the log reads as :class:`TraceEvent` records, equal to
+    what a list of them would hold; only :meth:`add` writes to it."""
+
+    __slots__ = ("_ts", "_dur", "_codes", "_at", "_values", "_shapes")
+
+    def __init__(self) -> None:
+        self._ts = array("d")
+        self._dur = array("d")
+        self._codes = array("H")
+        self._at = array("I")
+        self._values: list[Any] = []
+        self._shapes = list(_SHAPES)
+
+    def code(self, kind: str, track: str, name: Any, *fields: Any) -> int:
+        """A new event shape for this log; each field is an argument name
+        or a ``(name, read)`` pair."""
+        self._shapes.append(_Shape(kind, track, name, fields))
+        return len(self._shapes) - 1
+
+    def add(self, code: int, ts: float, dur: float, *values: Any) -> None:
+        self._ts.append(ts)
+        self._dur.append(dur)
+        self._codes.append(code)
+        self._at.append(len(self._values))
+        self._values += values
+
+    def count_kind(self, kind: str) -> int:
+        """Number of events of one kind, read off the codes."""
+        codes = self._codes
+        return sum(codes.count(c) for c, shape in enumerate(self._shapes) if shape.kind == kind)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        shape, at = self._shapes[self._codes[index]], self._at[index]
+        return shape.event(self._ts[index], self._dur[index], self._values[at:at + shape.width])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class Tracer:
@@ -182,7 +266,8 @@ class NullTracer(Tracer):
 
 
 class TraceCollector(Tracer):
-    """Records events in memory and aggregates them into a registry."""
+    """Records events in an :class:`EventLog` and aggregates them into a
+    registry."""
 
     enabled = True
 
@@ -193,7 +278,7 @@ class TraceCollector(Tracer):
     ) -> None:
         """``sample_interval`` sets the time-series cadence in virtual
         seconds; pass 0 (or a negative value) to disable sampling."""
-        self.events: list[TraceEvent] = []
+        self.events = EventLog()
         self.metrics = MetricsRegistry()
         self.staleness = StalenessTracker()
         self.attribution = AttributionProfiler()
@@ -203,13 +288,20 @@ class TraceCollector(Tracer):
             self.timeseries = TimeSeriesSampler(sample_interval)
         else:
             self.timeseries = None
-        self.cpu_by_op: dict[str, float] = {}
+        #: charge kind -> how many times finished tasks were charged it
+        self._op_counts: dict[str, int] = {}
         self._cost_seconds: Optional[dict[str, float]] = None
         self._db: Optional["Database"] = None
         # task_id -> number of rule firings coalesced into the pending task
         self._batch_firings: dict[int, int] = {}
+        # server -> the codes of its task and task.abort events
+        self._servers: dict[int, tuple[int, int]] = {}
+        # replica -> its lag histogram and the code of its lag events
+        self._replicas: dict[str, tuple["Histogram", int]] = {}
+        self._net_responses: dict[str, "Counter"] = {}
         # Pre-create the headline histograms so reports and snapshots have
-        # stable names even when a run never touches one of them.
+        # stable names even when a run never touches one of them; every
+        # counter and gauge a hook touches is resolved here too.
         metrics_ = self.metrics
         self._h_queue = metrics_.histogram("queue_depth", lo=1, hi=1 << 20, factor=2)
         self._h_batch_rows = metrics_.histogram(
@@ -226,128 +318,131 @@ class TraceCollector(Tracer):
         self._h_wal_flush = metrics_.histogram(
             "wal_flush_bytes", lo=1, hi=1 << 30, factor=2
         )
+        self._g_queue = metrics_.gauge("queue_depth")
+        counter = metrics_.counter
+        self._n_txn_begin = counter("txn_begin")
+        self._n_txn_commit = counter("txn_commit")
+        self._n_txn_abort = counter("txn_abort")
+        self._n_lock_waits = counter("lock_waits")
+        self._n_views_registered = counter("views_registered")
+        self._n_rule_checks = counter("rule_checks")
+        self._n_rule_firings = counter("rule_firings")
+        self._n_unique_new_tasks = counter("unique_new_tasks")
+        self._n_cascade_tasks = counter("cascade_tasks")
+        self._n_unique_appends = counter("unique_appends")
+        self._n_unique_compactions = counter("unique_compactions")
+        self._n_unique_rescinds = counter("unique_rescinds")
+        self._n_task_enqueues = counter("task_enqueues")
+        self._n_task_releases = counter("task_releases")
+        self._n_task_starts = counter("task_starts")
+        self._n_context_switches = counter("context_switches")
+        self._n_task_done = counter("task_done")
+        self._n_task_aborts = counter("task_aborts")
+        self._n_task_drops = counter("task_drops")
+        self._n_task_supersedes = counter("task_supersedes")
+        self._n_faults_injected = counter("faults_injected")
+        self._n_fault_retries = counter("fault_retries")
+        self._n_fault_drops = counter("fault_drops")
+        self._n_wal_records = counter("wal_records")
+        self._n_checkpoints = counter("checkpoints")
+        self._n_replication_applies = counter("replication_applies")
+        self._n_net_sessions = counter("net_sessions")
+        self._n_net_refused_connections = counter("net_refused_connections")
+        decisions = ("admit", "throttle", "shed")
+        self._net_decisions = {d: counter(f"net_{d}") for d in decisions}
 
     def bind(self, db: "Database") -> None:
         self._cost_seconds = dict(db.cost_model._seconds)
         self._db = db
 
-    # ----------------------------------------------------------- plumbing
-
-    def _emit(
-        self,
-        ts: float,
-        kind: str,
-        name: str,
-        track: str = "engine",
-        dur: Optional[float] = None,
-        **args: Any,
-    ) -> None:
-        self.events.append(TraceEvent(ts, kind, name, track, dur, args))
-
     def count(self, kind: str) -> int:
-        """Number of recorded events of one kind (test/report convenience)."""
-        return sum(1 for event in self.events if event.kind == kind)
+        """Number of recorded events of one kind (see :meth:`EventLog.count_kind`)."""
+        return self.events.count_kind(kind)
 
     # ------------------------------------------------------- transactions
 
     def txn_begin(self, txn: "Transaction", now: float) -> None:
-        self.metrics.counter("txn_begin").inc()
-        self._emit(now, "txn.begin", f"txn#{txn.txn_id}", track="txn")
+        self._n_txn_begin.inc()
+        self.events.add(TXN_BEGIN, now, NO_DUR, txn.txn_id)
 
     def txn_commit(self, txn: "Transaction", now: float) -> None:
-        self.metrics.counter("txn_commit").inc()
+        self._n_txn_commit.inc()
         dur = max(now - txn.begin_time, 0.0)
         self._h_txn_len.record(dur)
-        self._emit(
-            txn.begin_time, "txn.commit", f"txn#{txn.txn_id}", track="txn",
-            dur=dur, ops=len(txn.log),
-        )
+        self.events.add(TXN_COMMIT, txn.begin_time, dur, txn.txn_id, len(txn.log))
         self._maybe_sample(now)
 
     def txn_abort(self, txn: "Transaction", now: float) -> None:
-        self.metrics.counter("txn_abort").inc()
+        self._n_txn_abort.inc()
         dur = max(now - txn.begin_time, 0.0)
-        self._emit(
-            txn.begin_time, "txn.abort", f"txn#{txn.txn_id}", track="txn", dur=dur
-        )
+        self.events.add(TXN_ABORT, txn.begin_time, dur, txn.txn_id)
 
     def lock_wait(self, txn: "Transaction", resource: tuple, now: float) -> None:
-        self.metrics.counter("lock_waits").inc()
+        self._n_lock_waits.inc()
         self.attribution.on_lock_wait(txn, now)
-        self._emit(
-            now, "lock.wait", f"txn#{txn.txn_id}", track="locks",
-            resource=repr(resource),
-        )
+        self.events.add(LOCK_WAIT, now, NO_DUR, txn.txn_id, repr(resource))
 
     # -------------------------------------------------------------- views
 
     def view_registered(
         self, view_name: str, function_name: str, rule_names: tuple, now: float
     ) -> None:
-        self.metrics.counter("views_registered").inc()
+        self._n_views_registered.inc()
         self.staleness.register_view(view_name, function_name, rule_names)
-        self._emit(
-            now, "view.register", view_name, track="views",
-            function=function_name, rules=list(rule_names),
-        )
+        self.events.add(VIEW_REGISTER, now, NO_DUR, view_name, function_name, tuple(rule_names))
 
     # -------------------------------------------------------------- rules
 
     def rule_check(self, rule_name: str, txn_id: int, now: float) -> None:
-        self.metrics.counter("rule_checks").inc()
-        self._emit(now, "rule.check", rule_name, track="rules", txn=txn_id)
+        self._n_rule_checks.inc()
+        self.events.add(RULE_CHECK, now, NO_DUR, rule_name, txn_id)
 
     def rule_fire(
         self, rule_name: str, txn_id: int, new_tasks: int, now: float
     ) -> None:
-        self.metrics.counter("rule_firings").inc()
-        self._emit(
-            now, "rule.fire", rule_name, track="rules", txn=txn_id,
-            new_tasks=new_tasks,
-        )
+        self._n_rule_firings.inc()
+        self.events.add(RULE_FIRE, now, NO_DUR, rule_name, txn_id, new_tasks)
 
     # ----------------------------------------------------- unique manager
 
     def unique_new(
         self, task: "Task", now: float, origin: Optional["Task"] = None
     ) -> None:
-        self.metrics.counter("unique_new_tasks").inc()
+        self._n_unique_new_tasks.inc()
         if origin is not None:
-            self.metrics.counter("cascade_tasks").inc()
+            self._n_cascade_tasks.inc()
         self._batch_firings[task.task_id] = 1
         self.staleness.on_task_new(task, now, origin=origin)
         self.attribution.on_unique_new(task, now)
-        self._emit(
-            now, "unique.new", task.function_name or task.klass, track="unique",
-            task_id=task.task_id, key=repr(task.unique_key),
-            stratum=task.stratum, cascade_from=task.cascade_from,
+        self.events.add(
+            UNIQUE_NEW, now, NO_DUR, task.function_name or task.klass, task.task_id,
+            task.unique_key, task.stratum, task.cascade_from,
         )
 
     def unique_append(
         self, task: "Task", rows: int, now: float, origin: Optional["Task"] = None
     ) -> None:
-        self.metrics.counter("unique_appends").inc()
+        self._n_unique_appends.inc()
         if task.task_id in self._batch_firings:
             self._batch_firings[task.task_id] += 1
         self.staleness.on_task_append(task, now, origin=origin)
         self.attribution.on_unique_append(task, rows, now)
-        self._emit(
-            now, "unique.append", task.function_name or task.klass, track="unique",
-            task_id=task.task_id, rows=rows, key=repr(task.unique_key),
+        self.events.add(
+            UNIQUE_APPEND, now, NO_DUR, task.function_name or task.klass, task.task_id,
+            rows, task.unique_key,
         )
 
     def unique_compact(
         self, task: "Task", rows_in: int, rows_out: int, now: float
     ) -> None:
-        self.metrics.counter("unique_compactions").inc()
+        self._n_unique_compactions.inc()
         # rows_in per distinct surviving row; a task whose batch folded to
         # nothing (pure churn) records the full input count.
         self._h_compaction.record(rows_in / max(rows_out, 1))
         self.attribution.on_unique_compact(task, rows_in, rows_out, now)
-        self._emit(
-            now, "unique.compact", task.function_name or task.klass, track="unique",
-            task_id=task.task_id, rows_in=rows_in, rows_out=rows_out,
-            key=repr(task.unique_key),
+        self.events.add(
+            UNIQUE_COMPACT, now, NO_DUR, task.function_name or task.klass,
+            task.task_id, rows_in, rows_out, task.unique_key,
         )
 
     def unique_rescind(
@@ -356,48 +451,38 @@ class TraceCollector(Tracer):
         """The commit whose firing opened ``task`` (``created``) or was
         coalesced onto it rolled back: withdraw the firing from the batch
         size, the staleness stamps and the rule's attribution."""
-        self.metrics.counter("unique_rescinds").inc()
+        self._n_unique_rescinds.inc()
         if created:
             self._batch_firings.pop(task.task_id, None)
         elif task.task_id in self._batch_firings:
             self._batch_firings[task.task_id] -= 1
         self.staleness.on_task_rescind(task, created, origin)
         self.attribution.on_unique_rescind(task)
-        self._emit(
-            now, "unique.rescind", task.function_name or task.klass, track="unique",
-            task_id=task.task_id, created=created, key=repr(task.unique_key),
+        self.events.add(
+            UNIQUE_RESCIND, now, NO_DUR, task.function_name or task.klass,
+            task.task_id, created, task.unique_key,
         )
 
     # -------------------------------------------------------------- tasks
 
-    def _queue_counter(self, now: float, delay_depth: int, ready_depth: int) -> None:
-        self._h_queue.record(delay_depth + ready_depth)
-        self.metrics.gauge("queue_depth").set(delay_depth + ready_depth)
-        self._emit(
-            now, "counter.queues", "queues", track="queues",
-            delay=delay_depth, ready=ready_depth,
-        )
-
     def task_enqueue(
         self, task: "Task", delay_depth: int, ready_depth: int, now: float
     ) -> None:
-        self.metrics.counter("task_enqueues").inc()
-        self._emit(
-            now, "task.enqueue", task.klass, track="sched",
-            task_id=task.task_id, release=task.release_time,
-        )
-        self._queue_counter(now, delay_depth, ready_depth)
+        self._n_task_enqueues.inc()
+        events = self.events
+        events.add(TASK_ENQUEUE, now, NO_DUR, task.klass, task.task_id, task.release_time)
+        depth = delay_depth + ready_depth
+        self._h_queue.record(depth)
+        self._g_queue.set(depth)
+        events.add(QUEUES, now, NO_DUR, delay_depth, ready_depth)
         self._maybe_sample(now)
 
     def task_release(self, task: "Task", ready_depth: int, now: float) -> None:
-        self.metrics.counter("task_releases").inc()
-        self._emit(
-            now, "task.release", task.klass, track="sched",
-            task_id=task.task_id, ready=ready_depth,
-        )
+        self._n_task_releases.inc()
+        self.events.add(TASK_RELEASE, now, NO_DUR, task.klass, task.task_id, ready_depth)
 
     def task_start(self, task: "Task", now: float) -> None:
-        self.metrics.counter("task_starts").inc()
+        self._n_task_starts.inc()
         self.attribution.on_task_start(task, now)
         firings = self._batch_firings.pop(task.task_id, None)
         if firings is not None:
@@ -405,105 +490,91 @@ class TraceCollector(Tracer):
             self._h_batch_rows.record(task.bound_rows)
 
     def task_preempt(self, task: "Task", switches: int, now: float) -> None:
-        self.metrics.counter("context_switches").inc(switches)
-        self._emit(
-            now, "task.preempt", task.klass, track="sched",
-            task_id=task.task_id, switches=switches,
+        self._n_context_switches.inc(switches)
+        self.events.add(TASK_PREEMPT, now, NO_DUR, task.klass, task.task_id, switches)
+
+    def _server(self, server: int) -> tuple[int, int]:
+        """The codes of one server's ``task`` and ``task.abort`` events."""
+        track, code = f"server-{server}", self.events.code
+        args = ("task_id", "cpu", "queueing", "bound_rows", "context_switches")
+        codes = self._servers[server] = (
+            code("task", track, None, *args), code("task.abort", track, None, "task_id")
         )
+        return codes
 
     def task_done(self, task: "Task", record: "TaskRecord", server: int = 0) -> None:
-        self.metrics.counter("task_done").inc()
-        self._h_task_len.record(record.length)
+        self._n_task_done.inc()
+        length = record.length
+        self._h_task_len.record(length)
         self.staleness.on_task_done(task, record.end_time)
         self.attribution.on_task_done(task, record)
-        self._emit(
-            record.start_time, "task", task.klass, track=f"server-{server}",
-            dur=record.length, task_id=task.task_id, cpu=record.cpu_time,
-            queueing=record.queueing, bound_rows=record.bound_rows,
-            context_switches=record.context_switches,
+        codes = self._servers.get(server) or self._server(server)
+        self.events.add(
+            codes[0], record.start_time, length, task.klass, task.task_id, record.cpu_time,
+            record.queueing, record.bound_rows, record.context_switches,
         )
         if self._cost_seconds is not None:
-            cpu_by_op = self.cpu_by_op
-            seconds = self._cost_seconds
+            totals = self._op_counts
             for op, n in task.meter.ops.items():
-                cpu_by_op[op] = cpu_by_op.get(op, 0.0) + n * seconds.get(op, 0.0)
+                totals[op] = totals.get(op, 0) + n
         self._maybe_sample(record.end_time)
 
     def task_abort(self, task: "Task", now: float, server: int = 0) -> None:
-        self.metrics.counter("task_aborts").inc()
+        self._n_task_aborts.inc()
         # Staleness stamps stay: a retried task still owes its mutations.
         self.attribution.on_task_abort(task, now)
         start = task.start_time if task.start_time is not None else now
-        self._emit(
-            start, "task.abort", task.klass, track=f"server-{server}",
-            dur=max(now - start, 0.0), task_id=task.task_id,
-        )
+        codes = self._servers.get(server) or self._server(server)
+        self.events.add(codes[1], start, max(now - start, 0.0), task.klass, task.task_id)
 
     def task_drop(self, task: "Task", now: float) -> None:
-        self.metrics.counter("task_drops").inc()
+        self._n_task_drops.inc()
+        self._batch_firings.pop(task.task_id, None)
         self.staleness.on_task_dropped(task, now)
         self.attribution.on_task_drop(task, now)
-        self._emit(
-            now, "task.drop", task.klass, track="sched",
-            task_id=task.task_id, deadline=task.deadline,
-        )
+        self.events.add(TASK_DROP, now, NO_DUR, task.klass, task.task_id, task.deadline)
 
     def task_superseded(self, task: "Task", now: float) -> None:
-        self.metrics.counter("task_supersedes").inc()
+        self._n_task_supersedes.inc()
+        self._batch_firings.pop(task.task_id, None)
         self.staleness.on_task_superseded(task, now)
         self.attribution.on_task_drop(task, now)
-        self._emit(
-            now, "task.supersede", task.klass, track="sched",
-            task_id=task.task_id,
-        )
+        self.events.add(TASK_SUPERSEDE, now, NO_DUR, task.klass, task.task_id)
 
     # -------------------------------------------------------------- faults
 
     def fault_inject(self, point: str, action: str, label: str, now: float) -> None:
-        self.metrics.counter("faults_injected").inc()
-        self._emit(
-            now, "fault.inject", point, track="faults",
-            action=action, target=label,
-        )
+        self._n_faults_injected.inc()
+        self.events.add(FAULT_INJECT, now, NO_DUR, point, action, label)
 
     def fault_retry(
         self, task: "Task", attempt: int, release: float, now: float
     ) -> None:
-        self.metrics.counter("fault_retries").inc()
+        self._n_fault_retries.inc()
         self.attribution.on_fault_retry(task, now)
-        self._emit(
-            now, "fault.retry", task.klass, track="faults",
-            task_id=task.task_id, attempt=attempt, release=release,
+        self.events.add(
+            FAULT_RETRY, now, NO_DUR, task.klass, task.task_id, attempt, release
         )
 
     def fault_drop(self, task: "Task", attempts: int, now: float) -> None:
-        self.metrics.counter("fault_drops").inc()
+        self._n_fault_drops.inc()
         self.staleness.on_task_dropped(task, now)
         self.attribution.on_task_drop(task, now)
-        self._emit(
-            now, "fault.drop", task.klass, track="faults",
-            task_id=task.task_id, attempts=attempts,
-        )
+        self.events.add(FAULT_DROP, now, NO_DUR, task.klass, task.task_id, attempts)
 
     # --------------------------------------------------------- persistence
 
     def persist_flush(self, kind: str, nbytes: int, lsn: int, now: float) -> None:
-        self.metrics.counter("wal_records").inc()
+        self._n_wal_records.inc()
         self._h_wal_flush.record(max(nbytes, 1))
         self.attribution.on_persist_flush(kind, nbytes)
-        self._emit(
-            now, "persist.flush", kind, track="persist",
-            lsn=lsn, bytes=nbytes,
-        )
+        self.events.add(PERSIST_FLUSH, now, NO_DUR, kind, lsn, nbytes)
 
     def persist_checkpoint(
         self, path: str, nbytes: int, tables: int, tasks: int, now: float
     ) -> None:
-        self.metrics.counter("checkpoints").inc()
-        self._emit(
-            now, "persist.checkpoint", "checkpoint", track="persist",
-            bytes=nbytes, tables=tables, pending_tasks=tasks,
-        )
+        self._n_checkpoints.inc()
+        self.events.add(CHECKPOINT, now, NO_DUR, nbytes, tables, tasks)
 
     # --------------------------------------------------------- replication
 
@@ -514,14 +585,19 @@ class TraceCollector(Tracer):
         after the primary committed it.  Keeps a per-replica histogram and
         mirrors the value onto a per-replica Chrome counter track so the
         lag plots right beside the staleness watermark."""
-        self.metrics.counter("replication_applies").inc()
-        self.metrics.histogram(
-            f"replication_lag_s[{replica}]", lo=1e-4, hi=1e3, factor=2.0
-        ).record(max(lag, 0.0))
-        self._emit(
-            now, "counter.replication_lag", replica,
-            track=f"replication-{replica}", lag_s=lag, lsn=lsn,
-        )
+        self._n_replication_applies.inc()
+        cached = self._replicas.get(replica)
+        if cached is None:
+            name = f"replication_lag_s[{replica}]"
+            cached = self._replicas[replica] = (
+                self.metrics.histogram(name, lo=1e-4, hi=1e3, factor=2.0),
+                self.events.code(
+                    "counter.replication_lag", f"replication-{replica}", replica, "lag_s", "lsn"
+                ),
+            )
+        histogram, code = cached
+        histogram.record(max(lag, 0.0))
+        self.events.add(code, now, NO_DUR, lag, lsn)
 
     # ------------------------------------------------------------- network
 
@@ -529,10 +605,10 @@ class TraceCollector(Tracer):
         """A client session opened, closed, or was refused (``event`` is
         ``open`` / ``close`` / ``refused``)."""
         if event == "open":
-            self.metrics.counter("net_sessions").inc()
+            self._n_net_sessions.inc()
         elif event == "refused":
-            self.metrics.counter("net_refused_connections").inc()
-        self._emit(now, "net.session", session, track="net", event=event)
+            self._n_net_refused_connections.inc()
+        self.events.add(NET_SESSION, now, NO_DUR, session, event)
 
     def net_admission(
         self, session: str, decision: str, pressure: float, now: float
@@ -541,17 +617,13 @@ class TraceCollector(Tracer):
         a client write, with the backpressure reading that drove it.  The
         counters mirror onto a ``counter.admission`` Chrome track so the
         shed/delay behaviour plots beside queue depth and staleness."""
-        metrics = self.metrics
-        metrics.counter(f"net_{decision}").inc()
-        self._emit(
-            now, "net.admit", session, track="net",
-            decision=decision, pressure=pressure,
-        )
-        self._emit(
-            now, "counter.admission", "admission", track="admission",
-            pressure=pressure,
-            throttled=metrics.counter("net_throttle").value,
-            shed=metrics.counter("net_shed").value,
+        decisions = self._net_decisions
+        decisions[decision].inc()
+        events = self.events
+        events.add(NET_ADMIT, now, NO_DUR, session, decision, pressure)
+        events.add(
+            ADMISSION, now, NO_DUR, pressure, decisions["throttle"].value,
+            decisions["shed"].value,
         )
 
     def net_response(
@@ -560,7 +632,11 @@ class TraceCollector(Tracer):
         """A response reached (or left for) a client; ``latency`` is the
         request's round trip in virtual seconds when the transport knows
         it (the simulated channels do; raw sockets pass None)."""
-        self.metrics.counter(f"net_responses[{status}]").inc()
+        counter = self._net_responses.get(status)
+        if counter is None:
+            name = f"net_responses[{status}]"
+            counter = self._net_responses[status] = self.metrics.counter(name)
+        counter.inc()
         if latency is not None:
             self.metrics.histogram(
                 "net_latency_s", lo=1e-4, hi=1e3, factor=2.0
@@ -573,36 +649,30 @@ class TraceCollector(Tracer):
         sampler = self.timeseries
         if sampler is None or not sampler.due(now):
             return
-        queue_depth = self.metrics.gauge("queue_depth").value
+        queue_depth = self._g_queue.value
         pending = (
             self._db.unique_manager.pending_count() if self._db is not None else 0
         )
         watermark = self.staleness.watermark(now)
+        outstanding = self.staleness.outstanding()
+        backpressure = sampler.backpressure(queue_depth, watermark)
         sampler.record(
             now,
             {
                 "queue_depth": queue_depth,
                 "pending_unique": pending,
-                "outstanding": self.staleness.outstanding(),
+                "outstanding": outstanding,
                 "staleness_watermark_s": watermark,
-                "tasks_done": self.metrics.counter("task_done").value,
-                "txn_commits": self.metrics.counter("txn_commit").value,
-                "backpressure": sampler.backpressure(queue_depth, watermark),
+                "tasks_done": self._n_task_done.value,
+                "txn_commits": self._n_txn_commit.value,
+                "backpressure": backpressure,
             },
         )
         # Mirror the sample onto Chrome counter tracks so Perfetto plots it.
-        self._emit(
-            now, "counter.pending", "pending", track="pending",
-            pending_unique=pending, outstanding=self.staleness.outstanding(),
-        )
-        self._emit(
-            now, "counter.staleness", "staleness", track="staleness",
-            watermark_s=watermark,
-        )
-        self._emit(
-            now, "counter.backpressure", "backpressure", track="backpressure",
-            value=sampler.backpressure(queue_depth, watermark),
-        )
+        events = self.events
+        events.add(PENDING, now, NO_DUR, pending, outstanding)
+        events.add(STALENESS, now, NO_DUR, watermark)
+        events.add(BACKPRESSURE, now, NO_DUR, backpressure)
 
     def backpressure(self, now: Optional[float] = None) -> float:
         """The live admission signal in [0, 1] (see
@@ -623,15 +693,22 @@ class TraceCollector(Tracer):
             manager = self._db.task_manager
             depth = len(manager.delay) + len(manager.ready) + len(manager.held)
         else:
-            depth = self.metrics.gauge("queue_depth").value
+            depth = self._g_queue.value
         return sampler.backpressure(depth, self.staleness.watermark(now))
 
     # ------------------------------------------------------------ results
 
+    @property
+    def cpu_by_op(self) -> dict[str, float]:
+        """Per-charge-kind CPU seconds of all finished tasks."""
+        seconds = self._cost_seconds or {}
+        return {op: n * seconds.get(op, 0.0) for op, n in self._op_counts.items()}
+
     def cpu_rows(self) -> list[dict[str, Any]]:
         """Per-charge-kind CPU of all finished tasks, largest first."""
-        total = sum(self.cpu_by_op.values()) or 1.0
+        cpu_by_op = self.cpu_by_op
+        total = sum(cpu_by_op.values()) or 1.0
         return [
             {"op": op, "cpu_s": sec, "fraction": sec / total}
-            for op, sec in sorted(self.cpu_by_op.items(), key=lambda kv: -kv[1])
+            for op, sec in sorted(cpu_by_op.items(), key=lambda kv: -kv[1])
         ]

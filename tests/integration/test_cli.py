@@ -79,6 +79,7 @@ class TestObservabilityOptions:
         assert "trace:" in capsys.readouterr().out
         document = json.loads(trace.read_text())
         events = document["traceEvents"]
+        assert {e["ph"] for e in events} <= {"M", "X", "i", "C"}
         categories = {e.get("cat") for e in events}
         # Transaction, rule-firing, unique-append, and task spans all there.
         assert {"txn.commit", "rule.fire", "unique.append", "task"} <= categories

@@ -233,6 +233,26 @@ class TestCascadeStampInheritance:
         tracker.on_task_done(downstream, 6.0)
         assert tracker.reflected == 2
 
+    def test_watermark_sees_an_older_inherited_stamp(self):
+        """Upstream B (stamp 2.0) opens cascade task D at 2.5; upstream A
+        (stamp 1.0) appends to D at 3.0.  D's oldest stamp is A's, not the
+        first one it was given."""
+        tracker = StalenessTracker()
+        first, second = make_task("fa", "ra", 1.0), make_task("fb", "rb", 2.0)
+        cascade = make_task("fd", "rd", 2.5, klass="recompute:fd")
+        tracker.on_task_new(first, 1.0)
+        tracker.on_task_new(second, 2.0)
+        tracker.on_task_new(cascade, 2.5, origin=second)
+        tracker.on_task_append(cascade, 3.0, origin=first)
+        assert tracker.oldest_stamp() == 1.0
+        assert tracker.watermark(4.0) == 3.0
+        # The failed commit's stamps are taken back, the minimum with them;
+        # A is no longer forwarded, and once it finishes D's 2.0 is oldest.
+        tracker.on_task_rescind(cascade, False, origin=first)
+        tracker.on_task_done(first, 3.5)
+        assert tracker.oldest_stamp() == 2.0
+        assert tracker.watermark(4.0) == 2.0
+
     def test_lost_cascade_counts_each_mutation_once(self):
         tracker = StalenessTracker()
         upstream, downstream = self.make_pair()

@@ -168,6 +168,18 @@ class TestTaskEvents:
         assert collector.count("task.drop") == 1
         assert collector.metrics.counters["task_drops"].value == 1
 
+    def test_superseding_deletion_leaves_no_batch_behind(self):
+        from repro.pta.workload import run_deletion_experiment
+
+        collector = TraceCollector()
+        result = run_deletion_experiment(
+            n_symbols=6, positions_per_symbol=3, n_events=80, duration=20.0, seed=0,
+            maintenance="dred", tracer=collector,
+        )
+        assert result.superseded > 0
+        assert collector.count("task.supersede") > 0
+        assert collector._batch_firings == {}
+
     def test_cpu_by_op_breakdown(self):
         db, collector = make_traced_db()
         db.execute("insert into t values ('a', 1.0)")

@@ -259,6 +259,7 @@ def test_every_ending_leaves_nothing_behind(tmp_path, ending, durable):
         staleness = db.tracer.staleness
         owed = 1 if logged == LEFT_TO_RECOVERY else 0
         assert staleness.outstanding() == owed
+        assert db.tracer._batch_firings == {}  # batch sizes owed for no task
         if not owed:
             assert db.tracer.backpressure(db.clock.now() + 100.0) == 0.0
         landed = sum(row["firings"] for row in db.tracer.attribution.snapshot())
