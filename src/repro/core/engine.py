@@ -42,6 +42,7 @@ from repro.txn.tasks import Task
 from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.unique import Route
     from repro.database import Database
 
 
@@ -51,9 +52,12 @@ class PreparedRule:
     names (an update triggers only if one of those values changed; a column
     the table lacks is a :class:`CreateRuleError`, at CREATE RULE), the
     transition tables its queries name, and each query prepared, with
-    whether it is a condition (an empty result stops the firing)."""
+    whether it is a condition (an empty result stops the firing); and the
+    ``routes`` its firings dispatch through, one per bound shape (``Route``)."""
 
-    __slots__ = ("rule", "inserted", "deleted", "any_update", "offsets", "reads", "queries")
+    __slots__ = (
+        "rule", "inserted", "deleted", "any_update", "offsets", "reads", "queries", "routes"
+    )
 
     def __init__(self, rule: Rule, schema: Schema) -> None:
         self.rule = rule
@@ -72,6 +76,7 @@ class PreparedRule:
             (PreparedSelect(query.select, query.bind_as, TRANSITION_NAMES), at < len(rule.condition))
             for at, query in enumerate(queries)
         ]
+        self.routes: list[Route] = []
 
     def hit(self, entries: list[LogEntry]) -> bool:
         """True if any of one table's logged changes triggers the rule."""
@@ -192,7 +197,7 @@ class RuleEngine:
                     for table in bound.values():
                         table.retire()
                     return False
-            tasks = db.unique_manager.dispatch(prepared.rule, bound, txn)
+            tasks = db.unique_manager.dispatch(prepared, bound, txn)
         except Exception:
             for table in bound.values():
                 table.retire()

@@ -51,37 +51,20 @@ from repro.txn.log import PendingEffect
 from repro.txn.tasks import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import PreparedRule
     from repro.core.rules import Rule
     from repro.database import Database
     from repro.txn.transaction import Transaction
+
+
+#: The states in which a pending task still takes a firing's rows.
+_BATCHING = (TaskState.DELAYED, TaskState.READY)
 
 
 def _full_copy(source: TempTable) -> TempTable:
     copy = TempTable(source.name, source.schema, source.static_map)
     copy.absorb(source)
     return copy
-
-
-def _group_rows(source: TempTable, offsets: list[int]) -> dict[tuple, list]:
-    """``source``'s raw rows grouped by their values at ``offsets``, in
-    first-seen key order.  The key columns are read once, through the
-    compiled reader; when every row has the same key, the one group holds
-    the table's rows as they are, with no per-row dict work."""
-    rows = list(source.scan_raw())
-    if not rows:
-        return {}
-    keys = list(source.scan_columns(offsets))
-    first = keys[0]
-    if keys.count(first) == len(keys):
-        return {first: rows}
-    groups: dict[tuple, list] = {}
-    for key, raw in zip(keys, rows):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [raw]
-        else:
-            group.append(raw)
-    return groups
 
 
 def _partitions(
@@ -204,6 +187,41 @@ def check_columns(db: "Database", rule: "Rule", schema: Schema) -> None:
         raise CreateRuleError(str(exc)) from None
 
 
+class Route:
+    """How the firings of one rule with one bound shape dispatch, decided by
+    the first of them and kept until ``Catalog.version`` moves.  The shape is
+    each bound table's name and static map (its plan's one bind spec fixes
+    it, schema too: a firing matches by identity); ``owners`` are Appendix
+    A's ``T^u``, each with its key positions and compiled grouper."""
+
+    __slots__ = ("shape", "owners", "shared", "others", "klass", "rule_name", "stratum", "body")
+
+    def __init__(
+        self,
+        rule: "Rule",
+        bound: dict[str, TempTable],
+        make_body: Callable[[str], Callable[[Task], None]],
+    ) -> None:
+        self.shape = tuple((name, table.static_map) for name, table in bound.items())
+        self.owners, self.shared, self.others = (), False, ()
+        if rule.unique_on:
+            positions_of, self.shared = _owners(
+                rule, {name: table.schema.has_column for name, table in bound.items()}
+            )
+            self.owners = tuple(
+                (name, positions, bound[name].static_map.grouper(
+                    [bound[name].schema.offset(rule.unique_on[at]) for at in positions]
+                ))
+                for name, positions in positions_of.items()
+            )
+            self.others = tuple(name for name in bound if name not in positions_of)
+        self.klass = f"recompute:{rule.function}"
+        self.rule_name = f"{rule.name}@{rule.maintenance}" if rule.maintenance else rule.name
+        self.stratum = rule.stratum
+        # Stateless: it looks the function up when the task runs.
+        self.body = make_body(rule.function)
+
+
 class UniqueManager:
     """Tracks pending unique tasks and batches new firings onto them."""
 
@@ -222,10 +240,11 @@ class UniqueManager:
     # ------------------------------------------------------------ dispatch
 
     def dispatch(
-        self, rule: "Rule", bound: dict[str, TempTable], txn: "Transaction"
+        self, prepared: "PreparedRule", bound: dict[str, TempTable], txn: "Transaction"
     ) -> list[Task]:
-        """Create or extend action tasks for one rule firing of the
-        committing ``txn``.
+        """Create or extend action tasks for one firing of ``prepared``'s
+        rule by the committing ``txn``, through the :class:`Route` prepared
+        for its bound tables' shape.
 
         Takes ownership of ``bound``: tables handed to a new task are kept,
         tables absorbed into a pending task (or split into partitions) are
@@ -239,95 +258,80 @@ class UniqueManager:
         task, so staleness accounting inherits the originating mutation
         stamps instead of minting fresh ones.
         """
-        charge = self.db.charge
+        rule = prepared.rule
         origin = txn.task if txn.task is not None and txn.task.function_name else None
+        for route in prepared.routes:
+            # The route whose shape is the firing's, table by table.
+            shape = route.shape
+            if len(shape) == len(bound):
+                for (name, static_map), (given, table) in zip(shape, bound.items()):
+                    if name != given or table.static_map is not static_map:
+                        break
+                else:
+                    break
+        else:
+            # Kept until Catalog.version moves and the rule is prepared
+            # again; a routing error is raised by every firing of the shape.
+            route = Route(rule, bound, self.db.rule_engine.make_action_body)
+            prepared.routes.append(route)
         if not rule.unique:
-            return [self._new_task(rule, bound, txn, unique_key=None, origin=origin)]
+            return [self._new_task(rule, route, bound, txn, None, origin)]
 
-        if not rule.unique_on:
+        meter, cost = self.db.metering()
+        if not route.owners:
             # Coarse batching: one pending task per user function.
-            meter, cost = self.db.metering()
-            meter.total += cost["unique_lookup"]
-            meter.ops["unique_lookup"] += 1
-            fresh = self._absorb_or_create(rule, (), bound, txn, origin)
-            return [] if fresh is None else [fresh]
-
-        keys, owners = self._route(rule, bound)
-        # One key (almost every firing): each owner's rows all belong to
-        # it, so every table goes over whole, rows and pins untouched.
-        partitions = [bound] if len(keys) == 1 else _partitions(keys, owners, bound)
+            keys, partitions = [()], [bound]
+        else:
+            owners = {}
+            for name, positions, group in route.owners:
+                source = bound[name]
+                owners[name] = (positions, group(source))
+                rows = max(len(source), 1)  # what charge("partition_row", rows) adds
+                meter.total += cost["partition_row"] * rows
+                meter.ops["partition_row"] += rows
+            if len(owners) == 1:
+                ((_at, groups),) = owners.values()
+                keys = list(groups)
+            elif route.shared:
+                # Every owner carries the full key: the same key names the
+                # same group in each, so the keys are their union.
+                keys = list(dict.fromkeys(key for _at, groups in owners.values() for key in groups))
+            else:
+                keys = []
+                for combo in itertools.product(*(groups for _at, groups in owners.values())):
+                    key: list = [None] * len(rule.unique_on)
+                    for (positions, _groups), part in zip(owners.values(), combo):
+                        for position, value in zip(positions, part):
+                            key[position] = value
+                    keys.append(tuple(key))
+            # One key (almost every firing): each owner's rows all belong
+            # to it, so every table goes over whole, rows and pins untouched.
+            partitions = [bound] if len(keys) == 1 else _partitions(keys, owners, bound)
+        pending = self._pending.setdefault(rule.function, {})
         new_tasks: list[Task] = []
         for at, (key, partition) in enumerate(zip(keys, partitions)):
-            charge("unique_lookup")
+            meter.total += cost["unique_lookup"]
+            meter.ops["unique_lookup"] += 1
             # Every non-owner a key receives is charged, moved or copied.
-            for name, table in partition.items():
-                if name not in owners:
-                    charge("partition_row", max(len(table), 1))
+            for name in route.others:
+                rows = max(len(partition[name]), 1)
+                meter.total += cost["partition_row"] * rows
+                meter.ops["partition_row"] += rows
             try:
-                fresh = self._absorb_or_create(rule, key, partition, txn, origin)
+                # Batch onto the key's pending task, or open and register one.
+                task = pending.get(key)
+                if task is not None and task.state in _BATCHING:
+                    self._absorb(task, partition, txn, origin)
+                else:
+                    pending[key] = task = self._new_task(rule, route, partition, txn, key, origin)
+                    new_tasks.append(task)
             except Exception:
                 # Ours until a task owns them (the caller retires ``bound``).
                 for unowned in partitions[at:]:
                     for table in unowned.values():
                         table.retire()
                 raise
-            if fresh is not None:
-                new_tasks.append(fresh)
         return new_tasks
-
-    def _route(
-        self, rule: "Rule", bound: dict[str, TempTable]
-    ) -> tuple[list[tuple], dict[str, tuple[list[int], dict[tuple, list]]]]:
-        """Appendix A routing of one ``unique on`` firing.
-
-        Returns the pending-task keys the firing touches and, per owner
-        (:func:`_owners`), the positions of its columns in the key plus its
-        rows grouped by them.  When every unique column has one owner the
-        keys are the product of the owners' groups; when a column is shared
-        (every owner carries the full key) they are the union of the
-        owners' keys — the product reading would call that ambiguous.
-        """
-        positions_of, shared = _owners(
-            rule, {name: table.schema.has_column for name, table in bound.items()}
-        )
-        owners = {}
-        for name, positions in positions_of.items():
-            source = bound[name]
-            offsets = [source.schema.offset(rule.unique_on[p]) for p in positions]
-            owners[name] = (positions, _group_rows(source, offsets))
-            self.db.charge("partition_row", max(len(source), 1))
-        if shared:
-            union = dict.fromkeys(
-                key for _positions, groups in owners.values() for key in groups
-            )
-            return list(union), owners
-        keys = []
-        for combo in itertools.product(*(groups for _positions, groups in owners.values())):
-            key: list = [None] * len(rule.unique_on)
-            for (positions, _groups), part in zip(owners.values(), combo):
-                for position, value in zip(positions, part):
-                    key[position] = value
-            keys.append(tuple(key))
-        return keys, owners
-
-    def _absorb_or_create(
-        self,
-        rule: "Rule",
-        key: tuple,
-        bound: dict[str, TempTable],
-        txn: "Transaction",
-        origin: Optional[Task],
-    ) -> Optional[Task]:
-        """Batch ``bound`` onto the key's pending task, or open (and
-        register) a new one — which is returned."""
-        pending = self._pending.setdefault(rule.function, {})
-        task = pending.get(key)
-        if task is not None and task.state in (TaskState.DELAYED, TaskState.READY):
-            self._absorb(task, bound, txn, origin)
-            return None
-        fresh = self._new_task(rule, bound, txn, unique_key=key, origin=origin)
-        pending[key] = fresh
-        return fresh
 
     def _absorb(
         self,
@@ -397,42 +401,38 @@ class UniqueManager:
     def _new_task(
         self,
         rule: "Rule",
+        route: Route,
         bound: dict[str, TempTable],
         txn: "Transaction",
         unique_key: Optional[tuple],
         origin: Optional[Task],
     ) -> Task:
-        charge = self.db.charge
-        faults = self.db.faults
-        if faults.enabled:
-            faults.check_raise("unique.dispatch", f"recompute:{rule.function}")
-        charge("task_create")
+        db = self.db
+        if db.faults.enabled:
+            db.faults.check_raise("unique.dispatch", route.klass)
+        meter, cost = db.metering()
+        meter.total += cost["task_create"]
+        meter.ops["task_create"] += 1
         if rule.compact_on:
             bound = self._fold_bound(rule, bound)
-        body = self.db.rule_engine.make_action_body(rule.function)
-        rows = sum(len(table) for table in bound.values())
-        cost_model = self.db.cost_model
-        estimated = cost_model.seconds("user_func_base") + rows * cost_model.seconds("user_row")
         task = Task(
-            body=body,
-            klass=f"recompute:{rule.function}",
+            body=route.body,
+            klass=route.klass,
             release_time=txn.commit_time + rule.after,
             created_time=txn.commit_time,
             function_name=rule.function,
-            rule_name=(
-                f"{rule.name}@{rule.maintenance}" if rule.maintenance else rule.name
-            ),
+            rule_name=route.rule_name,
             unique_key=unique_key,
             bound_tables=bound,
-            estimated_cpu=estimated,
-            stratum=rule.stratum,
+            estimated_cpu=cost["user_func_base"] + sum(map(len, bound.values())) * cost["user_row"],
+            stratum=route.stratum,
         )
         if origin is not None:
             task.cascade_from = origin.task_id
         self.task_count += 1
         txn.effects.append(PendingEffect(task))
-        if self.db.tracer.enabled:
-            self.db.tracer.unique_new(task, self.db.clock.now(), origin=origin)
+        if db.tracer.enabled:
+            db.tracer.unique_new(task, db.clock.now(), origin=origin)
         return task
 
     # --------------------------------------------------- delta compaction
@@ -526,7 +526,7 @@ class UniqueManager:
         if (
             current is not None
             and current is not task
-            and current.state in (TaskState.DELAYED, TaskState.READY)
+            and current.state in _BATCHING
         ):
             return
         pending[task.unique_key] = task
@@ -588,7 +588,7 @@ class UniqueManager:
         Returns the aborted task, or None when there was nothing pending.
         """
         task = self._pending.get(function, {}).get(unique_key)
-        if task is None or task.state not in (TaskState.DELAYED, TaskState.READY):
+        if task is None or task.state not in _BATCHING:
             return None
         self.db.charge("unique_lookup")
         self.abandon(task, "superseded")

@@ -55,7 +55,8 @@ def decode_payload(body: bytes, crc: int) -> dict:
         raise FrameError("frame checksum mismatch")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a hostile payload nested past the decoder's limit.
         raise FrameError(f"frame payload does not decode: {exc}") from exc
     if not isinstance(payload, dict):
         raise FrameError("frame payload is not an object")

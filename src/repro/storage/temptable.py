@@ -83,6 +83,42 @@ def _reader(sources: tuple[ColumnSource, ...], display: str) -> Callable:
     return generate([line], "read", f"<reader {display}>", {})
 
 
+@functools.lru_cache(maxsize=512)
+def _grouper(sources: tuple[ColumnSource, ...]) -> Callable:
+    """``table -> {key: rows}``: a table's raw rows grouped by the columns
+    at ``sources``, in first-seen key order.  A first pass compares each
+    row's key columns, read inline, with the first row's; with one key (the
+    usual firing) the one group is the table's row list itself."""
+    reads = [source.text("row[0]", "row[1]") for source in sources]
+    first = "".join(f"k{at}, " for at in range(len(reads)))
+    differs = " or ".join(f"{read} != k{at}" for at, read in enumerate(reads)) or "False"
+    lines = [
+        "def group(table):",
+        "    if table._retired:",
+        "        table._check_live()",
+        "    rows = table._rows",
+        "    if not rows:",
+        "        return {}",
+        "    row = rows[0]",
+        *(f"    k{at} = {read}" for at, read in enumerate(reads)),
+        "    for row in rows:",
+        f"        if {differs}:",
+        "            break",
+        "    else:",
+        f"        return {{({first}): rows}}",
+        "    groups = {}",
+        "    for row in rows:",
+        f"        key = ({''.join(read + ', ' for read in reads)})",
+        "        group = groups.get(key)",
+        "        if group is None:",
+        "            groups[key] = [row]",
+        "        else:",
+        "            group.append(row)",
+        "    return groups",
+    ]
+    return generate(lines, "group", "<grouper>", {})
+
+
 class StaticMap:
     """The static column map of one temporary table."""
 
@@ -126,6 +162,10 @@ class StaticMap:
     def row_reader(self) -> Callable:
         """The compiled read of a whole row: ``(ptrs, mats) -> list``."""
         return _reader(self.sources, "[]")
+
+    def grouper(self, offsets: Iterable[int]) -> Callable:
+        """The compiled grouping of a table's raw rows by ``offsets``."""
+        return _grouper(tuple([self.sources[at] for at in offsets]))
 
     def signature(self) -> tuple:
         """A comparable shape identity (bound tables of one user function
@@ -234,8 +274,12 @@ class TempTable:
         """:meth:`absorb` for a table nobody else will read: ``other``'s
         rows move here *with the pins they hold* and ``other`` is left
         retired.  Returns the number of rows moved."""
-        self._check_identical(other)
-        other._check_live()
+        if (
+            self._retired or other._retired
+            or other.schema is not self.schema or other.static_map is not self.static_map
+        ):
+            self._check_identical(other)
+            other._check_live()
         moved = len(other._rows)
         self._rows += other._rows
         other._rows = []

@@ -1,6 +1,10 @@
 """Wire protocol tests: framing, negotiation, request validation."""
 
+import zlib
+
 import pytest
+
+from repro.persist.codec import FRAME
 
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -46,6 +50,16 @@ class TestBinaryFraming:
         blob[-1] ^= 0xFF  # flip a payload byte: CRC mismatch
         with pytest.raises(FrameError):
             FrameDecoder().feed(bytes(blob))
+
+    def test_deeply_nested_frame_is_a_hard_error(self):
+        # A hostile peer: a CRC-valid frame that nests past the JSON
+        # decoder's recursion limit must fail as FrameError, the one error
+        # a connection handler catches, never as a bare RecursionError.
+        body = b'{"t":' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+        frame = FRAME.pack(len(body), zlib.crc32(body)) + body
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError, match="does not decode"):
+            decode_messages(decoder, encode_message(REQUESTS[0]) + frame)
 
     def test_truncated_frame_never_yields(self):
         blob = encode_message(REQUESTS[1])

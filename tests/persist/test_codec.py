@@ -29,6 +29,14 @@ def blob_of(payloads):
     return b"".join(encode_frame(p) for p in payloads)
 
 
+def nested_frame(depth=200_000):
+    """A CRC-valid frame whose body nests arrays past the JSON decoder's
+    recursion limit: 400 KB, far under ``MAX_FRAME_BYTES``."""
+    body = b'{"a":' + b"[" * depth + b"]" * depth + b"}"
+    assert len(body) < MAX_FRAME_BYTES
+    return FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
 class TestFrameLayout:
     def test_header_is_length_then_crc(self):
         frame = encode_frame({"a": 1})
@@ -61,6 +69,11 @@ class TestFileMode:
         bad[-1] ^= 0xFF
         blob = frames[0] + frames[1] + bytes(bad) + frames[3]
         # Frame 3 is intact but unreachable: readers never skip garbage.
+        assert [p for p, _ in iter_frames(blob)] == PAYLOADS[:2]
+
+    def test_a_nested_frame_stops_the_reader_before_it(self):
+        frames = [encode_frame(p) for p in PAYLOADS]
+        blob = frames[0] + frames[1] + nested_frame() + frames[2]
         assert [p for p, _ in iter_frames(blob)] == PAYLOADS[:2]
 
     def test_end_offsets_allow_resume(self):
@@ -101,6 +114,15 @@ class TestStreamMode:
         frame = FRAME.pack(len(body), zlib.crc32(body)) + body
         with pytest.raises(FrameError, match="decode"):
             FrameDecoder().feed(frame)
+
+    def test_payload_nested_past_the_recursion_limit_raises_typed(self):
+        decoder = FrameDecoder()
+        with pytest.raises(FrameError, match="does not decode") as raised:
+            decoder.feed(encode_frame(PAYLOADS[0]) + nested_frame())
+        assert isinstance(raised.value.__cause__, RecursionError)
+        frame = nested_frame()
+        with pytest.raises(FrameError, match="does not decode"):
+            decode_payload(frame[FRAME.size:], FRAME.unpack_from(frame)[1])
 
     def test_non_object_payload_raises(self):
         body = b"[1,2,3]"  # valid JSON, wrong shape

@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.net_effect import FoldedTable, compact_spec
-from repro.core.unique import _group_rows
 from repro.database import Database
 from repro.errors import BindingError, SchemaError
 from repro.storage import temptable
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
 from repro.storage.temptable import ColumnSource, StaticMap, TempTable, project_columns
+
+
+def group_rows(table, offsets):
+    """``table``'s raw rows grouped by the columns at ``offsets``, through
+    the compiled grouper a ``unique on`` route holds."""
+    return table.static_map.grouper(offsets)(table)
 
 
 def stock_table():
@@ -225,7 +230,7 @@ class TestSplit:
 
     def test_rows_move_with_their_pins(self):
         temp, records = self.two_keys()
-        groups = _group_rows(temp, [0])
+        groups = group_rows(temp, [0])
         assert list(groups) == [("A",), ("B",)]
         parts = temp.split(groups)
         assert [record.pins for record in records] == [1, 1, 1]  # carried, not added
@@ -252,7 +257,7 @@ class TestSplit:
 
     def test_an_empty_table_splits_into_nothing(self):
         temp = TempTable("m", pointer_schema(), pointer_map())
-        assert _group_rows(temp, [0]) == {}
+        assert group_rows(temp, [0]) == {}
         assert temp.split({}) == {}
         assert temp.retired and len(temp) == 0
 
@@ -279,7 +284,7 @@ class TestSplit:
         offsets = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width))
         records = list({id(r): r for ptrs, _mats in table.scan_raw() for r in ptrs}.values())
         pins = [record.pins for record in records]
-        groups = _group_rows(table, offsets)
+        groups = group_rows(table, offsets)
         parts = table.split(groups)
         assert list(parts) == list(groups)
         for key, part in parts.items():
@@ -329,7 +334,7 @@ class TestRetiredReads:
             lambda t: project_columns(t, "p", ["a"]),
             lambda t: t.split({}),
             lambda t: TempTable("m", t.schema).absorb(t),
-            lambda t: _group_rows(t, [0]),
+            lambda t: group_rows(t, [0]),
         ],
         ids=[
             "scan_values", "scan_raw", "scan_columns", "row_values", "value_at",
@@ -421,7 +426,7 @@ def check_reads(table, offsets):
         projected = project_columns(table, "p", [names[at] for at in offsets])
         assert list(projected.scan_values()) == [list(row) for row in picked]
         assert projected.static_map.ptr_slots == 0
-    groups = _group_rows(table, offsets)
+    groups = group_rows(table, offsets)
     assert list(groups) == list(dict.fromkeys(picked))
     raws = list(table.scan_raw())
     for key, group in groups.items():
@@ -473,7 +478,7 @@ class TestCompiledReaderAgainstTheInterpretation:
         table.update(r1, ["A", 99.0])
         assert list(temp.scan_columns([1, 0])) == [(1.0, "A")]
         assert temp.value_at(0, 1) == 1.0 and temp.to_dicts()[0]["price"] == 1.0
-        assert list(_group_rows(temp, [1])) == [(1.0,)]
+        assert list(group_rows(temp, [1])) == [(1.0,)]
 
 
 @pytest.fixture
