@@ -29,6 +29,7 @@ close when there is none.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Optional
 
 from repro.errors import StripError
@@ -134,8 +135,10 @@ def validate_request(msg: Any) -> dict:
     if kind == "update":
         if not isinstance(msg.get("symbol"), str):
             raise ProtocolError("update needs a string 'symbol'")
-        if not isinstance(msg.get("price"), (int, float)):
-            raise ProtocolError("update needs a numeric 'price'")
+        price = msg.get("price")
+        finite = isinstance(price, (int, float)) and abs(price) <= sys.float_info.max
+        if not finite or isinstance(price, bool):
+            raise ProtocolError(f"update needs a finite numeric 'price', got {price!r:.40}")
     elif kind == "sql":
         if not isinstance(msg.get("q"), str) or not msg["q"].strip():
             raise ProtocolError("sql needs a non-empty 'q'")

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.net_effect import FoldedTable, compact_spec
 from repro.errors import PersistenceError
+from repro.persist.codec import JSON_ENCODER
 from repro.sql import ast
 from repro.sql.printer import rule_to_sql
 from repro.storage.schema import Column, ColumnType, Schema
@@ -199,7 +200,7 @@ def build_snapshot(db: "Database", last_lsn: int) -> dict:
 
 def write_snapshot(snapshot: dict, path: str) -> int:
     """Atomically persist ``snapshot`` (temp file + rename); returns bytes."""
-    blob = json.dumps(snapshot, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    blob = JSON_ENCODER.encode(snapshot).encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
         handle.write(blob)
@@ -216,7 +217,7 @@ def load_snapshot(path: str) -> Optional[dict]:
             snapshot = json.loads(handle.read().decode("utf-8"))
     except FileNotFoundError:
         return None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, as in decode_payload
         raise PersistenceError(f"{path}: corrupt checkpoint ({exc})") from exc
     if snapshot.get("version") != SNAPSHOT_VERSION:
         raise PersistenceError(

@@ -37,6 +37,9 @@ FRAME = struct.Struct("<II")
 #: into a "torn tail" and truncate durable data.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: Frames' and checkpoints' one encoder (``json.dumps`` builds one per call).
+JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 class FrameError(StripError):
     """A stream frame failed its checksum or did not decode (stream mode
@@ -45,7 +48,7 @@ class FrameError(StripError):
 
 def encode_frame(payload: dict) -> bytes:
     """Frame one payload: ``<len><crc32><json>``."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    body = JSON_ENCODER.encode(payload).encode("utf-8")
     return FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
@@ -55,8 +58,8 @@ def decode_payload(body: bytes, crc: int) -> dict:
         raise FrameError("frame checksum mismatch")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: a hostile payload nested past the decoder's limit.
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8 or JSON, or an int past CPython's digit limit.
         raise FrameError(f"frame payload does not decode: {exc}") from exc
     if not isinstance(payload, dict):
         raise FrameError("frame payload is not an object")

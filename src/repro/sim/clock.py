@@ -9,10 +9,17 @@ commit time, and rule-triggered tasks are released at
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from repro.errors import SimulationError
+
+
+class OpCounts(dict):
+    """Charge counts by op: an op never charged reads 0 and is not stored.
+    ``ops[op] += n`` is a plain dict store (``Counter``'s goes through Python)."""
+
+    def __missing__(self, op: str) -> int:
+        return 0
 
 
 class Meter:
@@ -27,7 +34,7 @@ class Meter:
 
     def __init__(self) -> None:
         self.total = 0.0
-        self.ops: Counter[str] = Counter()
+        self.ops = OpCounts()
 
     def add(self, op: str, seconds: float, count: int = 1) -> None:
         self.total += seconds
@@ -35,7 +42,8 @@ class Meter:
 
     def merge(self, other: "Meter") -> None:
         self.total += other.total
-        self.ops.update(other.ops)
+        for op, n in other.ops.items():
+            self.ops[op] += n
 
     def __repr__(self) -> str:
         return f"Meter({self.total * 1e6:.1f}us, {sum(self.ops.values())} ops)"

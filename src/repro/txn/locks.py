@@ -8,6 +8,10 @@ the manager is a complete implementation (wait queues, upgrades, waits-for
 deadlock detection) so that concurrent interleavings can be exercised
 directly, as the lock tests do.
 
+Biased locking (Kawachiya et al., "Lock Reservation", OOPSLA 2002): a transaction
+that begins alone with faults off keeps its locks in its own sets, with no
+``acquire`` call, until the next one begins and ``revoke`` moves them in here.
+
 Resources are ``(table_name, record_id)`` pairs for row locks and
 ``(table_name, None)`` for whole-table locks; a table lock conflicts with
 every row lock in that table and vice versa (coarse two-level hierarchy).
@@ -70,6 +74,7 @@ class LockManager:
         # The lock.acquire injection point; the Database attaches its fault
         # injector here (None for a standalone manager, as in the lock tests).
         self.faults = None
+        self.reserved = None  # the Transaction holding its locks itself, if any
 
     # ------------------------------------------------------------- acquire
 
@@ -89,16 +94,7 @@ class LockManager:
             faults.check_raise("lock.acquire", str(resource[0]))
         state = self._locks.get(resource)
         if state is None:
-            # Nobody holds or waits for it (every row write's case): granted
-            # outright, building only what is kept.
-            self._locks[resource] = _LockState({txn_id: mode})
-            mine = self._held_by_txn.get(txn_id)
-            if mine is None:
-                self._held_by_txn[txn_id] = {resource}
-            else:
-                mine.add(resource)
-            self.grant_count += 1
-            return True
+            state = self._locks[resource] = _LockState({})
         held = state.holders.get(txn_id)
         if held is not None:
             if held.covers(mode):
@@ -127,13 +123,9 @@ class LockManager:
         """True when ``txn_id`` already holds ``resource`` in a mode that
         satisfies a request for ``mode`` (X covers everything, any held mode
         covers itself — notably IX covers an IX request)."""
-        state = self._locks.get(resource)
-        if state is None:
-            return False
-        held = state.holders.get(txn_id)
-        if held is None:
-            return False
-        return held.covers(mode)
+        modes, state = self._reserved_modes(txn_id), self._locks.get(resource)
+        held = modes.get(resource) if modes is not None else state and state.holders.get(txn_id)
+        return held is not None and held.covers(mode)
 
     # ------------------------------------------------------------- release
 
@@ -145,9 +137,6 @@ class LockManager:
         for resource in self._held_by_txn.pop(txn_id, ()):
             state = locks.get(resource)
             if state is None:
-                continue
-            if not state.waiters and len(state.holders) == 1:
-                del locks[resource]  # this transaction's alone: every row lock
                 continue
             state.holders.pop(txn_id, None)
             if state.waiters:
@@ -174,9 +163,33 @@ class LockManager:
 
     def held_resources(self, txn_id: int) -> AbstractSet[Resource]:
         """What ``txn_id`` holds: the manager's own set, to read, not keep."""
-        return self._held_by_txn.get(txn_id, frozenset())
+        modes = self._reserved_modes(txn_id)
+        return modes.keys() if modes is not None else self._held_by_txn.get(txn_id, frozenset())
+
+    def revoke(self) -> None:
+        """A second transaction begins: the reserved owner's locks become its
+        own here, sole holder of each, with no lock.acquire fault check."""
+        owner = self.reserved
+        modes = self._reserved_modes(owner.txn_id)
+        self.reserved = owner.row_locks = None
+        self._held_by_txn[owner.txn_id] = set(modes)
+        for resource, mode in modes.items():
+            self._locks[resource] = _LockState({owner.txn_id: mode})
 
     # ----------------------------------------------------------- internals
+
+    def _reserved_modes(self, txn_id: int) -> Optional[dict[Resource, LockMode]]:
+        """The reserved owner's locks (None for any other ``txn_id``): a table
+        read and written is X, as the upgrade path makes it; a row is X."""
+        owner = self.reserved
+        if owner is None or owner.txn_id != txn_id:
+            return None
+        modes = {(name, None): LockMode.SHARED for name in owner.read_locked_tables}
+        for name in owner.ix_locked_tables:
+            shared = (name, None) in modes
+            modes[(name, None)] = LockMode.EXCLUSIVE if shared else LockMode.INTENTION_EXCLUSIVE
+        modes.update(dict.fromkeys(owner.row_locks, LockMode.EXCLUSIVE))
+        return modes
 
     def _grantable(self, state: _LockState, mode: LockMode) -> bool:
         return all(mode.compatible_with(held) for held in state.holders.values())

@@ -8,7 +8,8 @@ creates new tasks for triggered actions (section 6.3).
 Locking discipline: strict two-phase.  Writes take exclusive row locks;
 reads take one shared table lock per accessed table (a deliberate, coarse
 read granularity — the paper's cost accounting likewise charges a single
-``get lock`` on the simple-update path).  All locks release at commit/abort.
+``get lock`` on the simple-update path).  All locks release at commit/abort;
+one that begins alone holds them itself, at the same charges (txn/locks.py).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class TransactionState(enum.Enum):
 
 
 _ACTIVE = TransactionState.ACTIVE
-_X = LockMode.EXCLUSIVE  # every row lock
+_S, _IX, _X = LockMode.SHARED, LockMode.INTENTION_EXCLUSIVE, LockMode.EXCLUSIVE  # _X: row locks
 
 
 class Transaction:
@@ -57,8 +58,14 @@ class Transaction:
         self.commit_time: Optional[float] = None
         self.commit_seq: Optional[int] = None
         self.begin_time = db.clock.now()
-        self._read_locked_tables: set[str] = set()
-        self._ix_locked_tables: set[str] = set()
+        self.read_locked_tables: set[str] = set()
+        self.ix_locked_tables: set[str] = set()
+        self.row_locks: Optional[set[tuple[str, int]]] = None  # kept here while reserved
+        manager = db.lock_manager
+        if manager.reserved is not None:
+            manager.revoke()
+        if len(db._active_txns) == 1 and not db.faults.enabled:
+            self.row_locks, manager.reserved = set(), self
         db.charge("begin_txn")
         if db.tracer.enabled:
             db.tracer.txn_begin(self, self.begin_time)
@@ -67,7 +74,7 @@ class Transaction:
 
     # The three row writes meter inline (DESIGN.md 6a): what ``db.charge``
     # would add, to ``meter.total`` and ``meter.ops``, at the same points; a
-    # granted row lock is one ``acquire`` call (``_refused`` is the rest).
+    # row lock is a set insert, or one ``acquire`` call once not reserved.
 
     def insert_record(self, table: Table, values: Iterable[Any]) -> Record:
         if self.state is not _ACTIVE:
@@ -81,11 +88,13 @@ class Transaction:
         # undoable the moment it exists, or a failed acquisition (deadlock)
         # would strand an unlogged row that abort() cannot remove.
         self.log.log_insert(name, record)
-        if name not in self._ix_locked_tables:
+        if name not in self.ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += cost["lock_acquire"]
         ops["lock_acquire"] += 1
-        if not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
+        if self.row_locks is not None:
+            self.row_locks.add((name, record.rid))
+        elif not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
             self._refused((name, record.rid))
         return record
 
@@ -102,11 +111,14 @@ class Transaction:
         db = self.db
         meter, cost = db.metering()
         ops, name, lock_cost, txn_id = meter.ops, table.name, cost["lock_acquire"], self.txn_id
-        if name not in self._ix_locked_tables:
+        if name not in self.ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += lock_cost
         ops["lock_acquire"] += 1
-        if not db.lock_manager.acquire(txn_id, (name, record.rid), _X):
+        rows = self.row_locks
+        if rows is not None:
+            rows.add((name, record.rid))
+        elif not db.lock_manager.acquire(txn_id, (name, record.rid), _X):
             self._refused((name, record.rid))
         meter.total += cost["cursor_update"]
         ops["cursor_update"] += 1
@@ -118,7 +130,9 @@ class Transaction:
         self.log.log_update(name, record, fresh)
         meter.total += lock_cost
         ops["lock_acquire"] += 1
-        if not db.lock_manager.acquire(txn_id, (name, fresh.rid), _X):
+        if rows is not None:
+            rows.add((name, fresh.rid))
+        elif not db.lock_manager.acquire(txn_id, (name, fresh.rid), _X):
             self._refused((name, fresh.rid))
         return fresh
 
@@ -133,11 +147,13 @@ class Transaction:
             self._check_active()
         meter, cost = self.db.metering()
         ops, name = meter.ops, table.name
-        if name not in self._ix_locked_tables:
+        if name not in self.ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += cost["lock_acquire"]
         ops["lock_acquire"] += 1
-        if not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
+        if self.row_locks is not None:
+            self.row_locks.add((name, record.rid))
+        elif not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
             self._refused((name, record.rid))
         meter.total += cost["cursor_delete"]
         ops["cursor_delete"] += 1
@@ -158,14 +174,14 @@ class Transaction:
 
     def lock_table_shared(self, table_name: str) -> None:
         """Take (once) the shared table lock used for reads."""
-        if table_name in self._read_locked_tables:
+        if table_name in self.read_locked_tables:
             return
         self._check_active()
         self.db.charge("lock_acquire")
         resource = (table_name, None)
-        if not self.db.lock_manager.acquire(self.txn_id, resource, LockMode.SHARED):
+        if self.row_locks is None and not self.db.lock_manager.acquire(self.txn_id, resource, _S):
             self._refused(resource, "; the serial engine cannot wait (see DESIGN.md)")
-        self._read_locked_tables.add(table_name)
+        self.read_locked_tables.add(table_name)
 
     def _lock_table_intent(self, table_name: str) -> None:
         """Two-level hierarchy: before its first exclusive row lock in a
@@ -173,9 +189,9 @@ class Transaction:
         table-level readers conflict with row writers."""
         self.db.charge("lock_acquire")
         resource = (table_name, None)
-        if not self.db.lock_manager.acquire(self.txn_id, resource, LockMode.INTENTION_EXCLUSIVE):
+        if self.row_locks is None and not self.db.lock_manager.acquire(self.txn_id, resource, _IX):
             self._refused(resource, " (held by a reader)")
-        self._ix_locked_tables.add(table_name)
+        self.ix_locked_tables.add(table_name)
 
     def _refused(self, resource: tuple, message: str = "") -> NoReturn:
         """A lock request the manager did not grant.  The serial engine
@@ -274,13 +290,16 @@ class Transaction:
 
     def _release_locks(self) -> None:
         manager, txn_id = self.db.lock_manager, self.txn_id
-        manager.cancel_waits(txn_id)  # commit or abort: leave no request queued
         held = len(manager.held_resources(txn_id))
+        if manager.reserved is self:  # held alone: nothing to free
+            manager.reserved = self.row_locks = None
+        else:
+            manager.cancel_waits(txn_id)  # commit or abort: leave no request queued
+            manager.release_all(txn_id)
         if held:
             self.db.charge("lock_release", held)
-        manager.release_all(txn_id)
-        self._read_locked_tables.clear()
-        self._ix_locked_tables.clear()
+        self.read_locked_tables.clear()
+        self.ix_locked_tables.clear()
 
     def _check_active(self) -> None:
         if self.state is not TransactionState.ACTIVE:

@@ -105,6 +105,34 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             validate_request(msg)
 
+    @pytest.mark.parametrize(
+        "price",
+        [10**400, -(10**400), float("nan"), float("inf"), float("-inf"), True, False, None],
+        ids=["huge-int", "huge-negative-int", "nan", "inf", "-inf", "true", "false", "null"],
+    )
+    def test_a_price_must_be_a_finite_number(self, price):
+        msg = {"t": "update", "id": 1, "symbol": "S1", "price": price}
+        with pytest.raises(ProtocolError, match="finite numeric 'price'"):
+            validate_request(msg)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["NaN", "Infinity", "-Infinity", "1e400", "true", "9" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "true", "400-digits"],
+    )
+    def test_a_hostile_price_off_the_wire_is_refused(self, text):
+        """What the JSON decoder makes of these is no price either."""
+        body = ('{"t":"update","id":1,"symbol":"S1","price":%s}' % text).encode()
+        frame = FRAME.pack(len(body), zlib.crc32(body)) + body
+        (msg,) = decode_messages(FrameDecoder(), frame)
+        with pytest.raises(ProtocolError):
+            validate_request(msg)
+
+    @pytest.mark.parametrize("price", [0, -3, 42.5, 10**300, 1e-300, -0.0])
+    def test_finite_prices_pass(self, price):
+        msg = {"t": "update", "id": 1, "symbol": "S1", "price": price}
+        assert validate_request(msg) is msg
+
     def test_response_id_tolerates_garbage(self):
         assert response_id({"t": "ok", "id": 4}) == 4
         assert response_id({"t": "ok", "id": "four"}) is None

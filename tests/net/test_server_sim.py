@@ -238,6 +238,19 @@ class TestServerCore:
         assert response["t"] == "error"
         assert drain(db) == 0
 
+    @pytest.mark.parametrize("price", [10**400, float("nan"), float("inf"), True],
+                             ids=["huge-int", "nan", "inf", "true"])
+    def test_a_hostile_price_is_a_typed_error_and_submits_nothing(self, db, price):
+        server = NetServer(db)
+        session = open_streaming(server)
+        response = server.handle(
+            session, {"t": "update", "id": 1, "symbol": "A", "price": price}, now=0.0
+        )
+        assert response["t"] == "error" and response["id"] == 1
+        assert "finite numeric 'price'" in response["error"]
+        assert drain(db) == 0
+        assert db.query("select price from stocks where symbol = 'A'").scalar() == 10.0
+
     def test_select_over_the_wire(self, db):
         server = NetServer(db)
         session = open_streaming(server)

@@ -50,6 +50,26 @@ class TestFrameLayout:
         frame = encode_frame({"b": 2, "a": 1})
         assert frame[FRAME.size :] == b'{"a":1,"b":2}'
 
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"z": {"y": [1, {"x": [None, True, False]}], "b": {}}, "a": [[[]]]},
+        {"s": "caf\u00e9 \u6f22\u5b57 \U0001f600", "\u00fc": "\x00\n\"\\"},
+        {"f": [0.1, 3.7e-05, 1e300, -0.0, 2.5, 1e-320, 123456789.123456789]},
+        {"i": [0, -1, 2**63, 10**30], "mix": [1, 1.0, "1", None]},
+        {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+    ], ids=["empty", "nested", "unicode", "floats", "ints", "non-finite"])
+    def test_one_shared_encoder_writes_what_json_dumps_did(self, payload, tmp_path):
+        """Frames and checkpoints share ``codec.JSON_ENCODER``; the bytes
+        are those of ``json.dumps`` with the same options, call for call."""
+        from repro.persist.checkpoint import write_snapshot
+
+        want = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        assert encode_frame(payload)[FRAME.size:] == want
+        path = str(tmp_path / "snapshot.json")
+        assert write_snapshot(payload, path) == len(want)
+        with open(path, "rb") as handle:
+            assert handle.read() == want
+
 
 class TestFileMode:
     def test_round_trip(self):
@@ -123,6 +143,13 @@ class TestStreamMode:
         frame = nested_frame()
         with pytest.raises(FrameError, match="does not decode"):
             decode_payload(frame[FRAME.size:], FRAME.unpack_from(frame)[1])
+
+    def test_integer_past_the_digit_limit_raises_typed(self):
+        """CPython refuses to parse an integer of more than 4 300 digits
+        with a plain ``ValueError``; from a frame it is a ``FrameError``."""
+        body = b'{"price":' + b"7" * 5000 + b"}"
+        with pytest.raises(FrameError, match="does not decode"):
+            decode_payload(body, zlib.crc32(body))
 
     def test_non_object_payload_raises(self):
         body = b"[1,2,3]"  # valid JSON, wrong shape

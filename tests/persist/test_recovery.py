@@ -270,10 +270,11 @@ class TestEndToEndCrash:
 class TestNoOverheadInvariant:
     """Persistence must not perturb the simulated experiment at all."""
 
-    def test_wal_run_matches_default_run(self, tmp_path):
-        default = run_experiment(MICRO, "comps", "unique", delay=1.0, seed=0)
+    @staticmethod
+    def check(scale, tmp_path):
+        default = run_experiment(scale, "comps", "unique", delay=1.0, seed=0)
         durable = run_experiment(
-            MICRO, "comps", "unique", delay=1.0, seed=0,
+            scale, "comps", "unique", delay=1.0, seed=0,
             wal_dir=str(tmp_path / "wal"), checkpoint_every=2.0,
         )
         default_row = default.row()
@@ -285,6 +286,12 @@ class TestNoOverheadInvariant:
         assert durable.end_time == default.end_time
         assert durable.wal_records > 0
         assert durable.checkpoints >= 2  # initial + at least one fuzzy
+
+    def test_wal_run_matches_default_run(self, tmp_path):
+        self.check(MICRO, tmp_path)
+
+    def test_wal_run_matches_default_run_at_tiny_scale(self, tmp_path):
+        self.check(Scale.tiny(), tmp_path)
 
 
 class TestLiveVersusReplayedBatches:

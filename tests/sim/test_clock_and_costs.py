@@ -1,5 +1,7 @@
 """Tests for the virtual clock, meters and the Table 1 cost model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import SimulationError
@@ -22,6 +24,23 @@ class TestMeter:
         a.merge(b)
         assert a.total == pytest.approx(3e-6)
         assert a.ops == {"x": 1, "y": 1}
+
+    def test_op_counts_are_a_plain_dict_that_reads_missing_as_zero(self):
+        meter = Meter()
+        assert isinstance(meter.ops, dict) and not isinstance(meter.ops, Counter)
+        assert meter.ops["never"] == 0
+        assert "never" not in meter.ops and meter.ops == {}  # the read stored nothing
+        meter.ops["x"] += 2
+        assert meter.ops == {"x": 2} and dict(meter.ops) == {"x": 2}
+
+    def test_merge_adds_counts(self):
+        a, b = Meter(), Meter()
+        a.add("x", 1e-6, 2)
+        b.add("x", 1e-6, 3)
+        b.add("y", 1e-6, 0)  # a zero count is a stored key, as Counter.update kept it
+        a.merge(b)
+        assert a.ops == {"x": 5, "y": 0}
+        assert b.ops == {"x": 3, "y": 0}  # the merged-in meter is untouched
 
 
 class TestVirtualClock:

@@ -721,8 +721,8 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
     """A tiny options / ``on_symbol`` run, counted from outside, not timed:
     a DML statement and a row write charge inline (the feed's cursor path and
     the user function's own ``ctx.charge`` still call ``Database.charge``: they
-    are not statements), build no lock state they discard and no waiter list
-    while nothing waits, compile and hash nothing after a text's first
+    are not statements), build no lock state (a transaction running alone
+    keeps its locks itself) and no waiter list while nothing waits, compile and hash nothing after a text's first
     execution, validate no value that needs no validation, build no
     ``ExecState`` for a statement that reads only parameters, literals and
     its row, and swap a key-keeping update's record into its index bucket
@@ -835,9 +835,9 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
     for op in inline:
         assert counts[f"charge:{op}"] == 0, op
         assert ops.get(op, 0) == parent_ops.get(op, 0), op
-    # One lock state per resource a transaction locks (an upgrade or a
-    # repeat finds it); the parent built one, and a set, per acquire call.
-    assert counts["lock_states"] <= len(resources) < counts["acquires"]
+    # Every transaction here runs alone, so it keeps its locks itself: no
+    # acquire call and no lock state at all (the lock_acquire charges stay).
+    assert counts["acquires"] == counts["lock_states"] == 0 and not resources
     assert recompiled == []
     assert counts["dml_hashes"] == 0
     assert counts["needless_validations"] == 0
