@@ -222,8 +222,6 @@ class Database:
         self.persist.bind(self)
         self.clock = VirtualClock(start_time)
         self.catalog = Catalog()
-        self.lock_manager = LockManager()
-        self.lock_manager.faults = self.faults  # the lock.acquire point
         self.metrics = MetricsCollector()
         self.functions = FunctionRegistry()
         self.rule_engine = RuleEngine(self)
@@ -244,6 +242,7 @@ class Database:
         # Live transactions by id, so a task whose body died inside commit
         # can have its half-done transaction rolled back (abort_orphaned_txns).
         self._active_txns: dict[int, Transaction] = {}
+        self.lock_manager = LockManager(self._active_txns, self.faults)
 
     # --------------------------------------------------------------- costs
 

@@ -56,7 +56,8 @@ class LockError(StripError):
 
 
 class DeadlockError(LockError):
-    """The lock manager chose this transaction as a deadlock victim."""
+    """A lock request failed as a deadlock victim (no-wait locking forms no
+    waits-for cycle; the ``lock.acquire:deadlock`` fault raises the subclass)."""
 
 
 class RuleError(StripError):

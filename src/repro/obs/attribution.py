@@ -1,7 +1,7 @@
 """Per-rule cost attribution: where did the run's resources actually go?
 
 The tracer's event stream already carries every cost signal — task spans
-(CPU, queueing, lock wait), ``lock.wait``, ``fault.retry``/``fault.drop``,
+(CPU, queueing), ``fault.retry``/``fault.drop``,
 ``unique.compact``, ``persist.flush`` — but each speaks about a *task* or a
 *transaction*.  This profiler joins them back to the **owning rule**
 (``Task.rule_name``, stamped by the unique manager at dispatch;
@@ -9,7 +9,7 @@ application tasks fall back to their class, so the update stream shows up
 as its own row) and accumulates a rule-level profile:
 
 * tasks executed and rule firings absorbed (the batching denominator),
-* CPU seconds, queue-wait and lock-wait seconds, bound rows, preemptions,
+* CPU seconds, queue-wait seconds, bound rows, preemptions,
 * retries / drops / aborts from the fault subsystem,
 * compaction savings (rows in vs rows out of the delta fold),
 * WAL records and bytes, attributed to the task running when the flush
@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.metrics import TaskRecord
     from repro.txn.tasks import Task
-    from repro.txn.transaction import Transaction
 
 #: Attribution key for WAL flushes that happen outside any running task
 #: (e.g. population commits before the simulator starts).
@@ -45,8 +44,6 @@ class RuleStats:
         "firings",
         "cpu_s",
         "queue_wait_s",
-        "lock_wait_s",
-        "lock_waits",
         "bound_rows",
         "context_switches",
         "retries",
@@ -70,8 +67,6 @@ class RuleStats:
         self.firings = 0
         self.cpu_s = 0.0
         self.queue_wait_s = 0.0
-        self.lock_wait_s = 0.0
-        self.lock_waits = 0
         self.bound_rows = 0
         self.context_switches = 0
         self.retries = 0
@@ -146,11 +141,6 @@ class AttributionProfiler:
         entry.compact_rows_in += rows_in
         entry.compact_rows_out += rows_out
 
-    def on_lock_wait(self, txn: "Transaction", now: float) -> None:
-        task = txn.task
-        if task is not None:
-            self._entry(self.key_of(task)).lock_waits += 1
-
     def on_task_start(self, task: "Task", now: float) -> None:
         self._current = self.key_of(task)
 
@@ -160,7 +150,6 @@ class AttributionProfiler:
         entry.tasks += 1
         entry.cpu_s += record.cpu_time
         entry.queue_wait_s += record.queueing
-        entry.lock_wait_s += record.lock_wait
         entry.bound_rows += record.bound_rows
         entry.context_switches += record.context_switches
         entry.observe_task(record.bound_rows, record.cpu_time)
@@ -197,7 +186,6 @@ class AttributionProfiler:
                     "firings": entry.firings,
                     "cpu_s": entry.cpu_s,
                     "queue_s": entry.queue_wait_s,
-                    "lock_s": entry.lock_wait_s,
                     "rows": entry.bound_rows,
                     "retries": entry.retries,
                     "drops": entry.drops,
@@ -223,8 +211,6 @@ class AttributionProfiler:
                     "firings": entry.firings,
                     "cpu_s": entry.cpu_s,
                     "queue_wait_s": entry.queue_wait_s,
-                    "lock_wait_s": entry.lock_wait_s,
-                    "lock_waits": entry.lock_waits,
                     "bound_rows": entry.bound_rows,
                     "context_switches": entry.context_switches,
                     "retries": entry.retries,

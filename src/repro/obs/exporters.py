@@ -9,7 +9,7 @@ record at a time) or any iterable of :class:`~repro.obs.tracer.TraceEvent`:
 * :func:`write_chrome_trace` / :func:`chrome_trace_events` — the Chrome
   ``trace_event`` format (the ``{"traceEvents": [...]}`` flavour), loadable
   in Perfetto / ``chrome://tracing``, with one track per server and per
-  engine subsystem (txn / rules / unique / sched / locks) plus a queue-depth
+  engine subsystem (txn / rules / unique / sched) plus a queue-depth
   counter track;
 * :func:`stats_report` — a plain-text report (counters, histograms,
   per-charge-kind CPU) rendered with :mod:`repro.bench.reporting` tables.

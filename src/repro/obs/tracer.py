@@ -96,7 +96,6 @@ _key = ("key", repr)
 TXN_BEGIN = _shape("txn.begin", "txn", _txn)
 TXN_COMMIT = _shape("txn.commit", "txn", _txn, "ops")
 TXN_ABORT = _shape("txn.abort", "txn", _txn)
-LOCK_WAIT = _shape("lock.wait", "locks", _txn, "resource")
 VIEW_REGISTER = _shape("view.register", "views", None, "function", ("rules", list))
 RULE_CHECK = _shape("rule.check", "rules", None, "txn")
 RULE_FIRE = _shape("rule.fire", "rules", None, "txn", "new_tasks")
@@ -192,7 +191,6 @@ class Tracer:
     def txn_begin(self, txn: "Transaction", now: float) -> None: ...
     def txn_commit(self, txn: "Transaction", now: float) -> None: ...
     def txn_abort(self, txn: "Transaction", now: float) -> None: ...
-    def lock_wait(self, txn: "Transaction", resource: tuple, now: float) -> None: ...
 
     # -------------------------------------------------------------- views
     def view_registered(
@@ -323,7 +321,6 @@ class TraceCollector(Tracer):
         self._n_txn_begin = counter("txn_begin")
         self._n_txn_commit = counter("txn_commit")
         self._n_txn_abort = counter("txn_abort")
-        self._n_lock_waits = counter("lock_waits")
         self._n_views_registered = counter("views_registered")
         self._n_rule_checks = counter("rule_checks")
         self._n_rule_firings = counter("rule_firings")
@@ -376,11 +373,6 @@ class TraceCollector(Tracer):
         self._n_txn_abort.inc()
         dur = max(now - txn.begin_time, 0.0)
         self.events.add(TXN_ABORT, txn.begin_time, dur, txn.txn_id)
-
-    def lock_wait(self, txn: "Transaction", resource: tuple, now: float) -> None:
-        self._n_lock_waits.inc()
-        self.attribution.on_lock_wait(txn, now)
-        self.events.add(LOCK_WAIT, now, NO_DUR, txn.txn_id, repr(resource))
 
     # -------------------------------------------------------------- views
 

@@ -31,7 +31,6 @@ class TaskRecord:
     start_time: float
     end_time: float
     cpu_time: float
-    lock_wait: float = 0.0
     bound_rows: int = 0
     context_switches: int = 0
     deadline: Optional[float] = None

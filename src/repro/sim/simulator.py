@@ -152,7 +152,6 @@ def _record(
         start_time=start,
         end_time=end,
         cpu_time=cpu,
-        lock_wait=task.lock_wait,
         bound_rows=bound_rows,
         context_switches=switches,
         deadline=task.deadline,

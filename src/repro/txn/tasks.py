@@ -54,7 +54,6 @@ class Task:
         "meter",
         "start_time",
         "end_time",
-        "lock_wait",
         "context_switches",
         "seq",
         "estimated_cpu",
@@ -96,7 +95,6 @@ class Task:
         self.meter = Meter()
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self.lock_wait = 0.0
         self.context_switches = 0
         self.seq = self.task_id  # FIFO tiebreaker
         self.estimated_cpu = estimated_cpu

@@ -8,17 +8,18 @@ creates new tasks for triggered actions (section 6.3).
 Locking discipline: strict two-phase.  Writes take exclusive row locks;
 reads take one shared table lock per accessed table (a deliberate, coarse
 read granularity — the paper's cost accounting likewise charges a single
-``get lock`` on the simple-update path).  All locks release at commit/abort;
-one that begins alone holds them itself, at the same charges (txn/locks.py).
+``get lock`` on the simple-update path).  Each transaction holds its own
+locks, all released at commit/abort; a conflicting request is refused with
+``LockError``, never queued — no-wait 2PL (txn/locks.py).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Any, Iterable, NoReturn, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from repro.errors import LockError, TransactionError
+from repro.errors import TransactionError
 from repro.storage.table import Table
 from repro.storage.tuples import Record
 from repro.txn.locks import LockMode
@@ -58,14 +59,16 @@ class Transaction:
         self.commit_time: Optional[float] = None
         self.commit_seq: Optional[int] = None
         self.begin_time = db.clock.now()
+        # The locks held (txn/locks.py): S tables, IX tables (both: X), X rows.
         self.read_locked_tables: set[str] = set()
         self.ix_locked_tables: set[str] = set()
-        self.row_locks: Optional[set[tuple[str, int]]] = None  # kept here while reserved
-        manager = db.lock_manager
-        if manager.reserved is not None:
-            manager.revoke()
-        if len(db._active_txns) == 1 and not db.faults.enabled:
-            self.row_locks, manager.reserved = set(), self
+        self.row_locks: set[tuple[str, int]] = set()
+        # Requests go through LockManager.acquire only beside another active
+        # transaction or with faults armed; alone, a lock is a set insert.
+        self.checked = db.faults.enabled
+        if len(db._active_txns) > 1:
+            for other in db._active_txns.values():  # this one among them
+                other.checked = True
         db.charge("begin_txn")
         if db.tracer.enabled:
             db.tracer.txn_begin(self, self.begin_time)
@@ -74,7 +77,7 @@ class Transaction:
 
     # The three row writes meter inline (DESIGN.md 6a): what ``db.charge``
     # would add, to ``meter.total`` and ``meter.ops``, at the same points; a
-    # row lock is a set insert, or one ``acquire`` call once not reserved.
+    # row lock is a set insert, after one ``acquire`` call while checked.
 
     def insert_record(self, table: Table, values: Iterable[Any]) -> Record:
         if self.state is not _ACTIVE:
@@ -83,19 +86,20 @@ class Transaction:
         ops, name = meter.ops, table.name
         meter.total += cost["cursor_insert"]
         ops["cursor_insert"] += 1
-        record = table.insert(values)
-        # Log before taking the row lock: the physical insert must be
-        # undoable the moment it exists, or a failed acquisition (deadlock)
-        # would strand an unlogged row that abort() cannot remove.
-        self.log.log_insert(name, record)
+        # The table's IX lock comes before the row exists: a refused insert
+        # must leave nothing in the table for another transaction to see.
         if name not in self.ix_locked_tables:
             self._lock_table_intent(name)
+        record = table.insert(values)
+        # Log before taking the row lock: the physical insert must be
+        # undoable the moment it exists, or a failed acquisition (an injected
+        # deadlock) would strand an unlogged row that abort() cannot remove.
+        self.log.log_insert(name, record)
         meter.total += cost["lock_acquire"]
         ops["lock_acquire"] += 1
-        if self.row_locks is not None:
-            self.row_locks.add((name, record.rid))
-        elif not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
-            self._refused((name, record.rid))
+        if self.checked:
+            self.db.lock_manager.acquire(self, (name, record.rid), _X)
+        self.row_locks.add((name, record.rid))
         return record
 
     def insert(self, table_name: str, row: Any) -> Record:
@@ -108,32 +112,28 @@ class Transaction:
     def update_record(self, table: Table, record: Record, values: Iterable[Any]) -> Record:
         if self.state is not _ACTIVE:
             self._check_active()
-        db = self.db
-        meter, cost = db.metering()
-        ops, name, lock_cost, txn_id = meter.ops, table.name, cost["lock_acquire"], self.txn_id
+        meter, cost = self.db.metering()
+        ops, name, lock_cost = meter.ops, table.name, cost["lock_acquire"]
         if name not in self.ix_locked_tables:
             self._lock_table_intent(name)
         meter.total += lock_cost
         ops["lock_acquire"] += 1
-        rows = self.row_locks
-        if rows is not None:
-            rows.add((name, record.rid))
-        elif not db.lock_manager.acquire(txn_id, (name, record.rid), _X):
-            self._refused((name, record.rid))
+        if self.checked:
+            self.db.lock_manager.acquire(self, (name, record.rid), _X)
+        self.row_locks.add((name, record.rid))
         meter.total += cost["cursor_update"]
         ops["cursor_update"] += 1
         fresh = table.update(record, values)
         # Same write-ahead discipline as insert_record: the update is live in
         # the table now, so it must hit the undo log before the (fallible)
-        # lock on the fresh record — otherwise a deadlock between the two
-        # leaves a dirty write that survives the abort.
+        # lock on the fresh record — otherwise an injected deadlock between
+        # the two leaves a dirty write that survives the abort.
         self.log.log_update(name, record, fresh)
         meter.total += lock_cost
         ops["lock_acquire"] += 1
-        if rows is not None:
-            rows.add((name, fresh.rid))
-        elif not db.lock_manager.acquire(txn_id, (name, fresh.rid), _X):
-            self._refused((name, fresh.rid))
+        if self.checked:
+            self.db.lock_manager.acquire(self, (name, fresh.rid), _X)
+        self.row_locks.add((name, fresh.rid))
         return fresh
 
     def update_columns(self, table: Table, record: Record, changes: dict[str, Any]) -> Record:
@@ -151,10 +151,9 @@ class Transaction:
             self._lock_table_intent(name)
         meter.total += cost["lock_acquire"]
         ops["lock_acquire"] += 1
-        if self.row_locks is not None:
-            self.row_locks.add((name, record.rid))
-        elif not self.db.lock_manager.acquire(self.txn_id, (name, record.rid), _X):
-            self._refused((name, record.rid))
+        if self.checked:
+            self.db.lock_manager.acquire(self, (name, record.rid), _X)
+        self.row_locks.add((name, record.rid))
         meter.total += cost["cursor_delete"]
         ops["cursor_delete"] += 1
         table.delete(record)
@@ -178,9 +177,8 @@ class Transaction:
             return
         self._check_active()
         self.db.charge("lock_acquire")
-        resource = (table_name, None)
-        if self.row_locks is None and not self.db.lock_manager.acquire(self.txn_id, resource, _S):
-            self._refused(resource, "; the serial engine cannot wait (see DESIGN.md)")
+        if self.checked:
+            self.db.lock_manager.acquire(self, (table_name, None), _S)
         self.read_locked_tables.add(table_name)
 
     def _lock_table_intent(self, table_name: str) -> None:
@@ -188,23 +186,9 @@ class Transaction:
         table, a transaction takes (once) an intention lock on the table, so
         table-level readers conflict with row writers."""
         self.db.charge("lock_acquire")
-        resource = (table_name, None)
-        if self.row_locks is None and not self.db.lock_manager.acquire(self.txn_id, resource, _IX):
-            self._refused(resource, " (held by a reader)")
+        if self.checked:
+            self.db.lock_manager.acquire(self, (table_name, None), _IX)
         self.ix_locked_tables.add(table_name)
-
-    def _refused(self, resource: tuple, message: str = "") -> NoReturn:
-        """A lock request the manager did not grant.  The serial engine
-        cannot wait, so it raises — after withdrawing the request the
-        manager queued, or a later release would grant it to a transaction
-        long finished."""
-        db = self.db
-        db.lock_manager.cancel_waits(self.txn_id)
-        if db.tracer.enabled:
-            db.tracer.lock_wait(self, resource, db.clock.now())
-        table_name, rid = resource
-        what = f"table {table_name!r}" if rid is None else f"row {table_name}:{rid}"
-        raise LockError(f"transaction {self.txn_id} blocked on {what}{message}")
 
     # ------------------------------------------------------------- lifecycle
 
@@ -289,17 +273,9 @@ class Transaction:
             self.db.tracer.txn_abort(self, self.db.clock.now())
 
     def _release_locks(self) -> None:
-        manager, txn_id = self.db.lock_manager, self.txn_id
-        held = len(manager.held_resources(txn_id))
-        if manager.reserved is self:  # held alone: nothing to free
-            manager.reserved = self.row_locks = None
-        else:
-            manager.cancel_waits(txn_id)  # commit or abort: leave no request queued
-            manager.release_all(txn_id)
+        held = self.db.lock_manager.release_all(self)
         if held:
             self.db.charge("lock_release", held)
-        self.read_locked_tables.clear()
-        self.ix_locked_tables.clear()
 
     def _check_active(self) -> None:
         if self.state is not TransactionState.ACTIVE:

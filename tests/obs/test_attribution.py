@@ -21,10 +21,9 @@ def make_task(rule="r", klass="recompute:f"):
 class FakeRecord:
     """Just the TaskRecord fields the profiler reads."""
 
-    def __init__(self, cpu=0.01, queueing=0.0, lock_wait=0.0, rows=0, switches=0):
+    def __init__(self, cpu=0.01, queueing=0.0, rows=0, switches=0):
         self.cpu_time = cpu
         self.queueing = queueing
-        self.lock_wait = lock_wait
         self.bound_rows = rows
         self.context_switches = switches
 

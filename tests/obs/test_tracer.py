@@ -4,7 +4,7 @@ transactions, queues, and simulator, plus the zero-overhead default."""
 import pytest
 
 from repro.database import Database
-from repro.errors import FunctionError, LockError
+from repro.errors import FunctionError
 from repro.obs import NullTracer, TraceCollector
 from repro.sim.simulator import Simulator, execute_task
 from repro.txn.tasks import Task
@@ -58,17 +58,6 @@ class TestTransactionEvents:
         txn.insert("t", [1])
         txn.abort()
         assert collector.count("txn.abort") == 1
-
-    def test_lock_wait(self):
-        db = Database(tracer=(collector := TraceCollector()))
-        db.execute("create table t (x int)")
-        reader = db.begin()
-        reader.lock_table_shared("t")
-        writer = db.begin()
-        with pytest.raises(LockError):
-            writer.insert("t", [1])
-        assert collector.count("lock.wait") == 1
-        assert collector.metrics.counters["lock_waits"].value == 1
 
 
 class TestRuleAndUniqueEvents:

@@ -475,7 +475,7 @@ def test_dml_agrees_with_a_dict_of_rows(script):
         got = sorted((tuple(r.values) for r in table.scan()), key=_null_first)
         assert got == sorted(model, key=_null_first)
         _check_indexes(table)
-    assert not db.lock_manager._locks
+    assert db._active_txns == {} and not txn.row_locks
 
 
 # ------------------------------------------------------------- stale plans
@@ -721,9 +721,9 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
     """A tiny options / ``on_symbol`` run, counted from outside, not timed:
     a DML statement and a row write charge inline (the feed's cursor path and
     the user function's own ``ctx.charge`` still call ``Database.charge``: they
-    are not statements), build no lock state (a transaction running alone
-    keeps its locks itself) and no waiter list while nothing waits, compile and hash nothing after a text's first
-    execution, validate no value that needs no validation, build no
+    are not statements), call no ``LockManager.acquire`` (a transaction
+    running alone keeps its locks as set inserts), compile and hash nothing
+    after a text's first execution, validate no value that needs no validation, build no
     ``ExecState`` for a statement that reads only parameters, literals and
     its row, and swap a key-keeping update's record into its index bucket
     without ``remove`` / ``add``.  The generated statement's source names no
@@ -766,9 +766,8 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
         scoped(Transaction, name)
     counted(Database, "charge", "charge", lambda self, op, count=1: counts.update(
         [f"charge:{op}"] if writing[0] else []))
-    counted(locks._LockState, "__init__", "lock_states")
     counted(locks.LockManager, "acquire", "acquires",
-            lambda self, txn_id, resource, mode: resources.add((txn_id, resource)))
+            lambda self, txn, resource, mode: resources.add((txn.txn_id, resource)))
     for module in (expressions, executor, planner):
         counted(module, "compile_expr", "compiles")
     for node in (ast.Update, ast.Delete, ast.Insert):
@@ -777,13 +776,6 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
         ["needless_validations"] if type(value) is stored_as[self] and value == value else []))
     counted(planner.ExecState, "__init__", "exec_states", lambda *a, **k: counts.update(
         ["dml_exec_states"] if writing[0] else []))
-    release_all = locks.LockManager.release_all
-
-    def releasing(self, txn_id):
-        counts["waiter_lists"] += sum(type(s.waiters) is not tuple for s in self._locks.values())
-        return release_all(self, txn_id)
-
-    monkeypatch.setattr(locks.LockManager, "release_all", releasing)
     swapping = [False]  # inside a Table.update whose record can be swapped in place
     table_update = Table.update
 
@@ -836,13 +828,12 @@ def test_per_write_work_on_the_options_workload(monkeypatch):
         assert counts[f"charge:{op}"] == 0, op
         assert ops.get(op, 0) == parent_ops.get(op, 0), op
     # Every transaction here runs alone, so it keeps its locks itself: no
-    # acquire call and no lock state at all (the lock_acquire charges stay).
-    assert counts["acquires"] == counts["lock_states"] == 0 and not resources
+    # acquire call (the lock_acquire charges stay).
+    assert counts["acquires"] == 0 and not resources
     assert recompiled == []
     assert counts["dml_hashes"] == 0
     assert counts["needless_validations"] == 0
     assert counts["exec_states"] > 0 and counts["dml_exec_states"] == 0
-    assert counts["waiter_lists"] == 0
     assert counts["swappable_updates"] > 500 and counts["swap_edits"] == 0
     assert len(sources) == len(seen_texts) == 1
     for source, names in sources:

@@ -1,12 +1,13 @@
-"""Biased locking: a transaction that begins alone keeps its locks itself.
+"""Biased locking: a transaction that begins alone takes its locks unchecked.
 
 The differential runs one script of reads and row writes twice.  The first
-transaction of the plain run begins alone and holds its locks without the
-manager until a second one begins.  The oracle opens an idle transaction
-first, so every transaction of the script begins beside another and takes
-every lock through ``LockManager.acquire``.  Both must refuse the same
-request at the same step, charge the same ops and the same virtual time, and
-answer ``held_resources`` / ``holds`` the same after every step.
+transaction of the plain run begins alone and takes its locks as set
+inserts, with no ``LockManager.acquire`` call, until a second one begins.
+The oracle opens an idle transaction first, so every transaction of the
+script begins beside another and checks every lock through
+``LockManager.acquire``.  Both must refuse the same request at the same
+step, charge the same ops and the same virtual time, and answer
+``held_resources`` / ``holds`` the same after every step.
 """
 
 import re
@@ -109,7 +110,7 @@ def run(script, second_at, first_ends, endings, idle_first):
     if idle is not None:
         idle.abort()
     tables = {name: sorted(r.values for r in db.catalog.table(name).scan()) for name in TABLES}
-    return observed, tables, db
+    return observed, tables, db, txns
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -120,39 +121,41 @@ def run(script, second_at, first_ends, endings, idle_first):
     endings=st.tuples(*[st.sampled_from(("commit", "abort"))] * 2),
 )
 def test_biased_locking_matches_eager_locking(script, second_at, first_ends, endings):
-    biased, biased_tables, db = run(script, second_at, first_ends, endings, idle_first=False)
-    eager, eager_tables, oracle = run(script, second_at, first_ends, endings, idle_first=True)
+    biased, biased_tables, db, txns = run(script, second_at, first_ends, endings, idle_first=False)
+    eager, eager_tables, oracle, oracle_txns = run(
+        script, second_at, first_ends, endings, idle_first=True)
     assert biased == eager
     assert biased_tables == eager_tables
-    for database in (db, oracle):
+    for database, ran in ((db, txns), (oracle, oracle_txns)):
         assert database._active_txns == {}
-        assert database.lock_manager._locks == {} and database.lock_manager.reserved is None
+        assert not any(t.read_locked_tables or t.ix_locked_tables or t.row_locks
+                       for t in ran.values())
 
 
 def test_the_first_transaction_is_reserved_until_a_second_begins():
     db = make_db()
     table = db.catalog.table("t")
     first = db.begin()
-    assert db.lock_manager.reserved is first
+    assert not first.checked
     first.query("select k from t")
     first.update_columns(table, table.get_one("k", "a"), {"v": 9.0})
-    assert db.lock_manager._locks == {}
+    assert first.read_locked_tables == first.ix_locked_tables == {"t"}
     held = set(db.lock_manager.held_resources(first.txn_id))
     assert ("t", None) in held and len(held) == 3  # the table and both row versions
     assert db.lock_manager.holds(first.txn_id, ("t", None), LockMode.EXCLUSIVE)  # S + IX
     second = db.begin()
-    assert db.lock_manager.reserved is None and first.row_locks is None
+    assert first.checked and second.checked
     assert set(db.lock_manager.held_resources(first.txn_id)) == held
     assert db.lock_manager.holds(first.txn_id, ("t", None), LockMode.EXCLUSIVE)
-    with pytest.raises(LockError):  # the revoked X table lock blocks a reader
+    with pytest.raises(LockError):  # the first's X table lock (S + IX) blocks a reader
         second.query("select k from t")
     second.abort()
     first.commit()
-    assert db.lock_manager._locks == {}
+    assert not (first.read_locked_tables or first.ix_locked_tables or first.row_locks)
     third = db.begin()  # alone again
-    assert db.lock_manager.reserved is third
+    assert not third.checked
     third.commit()
-    assert db.lock_manager.reserved is None
+    assert db._active_txns == {}
 
 
 def test_with_faults_armed_every_lock_goes_through_acquire(monkeypatch):
@@ -161,9 +164,9 @@ def test_with_faults_armed_every_lock_goes_through_acquire(monkeypatch):
     calls = []
     acquire = locks.LockManager.acquire
 
-    def counted(self, txn_id, resource, mode):
+    def counted(self, txn, resource, mode):
         calls.append((resource[1] is None, mode))
-        return acquire(self, txn_id, resource, mode)
+        return acquire(self, txn, resource, mode)
 
     monkeypatch.setattr(locks.LockManager, "acquire", counted)
     db = Database(faults=FaultInjector("lock.acquire:deadlock@nth=3"))
@@ -172,7 +175,7 @@ def test_with_faults_armed_every_lock_goes_through_acquire(monkeypatch):
     db.faults.enabled = True
     calls.clear()
     txn = db.begin()
-    assert db.lock_manager.reserved is None
+    assert txn.checked
     txn.insert("t", ["a", 1.0])
     with pytest.raises(InjectedDeadlockError):
         txn.insert("t", ["b", 2.0])
@@ -181,4 +184,4 @@ def test_with_faults_armed_every_lock_goes_through_acquire(monkeypatch):
     assert len(txn.log) == 2  # the second insert is logged before its lock
     txn.abort()
     assert db.query("select count(*) as n from t").scalar() == 0
-    assert db.lock_manager._locks == {}
+    assert not (txn.ix_locked_tables or txn.row_locks)

@@ -1,94 +1,98 @@
-"""Property-based lock-manager invariants under random workloads."""
+"""Property-based no-wait locking invariants: three transactions driven
+through a ``Database`` by random reads, writes, refusals and endings."""
 
-from hypothesis import given, settings
+from itertools import combinations
+
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError
-from repro.txn.locks import LockManager, LockMode
+from repro.database import Database
+from repro.errors import LockError
+from repro.txn.locks import mode_of
+from repro.txn.transaction import TransactionState
 
-S = LockMode.SHARED
-X = LockMode.EXCLUSIVE
+TABLES = ("t", "u")
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["acquire_s", "acquire_x", "release"]),
-        st.integers(1, 4),  # transaction id
-        st.integers(0, 3),  # resource id
+        st.sampled_from(("read", "insert", "update", "delete", "commit", "abort")),
+        st.integers(0, 2),  # which of the three transactions acts
+        st.sampled_from(TABLES),
+        st.integers(0, 7),  # which current row an update or delete picks
     ),
-    max_size=60,
+    max_size=40,
 )
 
 
-def check_invariants(manager: LockManager) -> None:
-    """No resource may have incompatible concurrent holders, no waiter may
-    be grantable-but-waiting while the queue head is grantable, and the
-    count of queued requests (which lets a commit skip the wait queues)
-    is the number in the queues."""
-    assert manager._queued == sum(len(state.waiters) for state in manager._locks.values())
-    for resource, state in manager._locks.items():
-        modes = list(state.holders.values())
-        if X in modes:
-            assert len(modes) == 1, f"X lock shared on {resource}"
-        if state.waiters:
-            head_txn, head_mode = state.waiters[0]
-            if head_txn not in state.holders:
-                # The head must actually conflict with some holder;
-                # otherwise release_all failed to grant it.
-                compatible = all(
-                    head_mode.compatible_with(mode) for mode in state.holders.values()
-                )
-                assert not compatible or state.holders, (
-                    f"waiter {head_txn} starving on free resource {resource}"
-                )
+def make_db() -> Database:
+    db = Database()
+    for name in TABLES:
+        db.execute(f"create table {name} (k text, v real)")
+        db.execute(f"insert into {name} values ('a', 1.0), ('b', 2.0), ('c', 3.0)")
+    return db
+
+
+def check_no_conflict(db: Database) -> None:
+    """No two active transactions hold one resource in incompatible modes."""
+    active = list(db._active_txns.values())
+    for one, other in combinations(active, 2):
+        for resource in db.lock_manager.held_resources(one.txn_id):
+            held, theirs = mode_of(one, resource), mode_of(other, resource)
+            assert theirs is None or held.compatible_with(theirs), (resource, held, theirs)
+
+
+def drive(ops, check_each_step: bool) -> tuple[Database, list]:
+    """Run ``ops``, then commit what is left; returns every transaction.  A
+    finished transaction is replaced by a fresh one, and a refused request
+    leaves its transaction active, as a caller that catches ``LockError``
+    would."""
+    db = make_db()
+    txns = [db.begin() for _ in range(3)]
+    every = list(txns)
+    for step, (action, who, name, pick) in enumerate(ops):
+        txn = txns[who]
+        if txn.state is not TransactionState.ACTIVE:
+            txn = txns[who] = db.begin()
+            every.append(txn)
+        table = db.catalog.table(name)
+        rows = list(table.scan())
+        try:
+            if action == "read":
+                txn.query(f"select k, v from {name}")
+            elif action == "insert":
+                txn.insert_record(table, [f"n{step}", float(step)])
+            elif action in ("commit", "abort"):
+                getattr(txn, action)()
+            elif rows and action == "update":
+                txn.update_columns(table, rows[pick % len(rows)], {"v": 100.0 + step})
+            elif rows:
+                txn.delete_record(table, rows[pick % len(rows)])
+        except LockError:
+            pass
+        if check_each_step:
+            check_no_conflict(db)
+    for txn in txns:
+        if txn.state is TransactionState.ACTIVE:
+            txn.commit()
+    return db, every
 
 
 class TestLockInvariants:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=operations)
     def test_random_workload(self, ops):
-        manager = LockManager()
-        blocked: set[int] = set()  # txns currently waiting (can't act)
-        for action, txn, resource_id in ops:
-            if txn in blocked:
-                continue  # a blocked transaction cannot issue requests
-            resource = ("t", resource_id)
-            try:
-                if action == "acquire_s":
-                    granted = manager.acquire(txn, resource, S)
-                elif action == "acquire_x":
-                    granted = manager.acquire(txn, resource, X)
-                else:
-                    released = manager.release_all(txn)
-                    for granted_txn, _res, _mode in released:
-                        blocked.discard(granted_txn)
-                    granted = True
-            except DeadlockError:
-                manager.cancel_waits(txn)
-                manager.release_all(txn)
-                blocked.discard(txn)
-                continue
-            if not granted:
-                blocked.add(txn)
-            check_invariants(manager)
+        drive(ops, check_each_step=True)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ops=operations)
     def test_release_everything_leaves_clean_state(self, ops):
-        manager = LockManager()
-        for action, txn, resource_id in ops:
-            resource = ("t", resource_id)
-            try:
-                if action.startswith("acquire"):
-                    manager.acquire(txn, resource, X if action.endswith("x") else S)
-                else:
-                    manager.release_all(txn)
-            except DeadlockError:
-                manager.cancel_waits(txn)
-        for txn in range(1, 5):
-            manager.cancel_waits(txn)
-            manager.release_all(txn)
-        assert all(
-            not state.holders and not state.waiters
-            for state in manager._locks.values()
-        )
-        assert manager._queued == 0
+        db, every = drive(ops, check_each_step=False)
+        assert db._active_txns == {}
+        assert not any(t.read_locked_tables or t.ix_locked_tables or t.row_locks for t in every)
+        seen = {name: len(list(db.catalog.table(name).scan())) for name in TABLES}
+        with db.begin() as txn:  # nothing left behind blocks a newcomer
+            for name in TABLES:
+                assert txn.query(f"select count(*) as n from {name}").scalar() == seen[name]
+                txn.insert(name, ["z", 0.0])
+            assert db.lock_manager.held_resources(txn.txn_id) >= {(n, None) for n in TABLES}
+        assert not db.lock_manager.held_resources(txn.txn_id)
