@@ -102,7 +102,7 @@ def _freshness_sections(collector: TraceCollector) -> None:
         print(
             f"staleness: {collector.staleness.lost} mutations lost to dropped tasks"
         )
-    attribution_rows = collector.attribution.profile_rows()
+    attribution_rows = collector.attribution().profile_rows()
     if attribution_rows:
         print(format_table(attribution_rows, "Per-rule cost attribution"))
 
@@ -157,29 +157,46 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_ignored_flags(args: argparse.Namespace) -> None:
+    """Exit on a flag the chosen ``experiment`` path would silently ignore:
+    one list per path (replicated, cascade), each with the reason."""
+    if args.replicas:
+        path = "--replicas"
+        reason = (
+            "the replicated driver pins the scheduler defaults and "
+            "checkpoints once, when armed; see docs/REPLICATION.md"
+        )
+        ignored = [
+            ("--cascade", args.cascade),
+            ("--policy", args.policy != "fifo"),
+            ("--processors", args.processors != 1),
+            ("--drop-late", args.drop_late),
+            ("--update-deadline", args.update_deadline is not None),
+            ("--compact", args.compact),
+            ("--checkpoint-every", args.checkpoint_every is not None),
+            ("--wal-sync", args.wal_sync),
+        ]
+    elif args.cascade:
+        path = "--cascade"
+        reason = "the two-level driver runs one processor and drops no late task"
+        ignored = [
+            ("--processors", args.processors != 1),
+            ("--drop-late", args.drop_late),
+            ("--update-deadline", args.update_deadline is not None),
+        ]
+    else:
+        return
+    incompatible = [flag for flag, is_set in ignored if is_set]
+    if incompatible:
+        raise SystemExit(f"{path} does not combine with {', '.join(incompatible)} ({reason})")
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     """One PTA run: a single view, or with ``--cascade`` the two-level
     scenario (sector indexes maintained over composite indexes, rule
     cascades scheduled bottom-up by stratum)."""
+    _refuse_ignored_flags(args)
     if args.replicas:
-        incompatible = [
-            flag
-            for flag, is_set in (
-                ("--policy", args.policy != "fifo"),
-                ("--processors", args.processors != 1),
-                ("--drop-late", args.drop_late),
-                ("--update-deadline", args.update_deadline is not None),
-                ("--compact", args.compact),
-                ("--checkpoint-every", args.checkpoint_every is not None),
-            )
-            if is_set
-        ]
-        if incompatible:
-            raise SystemExit(
-                f"--replicas does not combine with {', '.join(incompatible)} "
-                "(the replicated driver pins the scheduler defaults and "
-                "checkpoints once, when armed; see docs/REPLICATION.md)"
-            )
         return _cmd_replicate(args)
     if args.cascade and args.view != "comps":
         raise SystemExit("--cascade implies the comps view (sectors build on it)")

@@ -103,6 +103,11 @@ def error_response(request_id: int, message: str, **extra: Any) -> dict:
 # ------------------------------------------------------------- negotiation
 
 
+def _is_int(value: Any) -> bool:
+    """An integer, and not a bool (JSON ``true`` decodes to one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def negotiate_version(hello: dict) -> int:
     """Pick the protocol version for a session from its hello message.
 
@@ -111,7 +116,7 @@ def negotiate_version(hello: dict) -> int:
     :class:`ProtocolError` when there is none.
     """
     offered = hello.get("v")
-    if not isinstance(offered, int) or offered < 1:
+    if not _is_int(offered) or offered < 1:
         raise ProtocolError(f"hello must offer an integer version >= 1, got {offered!r}")
     shared = [v for v in SUPPORTED_VERSIONS if v <= offered]
     if not shared:
@@ -127,10 +132,10 @@ def validate_request(msg: Any) -> dict:
     if not isinstance(msg, dict):
         raise ProtocolError(f"request must be an object, got {type(msg).__name__}")
     kind = msg.get("t")
-    if kind not in REQUEST_TYPES:
-        raise ProtocolError(f"unknown request type {kind!r}")
+    if not isinstance(kind, str) or kind not in REQUEST_TYPES:
+        raise ProtocolError(f"unknown request type {kind!r:.40}")
     request_id = msg.get("id")
-    if not isinstance(request_id, int) or request_id < 0:
+    if not _is_int(request_id) or request_id < 0:
         raise ProtocolError(f"request needs an integer id >= 0, got {request_id!r}")
     if kind == "update":
         if not isinstance(msg.get("symbol"), str):

@@ -2,15 +2,16 @@
 
 The engine's single hook point is ``db.tracer`` (a :class:`Tracer`, default
 :class:`NullTracer`).  Attach a :class:`TraceCollector` to record
-virtual-clock-stamped events and aggregate histograms — plus derived-view
-staleness (:class:`StalenessTracker`), per-rule cost attribution
-(:class:`AttributionProfiler`), and periodic gauge samples
-(:class:`TimeSeriesSampler`) — then export with :func:`write_chrome_trace`
+virtual-clock-stamped events — plus derived-view staleness
+(:class:`StalenessTracker`) and periodic gauge samples
+(:class:`TimeSeriesSampler`); read counters and histograms
+(:class:`Rollup`) and per-rule cost attribution (:class:`Attribution`)
+back from its event log; export with :func:`write_chrome_trace`
 (Perfetto), :func:`write_jsonl`, :func:`stats_report`, or
 :func:`stats_snapshot`.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.attribution import ENGINE_KEY, AttributionProfiler, RuleStats
+from repro.obs.attribution import ENGINE_KEY, Attribution, RuleStats
 from repro.obs.exporters import (
     chrome_trace_events,
     ensure_parent,
@@ -22,7 +23,7 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, log_bounds
+from repro.obs.metrics import Histogram, Rollup, log_bounds
 from repro.obs.schema import SchemaError, check, validate
 from repro.obs.staleness import StalenessTracker
 from repro.obs.timeseries import (
@@ -34,13 +35,11 @@ from repro.obs.timeseries import (
 from repro.obs.tracer import NullTracer, TraceCollector, TraceEvent, Tracer
 
 __all__ = [
-    "AttributionProfiler",
-    "Counter",
+    "Attribution",
     "ENGINE_KEY",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "NullTracer",
+    "Rollup",
     "RuleStats",
     "SchemaError",
     "StalenessTracker",

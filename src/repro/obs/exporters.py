@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 from repro.obs.tracer import TraceCollector, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Histogram
 
 EventSource = Union[TraceCollector, Iterable[TraceEvent]]
 
@@ -199,13 +199,12 @@ def write_chrome_trace(source: EventSource, path: str) -> int:
 # ------------------------------------------------------------ text report
 
 
-def _histogram_section(name: str, registry: "MetricsRegistry") -> str:
+def _histogram_section(name: str, histogram: "Histogram") -> str:
     # Imported here, not at module level: repro.bench's package __init__
     # pulls in the experiment harness, which imports repro.database, which
     # imports this package — a cycle at import time but not at call time.
     from repro.bench.reporting import format_table
 
-    histogram = registry.histograms[name]
     if histogram.count == 0:
         return f"histogram {name}: (empty)"
     # Quantiles are the headline (p50/p95/p99 are upper-bucket-bound
@@ -218,22 +217,16 @@ def stats_report(collector: TraceCollector, title: str = "Trace statistics") -> 
     """Counters, histograms, and the CPU breakdown as one text report."""
     from repro.bench.reporting import format_table
 
-    registry = collector.metrics
+    rollup = collector.rollup()
     sections = [f"{title}\n{'=' * len(title)}"]
     counter_rows = [
-        {"counter": name, "value": counter.value}
-        for name, counter in sorted(registry.counters.items())
+        {"counter": name, "value": value} for name, value in sorted(rollup.counters.items())
     ]
-    if counter_rows:
-        sections.append(format_table(counter_rows, "Event counters"))
-    gauge_rows = [
-        {"gauge": name, "value": gauge.value, "min": gauge.min, "max": gauge.max}
-        for name, gauge in sorted(registry.gauges.items())
-    ]
-    if gauge_rows:
-        sections.append(format_table(gauge_rows, "Gauges"))
-    for name in sorted(registry.histograms):
-        sections.append(_histogram_section(name, registry))
+    sections.append(format_table(counter_rows, "Event counters"))
+    gauge_rows = [{"gauge": name, **gauge} for name, gauge in sorted(rollup.gauges.items())]
+    sections.append(format_table(gauge_rows, "Gauges"))
+    for name, histogram in sorted(rollup.histograms.items()):
+        sections.append(_histogram_section(name, histogram))
     staleness_rows = collector.staleness.view_rows()
     if staleness_rows:
         sections.append(
@@ -248,7 +241,7 @@ def stats_report(collector: TraceCollector, title: str = "Trace statistics") -> 
         sections.append(
             f"staleness: {collector.staleness.lost} mutations lost to dropped tasks"
         )
-    attribution_rows = collector.attribution.profile_rows()
+    attribution_rows = collector.attribution().profile_rows()
     if attribution_rows:
         sections.append(format_table(attribution_rows, "Per-rule cost attribution"))
     if collector.timeseries is not None and collector.timeseries.samples:
@@ -278,13 +271,13 @@ def stats_snapshot(
     ``docs/schemas/stats_snapshot.schema.json`` (validated in CI with
     :mod:`repro.obs.schema`).
     """
-    registry_snapshot = collector.metrics.snapshot()
+    rollup = collector.rollup()
     return {
         "meta": dict(meta or {}),
-        "counters": registry_snapshot["counters"],
-        "gauges": registry_snapshot["gauges"],
+        "counters": dict(sorted(rollup.counters.items())),
+        "gauges": dict(sorted(rollup.gauges.items())),
         "staleness": collector.staleness.snapshot(),
-        "attribution": collector.attribution.snapshot(),
+        "attribution": collector.attribution().snapshot(),
         "series": (
             collector.timeseries.series() if collector.timeseries is not None else []
         ),

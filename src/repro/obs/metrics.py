@@ -1,74 +1,26 @@
-"""Counters, gauges, and log-scale histograms for the observability layer.
+"""Counters, the queue-depth gauge and log-scale histograms, read from a
+trace collector's event log.
 
-The registry is the numeric side of tracing: instrumentation points bump
-counters and feed histograms while the tracer records the event stream.
 Histograms use **fixed log-scale buckets** (geometric bucket bounds chosen
 at construction) so that recording stays O(log buckets) with bounded
-memory, which is what per-operator statistics need on hot paths — the same
-shape DBToaster/Bleach-style engines use for their operator stats.
+memory — the same shape DBToaster/Bleach-style engines use for their
+operator stats.
 
-Everything here is dependency-free and usable standalone::
-
-    registry = MetricsRegistry()
-    registry.counter("rule_firings").inc()
-    registry.histogram("batch_size_rows", lo=1, factor=2).record(17)
-    registry.snapshot()   # plain dicts, JSON-serialisable
+Nothing here is kept up to date as the engine runs.  A :class:`Rollup`
+walks the event log once, in order, when a report asks for it: each
+counter counts one event kind (or reads one argument), the gauge and the
+histograms record event values in log order, so their float sums are the
+ones a live registry would have summed.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value; remembers the minimum and maximum ever set.
-
-    Extremes are seeded from the **first** observed value, not from 0.0, so
-    gauges that only ever take negative (or only large positive) values
-    report true bounds: before any ``set()`` all three read 0.0.
-    """
-
-    __slots__ = ("name", "value", "min", "max", "_seen")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.min = 0.0
-        self.max = 0.0
-        self._seen = False
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if not self._seen:
-            self._seen = True
-            self.min = value
-            self.max = value
-            return
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value}, min={self.min}, max={self.max})"
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.tracer import EventLog
 
 
 def log_bounds(lo: float, hi: float, factor: float) -> tuple[float, ...]:
@@ -179,41 +131,125 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.4g})"
 
 
-class MetricsRegistry:
-    """Named counters, gauges, and histograms; get-or-create semantics."""
+#: Event kind -> the counter that counts its events.
+COUNTED = {
+    "txn.begin": "txn_begin",
+    "txn.commit": "txn_commit",
+    "txn.abort": "txn_abort",
+    "view.register": "views_registered",
+    "rule.check": "rule_checks",
+    "rule.fire": "rule_firings",
+    "unique.new": "unique_new_tasks",
+    "unique.append": "unique_appends",
+    "unique.compact": "unique_compactions",
+    "unique.rescind": "unique_rescinds",
+    "task.enqueue": "task_enqueues",
+    "task.release": "task_releases",
+    "task": "task_done",
+    "task.abort": "task_aborts",
+    "task.drop": "task_drops",
+    "task.supersede": "task_supersedes",
+    "fault.inject": "faults_injected",
+    "fault.retry": "fault_retries",
+    "fault.drop": "fault_drops",
+    "persist.flush": "wal_records",
+    "persist.checkpoint": "checkpoints",
+    "counter.replication_lag": "replication_applies",
+}
 
-    def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
+#: Every counter a rollup reports, zero or not.
+COUNTERS = (
+    *COUNTED.values(), "task_starts", "cascade_tasks", "context_switches",
+    "net_sessions", "net_refused_connections", "net_admit", "net_throttle", "net_shed",
+)
 
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
+#: The histograms every rollup has: name, lo, hi, factor.
+_HISTOGRAMS = (
+    ("queue_depth", 1, 1 << 20, 2),
+    ("batch_size_rows", 1, 1 << 20, 2),
+    ("batch_firings", 1, 1 << 20, 2),
+    ("compaction_ratio", 1, 1 << 20, 2),
+    ("task_length_s", 1e-6, 1e4, 10.0),
+    ("txn_length_s", 1e-6, 1e4, 10.0),
+    ("wal_flush_bytes", 1, 1 << 30, 2),
+)
 
-    def gauge(self, name: str) -> Gauge:
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        return gauge
 
-    def histogram(self, name: str, **kwargs: Any) -> Histogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(name, **kwargs)
-        return histogram
+class Rollup:
+    """Every counter, the ``queue_depth`` gauge and every histogram of one
+    event log, read in one pass.
 
-    def snapshot(self) -> dict[str, Any]:
-        """Everything as plain (JSON-serialisable) dicts."""
-        return {
-            "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "gauges": {
-                name: {"value": g.value, "min": g.min, "max": g.max}
-                for name, g in sorted(self.gauges.items())
-            },
-            "histograms": {
-                name: h.snapshot() for name, h in sorted(self.histograms.items())
-            },
+    ``pending_firings`` is what the pass has left over: task id -> rule
+    firings batched into a task that has neither started, been dropped
+    nor been superseded (its ``batch_firings`` sample is still owed)."""
+
+    __slots__ = ("counters", "gauges", "histograms", "pending_firings")
+
+    def __init__(self, log: "EventLog") -> None:
+        counters = self.counters = dict.fromkeys(COUNTERS, 0)
+        histograms = self.histograms = {
+            name: Histogram(name, lo=lo, hi=hi, factor=factor)
+            for name, lo, hi, factor in _HISTOGRAMS
         }
+        queue, rows, batches, compaction, task_len, txn_len, wal = histograms.values()
+        firings: dict[int, int] = {}
+        self.pending_firings = firings
+        depth: Any = 0.0
+        for shape, _ts, dur, values in log.raw():
+            kind = shape.kind
+            counted = COUNTED.get(kind)
+            if counted is not None:
+                counters[counted] += 1
+            if kind == "counter.queues":
+                depth = values[0] + values[1]
+                queue.record(depth)
+            elif kind == "unique.new":
+                firings[values[1]] = 1
+                if values[4] is not None:  # cascade_from
+                    counters["cascade_tasks"] += 1
+            elif kind == "unique.append":
+                if values[1] in firings:
+                    firings[values[1]] += 1
+            elif kind == "unique.rescind":
+                if values[2]:  # the rolled-back commit created the task
+                    firings.pop(values[1], None)
+                elif values[1] in firings:
+                    firings[values[1]] -= 1
+            elif kind == "unique.compact":
+                # rows_in per distinct surviving row; a task whose batch
+                # folded to nothing (pure churn) records the full input.
+                compaction.record(values[2] / max(values[3], 1))
+            elif kind == "task" or kind == "task.abort":
+                # A task's first ending closes the batch it started with:
+                # the serial engine appends nothing to a running task.
+                counters["task_starts"] += 1
+                batched = firings.pop(values[1], None)
+                if batched is not None:
+                    batches.record(batched)
+                    rows.record(values[4] if kind == "task" else values[2])
+                if kind == "task":
+                    task_len.record(dur)
+            elif kind == "task.drop" or kind == "task.supersede":
+                firings.pop(values[1], None)
+            elif kind == "task.preempt":
+                counters["context_switches"] += values[2]
+            elif kind == "txn.commit":
+                txn_len.record(dur)
+            elif kind == "persist.flush":
+                wal.record(max(values[2], 1))
+            elif kind == "counter.replication_lag":
+                name = f"replication_lag_s[{shape.name}]"
+                lag = histograms.get(name)
+                if lag is None:
+                    lag = histograms[name] = Histogram(name, lo=1e-4, hi=1e3, factor=2.0)
+                lag.record(max(values[0], 0.0))
+            elif kind == "net.session":
+                if values[1] == "open":
+                    counters["net_sessions"] += 1
+                elif values[1] == "refused":
+                    counters["net_refused_connections"] += 1
+            elif kind == "net.admit":
+                counters["net_" + values[1]] += 1
+        # A gauge's extremes start at its first value, not at 0.0.
+        low, high = (queue.min, queue.max) if queue.count else (0.0, 0.0)
+        self.gauges = {"queue_depth": {"value": depth, "min": low, "max": high}}

@@ -6,21 +6,25 @@ load and a branch — the :class:`NullTracer` default keeps tracing strictly
 pay-for-what-you-use) and, when tracing is on, call a named hook.  The
 recording implementation, :class:`TraceCollector`, keeps virtual-clock-
 stamped events in a columnar :class:`EventLog` (read back as
-:class:`TraceEvent` records) and feeds the metrics registry
-(queue-depth, batch-size, and task/transaction-length histograms, plus the
-per-charge-kind CPU breakdown derived from each finished task's meter).
+:class:`TraceEvent` records).  The log is its one record: the counters,
+the queue-depth gauge, the histograms (:class:`~repro.obs.metrics.Rollup`)
+and the per-rule cost profile (:class:`~repro.obs.attribution.Attribution`)
+are read from it when a report asks.  Live beside it stay only what a hot
+path reads — the staleness ledger, whose watermark admission control polls
+on every write, and the few counts a time-series sample or an admission
+event carries — and what logs no event: each finished task's meter (the
+per-charge-kind CPU breakdown) and the network responses.
 
 Every event kind — its track, how its name is read and its argument names
 — is declared once, as an event shape below (``TXN_BEGIN`` ...
 ``BACKPRESSURE``); ``docs/OBSERVABILITY.md`` ("Event taxonomy") says what
 each one means.
 
-The collector composes the second observability layer from three parts it
-owns and feeds: a :class:`~repro.obs.staleness.StalenessTracker` (mutation
--> reflection lag per view/rule), an
-:class:`~repro.obs.attribution.AttributionProfiler` (per-rule cost
-roll-up), and a :class:`~repro.obs.timeseries.TimeSeriesSampler`
-(virtual-clock gauge snapshots plus the ``backpressure()`` signal).
+The collector feeds two parts of the second observability layer as it
+runs: a :class:`~repro.obs.staleness.StalenessTracker` (mutation ->
+reflection lag per view/rule) and a
+:class:`~repro.obs.timeseries.TimeSeriesSampler` (virtual-clock gauge
+snapshots plus the ``backpressure()`` signal).
 """
 
 from __future__ import annotations
@@ -28,16 +32,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
-from repro.obs.attribution import AttributionProfiler
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.attribution import ENGINE_KEY, Attribution
+from repro.obs.metrics import Histogram, Rollup
 from repro.obs.staleness import StalenessTracker
 from repro.obs.timeseries import TimeSeriesSampler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.database import Database
-    from repro.obs.metrics import Counter, Histogram
     from repro.sim.metrics import TaskRecord
     from repro.txn.tasks import Task
     from repro.txn.transaction import Transaction
@@ -63,14 +66,20 @@ class _Shape:
     """What every event of one code shares: kind, track, the name — a
     constant, or read from the first stored value (as is when ``name`` is
     None) — and the argument names, each with the function that turns its
-    stored value into the exported one (``None``: stored as exported)."""
+    stored value into the exported one (``None``: stored as exported).
+
+    ``hidden`` values follow the arguments: facts only the log's readers
+    need (a rule key, the bound rows at a task's start), kept in the log
+    and never exported."""
 
     __slots__ = ("kind", "track", "name", "fields", "width")
 
-    def __init__(self, kind: str, track: str, name: Any, fields: tuple) -> None:
+    def __init__(
+        self, kind: str, track: str, name: Any, fields: tuple, hidden: int = 0
+    ) -> None:
         self.kind, self.track, self.name = kind, track, name
         self.fields = [(f, None) if isinstance(f, str) else f for f in fields]
-        self.width = len(fields) + (not isinstance(name, str))
+        self.width = len(fields) + (not isinstance(name, str)) + hidden
 
     def event(self, ts: float, dur: float, values: Sequence[Any]) -> TraceEvent:
         name = self.name
@@ -86,8 +95,8 @@ class _Shape:
 _SHAPES: list[_Shape] = []
 
 
-def _shape(kind: str, track: str, name: Any, *fields: Any) -> int:
-    _SHAPES.append(_Shape(kind, track, name, fields))
+def _shape(kind: str, track: str, name: Any, *fields: Any, hidden: int = 0) -> int:
+    _SHAPES.append(_Shape(kind, track, name, fields, hidden))
     return len(_SHAPES) - 1
 
 
@@ -99,7 +108,10 @@ TXN_ABORT = _shape("txn.abort", "txn", _txn)
 VIEW_REGISTER = _shape("view.register", "views", None, "function", ("rules", list))
 RULE_CHECK = _shape("rule.check", "rules", None, "txn")
 RULE_FIRE = _shape("rule.fire", "rules", None, "txn", "new_tasks")
-UNIQUE_NEW = _shape("unique.new", "unique", None, "task_id", _key, "stratum", "cascade_from")
+# hidden: the task's attribution key (rule name, or class)
+UNIQUE_NEW = _shape(
+    "unique.new", "unique", None, "task_id", _key, "stratum", "cascade_from", hidden=1
+)
 UNIQUE_APPEND = _shape("unique.append", "unique", None, "task_id", "rows", _key)
 UNIQUE_COMPACT = _shape("unique.compact", "unique", None, "task_id", "rows_in", "rows_out", _key)
 UNIQUE_RESCIND = _shape("unique.rescind", "unique", None, "task_id", "created", _key)
@@ -112,7 +124,8 @@ TASK_SUPERSEDE = _shape("task.supersede", "sched", None, "task_id")
 FAULT_INJECT = _shape("fault.inject", "faults", None, "action", "target")
 FAULT_RETRY = _shape("fault.retry", "faults", None, "task_id", "attempt", "release")
 FAULT_DROP = _shape("fault.drop", "faults", None, "task_id", "attempts")
-PERSIST_FLUSH = _shape("persist.flush", "persist", None, "lsn", "bytes")
+# hidden: the running task's attribution key, or ENGINE_KEY
+PERSIST_FLUSH = _shape("persist.flush", "persist", None, "lsn", "bytes", hidden=1)
 CHECKPOINT = _shape("persist.checkpoint", "persist", "checkpoint", "bytes", "tables", "pending_tasks")
 NET_SESSION = _shape("net.session", "net", None, "event")
 NET_ADMIT = _shape("net.admit", "net", None, "decision", "pressure")
@@ -145,10 +158,10 @@ class EventLog(Sequence[TraceEvent]):
         self._values: list[Any] = []
         self._shapes = list(_SHAPES)
 
-    def code(self, kind: str, track: str, name: Any, *fields: Any) -> int:
+    def code(self, kind: str, track: str, name: Any, *fields: Any, hidden: int = 0) -> int:
         """A new event shape for this log; each field is an argument name
         or a ``(name, read)`` pair."""
-        self._shapes.append(_Shape(kind, track, name, fields))
+        self._shapes.append(_Shape(kind, track, name, fields, hidden))
         return len(self._shapes) - 1
 
     def add(self, code: int, ts: float, dur: float, *values: Any) -> None:
@@ -157,6 +170,15 @@ class EventLog(Sequence[TraceEvent]):
         self._codes.append(code)
         self._at.append(len(self._values))
         self._values += values
+
+    def raw(self) -> Iterator[tuple[_Shape, float, float, list[Any]]]:
+        """Every event in order as (shape, ts, dur, stored values): the
+        name when it varies, the arguments and the hidden values, none of
+        them converted."""
+        shapes, at, stored = self._shapes, self._at, self._values
+        for index, code in enumerate(self._codes):
+            shape, start = shapes[code], at[index]
+            yield shape, self._ts[index], self._dur[index], stored[start:start + shape.width]
 
     def count_kind(self, kind: str) -> int:
         """Number of events of one kind, read off the codes."""
@@ -264,8 +286,8 @@ class NullTracer(Tracer):
 
 
 class TraceCollector(Tracer):
-    """Records events in an :class:`EventLog` and aggregates them into a
-    registry."""
+    """Records events in an :class:`EventLog`, the one record every report
+    reads (:meth:`rollup`, :meth:`attribution`)."""
 
     enabled = True
 
@@ -277,9 +299,7 @@ class TraceCollector(Tracer):
         """``sample_interval`` sets the time-series cadence in virtual
         seconds; pass 0 (or a negative value) to disable sampling."""
         self.events = EventLog()
-        self.metrics = MetricsRegistry()
         self.staleness = StalenessTracker()
-        self.attribution = AttributionProfiler()
         if timeseries is not None:
             self.timeseries: Optional[TimeSeriesSampler] = timeseries
         elif sample_interval > 0:
@@ -290,63 +310,23 @@ class TraceCollector(Tracer):
         self._op_counts: dict[str, int] = {}
         self._cost_seconds: Optional[dict[str, float]] = None
         self._db: Optional["Database"] = None
-        # task_id -> number of rule firings coalesced into the pending task
-        self._batch_firings: dict[int, int] = {}
         # server -> the codes of its task and task.abort events
         self._servers: dict[int, tuple[int, int]] = {}
-        # replica -> its lag histogram and the code of its lag events
-        self._replicas: dict[str, tuple["Histogram", int]] = {}
-        self._net_responses: dict[str, "Counter"] = {}
-        # Pre-create the headline histograms so reports and snapshots have
-        # stable names even when a run never touches one of them; every
-        # counter and gauge a hook touches is resolved here too.
-        metrics_ = self.metrics
-        self._h_queue = metrics_.histogram("queue_depth", lo=1, hi=1 << 20, factor=2)
-        self._h_batch_rows = metrics_.histogram(
-            "batch_size_rows", lo=1, hi=1 << 20, factor=2
-        )
-        self._h_batch_firings = metrics_.histogram(
-            "batch_firings", lo=1, hi=1 << 20, factor=2
-        )
-        self._h_compaction = metrics_.histogram(
-            "compaction_ratio", lo=1, hi=1 << 20, factor=2
-        )
-        self._h_task_len = metrics_.histogram("task_length_s", lo=1e-6, hi=1e4)
-        self._h_txn_len = metrics_.histogram("txn_length_s", lo=1e-6, hi=1e4)
-        self._h_wal_flush = metrics_.histogram(
-            "wal_flush_bytes", lo=1, hi=1 << 30, factor=2
-        )
-        self._g_queue = metrics_.gauge("queue_depth")
-        counter = metrics_.counter
-        self._n_txn_begin = counter("txn_begin")
-        self._n_txn_commit = counter("txn_commit")
-        self._n_txn_abort = counter("txn_abort")
-        self._n_views_registered = counter("views_registered")
-        self._n_rule_checks = counter("rule_checks")
-        self._n_rule_firings = counter("rule_firings")
-        self._n_unique_new_tasks = counter("unique_new_tasks")
-        self._n_cascade_tasks = counter("cascade_tasks")
-        self._n_unique_appends = counter("unique_appends")
-        self._n_unique_compactions = counter("unique_compactions")
-        self._n_unique_rescinds = counter("unique_rescinds")
-        self._n_task_enqueues = counter("task_enqueues")
-        self._n_task_releases = counter("task_releases")
-        self._n_task_starts = counter("task_starts")
-        self._n_context_switches = counter("context_switches")
-        self._n_task_done = counter("task_done")
-        self._n_task_aborts = counter("task_aborts")
-        self._n_task_drops = counter("task_drops")
-        self._n_task_supersedes = counter("task_supersedes")
-        self._n_faults_injected = counter("faults_injected")
-        self._n_fault_retries = counter("fault_retries")
-        self._n_fault_drops = counter("fault_drops")
-        self._n_wal_records = counter("wal_records")
-        self._n_checkpoints = counter("checkpoints")
-        self._n_replication_applies = counter("replication_applies")
-        self._n_net_sessions = counter("net_sessions")
-        self._n_net_refused_connections = counter("net_refused_connections")
-        decisions = ("admit", "throttle", "shed")
-        self._net_decisions = {d: counter(f"net_{d}") for d in decisions}
+        # replica -> the code of its lag events
+        self._replicas: dict[str, int] = {}
+        # What a time-series sample reads: the queue depth at the last
+        # enqueue, finished tasks and commits.
+        self._queue_depth: Any = 0.0
+        self._tasks_done = 0
+        self._txn_commits = 0
+        # admission decision -> count (counter.admission carries two)
+        self._decisions = {"admit": 0, "throttle": 0, "shed": 0}
+        # The running task's attribution key and bound rows at its start.
+        self._running: Optional[str] = None
+        self._start_rows = 0
+        # net_response logs no event: response status -> count, latencies.
+        self._net_responses: dict[str, int] = {}
+        self._net_latency: Optional[Histogram] = None
 
     def bind(self, db: "Database") -> None:
         self._cost_seconds = dict(db.cost_model._seconds)
@@ -359,18 +339,15 @@ class TraceCollector(Tracer):
     # ------------------------------------------------------- transactions
 
     def txn_begin(self, txn: "Transaction", now: float) -> None:
-        self._n_txn_begin.inc()
         self.events.add(TXN_BEGIN, now, NO_DUR, txn.txn_id)
 
     def txn_commit(self, txn: "Transaction", now: float) -> None:
-        self._n_txn_commit.inc()
+        self._txn_commits += 1
         dur = max(now - txn.begin_time, 0.0)
-        self._h_txn_len.record(dur)
         self.events.add(TXN_COMMIT, txn.begin_time, dur, txn.txn_id, len(txn.log))
         self._maybe_sample(now)
 
     def txn_abort(self, txn: "Transaction", now: float) -> None:
-        self._n_txn_abort.inc()
         dur = max(now - txn.begin_time, 0.0)
         self.events.add(TXN_ABORT, txn.begin_time, dur, txn.txn_id)
 
@@ -379,20 +356,17 @@ class TraceCollector(Tracer):
     def view_registered(
         self, view_name: str, function_name: str, rule_names: tuple, now: float
     ) -> None:
-        self._n_views_registered.inc()
         self.staleness.register_view(view_name, function_name, rule_names)
         self.events.add(VIEW_REGISTER, now, NO_DUR, view_name, function_name, tuple(rule_names))
 
     # -------------------------------------------------------------- rules
 
     def rule_check(self, rule_name: str, txn_id: int, now: float) -> None:
-        self._n_rule_checks.inc()
         self.events.add(RULE_CHECK, now, NO_DUR, rule_name, txn_id)
 
     def rule_fire(
         self, rule_name: str, txn_id: int, new_tasks: int, now: float
     ) -> None:
-        self._n_rule_firings.inc()
         self.events.add(RULE_FIRE, now, NO_DUR, rule_name, txn_id, new_tasks)
 
     # ----------------------------------------------------- unique manager
@@ -400,25 +374,16 @@ class TraceCollector(Tracer):
     def unique_new(
         self, task: "Task", now: float, origin: Optional["Task"] = None
     ) -> None:
-        self._n_unique_new_tasks.inc()
-        if origin is not None:
-            self._n_cascade_tasks.inc()
-        self._batch_firings[task.task_id] = 1
         self.staleness.on_task_new(task, now, origin=origin)
-        self.attribution.on_unique_new(task, now)
         self.events.add(
             UNIQUE_NEW, now, NO_DUR, task.function_name or task.klass, task.task_id,
-            task.unique_key, task.stratum, task.cascade_from,
+            task.unique_key, task.stratum, task.cascade_from, task.rule_name or task.klass,
         )
 
     def unique_append(
         self, task: "Task", rows: int, now: float, origin: Optional["Task"] = None
     ) -> None:
-        self._n_unique_appends.inc()
-        if task.task_id in self._batch_firings:
-            self._batch_firings[task.task_id] += 1
         self.staleness.on_task_append(task, now, origin=origin)
-        self.attribution.on_unique_append(task, rows, now)
         self.events.add(
             UNIQUE_APPEND, now, NO_DUR, task.function_name or task.klass, task.task_id,
             rows, task.unique_key,
@@ -427,11 +392,6 @@ class TraceCollector(Tracer):
     def unique_compact(
         self, task: "Task", rows_in: int, rows_out: int, now: float
     ) -> None:
-        self._n_unique_compactions.inc()
-        # rows_in per distinct surviving row; a task whose batch folded to
-        # nothing (pure churn) records the full input count.
-        self._h_compaction.record(rows_in / max(rows_out, 1))
-        self.attribution.on_unique_compact(task, rows_in, rows_out, now)
         self.events.add(
             UNIQUE_COMPACT, now, NO_DUR, task.function_name or task.klass,
             task.task_id, rows_in, rows_out, task.unique_key,
@@ -441,15 +401,10 @@ class TraceCollector(Tracer):
         self, task: "Task", created: bool, now: float, origin: Optional["Task"] = None
     ) -> None:
         """The commit whose firing opened ``task`` (``created``) or was
-        coalesced onto it rolled back: withdraw the firing from the batch
-        size, the staleness stamps and the rule's attribution."""
-        self._n_unique_rescinds.inc()
-        if created:
-            self._batch_firings.pop(task.task_id, None)
-        elif task.task_id in self._batch_firings:
-            self._batch_firings[task.task_id] -= 1
+        coalesced onto it rolled back: withdraw the firing from the
+        staleness stamps (the log's readers withdraw it from the batch size
+        and the rule's attribution)."""
         self.staleness.on_task_rescind(task, created, origin)
-        self.attribution.on_unique_rescind(task)
         self.events.add(
             UNIQUE_RESCIND, now, NO_DUR, task.function_name or task.klass,
             task.task_id, created, task.unique_key,
@@ -460,50 +415,41 @@ class TraceCollector(Tracer):
     def task_enqueue(
         self, task: "Task", delay_depth: int, ready_depth: int, now: float
     ) -> None:
-        self._n_task_enqueues.inc()
         events = self.events
         events.add(TASK_ENQUEUE, now, NO_DUR, task.klass, task.task_id, task.release_time)
-        depth = delay_depth + ready_depth
-        self._h_queue.record(depth)
-        self._g_queue.set(depth)
+        self._queue_depth = delay_depth + ready_depth
         events.add(QUEUES, now, NO_DUR, delay_depth, ready_depth)
         self._maybe_sample(now)
 
     def task_release(self, task: "Task", ready_depth: int, now: float) -> None:
-        self._n_task_releases.inc()
         self.events.add(TASK_RELEASE, now, NO_DUR, task.klass, task.task_id, ready_depth)
 
     def task_start(self, task: "Task", now: float) -> None:
-        self._n_task_starts.inc()
-        self.attribution.on_task_start(task, now)
-        firings = self._batch_firings.pop(task.task_id, None)
-        if firings is not None:
-            self._h_batch_firings.record(firings)
-            self._h_batch_rows.record(task.bound_rows)
+        self._running = task.rule_name or task.klass
+        self._start_rows = task.bound_rows
 
     def task_preempt(self, task: "Task", switches: int, now: float) -> None:
-        self._n_context_switches.inc(switches)
         self.events.add(TASK_PREEMPT, now, NO_DUR, task.klass, task.task_id, switches)
 
     def _server(self, server: int) -> tuple[int, int]:
-        """The codes of one server's ``task`` and ``task.abort`` events."""
+        """The codes of one server's ``task`` and ``task.abort`` events; an
+        abort keeps the task's bound rows at its start hidden."""
         track, code = f"server-{server}", self.events.code
         args = ("task_id", "cpu", "queueing", "bound_rows", "context_switches")
         codes = self._servers[server] = (
-            code("task", track, None, *args), code("task.abort", track, None, "task_id")
+            code("task", track, None, *args),
+            code("task.abort", track, None, "task_id", hidden=1),
         )
         return codes
 
     def task_done(self, task: "Task", record: "TaskRecord", server: int = 0) -> None:
-        self._n_task_done.inc()
-        length = record.length
-        self._h_task_len.record(length)
+        self._tasks_done += 1
+        self._running = None
         self.staleness.on_task_done(task, record.end_time)
-        self.attribution.on_task_done(task, record)
         codes = self._servers.get(server) or self._server(server)
         self.events.add(
-            codes[0], record.start_time, length, task.klass, task.task_id, record.cpu_time,
-            record.queueing, record.bound_rows, record.context_switches,
+            codes[0], record.start_time, record.length, task.klass, task.task_id,
+            record.cpu_time, record.queueing, record.bound_rows, record.context_switches,
         )
         if self._cost_seconds is not None:
             totals = self._op_counts
@@ -512,60 +458,46 @@ class TraceCollector(Tracer):
         self._maybe_sample(record.end_time)
 
     def task_abort(self, task: "Task", now: float, server: int = 0) -> None:
-        self._n_task_aborts.inc()
         # Staleness stamps stay: a retried task still owes its mutations.
-        self.attribution.on_task_abort(task, now)
+        self._running = None
         start = task.start_time if task.start_time is not None else now
         codes = self._servers.get(server) or self._server(server)
-        self.events.add(codes[1], start, max(now - start, 0.0), task.klass, task.task_id)
+        self.events.add(
+            codes[1], start, max(now - start, 0.0), task.klass, task.task_id, self._start_rows
+        )
 
     def task_drop(self, task: "Task", now: float) -> None:
-        self._n_task_drops.inc()
-        self._batch_firings.pop(task.task_id, None)
         self.staleness.on_task_dropped(task, now)
-        self.attribution.on_task_drop(task, now)
         self.events.add(TASK_DROP, now, NO_DUR, task.klass, task.task_id, task.deadline)
 
     def task_superseded(self, task: "Task", now: float) -> None:
-        self._n_task_supersedes.inc()
-        self._batch_firings.pop(task.task_id, None)
         self.staleness.on_task_superseded(task, now)
-        self.attribution.on_task_drop(task, now)
         self.events.add(TASK_SUPERSEDE, now, NO_DUR, task.klass, task.task_id)
 
     # -------------------------------------------------------------- faults
 
     def fault_inject(self, point: str, action: str, label: str, now: float) -> None:
-        self._n_faults_injected.inc()
         self.events.add(FAULT_INJECT, now, NO_DUR, point, action, label)
 
     def fault_retry(
         self, task: "Task", attempt: int, release: float, now: float
     ) -> None:
-        self._n_fault_retries.inc()
-        self.attribution.on_fault_retry(task, now)
         self.events.add(
             FAULT_RETRY, now, NO_DUR, task.klass, task.task_id, attempt, release
         )
 
     def fault_drop(self, task: "Task", attempts: int, now: float) -> None:
-        self._n_fault_drops.inc()
         self.staleness.on_task_dropped(task, now)
-        self.attribution.on_task_drop(task, now)
         self.events.add(FAULT_DROP, now, NO_DUR, task.klass, task.task_id, attempts)
 
     # --------------------------------------------------------- persistence
 
     def persist_flush(self, kind: str, nbytes: int, lsn: int, now: float) -> None:
-        self._n_wal_records.inc()
-        self._h_wal_flush.record(max(nbytes, 1))
-        self.attribution.on_persist_flush(kind, nbytes)
-        self.events.add(PERSIST_FLUSH, now, NO_DUR, kind, lsn, nbytes)
+        self.events.add(PERSIST_FLUSH, now, NO_DUR, kind, lsn, nbytes, self._running or ENGINE_KEY)
 
     def persist_checkpoint(
         self, path: str, nbytes: int, tables: int, tasks: int, now: float
     ) -> None:
-        self._n_checkpoints.inc()
         self.events.add(CHECKPOINT, now, NO_DUR, nbytes, tables, tasks)
 
     # --------------------------------------------------------- replication
@@ -574,21 +506,13 @@ class TraceCollector(Tracer):
         self, replica: str, lag: float, lsn: int, now: float
     ) -> None:
         """One commit record applied on a standby: ``lag`` virtual seconds
-        after the primary committed it.  Keeps a per-replica histogram and
-        mirrors the value onto a per-replica Chrome counter track so the
-        lag plots right beside the staleness watermark."""
-        self._n_replication_applies.inc()
-        cached = self._replicas.get(replica)
-        if cached is None:
-            name = f"replication_lag_s[{replica}]"
-            cached = self._replicas[replica] = (
-                self.metrics.histogram(name, lo=1e-4, hi=1e3, factor=2.0),
-                self.events.code(
-                    "counter.replication_lag", f"replication-{replica}", replica, "lag_s", "lsn"
-                ),
+        after the primary committed it, on a per-replica Chrome counter
+        track so the lag plots right beside the staleness watermark."""
+        code = self._replicas.get(replica)
+        if code is None:
+            code = self._replicas[replica] = self.events.code(
+                "counter.replication_lag", f"replication-{replica}", replica, "lag_s", "lsn"
             )
-        histogram, code = cached
-        histogram.record(max(lag, 0.0))
         self.events.add(code, now, NO_DUR, lag, lsn)
 
     # ------------------------------------------------------------- network
@@ -596,10 +520,6 @@ class TraceCollector(Tracer):
     def net_session(self, session: str, event: str, now: float) -> None:
         """A client session opened, closed, or was refused (``event`` is
         ``open`` / ``close`` / ``refused``)."""
-        if event == "open":
-            self._n_net_sessions.inc()
-        elif event == "refused":
-            self._n_net_refused_connections.inc()
         self.events.add(NET_SESSION, now, NO_DUR, session, event)
 
     def net_admission(
@@ -607,15 +527,14 @@ class TraceCollector(Tracer):
     ) -> None:
         """One admission decision (``admit`` / ``throttle`` / ``shed``) for
         a client write, with the backpressure reading that drove it.  The
-        counters mirror onto a ``counter.admission`` Chrome track so the
-        shed/delay behaviour plots beside queue depth and staleness."""
-        decisions = self._net_decisions
-        decisions[decision].inc()
+        running counts mirror onto a ``counter.admission`` Chrome track so
+        the shed/delay behaviour plots beside queue depth and staleness."""
+        decisions = self._decisions
+        decisions[decision] += 1
         events = self.events
         events.add(NET_ADMIT, now, NO_DUR, session, decision, pressure)
         events.add(
-            ADMISSION, now, NO_DUR, pressure, decisions["throttle"].value,
-            decisions["shed"].value,
+            ADMISSION, now, NO_DUR, pressure, decisions["throttle"], decisions["shed"]
         )
 
     def net_response(
@@ -623,16 +542,13 @@ class TraceCollector(Tracer):
     ) -> None:
         """A response reached (or left for) a client; ``latency`` is the
         request's round trip in virtual seconds when the transport knows
-        it (the simulated channels do; raw sockets pass None)."""
-        counter = self._net_responses.get(status)
-        if counter is None:
-            name = f"net_responses[{status}]"
-            counter = self._net_responses[status] = self.metrics.counter(name)
-        counter.inc()
+        it.  Logs no event: the counts and latencies are kept here."""
+        responses = self._net_responses
+        responses[status] = responses.get(status, 0) + 1
         if latency is not None:
-            self.metrics.histogram(
-                "net_latency_s", lo=1e-4, hi=1e3, factor=2.0
-            ).record(max(latency, 1e-4))
+            if self._net_latency is None:
+                self._net_latency = Histogram("net_latency_s", lo=1e-4, hi=1e3, factor=2.0)
+            self._net_latency.record(max(latency, 1e-4))
 
     # --------------------------------------------------------- time series
 
@@ -641,7 +557,7 @@ class TraceCollector(Tracer):
         sampler = self.timeseries
         if sampler is None or not sampler.due(now):
             return
-        queue_depth = self._g_queue.value
+        queue_depth = self._queue_depth
         pending = (
             self._db.unique_manager.pending_count() if self._db is not None else 0
         )
@@ -655,8 +571,8 @@ class TraceCollector(Tracer):
                 "pending_unique": pending,
                 "outstanding": outstanding,
                 "staleness_watermark_s": watermark,
-                "tasks_done": self._n_task_done.value,
-                "txn_commits": self._n_txn_commit.value,
+                "tasks_done": self._tasks_done,
+                "txn_commits": self._txn_commits,
                 "backpressure": backpressure,
             },
         )
@@ -672,7 +588,7 @@ class TraceCollector(Tracer):
         Returns 0.0 when sampling is disabled.
 
         With a database attached, queue depth is read live from the task
-        manager: the ``queue_depth`` gauge only refreshes at enqueue
+        manager: the depth kept for samples only refreshes at enqueue
         events, so between tasks it would report the depth as of the last
         enqueue — an admission controller polling a drained queue must
         see 0, not the stale high-water value."""
@@ -685,10 +601,24 @@ class TraceCollector(Tracer):
             manager = self._db.task_manager
             depth = len(manager.delay) + len(manager.ready) + len(manager.held)
         else:
-            depth = self._g_queue.value
+            depth = self._queue_depth
         return sampler.backpressure(depth, self.staleness.watermark(now))
 
     # ------------------------------------------------------------ results
+
+    def rollup(self) -> Rollup:
+        """Every counter, the queue-depth gauge and every histogram, read
+        from the event log, with the network responses, which log none."""
+        rollup = Rollup(self.events)
+        for status, n in self._net_responses.items():
+            rollup.counters[f"net_responses[{status}]"] = n
+        if self._net_latency is not None:
+            rollup.histograms["net_latency_s"] = self._net_latency
+        return rollup
+
+    def attribution(self) -> Attribution:
+        """The per-rule cost profile, read from the event log."""
+        return Attribution(self.events)
 
     @property
     def cpu_by_op(self) -> dict[str, float]:

@@ -272,6 +272,7 @@ def run_experiment(
     metrics = db.metrics
     summary = metrics.by_class.get(prefix)
     collector = tracer if isinstance(tracer, TraceCollector) else None
+    histograms = collector.rollup().histograms if collector is not None else None
     result = ExperimentResult(
         view=view,
         variant=variant,
@@ -294,19 +295,9 @@ def run_experiment(
         compact=compact,
         compact_rows_in=db.unique_manager.compact_rows_in,
         compact_rows_out=db.unique_manager.compact_rows_out,
-        batch_size_hist=(
-            collector.metrics.histograms["batch_size_rows"].snapshot()
-            if collector is not None
-            else None
-        ),
-        queue_depth_hist=(
-            collector.metrics.histograms["queue_depth"].snapshot()
-            if collector is not None
-            else None
-        ),
-        attribution=(
-            collector.attribution.profile_rows() if collector is not None else None
-        ),
+        batch_size_hist=histograms["batch_size_rows"].snapshot() if histograms else None,
+        queue_depth_hist=histograms["queue_depth"].snapshot() if histograms else None,
+        attribution=collector.attribution().profile_rows() if collector else None,
         **vars(outcome),
     )
     if db_out is not None:

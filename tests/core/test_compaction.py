@@ -243,13 +243,14 @@ class TestTracing:
         assert event.track == "unique"
         assert event.args["rows_in"] == 3
         assert event.args["rows_out"] == 1
-        assert collector.metrics.counter("unique_compactions").value == 1
-        hist = collector.metrics.histograms["compaction_ratio"].snapshot()
+        rollup = collector.rollup()
+        assert rollup.counters["unique_compactions"] == 1
+        hist = rollup.histograms["compaction_ratio"].snapshot()
         assert hist["count"] == 1
 
     def test_histogram_pre_created_when_unused(self):
         _db, collector = self.make_db()
-        assert "compaction_ratio" in collector.metrics.histograms
+        assert "compaction_ratio" in collector.rollup().histograms
 
     def test_batch_rows_histogram_sees_folded_count(self):
         db, collector = self.make_db()
@@ -258,7 +259,7 @@ class TestTracing:
         for value in (2.0, 3.0, 4.0):
             db.execute(f"update t set v = {value} where k = 'a'")
         db.drain()
-        hist = collector.metrics.histograms["batch_size_rows"].snapshot()
+        hist = collector.rollup().histograms["batch_size_rows"].snapshot()
         # One recompute batch, counted after compaction: 1 row, not 3.
         assert hist["count"] == 1
         assert hist["total"] == 1

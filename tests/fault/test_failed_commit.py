@@ -115,7 +115,7 @@ class World:
         stats = {key: value for key, value in db.stats().items() if key not in VISIBLE}
         attribution = [
             {key: value for key, value in row.items() if key != "wal_bytes"}
-            for row in collector.attribution.snapshot()
+            for row in collector.attribution().snapshot()
         ]
         return {
             "bound": {
@@ -146,7 +146,8 @@ class World:
                 for task_id, entry in collector.staleness._outstanding.items()
             },
             "batch_firings": {
-                name_of[task_id]: n for task_id, n in collector._batch_firings.items()
+                name_of[task_id]: n
+                for task_id, n in collector.rollup().pending_firings.items()
             },
             "backpressure": collector.backpressure(db.clock.now() + 100.0),
             "attribution": attribution,
@@ -261,11 +262,12 @@ def test_phantom_stamp_of_a_task_whose_creating_commit_failed():
     assert db.unique_manager.pending_count() == 0
     assert collector.staleness.outstanding() == 0
     assert collector.backpressure(db.clock.now() + 100.0) == 0.0
-    assert collector._batch_firings == {}
-    assert collector.attribution.stats("r0").firings == 0
+    assert collector.rollup().pending_firings == {}
+    assert collector.attribution().stats("r0").firings == 0
     assert db.stats()["rule_firings"] == 0 and db.rule_engine.check_count == 0
     assert db.unique_manager.task_count == 0
     assert collector.count("unique.rescind") == 1
+    assert collector.rollup().counters["unique_rescinds"] == 1
 
 
 @pytest.mark.parametrize("mode", ["plain", "compact"])
@@ -281,7 +283,7 @@ def test_rolled_back_absorb_leaves_no_stamp_and_no_count(mode):
     assert world.db.unique_manager.batch_count == 0
     assert world.db.stats()["unique_batched_firings"] == 0
     assert world.collector.staleness.outstanding() == 2
-    assert world.collector.attribution.stats("r0").firings == 2
+    assert world.collector.attribution().stats("r0").firings == 2
     assert world.collector.count("unique.rescind") == 1
 
 
@@ -312,8 +314,9 @@ def test_failed_cascade_commit_hands_its_stamp_back_upstream():
     assert db.drain() == 4 and db.recovery.retry_count == 1
     snapshot = collector.staleness.snapshot()
     assert (snapshot["reflected"], snapshot["outstanding"], snapshot["lost"]) == (2, 0, 0)
-    assert collector.staleness._outstanding == {} and collector._batch_firings == {}
-    assert collector.attribution.stats("r_f_down1").firings == 1
+    assert collector.staleness._outstanding == {}
+    assert collector.rollup().pending_firings == {}
+    assert collector.attribution().stats("r_f_down1").firings == 1
     assert collector.backpressure(db.clock.now() + 100.0) == 0.0
     assert collector.count("unique.rescind") == 1
 

@@ -263,6 +263,25 @@ class TestReplicationCommands:
         with pytest.raises(SystemExit, match="--compact"):
             main(["experiment", "--scale", "tiny", "--replicas", "2", "--compact"])
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--cascade", "--replicas", "2"], "--replicas does not combine with --cascade"),
+            (["--replicas", "2", "--wal-sync"], "--replicas does not combine with --wal-sync"),
+            (["--cascade", "--processors", "2"], "--cascade does not combine with --processors"),
+            (["--cascade", "--drop-late"], "--cascade does not combine with --drop-late"),
+            (
+                ["--cascade", "--update-deadline", "0.1"],
+                "--cascade does not combine with --update-deadline",
+            ),
+        ],
+        ids=["cascade-replicas", "replicas-wal-sync", "cascade-processors",
+             "cascade-drop-late", "cascade-update-deadline"],
+    )
+    def test_experiment_refuses_a_flag_its_path_ignores(self, flags, named):
+        with pytest.raises(SystemExit, match=named):
+            main(["experiment", "--scale", "tiny", *flags])
+
     def test_experiment_delegates_to_replication(self, capsys):
         code = main(
             ["experiment", "--scale", "tiny", "--replicas", "1",

@@ -135,6 +135,9 @@ class TestShed:
         assert result.throttle_decisions > 0, result.row()  # the token buckets, at least
         assert not result.lost_acked, result.lost_acked
         assert result.shed > 0  # clients saw the shed errors
+        counters = collector.rollup().counters
+        assert counters["net_shed"] == result.shed_decisions
+        assert counters["net_throttle"] == result.throttle_decisions
 
 
 # --------------------------------------------------------------- unit level
@@ -298,6 +301,17 @@ class TestServerCore:
         assert server.open_session("b") is not None
         assert server.open_session("c") is None
         assert server.refused == 1
+
+    def test_refused_connections_are_counted(self):
+        collector = TraceCollector()
+        db = Database(tracer=collector)
+        db.execute("create table stocks (symbol text, price real)")
+        server = NetServer(db, config=ServerConfig(max_sessions=1))
+        assert server.open_session("a") is not None
+        assert server.open_session("b") is None
+        counters = collector.rollup().counters
+        assert counters["net_sessions"] == 1
+        assert counters["net_refused_connections"] == server.refused == 1
 
     def test_net_accept_fault_refuses_connections(self):
         injector = FaultInjector("net.accept:drop@nth=1", seed=0)

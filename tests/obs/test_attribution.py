@@ -1,10 +1,11 @@
-"""Cost attribution: the per-rule rollup."""
+"""Cost attribution: the per-rule rollup, read from the collector's log."""
 
 import pytest
 
 from repro.database import Database
-from repro.obs import ENGINE_KEY, AttributionProfiler, TraceCollector
+from repro.obs import ENGINE_KEY, TraceCollector
 from repro.obs.attribution import RuleStats
+from repro.sim.metrics import TaskRecord
 from repro.sim.simulator import Simulator
 from repro.txn.tasks import Task
 
@@ -18,14 +19,11 @@ def make_task(rule="r", klass="recompute:f"):
     )
 
 
-class FakeRecord:
-    """Just the TaskRecord fields the profiler reads."""
-
-    def __init__(self, cpu=0.01, queueing=0.0, rows=0, switches=0):
-        self.cpu_time = cpu
-        self.queueing = queueing
-        self.bound_rows = rows
-        self.context_switches = switches
+def run(collector, task, cpu=0.01, rows=0):
+    """Drive the collector's hooks through one task that starts and ends."""
+    collector.task_start(task, 0.0)
+    record = TaskRecord(task.task_id, task.klass, 0.0, 0.0, cpu, cpu, bound_rows=rows)
+    collector.task_done(task, record)
 
 
 class TestRuleStats:
@@ -60,50 +58,61 @@ class TestRuleStats:
 
 class TestProfiler:
     def test_key_falls_back_to_klass(self):
-        task = Task(body=lambda task: None, klass="update")
-        assert AttributionProfiler.key_of(task) == "update"
-        assert AttributionProfiler.key_of(make_task(rule="r")) == "r"
+        collector = TraceCollector()
+        update = Task(body=lambda task: None, klass="update")
+        task = make_task(rule="r")
+        collector.unique_new(task, 0.0)
+        run(collector, update)
+        run(collector, task)
+        attribution = collector.attribution()
+        assert attribution.stats("update").tasks == 1
+        assert attribution.stats("r").tasks == 1
+        assert attribution.stats("recompute:f") is None
 
     def test_firings_and_tasks(self):
-        profiler = AttributionProfiler()
+        collector = TraceCollector()
         task = make_task()
-        profiler.on_unique_new(task, 0.0)
-        profiler.on_unique_append(task, 5, 0.5)
-        profiler.on_task_start(task, 1.0)
-        profiler.on_task_done(task, FakeRecord(cpu=0.02, rows=10))
-        stats = profiler.stats("r")
+        collector.unique_new(task, 0.0)
+        collector.unique_append(task, 5, 0.5)
+        run(collector, task, cpu=0.02, rows=10)
+        stats = collector.attribution().stats("r")
         assert stats.firings == 2
         assert stats.tasks == 1
         assert stats.cpu_s == pytest.approx(0.02)
         assert stats.bound_rows == 10
 
     def test_wal_flush_attributed_to_running_task(self):
-        profiler = AttributionProfiler()
-        profiler.on_persist_flush("wal", 100)  # nothing running yet
+        collector = TraceCollector()
+        collector.persist_flush("wal", 100, 1, 0.0)  # nothing running yet
         task = make_task()
-        profiler.on_task_start(task, 0.0)
-        profiler.on_persist_flush("wal", 40)
-        profiler.on_task_done(task, FakeRecord())
-        profiler.on_persist_flush("wal", 7)  # back outside any task
-        assert profiler.stats(ENGINE_KEY).wal_bytes == 107
-        assert profiler.stats("r").wal_bytes == 40
-        assert profiler.stats("r").wal_records == 1
+        collector.unique_new(task, 0.0)
+        collector.task_start(task, 0.0)
+        collector.persist_flush("wal", 40, 2, 0.0)
+        collector.task_done(task, TaskRecord(task.task_id, task.klass, 0.0, 0.0, 0.1, 0.1))
+        collector.persist_flush("wal", 7, 3, 0.1)  # back outside any task
+        attribution = collector.attribution()
+        assert attribution.stats(ENGINE_KEY).wal_bytes == 107
+        assert attribution.stats("r").wal_bytes == 40
+        assert attribution.stats("r").wal_records == 1
 
     def test_abort_clears_current(self):
-        profiler = AttributionProfiler()
+        collector = TraceCollector()
         task = make_task()
-        profiler.on_task_start(task, 0.0)
-        profiler.on_task_abort(task, 1.0)
-        profiler.on_persist_flush("wal", 9)
-        assert profiler.stats(ENGINE_KEY).wal_bytes == 9
-        assert profiler.stats("r").aborts == 1
+        collector.unique_new(task, 0.0)
+        collector.task_start(task, 0.0)
+        collector.task_abort(task, 1.0)
+        collector.persist_flush("wal", 9, 1, 1.0)
+        attribution = collector.attribution()
+        assert attribution.stats(ENGINE_KEY).wal_bytes == 9
+        assert attribution.stats("r").aborts == 1
 
     def test_profile_rows_sorted_by_cpu(self):
-        profiler = AttributionProfiler()
+        collector = TraceCollector()
         cheap, costly = make_task(rule="cheap"), make_task(rule="costly")
-        profiler.on_task_done(cheap, FakeRecord(cpu=0.01))
-        profiler.on_task_done(costly, FakeRecord(cpu=0.90))
-        rows = profiler.profile_rows()
+        for task, cpu in ((cheap, 0.01), (costly, 0.90)):
+            collector.unique_new(task, 0.0)
+            run(collector, task, cpu=cpu)
+        rows = collector.attribution().profile_rows()
         assert [row["rule"] for row in rows] == ["costly", "cheap"]
 
 
@@ -121,7 +130,7 @@ class TestEngineIntegration:
         for i in range(5):
             db.execute(f"insert into t values ('k{i}', {i})")
         Simulator(db).run()
-        stats = collector.attribution.stats("r")
+        stats = collector.attribution().stats("r")
         assert stats is not None
         assert stats.firings == 5
         assert stats.tasks >= 1

@@ -1,7 +1,7 @@
 """TraceCollector.backpressure edge cases: the admission signal's corners.
 
 The signal has two sources (live scheduler queue depth when a database is
-bound, the ``queue_depth`` gauge otherwise, blended with the staleness
+bound, the depth at the last enqueue otherwise, blended with the staleness
 watermark) and admission control polls it between tasks — so the corners
 matter: an idle engine must read 0, not the last high-water mark.
 """
@@ -30,7 +30,8 @@ class TestUnboundCollector:
         collector = TraceCollector(
             timeseries=TimeSeriesSampler(1.0, max_queue_depth=10.0)
         )
-        collector.metrics.gauge("queue_depth").set(4)
+        collector.task_enqueue(idle_task(), 1, 3, 0.0)
+        assert collector.rollup().gauges["queue_depth"]["value"] == 4
         assert collector.backpressure(0.0) == pytest.approx(0.4)
 
 
@@ -44,14 +45,14 @@ class TestBoundCollector:
         assert collector.backpressure(db.clock.now()) == 0.0
 
     def test_depth_is_read_live_not_from_the_gauge(self):
-        """The gauge only refreshes at enqueue events; a drained queue
-        polled between tasks must read 0 pressure regardless."""
+        """The queue-depth gauge only moves at enqueue events; a drained
+        queue polled between tasks must read 0 pressure regardless."""
         collector = TraceCollector()
         db = Database(tracer=collector)
         db.submit(idle_task())
         assert collector.backpressure(db.clock.now()) > 0.0
         db.drain()
-        assert collector.metrics.gauge("queue_depth").value > 0  # stale high-water
+        assert collector.rollup().gauges["queue_depth"]["value"] > 0  # stale high-water
         assert collector.backpressure(db.clock.now()) == 0.0
 
     def test_monotonic_in_queue_depth(self):

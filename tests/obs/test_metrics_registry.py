@@ -1,43 +1,53 @@
-"""Unit tests for the metrics registry: counters, gauges, histograms."""
+"""Unit tests for the metrics a report reads: counters and the queue-depth
+gauge of a :class:`~repro.obs.metrics.Rollup` (read from a collector's
+event log, driven here through the collector's hooks) and histograms."""
 
 import math
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, log_bounds
+from repro.obs import TraceCollector, stats_snapshot
+from repro.obs.metrics import Histogram, log_bounds
+from repro.txn.tasks import Task
+
+
+def enqueued(*depths):
+    """A collector that saw one enqueue per queue depth, in order."""
+    collector = TraceCollector(sample_interval=0)
+    task = Task(body=lambda task: None, klass="noise")
+    for depth in depths:
+        collector.task_enqueue(task, 0, depth, 0.0)
+    return collector
 
 
 class TestCounterGauge:
     def test_counter(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
+        collector = TraceCollector()
+        task = Task(body=lambda task: None, klass="long")
+        collector.task_preempt(task, 1, 0.0)
+        collector.task_preempt(task, 4, 0.0)
+        assert collector.rollup().counters["context_switches"] == 5
 
     def test_gauge_tracks_max(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
-        assert gauge.max == 3.0
+        gauge = enqueued(3, 1).rollup().gauges["queue_depth"]
+        assert gauge["value"] == 1
+        assert gauge["max"] == 3
 
     def test_gauge_min_max_seed_from_first_value(self):
-        # A gauge that only ever sees negative values must not report a
-        # max of 0.0 (the old zero-initialised extremes bug).
-        gauge = Gauge("g")
-        gauge.set(-5.0)
-        gauge.set(-2.0)
-        assert gauge.min == -5.0
-        assert gauge.max == -2.0
+        # A gauge whose values never reach 0 must not report a min of 0.0
+        # (the zero-initialised extremes bug); before any value all read 0.0.
+        assert TraceCollector().rollup().gauges["queue_depth"] == {
+            "value": 0.0, "min": 0.0, "max": 0.0,
+        }
+        gauge = enqueued(5, 2).rollup().gauges["queue_depth"]
+        assert gauge["min"] == 2
+        assert gauge["max"] == 5
 
     def test_gauge_min_tracks_low_watermark(self):
-        gauge = Gauge("g")
-        gauge.set(7.0)
-        gauge.set(2.0)
-        gauge.set(9.0)
-        assert gauge.min == 2.0
-        assert gauge.max == 9.0
-        assert gauge.value == 9.0
+        gauge = enqueued(7, 2, 9).rollup().gauges["queue_depth"]
+        assert gauge["min"] == 2
+        assert gauge["max"] == 9
+        assert gauge["value"] == 9
 
 
 class TestLogBounds:
@@ -135,18 +145,11 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c", bounds=[1]) is registry.histogram("c")
-
     def test_snapshot_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(2)
-        registry.gauge("depth").set(4)
-        registry.histogram("sizes", bounds=[1, 2]).record(2)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"hits": 2}
-        assert snap["gauges"]["depth"] == {"value": 4, "min": 4, "max": 4}
-        assert snap["histograms"]["sizes"]["count"] == 1
+        collector = enqueued(4)
+        collector.task_preempt(Task(body=lambda task: None, klass="t"), 2, 0.0)
+        snap = stats_snapshot(collector)
+        assert snap["counters"]["context_switches"] == 2
+        assert snap["counters"]["task_enqueues"] == 1
+        assert snap["gauges"]["queue_depth"] == {"value": 4, "min": 4, "max": 4}
+        assert collector.rollup().histograms["queue_depth"].snapshot()["count"] == 1

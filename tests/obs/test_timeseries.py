@@ -127,5 +127,5 @@ class TestCollectorSampling:
         # is zero and the queue depth is read live from the task manager
         # (not from the gauge, which latches its enqueue-time high water).
         assert collector.staleness.watermark(db.clock.now()) == 0.0
-        assert collector.metrics.gauge("queue_depth").value > 0
+        assert collector.rollup().gauges["queue_depth"]["value"] > 0
         assert collector.backpressure() == 0.0

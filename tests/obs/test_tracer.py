@@ -49,7 +49,7 @@ class TestTransactionEvents:
         assert collector.count("txn.commit") == 1
         commit = next(e for e in collector.events if e.kind == "txn.commit")
         assert commit.dur is not None and commit.dur >= 0
-        assert collector.metrics.counters["txn_commit"].value == 1
+        assert collector.rollup().counters["txn_commit"] == 1
 
     def test_abort(self):
         db = Database(tracer=(collector := TraceCollector()))
@@ -79,8 +79,9 @@ class TestRuleAndUniqueEvents:
         for i in range(5):
             db.execute(f"insert into t values ('k{i}', {float(i)})")
         db.drain()
-        firings = collector.metrics.histograms["batch_firings"]
-        rows = collector.metrics.histograms["batch_size_rows"]
+        histograms = collector.rollup().histograms
+        firings = histograms["batch_firings"]
+        rows = histograms["batch_size_rows"]
         assert firings.count == 1  # one recompute batch ran
         assert firings.max == 5  # ...absorbing all five firings
         assert rows.max == 5
@@ -120,7 +121,7 @@ class TestTaskEvents:
         counters = [e for e in collector.events if e.kind == "counter.queues"]
         assert counters
         assert {"delay", "ready"} <= set(counters[-1].args)
-        assert collector.metrics.histograms["queue_depth"].count == len(counters)
+        assert collector.rollup().histograms["queue_depth"].count == len(counters)
 
     def test_task_abort_event(self):
         def boom(ctx):
@@ -155,7 +156,7 @@ class TestTaskEvents:
         simulator.run()
         assert simulator.dropped == 1
         assert collector.count("task.drop") == 1
-        assert collector.metrics.counters["task_drops"].value == 1
+        assert collector.rollup().counters["task_drops"] == 1
 
     def test_superseding_deletion_leaves_no_batch_behind(self):
         from repro.pta.workload import run_deletion_experiment
@@ -167,7 +168,9 @@ class TestTaskEvents:
         )
         assert result.superseded > 0
         assert collector.count("task.supersede") > 0
-        assert collector._batch_firings == {}
+        rollup = collector.rollup()
+        assert rollup.counters["task_supersedes"] == collector.count("task.supersede")
+        assert rollup.pending_firings == {}
 
     def test_cpu_by_op_breakdown(self):
         db, collector = make_traced_db()

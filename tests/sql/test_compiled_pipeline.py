@@ -9,6 +9,7 @@ and — bit for bit — ``meter.total``.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 
 import pytest
@@ -27,6 +28,7 @@ from repro.sql import executor, planner
 from repro.sql.parser import parse_statement
 from repro.sql.planner import plan_select
 from repro.storage.schema import ColumnType, Schema
+from repro.storage import temptable
 from repro.storage.temptable import TempTable
 from repro.storage.tuples import Record
 from tests.integration.test_golden_virtual import task_meters
@@ -497,3 +499,8 @@ def test_per_bound_row_work_on_the_comps_workload(monkeypatch):
     assert all(pins == pointers for pins, pointers in samples)
     assert max(pointers for _pins, pointers in samples) >= 3 * 100  # three per bound row
     assert not any(record.pins for record in records)
+
+
+def test_the_one_exec_is_generate():
+    assert "exec(compile(" in inspect.getsource(temptable.generate), "the one exec is not in generate()"
+    assert planner.generate is temptable.generate, "the planner compiles its nests elsewhere"

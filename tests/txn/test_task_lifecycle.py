@@ -258,10 +258,10 @@ def test_every_ending_leaves_nothing_behind(tmp_path, ending, durable):
         staleness = db.tracer.staleness
         owed = 1 if logged == LEFT_TO_RECOVERY else 0
         assert staleness.outstanding() == owed
-        assert db.tracer._batch_firings == {}  # batch sizes owed for no task
+        assert db.tracer.rollup().pending_firings == {}  # batch sizes owed for no task
         if not owed:
             assert db.tracer.backpressure(db.clock.now() + 100.0) == 0.0
-        landed = sum(row["firings"] for row in db.tracer.attribution.snapshot())
+        landed = sum(row["firings"] for row in db.tracer.attribution().snapshot())
         assert landed == staleness.reflected + staleness.lost + owed
         stats = db.stats()
         assert stats["rule_firings"] == landed

@@ -496,3 +496,26 @@ class TestRequeryPlanCache:
         few = self.plans_after_marking(monkeypatch, PROJ_VIEW, 5, **kwargs)
         many = self.plans_after_marking(monkeypatch, PROJ_VIEW, 50, **kwargs)
         assert few == many
+
+
+class TestDeletionHeavyRun:
+    def test_all_three_strategies_converge_and_dred_beats_recompute(self):
+        from repro.pta.workload import run_deletion_experiment
+
+        kwargs = dict(
+            n_symbols=8, positions_per_symbol=4, n_events=150,
+            duration=30.0, delete_mix=0.4, seed=0,
+        )
+        runs = {
+            strategy: run_deletion_experiment(maintenance=strategy, **kwargs)
+            for strategy in ("incremental", "dred", "recompute")
+        }
+        for strategy, run in runs.items():
+            assert run.oracle_divergent == 0, (strategy, run.oracle_report.format())
+            assert run.oracle_rows > 0, strategy  # non-vacuous oracle
+            assert run.n_deletions > 0, strategy
+        dred, recompute = runs["dred"], runs["recompute"]
+        assert dred.keys_marked > 0 and dred.rows_rederived > 0
+        assert dred.full_recomputes == 0
+        assert dred.rows_touched_per_deletion < recompute.rows_touched_per_deletion
+        assert dred.superseded > 0  # delistings retired pending tasks
