@@ -132,7 +132,7 @@ class Histogram:
 
 
 #: Event kind -> the counter that counts its events.
-COUNTED = {
+_COUNTED = {
     "txn.begin": "txn_begin",
     "txn.commit": "txn_commit",
     "txn.abort": "txn_abort",
@@ -158,8 +158,8 @@ COUNTED = {
 }
 
 #: Every counter a rollup reports, zero or not.
-COUNTERS = (
-    *COUNTED.values(), "task_starts", "cascade_tasks", "context_switches",
+_COUNTERS = (
+    *_COUNTED.values(), "task_starts", "cascade_tasks", "context_switches",
     "net_sessions", "net_refused_connections", "net_admit", "net_throttle", "net_shed",
 )
 
@@ -186,7 +186,7 @@ class Rollup:
     __slots__ = ("counters", "gauges", "histograms", "pending_firings")
 
     def __init__(self, log: "EventLog") -> None:
-        counters = self.counters = dict.fromkeys(COUNTERS, 0)
+        counters = self.counters = dict.fromkeys(_COUNTERS, 0)
         histograms = self.histograms = {
             name: Histogram(name, lo=lo, hi=hi, factor=factor)
             for name, lo, hi, factor in _HISTOGRAMS
@@ -197,7 +197,7 @@ class Rollup:
         depth: Any = 0.0
         for shape, _ts, dur, values in log.raw():
             kind = shape.kind
-            counted = COUNTED.get(kind)
+            counted = _COUNTED.get(kind)
             if counted is not None:
                 counters[counted] += 1
             if kind == "counter.queues":
