@@ -159,7 +159,8 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 def _refuse_ignored_flags(args: argparse.Namespace) -> None:
     """Exit on a flag the chosen ``experiment`` path would silently ignore:
-    one list per path (replicated, cascade), each with the reason."""
+    one list per path (replicated, cascade, single view), each with the
+    reason."""
     if args.replicas:
         path = "--replicas"
         reason = (
@@ -175,6 +176,7 @@ def _refuse_ignored_flags(args: argparse.Namespace) -> None:
             ("--compact", args.compact),
             ("--checkpoint-every", args.checkpoint_every is not None),
             ("--wal-sync", args.wal_sync),
+            ("--sector-delay", args.sector_delay is not None),
         ]
     elif args.cascade:
         path = "--cascade"
@@ -185,7 +187,9 @@ def _refuse_ignored_flags(args: argparse.Namespace) -> None:
             ("--update-deadline", args.update_deadline is not None),
         ]
     else:
-        return
+        path = "a single-view experiment"
+        reason = "the sector rule exists only with --cascade"
+        ignored = [("--sector-delay", args.sector_delay is not None)]
     incompatible = [flag for flag, is_set in ignored if is_set]
     if incompatible:
         raise SystemExit(f"{path} does not combine with {', '.join(incompatible)} ({reason})")
@@ -221,7 +225,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
         if args.cascade:
             result = run_cascade_experiment(
-                scale, sector_delay=args.sector_delay, **shared
+                scale, sector_delay=1.0 if args.sector_delay is None else args.sector_delay,
+                **shared,
             )
         else:
             result = run_experiment(
@@ -919,8 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--sector-delay",
         type=float,
-        default=1.0,
-        help="the sector rule's after window (only with --cascade)",
+        default=None,
+        help="the sector rule's after window (only with --cascade; default 1.0)",
     )
     experiment.add_argument("--policy", choices=["fifo", "edf", "vdf"], default="fifo")
     experiment.add_argument(

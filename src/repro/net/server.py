@@ -202,7 +202,7 @@ class NetServer:
     def _respond(self, session: Session, response: dict, now: float) -> dict:
         session.responded += 1
         if self.db.tracer.enabled:
-            self.db.tracer.net_response(session.name, response["t"], None, now)
+            self.db.tracer.net_response(session.name, response["t"], now)
         return response
 
     def _hello(self, session: Session, msg: dict) -> dict:
@@ -316,7 +316,7 @@ class NetServer:
             AckRecord(session.name, request_id, symbol, price, commit_seq, now)
         )
         if self.db.tracer.enabled:
-            self.db.tracer.net_response(session.name, "ok", None, now)
+            self.db.tracer.net_response(session.name, "ok", now)
         session.responded += 1
         self.on_ack(session, response, task)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 from repro.obs.attribution import ENGINE_KEY, Attribution
-from repro.obs.metrics import Histogram, Rollup
+from repro.obs.metrics import Rollup
 from repro.obs.staleness import StalenessTracker
 from repro.obs.timeseries import TimeSeriesSampler
 
@@ -276,9 +276,7 @@ class Tracer:
     def net_admission(
         self, session: str, decision: str, pressure: float, now: float
     ) -> None: ...
-    def net_response(
-        self, session: str, status: str, latency: Optional[float], now: float
-    ) -> None: ...
+    def net_response(self, session: str, status: str, now: float) -> None: ...
 
 
 class NullTracer(Tracer):
@@ -324,9 +322,8 @@ class TraceCollector(Tracer):
         # The running task's attribution key and bound rows at its start.
         self._running: Optional[str] = None
         self._start_rows = 0
-        # net_response logs no event: response status -> count, latencies.
+        # net_response logs no event: response status -> count.
         self._net_responses: dict[str, int] = {}
-        self._net_latency: Optional[Histogram] = None
 
     def bind(self, db: "Database") -> None:
         self._cost_seconds = dict(db.cost_model._seconds)
@@ -537,18 +534,11 @@ class TraceCollector(Tracer):
             ADMISSION, now, NO_DUR, pressure, decisions["throttle"], decisions["shed"]
         )
 
-    def net_response(
-        self, session: str, status: str, latency: Optional[float], now: float
-    ) -> None:
-        """A response reached (or left for) a client; ``latency`` is the
-        request's round trip in virtual seconds when the transport knows
-        it.  Logs no event: the counts and latencies are kept here."""
+    def net_response(self, session: str, status: str, now: float) -> None:
+        """A response reached (or left for) a client.  Logs no event: the
+        count per status is kept here."""
         responses = self._net_responses
         responses[status] = responses.get(status, 0) + 1
-        if latency is not None:
-            if self._net_latency is None:
-                self._net_latency = Histogram("net_latency_s", lo=1e-4, hi=1e3, factor=2.0)
-            self._net_latency.record(max(latency, 1e-4))
 
     # --------------------------------------------------------- time series
 
@@ -608,12 +598,10 @@ class TraceCollector(Tracer):
 
     def rollup(self) -> Rollup:
         """Every counter, the queue-depth gauge and every histogram, read
-        from the event log, with the network responses, which log none."""
+        from the event log, with the network response counts, which log none."""
         rollup = Rollup(self.events)
         for status, n in self._net_responses.items():
             rollup.counters[f"net_responses[{status}]"] = n
-        if self._net_latency is not None:
-            rollup.histograms["net_latency_s"] = self._net_latency
         return rollup
 
     def attribution(self) -> Attribution:

@@ -65,9 +65,9 @@ def generate(lines: Sequence[str], name: str, filename: str, names: dict[str, An
     """Compile generated source that defines function ``name`` with
     ``names`` as its globals, and return the function.  The only ``exec``
     in the library (DESIGN.md 6a): SELECT loop nests, UPDATE / DELETE
-    statements, row validators and the row readers below come through here,
-    and what they interpolate is offsets, slots and names they made up
-    themselves — never text from a statement or a schema."""
+    statements, row validators, view folds and the row readers below come
+    through here, and what they interpolate is offsets, slots and names
+    they made up themselves — never text from a statement or a schema."""
     exec(compile("\n".join(lines), filename, "exec"), names)
     return names[name]
 
@@ -357,6 +357,14 @@ class TempTable:
     def scan_raw(self) -> Iterator[tuple[tuple[Record, ...], tuple[Any, ...]]]:
         self._check_live()
         return iter(self._rows)
+
+    def column_sources(self, names: Iterable[str], optional: Iterable[str] = ()) -> tuple:
+        """The :class:`ColumnSource` of each column of ``names``, for code
+        generated over :meth:`scan_raw`; None for a column of ``optional``
+        this table lacks (such code reads it as None)."""
+        schema, sources = self.schema, self.static_map.sources
+        absent = {name for name in optional if not schema.has_column(name)}
+        return tuple(None if n in absent else sources[schema.offset(n)] for n in names)
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Rows as dictionaries — convenient in user functions and tests."""

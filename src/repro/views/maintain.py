@@ -64,14 +64,16 @@ view — over-deletion in the extreme, always safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.core.rules import Rule
 from repro.core.transition import EXECUTE_ORDER
 from repro.errors import StripError
 from repro.sql import ast
 from repro.storage.schema import Column, ColumnType, Schema
+from repro.storage.temptable import generate
 from repro.views.advisor import MaintenanceAdvisor, MaintenanceProfile, MaintenanceReport
 from repro.views.definition import ViewDefinition
 
@@ -83,16 +85,15 @@ HIDDEN_COUNT = "maint_cnt"
 #: Mark-row flag column: 0 for an anchored key mark, 1 for the wild
 #: fallback (recompute the whole view).
 WILD_MARK = "maint_wild"
-#: Ordering columns projected by projection deltas so the apply fold can
-#: replay events in commit order (commit time, then execute order).
-ORDER_CT = "maint_ct"
-ORDER_ORD = "maint_ord"
-#: Commit-sequence column stamped onto aggregate delta rows.  A marked
-#: key's rederivation requery is ground truth for *every* commit made so
-#: far, including commits whose own maintenance tasks are still pending —
-#: their folded deltas for that key must be discarded or they would apply
-#: on top of a requery that already reflected them.
+#: Commit-sequence column stamped onto delta rows.  A marked key's
+#: rederivation requery is ground truth for *every* commit made so far,
+#: including commits whose own maintenance tasks are still pending — their
+#: folded aggregate deltas for that key must be discarded or they would
+#: apply on top of a requery that already reflected them.  Projection
+#: deltas replay their events in commit order by it, then by
+#: ``ORDER_ORD``, the execute order within the transaction.
 MAINT_SEQ = "maint_seq"
+ORDER_ORD = "maint_ord"
 
 #: Strategies a view's generated rules can implement.
 STRATEGIES = ("incremental", "dred", "recompute")
@@ -457,22 +458,78 @@ def _mark_queries(
     return queries
 
 
-def _bound_columns(
-    ctx: "FunctionContext", bound_name: str, required: Sequence[str], optional: Sequence[str]
-) -> Iterator[tuple]:
-    """``ctx.columns`` over ``required`` then ``optional``; nothing for a table
-    the strategy leaves unbound.  An optional column the table does not have
-    reads as None in every row — decided here, once, from its schema."""
+@functools.lru_cache(maxsize=256)
+def _fold(loop: str, sources: tuple, at: tuple) -> Callable:
+    """The generated row loop ``loop`` over a bound table whose columns, in
+    the order the loop reads them, live at ``sources`` (None: the table
+    lacks it, read as None); ``at`` are the view key's positions among them.
+    Cached by its sources, as the row readers are (DESIGN.md 6a "The view
+    folds"): it reads each raw row's columns inline, charges per row to a
+    local copy of ``meter.total`` and lands the total and counts once."""
+    reads = ["None" if source is None else source.text("ptrs", "mats") for source in sources]
+    key = "(" + "".join(reads[i] + ", " for i in at) + ")"
+    charges, result = ["user_row"], "None"
+    if loop == "marks":  # (*keys, flag): a wild mark's keys are not looked at
+        params, charges, result = "marked", ["user_row", "dred_mark"], "wild"
+        body = [f"if {reads[-1]}:", "    wild = True", "else:", f"    marked.add({key})"]
+    elif loop == "aggregate":  # (*keys, *arguments, seq): signed sums per key
+        params, arguments = "changes, sign, recomputed_at, rederived_at", reads[len(at):-1]
+        body = [
+            f"key, seq = {key}, {reads[-1]}",
+            "if seq and seq <= max(recomputed_at, rederived_at.get(key, 0)):",
+            "    continue  # a requery already reflected this commit",
+            "entry = changes.get(key)",
+            "if entry is None:",
+            f"    entry = changes[key] = [0{', 0.0' * len(arguments)}]",
+            "entry[0] += sign",
+        ]
+        for i, read in enumerate(arguments, 1):
+            body += [f"value = {read}", "if value is not None:"]
+            body.append(f"    entry[{i:d}] += sign * value")
+    else:  # projection, (*row, commit seq, execute order): latest event per key
+        params = "latest, rank, seq"
+        body = [
+            f"row = [{''.join(read + ', ' for read in reads[:-2])}]",
+            f"order = ({reads[-2]} or 0, {reads[-1]} or 0, rank, seq)",
+            "seq += 1",
+            f"key = ({''.join(f'row[{i:d}], ' for i in at)})",
+            "prev = latest.get(key)",
+            "if prev is None or order > prev[0]:",
+            "    latest[key] = (order, rank, row)",
+        ]
+    lines = [
+        f"def fold(rows, meter, cost, {params}):",
+        *(f"    c{at} = cost[{op!r}]" for at, op in enumerate(charges)),
+        "    total, n, wild = meter.total, 0, False",
+        "    try:",
+        "        for ptrs, mats in rows:",
+        *(f"            total += c{at}" for at in range(len(charges))),
+        "            n += 1",
+        *(f"            {line}" for line in body),
+        "    finally:",
+        "        meter.total = total",
+        "        if n:",  # dred_mark first: the order charge() stored them in
+        *(f"            meter.ops[{op!r}] += n" for op in reversed(charges)),
+        f"    return {result}",
+    ]
+    return generate(lines, "fold", f"<view fold {loop}>", {})
+
+
+def _run_fold(
+    ctx: "FunctionContext", bound_name: str, loop: str, names: Sequence[str],
+    optional: Sequence[str], at: Sequence[int], *args,
+) -> tuple[int, object]:
+    """``(rows, result)`` of the generated ``loop`` over bound table
+    ``bound_name`` — ``(0, None)``, nothing built or charged, when the
+    strategy left the table unbound or it holds no rows."""
     if not ctx.has_bound(bound_name):
-        return iter(())
-    schema = ctx.bound(bound_name).schema
-    present = [name for name in optional if schema.has_column(name)]
-    rows = ctx.columns(bound_name, *required, *present)
-    if len(present) == len(optional):
-        return rows
-    at = {name: position for position, name in enumerate((*required, *present))}
-    picks = [at.get(name) for name in (*required, *optional)]
-    return (tuple([None if p is None else values[p] for p in picks]) for values in rows)
+        return 0, None
+    table = ctx.bound(bound_name)
+    rows = table.scan_raw()  # a retired table raises, as every read does
+    if not len(table):
+        return 0, None
+    fold = _fold(loop, table.column_sources(names, optional), tuple(at))
+    return len(table), fold(rows, *ctx.db.metering(), *args)
 
 
 def _collect_marks(
@@ -480,19 +537,12 @@ def _collect_marks(
 ) -> tuple[set[tuple], bool]:
     """Read the mark bound tables: (marked keys, wild-recompute flag)."""
     marked: set[tuple] = set()
-    wild = False
-    for bound_name in ("marks_del", "marks_old"):
-        # A wild mark table projects the flag alone; its keys are not looked at.
-        for *key, flag in _bound_columns(ctx, bound_name, (), (*key_names, WILD_MARK)):
-            ctx.charge("dred_mark")
-            if bound_name == "marks_del":
-                stats.deletions_seen += 1
-            if flag:
-                wild = True
-            else:
-                marked.add(tuple(key))
+    names, at = (*key_names, WILD_MARK), range(len(key_names))  # a wild mark: the flag alone
+    deleted, wild_del = _run_fold(ctx, "marks_del", "marks", names, names, at, marked)
+    wild_old = _run_fold(ctx, "marks_old", "marks", names, names, at, marked)[1]
+    stats.deletions_seen += deleted
     stats.keys_marked += len(marked)
-    return marked, wild
+    return marked, bool(wild_del or wild_old)
 
 
 def _full_recompute(
@@ -839,21 +889,12 @@ class _AggregateKind(_ViewKind):
     def fold(self, ctx: "FunctionContext") -> dict[tuple, list]:
         """Per group: ``[count delta, sum delta per aggregate...]``."""
         changes: dict[tuple, list] = {}
-        n_keys = len(self.key_names)
-        columns = (*self.key_names, *(f"arg_{name}" for _agg, name in self.aggs))
+        names = (*self.key_names, *(f"arg_{name}" for _agg, name in self.aggs), MAINT_SEQ)
         for (bound_name, _transition), sign in zip(self.deltas, (1, 1, -1, -1)):
-            for values in _bound_columns(ctx, bound_name, columns, (MAINT_SEQ,)):
-                key, seq = values[:n_keys], values[-1]
-                horizon = max(self.recomputed_at, self.rederived_at.get(key, 0))
-                if seq and seq <= horizon:
-                    continue  # a requery already reflected this commit
-                entry = changes.get(key)
-                if entry is None:
-                    entry = changes[key] = [0] + [0.0] * len(self.aggs)
-                entry[0] += sign
-                for i, value in enumerate(values[n_keys:-1], 1):
-                    if value is not None:
-                        entry[i] += sign * value
+            _run_fold(
+                ctx, bound_name, "aggregate", names, (MAINT_SEQ,), range(len(self.key_names)),
+                changes, sign, self.recomputed_at, self.rederived_at,
+            )
         return changes
 
     def write(self, ctx: "FunctionContext", table, key: tuple, records: list, entry: list) -> None:
@@ -941,10 +982,11 @@ class _ProjectionKind(_ViewKind):
             for expr, name in self.items
         ]
         # Ordering columns so the apply fold can replay the batch's events
-        # in true order: bind-time commit time, then within-transaction
-        # execute order.  A delete and its reinsert can then never pair up
-        # the wrong way round, whatever order the bound tables arrive in.
-        out.append(ast.SelectItem(ast.ColumnRef(None, "commit_time"), ORDER_CT))
+        # in true order: commit sequence (virtual commit times can tie),
+        # then within-transaction execute order.  A delete and its reinsert
+        # can then never pair up the wrong way round, whatever order the
+        # bound tables arrive in.
+        out.append(ast.SelectItem(ast.ColumnRef(None, "commit_seq"), MAINT_SEQ))
         out.append(ast.SelectItem(ast.ColumnRef(transition, EXECUTE_ORDER), ORDER_ORD))
         return out
 
@@ -957,7 +999,7 @@ class _ProjectionKind(_ViewKind):
         """Per key: ``(order, rank, row)`` of its latest event.
 
         Transition-aware ordered fold: every delta row carries its commit
-        time and execute order, so per key the *latest* event decides the
+        sequence and execute order, so per key the *latest* event decides the
         outcome.  Removal events (removed/stale) rank below upserts at
         the same position because an update's old and new image share one
         execute order and the new image must win; across positions the
@@ -966,16 +1008,12 @@ class _ProjectionKind(_ViewKind):
         """
         latest: dict[tuple, tuple] = {}
         seq = 0
+        names = (*self.column_names, MAINT_SEQ, ORDER_ORD)
         for bound_name, rank in (("removed", 0), ("stale", 0), ("added", 1), ("refreshed", 1)):
-            for *row, commit_time, execute_order in _bound_columns(
-                ctx, bound_name, self.column_names, (ORDER_CT, ORDER_ORD)
-            ):
-                key = tuple([row[at] for at in self.fold_offsets])
-                order = (commit_time or 0.0, execute_order or 0, rank, seq)
-                seq += 1
-                prev = latest.get(key)
-                if prev is None or order > prev[0]:
-                    latest[key] = (order, rank, row)
+            seq += _run_fold(
+                ctx, bound_name, "projection", names, (MAINT_SEQ, ORDER_ORD), self.fold_offsets,
+                latest, rank, seq,
+            )[0]
         return latest
 
     def write(self, ctx: "FunctionContext", table, key: tuple, records: list, folded: tuple) -> None:
@@ -985,14 +1023,13 @@ class _ProjectionKind(_ViewKind):
                 ctx.txn.delete_record(table, record)
             self.stats.rows_touched += len(records)
             return
-        values = list(row)
         if records:
-            ctx.txn.update_record(table, records[0], values)
+            ctx.txn.update_record(table, records[0], row)
             for record in records[1:]:
                 ctx.txn.delete_record(table, record)
             self.stats.rows_touched += len(records)
         else:
-            ctx.txn.insert_record(table, values)
+            ctx.txn.insert_record(table, row)
             self.stats.rows_touched += 1
 
 
@@ -1093,8 +1130,17 @@ def _install(
         for key in sorted(marked, key=repr):
             kind.rederive(ctx, table, key)
             kind.requeried(key, ctx.db.last_commit_seq)
+        # A key's backing rows come through the view table's index on the
+        # key, resolved once per task; ``cursor_fetch`` is charged in line.
+        index = table.index_on(kind.key_names)
+        meter, cost = ctx.db.metering()
         for key, folded in changes.items():
-            ctx.charge("cursor_fetch")
-            kind.write(ctx, table, key, _find(table, kind.key_names, key), folded)
+            meter.total += cost["cursor_fetch"]
+            meter.ops["cursor_fetch"] += 1
+            if index is None:
+                records = _find(table, kind.key_names, key)
+            else:
+                records = list(index.lookup(key if len(key) > 1 else key[0]))
+            kind.write(ctx, table, key, records, folded)
 
     db.register_function(function_name, apply, replace=True)

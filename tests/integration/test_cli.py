@@ -274,13 +274,27 @@ class TestReplicationCommands:
                 ["--cascade", "--update-deadline", "0.1"],
                 "--cascade does not combine with --update-deadline",
             ),
+            (
+                ["--replicas", "2", "--sector-delay", "5"],
+                "--replicas does not combine with --sector-delay",
+            ),
+            # An explicit default is refused too: the flag has no meaning here.
+            (["--sector-delay", "5"], "single-view experiment does not combine with --sector-delay"),
+            (["--sector-delay", "1.0"], "single-view experiment does not combine with --sector-delay"),
         ],
         ids=["cascade-replicas", "replicas-wal-sync", "cascade-processors",
-             "cascade-drop-late", "cascade-update-deadline"],
+             "cascade-drop-late", "cascade-update-deadline", "replicas-sector-delay",
+             "single-view-sector-delay", "single-view-sector-delay-default"],
     )
     def test_experiment_refuses_a_flag_its_path_ignores(self, flags, named):
         with pytest.raises(SystemExit, match=named):
             main(["experiment", "--scale", "tiny", *flags])
+
+    def test_cascade_takes_a_sector_delay(self, capsys):
+        assert main(["experiment", "--scale", "tiny", "--cascade", "--sector-delay", "5"]) == 0
+        out = capsys.readouterr().out
+        header, _rule, row = out.splitlines()[1:4]
+        assert dict(zip(header.split(), row.split()))["sector_delay_s"] == "5.0000"
 
     def test_experiment_delegates_to_replication(self, capsys):
         code = main(

@@ -224,18 +224,29 @@ class TestSqlSurface:
 class TestBoundColumns:
     def test_optional_columns_are_resolved_from_the_schema_once_per_call(self, db):
         """The generated rules always project their ordering / sequence /
-        flag columns; a bound table without one reads it as None (what
-        ``row.get`` answered), and a table the strategy left unbound reads
-        as no rows.  Each row read is one ``user_row``, as before."""
-        from repro.views.maintain import _bound_columns
+        flag columns; in each generated fold a bound table without one reads
+        it as None (what ``row.get`` answered), and a table the strategy left
+        unbound reads as no rows.  Each row read is one ``user_row``, and a
+        mark row one ``dred_mark`` after it, as before."""
+        from repro.views.maintain import _run_fold
 
         seen = {}
 
         def fn(ctx):
-            seen["present"] = list(_bound_columns(ctx, "m", ("a",), ("b",)))
-            seen["absent"] = list(_bound_columns(ctx, "m", ("b",), ("maint_ct", "a", "maint_ord")))
-            seen["unbound"] = list(_bound_columns(ctx, "marks_del", ("a",), ()))
-            seen["user_row"] = ctx.task.meter.ops["user_row"]
+            marked, changes, latest = set(), {}, {}
+            seen["marks"] = _run_fold(
+                ctx, "m", "marks", ("a", "maint_wild"), ("maint_wild",), (0,), marked
+            ), marked
+            seen["aggregate"] = _run_fold(
+                ctx, "m", "aggregate", ("a", "b", "maint_seq"), ("maint_seq",), (0,),
+                changes, -1, 0, {},
+            ), changes
+            seen["projection"] = _run_fold(
+                ctx, "m", "projection", ("b", "a", "maint_seq", "maint_ord"),
+                ("maint_seq", "maint_ord"), (1,), latest, 1, 7,
+            ), latest
+            seen["unbound"] = _run_fold(ctx, "marks_del", "marks", ("a",), (), (0,), marked)
+            seen["ops"] = {op: ctx.task.meter.ops[op] for op in ("user_row", "dred_mark")}
 
         db.register_function("f", fn)
         db.execute(
@@ -245,8 +256,9 @@ class TestBoundColumns:
         db.execute("insert into x values ('g9', 4.0)")
         db.drain()
         assert seen == {
-            "present": [("g9", 4.0)],
-            "absent": [(4.0, None, "g9", None)],
-            "unbound": [],
-            "user_row": 2,
+            "marks": ((1, False), {("g9",)}),
+            "aggregate": ((1, None), {("g9",): [-1, -4.0]}),
+            "projection": ((1, None), {("g9",): ((0, 0, 1, 7), 1, [4.0, "g9"])}),
+            "unbound": (0, None),
+            "ops": {"user_row": 3, "dred_mark": 1},
         }
