@@ -224,10 +224,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     try:
         if args.cascade:
-            result = run_cascade_experiment(
-                scale, sector_delay=1.0 if args.sector_delay is None else args.sector_delay,
-                **shared,
-            )
+            if args.sector_delay is not None:
+                shared["sector_delay"] = args.sector_delay
+            result = run_cascade_experiment(scale, **shared)
         else:
             result = run_experiment(
                 scale,
@@ -925,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sector-delay",
         type=float,
         default=None,
-        help="the sector rule's after window (only with --cascade; default 1.0)",
+        help="the sector rule's after window (only with --cascade)",
     )
     experiment.add_argument("--policy", choices=["fifo", "edf", "vdf"], default="fifo")
     experiment.add_argument(

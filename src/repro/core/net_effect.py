@@ -48,12 +48,16 @@ UPDATE = "update"
 OLD_IMAGE_PREFIX = "old_"
 NEW_IMAGE_PREFIX = "new_"
 
-#: Sort ranks for events that tie on (commit_time, execute_order, index):
+#: Sort ranks for events that tie on (commit_seq, commit_time,
+#: execute_order, index):
 #: a key dies before it is re-created at the same position, so a DELETE
 #: sorts ahead of an UPDATE, which sorts ahead of an INSERT of the same
 #: key.  This makes delete-then-reinsert interleavings deterministic when
 #: the streams carry no explicit ordering columns.
 _STREAM_RANK = {DELETE: 0, UPDATE: 1, INSERT: 2}
+
+#: Bound-table columns that order events rather than carry row data.
+ORDER_COLUMNS = ("execute_order", "commit_time", "commit_seq")
 
 #: A change stream: a bound/transition TempTable, or plain row dicts.
 ChangeStream = Union[TempTable, Sequence[dict]]
@@ -93,15 +97,20 @@ def _events_from_tables(
         return list(table)
 
     def position(index: int, row: dict, kind: str) -> tuple:
-        # commit_time (when bound) orders events across transactions, the
-        # execute_order column orders them within one, and the bound-table
-        # append index breaks remaining ties (paper section 2).  Events from
+        # commit_seq (when bound) orders events across transactions: two
+        # commits can share one virtual commit_time and execute_order
+        # restarts at 1 in every transaction, so only the sequence number
+        # tells them apart; commit_time (when bound) orders them otherwise.
+        # The execute_order column orders events within one transaction,
+        # and the bound-table append index breaks remaining ties (paper
+        # section 2).  Events from
         # different streams can still collide (e.g. an insert and a delete
         # both appended 0th with no ordering columns) and each stream's
         # append index counts independently, so for cross-stream ties the
         # stream rank decides before the index does: deletes before updates
         # before inserts.
         return (
+            row.get("commit_seq", 0),
             row.get("commit_time", 0.0),
             row.get("execute_order", index),
             _STREAM_RANK[kind],
@@ -160,7 +169,7 @@ def net_effect(
         return {
             column: value
             for column, value in row.items()
-            if column not in ("execute_order", "commit_time")
+            if column not in ORDER_COLUMNS
         }
 
     first_old: dict[tuple, Optional[dict]] = {}
@@ -407,7 +416,6 @@ def compact_table_rows(
     old_stream: list[dict] = []
     new_stream: list[dict] = []
     last_raw: dict[tuple, Sequence[Any]] = {}
-    order_names = ("execute_order", "commit_time")
     for row in rows:
         old_image: dict = {}
         new_image: dict = {}
@@ -438,7 +446,7 @@ def compact_table_rows(
             elif name.startswith(NEW_IMAGE_PREFIX):
                 base = name[len(NEW_IMAGE_PREFIX):]
                 values.append(change.new[base])  # type: ignore[index]
-            elif name in order_names:
+            elif name in ORDER_COLUMNS:
                 # net_effect strips ordering pseudo-columns from its images;
                 # carry the latest raw value (what the last firing saw).
                 values.append(raw[i])

@@ -1130,17 +1130,11 @@ def _install(
         for key in sorted(marked, key=repr):
             kind.rederive(ctx, table, key)
             kind.requeried(key, ctx.db.last_commit_seq)
-        # A key's backing rows come through the view table's index on the
-        # key, resolved once per task; ``cursor_fetch`` is charged in line.
-        index = table.index_on(kind.key_names)
+        # ``cursor_fetch`` is charged in line, once per written key.
         meter, cost = ctx.db.metering()
         for key, folded in changes.items():
             meter.total += cost["cursor_fetch"]
             meter.ops["cursor_fetch"] += 1
-            if index is None:
-                records = _find(table, kind.key_names, key)
-            else:
-                records = list(index.lookup(key if len(key) > 1 else key[0]))
-            kind.write(ctx, table, key, records, folded)
+            kind.write(ctx, table, key, _find(table, kind.key_names, key), folded)
 
     db.register_function(function_name, apply, replace=True)

@@ -24,6 +24,7 @@ def make_table(rows, columns=("k", "v", "execute_order")):
         "v": ColumnType.REAL,
         "execute_order": ColumnType.INT,
         "commit_time": ColumnType.TIME,
+        "commit_seq": ColumnType.INT,
     }
     schema = Schema([Column(name, types[name]) for name in columns])
     table = TempTable("t", schema)
@@ -154,6 +155,24 @@ class TestCollapsing:
                 ],
                 columns,
             ),
+        )
+        [change] = changes
+        assert change.old == {"k": "a", "v": 1.0}
+        assert change.new == {"k": "a", "v": 9.0}
+
+    def test_commit_seq_orders_commits_at_one_instant(self):
+        # Two transactions commit at virtual time 1.0; the later one (seq 2)
+        # updated the key at its execute_order 1, the earlier at its 2.
+        # Ordered by (commit_time, execute_order) the later would replay first.
+        columns = ("k", "v", "execute_order", "commit_time", "commit_seq")
+        rows = [
+            {"k": "a", "execute_order": 2, "commit_time": 1.0, "commit_seq": 1},
+            {"k": "a", "execute_order": 1, "commit_time": 1.0, "commit_seq": 2},
+        ]
+        changes = net_effect(
+            ["k"],
+            new=make_table([dict(rows[0], v=5.0), dict(rows[1], v=9.0)], columns),
+            old=make_table([dict(rows[0], v=1.0), dict(rows[1], v=5.0)], columns),
         )
         [change] = changes
         assert change.old == {"k": "a", "v": 1.0}

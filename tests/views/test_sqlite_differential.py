@@ -22,7 +22,8 @@ Known differences, normalised here and nowhere else:
 
 * **NULL sums.**  SQLite's ``SUM`` over a group whose every argument is NULL
   is NULL; an incrementally maintained group adds only non-NULL deltas and
-  holds 0.0.  The exposure column reads NULL as 0.0 on both sides.
+  holds 0.0.  The exposure column reads NULL as 0.0 on both sides; the
+  projection's ``value`` column compares NULL with NULL exactly.
 * **Affinity.**  ``real`` columns store what they are given as floats in
   both engines here (every generated value is a float or NULL), and text
   keys compare as text, so no value changes type on its way to SQLite.
@@ -167,18 +168,27 @@ def _oracle(db: Database, select: str) -> list:
         lite.close()
 
 
-def _same_multiset(got: list, expected: list, float_at: int) -> bool:
-    """Rows equal as multisets, the column at ``float_at`` within the
-    tolerance (NULL read as 0.0) and every other column exactly."""
+def _same_multiset(got: list, expected: list, float_at: int, null_as_zero: bool) -> bool:
+    """Rows equal as multisets: the column at ``float_at`` within the
+    tolerance, every other column exactly.  A NULL there matches only NULL,
+    unless ``null_as_zero`` reads it as 0.0 (the NULL sums above)."""
     def norm(rows):
-        return sorted(
-            ([v for at, v in enumerate(row) if at != float_at], row[float_at] or 0.0)
-            for row in rows
-        )
+        pairs = []
+        for row in rows:
+            value = row[float_at]
+            if value is None and null_as_zero:
+                value = 0.0
+            pairs.append(([v for at, v in enumerate(row) if at != float_at], value))
+        return sorted(pairs, key=lambda pair: (pair[0], pair[1] is None, pair[1] or 0.0))
+
+    def same(a, b):
+        if a is None or b is None:
+            return a is b
+        return math.isclose(a, b, rel_tol=REL, abs_tol=ABS)
 
     left, right = norm(got), norm(expected)
     return len(left) == len(right) and all(
-        a_key == b_key and math.isclose(a_val, b_val, rel_tol=REL, abs_tol=ABS)
+        a_key == b_key and same(a_val, b_val)
         for (a_key, a_val), (b_key, b_val) in zip(left, right)
     )
 
@@ -200,11 +210,11 @@ def test_views_match_sqlite_after_any_stream(strategy, steps):
 def _check(db: Database) -> None:
     db.drain()
     projection = db.query("select pos_id, symbol, value from position_values").rows()
-    assert _same_multiset(projection, _oracle(db, PROJECTION), 2), (
+    assert _same_multiset(projection, _oracle(db, PROJECTION), 2, null_as_zero=False), (
         sorted(projection, key=repr), sorted(_oracle(db, PROJECTION), key=repr)
     )
     exposure = db.query("select symbol, exposure from symbol_exposure").rows()
-    assert _same_multiset(exposure, _oracle(db, AGGREGATE), 1), (
+    assert _same_multiset(exposure, _oracle(db, AGGREGATE), 1, null_as_zero=True), (
         sorted(exposure, key=repr), sorted(_oracle(db, AGGREGATE), key=repr)
     )
 

@@ -111,7 +111,6 @@ def measure(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--commit", default="HEAD", help="the tree to measure")
-    parser.add_argument("--reference", default=REFERENCE)
     parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     commit = _git("rev-parse", "--short", args.commit)
-    reference = _git("rev-parse", "--short", args.reference)
+    reference = _git("rev-parse", "--short", REFERENCE)
     entry = {
         "commit": commit,
         "subject": _git("log", "-1", "--format=%s", commit),
