@@ -13,13 +13,13 @@ import pytest
 
 from repro.bench.experiments import bench_scale
 from repro.bench.reporting import emit, format_table
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 
 
 def _run(burst_mean: float):
     scale = bench_scale().scaled(0.5)  # ablations use a lighter grid
-    return run_experiment(
-        scale,
+    return VIEW.run(
+        scale=scale,
         view="options",
         variant="on_symbol",
         delay=1.5,

@@ -19,18 +19,18 @@ import pytest
 from repro.bench.experiments import bench_scale
 from repro.bench.reporting import emit, format_table
 from repro.sim.costmodel import CostModel
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 
 DELAY = 2.0
 
 
 def _gap(cost_model):
     scale = bench_scale().scaled(0.5)
-    coarse = run_experiment(
-        scale, "options", "unique", DELAY, cost_model=cost_model
+    coarse = VIEW.run(
+        scale=scale, view="options", variant="unique", delay=DELAY, cost_model=cost_model
     )
-    symbol = run_experiment(
-        scale, "options", "on_symbol", DELAY, cost_model=cost_model
+    symbol = VIEW.run(
+        scale=scale, view="options", variant="on_symbol", delay=DELAY, cost_model=cost_model
     )
     return coarse, symbol
 

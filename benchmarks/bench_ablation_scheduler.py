@@ -11,21 +11,20 @@ import pytest
 
 from repro.bench.experiments import bench_scale
 from repro.bench.reporting import emit, format_table
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 
 
 def _run(policy: str):
     scale = bench_scale().scaled(0.5)
-    return run_experiment(
-        scale,
+    return VIEW.run(
+        scale=scale,
         view="comps",
         variant="on_comp",
         delay=0.5,
         policy=policy,
         update_deadline=0.05,
         keep_records=True,
-        db_out=(out := []),
-    ), out[0]
+    )
 
 
 def test_scheduling_policies(benchmark):
@@ -35,8 +34,8 @@ def test_scheduling_policies(benchmark):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = []
     update_response = {}
-    for policy, (result, db) in results.items():
-        response = db.metrics.mean_response("update")
+    for policy, result in results.items():
+        response = result.run.db.metrics.mean_response("update")
         update_response[policy] = response
         rows.append(
             {
@@ -56,5 +55,5 @@ def test_scheduling_policies(benchmark):
     assert update_response["edf"] <= update_response["fifo"] * 1.05
     assert update_response["vdf"] <= update_response["fifo"] * 1.05
     # Total maintenance CPU is policy-independent (same work, moved around).
-    cpus = [result.cpu_fraction for result, _db in results.values()]
+    cpus = [result.cpu_fraction for result in results.values()]
     assert max(cpus) - min(cpus) < 0.02

@@ -9,16 +9,14 @@ cheaper than user-code grouping and long coarse transactions pay for
 context switches.
 """
 
-import pytest
-
-from repro.bench.experiments import (
-    bench_scale,
-    is_strict_scale,
-    option_sweep,
-    option_symbol_probe,
-    series_of,
-)
+from repro.bench.experiments import bench_scale, is_strict_scale, option_sweep, series_of
 from repro.bench.reporting import emit, format_series
+from repro.pta.workload import VIEW
+
+
+def option_symbol_probe():
+    """One ``unique on option_symbol`` run (the excluded configuration)."""
+    return VIEW.run(scale=bench_scale(), view="options", variant="on_option", delay=1.0)
 
 
 def test_fig12_option_cpu_fraction(benchmark):

@@ -13,7 +13,7 @@ Two claims, measured on the same seeded bursty quote streams:
   the convergence oracle and the zero-lost-acks check keep passing.
 
 Every leg ends in the convergence oracle + lost-acked-mutations check
-inside ``run_network_experiment``.  Emits ``BENCH_network.json``.
+inside ``NETWORKED.run``.  Emits ``BENCH_network.json``.
 """
 
 import json
@@ -23,7 +23,7 @@ import time
 from repro.bench.reporting import emit, format_table, results_dir
 from repro.net import AdmissionConfig, LoadConfig
 from repro.obs import TimeSeriesSampler, TraceCollector
-from repro.pta.distributed import run_network_experiment
+from repro.pta.distributed import NETWORKED
 from repro.replic import NetworkConfig
 
 NETWORK = NetworkConfig(latency=0.005, bandwidth=10e6, jitter=0.002)
@@ -41,7 +41,7 @@ OVERLOAD_LOAD = LoadConfig(burst_size=20.0, burst_gap=0.05, intra_gap=0.001)
 def run_leg(n_clients, load, admission, sampler=None, seed=5):
     collector = TraceCollector(timeseries=sampler) if sampler else TraceCollector()
     start = time.perf_counter()
-    result = run_network_experiment(
+    result = NETWORKED.run(
         seed=seed,
         n_clients=n_clients,
         requests_per_client=REQUESTS_PER_CLIENT,

@@ -15,7 +15,7 @@ Two claims, measured on the same seeded PTA workload:
   unreplicated run's).
 
 Every leg must converge: the oracle + row-for-row replica equivalence
-run inside ``run_replicated_experiment``.  Emits ``BENCH_replication.json``.
+run inside ``REPLICATED.run``.  Emits ``BENCH_replication.json``.
 """
 
 import json
@@ -23,7 +23,7 @@ import os
 import time
 
 from repro.bench.reporting import emit, format_table, results_dir
-from repro.pta.distributed import run_replicated_experiment
+from repro.pta.distributed import REPLICATED
 from repro.pta.tables import Scale
 from repro.replic import NetworkConfig
 
@@ -54,17 +54,15 @@ def read_rate(db, n=READS):
 def replication_sweep():
     rows = []
     for replicas, mode in CASES:
-        db_out, cluster_out = [], []
         start = time.perf_counter()
-        result = run_replicated_experiment(
-            SCALE, replicas=replicas, mode=mode,
+        result = REPLICATED.run(
+            scale=SCALE, replicas=replicas, mode=mode,
             network=NetworkConfig(latency=LATENCY),
-            db_out=db_out, cluster_out=cluster_out,
         )
         wall = time.perf_counter() - start
-        primary_rate = read_rate(db_out[0])
+        primary_rate = read_rate(result.run.db)
         replica_rates = [
-            read_rate(standby.db) for standby in cluster_out[0].standbys
+            read_rate(standby.db) for standby in result.cluster.standbys
         ]
         rows.append(
             {

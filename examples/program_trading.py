@@ -12,7 +12,7 @@ Run:  python examples/program_trading.py [--scale tiny|small] [--delay 1.5]
 import argparse
 
 from repro.bench.reporting import format_table
-from repro.pta import Scale, run_experiment
+from repro.pta import Scale, VIEW
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     rows = []
     for view, batched_variant in (("comps", "on_comp"), ("options", "on_symbol")):
         for variant, delay in (("nonunique", 0.0), (batched_variant, args.delay)):
-            result = run_experiment(scale, view, variant, delay)
+            result = VIEW.run(scale=scale, view=view, variant=variant, delay=delay)
             rows.append(
                 {
                     "view": view,

@@ -14,7 +14,7 @@ Run:  python examples/view_advisor.py
 """
 
 from repro.bench.reporting import format_series, format_table
-from repro.pta import Scale, run_experiment
+from repro.pta import Scale, VIEW
 from repro.sim.costmodel import CostModel
 from repro.views.advisor import BatchingAdvisor, BatchingCandidate
 
@@ -68,7 +68,7 @@ def main() -> None:
     for candidate in candidates:
         variant = name_to_variant[candidate.name]
         delay = 0.0 if variant == "nonunique" else report.delay
-        result = run_experiment(scale, "comps", variant, delay)
+        result = VIEW.run(scale=scale, view="comps", variant=variant, delay=delay)
         rows.append(
             {
                 "unit": candidate.name,

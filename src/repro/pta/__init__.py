@@ -13,21 +13,29 @@ non-incremental, high fan-out).  This package provides:
   section 4.2, parameterized by :class:`~repro.pta.tables.Scale`;
 * :mod:`repro.pta.rules` — the rule families ``do_comps1/2/3`` and
   ``do_options1/2/3`` with their user functions;
-* :mod:`repro.pta.workload` — drives a full experiment and collects the
-  quantities reported in Figures 9-14.
+* :mod:`repro.pta.scaffold` — experiments as data: a
+  :class:`~repro.pta.scaffold.Spec` per scenario, its declared metrics, and
+  the one runner, ``spec.run(**options)``;
+* :mod:`repro.pta.workload` — the single-view (Figures 9-14), cascade and
+  deletion-heavy specs; :mod:`repro.pta.distributed` the replicated and
+  networked ones.
 """
 
 from repro.pta.blackscholes import call_price
+from repro.pta.scaffold import Result, Spec
 from repro.pta.tables import Scale, populate
 from repro.pta.trace import QuoteEvent, TaqTraceGenerator
-from repro.pta.workload import ExperimentResult, run_experiment
+from repro.pta.workload import CASCADE, DELETION, VIEW
 
 __all__ = [
-    "ExperimentResult",
+    "CASCADE",
+    "DELETION",
     "QuoteEvent",
+    "Result",
     "Scale",
+    "Spec",
     "TaqTraceGenerator",
+    "VIEW",
     "call_price",
     "populate",
-    "run_experiment",
 ]

@@ -1,240 +1,163 @@
 """PTA experiments with a second process or a wire around the engine.
 
-The drivers of :mod:`repro.pta.workload` run one database on one
-simulator.  The three here put the same tables, rules and trace behind
-one of the stack's outer layers, on the same
-:class:`~repro.pta.scaffold.ExperimentRun` scaffold:
+The specs of :mod:`repro.pta.workload` run one database on one simulator.
+The two here put the same tables, rules and trace behind one of the
+stack's outer layers, on the same :class:`~repro.pta.scaffold.Spec` runner:
 
-* :func:`run_replicated_experiment` — a WAL-shipping cluster of hot
-  standbys (:mod:`repro.replic`), including the **failover drill**: if a
-  fault plan crashes the primary mid-run, in-flight packets land, the
-  freshest standby is promoted, drained, and oracle-checked.  Runs that
-  survive instead drain replication to quiescence and assert
-  primary/standby equivalence row by row.
-* :func:`run_network_experiment` — the quote stream arrives from
-  concurrent protocol sessions over lossy simulated channels
-  (:mod:`repro.net`), ending in the convergence oracle *plus* the
-  server's zero-lost-acknowledged-mutations check.
-* :func:`crash_recover_converge` — the durability analogue of the fault
-  oracle: a process that **dies** at an arbitrary WAL or checkpoint seam
-  is rebuilt from disk (:mod:`repro.persist`), drained, and must converge
-  to exactly what a batch recomputation produces.
+* :data:`REPLICATED` — a WAL-shipping cluster of hot standbys
+  (:mod:`repro.replic`), including the **failover drill**: if a fault plan
+  crashes the primary mid-run, in-flight packets land, the freshest
+  standby is promoted, drained, and oracle-checked.  Runs that survive
+  instead drain replication to quiescence and assert primary/standby
+  equivalence row by row.
+* :data:`NETWORKED` — the quote stream arrives from concurrent protocol
+  sessions over lossy simulated channels (:mod:`repro.net`), ending in the
+  convergence oracle *plus* the server's zero-lost-acknowledged-mutations
+  check.
 
-They live here, not in the packages they exercise, so that ``repro.net``,
+:func:`recover_run` rebuilds a run that died from its WAL directory.  They
+live here, not in the packages they exercise, so that ``repro.net``,
 ``repro.replic`` and ``repro.fault`` never import ``repro.pta``.
 """
 
 from __future__ import annotations
 
-import tempfile
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import replace
+from typing import Callable, Optional
 
 from repro.database import Database
 from repro.errors import InjectedCrashError
-from repro.fault import ConvergenceReport, RetryPolicy, check_convergence, is_injected_crash
+from repro.fault import RetryPolicy
 from repro.net.admission import AdmissionConfig
 from repro.net.client import ClientStats, LoadConfig, NetClient, quote_stream
 from repro.net.server import NetServer, ServerConfig
 from repro.net.sim import SimNetTransport
-from repro.obs.tracer import TraceCollector, Tracer
+from repro.obs.tracer import TraceCollector
 from repro.persist.recovery import RecoveryReport, recover
 from repro.pta.rules import function_registry, install_comp_rule
-from repro.pta.scaffold import ExperimentRun, RunOutcome
+from repro.pta.scaffold import FAULT_OPTIONS, REQUIRED, ExperimentRun, Metric, Result, Spec, outcome
 from repro.pta.tables import Scale
-from repro.pta.workload import (
-    populate_trace,
-    run_cascade_experiment,
-    run_experiment,
-    trace_tasks,
-    view_rule,
-)
-from repro.replic.channel import NetworkConfig
+from repro.pta.workload import N_UPDATES, populate_trace, trace_tasks, view_rule
 from repro.replic.cluster import ReplicationCluster, check_replica_equivalence
-from repro.replic.failover import FailoverReport
-from repro.sim.simulator import Simulator
 
 # --------------------------------------------------------------------------
 # Replication: one primary, N hot standbys
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class ReplicationResult(RunOutcome):
-    """Everything one replicated run produced.  ``oracle_report`` is the
-    primary-side oracle of a run that survived; a crashed run carries the
-    promoted standby's verdict in ``failover`` instead."""
-
-    mode: str
-    replicas: int
-    n_updates: int
-    end_time: float
-    shipped_frames: int
-    resent_frames: int
-    send_dropped: int
-    ack_dropped: int
-    apply_dropped: int
-    reordered: int
-    shipped_bytes: int
-    commit_waits: int
-    commit_wait_total: float
-    commit_wait_max: float
-    crashed: bool
-    replica_stats: list[dict] = field(default_factory=list)
-    #: Failover drill outcome (crash runs only).
-    failover: Optional[FailoverReport] = None
-    #: Per-replica row-for-row equivalence (non-crash runs).
-    equivalence_reports: dict[str, ConvergenceReport] = field(
-        default_factory=dict
+def _play_replicated(run: ExperimentRun, options: dict) -> dict:
+    """Attach the cluster once the run is armed, replay the quotes; on an
+    injected crash, fail over, else drain and compare every standby."""
+    db, o = run.db, options
+    install_rule = view_rule(o["view"])
+    _trace, events = populate_trace(db, o["scale"], o["seed"])
+    install_rule(db, o["variant"], o["delay"])
+    run.arm()  # standbys bootstrap from the initial checkpoint
+    cluster = ReplicationCluster(
+        db,
+        run.persist,
+        replicas=o["replicas"],
+        mode=o["mode"],
+        network=o["network"],
+        net_seed=o["net_seed"],
+        batch_records=o["batch_records"],
+        resend_timeout=o["resend_timeout"],
+        functions=function_registry(),
+        tracer=o["tracer"],
+    )
+    run.simulator.post_task_hooks.append(cluster.pump)
+    crashed = False
+    try:
+        run.run(trace_tasks(db, events))
+    except InjectedCrashError:
+        crashed = True
+    failover = None
+    equivalence = {}
+    if crashed:
+        cluster.crash_primary()
+        # A crash implies a fault plan, so db.recovery is the run's RetryPolicy.
+        failover = cluster.failover(db.recovery)
+    else:
+        cluster.finish()
+        for standby in cluster.standbys:
+            equivalence[standby.name] = check_replica_equivalence(db, standby.db)
+    run.finish(oracle=not crashed)
+    return dict(
+        events=events, cluster=cluster, crashed=crashed, failover=failover,
+        equivalence_reports=equivalence,
     )
 
-    @property
-    def commit_wait_mean(self) -> float:
-        return self.commit_wait_total / self.commit_waits if self.commit_waits else 0.0
 
-    @property
-    def converged(self) -> bool:
-        """The run's governing correctness verdict."""
-        if self.crashed:
-            return self.failover is not None and self.failover.oracle_ok
-        if self.oracle_report is not None and not self.oracle_report.ok:
-            return False
-        return all(report.ok for report in self.equivalence_reports.values())
-
-    def row(self) -> dict:
-        return {
-            "mode": self.mode,
-            "replicas": self.replicas,
-            "n_updates": self.n_updates,
-            "wal_records": self.wal_records,
-            "shipped_frames": self.shipped_frames,
-            "resent_frames": self.resent_frames,
-            "send_dropped": self.send_dropped,
-            "ack_dropped": self.ack_dropped,
-            "apply_dropped": self.apply_dropped,
-            "reordered": self.reordered,
-            "commit_waits": self.commit_waits,
-            "commit_wait_mean_s": self.commit_wait_mean,
-            "crashed": self.crashed,
-            "converged": self.converged,
-            "end_time": self.end_time,
-        }
+def _links(read: Callable[[dict], int]) -> Callable[[Result], int]:
+    """One shipping counter, summed over the cluster's links."""
+    return lambda r: sum(read(link) for link in r.cluster.shipper.stats()["links"])
 
 
-def run_replicated_experiment(
-    scale: Scale,
-    view: str = "comps",
-    variant: str = "unique",
-    delay: float = 1.0,
-    seed: int = 0,
-    replicas: int = 2,
-    mode: str = "async",
-    wal_dir: Optional[str] = None,
-    network: Optional[NetworkConfig] = None,
-    net_seed: int = 0,
-    batch_records: int = 8,
-    resend_timeout: float = 0.25,
-    faults: Optional[str] = None,
-    fault_seed: int = 0,
-    max_retries: int = 5,
-    retry_backoff: float = 0.25,
-    tracer: Optional[Tracer] = None,
-    db_out: Optional[list] = None,
-    cluster_out: Optional[list] = None,
-) -> ReplicationResult:
-    """Run one PTA experiment on a replicated cluster.
+def _converged(r: Result) -> bool:
+    """The run's governing correctness verdict: the promoted standby's
+    oracle after a crash, else the primary's oracle and every standby's
+    row-for-row equivalence."""
+    if r.crashed:
+        return r.failover is not None and r.failover.oracle_ok
+    if r.oracle_report is not None and not r.oracle_report.ok:
+        return False
+    return all(report.ok for report in r.equivalence_reports.values())
 
-    The same trace, rules, and virtual-time simulation as
-    :func:`~repro.pta.workload.run_experiment`, with a WAL-shipping
-    cluster attached.  A fault plan may fault the engine *and* the
-    network (``ship.send`` / ``ship.ack`` / ``apply.frame`` seams); if it
-    crashes the primary (``wal.append:crash@...``), the run turns into a
-    failover drill and the result carries the promotion report instead of
-    the primary-side oracle.
 
-    ``wal_dir=None`` logs into a temporary directory that is removed once
-    the result is built (the result then reports ``wal_dir=None``); a
-    caller-supplied directory is kept.
-    """
-    install_rule = view_rule(view)
-    scratch = (
-        tempfile.TemporaryDirectory(prefix="repro-replic-")
-        if wal_dir is None
-        else nullcontext(wal_dir)
-    )
-    with scratch as directory:
-        run = ExperimentRun(
-            tracer=tracer, faults=faults, fault_seed=fault_seed,
-            max_retries=max_retries, retry_backoff=retry_backoff, wal_dir=directory,
-        )
-        db = run.db
-        _trace, events = populate_trace(db, scale, seed)
-        install_rule(db, variant, delay)
-        run.arm()  # standbys bootstrap from the initial checkpoint
-        cluster = ReplicationCluster(
-            db,
-            run.persist,
-            replicas=replicas,
-            mode=mode,
-            network=network,
-            net_seed=net_seed,
-            batch_records=batch_records,
-            resend_timeout=resend_timeout,
-            functions=function_registry(),
-            tracer=tracer,
-        )
-        run.simulator.post_task_hooks.append(cluster.pump)
-        crashed = False
-        try:
-            run.run(trace_tasks(db, events))
-        except InjectedCrashError:
-            crashed = True
-
-        failover_report: Optional[FailoverReport] = None
-        equivalence: dict[str, ConvergenceReport] = {}
-        if crashed:
-            cluster.crash_primary()
-            # A crash implies a fault plan, so db.recovery is the run's RetryPolicy.
-            failover_report = cluster.failover(db.recovery)
-        else:
-            cluster.finish()
-            for standby in cluster.standbys:
-                equivalence[standby.name] = check_replica_equivalence(db, standby.db)
-        outcome = run.finish(oracle=not crashed)
-        if wal_dir is None:
-            outcome.wal_dir = None
-
-        ship_stats = cluster.shipper.stats()
-        links = ship_stats["links"]
-        result = ReplicationResult(
-            mode=mode,
-            replicas=replicas,
-            n_updates=len(events),
-            end_time=db.clock.base,
-            shipped_frames=sum(link["frames_sent"] for link in links),
-            resent_frames=sum(link["frames_resent"] for link in links),
-            send_dropped=sum(link["send"]["dropped"] for link in links),
-            ack_dropped=sum(link["ack"]["dropped"] for link in links),
-            apply_dropped=ship_stats["frames_apply_dropped"],
-            reordered=sum(
-                link["send"]["reordered"] + link["ack"]["reordered"] for link in links
-            ),
-            shipped_bytes=sum(link["send"]["bytes_sent"] for link in links),
-            commit_waits=cluster.commit_waits,
-            commit_wait_total=cluster.commit_wait_total,
-            commit_wait_max=cluster.commit_wait_max,
-            crashed=crashed,
-            replica_stats=cluster.lag_snapshot(),
-            failover=failover_report,
-            equivalence_reports=equivalence,
-            **vars(outcome),
-        )
-    if db_out is not None:
-        db_out.append(db)
-    if cluster_out is not None:
-        cluster_out.append(cluster)
-    return result
+#: One PTA run on a replicated cluster: the same trace, rules and
+#: virtual-time simulation as :data:`~repro.pta.workload.VIEW`, with a
+#: WAL-shipping cluster attached.  A fault plan may fault the engine *and*
+#: the network (``ship.send`` / ``ship.ack`` / ``apply.frame`` seams); if it
+#: crashes the primary (``wal.append:crash@...``), the run turns into a
+#: failover drill and ``failover`` carries the promotion report instead of
+#: the primary-side oracle.  Without ``wal_dir`` the run logs into a
+#: temporary directory that goes with it (``wal_dir`` reads None).
+REPLICATED = Spec(
+    "a replicated experiment",
+    params=dict(
+        scale=REQUIRED, view="comps", variant="unique", delay=1.0, seed=0,
+        replicas=2, mode="async", network=None, net_seed=0, batch_records=8,
+        resend_timeout=0.25,
+    ),
+    takes=FAULT_OPTIONS | {"tracer", "wal_dir"},
+    play=_play_replicated,
+    scratch_wal="repro-replic-",
+    metrics=(
+        Metric("mode", column="mode"),
+        Metric("replicas", column="replicas"),
+        N_UPDATES,
+        *outcome("wal_records"),
+        Metric("shipped_frames", _links(lambda link: link["frames_sent"]), "shipped_frames"),
+        Metric("resent_frames", _links(lambda link: link["frames_resent"]), "resent_frames"),
+        Metric("send_dropped", _links(lambda link: link["send"]["dropped"]), "send_dropped"),
+        Metric("ack_dropped", _links(lambda link: link["ack"]["dropped"]), "ack_dropped"),
+        Metric(
+            "apply_dropped",
+            lambda r: r.cluster.shipper.stats()["frames_apply_dropped"],
+            "apply_dropped",
+        ),
+        Metric(
+            "reordered",
+            _links(lambda link: link["send"]["reordered"] + link["ack"]["reordered"]),
+            "reordered",
+        ),
+        Metric("commit_waits", lambda r: r.cluster.commit_waits, "commit_waits"),
+        Metric(
+            "commit_wait_mean",
+            lambda r: r.commit_wait_total / r.commit_waits if r.commit_waits else 0.0,
+            "commit_wait_mean_s",
+        ),
+        Metric("crashed", column="crashed"),
+        Metric("converged", _converged, "converged"),
+        Metric("end_time", lambda r: r.run.db.clock.base, "end_time"),
+        Metric("shipped_bytes", _links(lambda link: link["send"]["bytes_sent"])),
+        Metric("commit_wait_total", lambda r: r.cluster.commit_wait_total),
+        Metric("commit_wait_max", lambda r: r.cluster.commit_wait_max),
+        Metric("replica_stats", lambda r: r.cluster.lag_snapshot()),
+        Metric("failover"),  # the drill's report (crash runs only)
+        Metric("equivalence_reports"),  # per replica, row for row (other runs)
+    ),
+)
 
 
 # --------------------------------------------------------------------------
@@ -242,183 +165,119 @@ def run_replicated_experiment(
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class NetworkResult(RunOutcome):
-    """One network experiment, summarised for tables and BENCH JSON."""
-
-    n_clients: int
-    requests: int
-    sent: int
-    acked: int
-    throttled: int
-    shed: int
-    retransmits: int
-    gave_up: int
-    errors: int
-    refused_connections: int
-    admit_decisions: int
-    throttle_decisions: int
-    shed_decisions: int
-    end_time: float
-    throughput: float
-    p50_latency: Optional[float]
-    p95_latency: Optional[float]
-    lost_acked: list
-    channel: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        oracle_ok = self.oracle_report.ok if self.oracle_report is not None else True
-        return oracle_ok and not self.lost_acked
-
-    def row(self) -> dict:
-        return {
-            "clients": self.n_clients,
-            "sent": self.sent,
-            "acked": self.acked,
-            "throttled": self.throttled,
-            "shed": self.shed,
-            "retransmits": self.retransmits,
-            "gave_up": self.gave_up,
-            "refused": self.refused_connections,
-            "throughput": round(self.throughput, 2),
-            "p50_ms": None if self.p50_latency is None else round(self.p50_latency * 1e3, 3),
-            "p95_ms": None if self.p95_latency is None else round(self.p95_latency * 1e3, 3),
-            "shed_rate": round(self.shed_decisions / max(self.sent, 1), 4),
-            "oracle": "ok" if self.ok else "FAIL",
-        }
-
-
-def run_network_experiment(
-    scale: Optional[Scale] = None,
-    variant: str = "unique",
-    delay: float = 0.5,
-    seed: int = 0,
-    n_clients: int = 4,
-    requests_per_client: int = 40,
-    load: Optional[LoadConfig] = None,
-    network: Optional[NetworkConfig] = None,
-    admission: Optional[AdmissionConfig] = None,
-    ack_timeout: float = 0.5,
-    max_attempts: int = 8,
-    faults: Optional[str] = None,
-    fault_seed: int = 0,
-    max_retries: int = 5,
-    retry_backoff: float = 0.25,
-    until: Optional[float] = None,
-    tracer: Optional[Tracer] = None,
-    db_out: Optional[list] = None,
-    server_out: Optional[list] = None,
-    clients_out: Optional[list] = None,
-) -> NetworkResult:
-    """Run one PTA experiment fed entirely through the network front-end.
-
-    The same tables, rules, and virtual-time simulation as
-    :func:`~repro.pta.workload.run_experiment`, but the quote stream
-    arrives from ``n_clients`` concurrent protocol sessions over lossy
-    simulated channels instead of a pre-built arrivals list.  A fault
-    plan may fault the network (``net.accept`` / ``net.recv`` /
-    ``net.send``) and the engine (e.g. ``task.exec:kill@...`` with
-    retry-based recovery) in the same run.  Ends with the convergence
-    oracle and the zero-lost-acknowledged-mutations check.
-    """
-    scale = scale or Scale.tiny()
-    load = load or LoadConfig()
-    collector = tracer if isinstance(tracer, TraceCollector) else None
-    if tracer is None:
-        # Admission control needs the backpressure signal, which lives on
-        # a collector; a harness run always has one.
-        tracer = collector = TraceCollector()
-    run = ExperimentRun(
-        tracer=tracer, faults=faults, fault_seed=fault_seed,
-        max_retries=max_retries, retry_backoff=retry_backoff,
-    )
-    db = run.db
-    trace, _events = populate_trace(db, scale, seed)
-    install_comp_rule(db, variant, delay)
-
+def _play_networked(run: ExperimentRun, options: dict) -> dict:
+    """Serve ``n_clients`` seeded quote streams over simulated channels,
+    close every session, finish with the oracle."""
+    db, o = run.db, options
+    load = o["load"] or LoadConfig()
+    trace, _events = populate_trace(db, o["scale"], o["seed"])
+    install_comp_rule(db, o["variant"], o["delay"])
     server = NetServer(
         db,
-        collector=collector,
-        config=ServerConfig(admission=admission or AdmissionConfig()),
+        # Admission control reads the backpressure signal off a collector.
+        collector=db.tracer if isinstance(db.tracer, TraceCollector) else None,
+        config=ServerConfig(admission=o["admission"] or AdmissionConfig()),
     )
     clients = []
-    for index in range(n_clients):
+    for index in range(o["n_clients"]):
         config = replace(
             load,
-            n_requests=requests_per_client,
+            n_requests=o["requests_per_client"],
             start=load.start + index * 0.01,  # clients do not all knock at once
         )
         quotes = quote_stream(
-            trace.symbols, trace.initial_prices, seed * 6151 + index, config
+            trace.symbols, trace.initial_prices, o["seed"] * 6151 + index, config
         )
         clients.append(
             NetClient(
                 f"client-{index}",
                 quotes,
-                ack_timeout=ack_timeout,
-                max_attempts=max_attempts,
+                ack_timeout=o["ack_timeout"],
+                max_attempts=o["max_attempts"],
                 start=config.start,
             )
         )
     transport = SimNetTransport(
-        server, clients, network=network, seed=seed, faults=run.injector
+        server, clients, network=o["network"], seed=o["seed"], faults=run.injector
     )
     run.simulator.post_task_hooks.append(transport.pump)
-    run.run(drive=lambda simulator: transport.drive(simulator, until=until))
+    run.run(drive=lambda simulator: transport.drive(simulator, until=o["until"]))
     for connection in transport.connections:
         if connection.session is not None:
             server.close_session(connection.session)
-    outcome = run.finish(oracle=True)
-
-    lost = server.lost_acked_mutations()
+    run.finish(oracle=True)
     totals = ClientStats()
     for client in clients:
-        stats = client.stats
-        totals.sent += stats.sent
-        totals.acked += stats.acked
-        totals.throttled += stats.throttled
-        totals.retransmits += stats.retransmits
-        totals.shed += stats.shed
-        totals.errors += stats.errors
-        totals.gave_up += stats.gave_up
-        totals.latencies.extend(stats.latencies)
-    end_time = db.clock.base
-    counts = server.admission.counts()
-    result = NetworkResult(
-        n_clients=n_clients,
-        requests=n_clients * requests_per_client,
-        sent=totals.sent,
-        acked=totals.acked,
-        throttled=totals.throttled,
-        shed=totals.shed,
-        retransmits=totals.retransmits,
-        gave_up=totals.gave_up,
-        errors=totals.errors,
-        refused_connections=server.refused,
-        admit_decisions=counts["admit"],
-        throttle_decisions=counts["throttle"],
-        shed_decisions=counts["shed"],
-        end_time=end_time,
-        throughput=totals.acked / end_time if end_time > 0 else 0.0,
-        p50_latency=totals.latency_quantile(0.50),
-        p95_latency=totals.latency_quantile(0.95),
-        lost_acked=lost,
-        channel=transport.channel_stats(),
-        **vars(outcome),
-    )
-    if db_out is not None:
-        db_out.append(db)
-    if server_out is not None:
-        server_out.append(server)
-    if clients_out is not None:
-        clients_out.extend(clients)
-    return result
+        for name, value in vars(client.stats).items():
+            setattr(totals, name, getattr(totals, name) + value)
+    return dict(server=server, clients=clients, transport=transport, totals=totals)
 
 
-# --------------------------------------------------------------------------
-# Crash-recover-converge: kill the process, rebuild it from disk
-# --------------------------------------------------------------------------
+def _total(name: str) -> Callable[[Result], int]:
+    return lambda r: getattr(r.totals, name)
+
+
+def _ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else round(seconds * 1e3, 3)
+
+
+def _decisions(kind: str) -> Callable[[Result], int]:
+    return lambda r: r.server.admission.counts()[kind]
+
+
+#: One PTA run fed entirely through the network front-end: the same tables,
+#: rules and virtual-time simulation as :data:`~repro.pta.workload.VIEW`, but
+#: the quote stream arrives from ``n_clients`` concurrent protocol sessions
+#: over lossy simulated channels.  A fault plan may fault the network
+#: (``net.accept`` / ``net.recv`` / ``net.send``) and the engine (e.g.
+#: ``task.exec:kill@...`` with retry-based recovery) in the same run.
+NETWORKED = Spec(
+    "a networked experiment",
+    params=dict(
+        scale=Scale.tiny(), variant="unique", delay=0.5, seed=0, n_clients=4,
+        requests_per_client=40, load=None, network=None, admission=None,
+        ack_timeout=0.5, max_attempts=8, until=None,
+    ),
+    takes=FAULT_OPTIONS | {"tracer"},
+    play=_play_networked,
+    collector=True,
+    metrics=(
+        Metric("n_clients", column="clients"),
+        Metric("sent", _total("sent"), "sent"),
+        Metric("acked", _total("acked"), "acked"),
+        Metric("throttled", _total("throttled"), "throttled"),
+        Metric("shed", _total("shed"), "shed"),
+        Metric("retransmits", _total("retransmits"), "retransmits"),
+        Metric("gave_up", _total("gave_up"), "gave_up"),
+        Metric("refused_connections", lambda r: r.server.refused, "refused"),
+        Metric(
+            "throughput",
+            lambda r: r.acked / r.end_time if r.end_time > 0 else 0.0,
+            "throughput", lambda value: round(value, 2),
+        ),
+        Metric("p50_latency", lambda r: r.totals.latency_quantile(0.50), "p50_ms", _ms),
+        Metric("p95_latency", lambda r: r.totals.latency_quantile(0.95), "p95_ms", _ms),
+        Metric(
+            "shed_rate",
+            lambda r: round(r.shed_decisions / max(r.sent, 1), 4),
+            "shed_rate",
+        ),
+        Metric(  # the oracle and zero lost acknowledged mutations
+            "ok",
+            lambda r: (r.oracle_report is None or r.oracle_report.ok) and not r.lost_acked,
+            "oracle", lambda ok: "ok" if ok else "FAIL",
+        ),
+        Metric("requests", lambda r: r.n_clients * r.options["requests_per_client"]),
+        Metric("errors", _total("errors")),
+        Metric("admit_decisions", _decisions("admit")),
+        Metric("throttle_decisions", _decisions("throttle")),
+        Metric("shed_decisions", _decisions("shed")),
+        Metric("end_time", lambda r: r.run.db.clock.base),
+        Metric("lost_acked", lambda r: r.server.lost_acked_mutations()),
+        Metric("channel", lambda r: r.transport.channel_stats()),
+        *outcome(),
+    ),
+)
 
 
 def recover_run(
@@ -430,93 +289,3 @@ def recover_run(
     resurrected queues."""
     db = Database()
     return db, recover(db, wal_dir, functions=function_registry(), retry=retry)
-
-
-@dataclass
-class CrashCheckResult:
-    """What one crash-recover-converge cycle observed."""
-
-    crashed: bool  # the plan's crash actually fired mid-run
-    oracle: ConvergenceReport
-    crash_error: Optional[str] = None  # the injected error's message
-    recovery: Optional[RecoveryReport] = None  # None when no crash fired
-    executed_after: int = 0  # tasks the recovered process drained
-
-    @property
-    def ok(self) -> bool:
-        return self.oracle.ok
-
-    def describe(self) -> str:
-        lines = []
-        if self.crashed:
-            lines.append(f"crashed: {self.crash_error}")
-            if self.recovery is not None:
-                lines.append(self.recovery.describe())
-            lines.append(f"drained {self.executed_after} resurrected tasks")
-        else:
-            lines.append("crash never fired; run completed normally")
-        lines.append(self.oracle.format())
-        return "\n".join(lines)
-
-
-def crash_recover_converge(
-    scale: Scale,
-    wal_dir: str,
-    view: str = "comps",
-    variant: str = "unique",
-    delay: float = 1.0,
-    seed: int = 0,
-    faults: Optional[str] = None,
-    fault_seed: int = 0,
-    checkpoint_every: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    **experiment_kwargs,
-) -> CrashCheckResult:
-    """Run one crash-recover-converge cycle.
-
-    The flow mirrors a real outage: run a durable PTA experiment under a
-    fault plan containing a ``crash`` action (``wal.append`` /
-    ``wal.flush`` / ``checkpoint.write`` points); if the crash fires,
-    abandon the dead database, :func:`recover_run` a fresh one from the
-    WAL directory — base tables, installed rules, and every pending unique
-    task with its bound rows, partition key, and release deadline — drain
-    the resurrected queues, and run the convergence oracle over the
-    rebuilt state.  Zero divergences is the pass condition.
-
-    If the plan never fires (e.g. the trigger count exceeds the run's WAL
-    traffic), the run completes normally and its own oracle is returned
-    with ``crashed=False`` so callers can tell the difference.
-
-    Remaining keyword arguments pass straight to
-    :func:`~repro.pta.workload.run_experiment` — or, when ``view`` is
-    ``"cascade"``, to :func:`~repro.pta.workload.run_cascade_experiment`
-    (recovered stratum-2 tasks must re-enqueue behind same-batch
-    stratum-1 work, which this harness exercises).
-    """
-    db_out: list = []
-    kwargs = dict(
-        variant=variant, delay=delay, seed=seed, faults=faults,
-        fault_seed=fault_seed, wal_dir=wal_dir,
-        checkpoint_every=checkpoint_every, db_out=db_out, **experiment_kwargs,
-    )
-    try:
-        if view == "cascade":
-            result = run_cascade_experiment(scale, **kwargs)
-        else:
-            result = run_experiment(scale, view=view, **kwargs)
-    except Exception as exc:
-        if not is_injected_crash(exc):
-            raise
-        db, report = recover_run(wal_dir, retry)
-        executed = Simulator(db).run()
-        return CrashCheckResult(
-            crashed=True,
-            oracle=check_convergence(db),
-            crash_error=str(exc),
-            recovery=report,
-            executed_after=executed,
-        )
-    oracle = result.oracle_report
-    if oracle is None:
-        oracle = check_convergence(db_out[0])
-    return CrashCheckResult(crashed=False, oracle=oracle)

@@ -458,16 +458,16 @@ class TestExperimentOffAndOn:
 
     def test_off_path_matches_baseline_and_on_path_folds_rows(self):
         from repro.pta.tables import Scale
-        from repro.pta.workload import run_experiment
+        from repro.pta.workload import VIEW
 
         scale = Scale.tiny()
-        baseline = run_experiment(scale, "comps", "unique", 3.0, 0)
-        off = run_experiment(scale, "comps", "unique", 3.0, 0, compact=False)
+        baseline = VIEW.run(scale=scale, view="comps", variant="unique", delay=3.0, seed=0)
+        off = VIEW.run(scale=scale, view="comps", variant="unique", delay=3.0, seed=0, compact=False)
         # compact=False must be byte-identical to the pre-knob baseline.
         assert off.row() == baseline.row(), (off.row(), baseline.row())
         assert off.compact_rows_in == 0 and off.compaction_ratio == 1.0
 
-        on = run_experiment(scale, "comps", "unique", 3.0, 0, compact=True)
+        on = VIEW.run(scale=scale, view="comps", variant="unique", delay=3.0, seed=0, compact=True)
         assert on.compaction_ratio > 1.0, on.compaction_ratio
         assert on.compact_rows_out < on.compact_rows_in
         assert on.cpu_recompute < off.cpu_recompute

@@ -26,7 +26,7 @@ from repro.core.rules import Rule
 from repro.database import Database
 from repro.errors import RuleError
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 from repro.sim.clock import Meter
 from repro.sql import ast
 from repro.storage import temptable
@@ -367,9 +367,7 @@ def routes(db):
 
 
 def test_the_options_workload_prepares_one_route(counted):
-    dbs = []
-    run_experiment(Scale.tiny(), view="options", variant="on_symbol", db_out=dbs)
-    db = dbs[0]
+    db = VIEW.run(scale=Scale.tiny(), view="options", variant="on_symbol").run.db
     assert db.rule_engine.firing_count > 100
     assert len(routes(db)) == 1
     assert counted["owners"] == 2  # CREATE RULE's check, then the one route

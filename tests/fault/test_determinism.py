@@ -4,7 +4,7 @@ different seeds give different injection schedules."""
 
 from repro.obs.tracer import TraceCollector
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 
 SCALE = Scale.tiny()
 PLAN = "txn.commit:abort@p=0.01;task.exec[recompute]:kill@every=5"
@@ -12,8 +12,8 @@ PLAN = "txn.commit:abort@p=0.01;task.exec[recompute]:kill@every=5"
 
 def faulted_run(fault_seed):
     collector = TraceCollector()
-    result = run_experiment(
-        SCALE, "comps", "unique", 1.0, 0,
+    result = VIEW.run(
+        scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0,
         tracer=collector, faults=PLAN, fault_seed=fault_seed,
     )
     return result, collector

@@ -4,15 +4,15 @@ subsystem is invisible unless armed."""
 
 from repro.obs.tracer import TraceCollector
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 
 SCALE = Scale.tiny()
 
 
 def test_faults_injected_recovered_and_converged():
     collector = TraceCollector()
-    faulted = run_experiment(
-        SCALE, "comps", "unique", 1.0, 0, tracer=collector,
+    faulted = VIEW.run(
+        scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0, tracer=collector,
         faults="task.exec[recompute]:kill@every=3", fault_seed=7,
     )
     assert collector.count("fault.inject") >= 1, "no fault.inject events in the traced run"
@@ -22,6 +22,6 @@ def test_faults_injected_recovered_and_converged():
 
 
 def test_faults_off_leaves_the_result_row_unchanged():
-    plain = run_experiment(SCALE, "comps", "unique", 1.0, 0)
-    off = run_experiment(SCALE, "comps", "unique", 1.0, 0, faults=None)
+    plain = VIEW.run(scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0)
+    off = VIEW.run(scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0, faults=None)
     assert off.row() == plain.row(), (off.row(), plain.row())

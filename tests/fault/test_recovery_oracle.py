@@ -20,7 +20,7 @@ from repro.errors import InjectedAbortError, InjectedFaultError, InjectedKillErr
 from repro.fault import FaultInjector, RetryPolicy, check_convergence
 from repro.fault.recovery import is_injected
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 from repro.txn.tasks import TaskState
 
 
@@ -193,8 +193,8 @@ class TestExperimentRegressions:
     def test_acceptance_killed_unique_tasks_converge(self):
         # The ISSUE's acceptance scenario: kill recompute tasks, let the
         # retry policy recover, demand zero divergent rows.
-        result = run_experiment(
-            SCALE, "comps", "unique", 1.0, 0,
+        result = VIEW.run(
+            scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0,
             faults="task.exec[recompute]:kill@every=3", fault_seed=7,
         )
         assert result.faults_injected >= 1
@@ -206,8 +206,8 @@ class TestExperimentRegressions:
     def test_write_ahead_discipline_under_injected_deadlock(self):
         # Regression: an injected deadlock on the fresh-record lock used to
         # leave an unlogged physical update that survived the abort.
-        result = run_experiment(
-            SCALE, "comps", "unique", 1.0, 0,
+        result = VIEW.run(
+            scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0,
             faults="lock.acquire[stocks]:deadlock@p=0.01", fault_seed=2,
         )
         assert result.faults_injected >= 1
@@ -216,8 +216,8 @@ class TestExperimentRegressions:
     def test_failed_dispatch_leaves_no_stranded_task(self):
         # Regression: a dispatch abort used to strand a registered-but-never-
         # enqueued pending task that swallowed all later firings.
-        result = run_experiment(
-            SCALE, "comps", "on_comp", 1.0, 0,
+        result = VIEW.run(
+            scale=SCALE, view="comps", variant="on_comp", delay=1.0, seed=0,
             faults="unique.dispatch:abort@nth=2", fault_seed=3,
         )
         assert result.faults_injected >= 1
@@ -226,8 +226,8 @@ class TestExperimentRegressions:
     def test_aborted_absorbs_do_not_double_apply(self):
         # Regression: absorbs by a commit that later aborted used to stay in
         # the pending task, so the retry applied the same delta twice.
-        result = run_experiment(
-            SCALE, "comps", "on_comp", 1.0, 0,
+        result = VIEW.run(
+            scale=SCALE, view="comps", variant="on_comp", delay=1.0, seed=0,
             faults="unique.absorb:abort@every=11", fault_seed=0,
         )
         assert result.faults_injected >= 1
@@ -236,8 +236,8 @@ class TestExperimentRegressions:
     def test_drops_surface_as_divergence(self):
         # With no retry budget every injected kill drops rows; the oracle
         # must call the resulting staleness out, row by row.
-        result = run_experiment(
-            SCALE, "comps", "unique", 1.0, 0,
+        result = VIEW.run(
+            scale=SCALE, view="comps", variant="unique", delay=1.0, seed=0,
             faults="task.exec[recompute]:kill@every=1", fault_seed=0,
             max_retries=0,
         )

@@ -12,7 +12,6 @@ to move a virtual result regenerates it and says so::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
@@ -24,19 +23,19 @@ import pytest
 
 from repro.pta.rules import COMP_VARIANTS, OPTION_VARIANTS
 from repro.pta.tables import Scale
-from repro.pta.workload import (
-    run_cascade_experiment,
-    run_deletion_experiment,
-    run_experiment,
-)
+from repro.pta.scaffold import Spec
+from repro.pta.workload import CASCADE, DELETION, VIEW
 from repro.sim import simulator
 from repro.sim.costmodel import SIMPLE_UPDATE_PATH, TABLE1_US, CostModel
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_virtual.json")
 
-#: Result fields that are wall-clock or carry whole objects, not virtual results.
+#: Metrics that are wall-clock or carry whole objects, not virtual results,
+#: and those computed from other metrics alone (maintenance_cpu aside).
 _SKIPPED_FIELDS = {"wall_s", "scale", "oracle_report", "staleness", "attribution",
-                   "batch_size_hist", "queue_depth_hist", "wal_dir"}
+                   "batch_size_hist", "queue_depth_hist", "wal_dir",
+                   "duration", "cpu_fraction", "compaction_ratio",
+                   "n_deletions", "rows_touched_per_deletion"}
 
 
 @contextmanager
@@ -65,23 +64,20 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def snapshot(run: Callable[..., Any], **kwargs: Any) -> dict[str, Any]:
+def snapshot(spec: Spec, **kwargs: Any) -> dict[str, Any]:
     """One experiment's virtual results, JSON-ready and exact."""
-    db_out: list = []
     with task_meters() as meters:
-        result = run(db_out=db_out, **kwargs)
-    db = db_out[0]
+        result = spec.run(**kwargs)
+    db = result.run.db
     ops: Counter = Counter(db.background_meter.ops)
     for meter in meters[id(db)].values():
         ops.update(meter.ops)
     fields = {
-        f.name: _plain(getattr(result, f.name))
-        for f in dataclasses.fields(result)
-        if f.name not in _SKIPPED_FIELDS
-        and isinstance(getattr(result, f.name), (int, float, str, bool, dict))
+        name: _plain(getattr(result, name))
+        for name in result.metrics
+        if name not in _SKIPPED_FIELDS
+        and isinstance(getattr(result, name), (int, float, str, bool, dict))
     }
-    if hasattr(result, "maintenance_cpu"):
-        fields["maintenance_cpu"] = repr(result.maintenance_cpu)
     return {
         "result": fields,
         "clock_base": repr(db.clock.base),
@@ -102,17 +98,17 @@ def scenarios() -> dict[str, Callable[[], dict[str, Any]]]:
                 continue  # COMPACT ON requires UNIQUE
             out[f"comps/{variant}/compact={int(compact)}"] = (
                 lambda v=variant, c=compact: snapshot(
-                    run_experiment, scale=tiny, view="comps", variant=v, delay=1.0, compact=c
+                    VIEW, scale=tiny, view="comps", variant=v, delay=1.0, compact=c
                 )
             )
     for variant in OPTION_VARIANTS:
         out[f"options/{variant}"] = lambda v=variant: snapshot(
-            run_experiment, scale=tiny, view="options", variant=v, delay=1.0
+            VIEW, scale=tiny, view="options", variant=v, delay=1.0
         )
-    out["cascade/unique"] = lambda: snapshot(run_cascade_experiment, scale=tiny)
+    out["cascade/unique"] = lambda: snapshot(CASCADE, scale=tiny)
     for strategy in ("incremental", "dred", "recompute"):
         out[f"deletion/{strategy}"] = lambda s=strategy: snapshot(
-            run_deletion_experiment, maintenance=s
+            DELETION, maintenance=s
         )
     return out
 

@@ -87,28 +87,11 @@ class TestBenchHelpers:
         assert "-" in text  # v has no 0.5 point
 
     def test_series_of(self):
-        from repro.pta.workload import ExperimentResult
+        from repro.pta.scaffold import Metric, Result
 
         def result(variant, delay, n):
-            return ExperimentResult(
-                view="comps",
-                variant=variant,
-                delay=delay,
-                scale=Scale.tiny(),
-                seed=0,
-                n_updates=1,
-                n_recomputes=n,
-                cpu_update=0.0,
-                cpu_recompute=0.0,
-                cpu_baseline_update=0.0,
-                mean_recompute_length=0.0,
-                mean_recompute_response=0.0,
-                batched_firings=0,
-                rule_firings=0,
-                total_bound_rows=0,
-                context_switches=0,
-                end_time=0.0,
-            )
+            options = dict(variant=variant, delay=delay, n_recomputes=n)
+            return Result(None, [Metric(name) for name in options], options)
 
         curves = series_of(
             [result("u", 1.0, 5), result("u", 0.5, 9), result("n", 0.0, 3)],

@@ -12,7 +12,7 @@ from repro.database import Database
 from repro.fault import FaultInjector, RetryPolicy
 from repro.net import AdmissionConfig, LoadConfig, NetServer, ServerConfig
 from repro.obs import TraceCollector, TimeSeriesSampler
-from repro.pta.distributed import run_network_experiment
+from repro.pta.distributed import NETWORKED
 from repro.replic import NetworkConfig
 from repro.sim.simulator import Simulator
 
@@ -22,25 +22,22 @@ LOSSY = NetworkConfig(latency=0.005, bandwidth=10e6, jitter=0.01, drop=0.08, reo
 @pytest.fixture(scope="module")
 def lossy_run():
     """4 concurrent clients, binary frames, drop + reorder + a crash fault."""
-    server_out, clients_out = [], []
-    result = run_network_experiment(
+    result = NETWORKED.run(
         seed=3,
         n_clients=4,
         requests_per_client=20,
         network=LOSSY,
         faults="task.exec[net.update]:kill@nth=7",
         max_retries=5,
-        server_out=server_out,
-        clients_out=clients_out,
     )
-    return result, server_out[0], clients_out
+    return result, result.server, result.clients
 
 
 @pytest.fixture(scope="module")
 def overload_run():
     """8 clients bursting ~10x faster than the engine drains."""
     collector = TraceCollector()
-    result = run_network_experiment(
+    result = NETWORKED.run(
         seed=11,
         n_clients=8,
         requests_per_client=25,
@@ -77,7 +74,7 @@ class TestLossyEndToEnd:
 
     def test_determinism_same_seed_same_run(self, lossy_run):
         result, _server, _clients = lossy_run
-        again = run_network_experiment(
+        again = NETWORKED.run(
             seed=3,
             n_clients=4,
             requests_per_client=20,
@@ -120,7 +117,7 @@ class TestShed:
         collector = TraceCollector(
             timeseries=TimeSeriesSampler(interval=0.25, max_queue_depth=2.0)
         )
-        result = run_network_experiment(
+        result = NETWORKED.run(
             seed=7,
             n_clients=6,
             requests_per_client=25,

@@ -31,7 +31,7 @@ import tempfile
 
 from repro.obs import TraceCollector, stats_report, stats_snapshot
 from repro.pta.tables import Scale
-from repro.pta.workload import run_cascade_experiment
+from repro.pta.workload import CASCADE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "stats_outputs.json")
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -56,8 +56,8 @@ COVERED_ELSEWHERE = {
 
 def cascade_run() -> TraceCollector:
     collector = TraceCollector()
-    run_cascade_experiment(
-        Scale.tiny(), compact=True, tracer=collector, fault_seed=7, max_retries=1,
+    CASCADE.run(
+        scale=Scale.tiny(), compact=True, tracer=collector, fault_seed=7, max_retries=1,
         faults="task.exec[recompute]:kill@every=3;txn.commit:abort@p=0.02",
     )
     return collector

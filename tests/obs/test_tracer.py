@@ -159,10 +159,10 @@ class TestTaskEvents:
         assert collector.rollup().counters["task_drops"] == 1
 
     def test_superseding_deletion_leaves_no_batch_behind(self):
-        from repro.pta.workload import run_deletion_experiment
+        from repro.pta.workload import DELETION
 
         collector = TraceCollector()
-        result = run_deletion_experiment(
+        result = DELETION.run(
             n_symbols=6, positions_per_symbol=3, n_events=80, duration=20.0, seed=0,
             maintenance="dred", tracer=collector,
         )

@@ -9,7 +9,7 @@ from repro.errors import InjectedCrashError
 from repro.fault import FaultInjector, check_convergence
 from repro.persist import bootstrap, recover
 from repro.persist.manager import WAL_FILE, PersistenceManager
-from repro.pta.distributed import run_replicated_experiment
+from repro.pta.distributed import REPLICATED
 from repro.pta.rules import function_registry
 from repro.pta.scaffold import ExperimentRun
 from repro.pta.tables import Scale
@@ -29,12 +29,10 @@ MICRO = Scale(
 
 @pytest.fixture(scope="module")
 def async_run():
-    db_out, cluster_out = [], []
-    result = run_replicated_experiment(
-        MICRO, replicas=2, mode="async",
-        db_out=db_out, cluster_out=cluster_out,
+    result = REPLICATED.run(
+        scale=MICRO, replicas=2, mode="async",
     )
-    return result, db_out[0], cluster_out[0]
+    return result, result.run.db, result.cluster
 
 
 class TestAsyncMode:
@@ -63,13 +61,13 @@ class TestAsyncMode:
     def test_async_matches_unreplicated_timing(self, async_run):
         """Shipping rides between tasks: the primary's virtual end time
         must equal a plain (persistence-only) run of the same workload."""
-        from repro.pta.workload import run_experiment
+        from repro.pta.workload import VIEW
 
         result, _db, _cluster = async_run
         import tempfile
 
-        baseline = run_experiment(
-            MICRO, "comps", "unique", delay=1.0, seed=0,
+        baseline = VIEW.run(
+            scale=MICRO, view="comps", variant="unique", delay=1.0, seed=0,
             wal_dir=tempfile.mkdtemp(prefix="repro-baseline-"),
         )
         assert result.end_time == pytest.approx(baseline.end_time)
@@ -77,8 +75,8 @@ class TestAsyncMode:
 
 class TestSemisyncMode:
     def test_commits_wait_for_the_first_ack(self):
-        result = run_replicated_experiment(
-            MICRO, replicas=2, mode="semisync",
+        result = REPLICATED.run(
+            scale=MICRO, replicas=2, mode="semisync",
             network=NetworkConfig(latency=0.02, bandwidth=1e9),
         )
         assert result.converged
@@ -87,8 +85,8 @@ class TestSemisyncMode:
         assert result.commit_wait_mean >= 2 * 0.02
 
     def test_semisync_pays_latency_async_does_not(self):
-        fast = run_replicated_experiment(MICRO, replicas=1, mode="async")
-        slow = run_replicated_experiment(MICRO, replicas=1, mode="semisync")
+        fast = REPLICATED.run(scale=MICRO, replicas=1, mode="async")
+        slow = REPLICATED.run(scale=MICRO, replicas=1, mode="semisync")
         assert slow.end_time > fast.end_time
         assert fast.commit_wait_total == 0.0
         assert slow.commit_wait_total > 0.0
@@ -96,8 +94,8 @@ class TestSemisyncMode:
 
 class TestLossyNetwork:
     def test_drops_and_reorders_still_converge(self):
-        result = run_replicated_experiment(
-            MICRO, replicas=2,
+        result = REPLICATED.run(
+            scale=MICRO, replicas=2,
             network=NetworkConfig(
                 latency=0.02, jitter=0.01, drop=0.1, reorder=0.3
             ),
@@ -108,8 +106,8 @@ class TestLossyNetwork:
         assert result.resent_frames > 0
 
     def test_network_fault_plan_drives_the_seams(self):
-        result = run_replicated_experiment(
-            MICRO, replicas=2,
+        result = REPLICATED.run(
+            scale=MICRO, replicas=2,
             faults="ship.send:drop@p=0.05;ship.ack:drop@p=0.05;"
             "apply.frame:drop@p=0.02",
             fault_seed=7,

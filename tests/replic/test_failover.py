@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.pta.distributed import run_replicated_experiment
+from repro.pta.distributed import REPLICATED
 from repro.pta.tables import Scale
 from repro.replic import FailoverController, NetworkConfig, ReplicationError
 
@@ -21,8 +21,8 @@ DRILL_PLAN = (
 
 @pytest.fixture(scope="module")
 def drill():
-    return run_replicated_experiment(
-        MICRO, replicas=2,
+    return REPLICATED.run(
+        scale=MICRO, replicas=2,
         network=NetworkConfig(latency=0.02, jitter=0.01, drop=0.05, reorder=0.3),
         net_seed=1,
         faults=DRILL_PLAN,
@@ -55,8 +55,8 @@ class TestCrashDrill:
         assert "convergence oracle" in text
 
     def test_clean_run_at_same_settings_does_not_crash(self):
-        result = run_replicated_experiment(
-            MICRO, replicas=2,
+        result = REPLICATED.run(
+            scale=MICRO, replicas=2,
             network=NetworkConfig(latency=0.02, drop=0.05, reorder=0.3),
             net_seed=1,
         )

@@ -20,7 +20,7 @@ from repro.persist.recovery import WalApplier
 from repro.persist.wal import read_wal
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 from repro.replic import check_replica_equivalence
 
 #: Small on purpose: every hypothesis example replays the WAL twice.
@@ -33,7 +33,7 @@ NANO = Scale(
 @pytest.fixture(scope="module")
 def wal_run(tmp_path_factory):
     wal_dir = str(tmp_path_factory.mktemp("replay-wal"))
-    run_experiment(NANO, "comps", "unique", delay=1.0, seed=0, wal_dir=wal_dir)
+    VIEW.run(scale=NANO, view="comps", variant="unique", delay=1.0, seed=0, wal_dir=wal_dir)
     records, _valid, _torn = read_wal(os.path.join(wal_dir, WAL_FILE))
     assert len(records) >= 20
     return wal_dir, records

@@ -18,7 +18,7 @@ from repro.persist.manager import WAL_FILE
 from repro.persist.wal import WriteAheadLog, read_wal
 from repro.pta.rules import function_registry
 from repro.pta.tables import Scale
-from repro.pta.workload import run_experiment
+from repro.pta.workload import VIEW
 from repro.replic import Standby, check_replica_equivalence
 
 MICRO = Scale(
@@ -32,16 +32,15 @@ def primary_run(tmp_path_factory):
     """A completed persistence-on run: a directory holding its checkpoint
     only, the final db, and the WAL records the checkpoint does not hold."""
     wal_dir = str(tmp_path_factory.mktemp("repl-primary"))
-    db_out = []
-    run_experiment(
-        MICRO, "comps", "unique", delay=1.0, seed=0,
-        wal_dir=wal_dir, db_out=db_out,
+    result = VIEW.run(
+        scale=MICRO, view="comps", variant="unique", delay=1.0, seed=0,
+        wal_dir=wal_dir,
     )
     records, _valid, _torn = read_wal(os.path.join(wal_dir, WAL_FILE))
     assert len(records) >= 40
     boot_dir = str(tmp_path_factory.mktemp("repl-checkpoint-only"))
     shutil.copy(os.path.join(wal_dir, CHECKPOINT_FILE), boot_dir)
-    return boot_dir, db_out[0], records
+    return boot_dir, result.run.db, records
 
 
 def make_standby(wal_dir, name="r0"):

@@ -137,15 +137,15 @@ class TestPtaCascade:
     @pytest.mark.parametrize("compact", [False, True])
     def test_sectors_equal_bottom_up(self, variant, compact):
         from repro.pta.tables import Scale
-        from repro.pta.workload import run_cascade_experiment
+        from repro.pta.workload import CASCADE
 
         scale = Scale(
             n_stocks=16, n_comps=4, stocks_per_comp=6,
             n_options=10, duration=10.0, n_updates=80,
         )
         tracer = TraceCollector()
-        result = run_cascade_experiment(
-            scale, variant=variant, compact=compact, tracer=tracer,
+        result = CASCADE.run(
+            scale=scale, variant=variant, compact=compact, tracer=tracer,
         )
         assert result.max_stratum == 2
         assert result.n_sector_recomputes > 0
@@ -164,11 +164,11 @@ class TestPtaCascade:
         the stratum hold gate under a zero-delay burst, and the two-level
         oracle."""
         from repro.pta.tables import Scale
-        from repro.pta.workload import run_cascade_experiment
+        from repro.pta.workload import CASCADE
 
         scale = Scale.tiny()
-        result = run_cascade_experiment(
-            scale, variant="unique", delay=1.0, tracer=TraceCollector(),
+        result = CASCADE.run(
+            scale=scale, variant="unique", delay=1.0, tracer=TraceCollector(),
         )
         assert result.max_stratum == 2, result.max_stratum
         assert result.n_comp_recomputes > 0
@@ -185,8 +185,8 @@ class TestPtaCascade:
         # A zero-delay burst makes both strata due at once: the stratum
         # gate must hold sector tasks behind live composite tasks, and the
         # run must still converge.
-        burst = run_cascade_experiment(
-            scale, variant="on_comp", delay=0.0, sector_delay=0.0,
+        burst = CASCADE.run(
+            scale=scale, variant="on_comp", delay=0.0, sector_delay=0.0,
         )
         assert burst.tasks_held > 0, "the stratum hold gate never engaged"
         assert burst.oracle_divergent == 0, burst.oracle_report.format()

@@ -500,14 +500,14 @@ class TestRequeryPlanCache:
 
 class TestDeletionHeavyRun:
     def test_all_three_strategies_converge_and_dred_beats_recompute(self):
-        from repro.pta.workload import run_deletion_experiment
+        from repro.pta.workload import DELETION
 
         kwargs = dict(
             n_symbols=8, positions_per_symbol=4, n_events=150,
             duration=30.0, delete_mix=0.4, seed=0,
         )
         runs = {
-            strategy: run_deletion_experiment(maintenance=strategy, **kwargs)
+            strategy: DELETION.run(maintenance=strategy, **kwargs)
             for strategy in ("incremental", "dred", "recompute")
         }
         for strategy, run in runs.items():
