@@ -290,6 +290,16 @@ class TestReplicationCommands:
         with pytest.raises(SystemExit, match=named):
             main(["experiment", "--scale", "tiny", *flags])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["replicate", "--replicas", "0"], ["replicate", "--replicas", "-1"],
+         ["experiment", "--replicas", "-3"]],
+        ids=["replicate-zero", "replicate-negative", "experiment-negative"],
+    )
+    def test_a_replica_count_below_one_is_refused(self, argv):
+        with pytest.raises(SystemExit, match="--replicas must be at least 1"):
+            main([*argv, "--scale", "tiny"])
+
     def test_cascade_takes_a_sector_delay(self, capsys):
         assert main(["experiment", "--scale", "tiny", "--cascade", "--sector-delay", "5"]) == 0
         out = capsys.readouterr().out

@@ -12,8 +12,12 @@ workload and end-to-end metric the median of the per-pair ratios
 Both trees are extracted with ``git archive`` into a temporary directory,
 so the working tree is never what runs.
 
-    python tools/bench_trajectory.py --commit HEAD --pairs 3 --seconds 6
+    python tools/bench_trajectory.py --commit HEAD
     python tools/bench_trajectory.py --commit eb89280   # the reference: ratio 1.0
+
+The defaults are ten pairs of ``BENCHMARK.json``'s ``run_seconds`` each:
+three six-second pairs cannot pin a ratio (one tree read 0.387 x and
+0.520 x the reference in two runs of this tool).
 
 Measuring the reference against itself runs it ``--pairs`` times alone
 and records ratio 1.0.  ``--dry-run`` prints the entry instead of
@@ -34,6 +38,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRAJECTORY = os.path.join(ROOT, "BENCH_e2e.json")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _contract:
+    RUN_SECONDS = float(json.load(_contract)["run_seconds"])
 REFERENCE = "eb89280"
 WORKLOADS = ("pta_comps_unique", "pta_options_on_symbol", "sql_views_mixed", "wire_wal_replica")
 METRICS = (
@@ -111,8 +117,8 @@ def measure(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--commit", default="HEAD", help="the tree to measure")
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=RUN_SECONDS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--note", default="", help="free-text machine note")
