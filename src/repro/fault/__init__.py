@@ -14,8 +14,9 @@ The subsystem has three parts (see docs/FAULTS.md):
 
 The crash-recover-converge harness over these (``crash`` actions at the
 WAL/checkpoint seams kill the process, the persistence subsystem rebuilds
-it, the oracle checks the rebuilt state; docs/PERSISTENCE.md) is
-:func:`repro.pta.distributed.crash_recover_converge`.
+it, the oracle checks the rebuilt state; docs/PERSISTENCE.md) is the
+tests' ``crash_recover_converge`` over
+:func:`repro.pta.distributed.recover_run`.
 """
 
 from repro.fault.injector import Fault, FaultInjector, NullFaultInjector

@@ -18,8 +18,8 @@ clock (:mod:`repro.net.sim`, with the ``net.accept`` / ``net.recv`` /
 ``net.send`` fault seams) and real asyncio sockets
 (:mod:`repro.net.aio`).  :mod:`repro.net.client` holds the protocol
 state machine and the bursty load generator.  See ``docs/NETWORK.md``
-(the PTA experiment over the wire is ``run_network_experiment``, in the
-experiment-driver layer above this package).
+(the PTA experiment over the wire is the ``NETWORKED`` spec of
+:mod:`repro.pta.distributed`, in the experiment layer above this package).
 """
 
 from repro.net.admission import AdmissionConfig, AdmissionController, TokenBucket

@@ -21,8 +21,8 @@ The co-simulation has two gears, exactly like replication:
   even when the engine is idle.
 
 Everything is seeded: same seeds, same fault plan, same run.  The
-PTA-workload harness on top is ``run_network_experiment`` in the
-experiment-driver layer; nothing in this package imports a workload.
+PTA-workload harness on top is the ``NETWORKED`` spec in the
+experiment layer; nothing in this package imports a workload.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ subsystem ships it:
   orphan-retry resurrection, queue drain, and the convergence oracle;
 * :mod:`repro.replic.cluster` — the cluster harness.
 
-The PTA experiment on top of a cluster is ``run_replicated_experiment``,
-in the experiment-driver layer above this package.
+The PTA experiment on top of a cluster is the ``REPLICATED`` spec of
+:mod:`repro.pta.distributed`, in the experiment layer above this package.
 
 See docs/REPLICATION.md for modes, lag semantics, and the drill recipe.
 """

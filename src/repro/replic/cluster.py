@@ -21,8 +21,8 @@
   its own clock).
 
 The PTA workload harness on top (with the failover drill) is
-``run_replicated_experiment`` in the experiment-driver layer; nothing in
-this package imports a workload.
+the ``REPLICATED`` spec in the experiment layer; nothing in this package
+imports a workload.
 """
 
 from __future__ import annotations
