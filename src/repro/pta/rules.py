@@ -283,67 +283,57 @@ def _compact_clause(variant: str, family: str, compact: bool) -> str:
     return "compact on option_symbol"
 
 
+#: Per view family: its variants, their functions, the rule's condition and
+#: the derived table the rule writes.
+_FAMILIES = {
+    "comps": (COMP_VARIANTS, _COMP_FUNCTIONS, _COMP_CONDITION, "comp_prices"),
+    "options": (OPTION_VARIANTS, _OPTION_FUNCTIONS, _OPTION_CONDITION, "option_prices"),
+}
+
+
+def _install_view_rule(
+    db: "Database", family: str, variant: str, delay: float, compact: bool
+) -> str:
+    variants, functions, condition, view = _FAMILIES[family]
+    if variant not in variants:
+        raise StripError(f"variant must be one of {variants}, got {variant!r}")
+    function_name, fn = functions[variant]
+    db.register_function(function_name, fn, replace=True)
+    clause = _unique_clause(variant, family)
+    compact_sql = _compact_clause(variant, family, compact)
+    after = f"after {delay} seconds" if delay > 0 else ""
+    db.execute(
+        f"""
+        create rule do_{family}_{variant} on stocks
+        when updated price
+        if {condition}
+        then execute {function_name}
+        {clause}
+        {compact_sql}
+        {after}
+        writes {view}
+        """
+    )
+    if db.tracer.enabled:
+        # The view is the derived table the rule maintains; registering it
+        # labels the staleness series with the view, not the function.
+        db.tracer.view_registered(view, function_name, (f"do_{family}_{variant}",), db.clock.now())
+    return function_name
+
+
 def install_comp_rule(
     db: "Database", variant: str, delay: float = 0.0, compact: bool = False
 ) -> str:
     """Install one composite-maintenance rule variant; returns the function
     name (the recompute task class is ``recompute:<function>``)."""
-    if variant not in COMP_VARIANTS:
-        raise StripError(f"variant must be one of {COMP_VARIANTS}, got {variant!r}")
-    function_name, fn = _COMP_FUNCTIONS[variant]
-    db.register_function(function_name, fn, replace=True)
-    clause = _unique_clause(variant, "comps")
-    compact_sql = _compact_clause(variant, "comps", compact)
-    after = f"after {delay} seconds" if delay > 0 else ""
-    db.execute(
-        f"""
-        create rule do_comps_{variant} on stocks
-        when updated price
-        if {_COMP_CONDITION}
-        then execute {function_name}
-        {clause}
-        {compact_sql}
-        {after}
-        writes comp_prices
-        """
-    )
-    if db.tracer.enabled:
-        # comp_prices is the derived table the rule maintains; registering
-        # it labels the staleness series with the view, not the function.
-        db.tracer.view_registered(
-            "comp_prices", function_name, (f"do_comps_{variant}",), db.clock.now()
-        )
-    return function_name
+    return _install_view_rule(db, "comps", variant, delay, compact)
 
 
 def install_option_rule(
     db: "Database", variant: str, delay: float = 0.0, compact: bool = False
 ) -> str:
     """Install one option-maintenance rule variant."""
-    if variant not in OPTION_VARIANTS:
-        raise StripError(f"variant must be one of {OPTION_VARIANTS}, got {variant!r}")
-    function_name, fn = _OPTION_FUNCTIONS[variant]
-    db.register_function(function_name, fn, replace=True)
-    clause = _unique_clause(variant, "options")
-    compact_sql = _compact_clause(variant, "options", compact)
-    after = f"after {delay} seconds" if delay > 0 else ""
-    db.execute(
-        f"""
-        create rule do_options_{variant} on stocks
-        when updated price
-        if {_OPTION_CONDITION}
-        then execute {function_name}
-        {clause}
-        {compact_sql}
-        {after}
-        writes option_prices
-        """
-    )
-    if db.tracer.enabled:
-        db.tracer.view_registered(
-            "option_prices", function_name, (f"do_options_{variant}",), db.clock.now()
-        )
-    return function_name
+    return _install_view_rule(db, "options", variant, delay, compact)
 
 
 def install_sector_rule(
