@@ -32,15 +32,15 @@ DEFAULT_FAULT_PLAN = (
 
 
 def grid(spec: Spec, option_sets: Sequence[dict], **common: object) -> list[Result]:
-    """One run of ``spec`` per option set, each with the ``common``
-    options too, in order.  Each distinct grid runs once per process
+    """One run of ``spec`` per option set, each over the ``common``
+    options, in order.  Each distinct grid runs once per process
     (figures share grids) and keeps its results' metrics, not their runs:
     a cached run would hold its whole database for the life of the
     process."""
     key = (spec.name, repr(list(option_sets)), repr(sorted(common.items())))
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = [
-            spec.run(**common, **options).detach() for options in option_sets
+            spec.run(**{**common, **options}).detach() for options in option_sets
         ]
     return _GRID_CACHE[key]
 

@@ -15,7 +15,6 @@ from repro.obs.attribution import ENGINE_KEY, Attribution, RuleStats
 from repro.obs.exporters import (
     chrome_trace_events,
     ensure_parent,
-    export_stats,
     export_trace,
     read_jsonl,
     stats_report,
@@ -50,7 +49,6 @@ __all__ = [
     "check",
     "chrome_trace_events",
     "ensure_parent",
-    "export_stats",
     "export_trace",
     "log_bounds",
     "read_jsonl",

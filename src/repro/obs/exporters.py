@@ -61,18 +61,6 @@ def export_trace(collector: TraceCollector, path: str) -> int:
     return write_chrome_trace(collector, path)
 
 
-def export_stats(collector: TraceCollector, path: str, title: str) -> Optional[str]:
-    """Render the plain-text stats report; write it to ``path``, or return
-    it for the caller to print when ``path`` is ``'-'`` (stdout)."""
-    text = stats_report(collector, title)
-    if path == "-":
-        return text
-    ensure_parent(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return None
-
-
 # ------------------------------------------------------------------- JSONL
 
 

@@ -35,7 +35,7 @@ from repro.net.sim import SimNetTransport
 from repro.obs.tracer import TraceCollector
 from repro.persist.recovery import RecoveryReport, recover
 from repro.pta.rules import function_registry, install_comp_rule
-from repro.pta.scaffold import FAULT_OPTIONS, REQUIRED, ExperimentRun, Metric, Result, Spec, outcome
+from repro.pta.scaffold import FAULT_OPTIONS, ExperimentRun, Metric, Result, Spec, outcome
 from repro.pta.tables import Scale
 from repro.pta.workload import N_UPDATES, populate_trace, trace_tasks, view_rule
 from repro.replic.cluster import ReplicationCluster, check_replica_equivalence
@@ -115,7 +115,7 @@ def _converged(r: Result) -> bool:
 REPLICATED = Spec(
     "a replicated experiment",
     params=dict(
-        scale=REQUIRED, view="comps", variant="unique", delay=1.0, seed=0,
+        scale=Scale.tiny(), view="comps", variant="unique", delay=1.0, seed=0,
         replicas=2, mode="async", network=None, net_seed=0, batch_records=8,
         resend_timeout=0.25,
     ),

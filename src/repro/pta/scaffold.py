@@ -157,8 +157,6 @@ RUN_OPTIONS = {
     for name, parameter in inspect.signature(ExperimentRun).parameters.items()
 }
 FAULT_OPTIONS = frozenset({"faults", "fault_seed", "max_retries", "retry_backoff"})
-#: A spec parameter the caller must give.
-REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -219,14 +217,15 @@ class Result:
             del self.__dict__[name]
         return self
 
-    def row(self) -> dict[str, object]:
+    def row(self, columns: Optional[Sequence[Metric]] = None) -> dict[str, object]:
         """A flat dict for report tables: the metrics with a column, in
-        declaration order, each as its spec shows it."""
+        declaration order, each as its spec shows it — or a table's own
+        ``columns``: a metric of this result by name, or what one reads."""
         out: dict[str, object] = {}
-        for metric in self.metrics.values():
+        for metric in self.metrics.values() if columns is None else columns:
             if metric.column is None or (metric.when is not None and not metric.when(self)):
                 continue
-            value = getattr(self, metric.name)
+            value = getattr(self, metric.name) if metric.name in self.metrics else metric.read(self)
             out[metric.column] = value if metric.show is None else metric.show(value)
         return out
 
@@ -277,8 +276,7 @@ def outcome(*shown: str) -> tuple[Metric, ...]:
 class Spec:
     """One scenario, as data.
 
-    ``params`` are the spec's own options and their defaults
-    (:data:`REQUIRED`: the caller gives it), ``takes`` the
+    ``params`` are the spec's own options and their defaults, ``takes`` the
     :class:`ExperimentRun` options it passes on.  ``play(run, options)``
     sets up tables and rules on ``run.db``, runs and finishes the run, and
     returns what the metrics read besides it.  ``scratch_wal`` names the
@@ -300,15 +298,17 @@ class Spec:
         """Every option :meth:`run` accepts."""
         return frozenset(self.params) | self.takes
 
-    def run(self, **options: object) -> Result:
-        """The one runner: build the run, play the spec, read its metrics."""
+    def resolve(self, **options: object) -> dict:
+        """Every option a run takes: ``options`` over the defaults."""
         unknown = sorted(set(options) - self.options)
         if unknown:
             raise TypeError(f"{self.name} takes no option {', '.join(unknown)}")
-        given = {**{name: RUN_OPTIONS[name] for name in self.takes}, **self.params, **options}
-        missing = sorted(name for name, value in given.items() if value is REQUIRED)
-        if missing:
-            raise TypeError(f"{self.name} needs option {', '.join(missing)}")
+        run = {name: default for name, default in RUN_OPTIONS.items() if name in self.takes}
+        return {**run, **self.params, **options}
+
+    def run(self, **options: object) -> Result:
+        """The one runner: build the run, play the spec, read its metrics."""
+        given = self.resolve(**options)
         settings = {name: given[name] for name in self.takes}
         if self.collector and settings["tracer"] is None:
             settings["tracer"] = TraceCollector()

@@ -22,7 +22,7 @@ populates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.pta.blackscholes import call_price
@@ -45,6 +45,8 @@ class Scale:
     n_options: int
     duration: float  # seconds of trace
     n_updates: int  # total quotes in the trace
+    #: How the scale was asked for (``tiny``, ``0.05``), for reports.
+    name: str = field(default="", compare=False, repr=False)
 
     @classmethod
     def paper(cls) -> "Scale":
@@ -55,6 +57,7 @@ class Scale:
             n_options=50000,
             duration=1800.0,
             n_updates=60000,
+            name="paper",
         )
 
     @classmethod
@@ -67,6 +70,7 @@ class Scale:
             n_options=6250,
             duration=225.0,
             n_updates=7500,
+            name="small",
         )
 
     @classmethod
@@ -79,6 +83,7 @@ class Scale:
             n_options=120,
             duration=30.0,
             n_updates=400,
+            name="tiny",
         )
 
     @classmethod
@@ -90,7 +95,7 @@ class Scale:
         if name in ("paper", "small", "tiny"):
             return getattr(cls, name)()
         try:
-            return cls.paper().scaled(float(name))
+            return replace(cls.paper().scaled(float(name)), name=name)
         except ValueError:
             raise ValueError(
                 f"unknown scale {name!r}: use paper/small/tiny or a float factor"

@@ -33,7 +33,6 @@ from repro.pta.rules import install_comp_rule, install_option_rule, install_sect
 from repro.pta.scaffold import (
     FAULT_OPTIONS,
     OUTCOME,
-    REQUIRED,
     RUN_OPTIONS,
     ExperimentRun,
     Metric,
@@ -215,7 +214,7 @@ COMPACTION = (
 VIEW = Spec(
     "a single-view experiment",
     params=dict(
-        scale=REQUIRED, view="comps", variant="unique", delay=1.0, seed=0,
+        scale=Scale.tiny(), view="comps", variant="unique", delay=1.0, seed=0,
         compact=False, trace_kwargs=None, update_deadline=None,
     ),
     takes=frozenset(RUN_OPTIONS),
@@ -279,7 +278,7 @@ VIEW = Spec(
 CASCADE = Spec(
     "a cascade experiment",
     params=dict(
-        scale=REQUIRED, variant="unique", delay=1.0, sector_delay=1.0, seed=0,
+        scale=Scale.tiny(), variant="unique", delay=1.0, sector_delay=1.0, seed=0,
         compact=False, oracle=True,
     ),
     takes=frozenset(RUN_OPTIONS) - {"processors", "drop_late", "keep_records"},

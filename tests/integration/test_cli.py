@@ -1,10 +1,19 @@
 """Tests for the command-line interface."""
 
+import argparse
+import inspect
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.net import AdmissionConfig, LoadConfig
+from repro.net.aio import AsyncNetServer
+from repro.obs import TimeSeriesSampler, TraceCollector
+from repro.pta.distributed import NETWORKED, REPLICATED
+from repro.pta.scaffold import ExperimentRun
+from repro.pta.workload import CASCADE, DELETION, VIEW
+from repro.replic import NetworkConfig
 
 
 class TestParser:
@@ -252,10 +261,12 @@ class TestReplicationCommands:
         assert "replica r0: identical" in out
 
     def test_replicate_parser_defaults(self):
+        # The parser leaves every flag at None; the spec and the link config
+        # hold the defaults the run takes.
         args = build_parser().parse_args(["replicate"])
-        assert args.replicas == 2
-        assert args.repl_mode == "async"
-        assert args.net_latency == 0.02
+        assert args.replicas is None and args.mode is None and args.net_latency is None
+        assert REPLICATED.params["replicas"] == 2 and REPLICATED.params["mode"] == "async"
+        assert NetworkConfig().latency == 0.02
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replicate", "--repl-mode", "sync"])
 
@@ -317,31 +328,96 @@ class TestReplicationCommands:
         assert "semisync:" in out
 
 
+def _subcommands():
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+def _flag_actions(subparser):
+    return [action for action in subparser._actions if action.option_strings and action.dest != "help"]
+
+
+#: Each subcommand's flags before they were generated from the specs: no
+#: subcommand gains (or loses) one.
+FLAGS = {
+    "table1": set(),
+    "experiment": {
+        "--cascade", "--checkpoint-every", "--compact", "--delay", "--drop-late", "--fault-seed",
+        "--faults", "--max-retries", "--net-bandwidth", "--net-drop", "--net-jitter",
+        "--net-latency", "--net-reorder", "--net-seed", "--obs", "--policy", "--processors",
+        "--repl-batch", "--repl-mode", "--replicas", "--resend-timeout", "--retry-backoff",
+        "--scale", "--sector-delay", "--seed", "--stats-out", "--trace-out", "--update-deadline",
+        "--variant", "--view", "--wal-dir", "--wal-sync",
+    },
+    "replicate": {
+        "--delay", "--fault-seed", "--faults", "--max-retries", "--net-bandwidth", "--net-drop",
+        "--net-jitter", "--net-latency", "--net-reorder", "--net-seed", "--obs", "--repl-batch",
+        "--repl-mode", "--replicas", "--resend-timeout", "--retry-backoff", "--scale", "--seed",
+        "--stats-out", "--trace-out", "--variant", "--view", "--wal-dir",
+    },
+    "serve": {
+        "--ack-timeout", "--burst-gap", "--burst-size", "--clients", "--delay", "--delay-at",
+        "--duration", "--fault-seed", "--faults", "--host", "--interval", "--intra-gap",
+        "--json-out", "--max-queue-depth", "--max-retries", "--max-staleness", "--net-bandwidth",
+        "--net-drop", "--net-jitter", "--net-latency", "--net-reorder", "--port", "--requests",
+        "--retry-backoff", "--scale", "--seed", "--session-burst", "--session-rate", "--shed-at",
+        "--stats-out", "--trace-out", "--transport", "--variant",
+    },
+    "stats": {
+        "--compact", "--delay", "--interval", "--json-out", "--scale", "--seed", "--series-out",
+        "--variant", "--view",
+    },
+    "figure": {"--delays", "--scale", "--seed", "--stats-out", "--trace-out"},
+    "compaction": {"--delays", "--scale", "--seed", "--variant", "--view"},
+    "dred": {
+        "--delay", "--delete-mix", "--events", "--fault-seed", "--faults", "--maintenance",
+        "--positions", "--seed", "--symbols",
+    },
+    "fault": {
+        "--delay", "--fault-seeds", "--max-retries", "--plan", "--scale", "--seed", "--variant",
+        "--view",
+    },
+    "recover": {"--max-retries", "--no-drain", "--retry-backoff"},
+    "trace": {"--limit", "--scale", "--seed", "--stats"},
+    "sql": set(),
+}
+
+#: The specs each subcommand runs, and the configs (by flag prefix) and
+#: constructed objects whose parameters it takes flags for.
+SPECS = {
+    "experiment": (VIEW, CASCADE, REPLICATED), "replicate": (REPLICATED,), "serve": (NETWORKED,),
+    "dred": (DELETION,), "stats": (VIEW,), "figure": (VIEW,), "compaction": (VIEW,),
+    "fault": (VIEW,), "trace": (VIEW,),
+}
+CONFIGS = {
+    "experiment": (("net_", NetworkConfig),), "replicate": (("net_", NetworkConfig),),
+    "serve": (("net_", NetworkConfig), ("", LoadConfig), ("", AdmissionConfig),
+              ("", TimeSeriesSampler), ("", AsyncNetServer)),
+    "stats": (("", TraceCollector),), "recover": (("", ExperimentRun),),
+}
+#: What the CLI reads itself: outputs, the path selectors, sweep axes and
+#: how long the socket server listens.
+CLI_OWN = {
+    "trace_out", "stats_out", "obs", "json_out", "series_out", "cascade", "transport", "delays",
+    "plan", "fault_seeds", "stats", "limit", "no_drain", "duration",
+}
+
+
 class TestSharedFlagContract:
-    """Flags come from shared groups: wherever a flag appears it parses the
-    same way, and a subcommand that delegates has the flags it forwards."""
-
-    @staticmethod
-    def _subcommands():
-        import argparse
-
-        parser = build_parser()
-        (subparsers,) = (
-            action
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        return subparsers.choices
+    """Flags come from the specs: wherever a flag appears it parses the same
+    way, each is an option of what its subcommand runs, the spec's default
+    applies, and a subcommand that delegates has the flags it forwards."""
 
     def test_a_flag_has_one_type_and_one_set_of_choices(self):
         seen = {}
-        for name, subparser in self._subcommands().items():
-            for action in subparser._actions:
+        for name, subparser in _subcommands().items():
+            for action in _flag_actions(subparser):
+                choices = tuple(action.choices) if action.choices else None
+                spec = (type(action).__name__, action.type, choices, action.nargs)
                 for flag in action.option_strings:
-                    if flag in ("-h", "--help"):
-                        continue
-                    choices = tuple(action.choices) if action.choices else None
-                    spec = (type(action).__name__, action.type, choices, action.nargs)
                     seen.setdefault(flag, {})[name] = spec
         shared = {flag: by_sub for flag, by_sub in seen.items() if len(by_sub) > 1}
         assert {"--variant", "--seed", "--faults", "--net-drop"} <= set(shared)
@@ -349,25 +425,26 @@ class TestSharedFlagContract:
             assert len(set(by_sub.values())) == 1, (flag, by_sub)
 
     def test_defaults_that_differ_on_purpose(self):
+        # Declared once, in the specs; the parser leaves the flags at None.
         parse = build_parser().parse_args
-        assert parse(["experiment"]).delay == 1.0
-        assert parse(["serve"]).delay == 0.5
-        assert parse(["experiment"]).replicas == 0
-        assert parse(["replicate"]).replicas == 2
+        assert parse(["experiment"]).delay is None and parse(["serve"]).delay is None
+        assert VIEW.params["delay"] == 1.0 and NETWORKED.params["delay"] == 0.5
+        assert parse(["experiment"]).replicas is None and parse(["replicate"]).replicas is None
+        assert REPLICATED.params["replicas"] == 2
 
     def test_experiment_accepts_what_it_forwards_to_replicate(self):
-        args = build_parser().parse_args(
-            ["experiment", "--replicas", "1", "--net-drop", "0.1"]
-        )
+        args = build_parser().parse_args(["experiment", "--replicas", "1", "--net-drop", "0.1"])
         assert args.replicas == 1 and args.net_drop == 0.1
-        experiment = build_parser().parse_args(["experiment"])
-        replicate = build_parser().parse_args(["replicate"])
-        forwarded = (
-            "net_latency", "net_bandwidth", "net_jitter", "net_drop",
-            "net_reorder", "net_seed", "repl_batch", "resend_timeout",
-        )
-        for dest in forwarded:
-            assert getattr(experiment, dest) == getattr(replicate, dest), dest
+        subcommands = _subcommands()
+        parsing = {
+            name: {
+                tuple(action.option_strings): (action.dest, type(action), action.type, action.choices)
+                for action in _flag_actions(subcommands[name])
+            }
+            for name in ("experiment", "replicate")
+        }
+        for flags, how in parsing["replicate"].items():
+            assert parsing["experiment"][flags] == how, flags
 
     def test_experiment_net_flags_reach_the_cluster(self, capsys):
         code = main(
@@ -378,3 +455,77 @@ class TestSharedFlagContract:
         header, _rule, row = capsys.readouterr().out.splitlines()[1:4]
         dropped = dict(zip(header.split(), row.split()))["send_dropped"]
         assert int(dropped) > 0
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_no_subcommand_gains_or_loses_a_flag(self, name):
+        flags = {flag for action in _flag_actions(_subcommands()[name]) for flag in action.option_strings}
+        assert flags == FLAGS[name]
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_each_flag_is_an_option_of_what_its_subcommand_runs(self, name):
+        taken = set(CLI_OWN)
+        for spec in SPECS.get(name, ()):
+            taken |= spec.options
+        for prefix, built in CONFIGS.get(name, ()):
+            taken |= {prefix + parameter for parameter in inspect.signature(built).parameters}
+        for action in _flag_actions(_subcommands()[name]):
+            assert action.dest in taken, (name, action.option_strings)
+            assert action.default is None, (name, action.option_strings)
+
+
+class TestRefusedFlags:
+    """A flag the chosen path does not take is refused, naming the flag —
+    experiment used to ignore the link and replication flags off its
+    replicated path, and serve the flags of the transport it did not run."""
+
+    LINK_AND_REPLICATION = [
+        ["--net-latency", "0.1"], ["--net-bandwidth", "1e6"], ["--net-jitter", "0.01"],
+        ["--net-drop", "0.1"], ["--net-reorder", "0.1"], ["--net-seed", "3"],
+        ["--repl-mode", "semisync"], ["--repl-batch", "4"], ["--resend-timeout", "0.5"],
+    ]
+
+    @pytest.mark.parametrize("path", [[], ["--cascade"]], ids=["single-view", "cascade"])
+    @pytest.mark.parametrize("flag", LINK_AND_REPLICATION, ids=lambda flag: flag[0])
+    def test_experiment_refuses_link_and_replication_flags_off_its_replicated_path(self, path, flag):
+        named = "--cascade" if path else "a single-view experiment"
+        with pytest.raises(SystemExit, match=f"{named} does not combine with {flag[0]}$"):
+            main(["experiment", "--scale", "tiny", *path, *flag])
+
+    def test_cascade_refuses_a_view(self):
+        with pytest.raises(SystemExit, match="--cascade does not combine with --view$"):
+            main(["experiment", "--scale", "tiny", "--cascade", "--view", "comps"])
+
+    def test_zero_replicas_is_refused(self):
+        with pytest.raises(SystemExit, match="--replicas must be at least 1, got 0"):
+            main(["experiment", "--scale", "tiny", "--replicas", "0"])
+
+    SIM_ONLY = [
+        ["--clients", "9"], ["--requests", "5"], ["--burst-size", "2"], ["--burst-gap", "0.1"],
+        ["--intra-gap", "0.01"], ["--ack-timeout", "1"], ["--faults", "net.recv:drop@p=0.1"],
+        ["--fault-seed", "1"], ["--max-retries", "1"], ["--retry-backoff", "0.1"],
+        ["--net-latency", "0.1"], ["--net-bandwidth", "1e6"], ["--net-jitter", "0.01"],
+        ["--net-drop", "0.5"], ["--net-reorder", "0.1"], ["--interval", "2"],
+        ["--max-queue-depth", "5"], ["--max-staleness", "5"], ["--json-out", "summary.json"],
+        ["--trace-out", "trace.json"], ["--stats-out", "-"],
+    ]
+
+    @pytest.mark.parametrize("flag", SIM_ONLY, ids=lambda flag: flag[0])
+    def test_serve_asyncio_refuses_the_simulation_flags(self, flag):
+        # --duration bounds the run should the refusal ever regress.
+        with pytest.raises(SystemExit, match=f"--transport asyncio does not combine with {flag[0]}$"):
+            main(["serve", "--transport", "asyncio", "--duration", "0.01", *flag])
+
+    @pytest.mark.parametrize(
+        "flag", [["--host", "0.0.0.0"], ["--port", "8000"], ["--duration", "1"]], ids=lambda flag: flag[0]
+    )
+    def test_serve_sim_refuses_the_socket_flags(self, flag):
+        with pytest.raises(SystemExit, match=f"--transport sim does not combine with {flag[0]}$"):
+            main(["serve", "--requests", "2", *flag])
+
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_serve_refuses_an_interval_that_would_switch_admission_off(self, interval, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--requests", "2", "--interval", interval])
+        assert refused.value.code == 2
+        assert "--interval" in capsys.readouterr().err
+

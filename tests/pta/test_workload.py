@@ -101,11 +101,12 @@ class TestExperimentResult:
         assert tiny_result.run.db.catalog.has_table("comp_prices")
         assert tiny_result.run.simulator.db is tiny_result.run.db
 
-    def test_unknown_and_missing_options_are_refused(self):
+    def test_unknown_options_are_refused_and_the_rest_default(self):
         with pytest.raises(TypeError, match="takes no option sector_delay"):
             VIEW.run(scale=Scale.tiny(), sector_delay=1.0)
-        with pytest.raises(TypeError, match="needs option scale"):
-            VIEW.run()
+        options = VIEW.resolve(view="options")
+        assert options["view"] == "options" and options["scale"] == Scale.tiny()
+        assert options["policy"] == "fifo" and options["faults"] is None
 
 
 class TestSweep:
