@@ -31,8 +31,8 @@ from repro.fault import ConvergenceReport, RetryPolicy, check_convergence
 from repro.net import AdmissionConfig, LoadConfig, NetServer, ServerConfig
 from repro.net.aio import AsyncNetServer
 from repro.obs import (
-    TimeSeriesSampler, TraceCollector, ensure_parent, export_trace, sparkline, stats_report,
-    stats_snapshot, write_series_jsonl,
+    TimeSeriesSampler, TraceCollector, ensure_parent, export_trace, freshness_sections,
+    sparkline, stats_report, stats_snapshot, write_series_jsonl,
 )
 from repro.pta.distributed import NETWORKED, REPLICATED, recover_run
 from repro.pta.rules import install_comp_rule
@@ -256,11 +256,8 @@ def _table(rows: list, title: str) -> None:
 
 def _freshness_sections(collector: TraceCollector) -> None:
     """Print the staleness and attribution tables one experiment produced."""
-    _table(collector.staleness.view_rows(), "Derived-view staleness (virtual seconds)")
-    _table(collector.staleness.rule_rows(), "Per-rule staleness (virtual seconds)")
-    if collector.staleness.lost:
-        print(f"staleness: {collector.staleness.lost} mutations lost to dropped tasks")
-    _table(collector.attribution().profile_rows(), "Per-rule cost attribution")
+    for section in freshness_sections(collector):
+        print(section)
 
 
 def _write_stats(text: str, path: str) -> None:

@@ -16,6 +16,7 @@ from repro.obs.exporters import (
     chrome_trace_events,
     ensure_parent,
     export_trace,
+    freshness_sections,
     read_jsonl,
     stats_report,
     stats_snapshot,
@@ -50,6 +51,7 @@ __all__ = [
     "chrome_trace_events",
     "ensure_parent",
     "export_trace",
+    "freshness_sections",
     "log_bounds",
     "read_jsonl",
     "read_series_jsonl",

@@ -201,6 +201,25 @@ def _histogram_section(name: str, histogram: "Histogram") -> str:
     return format_table([histogram.quantile_row()], f"histogram {name}")
 
 
+def freshness_sections(collector: TraceCollector) -> list[str]:
+    """The staleness tables, the lost-mutation line and the cost
+    attribution table, each only when it has something to show."""
+    from repro.bench.reporting import format_table
+
+    staleness = collector.staleness
+    tables = [
+        (staleness.view_rows(), "Derived-view staleness (virtual seconds)"),
+        (staleness.rule_rows(), "Per-rule staleness (virtual seconds)"),
+    ]
+    sections = [format_table(rows, title) for rows, title in tables if rows]
+    if staleness.lost:
+        sections.append(f"staleness: {staleness.lost} mutations lost to dropped tasks")
+    attribution_rows = collector.attribution().profile_rows()
+    if attribution_rows:
+        sections.append(format_table(attribution_rows, "Per-rule cost attribution"))
+    return sections
+
+
 def stats_report(collector: TraceCollector, title: str = "Trace statistics") -> str:
     """Counters, histograms, and the CPU breakdown as one text report."""
     from repro.bench.reporting import format_table
@@ -215,23 +234,7 @@ def stats_report(collector: TraceCollector, title: str = "Trace statistics") -> 
     sections.append(format_table(gauge_rows, "Gauges"))
     for name, histogram in sorted(rollup.histograms.items()):
         sections.append(_histogram_section(name, histogram))
-    staleness_rows = collector.staleness.view_rows()
-    if staleness_rows:
-        sections.append(
-            format_table(staleness_rows, "Derived-view staleness (virtual seconds)")
-        )
-    rule_rows = collector.staleness.rule_rows()
-    if rule_rows:
-        sections.append(
-            format_table(rule_rows, "Per-rule staleness (virtual seconds)")
-        )
-    if collector.staleness.lost:
-        sections.append(
-            f"staleness: {collector.staleness.lost} mutations lost to dropped tasks"
-        )
-    attribution_rows = collector.attribution().profile_rows()
-    if attribution_rows:
-        sections.append(format_table(attribution_rows, "Per-rule cost attribution"))
+    sections += freshness_sections(collector)
     if collector.timeseries is not None and collector.timeseries.samples:
         sections.append(
             format_table(

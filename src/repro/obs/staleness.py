@@ -6,31 +6,34 @@ This module measures that cost directly: every base-table mutation that
 fires a maintenance rule is **stamped** with its commit time when its rows
 enter a pending task (``unique.new`` / ``unique.append``), and when the
 task completes the lag ``reflection_time - stamp`` is recorded, in virtual
-seconds, into per-view and per-rule log-bucket histograms.
+seconds, into per-view, per-rule and per-stratum log-bucket histograms.
 
-The stamp rides the pending task, so the measured lag is exactly what a
-reader of the derived table experiences: the ``after`` delay window, plus
-queueing, plus the recompute itself.  Mutations whose task is dropped
-(firm deadline or exhausted fault retries) are counted as ``lost`` — their
-staleness is unbounded, so they must not silently vanish from the
-percentiles.  Fault-retried tasks keep their stamps: a retry lengthens the
-lag, it does not reset it.
+The ledger reads the collector's event log, like
+:class:`~repro.obs.metrics.Rollup`, but incrementally: it keeps its
+position, and :meth:`StalenessTracker.read` folds in only the events added
+since (``TraceCollector.staleness`` reads before it answers, so a
+watermark poll costs the events logged since the last one).  The commit-
+time stamp, the cascade origin of an append or a rescind and a task's end
+time ride as hidden values on their events.
+
+The stamp rides the pending task, so the measured lag is what a reader of
+the derived table experiences: the ``after`` delay, plus queueing, plus
+the recompute itself.  Mutations whose task is dropped (``task.drop``,
+``fault.drop``) are counted as ``lost`` — their staleness is unbounded, so
+they must not silently vanish from the percentiles.  A retry keeps the
+stamps: it lengthens the lag, it does not reset it.
 
 **Cascades inherit stamps.**  A rule firing that arrives via another
-rule's action (``origin`` is the upstream task) is not a new mutation —
-it is the same base-table change propagating one stratum up.  The
-downstream task therefore *inherits* the upstream task's stamps (original
-commit times preserved, so the measured lag is end-to-end from the base
-write) and the upstream entry is marked forwarded: its completion still
-records the intermediate view's lag histogram, but the mutation counts as
-``reflected`` only when the deepest task retires it.  Stamping cascade
-arrivals fresh — the pre-cascade behaviour — would both double-count the
-mutation and underreport the top-level lag.
+rule's action is the same base-table change propagating one stratum up.
+The downstream task *inherits* the upstream task's stamps (so its lag is
+end-to-end from the base write) and the upstream entry is marked
+forwarded: its completion still records the intermediate view's lag, but
+the mutation counts as ``reflected`` only when the deepest task retires
+it.  Stamping cascade arrivals fresh would count the mutation twice and
+underreport the top-level lag.
 
-Views are labelled through :meth:`StalenessTracker.register_view` (wired
-from ``views/maintain.materialize`` and the PTA rule installers via the
-tracer's ``view_registered`` hook); unregistered rule functions fall back
-to the function name, so every rule-maintained table is tracked either way.
+Views are labelled by ``view.register`` events; unregistered rule
+functions fall back to the function name.
 """
 
 from __future__ import annotations
@@ -41,20 +44,25 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 from repro.obs.metrics import Histogram, log_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.txn.tasks import Task
+    from repro.obs.tracer import EventLog
 
 #: Default staleness bucket bounds: 1 ms .. ~1000 s of virtual time.
 STALENESS_BOUNDS = log_bounds(1e-3, 1e3, 2.0)
+
+#: The event kinds the ledger reads.
+_READ = frozenset({
+    "view.register", "unique.new", "unique.append", "unique.rescind", "task",
+    "task.supersede", "task.drop", "fault.drop",
+})
 
 
 class _Outstanding:
     """Stamps carried by one pending/running task."""
 
-    __slots__ = ("view", "rule", "stamps", "oldest", "forwarded")
+    __slots__ = ("view", "rule", "stratum", "stamps", "oldest", "forwarded")
 
-    def __init__(self, view: str, rule: str, stamps: list[float]) -> None:
-        self.view = view
-        self.rule = rule
+    def __init__(self, view: str, rule: str, stratum: str, stamps: list[float]) -> None:
+        self.view, self.rule, self.stratum = view, rule, stratum
         self.stamps = stamps
         # min(stamps), inf when empty: a cascade firing extends the stamps
         # with its upstream's, which can be older than any already here.
@@ -66,17 +74,19 @@ class _Outstanding:
 
 
 class StalenessTracker:
-    """Mutation-to-reflection lag per derived view and per rule."""
+    """Mutation-to-reflection lag per derived view, rule and stratum, read
+    from an event log as far as the last :meth:`read`."""
 
     def __init__(self, bounds: Sequence[float] = STALENESS_BOUNDS) -> None:
         self.bounds = tuple(bounds)
         self.by_view: dict[str, Histogram] = {}
         self.by_rule: dict[str, Histogram] = {}
         self.by_stratum: dict[str, Histogram] = {}
-        #: function name -> view label (from register_view).
+        #: function name -> view label (from view.register).
         self._views: dict[str, str] = {}
         #: task_id -> the mutations awaiting that task's completion.
         self._outstanding: dict[int, _Outstanding] = {}
+        self._read = 0  # events of the log folded in so far
         self.reflected = 0  # mutations whose lag was measured
         self.lost = 0  # mutations whose task was dropped (staleness unbounded)
         #: Mutations reflected *by a deletion*: a newer change removed every
@@ -85,134 +95,101 @@ class StalenessTracker:
         #: deleting transaction commits — these are reflections, not losses.
         self.reflected_by_delete = 0
 
-    # ------------------------------------------------------------- labels
+    def read(self, log: "EventLog") -> "StalenessTracker":
+        """Fold in the events ``log`` gained since the last read (every
+        read must be of the same log); returns the tracker."""
+        if self._read == len(log):
+            return self
+        outstanding = self._outstanding
+        for shape, ts, _dur, values in log.raw(self._read, _READ):
+            kind = shape.kind
+            if kind == "task":
+                # The task committed: its lags end at its (hidden) end time.
+                # Forwarded stamps are reflected by the deepest cascade task.
+                entry = outstanding.pop(values[1], None)
+                if entry is not None:
+                    self._reflect(entry, values[6])
+                    if not entry.forwarded:
+                        self.reflected += len(entry.stamps)
+            elif kind == "unique.append":
+                # A later firing coalesced onto the pending task.
+                entry = outstanding.get(values[1])
+                if entry is None:
+                    continue
+                upstream = self._upstream(values[4])
+                if upstream is None:
+                    entry.stamps.append(ts)
+                    entry.oldest = min(entry.oldest, ts)
+                else:
+                    entry.stamps.extend(upstream.stamps)
+                    entry.oldest = min(entry.oldest, upstream.oldest)
+            elif kind == "unique.new":
+                # A dispatch opened a pending task: a base-table firing
+                # mints the commit's stamp, a cascade firing inherits its
+                # upstream's stamps (a fresh one would count it twice).
+                function, task_id, _key, stratum, origin, rule, stamp = values
+                upstream = self._upstream(origin)
+                outstanding[task_id] = _Outstanding(
+                    self._views.get(function, function), rule, f"stratum-{stratum}",
+                    [stamp] if upstream is None else list(upstream.stamps),
+                )
+            elif kind == "unique.rescind":
+                # The commit that stamped a firing rolled back.  Commits are
+                # serial, so what it added (one stamp, or a copy of the
+                # upstream's) is the entry's tail, or all of it if it created
+                # the task.  An application task origin has no entry here.
+                upstream = outstanding.get(values[4])
+                if upstream is not None:
+                    upstream.forwarded = False  # forwarded by the failed commit only
+                if values[2]:  # created
+                    outstanding.pop(values[1], None)
+                    continue
+                entry = outstanding.get(values[1])
+                added = 1 if upstream is None else len(upstream.stamps)
+                if entry is not None and added:
+                    del entry.stamps[-added:]
+                    entry.oldest = min(entry.stamps, default=math.inf)
+            elif kind == "task.supersede":
+                entry = outstanding.pop(values[1], None)
+                if entry is not None:
+                    self._reflect(entry, ts)
+                    self.reflected += len(entry.stamps)
+                    self.reflected_by_delete += len(entry.stamps)
+            elif kind == "task.drop" or kind == "fault.drop":
+                entry = outstanding.pop(values[1], None)
+                if entry is not None:
+                    self.lost += len(entry.stamps)
+            elif kind == "view.register":
+                self._views[values[1]] = values[0]
+        self._read = len(log)
+        return self
 
-    def register_view(self, view: str, function: str, rules: Sequence[str]) -> None:
-        """Label the staleness series of ``function``'s tasks with ``view``."""
-        self._views[function] = view
-
-    def view_of(self, task: "Task") -> str:
-        return self._views.get(task.function_name or "", task.function_name or task.klass)
-
-    # ----------------------------------------------------------- stamping
-
-    def _hist(self, table: dict[str, Histogram], label: str) -> Histogram:
-        histogram = table.get(label)
-        if histogram is None:
-            histogram = table[label] = Histogram(label, bounds=self.bounds)
-        return histogram
-
-    def _upstream(self, origin: Optional["Task"]) -> Optional[_Outstanding]:
+    def _upstream(self, origin: Optional[int]) -> Optional[_Outstanding]:
         """The upstream task's entry, when the firing is a cascade.
 
         Marks it forwarded — the base mutations stay outstanding (carried
         by the downstream task) until the deepest stratum reflects them."""
-        if origin is None:
-            return None
-        upstream = self._outstanding.get(origin.task_id)
+        upstream = self._outstanding.get(origin)
         if upstream is not None:
             upstream.forwarded = True
         return upstream
 
-    def on_task_new(
-        self, task: "Task", now: float, origin: Optional["Task"] = None
-    ) -> None:
-        """A dispatch opened a fresh pending task for one rule firing.
-
-        A base-table firing mints a fresh stamp (the triggering commit's
-        time); a cascade firing inherits the upstream task's stamps instead
-        — stamping it fresh would count the same base mutation twice."""
-        if task.function_name is None:
-            return
-        upstream = self._upstream(origin)
-        stamps = [task.created_time] if upstream is None else list(upstream.stamps)
-        self._outstanding[task.task_id] = _Outstanding(
-            self.view_of(task), task.rule_name or task.klass, stamps
-        )
-
-    def on_task_append(
-        self, task: "Task", now: float, origin: Optional["Task"] = None
-    ) -> None:
-        """A later firing coalesced onto the pending task: new stamp for a
-        base-table firing, inherited stamps for a cascade firing."""
-        entry = self._outstanding.get(task.task_id)
-        if entry is None:
-            return
-        upstream = self._upstream(origin)
-        if upstream is None:
-            entry.stamps.append(now)
-            entry.oldest = min(entry.oldest, now)
-        else:
-            entry.stamps.extend(upstream.stamps)
-            entry.oldest = min(entry.oldest, upstream.oldest)
-
-    def on_task_rescind(
-        self, task: "Task", created: bool, origin: Optional["Task"] = None
-    ) -> None:
-        """The commit that stamped a firing onto ``task`` rolled back: the
-        mutation never happened.  Commits are serial, so what the failed one
-        added — one fresh stamp, or for a cascade a copy of the upstream
-        task's — is the tail of the entry (all of it if ``created``).
-        ``origin`` is the failed transaction's task: only a rule task has
-        an entry here, so an application task reads as no upstream."""
-        upstream = self._outstanding.get(origin.task_id) if origin is not None else None
-        if upstream is not None:
-            upstream.forwarded = False  # forwarded by the failed commit only
-        if created:
-            self._outstanding.pop(task.task_id, None)
-            return
-        entry = self._outstanding.get(task.task_id)
-        added = 1 if upstream is None else len(upstream.stamps)
-        if entry is not None and added:
-            del entry.stamps[-added:]
-            entry.oldest = min(entry.stamps, default=math.inf)
-
-    def on_task_done(self, task: "Task", end_time: float) -> None:
-        """The task committed: every stamped mutation is now reflected —
-        unless the stamps were forwarded to a downstream cascade task, in
-        which case only the intermediate view's lag is recorded here and
-        the deepest task retires the mutations."""
-        entry = self._outstanding.pop(task.task_id, None)
-        if entry is None:
-            return
-        view_hist = self._hist(self.by_view, entry.view)
-        rule_hist = self._hist(self.by_rule, entry.rule)
-        stratum_hist = self._hist(self.by_stratum, f"stratum-{task.stratum}")
-        for stamp in entry.stamps:
-            lag = max(end_time - stamp, 0.0)
-            view_hist.record(lag)
-            rule_hist.record(lag)
-            stratum_hist.record(lag)
-        if not entry.forwarded:
-            self.reflected += len(entry.stamps)
-
-    def on_task_dropped(self, task: "Task", now: float) -> None:
-        """The task was discarded: its mutations will never be reflected."""
-        entry = self._outstanding.pop(task.task_id, None)
-        if entry is not None:
-            self.lost += len(entry.stamps)
-
-    def on_task_superseded(self, task: "Task", now: float) -> None:
-        """A deletion made the task moot: its mutations ARE reflected.
-
-        The deleting transaction removed (or rewrote) every derived row the
-        task would have touched, so the derived table caught up with the
-        stamped mutations at ``now`` — record the lags as usual but tally
-        them separately, so deletion-heavy runs don't misreport batched
-        updates that deletions legitimately retired as "lost"."""
-        entry = self._outstanding.pop(task.task_id, None)
-        if entry is None:
-            return
-        view_hist = self._hist(self.by_view, entry.view)
-        rule_hist = self._hist(self.by_rule, entry.rule)
-        stratum_hist = self._hist(self.by_stratum, f"stratum-{task.stratum}")
+    def _reflect(self, entry: _Outstanding, now: float) -> None:
+        """Record the lag of every stamp ``entry`` carries, reflected at
+        ``now``, in its view's, rule's and stratum's histograms."""
+        bounds = self.bounds
+        histograms = []
+        for table, label in (
+            (self.by_view, entry.view), (self.by_rule, entry.rule), (self.by_stratum, entry.stratum)
+        ):
+            histogram = table.get(label)
+            if histogram is None:
+                histogram = table[label] = Histogram(label, bounds=bounds)
+            histograms.append(histogram)
         for stamp in entry.stamps:
             lag = max(now - stamp, 0.0)
-            view_hist.record(lag)
-            rule_hist.record(lag)
-            stratum_hist.record(lag)
-        self.reflected += len(entry.stamps)
-        self.reflected_by_delete += len(entry.stamps)
+            for histogram in histograms:
+                histogram.record(lag)
 
     # ------------------------------------------------------------ queries
 

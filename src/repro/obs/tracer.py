@@ -6,13 +6,15 @@ load and a branch — the :class:`NullTracer` default keeps tracing strictly
 pay-for-what-you-use) and, when tracing is on, call a named hook.  The
 recording implementation, :class:`TraceCollector`, keeps virtual-clock-
 stamped events in a columnar :class:`EventLog` (read back as
-:class:`TraceEvent` records).  The log is its one record: the counters,
+:class:`TraceEvent` records).  The log is its one record.  The counters,
 the queue-depth gauge, the histograms (:class:`~repro.obs.metrics.Rollup`)
 and the per-rule cost profile (:class:`~repro.obs.attribution.Attribution`)
-are read from it when a report asks.  Live beside it stay only what a hot
-path reads — the staleness ledger, whose watermark admission control polls
-on every write, and the few counts a time-series sample or an admission
-event carries — and what logs no event: each finished task's meter (the
+are read from it when a report asks; the staleness ledger
+(:class:`~repro.obs.staleness.StalenessTracker`) reads it incrementally,
+folding in the events added since its last read whenever its watermark
+(which admission control polls) or a report is asked for.  Live beside
+the log stay only the few counts a time-series sample or an admission
+event carries, and what logs no event: each finished task's meter (the
 per-charge-kind CPU breakdown) and the network responses.
 
 Every event kind — its track, how its name is read and its argument names
@@ -20,11 +22,9 @@ Every event kind — its track, how its name is read and its argument names
 ``BACKPRESSURE``); ``docs/OBSERVABILITY.md`` ("Event taxonomy") says what
 each one means.
 
-The collector feeds two parts of the second observability layer as it
-runs: a :class:`~repro.obs.staleness.StalenessTracker` (mutation ->
-reflection lag per view/rule) and a
-:class:`~repro.obs.timeseries.TimeSeriesSampler` (virtual-clock gauge
-snapshots plus the ``backpressure()`` signal).
+The collector feeds a :class:`~repro.obs.timeseries.TimeSeriesSampler`
+(virtual-clock gauge snapshots plus the ``backpressure()`` signal) as it
+runs.
 """
 
 from __future__ import annotations
@@ -108,13 +108,15 @@ TXN_ABORT = _shape("txn.abort", "txn", _txn)
 VIEW_REGISTER = _shape("view.register", "views", None, "function", ("rules", list))
 RULE_CHECK = _shape("rule.check", "rules", None, "txn")
 RULE_FIRE = _shape("rule.fire", "rules", None, "txn", "new_tasks")
-# hidden: the task's attribution key (rule name, or class)
+# hidden: the task's attribution key (rule name, or class) and its
+# staleness stamp (the creating commit's time, not the event's)
 UNIQUE_NEW = _shape(
-    "unique.new", "unique", None, "task_id", _key, "stratum", "cascade_from", hidden=1
+    "unique.new", "unique", None, "task_id", _key, "stratum", "cascade_from", hidden=2
 )
-UNIQUE_APPEND = _shape("unique.append", "unique", None, "task_id", "rows", _key)
+# hidden (append, rescind): the id of the firing's origin task, or None
+UNIQUE_APPEND = _shape("unique.append", "unique", None, "task_id", "rows", _key, hidden=1)
 UNIQUE_COMPACT = _shape("unique.compact", "unique", None, "task_id", "rows_in", "rows_out", _key)
-UNIQUE_RESCIND = _shape("unique.rescind", "unique", None, "task_id", "created", _key)
+UNIQUE_RESCIND = _shape("unique.rescind", "unique", None, "task_id", "created", _key, hidden=1)
 QUEUES = _shape("counter.queues", "queues", "queues", "delay", "ready")
 TASK_ENQUEUE = _shape("task.enqueue", "sched", None, "task_id", "release")
 TASK_RELEASE = _shape("task.release", "sched", None, "task_id", "ready")
@@ -171,14 +173,20 @@ class EventLog(Sequence[TraceEvent]):
         self._at.append(len(self._values))
         self._values += values
 
-    def raw(self) -> Iterator[tuple[_Shape, float, float, list[Any]]]:
-        """Every event in order as (shape, ts, dur, stored values): the
-        name when it varies, the arguments and the hidden values, none of
-        them converted."""
+    def raw(
+        self, start: int = 0, kinds: Optional[frozenset] = None
+    ) -> Iterator[tuple[_Shape, float, float, list[Any]]]:
+        """Every event from index ``start`` on (of one of ``kinds`` only,
+        when given), in order, as (shape, ts, dur, stored values): the name
+        when it varies, the arguments and the hidden values, none of them
+        converted."""
         shapes, at, stored = self._shapes, self._at, self._values
-        for index, code in enumerate(self._codes):
-            shape, start = shapes[code], at[index]
-            yield shape, self._ts[index], self._dur[index], stored[start:start + shape.width]
+        wanted = [kinds is None or shape.kind in kinds for shape in shapes]
+        codes = self._codes if start == 0 else self._codes[start:]
+        for index, code in enumerate(codes, start):
+            if wanted[code]:
+                shape, first = shapes[code], at[index]
+                yield shape, self._ts[index], self._dur[index], stored[first:first + shape.width]
 
     def count_kind(self, kind: str) -> int:
         """Number of events of one kind, read off the codes."""
@@ -297,7 +305,7 @@ class TraceCollector(Tracer):
         """``sample_interval`` sets the time-series cadence in virtual
         seconds; pass 0 (or a negative value) to disable sampling."""
         self.events = EventLog()
-        self.staleness = StalenessTracker()
+        self._staleness = StalenessTracker()
         if timeseries is not None:
             self.timeseries: Optional[TimeSeriesSampler] = timeseries
         elif sample_interval > 0:
@@ -329,6 +337,11 @@ class TraceCollector(Tracer):
         self._cost_seconds = dict(db.cost_model._seconds)
         self._db = db
 
+    @property
+    def staleness(self) -> StalenessTracker:
+        """The staleness ledger, read up to the log's last event."""
+        return self._staleness.read(self.events)
+
     def count(self, kind: str) -> int:
         """Number of recorded events of one kind (see :meth:`EventLog.count_kind`)."""
         return self.events.count_kind(kind)
@@ -353,7 +366,6 @@ class TraceCollector(Tracer):
     def view_registered(
         self, view_name: str, function_name: str, rule_names: tuple, now: float
     ) -> None:
-        self.staleness.register_view(view_name, function_name, rule_names)
         self.events.add(VIEW_REGISTER, now, NO_DUR, view_name, function_name, tuple(rule_names))
 
     # -------------------------------------------------------------- rules
@@ -371,19 +383,18 @@ class TraceCollector(Tracer):
     def unique_new(
         self, task: "Task", now: float, origin: Optional["Task"] = None
     ) -> None:
-        self.staleness.on_task_new(task, now, origin=origin)
         self.events.add(
             UNIQUE_NEW, now, NO_DUR, task.function_name or task.klass, task.task_id,
             task.unique_key, task.stratum, task.cascade_from, task.rule_name or task.klass,
+            task.created_time,
         )
 
     def unique_append(
         self, task: "Task", rows: int, now: float, origin: Optional["Task"] = None
     ) -> None:
-        self.staleness.on_task_append(task, now, origin=origin)
         self.events.add(
             UNIQUE_APPEND, now, NO_DUR, task.function_name or task.klass, task.task_id,
-            rows, task.unique_key,
+            rows, task.unique_key, origin.task_id if origin is not None else None,
         )
 
     def unique_compact(
@@ -398,13 +409,13 @@ class TraceCollector(Tracer):
         self, task: "Task", created: bool, now: float, origin: Optional["Task"] = None
     ) -> None:
         """The commit whose firing opened ``task`` (``created``) or was
-        coalesced onto it rolled back: withdraw the firing from the
-        staleness stamps (the log's readers withdraw it from the batch size
-        and the rule's attribution)."""
-        self.staleness.on_task_rescind(task, created, origin)
+        coalesced onto it rolled back: the log's readers withdraw the firing
+        from the batch size, the rule's attribution and the staleness
+        stamps."""
         self.events.add(
             UNIQUE_RESCIND, now, NO_DUR, task.function_name or task.klass,
             task.task_id, created, task.unique_key,
+            origin.task_id if origin is not None else None,
         )
 
     # -------------------------------------------------------------- tasks
@@ -429,12 +440,13 @@ class TraceCollector(Tracer):
         self.events.add(TASK_PREEMPT, now, NO_DUR, task.klass, task.task_id, switches)
 
     def _server(self, server: int) -> tuple[int, int]:
-        """The codes of one server's ``task`` and ``task.abort`` events; an
-        abort keeps the task's bound rows at its start hidden."""
+        """The codes of one server's ``task`` and ``task.abort`` events; a
+        task keeps its end time hidden (``ts + dur`` may round away from
+        it), an abort the task's bound rows at its start."""
         track, code = f"server-{server}", self.events.code
         args = ("task_id", "cpu", "queueing", "bound_rows", "context_switches")
         codes = self._servers[server] = (
-            code("task", track, None, *args),
+            code("task", track, None, *args, hidden=1),
             code("task.abort", track, None, "task_id", hidden=1),
         )
         return codes
@@ -442,11 +454,11 @@ class TraceCollector(Tracer):
     def task_done(self, task: "Task", record: "TaskRecord", server: int = 0) -> None:
         self._tasks_done += 1
         self._running = None
-        self.staleness.on_task_done(task, record.end_time)
         codes = self._servers.get(server) or self._server(server)
         self.events.add(
             codes[0], record.start_time, record.length, task.klass, task.task_id,
             record.cpu_time, record.queueing, record.bound_rows, record.context_switches,
+            record.end_time,
         )
         if self._cost_seconds is not None:
             totals = self._op_counts
@@ -464,11 +476,9 @@ class TraceCollector(Tracer):
         )
 
     def task_drop(self, task: "Task", now: float) -> None:
-        self.staleness.on_task_dropped(task, now)
         self.events.add(TASK_DROP, now, NO_DUR, task.klass, task.task_id, task.deadline)
 
     def task_superseded(self, task: "Task", now: float) -> None:
-        self.staleness.on_task_superseded(task, now)
         self.events.add(TASK_SUPERSEDE, now, NO_DUR, task.klass, task.task_id)
 
     # -------------------------------------------------------------- faults
@@ -484,7 +494,6 @@ class TraceCollector(Tracer):
         )
 
     def fault_drop(self, task: "Task", attempts: int, now: float) -> None:
-        self.staleness.on_task_dropped(task, now)
         self.events.add(FAULT_DROP, now, NO_DUR, task.klass, task.task_id, attempts)
 
     # --------------------------------------------------------- persistence
@@ -551,8 +560,9 @@ class TraceCollector(Tracer):
         pending = (
             self._db.unique_manager.pending_count() if self._db is not None else 0
         )
-        watermark = self.staleness.watermark(now)
-        outstanding = self.staleness.outstanding()
+        staleness = self.staleness
+        watermark = staleness.watermark(now)
+        outstanding = staleness.outstanding()
         backpressure = sampler.backpressure(queue_depth, watermark)
         sampler.record(
             now,

@@ -141,14 +141,14 @@ class ExperimentRun:
                 self.injector.enabled = False
         self.wall_s = time.perf_counter() - begin
 
-    def finish(self, oracle: bool) -> "Result":
+    def finish(self, oracle: bool) -> None:
         """Run the convergence oracle over every derived view (with
         ``oracle``; the injector is already disarmed, so its recomputation
-        runs clean), close the WAL, and return the :data:`OUTCOME`."""
+        runs clean) and close the WAL.  The spec's :class:`Result` reads
+        the :data:`OUTCOME`."""
         self.report = check_convergence(self.db) if oracle else None
         if self.persist is not None:
             self.persist.close()
-        return Result(self, OUTCOME)
 
 
 #: The options every spec may pass on to :class:`ExperimentRun`, with its defaults.

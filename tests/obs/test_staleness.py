@@ -1,9 +1,17 @@
-"""Staleness tracker: mutation stamps, reflection lag, watermark, loss."""
+"""Staleness tracker: mutation stamps, reflection lag, watermark, loss.
+
+The ledger is read from the collector's event log, so these tests drive
+the collector's hooks — the calls the engine makes — and read
+``collector.staleness``, which folds in the events logged since its last
+read."""
+
+from itertools import islice
 
 import pytest
 
 from repro.database import Database
 from repro.obs import StalenessTracker, TraceCollector
+from repro.sim.metrics import TaskRecord
 from repro.sim.simulator import Simulator
 from repro.txn.tasks import Task
 
@@ -18,13 +26,23 @@ def make_task(function="f", rule="r", created=0.0, klass="recompute:f"):
     )
 
 
+def done(collector, task, end):
+    """The task ran and committed, ending at ``end``."""
+    collector.task_done(task, TaskRecord(task.task_id, task.klass, end, end, end, 0.0))
+
+
+@pytest.fixture
+def collector():
+    return TraceCollector(sample_interval=0)
+
+
 class TestUnitTracker:
-    def test_new_then_done_records_lag(self):
-        tracker = StalenessTracker()
+    def test_new_then_done_records_lag(self, collector):
         task = make_task(created=1.0)
-        tracker.on_task_new(task, 1.0)
-        assert tracker.outstanding() == 1
-        tracker.on_task_done(task, 4.0)
+        collector.unique_new(task, 1.0)
+        assert collector.staleness.outstanding() == 1
+        done(collector, task, 4.0)
+        tracker = collector.staleness
         assert tracker.outstanding() == 0
         assert tracker.reflected == 1
         hist = tracker.by_view["f"]  # unregistered: function-name fallback
@@ -32,53 +50,61 @@ class TestUnitTracker:
         assert hist.max == pytest.approx(3.0)
         assert tracker.by_rule["r"].count == 1
 
-    def test_appends_stamp_each_mutation(self):
-        tracker = StalenessTracker()
+    def test_appends_stamp_each_mutation(self, collector):
         task = make_task(created=0.0)
-        tracker.on_task_new(task, 0.0)
-        tracker.on_task_append(task, 1.0)
-        tracker.on_task_append(task, 2.0)
-        assert tracker.outstanding() == 3
-        tracker.on_task_done(task, 2.0)
+        collector.unique_new(task, 0.0)
+        collector.unique_append(task, 1, 1.0)
+        collector.unique_append(task, 1, 2.0)
+        assert collector.staleness.outstanding() == 3
+        done(collector, task, 2.0)
+        tracker = collector.staleness
         assert tracker.reflected == 3
         hist = tracker.by_view["f"]
         # Lags 2.0, 1.0, 0.0: the oldest mutation waited the longest.
         assert hist.max == pytest.approx(2.0)
         assert hist.min == pytest.approx(0.0)
 
-    def test_registered_view_labels_series(self):
-        tracker = StalenessTracker()
-        tracker.register_view("comp_prices", "f", ["r"])
+    def test_registered_view_labels_series(self, collector):
+        collector.view_registered("comp_prices", "f", ("r",), 0.0)
         task = make_task()
-        tracker.on_task_new(task, 0.0)
-        tracker.on_task_done(task, 1.0)
-        assert "comp_prices" in tracker.by_view
-        assert "f" not in tracker.by_view
+        collector.unique_new(task, 0.0)
+        done(collector, task, 1.0)
+        assert "comp_prices" in collector.staleness.by_view
+        assert "f" not in collector.staleness.by_view
 
-    def test_application_tasks_are_not_stamped(self):
-        tracker = StalenessTracker()
+    def test_application_tasks_are_not_stamped(self, collector):
+        # The engine logs unique.new for rule firings only: an application
+        # task just ends, and owes no mutation.
         task = Task(body=lambda task: None, klass="update")  # no function_name
-        tracker.on_task_new(task, 0.0)
-        assert tracker.outstanding() == 0
+        done(collector, task, 1.0)
+        assert collector.staleness.outstanding() == 0
+        assert not collector.staleness.by_view
 
-    def test_dropped_task_counts_mutations_as_lost(self):
-        tracker = StalenessTracker()
+    def test_dropped_task_counts_mutations_as_lost(self, collector):
         task = make_task()
-        tracker.on_task_new(task, 0.0)
-        tracker.on_task_append(task, 0.5)
-        tracker.on_task_dropped(task, 1.0)
+        collector.unique_new(task, 0.0)
+        collector.unique_append(task, 1, 0.5)
+        collector.task_drop(task, 1.0)
+        tracker = collector.staleness
         assert tracker.lost == 2
         assert tracker.outstanding() == 0
         assert not tracker.by_view  # nothing was ever reflected
 
-    def test_superseded_task_counts_mutations_as_reflected(self):
+    def test_a_task_out_of_retries_counts_mutations_as_lost(self, collector):
+        task = make_task()
+        collector.unique_new(task, 0.0)
+        collector.fault_drop(task, 3, 1.0)
+        assert collector.staleness.lost == 1
+        assert collector.staleness.outstanding() == 0
+
+    def test_superseded_task_counts_mutations_as_reflected(self, collector):
         """A deletion that moots a pending task IS the reflection of its
         mutations — they are finished business, not losses."""
-        tracker = StalenessTracker()
         task = make_task(created=0.0)
-        tracker.on_task_new(task, 0.0)
-        tracker.on_task_append(task, 1.0)
-        tracker.on_task_superseded(task, 3.0)
+        collector.unique_new(task, 0.0)
+        collector.unique_append(task, 1, 1.0)
+        collector.task_superseded(task, 3.0)
+        tracker = collector.staleness
         assert tracker.outstanding() == 0
         assert tracker.reflected == 2
         assert tracker.reflected_by_delete == 2
@@ -88,31 +114,28 @@ class TestUnitTracker:
         assert hist.max == pytest.approx(3.0)
         assert tracker.snapshot()["reflected_by_delete"] == 2
 
-    def test_watermark_tracks_oldest_stamp(self):
-        tracker = StalenessTracker()
-        assert tracker.watermark(5.0) == 0.0
+    def test_watermark_tracks_oldest_stamp(self, collector):
+        assert collector.staleness.watermark(5.0) == 0.0
         first = make_task(created=1.0)
         second = make_task(created=3.0)
-        tracker.on_task_new(first, 1.0)
-        tracker.on_task_new(second, 3.0)
-        assert tracker.oldest_stamp() == pytest.approx(1.0)
-        assert tracker.watermark(5.0) == pytest.approx(4.0)
-        tracker.on_task_done(first, 5.0)
-        assert tracker.watermark(5.0) == pytest.approx(2.0)
+        collector.unique_new(first, 1.0)
+        collector.unique_new(second, 3.0)
+        assert collector.staleness.oldest_stamp() == pytest.approx(1.0)
+        assert collector.staleness.watermark(5.0) == pytest.approx(4.0)
+        done(collector, first, 5.0)
+        assert collector.staleness.watermark(5.0) == pytest.approx(2.0)
 
-    def test_negative_lag_clamps_to_zero(self):
-        tracker = StalenessTracker()
+    def test_negative_lag_clamps_to_zero(self, collector):
         task = make_task(created=2.0)
-        tracker.on_task_new(task, 2.0)
-        tracker.on_task_done(task, 1.0)  # clock skew must not go negative
-        assert tracker.by_view["f"].min == 0.0
+        collector.unique_new(task, 2.0)
+        done(collector, task, 1.0)  # clock skew must not go negative
+        assert collector.staleness.by_view["f"].min == 0.0
 
-    def test_snapshot_shape(self):
-        tracker = StalenessTracker()
+    def test_snapshot_shape(self, collector):
         task = make_task()
-        tracker.on_task_new(task, 0.0)
-        tracker.on_task_done(task, 1.0)
-        snap = tracker.snapshot()
+        collector.unique_new(task, 0.0)
+        done(collector, task, 1.0)
+        snap = collector.staleness.snapshot()
         assert set(snap) == {
             "views",
             "rules",
@@ -125,13 +148,12 @@ class TestUnitTracker:
         assert snap["reflected"] == 1
         assert snap["views"]["f"]["count"] == 1
 
-    def test_rows_have_percentiles(self):
-        tracker = StalenessTracker()
+    def test_rows_have_percentiles(self, collector):
         for created in (0.0, 0.0, 0.0):
             task = make_task(created=created)
-            tracker.on_task_new(task, created)
-            tracker.on_task_done(task, 0.5)
-        (row,) = tracker.view_rows()
+            collector.unique_new(task, created)
+            done(collector, task, 0.5)
+        (row,) = collector.staleness.view_rows()
         assert row["view"] == "f"
         assert row["n"] == 3
         for key in ("mean_s", "p50_s", "p95_s", "p99_s", "max_s"):
@@ -194,28 +216,34 @@ class TestCascadeStampInheritance:
         downstream.stratum = 2
         return upstream, downstream
 
-    def test_cascade_new_inherits_instead_of_stamping(self):
-        tracker = StalenessTracker()
+    @staticmethod
+    def cascade_new(collector, task, origin, now):
+        """A cascade firing opened ``task``: the unique manager stamps the
+        upstream task's id on it before logging it."""
+        task.cascade_from = origin.task_id
+        collector.unique_new(task, now, origin=origin)
+
+    def test_cascade_new_inherits_instead_of_stamping(self, collector):
         upstream, downstream = self.make_pair()
-        tracker.on_task_new(upstream, 1.0)
-        tracker.on_task_append(upstream, 2.0)
-        tracker.on_task_new(downstream, 5.0, origin=upstream)
+        collector.unique_new(upstream, 1.0)
+        collector.unique_append(upstream, 1, 2.0)
+        self.cascade_new(collector, downstream, upstream, 5.0)
         # Two base mutations total — not four.
-        assert tracker.outstanding() == 2
+        assert collector.staleness.outstanding() == 2
         # The inherited stamps keep the ORIGINAL commit times, so the
         # downstream lag is measured end-to-end from the base write.
-        tracker.on_task_done(upstream, 5.0)
-        assert tracker.reflected == 0  # forwarded: not yet reflected
-        tracker.on_task_done(downstream, 9.0)
-        assert tracker.reflected == 2
-        assert tracker.by_rule["r2"].max == pytest.approx(8.0)  # 9.0 - 1.0
+        done(collector, upstream, 5.0)
+        assert collector.staleness.reflected == 0  # forwarded: not yet reflected
+        done(collector, downstream, 9.0)
+        assert collector.staleness.reflected == 2
+        assert collector.staleness.by_rule["r2"].max == pytest.approx(8.0)  # 9.0 - 1.0
 
-    def test_forwarded_upstream_still_records_intermediate_lag(self):
-        tracker = StalenessTracker()
+    def test_forwarded_upstream_still_records_intermediate_lag(self, collector):
         upstream, downstream = self.make_pair()
-        tracker.on_task_new(upstream, 1.0)
-        tracker.on_task_new(downstream, 5.0, origin=upstream)
-        tracker.on_task_done(upstream, 5.0)
+        collector.unique_new(upstream, 1.0)
+        self.cascade_new(collector, downstream, upstream, 5.0)
+        done(collector, upstream, 5.0)
+        tracker = collector.staleness
         # The intermediate view's histogram sees the stratum-1 lag ...
         assert tracker.by_rule["r1"].count == 1
         assert tracker.by_rule["r1"].max == pytest.approx(4.0)
@@ -223,45 +251,42 @@ class TestCascadeStampInheritance:
         assert tracker.outstanding() == 1
         assert tracker.oldest_stamp() == pytest.approx(1.0)
 
-    def test_cascade_append_extends_with_inherited_stamps(self):
-        tracker = StalenessTracker()
+    def test_cascade_append_extends_with_inherited_stamps(self, collector):
         upstream, downstream = self.make_pair()
-        tracker.on_task_new(downstream, 3.0)  # already pending (own stamp)
-        tracker.on_task_new(upstream, 4.0)
-        tracker.on_task_append(downstream, 6.0, origin=upstream)
-        assert tracker.outstanding() == 2
-        tracker.on_task_done(downstream, 6.0)
-        assert tracker.reflected == 2
+        collector.unique_new(downstream, 3.0)  # already pending (own stamp)
+        collector.unique_new(upstream, 4.0)
+        collector.unique_append(downstream, 1, 6.0, origin=upstream)
+        assert collector.staleness.outstanding() == 2
+        done(collector, downstream, 6.0)
+        assert collector.staleness.reflected == 2
 
-    def test_watermark_sees_an_older_inherited_stamp(self):
+    def test_watermark_sees_an_older_inherited_stamp(self, collector):
         """Upstream B (stamp 2.0) opens cascade task D at 2.5; upstream A
         (stamp 1.0) appends to D at 3.0.  D's oldest stamp is A's, not the
         first one it was given."""
-        tracker = StalenessTracker()
         first, second = make_task("fa", "ra", 1.0), make_task("fb", "rb", 2.0)
         cascade = make_task("fd", "rd", 2.5, klass="recompute:fd")
-        tracker.on_task_new(first, 1.0)
-        tracker.on_task_new(second, 2.0)
-        tracker.on_task_new(cascade, 2.5, origin=second)
-        tracker.on_task_append(cascade, 3.0, origin=first)
-        assert tracker.oldest_stamp() == 1.0
-        assert tracker.watermark(4.0) == 3.0
+        collector.unique_new(first, 1.0)
+        collector.unique_new(second, 2.0)
+        self.cascade_new(collector, cascade, second, 2.5)
+        collector.unique_append(cascade, 1, 3.0, origin=first)
+        assert collector.staleness.oldest_stamp() == 1.0
+        assert collector.staleness.watermark(4.0) == 3.0
         # The failed commit's stamps are taken back, the minimum with them;
         # A is no longer forwarded, and once it finishes D's 2.0 is oldest.
-        tracker.on_task_rescind(cascade, False, origin=first)
-        tracker.on_task_done(first, 3.5)
-        assert tracker.oldest_stamp() == 2.0
-        assert tracker.watermark(4.0) == 2.0
+        collector.unique_rescind(cascade, False, 3.0, origin=first)
+        done(collector, first, 3.5)
+        assert collector.staleness.oldest_stamp() == 2.0
+        assert collector.staleness.watermark(4.0) == 2.0
 
-    def test_lost_cascade_counts_each_mutation_once(self):
-        tracker = StalenessTracker()
+    def test_lost_cascade_counts_each_mutation_once(self, collector):
         upstream, downstream = self.make_pair()
-        tracker.on_task_new(upstream, 1.0)
-        tracker.on_task_new(downstream, 5.0, origin=upstream)
-        tracker.on_task_done(upstream, 5.0)
-        tracker.on_task_dropped(downstream, 8.0)
-        assert tracker.lost == 1
-        assert tracker.reflected == 0
+        collector.unique_new(upstream, 1.0)
+        self.cascade_new(collector, downstream, upstream, 5.0)
+        done(collector, upstream, 5.0)
+        collector.task_drop(downstream, 8.0)
+        assert collector.staleness.lost == 1
+        assert collector.staleness.reflected == 0
 
     def test_two_level_engine_run_reflects_once_per_mutation(self):
         """End-to-end pin: N base inserts through a two-level cascade give
@@ -300,3 +325,54 @@ class TestCascadeStampInheritance:
         assert tracker.outstanding() == 0
         assert tracker.by_stratum["stratum-1"].count == 5
         assert tracker.by_stratum["stratum-2"].count == 5
+
+
+class _Prefix:
+    """The first ``size`` events of a log, as a ledger reads them."""
+
+    def __init__(self, log, size):
+        self.log, self.size = log, size
+
+    def __len__(self):
+        return self.size
+
+    def raw(self, start, kinds):
+        events = islice(self.log.raw(start), self.size - start)
+        return (event for event in events if event[0].kind in kinds)
+
+
+def _samples(log):
+    """(index, ts, outstanding, watermark) of every time-series sample the
+    run logged: a ``counter.pending`` event, then its ``counter.staleness``."""
+    samples, pending = [], None
+    for index, event in enumerate(log):
+        if event.kind == "counter.pending":
+            pending = (index, event.ts, event.args["outstanding"])
+        elif event.kind == "counter.staleness":
+            samples.append((*pending, event.args["watermark_s"]))
+    return samples
+
+
+class TestReadOnce:
+    """The ledger is a fold of the log: read once from the finished log, or
+    at other points than the run read it, it says what the run's did."""
+
+    @pytest.mark.parametrize("run", ["cascade", "wire"])
+    def test_a_finished_log_reads_as_the_run_did(self, run, tmp_path):
+        if run == "cascade":
+            from tests.obs.test_golden_stats import cascade_run
+
+            collector = cascade_run()
+        else:
+            from tests.obs.test_golden_trace import wire_run
+
+            collector = wire_run(str(tmp_path))
+        log = collector.events
+        assert StalenessTracker().read(log).snapshot() == collector.staleness.snapshot()
+        samples = _samples(log)
+        assert len(samples) > 10
+        tracker = StalenessTracker()
+        for index, ts, outstanding, watermark in samples:
+            tracker.read(_Prefix(log, index))
+            assert tracker.outstanding() == outstanding
+            assert tracker.watermark(ts) == watermark  # bit for bit

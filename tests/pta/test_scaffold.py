@@ -14,7 +14,7 @@ from repro.persist.manager import WAL_FILE
 from repro.persist.wal import read_wal
 from repro.pta.distributed import REPLICATED
 from repro.pta.rules import install_comp_rule
-from repro.pta.scaffold import ExperimentRun
+from repro.pta.scaffold import OUTCOME, ExperimentRun, Result
 from repro.pta.tables import Scale
 from repro.pta.workload import CASCADE, VIEW, populate_trace, trace_tasks
 from tests.persist.crashes import crash_recover_converge
@@ -67,7 +67,8 @@ class TestOrderingContract:
 
         monkeypatch.setattr(scaffold, "check_convergence", spying_oracle)
         run.run(trace_tasks(db, events))
-        outcome = run.finish(oracle=True)
+        run.finish(oracle=True)
+        outcome = Result(run, OUTCOME)
 
         assert armed_during_oracle == [False]
         assert outcome.oracle_report.ok
@@ -90,7 +91,8 @@ class TestOrderingContract:
         run = ExperimentRun()
         populate_trace(run.db, MICRO, seed=0)
         run.run()
-        outcome = run.finish(oracle=False)
+        run.finish(oracle=False)
+        outcome = Result(run, OUTCOME)
         assert outcome.oracle_report is None
         assert outcome.oracle_divergent is None and outcome.oracle_rows == 0
         assert outcome.row() == {}

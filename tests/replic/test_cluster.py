@@ -11,7 +11,7 @@ from repro.persist import bootstrap, recover
 from repro.persist.manager import WAL_FILE, PersistenceManager
 from repro.pta.distributed import REPLICATED
 from repro.pta.rules import function_registry
-from repro.pta.scaffold import ExperimentRun
+from repro.pta.scaffold import OUTCOME, ExperimentRun, Result
 from repro.pta.tables import Scale
 from repro.pta.workload import populate_trace, trace_tasks, view_rule
 from repro.replic import (
@@ -302,7 +302,8 @@ class TestHandOffAgainstTheDirectory:
         run.simulator.post_task_hooks.append(pump)
         run.run(trace_tasks(db, events))
         cluster.finish()
-        outcome = run.finish(oracle=True)
+        run.finish(oracle=True)
+        outcome = Result(run, OUTCOME)
         assert outcome.oracle_report.ok and outcome.checkpoints >= 12
         assert max(buffered) < outcome.wal_records / 4  # the window, not the history
         expected = rows_in_order(db)
