@@ -500,7 +500,7 @@ class UniqueManager:
 
     # ----------------------------------------------------------- lifecycle
 
-    def on_task_start(self, task: Task) -> None:
+    def close_batch(self, task: Task) -> None:
         """Remove the pending-table entry the moment the task begins to run:
         from here on, new firings start a fresh transaction (section 6.3).
         Compacted tasks also drop their net-noop rows here — the batch is

@@ -47,7 +47,7 @@ def execute_task(
     tables = task.bound_tables
     rule_task = bool(tables) or task.function_name is not None
     if rule_task:
-        db.unique_manager.on_task_start(task)
+        db.unique_manager.close_batch(task)
     task.state = TaskState.RUNNING
     if start is None:
         start = max(db.clock.base, task.release_time)
@@ -265,7 +265,7 @@ class Simulator:
                 continue  # stale queue entry; nothing ran
             except Exception as exc:
                 # A failure before the task body began (e.g. an injected
-                # fault while sealing a compacted batch in on_task_start).
+                # fault while sealing a compacted batch in close_batch).
                 # In-body failures the recovery policy handled never get
                 # here — execute_task returns their aborted-attempt record.
                 if db.recovery.on_failure(db, task, exc, max(db.clock.base, start)) is None:
