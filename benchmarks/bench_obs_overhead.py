@@ -4,46 +4,76 @@ The collector charges no *virtual* CPU (obs components only read engine
 state; the simulated results are identical with tracing on or off — the
 invariant is asserted below); its cost is real time.  This benchmark runs
 the same experiment three ways — default NullTracer, a bare
-TraceCollector, and a collector with time-series sampling — and reports
-wall-clock updates/second for each, plus a ``BENCH_obs.json`` record.
+TraceCollector, and a collector with time-series sampling — in
+:data:`REPETITIONS` interleaved rounds whose mode order rotates, so each
+mode runs first, second and last alike and a drift of the machine lands on
+all three.  It reports each mode's median wall-clock time and range, plus a
+``BENCH_obs.json`` record.
 """
 
 import json
 import os
+import statistics
 
-from repro.bench.experiments import bench_scale, grid
+from repro.bench.experiments import bench_scale
 from repro.bench.reporting import emit, format_table, results_dir
 from repro.obs.tracer import TraceCollector
 from repro.pta.workload import VIEW
 
+#: Interleaved rounds; one round runs every mode once.
+REPETITIONS = 5
+
+#: Each mode's tracer, made fresh for every run.
+MODES = {
+    "null": lambda: None,
+    "collector": lambda: TraceCollector(sample_interval=0.0),
+    "collector+ts": lambda: TraceCollector(sample_interval=1.0),
+}
+
 
 def obs_overhead_rows() -> list[dict]:
     """The same experiment with the default NullTracer, a bare collector,
-    and a collector sampling a time series; wall-clock updates/second of
-    each run beside what it observed."""
-    tracers = {
-        "null": None,
-        "collector": TraceCollector(sample_interval=0.0),
-        "collector+ts": TraceCollector(sample_interval=1.0),
-    }
-    results = grid(
-        VIEW, [dict(tracer=tracer) for tracer in tracers.values()],
-        scale=bench_scale(), view="comps", variant="unique", delay=1.0,
-    )
-    return [
-        {
+    and a collector sampling a time series, :data:`REPETITIONS` times each
+    in rotating order: per mode the median and range of the wall-clock
+    time, updates/second at the median, and what the first run observed
+    beside its virtual results."""
+    names = list(MODES)
+    walls: dict[str, list[float]] = {mode: [] for mode in names}
+    first: dict[str, dict] = {}
+    for round_ in range(REPETITIONS):
+        for mode in names[round_ % len(names):] + names[:round_ % len(names)]:
+            tracer = MODES[mode]()
+            result = VIEW.run(
+                tracer=tracer, scale=bench_scale(), view="comps", variant="unique", delay=1.0,
+            )
+            walls[mode].append(result.wall_s)
+            virtual = {**result.row(), "end_time": round(result.end_time, 6)}
+            if mode not in first:
+                first[mode] = {
+                    "n_updates": result.n_updates,
+                    "events": len(tracer.events) if tracer is not None else 0,
+                    "samples": len(tracer.timeseries.samples)
+                    if tracer is not None and tracer.timeseries is not None
+                    else 0,
+                    **virtual,
+                }
+            # A repeated run is the same simulation: only its wall clock moves.
+            assert all(first[mode][key] == value for key, value in virtual.items()), mode
+            result.detach()
+    rows = []
+    for mode in names:
+        wall = statistics.median(walls[mode])
+        seen = dict(first[mode])
+        rows.append({
             "mode": mode,
-            "wall_s": round(result.wall_s, 3),
-            "updates_per_s": round(result.n_updates / result.wall_s, 1),
-            "events": len(tracer.events) if tracer is not None else 0,
-            "samples": len(tracer.timeseries.samples)
-            if tracer is not None and tracer.timeseries is not None
-            else 0,
-            **result.row(),
-            "end_time": round(result.end_time, 6),
-        }
-        for (mode, tracer), result in zip(tracers.items(), results)
-    ]
+            "runs": len(walls[mode]),
+            "wall_s": round(wall, 3),
+            "wall_min_s": round(min(walls[mode]), 3),
+            "wall_max_s": round(max(walls[mode]), 3),
+            "updates_per_s": round(seen.pop("n_updates") / wall, 1),
+            **seen,
+        })
+    return rows
 
 
 def test_obs_overhead(benchmark):
@@ -55,6 +85,7 @@ def test_obs_overhead(benchmark):
     for row in rows:
         benchmark.extra_info[row["mode"]] = {
             "wall_s": row["wall_s"],
+            "wall_range_s": [row["wall_min_s"], row["wall_max_s"]],
             "updates_per_s": row["updates_per_s"],
         }
     by_mode = {row["mode"]: row for row in rows}

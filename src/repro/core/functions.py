@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from repro.errors import FunctionError, SchemaError
+from repro.errors import FunctionError, SchemaError, SimulationError
 from repro.storage.temptable import TempTable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,20 +52,6 @@ class FunctionRegistry:
         return sorted(self._functions)
 
 
-def _charged(rows: Iterator[tuple], meter: Any, seconds: float) -> Iterator[tuple]:
-    """``rows``, with ``user_row`` charged before each one is handed over
-    and the count landed once, however the consumer stops (DESIGN.md 6a)."""
-    count = 0
-    try:
-        for values in rows:
-            meter.total += seconds
-            count += 1
-            yield values
-    finally:
-        if count:
-            meter.ops["user_row"] += count
-
-
 class FunctionContext:
     """Runtime environment handed to a user function.
 
@@ -101,19 +87,28 @@ class FunctionContext:
     def has_bound(self, name: str) -> bool:
         return name in self.task.bound_tables
 
-    def columns(self, name: str, *columns: str) -> Iterator[tuple]:
+    def columns(
+        self, name: str, *columns: str, per_row: Optional[dict[str, int]] = None
+    ) -> Iterator[tuple]:
         """Iterate the named columns of a bound table, one tuple per row,
-        charging per-row user cost.  Table, offsets and the compiled reader
-        are resolved here, at the call — a wrong name fails now, not at the
-        first ``next()`` — so a row costs one read and one charge."""
+        charging ``user_row`` and then each ``op: count`` of ``per_row``
+        before the row is handed over — the charges a loop body would
+        otherwise make first thing in each row, as ``charge(op, count)``
+        makes them.  Table, offsets, costs and the compiled loop are
+        resolved here, at the call — a wrong name fails now, not at the
+        first ``next()`` — so a row costs one generator step."""
         table = self.bound(name)
         try:
             offsets = [table.schema.offset(column) for column in columns]
         except SchemaError as exc:  # names the column and the ones available
             raise FunctionError(f"bound table {name!r}: {exc}") from None
-        rows = table.scan_columns(offsets)
+        charges = tuple(per_row.items()) if per_row else ()
         meter, cost = self.db.metering()
-        return _charged(rows, meter, cost["user_row"])
+        try:
+            seconds = [cost["user_row"], *[cost[op] * count for op, count in charges]]
+        except KeyError as exc:
+            raise SimulationError(f"unknown cost-model operation {exc.args[0]!r}") from None
+        return table.scan_metered(offsets, meter, charges, seconds)
 
     def rows(self, name: str) -> Iterator[dict[str, Any]]:
         """Iterate a bound table as dictionaries: :meth:`columns` over every

@@ -16,6 +16,12 @@ the user function written the way the paper writes it:
 * the option functions mirror Figure 8 plus the batched variants of
   section 5.2: batching lets the function price each option once from the
   *last* quote in the window instead of once per quote.
+
+A function's per-row charge (``user_group_row`` for the grouping loops,
+``arith`` for the others) is the one its loop body would make first thing
+in each row; it is handed to ``ctx.columns`` as ``per_row``, which charges
+it at that same point — right after the row's ``user_row`` — inside the
+generated read, so a bound row costs no call to ``ctx.charge``.
 """
 
 from __future__ import annotations
@@ -77,9 +83,10 @@ _OPTION_ROW = ("option_symbol", "stock_symbol", "strike", "expiration", "new_pri
 
 def compute_comps1(ctx: "FunctionContext") -> None:
     """Figure 3: incremental update, one read-modify-write per bound row."""
-    for comp, weight, old_price, new_price in ctx.columns("matches", *_COMP_ROW):
+    for comp, weight, old_price, new_price in ctx.columns(
+        "matches", *_COMP_ROW, per_row={"arith": 2}
+    ):
         change = weight * (new_price - old_price)
-        ctx.charge("arith", 2)
         ctx.execute(
             "update comp_prices set price += :d where comp = :c",
             {"d": change, "c": comp},
@@ -90,8 +97,9 @@ def compute_comps2(ctx: "FunctionContext") -> None:
     """Figure 6: group the batch by composite in application code, then
     apply one aggregated change per composite."""
     diffs: dict[str, float] = {}
-    for comp, weight, old_price, new_price in ctx.columns("matches", *_COMP_ROW):
-        ctx.charge("user_group_row")
+    for comp, weight, old_price, new_price in ctx.columns(
+        "matches", *_COMP_ROW, per_row={"user_group_row": 1}
+    ):
         delta = weight * (new_price - old_price)
         diffs[comp] = diffs.get(comp, 0.0) + delta
     for comp, diff in diffs.items():
@@ -105,8 +113,9 @@ def compute_comps3(ctx: "FunctionContext") -> None:
     """Figure 7: all rows concern one composite; accumulate and apply once."""
     total = 0.0
     comp = None
-    for comp, weight, old_price, new_price in ctx.columns("matches", *_COMP_ROW):
-        ctx.charge("arith", 2)
+    for comp, weight, old_price, new_price in ctx.columns(
+        "matches", *_COMP_ROW, per_row={"arith": 2}
+    ):
         total += weight * (new_price - old_price)
     if comp is not None:
         ctx.execute(
@@ -120,8 +129,9 @@ def compute_sectors(ctx: "FunctionContext") -> None:
     indexes.  Same telescoping-delta shape as :func:`compute_comps2`, one
     stratum up — the bound rows came from another rule's action writes."""
     diffs: dict[str, float] = {}
-    for sector, weight, old_price, new_price in ctx.columns("matches", *_SECTOR_ROW):
-        ctx.charge("user_group_row")
+    for sector, weight, old_price, new_price in ctx.columns(
+        "matches", *_SECTOR_ROW, per_row={"user_group_row": 1}
+    ):
         delta = weight * (new_price - old_price)
         diffs[sector] = diffs.get(sector, 0.0) + delta
     for sector, diff in diffs.items():
@@ -166,8 +176,7 @@ def compute_options2(ctx: "FunctionContext") -> None:
     """Coarse batching: group by option in application code, keep only the
     last quote per option, price once."""
     last: dict[str, tuple] = {}
-    for row in ctx.columns("matches", *_OPTION_ROW):
-        ctx.charge("user_group_row")
+    for row in ctx.columns("matches", *_OPTION_ROW, per_row={"user_group_row": 1}):
         last[row[0]] = row  # rows arrive in commit order
     stdev_cache: dict[str, float] = {}
     for option_symbol, stock, strike, expiration, new_price in last.values():
@@ -184,8 +193,7 @@ def compute_options_sym(ctx: "FunctionContext") -> None:
     stdev is fetched once and partial results are shared; only the last
     quote per option is priced."""
     last: dict[str, tuple] = {}
-    for row in ctx.columns("matches", *_OPTION_ROW):
-        ctx.charge("arith")
+    for row in ctx.columns("matches", *_OPTION_ROW, per_row={"arith": 1}):
         last[row[0]] = row
     if not last:
         return
@@ -201,8 +209,8 @@ def compute_options_opt(ctx: "FunctionContext") -> None:
     """``unique on option_symbol``: price the single option from its last
     quote in the window."""
     row = None
-    for row in ctx.columns("matches", *_OPTION_ROW):
-        ctx.charge("arith")
+    for row in ctx.columns("matches", *_OPTION_ROW, per_row={"arith": 1}):
+        pass
     if row is None:
         return
     option_symbol, stock, strike, expiration, new_price = row

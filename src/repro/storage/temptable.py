@@ -52,15 +52,6 @@ class ColumnSource:
         return f"{mats}[{self.slot:d}]"
 
 
-def _unpin(rows: Iterable[tuple[tuple[Record, ...], tuple[Any, ...]]]) -> None:
-    """Take back the pin each record pointer of ``rows`` holds."""
-    for ptrs, _mats in rows:
-        for record in ptrs:
-            if record.pins <= 0:
-                raise StorageError(f"unpin of record {record.rid} with no pins")
-            record.pins -= 1
-
-
 def generate(lines: Sequence[str], name: str, filename: str, names: dict[str, Any]) -> Callable:
     """Compile generated source that defines function ``name`` with
     ``names`` as its globals, and return the function.  The only ``exec``
@@ -81,6 +72,61 @@ def _reader(sources: tuple[ColumnSource, ...], display: str) -> Callable:
     items = "".join(source.text("ptrs", "mats") + ", " for source in sources)
     line = f"def read(ptrs, mats): return {display[0]}{items}{display[1]}"
     return generate([line], "read", f"<reader {display}>", {})
+
+
+@functools.lru_cache(maxsize=512)
+def _metered_reader(sources: tuple[ColumnSource, ...], n_charges: int) -> Callable:
+    """``(rows, meter, charges, c0, c1, ...) -> generator`` over raw rows:
+    each row's columns at ``sources`` as a tuple, after ``meter.total +=``
+    ``c0`` (one ``user_row``) and then each further ``c`` — one per
+    ``(op, count)`` of ``charges``, ``cost[op] * count`` as
+    ``Database.charge`` adds it — in that order, one addition each.  The
+    counts reach ``meter.ops`` once, in a ``finally``, so a consumer that
+    breaks out or raises leaves them right; each op of ``charges`` gets
+    its key when the first row is handed over, where the loop body's own
+    first charge would have stored it (DESIGN.md 6a).  Cached by the
+    sources and the number of charges; op names never reach the source."""
+    items = "".join(source.text("ptrs", "mats") + ", " for source in sources)
+    seconds = [f"c{at:d}" for at in range(n_charges + 1)]
+    lines = [
+        f"def read(rows, meter, charges, {', '.join(seconds)}):",
+        "    ops = meter.ops",
+        "    if rows:",
+        "        for op, _count in charges:",
+        "            ops[op] += 0",
+        "    n = 0",
+        "    try:",
+        "        for ptrs, mats in rows:",
+        f"            meter.total = meter.total + {' + '.join(seconds)}",  # left to right
+        "            n += 1",
+        f"            yield ({items})",
+        "    finally:",
+        "        if n:",
+        "            for op, count in charges:",
+        "                ops[op] += n * count",
+        "            ops['user_row'] += n",
+    ]
+    return generate(lines, "read", "<metered reader>", {})
+
+
+@functools.lru_cache(maxsize=64)
+def _unpinner(n_ptrs: int) -> Callable:
+    """``rows -> None``: take back the pin each of a row's ``n_ptrs``
+    record pointers holds, checking and decrementing pointer by pointer in
+    order — a record held twice in one row is checked again after its
+    first decrement, so one pin too few raises on the second pointer."""
+    lines = ["def unpin(rows):"]
+    if not n_ptrs:
+        return generate([*lines, "    pass"], "unpin", "<unpin>", {})
+    names = [f"r{at:d}" for at in range(n_ptrs)]
+    lines.append(f"    for ({''.join(name + ', ' for name in names)}), _mats in rows:")
+    for name in names:
+        lines += [
+            f"        if {name}.pins <= 0:",
+            f"            raise StorageError(f'unpin of record {{{name}.rid}} with no pins')",
+            f"        {name}.pins -= 1",
+        ]
+    return generate(lines, "unpin", "<unpin>", {"StorageError": StorageError})
 
 
 @functools.lru_cache(maxsize=512)
@@ -316,14 +362,14 @@ class TempTable:
         A table retired in the meantime has nothing left to undo."""
         dropped = self._rows[mark:]
         del self._rows[mark:]
-        _unpin(dropped)
+        _unpinner(self.static_map.ptr_slots)(dropped)
 
     def retire(self) -> None:
         """Release every pinned record.  Idempotent."""
         if self._retired:
             return
         self._retired = True
-        _unpin(self._rows)
+        _unpinner(self.static_map.ptr_slots)(self._rows)
         self._rows.clear()
 
     @property
@@ -353,6 +399,17 @@ class TempTable:
         """Iterate rows as tuples of the columns at ``offsets`` only."""
         self._check_live()
         return starmap(self.static_map.reader(offsets), self._rows)
+
+    def scan_metered(
+        self, offsets: Iterable[int], meter: Any, charges: tuple, seconds: Sequence[float]
+    ) -> Iterator[tuple]:
+        """:meth:`scan_columns` as a user function's row loop: before each
+        row, ``seconds`` — ``user_row``'s, then one per ``(op, count)`` of
+        ``charges`` — are added to ``meter.total`` one by one; the counts
+        reach ``meter.ops`` when the loop ends (:func:`_metered_reader`)."""
+        self._check_live()
+        sources = tuple([self.static_map.sources[at] for at in offsets])
+        return _metered_reader(sources, len(charges))(self._rows, meter, charges, *seconds)
 
     def scan_raw(self) -> Iterator[tuple[tuple[Record, ...], tuple[Any, ...]]]:
         self._check_live()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.functions import FunctionRegistry
 from repro.database import Database
-from repro.errors import FunctionError, SchemaError
+from repro.errors import FunctionError, SchemaError, SimulationError
 
 
 @pytest.fixture
@@ -214,6 +214,124 @@ class TestContext:
         db.execute("insert into t values ('b', 2.0)")
         db.drain()
         assert len(seen) == 5
+
+
+def _reference_columns(ctx, name, *columns):
+    """The read before a per-row charge rode in it: the compiled reader
+    mapped over the rows, ``user_row`` added before each one is handed over
+    and counted once in a ``finally``."""
+    table = ctx.bound(name)
+    rows = table.scan_columns([table.schema.offset(column) for column in columns])
+    meter, cost = ctx.db.metering()
+    count = 0
+    try:
+        for values in rows:
+            meter.total += cost["user_row"]
+            count += 1
+            yield values
+    finally:
+        if count:
+            meter.ops["user_row"] += count
+
+
+class TestPerRowCharges:
+    """``ctx.columns(..., per_row=...)`` charges what a loop body charging
+    ``ctx.charge(op, count)`` first thing in each row charged: the same
+    additions in the same order (``meter.total`` to the bit) and the same
+    ``meter.ops``, values and key order, however the loop ends."""
+
+    def through(ctx, row):
+        return False
+
+    def breaks(ctx, row):
+        return row[0] == "b"
+
+    def raises(ctx, row):
+        if row[0] == "b":
+            raise ValueError("the body failed")
+        return False
+
+    def charges_more(ctx, row):
+        ctx.charge("index_probe")  # a key of its own after the moved charge's
+        return False
+
+    BODIES = {"through": through, "break": breaks, "raise": raises, "charges": charges_more}
+
+    def run(self, read, bound="m"):
+        """``read(ctx)`` as the action of one three-row firing: the rows it
+        saw and the task's meter right after its loop."""
+        db = Database()
+        db.execute("create table t (k text, v real)")
+        seen = {}
+
+        def fn(ctx):
+            rows = []
+            try:
+                read(ctx, rows)
+            except ValueError:
+                pass
+            meter = ctx.task.meter
+            seen.update(rows=rows, total=meter.total.hex(), ops=list(meter.ops.items()))
+
+        db.register_function("f", fn)
+        db.execute(
+            "create rule r on t when inserted deleted then evaluate "
+            "select k, v from inserted bind as m, select k, v from deleted bind as gone "
+            "execute f"
+        )
+        db.execute("insert into t values ('a', 1.0), ('b', 2.0), ('c', 3.0)")
+        db.drain()
+        return seen
+
+    @pytest.mark.parametrize("body", sorted(BODIES))
+    @pytest.mark.parametrize(
+        "per_row",
+        [{"user_group_row": 1}, {"arith": 2}, {"arith": 2, "f_bs": 1}, {}],
+        ids=["count-1", "count-2", "two-ops", "none"],
+    )
+    @pytest.mark.parametrize("bound", ["m", "gone"])
+    def test_the_reader_charges_what_the_loop_body_did(self, per_row, body, bound):
+        step = self.BODIES[body]
+
+        def reference(ctx, rows):
+            for row in _reference_columns(ctx, bound, "k", "v"):
+                for op, count in per_row.items():
+                    ctx.charge(op, count)
+                rows.append(row)
+                if step(ctx, row):
+                    break
+
+        def charged(ctx, rows):
+            for row in ctx.columns(bound, "k", "v", per_row=per_row):
+                rows.append(row)
+                if step(ctx, row):
+                    break
+
+        expected = self.run(reference)
+        got = self.run(charged)
+        assert got == expected
+        ops = dict(got["ops"])
+        if bound == "gone":  # no rows: nothing charged, no key stored
+            assert got["rows"] == [] and "user_row" not in ops
+            assert not set(per_row) & set(ops)
+        else:
+            assert got["rows"] == [("a", 1.0), ("b", 2.0), ("c", 3.0)][: 2 if body in ("break", "raise") else 3]
+            assert ops["user_row"] == len(got["rows"])
+
+    def test_a_retired_table_or_an_unknown_op_fails_at_the_call(self):
+        errors = []
+
+        def read(ctx, rows):
+            with pytest.raises(SimulationError, match="unknown cost-model operation 'nosuch'"):
+                ctx.columns("m", "k", per_row={"arith": 1, "nosuch": 1})  # never iterated
+            ctx.bound("m").retire()
+            with pytest.raises(SchemaError, match="temp table 'm' is retired") as caught:
+                ctx.columns("m", "k", per_row={"arith": 1})
+            errors.append(caught.value)
+
+        got = self.run(read)
+        assert len(errors) == 1
+        assert "arith" not in dict(got["ops"]) and "user_row" not in dict(got["ops"])
 
 
 class TestColumnsAcrossTableKinds:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.net_effect import FoldedTable, compact_spec
 from repro.database import Database
-from repro.errors import BindingError, SchemaError
+from repro.errors import BindingError, SchemaError, StorageError
 from repro.storage import temptable
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.table import Table
@@ -481,6 +481,51 @@ class TestCompiledReaderAgainstTheInterpretation:
         assert list(group_rows(temp, [1])) == [(1.0,)]
 
 
+class TestUnpin:
+    """``retire`` / ``rollback`` take back each pointer's pin, checked then
+    decremented pointer by pointer in row order, in one function generated
+    per pointer count."""
+
+    def three_pointer_table(self):
+        schema = Schema.of(("a", ColumnType.TEXT), ("b", ColumnType.REAL), ("c", ColumnType.TEXT))
+        static_map = StaticMap(
+            [ColumnSource("ptr", 0, 0), ColumnSource("ptr", 1, 1), ColumnSource("ptr", 2, 0)]
+        )
+        return TempTable("m", schema, static_map)
+
+    def test_every_pointer_gives_its_pin_back(self):
+        _table, r1, r2 = stock_table()
+        temp = self.three_pointer_table()
+        for _ in range(4):
+            temp.append_row((r1, r2, r1))
+        mark = temp.savepoint()
+        temp.append_row((r2, r2, r1))
+        assert (r1.pins, r2.pins) == (9, 6)
+        temp.rollback(mark)
+        assert (r1.pins, r2.pins) == (8, 4)
+        temp.retire()
+        assert (r1.pins, r2.pins) == (0, 0)
+        assert temptable._unpinner(3) is temptable._unpinner(3)
+
+    @pytest.mark.parametrize("undo", ["retire", "rollback"])
+    def test_a_record_held_twice_in_a_row_is_refused_on_its_second_pointer(self, undo):
+        _table, r1, r2 = stock_table()
+        temp = self.three_pointer_table()
+        mark = temp.savepoint()
+        temp.append_row((r2, r1, r1))
+        r1.pins -= 1  # taken back behind the table's back
+        with pytest.raises(StorageError, match=f"unpin of record {r1.rid} with no pins"):
+            temp.retire() if undo == "retire" else temp.rollback(mark)
+        # r2 and r1's first pointer gave their pins back before the refusal.
+        assert (r2.pins, r1.pins) == (0, 0)
+
+    def test_a_table_without_pointers_unpins_nothing(self):
+        temp = TempTable("t", Schema.of(("a", ColumnType.INT)))
+        temp.append_values([1])
+        temp.retire()
+        assert temp.retired and len(temp) == 0
+
+
 @pytest.fixture
 def compiled(monkeypatch):
     """The source of every row reader compiled during the test."""
@@ -493,6 +538,7 @@ def compiled(monkeypatch):
 
     monkeypatch.setattr(temptable, "generate", recording)
     temptable._reader.cache_clear()
+    temptable._metered_reader.cache_clear()
     return sources
 
 
@@ -521,7 +567,8 @@ class TestReaderCache:
 
         assert run() == [(1.0, "a"), (2.0, "b")]
         first = list(compiled)
-        assert first  # the partition key and the function's columns, at least
+        # The function's columns, read by a charged (metered) reader.
+        assert [source for source in first if source.startswith("def read(rows, meter,")]
         assert run() == [(1.0, "a"), (2.0, "b")]
         assert compiled == first
 

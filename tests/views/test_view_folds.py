@@ -102,8 +102,8 @@ def _assert_views_fresh(db: Database) -> None:
 
 def test_no_charged_generator_runs_inside_a_view_apply():
     """Every row a maintenance task reads is read by a generated fold:
-    ``FunctionContext.columns``'s ``_charged`` generator never runs under
-    ``apply`` (a profile hook walks the stack of each of its frames)."""
+    ``FunctionContext.columns``'s generated ``<metered reader>`` never runs
+    under ``apply`` (a profile hook walks the stack of each of its frames)."""
     db = _mixed_database()
     seen = {"apply": 0, "fold": set(), "charged_in_apply": 0}
 
@@ -122,7 +122,7 @@ def test_no_charged_generator_runs_inside_a_view_apply():
             seen["apply"] += 1
         elif code.co_filename.startswith("<view fold"):
             seen["fold"].add(code.co_filename)
-        elif code.co_name == "_charged" and under_apply(frame.f_back):
+        elif code.co_filename == "<metered reader>" and under_apply(frame.f_back):
             seen["charged_in_apply"] += 1
 
     sys.setprofile(profile)
