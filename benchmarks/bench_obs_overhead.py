@@ -39,9 +39,11 @@ def obs_overhead_rows() -> list[dict]:
     beside its virtual results."""
     names = list(MODES)
     walls: dict[str, list[float]] = {mode: [] for mode in names}
+    updates: dict[str, int] = {}
     first: dict[str, dict] = {}
     for round_ in range(REPETITIONS):
-        for mode in names[round_ % len(names):] + names[:round_ % len(names)]:
+        turn = round_ % len(names)
+        for mode in names[turn:] + names[:turn]:
             tracer = MODES[mode]()
             result = VIEW.run(
                 tracer=tracer, scale=bench_scale(), view="comps", variant="unique", delay=1.0,
@@ -49,8 +51,8 @@ def obs_overhead_rows() -> list[dict]:
             walls[mode].append(result.wall_s)
             virtual = {**result.row(), "end_time": round(result.end_time, 6)}
             if mode not in first:
+                updates[mode] = result.n_updates
                 first[mode] = {
-                    "n_updates": result.n_updates,
                     "events": len(tracer.events) if tracer is not None else 0,
                     "samples": len(tracer.timeseries.samples)
                     if tracer is not None and tracer.timeseries is not None
@@ -63,15 +65,14 @@ def obs_overhead_rows() -> list[dict]:
     rows = []
     for mode in names:
         wall = statistics.median(walls[mode])
-        seen = dict(first[mode])
         rows.append({
             "mode": mode,
             "runs": len(walls[mode]),
             "wall_s": round(wall, 3),
             "wall_min_s": round(min(walls[mode]), 3),
             "wall_max_s": round(max(walls[mode]), 3),
-            "updates_per_s": round(seen.pop("n_updates") / wall, 1),
-            **seen,
+            "updates_per_s": round(updates[mode] / wall, 1),
+            **first[mode],
         })
     return rows
 

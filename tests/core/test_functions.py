@@ -315,7 +315,8 @@ class TestPerRowCharges:
             assert got["rows"] == [] and "user_row" not in ops
             assert not set(per_row) & set(ops)
         else:
-            assert got["rows"] == [("a", 1.0), ("b", 2.0), ("c", 3.0)][: 2 if body in ("break", "raise") else 3]
+            kept = 2 if body in ("break", "raise") else 3
+            assert got["rows"] == [("a", 1.0), ("b", 2.0), ("c", 3.0)][:kept]
             assert ops["user_row"] == len(got["rows"])
 
     def test_a_retired_table_or_an_unknown_op_fails_at_the_call(self):
