@@ -18,7 +18,6 @@ from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.expressions import Getter, compile_expr
 from repro.sql.planner import (
-    MISSING_PARAM,
     STD,
     TMP,
     CompiledSelect,
@@ -160,10 +159,12 @@ def _prepare_write(
     part of the cost.  Without such a conjunct the table is scanned.  A NULL
     key still fetches its candidates and matches none.
 
-    Parameter (after the check that raises the getter's error), literal and
-    own-column reads are inline; any other expression calls its getter on
-    ``env``, built — with its ``ExecState`` — only then.  Names, values,
-    messages and getters reach the source through ``names``, never as text.
+    Every expression that cannot charge is written in line, in its source
+    form (``compile_expr``: own columns, parameters, literals and the
+    operators over them, raising the getter's errors in the getter's
+    order); any other calls its getter on ``env``, built — with its
+    ``ExecState`` — only then.  Names, values and getters reach the source
+    through ``names``, never as text.
     Charges are inline, in the order cursor_open, index_probe | row_scan
     (one addition for the scan), per candidate cursor_fetch then expr_eval,
     cursor_close, then the row writes."""
@@ -172,7 +173,7 @@ def _prepare_write(
     # bound tables) is what subqueries may read beside the catalog.
     desc = SourceDesc(name=table.name, binding=table.name, kind=STD, schema=table.schema)
     desc.env_pos = 1
-    resolution = _SelectResolution(db, [desc], namespace)
+    resolution = _SelectResolution(db, [desc], namespace, "ExecState(db, txn, params, {}, namespace)")
     conjuncts = residual_of = _split_conjuncts(stmt.where)
     index = key_expr = None
     for position, conjunct in enumerate(conjuncts):
@@ -193,33 +194,16 @@ def _prepare_write(
                     break
         if index is not None:
             break
-    names: dict[str, Any] = {"db": db, "table": table, "x1": index}
-    names.update(ExecState=ExecState, ExecutionError=ExecutionError)
+    inline = resolution.inline
     calls: list[Getter] = []  # getters the source calls on env
-    checks: dict[str, str] = {}  # a parameter read -> the check a line reading it runs first
-
-    def const(value: Any) -> str:
-        name = f"k{len(names)}"
-        names[name] = value
-        return name
 
     def value(expr: ast.Expr) -> str:
-        if isinstance(expr, ast.Literal):
-            return const(expr.value)
-        if isinstance(expr, ast.Param):
-            name, text = const(expr.name), const(MISSING_PARAM.format(expr.name))
-            checks[f"params[{name}]"] = f"if {name} not in params: raise ExecutionError({text})"
-            return f"params[{name}]"
         getter = compile_expr(expr, resolution)
-        inline = resolution.inline.get(getter)  # an own column: h1.values[o]
-        if inline is not None:
-            return inline
-        calls.append(getter)
-        return f"{const(getter)}(env)"
-
-    def reading(pad: str, source: Optional[str], line: str) -> list[str]:
-        """``line``, after the check of the parameter it reads, if any."""
-        return [pad + checks[source], pad + line] if source in checks else [pad + line]
+        source = inline.text.get(getter)
+        if source is None:
+            calls.append(getter)
+            source = f"{inline.const(getter)}(env)"
+        return source
 
     residual = None
     if residual_of:
@@ -235,10 +219,10 @@ def _prepare_write(
             source = value(assignment.expr)
             sign = "+" if assignment.increment else "-" if assignment.decrement else ""
             if not sign:
-                write += reading("        ", source, f"values[{offset:d}] = {source}")
+                write.append(f"        values[{offset:d}] = {source}")
                 continue
             write += [
-                *reading("        ", source, f"v = {source}"),
+                f"        v = {source}",
                 f"        c = values[{offset:d}]",
                 f"        values[{offset:d}] = None if c is None or v is None else c {sign} v",
             ]
@@ -250,8 +234,10 @@ def _prepare_write(
 
     filtered = stmt.where is not None  # every candidate of a WHERE costs one expr_eval
     lines = ["def run(txn, params, namespace):"]
-    if calls or checks:
+    if calls or "params" in inline.reads:
         lines.append("    params = params or {}")
+    if "pseudo" in inline.reads:
+        lines.append("    pseudo = {}")  # the ExecState's: no pseudo column outside rule binding
     if calls:
         lines.append("    env = [ExecState(db, txn, params, {}, namespace), None]")
     lines += [
@@ -264,7 +250,7 @@ def _prepare_write(
     ]
     if index is not None:
         lines += [
-            *reading("    ", key, f"key = {key}"),
+            f"    key = {key}",
             "    meter.total += cost['index_probe']",
             "    ops['index_probe'] += 1",
             "    rows = x1.lookup(key)",
@@ -288,7 +274,7 @@ def _prepare_write(
     if residual_calls:
         lines.append("            env[1] = h1")
     if residual is not None:
-        lines += reading("            ", residual, f"if not {residual}: continue")
+        lines.append(f"            if not {residual}: continue")
     if index is not None:
         lines.append("            if key is None: continue")
     lines += [
@@ -306,6 +292,7 @@ def _prepare_write(
         *write,
         "    return len(matches)",
     ]
+    names = {"db": db, "table": table, "x1": index, "ExecState": ExecState, **inline.names}
     return generate(lines, "run", f"<dml {type(stmt).__name__.lower()}>", names)
 
 

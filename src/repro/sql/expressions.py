@@ -1,10 +1,15 @@
-"""Compilation of expression ASTs to Python closures.
+"""Compilation of expression ASTs to Python closures and source text.
 
 Expressions are compiled once per (statement, binding-shape) and the
 resulting closures are evaluated per row, which keeps the per-row work in
 tight Python code.  SQL three-valued logic is observed: any comparison or
 arithmetic over NULL yields NULL, AND/OR follow Kleene logic, and the
 row-filter layer treats NULL as false.
+
+Beside each closure of an expression that cannot charge, compilation
+records its *source form* (:class:`Inline`): the same evaluation as a
+Python expression over a generated loop's handles, which the loop nests and
+the generated UPDATE / DELETE write in place of a call (DESIGN.md 6a).
 """
 
 from __future__ import annotations
@@ -18,8 +23,57 @@ from repro.sql import ast
 Getter = Callable[[Any], Any]  # env -> value
 
 
+class Inline:
+    """The source forms of one resolution's getters, and the generated
+    globals they name.
+
+    A source evaluates its operands in the closure's order and raises what
+    the closure raises, where the closure raises it.  Statement values —
+    literals, parameter and pseudo-column names — ride as globals ``k<n>``,
+    as do the helpers and getters a source calls; the text itself is only
+    handles, temporaries ``t<n>``, operators and those names
+    (``generate``'s contract).
+    """
+
+    def __init__(self) -> None:
+        #: Getter -> its source over the nest's handles (h1, h2, ...).
+        self.text: dict[Getter, str] = {}
+        #: The getters whose source can raise: never evaluated out of place.
+        self.raising: set[Getter] = set()
+        #: The globals the sources name.
+        self.names: dict[str, Any] = {}
+        #: What of the execution state the sources read: "params", "pseudo".
+        self.reads: set[str] = set()
+        self._temps = 0
+
+    def const(self, value: Any) -> str:
+        """A fresh global holding ``value``."""
+        name = f"k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def temp(self) -> str:
+        """A fresh local for one operand's value."""
+        self._temps += 1
+        return f"t{self._temps}"
+
+    def record(
+        self, getter: Getter, operands: tuple, build: Callable[..., str], raises: bool = False
+    ) -> None:
+        """Record ``build(*operand sources)`` as ``getter``'s source when
+        every operand has one; it can raise if it does or an operand can."""
+        texts = [self.text.get(operand) for operand in operands]
+        if None in texts:
+            return
+        self.text[getter] = build(*texts)
+        if raises or not self.raising.isdisjoint(operands):
+            self.raising.add(getter)
+
+
 class ResolutionContext(Protocol):
     """What expression compilation needs from the surrounding planner."""
+
+    inline: Inline
 
     def resolve_column(self, table: str | None, name: str) -> Getter:
         """A getter for a column reference, or raise PlanError."""
@@ -96,13 +150,28 @@ _COMPARE = {
     "=": _neq, "!=": _nne, "<": _ordering(operator.lt), "<=": _ordering(operator.le),
     ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
 }
+#: Operators a source writes in line, NULL-safe; the others call their helper.
+_IN_LINE = {"+": "+", "-": "-", "*": "*", "=": "==", "!=": "!="}
 
 
 def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
-    """Compile ``expr`` into an ``env -> value`` closure."""
+    """Compile ``expr`` into an ``env -> value`` closure.
+
+    A literal, a parameter, a column or pseudo-column read, and an operator
+    over operands that have source forms get one too, in ``ctx.inline``
+    (a function call or a subquery can charge, so its closure is called
+    where the reference pipeline calls it).  NULL-safe ``+ - * = !=``,
+    ``and`` / ``or`` / ``not``, unary minus and ``is [not] null`` are written
+    in line, evaluating both operands of a binary operator first (a right
+    operand that cannot raise is skipped after a NULL, unobservably) and the
+    right side of ``and`` / ``or`` exactly when the closure does; ``/``, ``%``
+    and the orderings call their helper, which raises the closure's error."""
+    inline = ctx.inline
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda env: value
+        getter: Getter = lambda env: value
+        inline.text[getter] = inline.const(value)
+        return getter
 
     if isinstance(expr, ast.ColumnRef):
         return ctx.resolve_column(expr.table, expr.name)
@@ -112,21 +181,28 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
 
     if isinstance(expr, ast.UnaryOp):
         inner = compile_expr(expr.operand, ctx)
+        t = inline.temp()
         if expr.op == "-":
-            return lambda env: None if (v := inner(env)) is None else -v
+            getter = lambda env: None if (v := inner(env)) is None else -v
+            inline.record(
+                getter, (inner,), lambda a: f"(None if ({t} := {a}) is None else -{t})", True
+            )
+            return getter
         if expr.op == "not":
 
             def _not(env: Any) -> Any:
                 value = inner(env)
                 return None if value is None else not value
 
+            inline.record(_not, (inner,), lambda a: f"(None if ({t} := {a}) is None else not {t})")
             return _not
         raise PlanError(f"unknown unary operator {expr.op!r}")
 
     if isinstance(expr, ast.BinaryOp):
+        left = compile_expr(expr.left, ctx)
+        right = compile_expr(expr.right, ctx)
+        t, u = inline.temp(), inline.temp()
         if expr.op == "and":
-            left = compile_expr(expr.left, ctx)
-            right = compile_expr(expr.right, ctx)
 
             def _and(env: Any) -> Any:
                 lval = left(env)
@@ -139,10 +215,12 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
                     return None
                 return True
 
+            inline.record(_and, (left, right), lambda a, b: (
+                f"(False if ({t} := {a}) is False or ({u} := {b}) is False"
+                f" else None if {t} is None or {u} is None else True)"
+            ))
             return _and
         if expr.op == "or":
-            left = compile_expr(expr.left, ctx)
-            right = compile_expr(expr.right, ctx)
 
             def _or(env: Any) -> Any:
                 lval = left(env)
@@ -155,19 +233,34 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
                     return None
                 return False
 
+            inline.record(_or, (left, right), lambda a, b: (
+                f"(True if ({t} := {a}) is True or ({u} := {b}) is True"
+                f" else None if {t} is None or {u} is None else False)"
+            ))
             return _or
-        left = compile_expr(expr.left, ctx)
-        right = compile_expr(expr.right, ctx)
         fn = _ARITH.get(expr.op) or _COMPARE.get(expr.op)
         if fn is None:
             raise PlanError(f"unknown operator {expr.op!r}")
-        return lambda env: fn(left(env), right(env))
+        getter = lambda env: fn(left(env), right(env))
+        op = _IN_LINE.get(expr.op)
+        if op is None:
+            inline.record(getter, (left, right), lambda a, b: f"{inline.const(fn)}({a}, {b})", True)
+        else:  # ``|`` evaluates a right operand that can raise even after a NULL
+            either = "|" if right in inline.raising else "or"
+            inline.record(getter, (left, right), lambda a, b: (
+                f"(None if (({t} := {a}) is None) {either} (({u} := {b}) is None) else {t} {op} {u})"
+            ), op not in ("==", "!="))
+        return getter
 
     if isinstance(expr, ast.IsNull):
         inner = compile_expr(expr.operand, ctx)
         if expr.negated:
-            return lambda env: inner(env) is not None
-        return lambda env: inner(env) is None
+            getter = lambda env: inner(env) is not None
+            inline.record(getter, (inner,), lambda a: f"({a} is not None)")
+            return getter
+        getter = lambda env: inner(env) is None
+        inline.record(getter, (inner,), lambda a: f"({a} is None)")
+        return getter
 
     if isinstance(expr, ast.ScalarSubquery):
         rows_getter = ctx.resolve_subquery(expr.select)

@@ -4,8 +4,9 @@ A compiled plan is a left-deep pipeline of steps over an *environment*: a
 list ``[state, h1, h2, ..., hn]`` with one handle per planned table.  A
 handle is a :class:`~repro.storage.tuples.Record` for standard tables, a raw
 ``(ptrs, mats)`` row for temporary tables, or a plain value list for derived
-(view) sources.  Column getters are compiled once per plan into closures
-indexed by environment position.  The pipeline itself runs as one *fused
+(view) sources.  Expressions are compiled once per plan into closures
+indexed by environment position and, when they cannot charge, into source
+forms over the nest's handles.  The pipeline itself runs as one *fused
 loop nest* per plan: each step writes its loop into generated source
 (``emit``), compiled once and cached with the plan, with two sinks — collect
 environments, or append ``(ptrs, mats)`` rows straight into a bound table —
@@ -26,13 +27,14 @@ section 6.1).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
-from repro.sql.expressions import Getter, compile_expr, truthy
+from repro.sql.expressions import Getter, Inline, compile_expr, truthy
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.temptable import ColumnSource, StaticMap, TempTable, generate
 
@@ -114,13 +116,13 @@ class CompiledSelect:
         sources: list[SourceDesc],
         steps: list["_Step"],
         output: "_OutputSpec",
-        inline: dict[Getter, str],
+        inline: Inline,
     ) -> None:
         self.select = select
         self.sources = sources  # planned order
         self.steps = steps
         self.output = output
-        self.inline = inline  # getter -> its source over the nest's handles
+        self.inline = inline  # the getters' sources over the nest's handles
         #: (environment position, columns, method) of each index the nest probes.
         self.probes = [(step.desc.env_pos, *step.index) for step in steps if step.index]
         self._indexes: tuple = (None, -1, [])  # (catalog, version, index objects)
@@ -224,15 +226,17 @@ class CompiledSelect:
 class _Nest:
     """The source of one plan's loop nest while its steps write it."""
 
-    def __init__(self, inline: dict[Getter, str], slots: int) -> None:
-        self.inline = inline
+    def __init__(self, inline: Inline, slots: int) -> None:
+        self.inline = inline.text
+        self.raising = inline.raising
         self.slots = slots  # handles per environment
         self.body: list[str] = []
         self.tails: list[Callable[[], None]] = []  # written after the innermost body
-        self.names: dict[str, Any] = {}  # the nest's globals
-        self.counters: list[tuple[str, ...]] = []  # ops counted by k0, k1, ...
+        self.names: dict[str, Any] = dict(inline.names)  # the nest's globals
+        self.counters: list[tuple[str, ...]] = []  # ops counted by n0, n1, ...
         #: Per bound handle h<pos>: where, and at which depth, its loop's
-        #: body ends so far — the place for a line that reads no later handle.
+        #: body ends so far — the place for a line that reads no later handle
+        #: (h0: before the loops, once the hash builds are written).
         self.ends: dict[int, list[int]] = {}
 
     def line(self, depth: int, text: str) -> None:
@@ -250,7 +254,7 @@ class _Nest:
         """Charge each of ``ops`` once, here, in this order."""
         for op in ops:
             self.line(depth, f"meter.total += c_{op}")
-        self.line(depth, f"k{len(self.counters)} += 1")
+        self.line(depth, f"n{len(self.counters)} += 1")
         self.counters.append(ops)
 
     def env(self, level: int) -> str:
@@ -259,8 +263,10 @@ class _Nest:
         return "[" + ", ".join(["state", *handles]) + "]"
 
     def value(self, getter: Getter, level: int) -> str:
-        """Source evaluating ``getter``: inline for plain columns, else a
-        call of the compiled closure on a fresh environment list."""
+        """Source evaluating ``getter``: its source form where it has one
+        (everything that cannot charge: columns, literals, parameters,
+        pseudo columns and the operators over them), else a call of the
+        compiled closure on a fresh environment list."""
         source = self.inline.get(getter)
         if source is None:
             name = f"g{len(self.names)}"
@@ -318,12 +324,14 @@ def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
     in local ints that reach ``meter.ops`` in a ``finally``.  Each index is
     the object ``indexes`` holds (``CompiledSelect.indexes``), probed per
     call through it (``x2.lookup(key)``), never through a method captured
-    at compile time.  What charges nothing and reads one handle — an inline
-    hash-probe key, a bound row's pointer — is read once per row of that
-    handle's loop (``_Nest.hoist``); no charge moves."""
+    at compile time.  What charges nothing, raises nothing and reads one
+    handle — an inline hash-probe key, a bound row's pointer — is read once
+    per row of that handle's loop (``_Nest.hoist``), and a probe key that
+    reads no handle once before the loops; no charge moves."""
     nest = _Nest(plan.inline, len(plan.sources))
     for step in reversed(plan.steps):
         step.prelude(nest)
+    nest.ends[0] = [len(nest.body), 2]
     depth = 2
     for step in plan.steps:
         depth = step.emit(nest, depth)
@@ -350,15 +358,16 @@ def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
     if bound:
         ops.update(dict.fromkeys(("row_output", "bind_row")))
     lines = ["def nest(state, instances, indexes, meter, cost, emit):"]
+    lines += [f"    {read} = state.{read}" for read in sorted(plan.inline.reads)]
     lines += [f"    i{p + 1} = instances[{p}]" for p in range(nest.slots)]
     lines += [f"    x{pos} = indexes[{at}]" for at, (pos, *_index) in enumerate(plan.probes)]
     lines += [f"    c_{op} = cost[{op!r}]" for op in ops]
-    lines += [f"    k{k} = 0" for k in range(len(nest.counters))]
+    lines += [f"    n{k} = 0" for k in range(len(nest.counters))]
     if bound:
         lines.append("    n = 0")
     lines += ["    try:", *nest.body, "    finally:", "        ops = meter.ops"]
     for k, counter in enumerate(nest.counters):
-        lines += [f"        if k{k}:"] + [f"            ops[{op!r}] += k{k}" for op in counter]
+        lines += [f"        if n{k}:"] + [f"            ops[{op!r}] += n{k}" for op in counter]
     if bound:  # n additions of each, op after op, as n charge calls would make
         lines += ["    if n:", "        total = meter.total"]
         for op in ("row_output", "bind_row"):
@@ -598,16 +607,18 @@ class _HashJoinStep(_Step):
         nest.gather(self.desc, f"b{pos}.setdefault({key}, []).append(h{pos})")
 
     def emit(self, nest: _Nest, depth: int) -> int:
-        """The probe of a key written inline charges nothing, so it moves
-        out to the loop binding the last handle the key reads, and runs once
-        per row of that loop; ``join_probe`` stays charged per outer row.  A
-        key that can charge (a function call) is probed where it stands."""
+        """The probe of a key written inline that cannot raise charges
+        nothing and fails nowhere, so it moves out to the loop binding the
+        last handle the key reads — before the loops if it reads none — and
+        runs once per row of that loop; ``join_probe`` stays charged per
+        outer row.  A key that can charge (a function call) or raise (a
+        parameter, arithmetic) is probed where it stands."""
         pos = self.desc.env_pos
         key = nest.inline.get(self.probe_key)
-        if key is None:
+        if key is None or self.probe_key in nest.raising:
             rows = f"b{pos}.get({nest.value(self.probe_key, pos - 1)}, ())"
         else:  # the last handle a key reads: h3 in ``h3[1][0]``
-            level = max(int(handle) for handle in re.findall(r"\bh(\d+)\b", key))
+            level = max((int(h) for h in re.findall(r"\bh(\d+)\b", key)), default=0)
             nest.hoist(level, f"m{pos} = b{pos}.get({key}, ())")
             rows = f"m{pos}"
         nest.charge(depth, "join_probe")
@@ -880,6 +891,18 @@ def _agg_final(spec: _AggSpec, acc: Any) -> Any:
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=512)
+def _bound_shape(
+    columns: tuple[Column, ...], sources: tuple[ColumnSource, ...], n_ptrs: int
+) -> tuple[Schema, StaticMap]:
+    """One ``Schema`` and ``StaticMap`` object per bound shape, shared by
+    every bind spec of that value: the tables two rules bind into one
+    pending task — a view's stock-side and position-side deltas — are then
+    defined identically by identity, and ``TempTable.move_from`` takes its
+    fast path instead of comparing them by value."""
+    return Schema(list(columns)), StaticMap(sources, ptr_labels=[f"p{i}" for i in range(n_ptrs)])
+
+
 class BindSpec:
     """Shared binding shape for one result-column list: schema, static map,
     and per-row extractors (pointer slots assigned per distinct source)."""
@@ -887,7 +910,6 @@ class BindSpec:
     __slots__ = ("schema", "static_map", "ptr_getters", "ptr_keys", "mat_columns")
 
     def __init__(self, columns: list[OutputColumn]) -> None:
-        self.schema = Schema([Column(c.name, c.type) for c in columns])
         slot_of_key: dict[tuple, int] = {}  # pointer slot per distinct source
         self.ptr_getters: list[Getter] = []
         sources: list[ColumnSource] = []
@@ -903,8 +925,8 @@ class BindSpec:
                 sources.append(ColumnSource("mat", len(self.mat_columns)))
                 self.mat_columns.append(column)
         self.ptr_keys = list(slot_of_key)
-        self.static_map = StaticMap(
-            sources, ptr_labels=[f"p{i}" for i in range(len(self.ptr_getters))]
+        self.schema, self.static_map = _bound_shape(
+            tuple([Column(c.name, c.type) for c in columns]), tuple(sources), len(self.ptr_keys)
         )
 
 
@@ -995,25 +1017,32 @@ class SelectResult:
 # --------------------------------------------------------------------------
 
 
-#: What reading ``:name`` with no value for it raises, from a getter or generated DML.
+#: What reading ``:name`` with no value for it raises.
 MISSING_PARAM = "missing parameter :{}"
 
 
 class _SelectResolution:
-    """Column / param / function resolution for one SELECT's sources."""
+    """Column / param / function resolution for one SELECT's sources.
+
+    ``state`` is the source that yields the execution's ``ExecState`` where
+    the inline sources run: ``state`` in a loop nest; the generated DML
+    builds one, and only on the path where a source calls its getter to
+    raise the getter's error."""
 
     def __init__(
         self,
         db: Any,
         descs: list[SourceDesc],
         namespace: Optional[dict[str, Any]] = None,
+        state: str = "state",
     ) -> None:
         self.db = db
         self.descs = descs
         self.by_binding = {desc.binding: desc for desc in descs}
         self.namespace = namespace
-        #: Getters a fused nest can write inline instead of calling.
-        self.inline: dict[Getter, str] = {}
+        self.state = state
+        #: The source forms a fused nest writes instead of calling a getter.
+        self.inline = Inline()
 
     # -- ResolutionContext protocol --
 
@@ -1022,13 +1051,7 @@ class _SelectResolution:
         return getter
 
     def resolve_param(self, name: str) -> Getter:
-        def _param(env: Any) -> Any:
-            try:
-                return env[0].params[name]
-            except KeyError:
-                raise ExecutionError(MISSING_PARAM.format(name)) from None
-
-        return _param
+        return self._state_value("params", name, MISSING_PARAM.format(name))
 
     def resolve_function(self, name: str) -> tuple[Callable[..., Any], Callable[[], None]]:
         return self.db.resolve_scalar_function(name)
@@ -1103,7 +1126,7 @@ class _SelectResolution:
         else:
             getter = lambda env, p=pos, o=offset: env[p][o]
             inline = f"h{pos}[{offset}]"
-        self.inline[getter] = inline  # the same read, over the nest's handle h<pos>
+        self.inline.text[getter] = inline  # the same read, over the nest's handle h<pos>
         return getter, ptr
 
     def key(self, parts: list[Getter]) -> Getter:
@@ -1111,20 +1134,31 @@ class _SelectResolution:
         if len(parts) == 1:
             return parts[0]
         key = lambda env, parts=tuple(parts): tuple(part(env) for part in parts)
-        if all(part in self.inline for part in parts):
-            self.inline[key] = _tuple_source([self.inline[part] for part in parts])
+        self.inline.record(key, tuple(parts), lambda *texts: _tuple_source(texts))
         return key
 
     def _pseudo_getter(self, name: str) -> Getter:
-        def _pseudo(env: Any) -> Any:
-            try:
-                return env[0].pseudo[name]
-            except KeyError:
-                raise ExecutionError(
-                    f"pseudo column {name!r} is only available during rule binding"
-                ) from None
+        missing = f"pseudo column {name!r} is only available during rule binding"
+        return self._state_value("pseudo", name, missing)
 
-        return _pseudo
+    def _state_value(self, read: str, name: str, missing: str) -> Getter:
+        """A getter of ``name`` in the execution's ``params`` or ``pseudo``
+        (``read``) that raises ``ExecutionError(missing)`` where it is not
+        there, and its source: the local ``read``, else the getter itself."""
+
+        def _value(env: Any) -> Any:
+            try:
+                return getattr(env[0], read)[name]
+            except KeyError:
+                raise ExecutionError(missing) from None
+
+        inline = self.inline
+        key = inline.const(name)
+        inline.reads.add(read)
+        fallback = f"{inline.const(_value)}([{self.state}])"
+        inline.text[_value] = f"({read}[{key}] if {key} in {read} else {fallback})"
+        inline.raising.add(_value)
+        return _value
 
 
 def _describe_source(db: Any, ref: ast.TableRef, namespace: Optional[dict[str, Any]]) -> SourceDesc:

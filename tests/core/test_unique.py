@@ -4,7 +4,9 @@ Appendix A partitioning, fixed-once-running semantics."""
 import pytest
 
 from repro.database import Database
-from repro.errors import CreateRuleError
+from repro.errors import BindingError, CreateRuleError
+from repro.storage.schema import Schema
+from repro.storage.temptable import TempTable
 from repro.txn.tasks import TaskState
 
 
@@ -404,3 +406,60 @@ class TestSupersede:
         table = task.bound_tables["m"]
         db.unique_manager.supersede("f", ("a",), db.clock.now())
         assert table.retired
+
+
+class TestSharedBindShapes:
+    """Bind specs of one value share one ``Schema`` and one ``StaticMap``
+    object (``sql/planner._bound_shape``), so a pending task absorbs another
+    rule's firing of that shape by moving its rows after an identity check."""
+
+    def test_two_rules_binding_one_shape_batch_by_identity(self, db, monkeypatch):
+        by_value = []
+        check = TempTable._check_identical
+        monkeypatch.setattr(TempTable, "_check_identical", lambda self, other: (
+            by_value.append(other), check(self, other)))
+        db.execute("create table u (k text, grp text, v real)")
+        seen = []
+        install(db, "unique", seen)
+        db.execute(
+            "create rule watch_u on u when inserted if select k, grp, v from inserted "
+            "bind as m then execute f unique after 1.0 seconds"
+        )
+        db.execute("insert into t values ('a', 'g1', 1.0)")
+        db.execute("insert into u values ('b', 'g2', 2.0)")
+        assert db.unique_manager.pending_count("f") == 1
+        db.drain()
+        assert seen == [[{"k": "a", "grp": "g1", "v": 1.0}, {"k": "b", "grp": "g2", "v": 2.0}]]
+        assert by_value == []
+
+    def test_a_different_schema_is_still_refused(self, db):
+        db.execute("create table u (k text, grp text, v int)")
+        db.execute("insert into t values ('a', 'g1', 1.0)")
+        db.execute("insert into u values ('b', 'g2', 2)")
+        one = db.query("select k, v from t").bind("m", db)
+        again = db.query("select k, v from t where v > 0").bind("m", db)
+        other = db.query("select k, v from u").bind("m", db)
+        assert again.schema is one.schema and again.static_map is one.static_map
+        assert other.static_map.signature() == one.static_map.signature()
+        assert one.move_from(again) == 1
+        with pytest.raises(BindingError, match="schema mismatch"):
+            one.move_from(other)
+
+    def test_a_materialized_pending_table_still_takes_rows_by_value(self, db):
+        """As recovery rebuilds a pending task: an equal schema, every
+        column materialized.  A fresh firing's pointer-backed rows enter it
+        by value, and it stays materialized."""
+        seen = []
+        install(db, "unique", seen)
+        db.execute("insert into t values ('a', 'g1', 1.0)")
+        (task,) = db.unique_manager.pending_tasks("f")
+        bound = task.bound_tables["m"]
+        copy = TempTable("m", Schema(list(bound.schema.columns)))
+        for values in bound.scan_values():
+            copy.append_values(values)
+        bound.retire()
+        task.bound_tables["m"] = copy
+        db.execute("insert into t values ('b', 'g2', 2.0)")
+        assert task.bound_tables["m"] is copy and copy.static_map.ptr_slots == 0
+        db.drain()
+        assert seen == [[{"k": "a", "grp": "g1", "v": 1.0}, {"k": "b", "grp": "g2", "v": 2.0}]]

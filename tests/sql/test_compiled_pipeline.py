@@ -10,7 +10,14 @@ and — bit for bit — ``meter.total``.
 from __future__ import annotations
 
 import inspect
+import io
+import re
+import tokenize
+from ast import literal_eval
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +31,7 @@ from repro.pta.tables import Scale
 from repro.pta.workload import populate_trace, trace_tasks
 from repro.sim.clock import Meter
 from repro.sim.simulator import Simulator
-from repro.sql import executor, planner
+from repro.sql import ast, executor, expressions, planner
 from repro.sql.parser import parse_statement
 from repro.sql.planner import plan_select
 from repro.storage.schema import ColumnType, Schema
@@ -58,7 +65,8 @@ def worlds(draw):
 
 @st.composite
 def queries(draw):
-    """A 1-3 table SELECT over standard, bound, transition and view sources."""
+    """A 1-3 table SELECT over standard, bound, transition and view sources,
+    and whether its collect runs with the pseudo columns' values."""
     tables = draw(
         st.lists(
             st.sampled_from(["a", "a", "b", "b", "m", "t", "new", "old", "wide_b"]),
@@ -67,22 +75,34 @@ def queries(draw):
     )
     where = []
     for left, right in zip(tables, tables[1:]):
-        joined = draw(st.sampled_from(["k", "k", "order", "none", "both"]))
+        joined = draw(st.sampled_from(["k", "k", "order", "none", "both", "nested"]))
         if joined == "order" and {left, right} == {"new", "old"}:
             where.append("new.execute_order = old.execute_order")
         elif joined == "both" and "b" in (left, right):
             other = left if right == "b" else right
             where.append(f"b.k = {other}.k")
             where.append(f"b.w = {other}.{VALUE_COLUMN[other]}")
+        elif joined == "nested":  # a join key of nested arithmetic
+            where.append(f"{right}.k = ({left}.k + 1) * 2 - {left}.k - 1")
         elif joined != "none":
             where.append(f"{left}.k = {right}.k")
     first, last = tables[0], tables[-1]
+    first_v, last_v = VALUE_COLUMN[first], VALUE_COLUMN[last]
     extras = {
         "param": f"{first}.k = :p",
-        "literal": f"{last}.k = 1",
-        "range": f"{first}.{VALUE_COLUMN[first]} >= 0 and {first}.{VALUE_COLUMN[first]} < 3",
+        "literal": f"{last}.k = 1",  # joined: a probe key that reads no handle
+        "param_key": f"{last}.k = :p",
+        "missing": f"{first}.{first_v} < {first}.k + :nope",  # raises after a NULL k too
+        "missing_key": f"{last}.k = :nope",
+        "range": f"{first}.{first_v} >= 0 and {first}.{first_v} < 3",
         "function": f"abs({last}.k) >= 1",
         "cross": f"{first}.k + {last}.k < 5",
+        "divide": f"{first}.k / {last}.{last_v} >= 1",  # a zero divisor raises
+        "modulo": f"{last}.k % {first}.{first_v} = 0",
+        "three_valued": f"({first}.k is null or {last}.k > 1) or not ({first}.{first_v} = 2)",
+        "negated": f"-{last}.k < -1",
+        "type_mix": "a.s < 1" if "a" in tables else f"{first}.k < 'x'",
+        "text": f"{last}.k != 'x) or 1 or (1'",
         "null": f"{last}.k is not null",
         "subquery": f"{first}.k in (select k from b)",
         "pseudo": "commit_seq > 3",
@@ -99,6 +119,10 @@ def queries(draw):
         "param": ":p as q",
         "function": f"abs({last}.k) as f",
         "literal": "7 as seven",
+        "nested": f"({first}.k + 1) * 2 - {last}.k as n2",
+        "negated": f"-{last}.k as neg",
+        "three_valued": f"{first}.k is null or not ({last}.k = 1) as flag",
+        "seq": "commit_seq as seq",
     }
     chosen = draw(st.lists(st.sampled_from(sorted(items)), min_size=1, max_size=4, unique=True))
     if "star" in chosen and len(tables) == 1:
@@ -116,7 +140,8 @@ def queries(draw):
     sql = f"select {'distinct ' if shape == 'distinct' else ''}{select_list} from {', '.join(tables)}"
     if where:
         sql += " where " + " and ".join(where)
-    return sql + tail, shape != "group"
+    pseudo = draw(st.sampled_from([PSEUDO, PSEUDO, PSEUDO, None]))
+    return sql + tail, shape != "group", pseudo
 
 
 class World:
@@ -196,6 +221,7 @@ def same_meter(got: Meter, want: Meter) -> None:
 
 
 def outcome(result):
+    """A result's column names and rows, or the error it raised, comparable."""
     if isinstance(result, ExecutionError):
         return ("error", str(result))
     return (result.column_names, result.rows())
@@ -205,18 +231,81 @@ def raw_rows(table: TempTable) -> list:
     return [(tuple(id(record) for record in ptrs), mats) for ptrs, mats in table.scan_raw()]
 
 
+def statement_words(node) -> set:
+    """What a statement spells that generated source must not: every table,
+    column, parameter and pseudo-column name and every text literal (not
+    operators, aliases or function names)."""
+    words: set = set()
+
+    def walk(value) -> None:
+        if isinstance(value, str):
+            words.add(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+        elif is_dataclass(value):
+            for field in fields(value):
+                skipped = field.name in ("op", "alias", "plan_memo")
+                if not skipped and not (isinstance(value, ast.FuncCall) and field.name == "name"):
+                    walk(getattr(value, field.name))
+
+    walk(node)
+    return words
+
+
+def spelled(source: str) -> set:
+    """Every name, string value and comment word of generated ``source``."""
+    out = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            out.add(token.string)
+        elif token.type == tokenize.STRING:
+            out.add(literal_eval(token.string))
+        elif token.type == tokenize.COMMENT:
+            out.update(re.findall(r"\w+", token.string))
+    return out
+
+
+@contextmanager
+def generated(module, prefix: str) -> Iterator[list]:
+    """Every ``(source, globals)`` that ``module`` compiles through
+    ``generate`` under a filename starting with ``prefix``, in order."""
+    captured: list = []
+    generate = module.generate
+
+    def capturing(lines, name, filename, names):
+        if filename.startswith(prefix):
+            captured.append(("\n".join(lines), names))
+        return generate(lines, name, filename, names)
+
+    module.generate = capturing
+    try:
+        yield captured
+    finally:
+        module.generate = generate
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(worlds(), queries())
 def test_compiled_nest_matches_reference(spec, query):
-    sql, bindable = query
+    sql, bindable, pseudo = query
     world = World(spec)
+    db, namespace = world.db, world.namespace
+    with generated(planner, "<nest") as nests:
+        compare_with_reference(world, sql, bindable, pseudo)
+    words = statement_words(parse_statement(sql)) | {*PARAMS, "nope", *PSEUDO}
+    for source, _names in nests:  # no statement text became source
+        assert not words & spelled(source), words & spelled(source)
+
+
+def compare_with_reference(world: World, sql: str, bindable: bool, pseudo) -> None:
     db, namespace = world.db, world.namespace
     try:
         plan = plan_select(db, parse_statement(sql), namespace)
-        args = (db, None, PARAMS, PSEUDO, namespace)
+        args = (db, None, PARAMS, pseudo, namespace)
         got, got_meter = world.metered(lambda: outcome(plan.execute(*args)))
         want, want_meter = world.metered(lambda: outcome(plan.execute_reference(*args)))
-        assert got == want
+        assert outcome(got) == outcome(want) if isinstance(want, ExecutionError) else got == want
         same_meter(got_meter, want_meter)
         if not bindable or ":p" in sql:  # rule queries take no parameters
             return
@@ -357,20 +446,6 @@ def test_a_plan_run_then_held_across_drop_index_is_stale(db, sql):
     assert len(again) == len(rows) + 1
 
 
-def nest_sources(monkeypatch) -> list[str]:
-    """The source of every loop nest compiled from here on, in order."""
-    sources: list[str] = []
-    generate = planner.generate
-
-    def captured(lines, name, filename, names):
-        if filename.startswith("<nest"):
-            sources.append("\n".join(lines))
-        return generate(lines, name, filename, names)
-
-    monkeypatch.setattr(planner, "generate", captured)
-    return sources
-
-
 def loop_line(source: str, text: str) -> tuple[int, int]:
     """(line number, indentation) of the one line of ``source`` holding ``text``."""
     lines = [(at, line) for at, line in enumerate(source.splitlines()) if text in line]
@@ -383,9 +458,9 @@ def test_the_comps_condition_probes_old_once_per_new_row(monkeypatch):
     """The hash probe of ``old`` reads only ``new``, so it sits in the loop
     over ``new``, before the ``comps_list`` index loop; ``join_probe`` is
     still charged per ``comps_list`` row."""
-    sources = nest_sources(monkeypatch)
-    calls, _pin_samples, ops, rows = comps_run(monkeypatch, Scale.tiny())
-    (source,) = sources
+    with generated(planner, "<nest") as nests:
+        calls, _pin_samples, ops, rows = comps_run(monkeypatch, Scale.tiny())
+    ((source, _names),) = nests
     probe, probe_indent = loop_line(source, ".get(")
     lookup, lookup_indent = loop_line(source, ".lookup(")
     assert probe < lookup and probe_indent == lookup_indent
@@ -393,11 +468,17 @@ def test_the_comps_condition_probes_old_once_per_new_row(monkeypatch):
     assert ops["join_probe"] == rows and calls["join_probe"] == 0
 
 
-@pytest.mark.parametrize("key, hoisted", [("t.k", True), ("abs(t.k)", False)])
-def test_only_an_inline_probe_key_is_hoisted(db, monkeypatch, key, hoisted):
+@pytest.mark.parametrize("key, probed, rows", [
+    ("t.k", "per t row", 5),
+    ("1", "once", 6),
+    ("t.k + 1", "where it stands", 2),
+    ("abs(t.k)", "where it stands", 5),
+], ids=["t.k-True", "1-True", "t.k + 1-False", "abs(t.k)-False"])  # hoisted or not
+def test_only_an_inline_probe_key_is_hoisted(db, key, probed, rows):
     """``u`` is hash-joined on a key of ``t`` below the index join into
-    ``a``.  A plain column key is probed once per ``t`` row; a key that
-    calls a scalar function (which charges) is probed, and charged, per
+    ``a``.  A plain column key is probed once per ``t`` row, and a literal
+    one once, before the loops.  A key that can raise (arithmetic) or
+    charge (a scalar function call, charged per call) is probed per
     ``(t, a)`` row where it stands — the reference's charges either way."""
     db.execute("insert into a values (1, 11)")  # two a rows for t.k = 1
     t = TempTable("t", Schema.of(("k", ColumnType.INT), ("x", ColumnType.INT)))
@@ -408,18 +489,24 @@ def test_only_an_inline_probe_key_is_hoisted(db, monkeypatch, key, hoisted):
         u.append_values(row)
     namespace = {"t": t, "u": u}
     sql = f"select t.k, a.v, u.y from t, a, u where a.k = t.k and u.k = {key}"
-    sources = nest_sources(monkeypatch)
     plan = plan_select(db, parse_statement(sql), namespace)
     args = (db, None, None, PSEUDO, namespace)
-    got, got_meter = metered(db, lambda: outcome(plan.execute(*args)))
+    with generated(planner, "<nest") as nests:
+        got, got_meter = metered(db, lambda: outcome(plan.execute(*args)))
     want, want_meter = metered(db, lambda: outcome(plan.execute_reference(*args)))
-    assert got == want and len(got[1]) == 5
+    assert got == want and len(got[1]) == rows
     same_meter(got_meter, want_meter)
-    (source,) = sources
+    ((source, _names),) = nests
     probe, probe_indent = loop_line(source, ".get(")
     lookup, lookup_indent = loop_line(source, ".lookup(")
-    assert (probe < lookup and probe_indent == lookup_indent) is hoisted
-    assert got_meter.ops["expr_eval"] == (0 if hoisted else 3)
+    first_loop = next(at for at, line in enumerate(source.splitlines()) if "for h1 in" in line)
+    where = {
+        "once": probe < first_loop,
+        "per t row": first_loop < probe < lookup and probe_indent == lookup_indent,
+        "where it stands": probe > lookup,
+    }
+    assert [name for name, holds in where.items() if holds] == [probed]
+    assert got_meter.ops["expr_eval"] == (3 if "abs" in key else 0)
 
 
 # -------------------------------------------------- per-row work, counted
@@ -500,6 +587,75 @@ def test_per_bound_row_work_on_the_comps_workload(monkeypatch):
     assert all(pins == pointers for pins, pointers in samples)
     assert max(pointers for _pins, pointers in samples) >= 3 * 100  # three per bound row
     assert not any(record.pins for record in records)
+
+
+def sql_smoke() -> None:
+    """One repetition of the ``sql_views_mixed`` benchmark at its smoke size."""
+    from benchmarks.e2e.workloads import WORKLOADS
+
+    workload = WORKLOADS["sql_views_mixed"]
+    rep = workload.setup(workload.inputs(0, True), None)
+    workload.run(rep)
+    assert workload.verify(rep) == 0
+    workload.teardown(rep)
+
+
+def test_the_sql_smoke_calls_a_getter_only_where_it_can_charge(monkeypatch):
+    """In the ``sql_views_mixed`` smoke every ``g<n>`` global of every loop
+    nest wraps an expression that can charge — a function call or a
+    subquery — and everything else is written in line; no nest and no
+    generated statement spells a name or a text value of its statement."""
+    compiled: dict = {}  # getter -> the expression it was compiled from
+    compile_expr = expressions.compile_expr
+
+    def recording(expr, ctx):
+        getter = compile_expr(expr, ctx)
+        compiled[getter] = expr
+        return getter
+
+    for module in (expressions, planner, executor):
+        monkeypatch.setattr(module, "compile_expr", recording)
+    words: set = set()  # of every statement planned or prepared
+    for module, name in ((planner, "plan_select"), (executor, "plan_select"),
+                         (executor, "_prepare_write")):
+        original = getattr(module, name)
+
+        def noting(db, stmt, namespace, original=original):
+            words.update(statement_words(stmt))
+            return original(db, stmt, namespace)
+
+        monkeypatch.setattr(module, name, noting)
+    with generated(planner, "<nest") as nests, generated(executor, "<dml") as writes:
+        sql_smoke()
+    assert len(nests) > 20 and len(writes) == 2 and {"shares", "commit_seq"} <= words
+    for source, names in nests:
+        for name in names:
+            if re.fullmatch(r"g\d+", name):
+                assert ast.calls_out(compiled[names[name]]), (name, source)
+    for source, _names in nests + writes:
+        assert not words & spelled(source), (words & spelled(source), source)
+
+
+def test_the_sql_smoke_batches_bound_tables_by_identity(monkeypatch):
+    """A view's stock-side and position-side rules bind tables of one shape
+    into one pending task.  Bind specs of one value share their ``Schema``
+    and ``StaticMap`` objects, so every ``move_from`` that absorbs a firing
+    is an identity check, never the by-value comparison."""
+    counts: Counter = Counter()
+    move_from, check = TempTable.move_from, TempTable._check_identical
+
+    def moving(self, other):
+        counts["moves"] += 1
+        return move_from(self, other)
+
+    def checking(self, other):
+        counts["by_value"] += other.schema is not self.schema or other.static_map is not self.static_map
+        return check(self, other)
+
+    monkeypatch.setattr(TempTable, "move_from", moving)
+    monkeypatch.setattr(TempTable, "_check_identical", checking)
+    sql_smoke()
+    assert counts["moves"] > 1000 and counts["by_value"] == 0
 
 
 def test_the_one_exec_is_generate():

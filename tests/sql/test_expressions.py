@@ -1,23 +1,34 @@
-"""Unit tests for expression compilation and SQL NULL semantics."""
+"""Unit tests for expression compilation and SQL NULL semantics.
+
+Every expression evaluated here runs twice when it has a source form: as
+its closure and as that source compiled into a function, which must return
+the same value or raise the same error."""
 
 import pytest
 
 from repro.errors import ExecutionError, PlanError
-from repro.sql.expressions import compile_expr, truthy
+from repro.sql.expressions import Inline, compile_expr, truthy
 from repro.sql.parser import parse_expression
+from repro.storage.temptable import generate
 
 
 class _StubResolution:
-    """Columns resolve to entries of env[1] (a dict); no subqueries."""
+    """Columns resolve to entries of env[1] (a dict), read in a source as
+    ``row[k]``; parameters to env[0], read as ``params[k]``; no subqueries."""
 
     def __init__(self, functions=None):
         self.functions = functions or {}
+        self.inline = Inline()
 
     def resolve_column(self, table, name):
-        return lambda env, n=name: env[1][n]
+        getter = lambda env, n=name: env[1][n]
+        self.inline.text[getter] = f"row[{self.inline.const(name)}]"
+        return getter
 
     def resolve_param(self, name):
-        return lambda env, n=name: env[0][n]
+        getter = lambda env, n=name: env[0][n]
+        self.inline.text[getter] = f"params[{self.inline.const(name)}]"
+        return getter
 
     def resolve_function(self, name):
         try:
@@ -30,10 +41,25 @@ class _StubResolution:
         raise PlanError("no subqueries in stub")
 
 
+def _outcome(run, env):
+    try:
+        return ("value", run(env))
+    except ExecutionError as exc:
+        return ("error", str(exc))
+
+
 def evaluate(sql, row=None, params=None, functions=None):
     expr = parse_expression(sql)
-    getter = compile_expr(expr, _StubResolution(functions))
-    return getter([params or {}, row or {}])
+    resolution = _StubResolution(functions)
+    getter = compile_expr(expr, resolution)
+    env = [params or {}, row or {}]
+    source = resolution.inline.text.get(getter)
+    if source is not None:
+        lines = [f"def run(params, row): return {source}"]
+        run = generate(lines, "run", "<expression>", dict(resolution.inline.names))
+        closure, compiled = _outcome(getter, env), _outcome(lambda env: run(*env), env)
+        assert compiled == closure and type(compiled[1]) is type(closure[1]), (sql, source)
+    return getter(env)
 
 
 class TestArithmetic:
