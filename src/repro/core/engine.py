@@ -104,6 +104,10 @@ class RuleEngine:
         self._version = -1  # the catalog version the programs were built at
         self.firing_count = 0  # conditions that evaluated to true
         self.check_count = 0  # rules whose events matched (condition ran)
+        #: Per user function, the commit sequences at which two or more of
+        #: its rules fired: a maintained view's commits that changed two of
+        #: its tables, whose change pairs each rule's delta would count.
+        self.paired_commits: dict[str, set[int]] = {}
 
     def programs(self) -> dict[Table, tuple[TransitionShape, list[PreparedRule]]]:
         """The prepared programs, rebuilt when the catalog version moved."""
@@ -133,6 +137,7 @@ class RuleEngine:
         programs = self.programs()
         checks = firings = 0
         pseudo = {"commit_time": txn.commit_time, "commit_seq": txn.commit_seq}
+        fired: set[str] = set()  # the user functions of the rules fired so far
         for name in txn.log.tables_touched():
             program = programs.get(catalog.table(name)) if catalog.has_table(name) else None
             if program is None:
@@ -160,6 +165,10 @@ class RuleEngine:
                         transitions = shape.build(db, entries, reads)
                     if self._fire(prepared, txn, transitions, pseudo):
                         firings += 1
+                        function = prepared.rule.function
+                        if function in fired:
+                            self.paired_commits.setdefault(function, set()).add(txn.commit_seq)
+                        fired.add(function)
             finally:
                 # Retire even when a condition or dispatch raised, so the
                 # records pinned by this firing's temp tables are released.

@@ -11,7 +11,6 @@ DML").
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ExecutionError
@@ -25,8 +24,10 @@ from repro.sql.planner import (
     SelectResult,
     SourceDesc,
     _SelectResolution,
-    _split_conjuncts,
+    classify,
+    combine,
     plan_select,
+    probe_of,
 )
 from repro.storage.temptable import TempTable, generate
 
@@ -151,8 +152,11 @@ def _prepare_write(
     """Write, compile and return one UPDATE or DELETE as a generated
     ``run(txn, params, namespace) -> rows written`` (DESIGN.md 6a).
 
-    One conjunct ``column = <expression over no column>`` on an indexed
-    column becomes an index probe; every other conjunct is the residual
+    The probe is the one a SELECT over the same WHERE takes first
+    (``planner.probe_of`` over ``planner.classify``): the first conjunct
+    ``column = <expression reading no column of the table>`` on a column
+    indexed alone — a pseudo column reads none, so its probe key raises
+    before any row is fetched.  Every other conjunct is the residual
     evaluated per candidate.  The probed conjunct holds for every candidate
     of a non-NULL key, so it leaves the residual — unless its operand can
     charge (function call, subquery): then re-evaluating it per candidate is
@@ -174,26 +178,15 @@ def _prepare_write(
     desc = SourceDesc(name=table.name, binding=table.name, kind=STD, schema=table.schema)
     desc.env_pos = 1
     resolution = _SelectResolution(db, [desc], namespace, "ExecState(db, txn, params, {}, namespace)")
-    conjuncts = residual_of = _split_conjuncts(stmt.where)
+    conjuncts = classify(stmt.where, {table.name: table.schema})
+    residual_of = [conjunct.expr for conjunct in conjuncts]
+    probe = probe_of(conjuncts, table.name, table)
     index = key_expr = None
-    for position, conjunct in enumerate(conjuncts):
-        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-            continue
-        for side, other in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
-            if (
-                isinstance(side, ast.ColumnRef)
-                and (side.table in (None, table.name))
-                and table.schema.has_column(side.name)
-                and not ast.column_refs(other)
-            ):
-                index = table.index_on((side.name,))
-                if index is not None:
-                    key_expr = other
-                    if not ast.calls_out(other):
-                        residual_of = conjuncts[:position] + conjuncts[position + 1 :]
-                    break
-        if index is not None:
-            break
+    if probe is not None:
+        position, side, index = probe
+        key_expr = side.other
+        if not ast.calls_out(key_expr):
+            del residual_of[position]
     inline = resolution.inline
     calls: list[Getter] = []  # getters the source calls on env
 
@@ -205,9 +198,7 @@ def _prepare_write(
             source = f"{inline.const(getter)}(env)"
         return source
 
-    residual = None
-    if residual_of:
-        residual = value(functools.reduce(lambda a, b: ast.BinaryOp("and", a, b), residual_of))
+    residual = value(combine(residual_of)) if residual_of else None
     residual_calls = bool(calls)
     key = value(key_expr) if index is not None else None
     where_calls = len(calls)

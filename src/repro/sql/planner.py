@@ -28,9 +28,10 @@ section 6.1).
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.errors import ExecutionError, PlanError
 from repro.sql import ast
@@ -1187,57 +1188,108 @@ def _describe_source(db: Any, ref: ast.TableRef, namespace: Optional[dict[str, A
     raise PlanError(f"unknown table or view {name!r}")
 
 
-def _split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
+# --------------------------------------------------------------------------
+# The WHERE clause, classified once: what every access path is chosen from
+# --------------------------------------------------------------------------
+
+
+def split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
+    """The top-level AND conjuncts of a WHERE clause, in order."""
     if expr is None:
         return []
     if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
 
 
-def _compile_conjunction(
-    exprs: list[ast.Expr], resolution: "_SelectResolution"
-) -> Optional[Getter]:
-    """One getter for the AND of ``exprs`` in order (None for none)."""
-    if not exprs:
+def combine(exprs: Sequence[ast.Expr], op: str = "and") -> Optional[ast.Expr]:
+    """``exprs`` folded left under ``op`` (None for none)."""
+    return functools.reduce(lambda a, b: ast.BinaryOp(op, a, b), exprs) if exprs else None
+
+
+def _owners(name: str, schemas: dict[str, Schema]) -> list[str]:
+    return [binding for binding, schema in schemas.items() if schema.has_column(name)]
+
+
+def column_source(expr: ast.Expr, schemas: dict[str, Schema]) -> Optional[tuple[str, str]]:
+    """``(binding, column)`` when ``expr`` is a bare column of one of the
+    sources ``schemas`` (by binding): of its qualifier, if that source has
+    it, else of the one source that has it — None for none or several."""
+    if not isinstance(expr, ast.ColumnRef):
         return None
-    combined = exprs[0]
-    for expr in exprs[1:]:
-        combined = ast.BinaryOp("and", combined, expr)
-    return compile_expr(combined, resolution)
+    if expr.table is None:
+        owners = _owners(expr.name, schemas)
+    else:
+        owners = [expr.table] if expr.table in _owners(expr.name, schemas) else []
+    return (owners[0], expr.name) if len(owners) == 1 else None
 
 
-def _aliases_in(expr: ast.Expr, resolution_aliases: dict[str, SourceDesc]) -> set[str]:
-    """Bindings referenced by ``expr`` (unqualified names resolved uniquely)."""
+def bindings_read(expr: ast.Expr, schemas: dict[str, Schema]) -> frozenset[str]:
+    """The sources ``expr`` reads: each column's qualifier, else the one
+    source that has the column.  A name no source has (a pseudo column such
+    as ``commit_seq``) reads none; a name several have raises."""
     out: set[str] = set()
     for ref in ast.column_refs(expr):
-        if ref.table is not None:
-            out.add(ref.table)
-        else:
-            matches = [
-                binding
-                for binding, desc in resolution_aliases.items()
-                if desc.schema.has_column(ref.name)
-            ]
-            if len(matches) == 1:
-                out.add(matches[0])
-            elif len(matches) > 1:
-                raise PlanError(f"column {ref.name!r} is ambiguous")
-            # zero matches: pseudo column (commit_time) — no alias dependency
+        owners = [ref.table] if ref.table is not None else _owners(ref.name, schemas)
+        if len(owners) > 1:
+            raise PlanError(f"column {ref.name!r} is ambiguous")
+        out.update(owners)
+    return frozenset(out)
+
+
+class Side(NamedTuple):
+    """An operand of a comparison conjunct that is a bare column."""
+
+    binding: str
+    column: str
+    op: str  # the comparison, read with this column on its left
+    other: ast.Expr  # the other operand
+    reads: frozenset[str]  # the sources ``other`` reads
+
+
+class Conjunct(NamedTuple):
+    """One top-level AND conjunct of a WHERE clause, classified."""
+
+    expr: ast.Expr
+    reads: frozenset[str]  # the sources it reads
+    closed: bool  # every column it names is a column of one source
+    sides: tuple[Side, ...]  # one per operand that is a bare column, left first
+
+
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def classify(where: Optional[ast.Expr], schemas: dict[str, Schema]) -> list[Conjunct]:
+    """Each conjunct of ``where`` with what an access path is chosen from:
+    SELECT's join order, join keys and scan probe, UPDATE / DELETE's probe
+    and a maintained view's mark queries all read this, and only this."""
+    out = []
+    for expr in split_conjuncts(where):
+        sides = []
+        if isinstance(expr, ast.BinaryOp) and expr.op in _FLIPPED:
+            pairs = ((expr.left, expr.right, expr.op), (expr.right, expr.left, _FLIPPED[expr.op]))
+            for side, other, op in pairs:
+                source = column_source(side, schemas)
+                if source is not None:
+                    sides.append(Side(*source, op, other, bindings_read(other, schemas)))
+        closed = all(column_source(ref, schemas) for ref in ast.column_refs(expr))
+        out.append(Conjunct(expr, bindings_read(expr, schemas), closed, tuple(sides)))
     return out
 
 
-def _single_column_of(
-    expr: ast.Expr, binding: str, desc: SourceDesc, aliases: dict[str, SourceDesc]
-) -> Optional[str]:
-    """If ``expr`` is a bare column of ``binding``, return the column name."""
-    if not isinstance(expr, ast.ColumnRef):
-        return None
-    if expr.table is not None:
-        return expr.name if expr.table == binding and desc.schema.has_column(expr.name) else None
-    matches = [b for b, d in aliases.items() if d.schema.has_column(expr.name)]
-    if matches == [binding]:
-        return expr.name
+def probe_of(
+    conjuncts: Sequence[Conjunct], binding: str, table: Any
+) -> Optional[tuple[int, Side, Any]]:
+    """``(position, side, index)`` of the first conjunct ``column = <an
+    expression reading no source>`` whose column of ``binding`` ``table``
+    indexes alone: the one probe of a SELECT's first table and of an
+    UPDATE / DELETE.  None: no such conjunct."""
+    for position, conjunct in enumerate(conjuncts):
+        for side in conjunct.sides:
+            if side.op == "=" and side.binding == binding and not side.reads:
+                index = table.index_on((side.column,))
+                if index is not None:
+                    return position, side, index
     return None
 
 
@@ -1249,53 +1301,39 @@ def plan_select(
     descs = [_describe_source(db, ref, namespace) for ref in select.tables]
     for from_pos, desc in enumerate(descs):
         desc.from_pos = from_pos
-    bindings = {desc.binding: desc for desc in descs}
-    if len(bindings) != len(descs):
+    schemas = {desc.binding: desc.schema for desc in descs}
+    if len(schemas) != len(descs):
         raise PlanError("duplicate table alias in FROM")
 
-    conjuncts = _split_conjuncts(select.where)
-    conjunct_aliases = [_aliases_in(conjunct, bindings) for conjunct in conjuncts]
+    conjuncts = classify(select.where, schemas)
     used = [False] * len(conjuncts)
+    kind_rank = {TMP: 0, DERIVED: 1, STD: 2}
+
+    def indexed_alone(desc: SourceDesc, column: str) -> bool:
+        return desc.kind == STD and db.catalog.table(desc.name).index_on((column,)) is not None
+
+    def equalities(desc: SourceDesc):
+        """(conjunct, side) per ``column = ...`` side on a column of ``desc``."""
+        for conjunct in conjuncts:
+            for side in conjunct.sides:
+                if side.op == "=" and side.binding == desc.binding:
+                    yield conjunct, side
 
     # ---- choose the join order -------------------------------------------
-    remaining = list(descs)
-
-    def _has_probeable_join_index(desc: SourceDesc) -> bool:
-        """True if some equi-join conjunct could probe an index of ``desc``
-        — such tables should be *joined into* the pipeline, not scanned."""
-        if desc.kind != STD:
-            return False
-        table = db.catalog.table(desc.name)
-        for i, conjunct in enumerate(conjuncts):
-            if not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":
-                continue
-            if desc.binding not in conjunct_aliases[i] or len(conjunct_aliases[i]) < 2:
-                continue
-            for side in (conjunct.left, conjunct.right):
-                column = _single_column_of(side, desc.binding, desc, bindings)
-                if column and table.index_on((column,)) is not None:
-                    return True
-        return False
-
     def _start_score(desc: SourceDesc) -> tuple:
-        kind_rank = {TMP: 0, DERIVED: 1, STD: 2}[desc.kind]
-        has_local_eq = 0
-        if desc.kind == STD:
-            table = db.catalog.table(desc.name)
-            for i, conjunct in enumerate(conjuncts):
-                if conjunct_aliases[i] == {desc.binding} and isinstance(conjunct, ast.BinaryOp):
-                    if conjunct.op == "=":
-                        for side, other in (
-                            (conjunct.left, conjunct.right),
-                            (conjunct.right, conjunct.left),
-                        ):
-                            column = _single_column_of(side, desc.binding, desc, bindings)
-                            if column and not _aliases_in(other, bindings):
-                                if table.index_on((column,)) is not None:
-                                    has_local_eq = -1
-        probeable = 1 if _has_probeable_join_index(desc) else 0
-        return (kind_rank + has_local_eq, probeable, desc.from_pos)
+        # A local equality on an index probes; an equi-join that could probe
+        # an index of ``desc`` says: join it *into* the pipeline, not first.
+        local_eq = any(
+            conjunct.reads == {desc.binding} and not side.reads and indexed_alone(desc, side.column)
+            for conjunct, side in equalities(desc)
+        )
+        probeable = any(
+            len(conjunct.reads) >= 2 and indexed_alone(desc, side.column)
+            for conjunct, side in equalities(desc)
+        )
+        return (kind_rank[desc.kind] - local_eq, int(probeable), desc.from_pos)
 
+    remaining = list(descs)
     start = min(remaining, key=_start_score)
     order = [start]
     remaining.remove(start)
@@ -1303,60 +1341,32 @@ def plan_select(
 
     while remaining:
         placed = {desc.binding for desc in order}
-        best: Optional[tuple[tuple, SourceDesc, list[tuple[str, ast.Expr]]]] = None
+        best: Optional[tuple[tuple, SourceDesc, list[tuple[int, Side]]]] = None
         for desc in remaining:
-            keys: list[tuple[str, ast.Expr]] = []
-            for i, conjunct in enumerate(conjuncts):
-                if used[i] or not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":
+            binding = desc.binding
+            keys: list[tuple[int, Side]] = []  # (conjunct position, key side)
+            for position, conjunct in enumerate(conjuncts):
+                if used[position] or not conjunct.reads - {binding} <= placed:
                     continue
-                refs = conjunct_aliases[i]
-                if desc.binding not in refs or not refs - {desc.binding} <= placed:
-                    continue
-                if not (refs - {desc.binding}) <= placed:
-                    continue
-                for side, other in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
-                ):
-                    column = _single_column_of(side, desc.binding, desc, bindings)
-                    other_refs = _aliases_in(other, bindings)
-                    if column and desc.binding not in other_refs and other_refs <= placed:
-                        keys.append((column, other))
+                for side in conjunct.sides:
+                    if side.op == "=" and side.binding == binding and side.reads <= placed:
+                        keys.append((position, side))
                         break
             if keys:
-                has_index = 0
-                if desc.kind == STD:
-                    table = db.catalog.table(desc.name)
-                    columns = tuple(k for k, _ in keys)
-                    if table.index_on(columns) or (
-                        len(keys) > 1 and table.index_on((keys[0][0],))
-                    ):
-                        has_index = -1
-                    elif table.index_on((keys[0][0],)):
-                        has_index = -1
-                score = (has_index, {TMP: 0, DERIVED: 1, STD: 2}[desc.kind], desc.from_pos)
+                # Scored as indexed (by a non-empty index) when the first key
+                # column alone is, though only a full-key index is probed.
+                columns = tuple(side.column for _position, side in keys)
+                table = db.catalog.table(desc.name) if desc.kind == STD else None
+                indexed = table and (table.index_on(columns) or table.index_on(columns[:1]))
+                score = (-1 if indexed else 0, kind_rank[desc.kind], desc.from_pos)
                 if best is None or score < best[0]:
                     best = (score, desc, keys)
         if best is not None:
             _score, desc, keys = best
-            # Mark the conjuncts we consumed as join keys.
-            for column, other in keys:
-                for i, conjunct in enumerate(conjuncts):
-                    if used[i]:
-                        continue
-                    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-                        sides = (
-                            (conjunct.left, conjunct.right),
-                            (conjunct.right, conjunct.left),
-                        )
-                        for side, other_side in sides:
-                            if (
-                                _single_column_of(side, desc.binding, desc, bindings) == column
-                                and other_side is other
-                            ):
-                                used[i] = True
+            for position, _side in keys:
+                used[position] = True
             order.append(desc)
-            join_specs.append(keys)
+            join_specs.append([(side.column, side.other) for _position, side in keys])
             remaining.remove(desc)
         else:
             desc = remaining.pop(0)
@@ -1368,86 +1378,54 @@ def plan_select(
 
     resolution = _SelectResolution(db, order, namespace)
 
+    def conjunction(assigned: list[Conjunct]) -> Optional[Getter]:
+        """One getter for the AND of ``assigned`` in order (None for none)."""
+        return compile_expr(combine([c.expr for c in assigned]), resolution) if assigned else None
+
     # ---- assign residual conjuncts to pipeline positions ------------------
-    residuals: list[list[ast.Expr]] = [[] for _ in order]
-    placed_sets = []
-    running: set[str] = set()
-    for desc in order:
-        running = running | {desc.binding}
-        placed_sets.append(set(running))
-    for i, conjunct in enumerate(conjuncts):
-        if used[i]:
-            continue
-        refs = conjunct_aliases[i]
-        target = None
-        for step_idx, placed in enumerate(placed_sets):
-            if refs <= placed:
-                target = step_idx
-                break
-        # No position holds every alias only when one of them is unknown:
-        # compiling the conjunct anywhere raises the PlanError saying so.
-        residuals[target if target is not None else -1].append(conjunct)
+    # Each to the first step that placed every source it reads.  None does
+    # only when one of them is unknown: compiling the conjunct anywhere
+    # raises the PlanError saying so.
+    residuals: list[list[Conjunct]] = [[] for _ in order]
+    placed_sets = list(itertools.accumulate(({desc.binding} for desc in order), set.union))
+    for position, conjunct in enumerate(conjuncts):
+        if not used[position]:
+            steps_placed = enumerate(placed_sets)
+            target = next((at for at, placed in steps_placed if conjunct.reads <= placed), -1)
+            residuals[target].append(conjunct)
 
     # ---- build the pipeline steps -----------------------------------------
     steps: list[_Step] = []
     first = order[0]
-    eq_columns = None
-    eq_key = None
-    scan_residuals = list(residuals[0])
+    scan_residuals = residuals[0]
+    eq_columns = eq_key = range_column = range_spec = None
     if first.kind == STD:
         table = db.catalog.table(first.name)
-        for expr in list(scan_residuals):
-            if isinstance(expr, ast.BinaryOp) and expr.op == "=":
-                for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-                    column = _single_column_of(side, first.binding, first, bindings)
-                    if (
-                        column
-                        and not _aliases_in(other, bindings)
-                        and table.index_on((column,)) is not None
-                    ):
-                        eq_columns = (column,)
-                        eq_key = compile_expr(other, resolution)
-                        break
-                if eq_columns:
+        probe = probe_of(scan_residuals, first.binding, table)
+        if probe is not None:
+            eq_columns, eq_key = (probe[1].column,), compile_expr(probe[1].other, resolution)
+        else:  # a range probe: the first column bounded, by its last bounds
+            bounds: dict[str, list] = {}  # column -> [low, high, incl. low, incl. high]
+            for conjunct in scan_residuals:
+                for side in conjunct.sides:
+                    if side.op == "=" or side.binding != first.binding or side.reads:
+                        continue
+                    index = table.index_on((side.column,))
+                    if index is None or not hasattr(index, "range"):
+                        continue
+                    entry = bounds.setdefault(side.column, [None, None, True, True])
+                    upper = side.op in ("<", "<=")
+                    entry[upper] = compile_expr(side.other, resolution)
+                    entry[upper + 2] = side.op in ("<=", ">=")
                     break
-    range_column = None
-    range_spec = None
-    if eq_columns is None and first.kind == STD:
-        table = db.catalog.table(first.name)
-        bounds: dict[str, list] = {}
-        for expr in scan_residuals:
-            if not (isinstance(expr, ast.BinaryOp) and expr.op in ("<", "<=", ">", ">=")):
-                continue
-            for side, other, flip in (
-                (expr.left, expr.right, False),
-                (expr.right, expr.left, True),
-            ):
-                column = _single_column_of(side, first.binding, first, bindings)
-                if not column or _aliases_in(other, bindings):
-                    continue
-                index = table.index_on((column,))
-                if index is None or not hasattr(index, "range"):
-                    continue
-                op = expr.op
-                if flip:  # literal OP column  ==  column OP' literal
-                    op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-                getter = compile_expr(other, resolution)
-                entry = bounds.setdefault(column, [None, None, True, True])
-                if op in ("<", "<="):
-                    entry[1] = getter
-                    entry[3] = op == "<="
-                else:
-                    entry[0] = getter
-                    entry[2] = op == ">="
-                break
-        if bounds:
-            range_column, entry = next(iter(bounds.items()))
-            range_spec = tuple(entry)
+            if bounds:
+                range_column, entry = next(iter(bounds.items()))
+                range_spec = tuple(entry)
     steps.append(
         _ScanStep(
             first,
             n_slots=len(order),
-            residual=_compile_conjunction(scan_residuals, resolution),
+            residual=conjunction(scan_residuals),
             eq_columns=eq_columns,
             eq_key=eq_key,
             range_column=range_column,
@@ -1457,7 +1435,7 @@ def plan_select(
     for step_idx in range(1, len(order)):
         desc = order[step_idx]
         keys = join_specs[step_idx]
-        residual = _compile_conjunction(residuals[step_idx], resolution)
+        residual = conjunction(residuals[step_idx])
         if keys:
             columns = tuple(column for column, _ in keys)
             probe_key = resolution.key([compile_expr(other, resolution) for _, other in keys])

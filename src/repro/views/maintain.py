@@ -66,12 +66,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional, Sequence
 
 from repro.core.rules import Rule
 from repro.core.transition import EXECUTE_ORDER
 from repro.errors import StripError
 from repro.sql import ast
+from repro.sql.planner import Conjunct, classify, column_source, combine
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.temptable import generate
 from repro.views.advisor import MaintenanceAdvisor, MaintenanceProfile, MaintenanceReport
@@ -266,29 +267,6 @@ def _columns_of_table(exprs: Iterable[ast.Expr], binding: str, schema: Schema) -
 # --------------------------------------------------------------------------
 
 
-def _conjuncts(where: Optional[ast.Expr]) -> list[ast.Expr]:
-    """Flatten a WHERE clause into its top-level AND conjuncts."""
-    if where is None:
-        return []
-    if isinstance(where, ast.BinaryOp) and where.op == "and":
-        return _conjuncts(where.left) + _conjuncts(where.right)
-    return [where]
-
-
-def _and_all(parts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
-    combined: Optional[ast.Expr] = None
-    for part in parts:
-        combined = part if combined is None else ast.BinaryOp("and", combined, part)
-    return combined
-
-
-def _or_all(parts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
-    combined: Optional[ast.Expr] = None
-    for part in parts:
-        combined = part if combined is None else ast.BinaryOp("or", combined, part)
-    return combined
-
-
 class _UnionFind:
     """Equality classes over (binding, column) pairs."""
 
@@ -312,51 +290,19 @@ class _UnionFind:
         return [other for other in self.parent if self.find(other) == root]
 
 
-def _resolve_ref(
-    ref: ast.ColumnRef, bindings: dict[str, Schema]
-) -> Optional[tuple[str, str]]:
-    """Resolve a column reference to its (binding, column) source."""
-    if ref.table is not None:
-        schema = bindings.get(ref.table)
-        if schema is not None and schema.has_column(ref.name):
-            return (ref.table, ref.name)
-        return None
-    owners = [b for b, schema in bindings.items() if schema.has_column(ref.name)]
-    if len(owners) == 1:
-        return (owners[0], ref.name)
-    return None
-
-
-def _equality_classes(
-    conjuncts: Sequence[ast.Expr], bindings: dict[str, Schema]
-) -> _UnionFind:
+def _equality_classes(conjuncts: Sequence[Conjunct]) -> _UnionFind:
     """Union-find of columns linked by ``a.x = b.y`` WHERE conjuncts."""
     uf = _UnionFind()
-    for conj in conjuncts:
-        if (
-            isinstance(conj, ast.BinaryOp)
-            and conj.op == "="
-            and isinstance(conj.left, ast.ColumnRef)
-            and isinstance(conj.right, ast.ColumnRef)
-        ):
-            left = _resolve_ref(conj.left, bindings)
-            right = _resolve_ref(conj.right, bindings)
-            if left is not None and right is not None:
-                uf.union(left, right)
+    for conjunct in conjuncts:
+        if len(conjunct.sides) == 2 and conjunct.sides[0].op == "=":
+            left, right = conjunct.sides
+            uf.union((left.binding, left.column), (right.binding, right.column))
     return uf
-
-
-def _refs_within(expr: ast.Expr, bindings: dict[str, Schema], allowed: set[str]) -> bool:
-    """True when every column reference of ``expr`` resolves inside ``allowed``."""
-    for ref in ast.column_refs(expr):
-        source = _resolve_ref(ref, bindings)
-        if source is None or source[0] not in allowed:
-            return False
-    return True
 
 
 def _select_anchor(
     select: ast.Select,
+    conjuncts: Sequence[Conjunct],
     key_exprs: Sequence[tuple[str, ast.Expr]],
     bindings: dict[str, Schema],
 ) -> tuple[Optional[ast.TableRef], dict[str, str]]:
@@ -367,13 +313,11 @@ def _select_anchor(
     """
     sources: list[tuple[str, tuple[str, str]]] = []
     for key_name, expr in key_exprs:
-        if not isinstance(expr, ast.ColumnRef):
-            return None, {}
-        source = _resolve_ref(expr, bindings)
+        source = column_source(expr, bindings)
         if source is None:
             return None, {}
         sources.append((key_name, source))
-    uf = _equality_classes(_conjuncts(select.where), bindings)
+    uf = _equality_classes(conjuncts)
     for ref in select.tables:
         mapping: dict[str, str] = {}
         for key_name, source in sources:
@@ -392,13 +336,12 @@ def _select_anchor(
 
 
 def _mark_queries(
-    select: ast.Select,
+    conjuncts: Sequence[Conjunct],
     base: ast.TableRef,
     anchor: Optional[ast.TableRef],
     anchor_map: dict[str, str],
     key_names: Sequence[str],
     danger_columns: Sequence[str],
-    bindings: dict[str, Schema],
 ) -> list[ast.RuleQuery]:
     """The overdeletion mark queries for one base table's rule.
 
@@ -420,8 +363,11 @@ def _mark_queries(
     own = anchor is not None and base.binding == anchor.binding
     joined = () if anchor is None or own else (anchor,)
     within = {base.binding} | {ref.binding for ref in joined}
-    conjuncts = _conjuncts(select.where) if anchor is not None else []
-    kept = [conj for conj in conjuncts if _refs_within(conj, bindings, within)]
+    kept = [
+        conjunct.expr
+        for conjunct in (conjuncts if anchor is not None else ())
+        if conjunct.closed and conjunct.reads <= within
+    ]
 
     def marks(transition: str, tables: tuple, guards: list[ast.Expr]) -> ast.Select:
         if anchor is None:
@@ -436,15 +382,16 @@ def _mark_queries(
         return ast.Select(
             items=tuple(items),
             tables=tuple(ast.TableRef(name, None) for name in tables) + joined,
-            where=_and_all(moved + guards if own else guards + moved),
+            where=combine(moved + guards if own else guards + moved),
         )
 
     queries = [ast.RuleQuery(marks("deleted", ("deleted",), []), "marks_del")]
-    changed = _or_all(
+    changed = combine(
         [
             ast.BinaryOp("!=", ast.ColumnRef("old", column), ast.ColumnRef("new", column))
             for column in danger_columns
-        ]
+        ],
+        "or",
     )
     if changed is not None:
         order_join = ast.BinaryOp(
@@ -473,11 +420,15 @@ def _fold(loop: str, sources: tuple, at: tuple) -> Callable:
         params, charges, result = "marked", ["user_row", "dred_mark"], "wild"
         body = [f"if {reads[-1]}:", "    wild = True", "else:", f"    marked.add({key})"]
     elif loop == "aggregate":  # (*keys, *arguments, seq): signed sums per key
-        params, arguments = "changes, sign, recomputed_at, rederived_at", reads[len(at):-1]
+        params = "changes, sign, recomputed_at, rederived_at, paired, marked"
+        arguments = reads[len(at):-1]
         body = [
             f"key, seq = {key}, {reads[-1]}",
             "if seq and seq <= max(recomputed_at, rederived_at.get(key, 0)):",
             "    continue  # a requery already reflected this commit",
+            "if seq in paired:  # the commit changed two of the view's tables",
+            "    marked.add(key)",
+            "    continue",
             "entry = changes.get(key)",
             "if entry is None:",
             f"    entry = changes[key] = [0{', 0.0' * len(arguments)}]",
@@ -696,12 +647,13 @@ def materialize(
     bindings = {
         ref.binding: db.catalog.table(ref.name).schema for ref in base_refs
     }
+    conjuncts = classify(select.where, bindings)
     anchor, anchor_map = _select_anchor(
-        select, list(zip(kind.key_names, kind.key_exprs)), bindings
+        select, conjuncts, list(zip(kind.key_names, kind.key_exprs)), bindings
     )
     _install(
         db, view, plan_record, kind, unique, unique_on, delay, compact,
-        strategy, anchor, anchor_map, bindings,
+        strategy, anchor, anchor_map, conjuncts,
     )
 
     db.materialized_views[view_name] = plan_record
@@ -767,8 +719,13 @@ class _ViewKind:
         """The select items of ``base``'s delta query over ``transition``."""
         raise NotImplementedError
 
-    def fold(self, ctx: "FunctionContext") -> dict[tuple, object]:
-        """Fold the task's delta tables into one result per view key."""
+    def fold(
+        self, ctx: "FunctionContext", paired: Container[int], marked: set[tuple]
+    ) -> dict[tuple, object]:
+        """Fold the task's delta tables into one result per view key.
+        ``paired`` holds the commits that fired two or more of the view's
+        rules; a key the fold cannot take from such a commit's rows goes
+        into ``marked``, to be rederived."""
         raise NotImplementedError
 
     def write(self, ctx: "FunctionContext", table, key: tuple, records: list, folded) -> None:
@@ -886,14 +843,19 @@ class _AggregateKind(_ViewKind):
         ctx.charge("cursor_fetch")
         self.regroup(ctx, table, key, _find(table, self.key_names, key), dred=True)
 
-    def fold(self, ctx: "FunctionContext") -> dict[tuple, list]:
-        """Per group: ``[count delta, sum delta per aggregate...]``."""
+    def fold(
+        self, ctx: "FunctionContext", paired: Container[int], marked: set[tuple]
+    ) -> dict[tuple, list]:
+        """Per group: ``[count delta, sum delta per aggregate...]``.  A row
+        of a ``paired`` commit adds its key to ``marked`` instead: each rule
+        joined its changes with the other table after that commit, so summed,
+        the pairs of changed rows would count twice (DESIGN.md 5b)."""
         changes: dict[tuple, list] = {}
         names = (*self.key_names, *(f"arg_{name}" for _agg, name in self.aggs), MAINT_SEQ)
         for (bound_name, _transition), sign in zip(self.deltas, (1, 1, -1, -1)):
             _run_fold(
                 ctx, bound_name, "aggregate", names, (MAINT_SEQ,), range(len(self.key_names)),
-                changes, sign, self.recomputed_at, self.rederived_at,
+                changes, sign, self.recomputed_at, self.rederived_at, paired, marked,
             )
         return changes
 
@@ -995,8 +957,11 @@ class _ProjectionKind(_ViewKind):
         # on it: keep the last, matching the per-key upsert ``write`` does.
         return super().requery(ctx, key)[-1:]
 
-    def fold(self, ctx: "FunctionContext") -> dict[tuple, tuple]:
-        """Per key: ``(order, rank, row)`` of its latest event.
+    def fold(
+        self, ctx: "FunctionContext", paired: Container[int], marked: set[tuple]
+    ) -> dict[tuple, tuple]:
+        """Per key: ``(order, rank, row)`` of its latest event — last writer
+        wins, so a ``paired`` commit's rows need no mark.
 
         Transition-aware ordered fold: every delta row carries its commit
         sequence and execute order, so per key the *latest* event decides the
@@ -1045,7 +1010,7 @@ def _install(
     strategy: str,
     anchor: Optional[ast.TableRef],
     anchor_map: dict[str, str],
-    bindings: dict[str, Schema],
+    conjuncts: Sequence[Conjunct],
 ) -> None:
     """Generate one view's maintenance rules — one per base table, binding
     the delta rows derived from its transition tables — and register the
@@ -1082,8 +1047,7 @@ def _install(
         if marking:
             evaluate.extend(
                 _mark_queries(
-                    select, base, anchor, anchor_map, kind.key_names,
-                    sorted(danger), bindings,
+                    conjuncts, base, anchor, anchor_map, kind.key_names, sorted(danger)
                 )
             )
         rule = Rule(
@@ -1120,7 +1084,7 @@ def _install(
             _full_recompute(ctx, table, kind.populate_select, stats, kind.fold_offsets)
             kind.requeried(None, ctx.db.last_commit_seq)
             return
-        changes = kind.fold(ctx)
+        changes = kind.fold(ctx, ctx.db.rule_engine.paired_commits.get(function_name, ()), marked)
         # Marked keys are requeried against the surviving base data — the
         # requery is ground truth at apply time, so any folded result for
         # the same key is superseded and must be discarded (a delta already

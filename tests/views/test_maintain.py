@@ -239,7 +239,7 @@ class TestBoundColumns:
             ), marked
             seen["aggregate"] = _run_fold(
                 ctx, "m", "aggregate", ("a", "b", "maint_seq"), ("maint_seq",), (0,),
-                changes, -1, 0, {},
+                changes, -1, 0, {}, (), marked,
             ), changes
             seen["projection"] = _run_fold(
                 ctx, "m", "projection", ("b", "a", "maint_seq", "maint_ord"),

@@ -10,15 +10,13 @@ multiset with what stdlib ``sqlite3`` answers to the *same SELECT text* over
 the same base rows, copied out of the database.  Nothing of the rule engine,
 the planner or the folds runs on the oracle's side.
 
-Known defect, pinned as a strict expected failure below: one transaction
-that changes a stock *and* a position on that stock is counted twice by the
-``SUM`` view under ``incremental`` and ``dred``.  Each base table's rule
-joins its own changes with the other table *after* the transaction, so the
-pairs of two changed rows (ΔR ⋈ ΔS) enter the sum from both rules; the
-projection view, which recomputes whole rows, and ``recompute`` are right.
-It holds with the views materialized without ``unique`` too, where every
-firing is its own task and the two deltas never share a batch.  The
-streams above therefore touch both tables only on different symbols.
+One transaction may change a stock *and* a position on that stock.  Each
+base table's rule joins its own changes with the other table *after* the
+transaction, so the pairs of two changed rows (ΔR ⋈ ΔS) reach the ``SUM``
+view from both rules; the view rederives the keys of such a commit instead
+of adding them up (DESIGN.md 5b).  Every stream also runs with the views
+materialized without ``unique``, where every firing is its own task and
+the two rules' deltas never share a batch.
 
 Known differences, normalised here and nowhere else:
 
@@ -80,17 +78,19 @@ position_op = st.one_of(
     st.tuples(st.just("shares"), positions, shares),
 )
 #: A transaction that touches both tables: a price update and a position
-#: opened on *another* symbol (the same symbol is the known defect below).
-both = st.tuples(symbols, symbols, prices, shares).filter(lambda d: d[0] != d[1]).map(
+#: opened, on one symbol or two.
+both = st.tuples(symbols, symbols, prices, shares).map(
     lambda d: [("price", d[0], d[2]), ("open", d[1], d[3])]
 )
-#: A transaction is one to three operations on one table, or ``both``;
-#: "drain" runs the pending maintenance between transactions.
+#: A transaction is one to three operations on one table, ``both``, or one
+#: to four operations on either table in any order; "drain" runs the pending
+#: maintenance between transactions.
 stream = st.lists(
     st.one_of(
         st.lists(stock_op, min_size=1, max_size=3),
         st.lists(position_op, min_size=1, max_size=3),
         both,
+        st.lists(st.one_of(stock_op, position_op), min_size=2, max_size=4),
         st.just("drain"),
     ),
     min_size=1, max_size=7,
@@ -195,11 +195,22 @@ def _same_multiset(got: list, expected: list, float_at: int, null_as_zero: bool)
     )
 
 
-@pytest.mark.parametrize("strategy", ["incremental", "dred", "recompute"])
+#: Each strategy, with and without ``unique``.
+STRATEGY_GRID = pytest.mark.parametrize(
+    "strategy, unique",
+    [
+        pytest.param(strategy, unique, id=strategy + ("" if unique else "-nonunique"))
+        for unique in (True, False)
+        for strategy in ("incremental", "dred", "recompute")
+    ],
+)
+
+
+@STRATEGY_GRID
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(steps=stream)
-def test_views_match_sqlite_after_any_stream(strategy, steps):
-    db = _database(strategy)
+def test_views_match_sqlite_after_any_stream(strategy, unique, steps):
+    db = _database(strategy, unique)
     opened = [6]
     for step in steps:
         if step == "drain":
@@ -221,26 +232,12 @@ def _check(db: Database) -> None:
     )
 
 
-_DOUBLE_COUNTED = pytest.mark.xfail(
-    strict=True,
-    reason="each table's rule joins its changes with the other table after the "
-    "transaction, so the sum counts changed-row pairs twice (module docstring)",
-)
-
-
-@pytest.mark.parametrize(
-    "strategy, unique",
-    [
-        pytest.param(strategy, unique, id=strategy + ("" if unique else "-nonunique"),
-                     marks=() if strategy == "recompute" else _DOUBLE_COUNTED)
-        for unique in (True, False)
-        for strategy in ("incremental", "dred", "recompute")
-    ],
-)
+@STRATEGY_GRID
 def test_a_stock_and_a_position_on_it_changed_in_one_transaction(strategy, unique):
-    """Without ``unique`` each rule firing gets its own task, so the two
-    tables' deltas are never in one batch: the double count is not a
-    batching artefact, and a fix must cover firings in separate tasks."""
+    """The pair of changed rows counts once.  Without ``unique`` each rule
+    firing gets its own task, so the two tables' deltas are never in one
+    batch: whichever task runs first rederives the key, and the other's
+    rows of that commit fall under the requery's horizon."""
     db = _database(strategy, unique)
     _apply(db, [("price", "A", 1.0), ("open", "A", 1.0)], [6])
     _check(db)
@@ -264,4 +261,20 @@ def test_transactions_at_one_virtual_time_apply_in_commit_order(strategy, steps)
     opened = [6]
     for step in steps:
         _apply(db, step, opened)
+    _check(db)
+
+
+def test_only_a_commit_firing_two_rules_of_one_view_is_recorded_as_paired():
+    """``RuleEngine.paired_commits`` is written on a repeat within one
+    commit and nowhere else: a commit that changes one table fires one rule
+    per view."""
+    db = _database("incremental")
+    _apply(db, [("price", "A", 1.0)], [6])
+    _apply(db, [("open", "B", 2.0), ("shares", 0, 3.0)], [6])
+    assert db.rule_engine.paired_commits == {}
+    _apply(db, [("price", "A", 2.0), ("open", "A", 1.0)], [7])
+    paired = {db.last_commit_seq}
+    assert db.rule_engine.paired_commits == {
+        "maintain_position_values": paired, "maintain_symbol_exposure": paired,
+    }
     _check(db)
