@@ -14,6 +14,12 @@ For each triggered rule:
    rows onto a pending unique task — and new tasks enter the delay or
    ready queue with release time ``commit + after``.
 
+All of it runs as one generated program per trigger table (and namespace
+shape): the masks, the transition build, each hit rule's queries through
+their compiled firing functions and one ``UniqueManager.dispatch`` per
+firing, with every charge in the order above (DESIGN.md 6a, "Prepared
+firings").
+
 Rule actions run in their own transaction via :meth:`make_action_body`;
 because conditions are side-effect-free queries, condition evaluation can
 never trigger further rules, and rule consideration order is immaterial.
@@ -25,24 +31,25 @@ lands in a higher stratum (see :func:`repro.core.rules.stratify`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.functions import FunctionContext
 from repro.core.rules import Rule
 from repro.core.transition import TRANSITION_NAMES, TransitionShape
+from repro.core.unique import Route
 from repro.errors import CreateRuleError, FunctionError
 from repro.sql import executor
-from repro.sql.ast import table_names
-from repro.sql.executor import PreparedSelect
+from repro.sql.ast import RuleQuery, table_names
+from repro.sql.executor import namespace_key
+from repro.sql.planner import ExecState
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.storage.temptable import TempTable
+from repro.storage.temptable import generate
 from repro.txn.log import INSERT, UPDATE, LogEntry
 from repro.txn.tasks import Task
 from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.unique import Route
     from repro.database import Database
 
 
@@ -51,13 +58,10 @@ class PreparedRule:
     once: the change kinds that trigger it and the offsets ``updated c1, c2``
     names (an update triggers only if one of those values changed; a column
     the table lacks is a :class:`CreateRuleError`, at CREATE RULE), the
-    transition tables its queries name, and each query prepared, with
-    whether it is a condition (an empty result stops the firing); and the
-    ``routes`` its firings dispatch through, one per bound shape (``Route``)."""
+    transition tables its queries name, and each query with whether it is a
+    condition (an empty result stops the firing)."""
 
-    __slots__ = (
-        "rule", "inserted", "deleted", "any_update", "offsets", "reads", "queries", "routes"
-    )
+    __slots__ = ("rule", "inserted", "deleted", "any_update", "offsets", "reads", "queries")
 
     def __init__(self, rule: Rule, schema: Schema) -> None:
         self.rule = rule
@@ -72,11 +76,7 @@ class PreparedRule:
         queries = rule.all_queries()
         named = set().union(*(table_names(query.select) for query in queries))
         self.reads = [name for name in TRANSITION_NAMES if name in named]
-        self.queries = [
-            (PreparedSelect(query.select, query.bind_as, TRANSITION_NAMES), at < len(rule.condition))
-            for at, query in enumerate(queries)
-        ]
-        self.routes: list[Route] = []
+        self.queries = [(query, at < len(rule.condition)) for at, query in enumerate(queries)]
 
     def hit(self, entries: list[LogEntry]) -> bool:
         """True if any of one table's logged changes triggers the rule."""
@@ -93,14 +93,160 @@ class PreparedRule:
         return False
 
 
+class TableProgram:
+    """One trigger table's rules as its commits fire them: the shape of its
+    transition tables, its rules in creation order, the names their queries
+    read beside the transition tables (``loose``), and per namespace shape
+    (``executor.namespace_key`` of ``loose`` over a cascade's upstream bound
+    tables; ``()`` for everything from the catalog) the generated firing
+    program and the dispatch route it resolved per rule."""
+
+    __slots__ = ("shape", "rules", "loose", "fires", "routes")
+
+    def __init__(self, table: Table, rules: list[PreparedRule]) -> None:
+        self.shape = TransitionShape(table)
+        self.rules = rules
+        names = set().union(
+            *(table_names(query.select) for each in rules for query, _ in each.queries)
+        )
+        self.loose = sorted(names.difference(TRANSITION_NAMES))
+        self.fires: dict[tuple, Callable] = {}
+        self.routes: dict[tuple, list[Optional[Route]]] = {}
+
+
+def _first_run(names: dict[str, Any], slot: str, db: "Database", query: RuleQuery) -> Callable:
+    """The stand-in for a rule query's firing function until its first run:
+    it plans the query against that firing's namespace, puts the function in
+    the program's globals — every later firing calls it directly — and runs
+    it.  A query never reached plans nothing; one that fails to plan fails
+    its firing, every time it is reached."""
+
+    def plan(state: ExecState, meter: Any, cost: Any) -> Any:
+        # ``executor.plan_select`` is looked up per call: the statement
+        # path's plan seam (the e2e tracer's sql.plan_build).
+        select = executor.plan_select(db, query.select, state.namespace)
+        fire = names[slot] = select.firing(db, query.bind_as)
+        return fire(state, meter, cost)
+
+    return plan
+
+
+def _write_program(engine: "RuleEngine", program: TableProgram, key: tuple) -> Callable:
+    """Write and compile one trigger table's firing program for one namespace
+    shape: ``fire(txn, entries, pseudo, upstream, fired) -> (checks,
+    firings)`` runs every rule on the table over one commit's ``entries``,
+    in the order and with the charges of paper §6.3's commit-time scan.
+
+    The masks run first (they charge nothing) over the enabled rules —
+    ``rule.enabled`` is read per commit — so that the transition tables
+    built, at the first rule that hit, are the ones some hit rule names.
+    Per enabled rule, ``rule_log_scan`` for every entry; per hit rule, per
+    query: ``condition_base``, then the query's firing function (S-locks,
+    its nest's own charges, ``row_output`` / ``bind_row``), stopping at an
+    empty condition.  A rule whose condition held hands its bound tables to
+    ``UniqueManager.dispatch`` (looked up per call), one call per firing,
+    with the ``Route`` this program resolved at the rule's first firing.
+    The meter and the cost table are read once per program run; a bound
+    table no task took is retired, and so are the transition tables,
+    whatever raised."""
+    db = engine.db
+    routes = program.routes[key] = [None] * len(program.rules)
+    names: dict[str, Any] = {
+        "db": db, "SHAPE": program.shape, "ExecState": ExecState, "Route": Route,
+        "ROUTES": routes, "make_body": engine.make_action_body, "paired": engine.paired_commits,
+    }
+    lines = ["def fire(txn, entries, pseudo, upstream, fired):"]
+    for j, prepared in enumerate(program.rules):
+        names[f"P{j}"], names[f"R{j}"], names[f"READS{j}"] = prepared, prepared.rule, prepared.reads
+        lines.append(f"    h{j} = P{j}.hit(entries) if R{j}.enabled else None")
+    reads = ", ".join(f"*(READS{j} if h{j} else ())" for j in range(len(program.rules)))
+    lines += [
+        "    meter, cost = db.metering()",
+        "    ops = meter.ops",
+        "    count = len(entries)",
+        "    scan = cost['rule_log_scan'] * count  # what charge('rule_log_scan', count) adds",
+        "    c_condition_base = cost['condition_base']",
+        "    checks = firings = 0",
+        "    transitions = None",
+        "    try:",
+    ]
+    queries = 0
+    for j, prepared in enumerate(program.rules):
+        lines += [
+            f"        if h{j} is not None:",
+            "            meter.total += scan",
+            "            ops['rule_log_scan'] += count",
+            f"            if h{j}:",
+            "                checks += 1",
+            "                if db.tracer.enabled:",
+            f"                    db.tracer.rule_check(R{j}.name, txn.txn_id, db.clock.now())",
+            "                if transitions is None:",
+            f"                    transitions = SHAPE.build(db, entries, {{{reads}}})",
+            "                    namespace = transitions",
+            "                    if upstream is not None:  # a cascade: transition tables first",
+            "                        namespace = {**upstream, **transitions}",
+            "                    state = ExecState(db, txn, {}, pseudo, namespace)",
+            "                bound = {}",
+            "                try:",
+        ]
+        depth = 5
+        for query, condition in prepared.queries:
+            slot = f"Q{queries}"
+            names[slot] = _first_run(names, slot, db, query)
+            queries += 1
+            pad = "    " * depth
+            lines += [
+                f"{pad}meter.total += c_condition_base",
+                f"{pad}ops['condition_base'] += 1",
+                f"{pad}result = {slot}(state, meter, cost)",
+            ]
+            if query.bind_as is not None:
+                names[f"B{slot}"] = query.bind_as
+                lines.append(f"{pad}bound[B{slot}] = result")
+            if condition:  # the rest runs only while the condition holds
+                lines.append(f"{pad}if result:")
+                depth += 1
+        pad = "    " * depth
+        lines += [
+            f"{pad}route = ROUTES[{j}]",
+            f"{pad}if route is None:",
+            f"{pad}    route = ROUTES[{j}] = Route(R{j}, bound, make_body)",
+            f"{pad}tasks = db.unique_manager.dispatch(route, bound, txn)",
+            f"{pad}bound = None",
+            f"{pad}firings += 1",
+            f"{pad}function = R{j}.function",
+            f"{pad}if function in fired:",
+            f"{pad}    paired.setdefault(function, set()).add(txn.commit_seq)",
+            f"{pad}fired.add(function)",
+            f"{pad}if db.tracer.enabled:",
+            f"{pad}    db.tracer.rule_fire(R{j}.name, txn.txn_id, len(tasks), db.clock.now())",
+            "                except Exception:",
+            "                    if bound:",
+            "                        for table in bound.values():",
+            "                            table.retire()",
+            "                    raise",
+            "                if bound:  # a condition stopped the firing",
+            "                    for table in bound.values():",
+            "                        table.retire()",
+        ]
+    lines += [
+        "    finally:",
+        "        if transitions is not None:",
+        "            for table in transitions.values():",
+        "                table.retire()",
+        "    return checks, firings",
+    ]
+    fire = program.fires[key] = generate(lines, "fire", "<firing program>", names)
+    return fire
+
+
 class RuleEngine:
     """Event detection, condition evaluation, binding, task creation."""
 
     def __init__(self, db: "Database") -> None:
         self.db = db
-        #: Per table with rules (the ``Table`` object, never its name): the
-        #: shape of its transition tables and its rules in creation order.
-        self._programs: dict[Table, tuple[TransitionShape, list[PreparedRule]]] = {}
+        #: Per table with rules (the ``Table`` object, never its name).
+        self._programs: dict[Table, TableProgram] = {}
         self._version = -1  # the catalog version the programs were built at
         self.firing_count = 0  # conditions that evaluated to true
         self.check_count = 0  # rules whose events matched (condition ran)
@@ -109,111 +255,48 @@ class RuleEngine:
         #: its tables, whose change pairs each rule's delta would count.
         self.paired_commits: dict[str, set[int]] = {}
 
-    def programs(self) -> dict[Table, tuple[TransitionShape, list[PreparedRule]]]:
+    def programs(self) -> dict[Table, TableProgram]:
         """The prepared programs, rebuilt when the catalog version moved."""
         catalog = self.db.catalog
         if self._version != catalog.version:
-            self._programs = {}
+            rules: dict[Table, list[PreparedRule]] = {}
             for rule in catalog.rules():
                 table = catalog.table(rule.table)
-                if table not in self._programs:
-                    self._programs[table] = (TransitionShape(table), [])
-                self._programs[table][1].append(PreparedRule(rule, table.schema))
+                rules.setdefault(table, []).append(PreparedRule(rule, table.schema))
+            self._programs = {table: TableProgram(table, each) for table, each in rules.items()}
             self._version = catalog.version
         return self._programs
 
     # ------------------------------------------------------ commit hook
 
     def process_commit(self, txn: Transaction) -> None:
-        """Run rule processing for a committing transaction.  What the
-        firings do to pending work lands on ``txn.effects``, for the commit
-        to enqueue — or, if any rule fails, to take back; ``check_count`` and
-        ``firing_count`` grow once every rule ran (never for a failed commit).
-
-        ``rule.enabled`` is read here, per commit: ALTER RULE, checkpoint
-        restore and tests assign it directly."""
-        db = self.db
-        catalog = db.catalog
+        """Run rule processing for a committing transaction: per touched
+        table with rules, its firing program for the namespace the commit
+        gives its queries.  A firing from an action transaction (a cascade)
+        sees the upstream task's bound tables behind the transition tables
+        of the same name, so the program is the one for their shapes.  What
+        the firings do to pending work lands on ``txn.effects``, for the
+        commit to enqueue — or, if any rule fails, to take back;
+        ``check_count`` and ``firing_count`` grow once every rule ran (never
+        for a failed commit)."""
+        catalog = self.db.catalog
         programs = self.programs()
         checks = firings = 0
         pseudo = {"commit_time": txn.commit_time, "commit_seq": txn.commit_seq}
         fired: set[str] = set()  # the user functions of the rules fired so far
+        task = txn.task
+        upstream = task.bound_tables if task is not None and task.bound_tables else None
         for name in txn.log.tables_touched():
             program = programs.get(catalog.table(name)) if catalog.has_table(name) else None
             if program is None:
                 continue
-            shape, prepared_rules = program
-            entries = txn.log.for_table(name)
-            # Masks first (they charge nothing), so that the transition
-            # tables built are the ones some matched rule names.
-            rules = [(each, each.hit(entries)) for each in prepared_rules if each.rule.enabled]
-            meter, cost = db.metering()
-            count = len(entries)
-            scan = cost["rule_log_scan"] * count  # what charge("rule_log_scan", n) adds
-            transitions: Optional[dict[str, TempTable]] = None
-            try:
-                for prepared, hit in rules:
-                    meter.total += scan
-                    meter.ops["rule_log_scan"] += count
-                    if not hit:
-                        continue
-                    checks += 1
-                    if db.tracer.enabled:
-                        db.tracer.rule_check(prepared.rule.name, txn.txn_id, db.clock.now())
-                    if transitions is None:
-                        reads = {read for each, named in rules if named for read in each.reads}
-                        transitions = shape.build(db, entries, reads)
-                    if self._fire(prepared, txn, transitions, pseudo):
-                        firings += 1
-                        function = prepared.rule.function
-                        if function in fired:
-                            self.paired_commits.setdefault(function, set()).add(txn.commit_seq)
-                        fired.add(function)
-            finally:
-                # Retire even when a condition or dispatch raised, so the
-                # records pinned by this firing's temp tables are released.
-                if transitions is not None:
-                    for table in transitions.values():
-                        table.retire()
+            key = namespace_key(program.loose, upstream)
+            fire = program.fires.get(key) or _write_program(self, program, key)
+            more = fire(txn, txn.log.for_table(name), pseudo, upstream if key else None, fired)
+            checks += more[0]
+            firings += more[1]
         self.check_count += checks
         self.firing_count += firings
-
-    def _fire(
-        self, prepared: PreparedRule, txn: Transaction, transitions: dict, pseudo: dict
-    ) -> bool:
-        """Condition check + binding + dispatch for one triggered rule;
-        True when the condition held."""
-        db = self.db
-        namespace = transitions
-        if txn.task is not None and txn.task.bound_tables:
-            # A rule can fire from an action transaction; its bound tables
-            # stay visible (they are ordinary read-only tables to queries),
-            # behind the transition tables of the same name.
-            namespace = {**txn.task.bound_tables, **transitions}
-        bound: dict[str, TempTable] = {}
-        meter, cost = db.metering()
-        try:
-            for query, condition in prepared.queries:
-                meter.total += cost["condition_base"]
-                meter.ops["condition_base"] += 1
-                # A query with ``bind as`` comes back as its bound table,
-                # filled by the plan's own loop nest.  ``execute_select`` is
-                # looked up per call: the e2e tracer's sql.select seam.
-                result = executor.execute_select(db, query, txn, None, pseudo, namespace)
-                if query.bind_as is not None:
-                    bound[query.bind_as] = result
-                if condition and len(result) == 0:
-                    for table in bound.values():
-                        table.retire()
-                    return False
-            tasks = db.unique_manager.dispatch(prepared, bound, txn)
-        except Exception:
-            for table in bound.values():
-                table.retire()
-            raise
-        if db.tracer.enabled:
-            db.tracer.rule_fire(prepared.rule.name, txn.txn_id, len(tasks), db.clock.now())
-        return True
 
     # ----------------------------------------------------- action bodies
 

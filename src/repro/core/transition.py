@@ -64,9 +64,9 @@ class TransitionShape:
         update) whichever tables are built."""
         tables: dict[str, TempTable] = {}
         sinks: list = [None] * len(TRANSITION_NAMES)
-        for name in names:
-            table = tables[name] = TempTable(name, self.schema, self.maps[name])
-            sinks[TRANSITION_NAMES.index(name)] = table.row_sink(1, 1)
+        for name in names:  # one record pointer and execute_order per row, by construction
+            at = TRANSITION_NAMES.index(name)
+            tables[name], sinks[at] = TempTable.shaped(name, self.schema, self.maps[name])
         inserted, deleted, new, old = sinks
         meter, cost = db.metering()
         one = cost["transition_row"]

@@ -51,7 +51,6 @@ from repro.txn.log import PendingEffect
 from repro.txn.tasks import Task, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine import PreparedRule
     from repro.core.rules import Rule
     from repro.database import Database
     from repro.txn.transaction import Transaction
@@ -189,12 +188,12 @@ def check_columns(db: "Database", rule: "Rule", schema: Schema) -> None:
 
 class Route:
     """How the firings of one rule with one bound shape dispatch, decided by
-    the first of them and kept until ``Catalog.version`` moves.  The shape is
-    each bound table's name and static map (its plan's one bind spec fixes
-    it, schema too: a firing matches by identity); ``owners`` are Appendix
-    A's ``T^u``, each with its key positions and compiled grouper."""
+    the first of them and kept, by the firing program that resolved it,
+    until ``Catalog.version`` moves (the shape is each bound table's name and
+    static map, which the queries' plans fix); ``owners`` are Appendix A's
+    ``T^u``, each with its key positions and compiled grouper."""
 
-    __slots__ = ("shape", "owners", "shared", "others", "klass", "rule_name", "stratum", "body")
+    __slots__ = ("rule", "owners", "shared", "others", "klass", "rule_name", "stratum", "body")
 
     def __init__(
         self,
@@ -202,7 +201,7 @@ class Route:
         bound: dict[str, TempTable],
         make_body: Callable[[str], Callable[[Task], None]],
     ) -> None:
-        self.shape = tuple((name, table.static_map) for name, table in bound.items())
+        self.rule = rule
         self.owners, self.shared, self.others = (), False, ()
         if rule.unique_on:
             positions_of, self.shared = _owners(
@@ -240,11 +239,13 @@ class UniqueManager:
     # ------------------------------------------------------------ dispatch
 
     def dispatch(
-        self, prepared: "PreparedRule", bound: dict[str, TempTable], txn: "Transaction"
+        self, route: Route, bound: dict[str, TempTable], txn: "Transaction"
     ) -> list[Task]:
-        """Create or extend action tasks for one firing of ``prepared``'s
-        rule by the committing ``txn``, through the :class:`Route` prepared
-        for its bound tables' shape.
+        """Create or extend action tasks for one firing of ``route.rule`` by
+        the committing ``txn``, through ``route``: the rule engine's program
+        resolved it for the rule's bound shape at its first firing and keeps
+        it until ``Catalog.version`` moves (a routing error is raised by
+        every firing that would resolve it, and none keeps a route).
 
         Takes ownership of ``bound``: tables handed to a new task are kept,
         tables absorbed into a pending task (or split into partitions) are
@@ -258,22 +259,8 @@ class UniqueManager:
         task, so staleness accounting inherits the originating mutation
         stamps instead of minting fresh ones.
         """
-        rule = prepared.rule
+        rule = route.rule
         origin = txn.task if txn.task is not None and txn.task.function_name else None
-        for route in prepared.routes:
-            # The route whose shape is the firing's, table by table.
-            shape = route.shape
-            if len(shape) == len(bound):
-                for (name, static_map), (given, table) in zip(shape, bound.items()):
-                    if name != given or table.static_map is not static_map:
-                        break
-                else:
-                    break
-        else:
-            # Kept until Catalog.version moves and the rule is prepared
-            # again; a routing error is raised by every firing of the shape.
-            route = Route(rule, bound, self.db.rule_engine.make_action_body)
-            prepared.routes.append(route)
         if not rule.unique:
             return [self._new_task(rule, route, bound, txn, None, origin)]
 
@@ -366,11 +353,13 @@ class UniqueManager:
         appended = 0
         for name, fresh in bound.items():
             target = targets[name]
-            effect.marks.append((target, target.savepoint()))
             if target.folding:
+                effect.marks.append((target, target.savepoint()))
                 appended += self._fold_into(target, fresh)
                 fresh.retire()
                 continue
+            if fresh:  # an empty one moves nothing: no mark to roll back to
+                effect.marks.append((target, target.savepoint()))
             shape = target.static_map
             if (
                 shape is not fresh.static_map

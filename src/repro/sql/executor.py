@@ -18,7 +18,6 @@ from repro.sql import ast
 from repro.sql.expressions import Getter, compile_expr
 from repro.sql.planner import (
     STD,
-    TMP,
     CompiledSelect,
     ExecState,
     SelectResult,
@@ -29,7 +28,7 @@ from repro.sql.planner import (
     plan_select,
     probe_of,
 )
-from repro.storage.temptable import TempTable, generate
+from repro.storage.temptable import generate
 
 #: A prepared statement: ``run(txn, params, namespace) -> rows affected``.
 Prepared = Callable[[Any, Optional[dict[str, Any]], Optional[dict[str, Any]]], int]
@@ -85,59 +84,15 @@ def select_plan(
     return _memoized(db, select, namespace, plan_select)
 
 
-class PreparedSelect:
-    """A rule's query, planned with its S-locks and sources once per shape of
-    the bound tables that shadow its names (DESIGN.md 6a, "Prepared
-    firings"): the ``fixed`` (transition) names resolve to the namespace, any
-    other to the catalog unless the namespace holds it too — a cascade's
-    bound table.  The rule engine rebuilds it when ``Catalog.version`` moves."""
-
-    __slots__ = ("select", "bind_as", "_loose", "_plans")
-
-    def __init__(self, select: ast.Select, bind_as: Optional[str], fixed: Sequence[str]) -> None:
-        self.select, self.bind_as = select, bind_as
-        self._loose = sorted(ast.table_names(select).difference(fixed))
-        #: namespace key -> (plan, locks, instance vector recipe, names handed over)
-        self._plans: dict[tuple, tuple] = {}
-
-    def run(self, db: Any, txn: Any, pseudo: dict[str, Any], namespace: dict[str, Any]) -> Any:
-        """The result set — with ``bind as``, the bound table."""
-        key = namespace_key(self._loose, namespace)
-        prepared = self._plans.get(key)
-        if prepared is None:
-            plan = plan_select(db, self.select, namespace)
-            sources, catalog = plan.sources, db.catalog
-            # Per source the table or view plan it reads, or None: a slot
-            # the namespace fills per firing.
-            prepared = self._plans[key] = (
-                plan,
-                [desc.name for desc in sources if desc.kind == STD],
-                [None if d.kind == TMP else d.subplan or catalog.table(d.name) for d in sources],
-                [(at, desc.name) for at, desc in enumerate(sources) if desc.kind == TMP],
-            )
-        plan, locks, recipe, named = prepared
-        for name in locks:
-            txn.lock_table_shared(name)
-        state = ExecState(db, txn, {}, pseudo, namespace)
-        instances = state.instances = recipe.copy()
-        for at, name in named:
-            instances[at] = namespace[name]
-        return plan.collect(state) if self.bind_as is None else plan.bind(self.bind_as, state)
-
-
 def execute_select(
     db: Any,
-    select: Union[ast.Select, PreparedSelect],
+    select: ast.Select,
     txn: Any,
     params: Optional[dict[str, Any]] = None,
     pseudo: Optional[dict[str, Any]] = None,
     namespace: Optional[dict[str, Any]] = None,
-) -> Union[SelectResult, TempTable]:
-    """Plan (memoised) and execute one SELECT against catalog + namespace.  A
-    rule's prepared query runs its own plan, and with ``bind as`` returns
-    its rows as that bound table."""
-    if isinstance(select, PreparedSelect):
-        return select.run(db, txn, pseudo, namespace)
+) -> SelectResult:
+    """Plan (memoised) and execute one SELECT against catalog + namespace."""
     return select_plan(db, select, namespace).execute(db, txn, params, pseudo, namespace)
 
 

@@ -92,16 +92,39 @@ class ResolutionContext(Protocol):
 # ----------------------------------------------------------- null-safe ops
 
 
-def _nadd(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a + b
+def _operands(symbol: str, *values: Any) -> ExecutionError:
+    """What arithmetic Python refuses (``'x' + 1``, ``-'x'``) raises: the
+    operator and the operand types, typed like a refused comparison."""
+    types = " and ".join(type(value).__name__ for value in values)
+    return ExecutionError(f"cannot apply {symbol} to {types}")
 
 
-def _nsub(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a - b
+def _arithmetic(symbol: str, op: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """NULL-safe ``+``, ``-`` or ``*``."""
+
+    def apply(a: Any, b: Any) -> Any:
+        if a is None or b is None:
+            return None
+        try:
+            return op(a, b)
+        except TypeError:
+            raise _operands(symbol, a, b) from None
+
+    return apply
 
 
-def _nmul(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a * b
+_nadd = _arithmetic("+", operator.add)
+_nsub = _arithmetic("-", operator.sub)
+_nmul = _arithmetic("*", operator.mul)
+
+
+def _nneg(a: Any) -> Any:
+    if a is None:
+        return None
+    try:
+        return -a
+    except TypeError:
+        raise _operands("unary -", a) from None
 
 
 def _ndiv(a: Any, b: Any) -> Any:
@@ -109,7 +132,10 @@ def _ndiv(a: Any, b: Any) -> Any:
         return None
     if b == 0:
         raise ExecutionError("division by zero")
-    return a / b
+    try:
+        return a / b
+    except TypeError:
+        raise _operands("/", a, b) from None
 
 
 def _nmod(a: Any, b: Any) -> Any:
@@ -117,7 +143,10 @@ def _nmod(a: Any, b: Any) -> Any:
         return None
     if b == 0:
         raise ExecutionError("modulo by zero")
-    return a % b
+    try:
+        return a % b
+    except TypeError:
+        raise _operands("%", a, b) from None
 
 
 def _neq(a: Any, b: Any) -> Any:
@@ -150,8 +179,12 @@ _COMPARE = {
     "=": _neq, "!=": _nne, "<": _ordering(operator.lt), "<=": _ordering(operator.le),
     ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
 }
-#: Operators a source writes in line, NULL-safe; the others call their helper.
+#: Operators a source writes in line, NULL-safe; the others call their
+#: helper.  Arithmetic is written in line for operands of these classes,
+#: which it cannot refuse, and calls its helper — the closure's typed error
+#: — for any other.
 _IN_LINE = {"+": "+", "-": "-", "*": "*", "=": "==", "!=": "!="}
+_NUMERIC = frozenset({int, float})
 
 
 def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
@@ -164,8 +197,11 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
     ``and`` / ``or`` / ``not``, unary minus and ``is [not] null`` are written
     in line, evaluating both operands of a binary operator first (a right
     operand that cannot raise is skipped after a NULL, unobservably) and the
-    right side of ``and`` / ``or`` exactly when the closure does; ``/``, ``%``
-    and the orderings call their helper, which raises the closure's error."""
+    right side of ``and`` / ``or`` exactly when the closure does; ``/``,
+    ``%``, the orderings and arithmetic over anything but an ``int`` or a
+    ``float`` call their helper, which raises the closure's error — operands
+    Python refuses (``'x' + 1``) are an ``ExecutionError`` naming the
+    operator and their types, never a bare ``TypeError``."""
     inline = ctx.inline
     if isinstance(expr, ast.Literal):
         value = expr.value
@@ -183,10 +219,11 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
         inner = compile_expr(expr.operand, ctx)
         t = inline.temp()
         if expr.op == "-":
-            getter = lambda env: None if (v := inner(env)) is None else -v
-            inline.record(
-                getter, (inner,), lambda a: f"(None if ({t} := {a}) is None else -{t})", True
-            )
+            getter = lambda env: _nneg(inner(env))
+            inline.record(getter, (inner,), lambda a: (
+                f"(None if ({t} := {a}) is None else -{t} if {t}.__class__ in"
+                f" {inline.const(_NUMERIC)} else {inline.const(_nneg)}({t}))"
+            ), True)
             return getter
         if expr.op == "not":
 
@@ -247,9 +284,15 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
             inline.record(getter, (left, right), lambda a, b: f"{inline.const(fn)}({a}, {b})", True)
         else:  # ``|`` evaluates a right operand that can raise even after a NULL
             either = "|" if right in inline.raising else "or"
+            checked = ""  # arithmetic: in line for numbers, else the helper's error
+            if op not in ("==", "!="):
+                numeric = inline.const(_NUMERIC)
+                checked = (f" if {t}.__class__ in {numeric} and {u}.__class__ in {numeric}"
+                           f" else {inline.const(fn)}({t}, {u})")
             inline.record(getter, (left, right), lambda a, b: (
-                f"(None if (({t} := {a}) is None) {either} (({u} := {b}) is None) else {t} {op} {u})"
-            ), op not in ("==", "!="))
+                f"(None if (({t} := {a}) is None) {either} (({u} := {b}) is None)"
+                f" else {t} {op} {u}{checked})"
+            ), bool(checked))
         return getter
 
     if isinstance(expr, ast.IsNull):

@@ -28,6 +28,7 @@ section 6.1).
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -127,12 +128,12 @@ class CompiledSelect:
         #: (environment position, columns, method) of each index the nest probes.
         self.probes = [(step.desc.env_pos, *step.index) for step in steps if step.index]
         self._indexes: tuple = (None, -1, [])  # (catalog, version, index objects)
-        self._nests: dict[str, Callable] = {}  # sink -> compiled loop nest
+        self._nest: Optional[Callable] = None  # the compiled collecting loop nest
 
     def state(self, db: Any, txn: Any, params: Any, pseudo: Any, namespace: Any) -> ExecState:
         """One execution's state, each source looked up by name in plan order
-        (``namespace``, else the catalog, S-locking a standard table); a
-        prepared rule query builds its own (``sql.executor.PreparedSelect``)."""
+        (``namespace``, else the catalog, S-locking a standard table); a rule
+        query's firing function resolves its own (:meth:`firing`)."""
         state = ExecState(db, txn, dict(params or {}), dict(pseudo or {}), namespace)
         state.instances = [
             _fetch_instance(desc, db, txn, namespace, state) for desc in self.sources
@@ -158,12 +159,12 @@ class CompiledSelect:
             stamp = self._indexes = (catalog, catalog.version, resolved)
         return stamp[2]
 
-    def _run(self, sink: str, state: ExecState, emit: Callable) -> None:
-        """One execution of the fused nest: the active meter and the cost
-        table are read now, not when the nest was compiled."""
-        nest = self._nests.get(sink)
+    def _run(self, state: ExecState, emit: Callable) -> None:
+        """One execution of the collecting nest: the active meter and the
+        cost table are read now, not when the nest was compiled."""
+        nest = self._nest
         if nest is None:
-            nest = self._nests[sink] = _build_nest(self, sink)
+            nest = self._nest = _build_nest(self, "collect")
         db, instances = state.db, state.instances
         meter, cost = db.metering()
         nest(state, instances, self.indexes(db.catalog, instances), meter, cost, emit)
@@ -181,26 +182,26 @@ class CompiledSelect:
     def collect(self, state: ExecState) -> "SelectResult":
         """Run the plan over ``state``'s instances into a result set."""
         emit, finish = self.output.collector(state)
-        self._run("collect", state, emit)
+        self._run(state, emit)
         return finish()
 
-    def bind(self, name: str, state: ExecState) -> TempTable:
-        """Run the plan over ``state``'s instances and bind its rows as
-        temporary table ``name`` (a rule query's ``bind as``).  When the
-        output is the join's rows as they come, the nest appends them to the
-        table itself — each row is touched once — and charges ``row_output``
-        and ``bind_row`` after its loops, in the order ``collect`` +
-        ``SelectResult.bind`` make them."""
-        if not self.output.streams:
-            return self.collect(state).bind(name, state.db)
-        spec = self.output.bind_spec()
-        table = TempTable(name, spec.schema, spec.static_map)
-        try:
-            self._run("bind", state, table.row_sink(len(spec.ptr_keys), len(spec.mat_columns)))
-        except BaseException:
-            table.retire()
-            raise
-        return table
+    def firing(self, db: Any, bind_as: Optional[str]) -> Callable:
+        """This plan as a rule query runs it inside a firing, compiled now:
+        ``fire(state, meter, cost)`` returns the query's bound table
+        ``bind_as`` — or its result set, without ``bind as``.
+
+        The function is the plan's loop nest with the firing written round
+        it (``_build_nest``, sink ``fire``): it S-locks each standard table
+        in plan order that ``state.txn`` does not hold yet, reads each
+        transition or bound table from ``state.namespace`` by name, and
+        holds the catalog tables, view subplans and index objects resolved
+        here, so the caller drops it when ``Catalog.version`` moves.  When
+        the output is the join's rows as they come, the nest appends them to
+        the bound table itself — each row is touched once — and charges
+        ``row_output`` and ``bind_row`` after its loops, in the order
+        ``collect`` + ``SelectResult.bind`` make them; any other output
+        collects, finishes and binds through ``SelectResult.bind``."""
+        return _build_nest(self, "fire", db, bind_as)
 
     def execute_reference(
         self,
@@ -313,11 +314,17 @@ def _tuple_source(parts: Sequence[str]) -> str:
     return "(" + "".join(part + ", " for part in parts) + ")"
 
 
-def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
+def _build_nest(
+    plan: CompiledSelect, sink: str, db: Any = None, bind_as: Optional[str] = None
+) -> Callable:
     """Write, compile and return ``plan``'s fused loop nest for one sink:
-    ``collect`` calls ``emit(env)`` per joined row, ``bind`` pins a row's
-    records and calls ``emit((ptrs, mats))``, then charges ``row_output``
-    and ``bind_row`` once per row bound.
+    ``collect`` is ``nest(state, instances, indexes, meter, cost, emit)``
+    and calls ``emit(env)`` per joined row; ``fire`` is a rule query's
+    ``fire(state, meter, cost)`` (:meth:`CompiledSelect.firing`), whose
+    prologue takes the S-locks and reads the instances itself and which, for
+    a streaming ``bind as``, pins a row's records and appends ``(ptrs,
+    mats)`` to the bound table it returns, then charges ``row_output`` and
+    ``bind_row`` once per row bound.
 
     Charges are float additions on ``meter.total`` in exactly the generator
     pipeline's order — generators start last step first, so hash builds run
@@ -337,7 +344,8 @@ def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
     for step in plan.steps:
         depth = step.emit(nest, depth)
         nest.ends[step.desc.env_pos] = [len(nest.body), depth]
-    bound = sink == "bind"
+    fire = sink == "fire"
+    bound = fire and bind_as is not None and plan.output.streams
     if not bound:
         nest.line(depth, f"emit({nest.env(nest.slots)})")
     else:
@@ -358,15 +366,32 @@ def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
     ops = dict.fromkeys(op for counter in nest.counters for op in counter)
     if bound:
         ops.update(dict.fromkeys(("row_output", "bind_row")))
-    lines = ["def nest(state, instances, indexes, meter, cost, emit):"]
+    if fire:
+        lines = ["def nest(state, meter, cost):", *_firing_prologue(plan, db, nest.names)]
+        nest.names["BIND"] = bind_as
+        if bound:
+            # One bind spec fixes the table's shape and the rows' arity, so
+            # no ``row_sink`` check per firing.
+            nest.names.update(SCHEMA=spec.schema, MAP=spec.static_map, TempTable=TempTable)
+            lines.append("    table, emit = TempTable.shaped(BIND, SCHEMA, MAP)")
+            result = "table"
+        else:
+            nest.names["OUTPUT"] = plan.output
+            lines.append("    emit, finish = OUTPUT.collector(state)")
+            result = "finish()" if bind_as is None else "finish().bind(BIND, state.db)"
+    else:
+        lines = ["def nest(state, instances, indexes, meter, cost, emit):"]
+        lines += [f"    i{p + 1} = instances[{p}]" for p in range(nest.slots)]
+        lines += [f"    x{pos} = indexes[{at}]" for at, (pos, *_index) in enumerate(plan.probes)]
     lines += [f"    {read} = state.{read}" for read in sorted(plan.inline.reads)]
-    lines += [f"    i{p + 1} = instances[{p}]" for p in range(nest.slots)]
-    lines += [f"    x{pos} = indexes[{at}]" for at, (pos, *_index) in enumerate(plan.probes)]
     lines += [f"    c_{op} = cost[{op!r}]" for op in ops]
     lines += [f"    n{k} = 0" for k in range(len(nest.counters))]
     if bound:
         lines.append("    n = 0")
-    lines += ["    try:", *nest.body, "    finally:", "        ops = meter.ops"]
+    lines += ["    try:", *nest.body]
+    if bound:  # a half-built table gives its pins back
+        lines += ["    except BaseException:", "        table.retire()", "        raise"]
+    lines += ["    finally:", "        ops = meter.ops"]
     for k, counter in enumerate(nest.counters):
         lines += [f"        if n{k}:"] + [f"            ops[{op!r}] += n{k}" for op in counter]
     if bound:  # n additions of each, op after op, as n charge calls would make
@@ -375,7 +400,39 @@ def _build_nest(plan: CompiledSelect, sink: str) -> Callable:
             lines += ["        for _ in range(n):", f"            total += c_{op}"]
         lines += ["        meter.total = total"]
         lines += [f"        ops[{op!r}] += n" for op in ("row_output", "bind_row")]
+    if fire:
+        lines.append(f"    return {result}")
     return generate(lines, "nest", f"<nest {sink}>", nest.names)
+
+
+def _firing_prologue(plan: CompiledSelect, db: Any, names: dict[str, Any]) -> list[str]:
+    """A rule query's instances and S-locks, read where a firing runs it:
+    each standard table's S-lock in plan order, unless ``state.txn`` holds
+    it (``Transaction.lock_table_shared`` takes and charges it); then each
+    transition or bound table out of ``state.namespace`` by name, and the
+    catalog tables, view subplans and index objects resolved now, as
+    globals."""
+    locks = dict.fromkeys(desc.name for desc in plan.sources if desc.kind == STD)
+    lines = ["    txn = state.txn", "    locked = txn.read_locked_tables"] if locks else []
+    for at, name in enumerate(locks):
+        names[f"LOCK{at}"] = name
+        lines += [f"    if LOCK{at} not in locked:", f"        txn.lock_table_shared(LOCK{at})"]
+    if any(desc.kind == TMP for desc in plan.sources):
+        lines.append("    namespace = state.namespace")
+    recipe = []  # per source: the object it reads, None for a namespace slot
+    for pos, desc in enumerate(plan.sources, start=1):
+        if desc.kind == TMP:
+            names[f"NAME{pos}"] = desc.name
+            lines.append(f"    i{pos} = namespace[NAME{pos}]")
+            recipe.append(None)
+            continue
+        names[f"SOURCE{pos}"] = instance = desc.subplan or db.catalog.table(desc.name)
+        lines.append(f"    i{pos} = SOURCE{pos}")
+        recipe.append(instance)
+    for (pos, *_index), index in zip(plan.probes, plan.indexes(db.catalog, recipe)):
+        names[f"INDEX{pos}"] = index
+        lines.append(f"    x{pos} = INDEX{pos}")
+    return lines
 
 
 def _fetch_instance(
@@ -679,7 +736,7 @@ class _AggSpec:
 class _OutputSpec:
     columns: list[OutputColumn]
     #: True when the result is the join's rows as they come, so a bound
-    #: table can be filled by the nest itself (CompiledSelect.bind).
+    #: table can be filled by the nest itself (CompiledSelect.firing).
     streams = False
     _bind_spec = None
 
@@ -701,7 +758,7 @@ class _PlainOutput(_OutputSpec):
     def __init__(
         self,
         columns: list[OutputColumn],
-        order_keys: list[tuple[Getter, bool]],
+        order_keys: list[tuple[Callable[[Any], tuple], bool]],  # (row key, descending)
         limit: Optional[int],
         distinct: bool,
         charge_free: bool,
@@ -719,9 +776,11 @@ class _PlainOutput(_OutputSpec):
         return envs.append, lambda: self._finish(envs, state)
 
     def _finish(self, env_list: list[list[Any]], state: ExecState) -> "SelectResult":
-        for getter, descending in reversed(self.order_keys):
-            state.db.charge("sort_row", max(len(env_list), 1))
-            env_list.sort(key=lambda env: _null_safe_key(getter(env)), reverse=descending)
+        charge = state.db.charge
+        env_list = _ordered(
+            env_list, self.order_keys, self.limit, self.distinct,
+            lambda rows: charge("sort_row", max(rows, 1)),
+        )
         meter, cost = state.db.metering()
         seconds = cost["row_output"]
         result_envs: list[list[Any]] = []
@@ -750,7 +809,7 @@ class _AggregateOutput(_OutputSpec):
         group_keys: list[Getter],  # over row envs
         agg_specs: list[_AggSpec],
         having: Optional[Getter],
-        order_keys: list[tuple[Getter, bool]],
+        order_keys: list[tuple[Callable[[Any], tuple], bool]],
         limit: Optional[int],
         distinct: bool,
     ) -> None:
@@ -805,9 +864,7 @@ class _AggregateOutput(_OutputSpec):
                 if not truthy(self.having(genv)):
                     continue
             group_envs.append(genv)
-        if self.order_keys:
-            for getter, descending in reversed(self.order_keys):
-                group_envs.sort(key=lambda g: _null_safe_key(getter(g)), reverse=descending)
+        group_envs = _ordered(group_envs, self.order_keys, self.limit, self.distinct)
         rows: list[list[Any]] = []
         seen: set[tuple] = set()
         for genv in group_envs:
@@ -828,15 +885,56 @@ def _item_getter(i: int) -> Getter:
     return lambda row: row[i]
 
 
-def _null_safe_key(value: Any) -> tuple:
-    """Sort key placing NULLs last and avoiding cross-type comparisons."""
-    if value is None:
-        return (2, 0)
-    if isinstance(value, str):
-        return (1, value)
-    if isinstance(value, bool):
-        return (0, int(value))
-    return (0, value)
+def _ordered(
+    items: list,
+    order_keys: list[tuple[Callable[[Any], tuple], bool]],
+    limit: Optional[int],
+    distinct: bool,
+    charge: Optional[Callable[[int], None]] = None,
+) -> list:
+    """``items`` in ORDER BY order: one stable pass per key, last key
+    first, each after ``charge(len(items))`` (``sort_row``).  With a LIMIT
+    and no DISTINCT the first key's pass keeps only the first ``limit`` —
+    ``heapq.nsmallest`` / ``nlargest``, documented equal to ``sorted(...)[:
+    limit]``, ties included — the rows the output loop would stop after."""
+    last = len(order_keys) - 1
+    for at, (key, descending) in enumerate(reversed(order_keys)):
+        if charge is not None:
+            charge(len(items))
+        if at == last and limit is not None and not distinct:
+            return (heapq.nlargest if descending else heapq.nsmallest)(limit, items, key=key)
+        items.sort(key=key, reverse=descending)
+    return items
+
+
+def _row_key(
+    getter: Getter, inline: Optional[Inline] = None, slots: int = 0
+) -> Callable[[Any], tuple]:
+    """An ORDER BY key as one call per row: NULLs last, text after numbers,
+    a bool as its int, so values of two types never meet in a comparison.
+    The getter's source form is written in, over the environment's handles,
+    when it has one; otherwise the key calls the getter (a group-scoped
+    item, an expression that can charge)."""
+    source = inline.text.get(getter) if inline is not None else None
+    names = dict(inline.names) if inline is not None else {}
+    if source is None:
+        names["GETTER"] = getter
+        lines = ["def key(env):", "    out = GETTER(env)"]
+    else:
+        handles = "".join(f"h{pos}, " for pos in range(1, slots + 1))
+        lines = ["def key(env):", f"    (state, {handles}) = env"]
+        lines += [f"    {read} = state.{read}" for read in sorted(inline.reads)]
+        lines.append(f"    out = {source}")
+    lines += [
+        "    if out is None:",
+        "        return (2, 0)",
+        "    if isinstance(out, str):",
+        "        return (1, out)",
+        "    if isinstance(out, bool):",
+        "        return (0, int(out))",
+        "    return (0, out)",
+    ]
+    return generate(lines, "key", "<sort key>", names)
 
 
 def _agg_init(spec: _AggSpec) -> Any:
@@ -1353,11 +1451,14 @@ def plan_select(
                         keys.append((position, side))
                         break
             if keys:
-                # Scored as indexed (by a non-empty index) when the first key
-                # column alone is, though only a full-key index is probed.
+                # Scored as indexed when the first key column alone is, though
+                # only a full-key index is probed.  Presence, not truthiness:
+                # an empty table or index must not change the order.
                 columns = tuple(side.column for _position, side in keys)
                 table = db.catalog.table(desc.name) if desc.kind == STD else None
-                indexed = table and (table.index_on(columns) or table.index_on(columns[:1]))
+                indexed = table is not None and (
+                    table.index_on(columns) is not None or table.index_on(columns[:1]) is not None
+                )
                 score = (-1 if indexed else 0, kind_rank[desc.kind], desc.from_pos)
                 if best is None or score < best[0]:
                     best = (score, desc, keys)
@@ -1577,7 +1678,8 @@ def _build_output(
             else:
                 columns.append(OutputColumn(name, col_type, getter))
         order_keys = [
-            (compile_expr(item.expr, resolution), item.descending)
+            (_row_key(compile_expr(item.expr, resolution), resolution.inline, len(order)),
+             item.descending)
             for item in select.order_by
         ]
         if select.having is not None:
@@ -1678,7 +1780,7 @@ def _build_output(
         columns.append(OutputColumn(name, col_type, getter))
     having = compile_group_scoped(select.having) if select.having is not None else None
     order_keys = [
-        (compile_group_scoped(item.expr), item.descending) for item in select.order_by
+        (_row_key(compile_group_scoped(item.expr)), item.descending) for item in select.order_by
     ]
     return _AggregateOutput(
         columns,

@@ -253,6 +253,20 @@ class TempTable:
         self._rows: list[tuple[tuple[Record, ...], tuple[Any, ...]]] = []
         self._retired = False
 
+    @classmethod
+    def shaped(
+        cls, name: str, schema: Schema, static_map: StaticMap
+    ) -> tuple["TempTable", Callable[[tuple], None]]:
+        """A fresh, empty table and the append of its row list, for a writer
+        compiled against ``schema`` and ``static_map`` — a rule query's bind
+        nest, whose bind spec made both and fixed its rows' arity — so
+        nothing is checked per table that was checked once per plan."""
+        table = cls.__new__(cls)
+        table.name, table.schema, table.static_map = name, schema, static_map
+        table._rows = []
+        table._retired = False
+        return table, table._rows.append
+
     # ------------------------------------------------------------ mutation
 
     def append_row(self, ptrs: Sequence[Record], mats: Sequence[Any] = ()) -> None:

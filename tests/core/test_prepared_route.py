@@ -137,11 +137,17 @@ VALUES = [None, 0, 1, 2]  # few values: keys collide, NULL keys occur
 
 
 class Prepared:
-    """What ``UniqueManager.dispatch`` reads of a prepared rule."""
+    """A firing program's route slot for one rule: resolved at the rule's
+    first firing that gets as far as dispatch, kept from then on, and
+    handed to ``UniqueManager.dispatch`` with every firing."""
 
-    def __init__(self, rule):
-        self.rule = rule
-        self.routes = []
+    def __init__(self, db, rule):
+        self.db, self.rule, self.route = db, rule, None
+
+    def dispatch(self, bound, txn):
+        if self.route is None:
+            self.route = unique.Route(self.rule, bound, self.db.rule_engine.make_action_body)
+        return self.db.unique_manager.dispatch(self.route, bound, txn)
 
 
 @st.composite
@@ -236,7 +242,7 @@ def test_prepared_dispatch_routes_as_the_per_firing_router(firing):
         name="r", table="t", events=(ast.Event("inserted"),), function="f",
         unique=True, unique_on=unique_on,
     )
-    prepared = Prepared(rule)
+    prepared = Prepared(db, rule)
     shapes = Shapes(specs, rng)
     txn = db.begin()
     txn.commit_time = 0.0
@@ -247,9 +253,9 @@ def test_prepared_dispatch_routes_as_the_per_firing_router(firing):
             keys, owners = reference_route(unique_on, bound)
         except RuleError as expected:
             with pytest.raises(RuleError) as raised:
-                db.unique_manager.dispatch(prepared, bound, txn)
+                prepared.dispatch(bound, txn)
             assert str(raised.value) == str(expected)
-            assert prepared.routes == []  # a failed preparation is not kept
+            assert prepared.route is None  # a failed preparation is not kept
             for table in bound.values():
                 table.retire()
             continue
@@ -257,7 +263,8 @@ def test_prepared_dispatch_routes_as_the_per_firing_router(firing):
         db.background_meter = oracle = Meter()
         reference_charges(db, keys, owners, bound, pending)
         db.background_meter = meter = Meter()
-        new = db.unique_manager.dispatch(prepared, bound, txn)
+        route = prepared.route
+        new = prepared.dispatch(bound, txn)
 
         assert [task.unique_key for task in new] == [key for key in keys if key not in pending]
         assert meter.ops == oracle.ops
@@ -266,7 +273,7 @@ def test_prepared_dispatch_routes_as_the_per_firing_router(firing):
             rows = pending.setdefault(key, {name: [] for name in bound})
             for name, raws in partition.items():
                 rows[name] += ids(raws)
-        assert len(prepared.routes) == 1  # the second firing reused the first's route
+        assert route in (None, prepared.route)  # the second firing reused the first's route
     tasks = db.unique_manager.pending_tasks("f")
     assert [task.unique_key for task in tasks] == list(pending)
     for task in tasks:
@@ -278,32 +285,32 @@ def test_prepared_dispatch_routes_as_the_per_firing_router(firing):
 
 
 def test_a_firing_of_another_shape_prepares_its_own_route():
-    """The same rule bound through two plans (say, a cascade's namespace):
-    the key column sits at another offset in the second shape, so a route
-    trusted across shapes would read the wrong column."""
+    """One downstream rule fired under two namespace shapes: it reads ``m``,
+    which two upstream rules bind from tables storing ``k`` at different
+    offsets, so its bound table reads the key through two static maps.
+    Each shape runs its own program with its own route; a route trusted
+    across shapes would group by the wrong column."""
     db = Database()
-    db.register_function("f", lambda ctx: None)
-    rule = Rule(
-        name="r", table="t", events=(ast.Event("inserted"),), function="f",
-        unique=True, unique_on=("k",),
+    db.execute_script(
+        "create table p (k int, v int); create table q (v int, k int); create table w (n int)"
     )
-    prepared = Prepared(rule)
-    txn = db.begin()
-    txn.commit_time = 0.0
-    shapes = {
-        order: (Schema([Column(c, ColumnType.INT) for c in order]), StaticMap.all_materialized(2))
-        for order in ("kv", "vk")
-    }
-    keys = []
-    for shape, row in [("kv", (1, 10)), ("vk", (20, 2)), ("kv", (3, 30)), ("vk", (40, 4))]:
-        table = TempTable("m", *shapes[shape])
-        table.append_values(row)
-        new = db.unique_manager.dispatch(prepared, {"m": table}, txn)
-        keys += [task.unique_key for task in new]
-    assert keys == [(1,), (2,), (3,), (4,)]
-    assert [route.shape[0][1] for route in prepared.routes] == [shapes["kv"][1], shapes["vk"][1]]
-    for task in db.unique_manager.pending_tasks("f"):
-        task.retire_bound_tables()
+    db.register_function("f", lambda ctx: ctx.execute("insert into w values (1)"))
+    db.register_function("g", lambda ctx: None)
+    for table in ("p", "q"):
+        db.execute(f"create rule r{table} on {table} when inserted "
+                   "if select * from inserted bind as m then execute f writes w")
+    db.execute("create rule down on w when inserted if select k, v from m bind as seen "
+               "then execute g unique on k after 100 seconds")
+    for table, row in [("p", (1, 10)), ("q", (20, 2)), ("p", (3, 30)), ("q", (40, 4))]:
+        db.execute(f"insert into {table} values {row}")
+        db.drain(until=db.now + 1.0)  # runs f, whose commit fires ``down``
+    assert [task.unique_key for task in db.unique_manager.pending_tasks("g")] == [
+        (1,), (2,), (3,), (4,)
+    ]
+    program = db.rule_engine.programs()[db.catalog.table("w")]
+    assert len(program.fires) == 2  # one per shape of ``m``
+    groupers = [route.owners[0][2] for (route,) in program.routes.values()]
+    assert len(groupers) == 2 and groupers[0] is not groupers[1]  # ``k`` read at two offsets
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +369,9 @@ def fire(db, *symbols, price=1.0):
 
 
 def routes(db):
-    return [route for _shape, rules in db.rule_engine.programs().values()
-            for prepared in rules for route in prepared.routes]
+    """Every route the firing programs resolved, per program and rule."""
+    return [route for program in db.rule_engine.programs().values()
+            for slots in program.routes.values() for route in slots if route is not None]
 
 
 def test_the_options_workload_prepares_one_route(counted):

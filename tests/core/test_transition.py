@@ -108,12 +108,12 @@ class TestConstruction:
         db.register_function("f", lambda ctx: None)
         db.execute("create rule r on t when inserted then execute f")
         table = db.catalog.table("t")
-        first = db.rule_engine.programs()[table][0]
+        first = db.rule_engine.programs()[table].shape
         db.execute("insert into t values ('a', 1.0)")
-        assert db.rule_engine.programs()[table][0] is first
+        assert db.rule_engine.programs()[table].shape is first
         assert first.schema == transition_schema(table.schema)
         db.execute("create index t_k on t (k)")
-        assert db.rule_engine.programs()[table][0] is not first
+        assert db.rule_engine.programs()[table].shape is not first
 
     def test_only_the_named_tables_are_built_all_entries_charged(self, db):
         db.execute("insert into t values ('x', 0.0)")

@@ -1,10 +1,11 @@
 """The fused loop nest against the generator pipeline it was written from.
 
-``CompiledSelect.execute`` / ``.bind`` run generated code with inline
-metering; ``execute_reference`` is the step-by-step generator pipeline with
-one ``Database.charge`` call per charge.  They must agree on rows, column
-order, bound ``(ptrs, mats)`` rows, every record's pin count, ``meter.ops``
-and — bit for bit — ``meter.total``.
+``CompiledSelect.execute`` and a rule query's ``CompiledSelect.firing``
+run generated code with inline metering; ``execute_reference`` is the
+step-by-step generator pipeline with one ``Database.charge`` call per
+charge.  They must agree on rows, column order, bound ``(ptrs, mats)``
+rows, every record's pin count, ``meter.ops`` and — bit for bit —
+``meter.total``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.sim.clock import Meter
 from repro.sim.simulator import Simulator
 from repro.sql import ast, executor, expressions, planner
 from repro.sql.parser import parse_statement
-from repro.sql.planner import plan_select
+from repro.sql.planner import ExecState, plan_select
 from repro.storage.schema import ColumnType, Schema
 from repro.storage import temptable
 from repro.storage.temptable import TempTable
@@ -220,6 +221,21 @@ def same_meter(got: Meter, want: Meter) -> None:
     assert got.total.hex() == want.total.hex()
 
 
+def fire(plan, db: Database, txn, bind_as, pseudo, namespace):
+    """``plan`` run as a rule query inside a firing of ``txn`` (its compiled
+    ``CompiledSelect.firing``); the caller's ``holding_every_lock(txn)``
+    takes none, as the reference, run without a transaction, takes none."""
+    meter, cost = db.metering()
+    state = ExecState(db, txn, {}, dict(pseudo or {}), namespace)
+    return plan.firing(db, bind_as)(state, meter, cost)
+
+
+def holding_every_lock(db: Database, txn):
+    """``txn``, marked as holding the S-lock of every catalog table."""
+    txn.read_locked_tables.update(table.name for table in db.catalog.tables())
+    return txn
+
+
 def outcome(result):
     """A result's column names and rows, or the error it raised, comparable."""
     if isinstance(result, ExecutionError):
@@ -311,9 +327,8 @@ def compare_with_reference(world: World, sql: str, bindable: bool, pseudo) -> No
             return
 
         before = world.pins()
-        bound, got_meter = world.metered(
-            lambda: plan.bind("bt", plan.state(db, None, None, PSEUDO, namespace))
-        )
+        txn = holding_every_lock(db, world.txn)
+        bound, got_meter = world.metered(lambda: fire(plan, db, txn, "bt", PSEUDO, namespace))
         reference, want_meter = world.metered(
             lambda: plan.execute_reference(db, None, None, PSEUDO, namespace).bind("bt", db)
         )
@@ -385,7 +400,9 @@ def test_function_raising_mid_loop_leaves_everything_balanced(db):
     plan = plan_select(db, stmt, None)
     records = [*db.catalog.table("a").scan(), *db.catalog.table("b").scan()]
 
-    error, got = metered(db, lambda: plan.bind("bt", plan.state(db, None, None, None, None)))
+    txn = holding_every_lock(db, db.begin())
+    error, got = metered(db, lambda: fire(plan, db, txn, "bt", None, None))
+    txn.abort()
     reference_error, want = metered(db, lambda: plan.execute_reference(db, None).bind("bt", db))
     assert "boom" in str(error) and str(error) == str(reference_error)
     same_meter(got, want)

@@ -76,6 +76,22 @@ class TestArithmetic:
         with pytest.raises(ExecutionError):
             evaluate("1 % 0")
 
+    @pytest.mark.parametrize("sql, row, message", [
+        ("d + 1", {"d": "x"}, "cannot apply + to str and int"),
+        ("1 - d", {"d": "x"}, "cannot apply - to int and str"),
+        ("d * d", {"d": "x"}, "cannot apply * to str and str"),
+        ("d / 2", {"d": "x"}, "cannot apply / to str and int"),
+        ("7 % d", {"d": "x"}, "cannot apply % to int and str"),
+        ("-d", {"d": "x"}, "cannot apply unary - to str"),
+        ("d + 1 = a", {"d": "x", "a": 1}, "cannot apply + to str and int"),
+    ])
+    def test_operands_python_refuses_raise_one_typed_error(self, sql, row, message):
+        """The closure and the source form raise the same ExecutionError,
+        naming the operator and the operand types, never a bare TypeError."""
+        with pytest.raises(ExecutionError) as raised:
+            evaluate(sql, row)
+        assert str(raised.value) == message
+
     def test_null_propagation(self):
         assert evaluate("a + 1", {"a": None}) is None
         assert evaluate("a * 0", {"a": None}) is None

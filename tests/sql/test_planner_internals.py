@@ -196,6 +196,33 @@ class TestPlanCache:
         assert len(builds) == after_first_round <= 33
 
 
+def test_join_order_does_not_depend_on_emptiness():
+    """A join is scored by whether an index *exists*, never by whether the
+    table or the index holds rows: a plan made while ``c`` is empty keeps
+    the order and step kinds of one made after it filled (the plan is kept
+    until ``Catalog.version`` moves, so an empty-time order would stick)."""
+
+    def plan_of(filled: bool):
+        db = Database()
+        db.execute_script(
+            """
+            create table a (k int);
+            create table b (k int);
+            create table c (k int);
+            create index c_k on c (k);
+            insert into a values (1);
+            insert into b values (1);
+            """
+        )
+        if filled:
+            db.execute("insert into c values (1)")
+        plan = plan_for(db, "select a.k from a, b, c where b.k = a.k and c.k = a.k")
+        return [desc.binding for desc in plan.sources], [type(step) for step in plan.steps]
+
+    expected = (["a", "c", "b"], [_ScanStep, _IndexJoinStep, _HashJoinStep])
+    assert plan_of(False) == plan_of(True) == expected
+
+
 class TestBindingProvenance:
     def test_rule_binding_reuses_schema_across_firings(self, db):
         """BindSpec sharing: two firings of one rule produce bound tables
