@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import Callable, Iterator, Optional, Union
 
 # --------------------------------------------------------------- expressions
 
@@ -92,59 +92,71 @@ class InSubquery(Expr):
 AGGREGATE_NAMES = frozenset({"sum", "count", "avg", "min", "max"})
 
 
+#: The fields of each node that hold its operands — the expressions it
+#: evaluates in its own scope — in evaluation order.  A subquery's SELECT is
+#: never one: it has a scope of its own.
+_OPERANDS: dict[type, tuple[str, ...]] = {
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    IsNull: ("operand",),
+    FuncCall: ("args",),
+    InSubquery: ("operand",),
+}
+
+
+def operands(expr: Expr) -> tuple[Expr, ...]:
+    """``expr``'s operands in evaluation order (a call's arguments one by
+    one; an ``IN``'s left side, not its subquery)."""
+    out: list[Expr] = []
+    for name in _OPERANDS.get(type(expr), ()):
+        value = getattr(expr, name)
+        out += value if isinstance(value, tuple) else (value,)
+    return tuple(out)
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every node below it through :func:`operands`, pre-order."""
+    yield expr
+    for operand in operands(expr):
+        yield from walk(operand)
+
+
+def rebuild(expr: Expr, answer: Callable[[Expr], Optional[Expr]]) -> Expr:
+    """``expr`` with each subtree that ``answer`` answers (not None) replaced
+    by the answer, asked pre-order over the same operands as :func:`walk`:
+    a node it does not answer is rebuilt over its operands' rebuilds (a
+    leaf, a subquery's SELECT, is kept as it is)."""
+    new = answer(expr)
+    if new is not None:
+        return new
+    changes = {}
+    for name in _OPERANDS.get(type(expr), ()):
+        value = getattr(expr, name)
+        changes[name] = (
+            tuple(rebuild(arg, answer) for arg in value)
+            if isinstance(value, tuple)
+            else rebuild(value, answer)
+        )
+    return replace(expr, **changes) if changes else expr
+
+
 def contains_aggregate(expr: Expr) -> bool:
-    """True if ``expr`` contains an aggregate function call."""
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_NAMES:
-            return True
-        return any(contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InSubquery):
-        return contains_aggregate(expr.operand)
-    # Exists / ScalarSubquery: aggregates inside belong to the subquery.
-    return False
+    """True if ``expr`` contains an aggregate function call (one inside a
+    subquery belongs to the subquery)."""
+    return any(isinstance(node, FuncCall) and node.name in AGGREGATE_NAMES for node in walk(expr))
 
 
 def calls_out(expr: Expr) -> bool:
     """True if evaluating ``expr`` runs code that can charge the meter: a
     function call or a subquery."""
-    if isinstance(expr, (FuncCall, ScalarSubquery, Exists, InSubquery)):
-        return True
-    if isinstance(expr, BinaryOp):
-        return calls_out(expr.left) or calls_out(expr.right)
-    if isinstance(expr, (UnaryOp, IsNull)):
-        return calls_out(expr.operand)
-    return False
+    calls = (FuncCall, ScalarSubquery, Exists, InSubquery)
+    return any(isinstance(node, calls) for node in walk(expr))
 
 
 def column_refs(expr: Expr) -> list[ColumnRef]:
-    """All column references appearing in ``expr`` (pre-order)."""
-    out: list[ColumnRef] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            out.append(node)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, InSubquery):
-            walk(node.operand)
-        # Exists / ScalarSubquery reference only their own scope.
-
-    walk(expr)
-    return out
+    """All column references appearing in ``expr`` (pre-order; a subquery
+    references only its own scope)."""
+    return [node for node in walk(expr) if isinstance(node, ColumnRef)]
 
 
 # ---------------------------------------------------------------- statements

@@ -162,16 +162,11 @@ def _prepare_write(
         write.append("        values = list(h1.values)")
         for assignment in stmt.assignments:
             offset = table.schema.offset(assignment.column)
-            source = value(assignment.expr)
-            sign = "+" if assignment.increment else "-" if assignment.decrement else ""
-            if not sign:
-                write.append(f"        values[{offset:d}] = {source}")
-                continue
-            write += [
-                f"        v = {source}",
-                f"        c = values[{offset:d}]",
-                f"        values[{offset:d}] = None if c is None or v is None else c {sign} v",
-            ]
+            expr = assignment.expr
+            if assignment.increment or assignment.decrement:  # ``c += e`` is ``c = c + e``
+                column = ast.ColumnRef(None, assignment.column)
+                expr = ast.BinaryOp("+" if assignment.increment else "-", column, expr)
+            write.append(f"        values[{offset:d}] = {value(expr)}")
         write.append("        txn.update_record(table, h1, values)")
     else:
         write.append("        txn.delete_record(table, h1)")

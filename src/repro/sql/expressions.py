@@ -75,6 +75,11 @@ class ResolutionContext(Protocol):
 
     inline: Inline
 
+    def resolve_subtree(self, expr: ast.Expr) -> Getter | None:
+        """A getter for the whole of ``expr`` where this scope answers it
+        itself — a group scope's keys, aliases, aggregates and row values —
+        else None: ``compile_expr`` compiles it node by node."""
+
     def resolve_column(self, table: str | None, name: str) -> Getter:
         """A getter for a column reference, or raise PlanError."""
 
@@ -99,23 +104,27 @@ def _operands(symbol: str, *values: Any) -> ExecutionError:
     return ExecutionError(f"cannot apply {symbol} to {types}")
 
 
-def _arithmetic(symbol: str, op: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
-    """NULL-safe ``+``, ``-`` or ``*``."""
+def _arithmetic(
+    symbol: str, op: Callable[[Any, Any], Any], zero: str = ""
+) -> Callable[[Any, Any], Any]:
+    """NULL-safe ``+``, ``-``, ``*``, ``/`` or ``%`` over numbers.  Text —
+    which Python would join, repeat or format — and any operand Python
+    refuses raise the typed error of :func:`_operands`; ``zero`` is the
+    error of a zero right operand (``/``, ``%``)."""
 
     def apply(a: Any, b: Any) -> Any:
         if a is None or b is None:
             return None
+        if zero and b == 0:
+            raise ExecutionError(zero)
+        if isinstance(a, str) or isinstance(b, str):
+            raise _operands(symbol, a, b)
         try:
             return op(a, b)
         except TypeError:
             raise _operands(symbol, a, b) from None
 
     return apply
-
-
-_nadd = _arithmetic("+", operator.add)
-_nsub = _arithmetic("-", operator.sub)
-_nmul = _arithmetic("*", operator.mul)
 
 
 def _nneg(a: Any) -> Any:
@@ -127,39 +136,10 @@ def _nneg(a: Any) -> Any:
         raise _operands("unary -", a) from None
 
 
-def _ndiv(a: Any, b: Any) -> Any:
-    if a is None or b is None:
-        return None
-    if b == 0:
-        raise ExecutionError("division by zero")
-    try:
-        return a / b
-    except TypeError:
-        raise _operands("/", a, b) from None
-
-
-def _nmod(a: Any, b: Any) -> Any:
-    if a is None or b is None:
-        return None
-    if b == 0:
-        raise ExecutionError("modulo by zero")
-    try:
-        return a % b
-    except TypeError:
-        raise _operands("%", a, b) from None
-
-
-def _neq(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a == b
-
-
-def _nne(a: Any, b: Any) -> Any:
-    return None if a is None or b is None else a != b
-
-
-def _ordering(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
-    """NULL-safe ``<``, ``<=``, ``>`` or ``>=``: values of two types that do not
-    order against each other (a REAL column and a text literal) are an error."""
+def _comparison(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
+    """NULL-safe ``=``, ``!=``, ``<``, ``<=``, ``>`` or ``>=``: values of two
+    types that do not order against each other (a REAL column and a text
+    literal) are an error."""
 
     def compare(a: Any, b: Any) -> Any:
         if a is None or b is None:
@@ -174,10 +154,19 @@ def _ordering(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
     return compare
 
 
-_ARITH = {"+": _nadd, "-": _nsub, "*": _nmul, "/": _ndiv, "%": _nmod}
+_ARITH = {
+    "+": _arithmetic("+", operator.add),
+    "-": _arithmetic("-", operator.sub),
+    "*": _arithmetic("*", operator.mul),
+    "/": _arithmetic("/", operator.truediv, "division by zero"),
+    "%": _arithmetic("%", operator.mod, "modulo by zero"),
+}
 _COMPARE = {
-    "=": _neq, "!=": _nne, "<": _ordering(operator.lt), "<=": _ordering(operator.le),
-    ">": _ordering(operator.gt), ">=": _ordering(operator.ge),
+    symbol: _comparison(op)
+    for symbol, op in (
+        ("=", operator.eq), ("!=", operator.ne), ("<", operator.lt), ("<=", operator.le),
+        (">", operator.gt), (">=", operator.ge),
+    )
 }
 #: Operators a source writes in line, NULL-safe; the others call their
 #: helper.  Arithmetic is written in line for operands of these classes,
@@ -199,9 +188,17 @@ def compile_expr(expr: ast.Expr, ctx: ResolutionContext) -> Getter:
     operand that cannot raise is skipped after a NULL, unobservably) and the
     right side of ``and`` / ``or`` exactly when the closure does; ``/``,
     ``%``, the orderings and arithmetic over anything but an ``int`` or a
-    ``float`` call their helper, which raises the closure's error — operands
-    Python refuses (``'x' + 1``) are an ``ExecutionError`` naming the
-    operator and their types, never a bare ``TypeError``."""
+    ``float`` call their helper, which raises the closure's error — text,
+    which Python would join or repeat (``'x' * 2``), and operands Python
+    refuses (``'x' + 1``) are an ``ExecutionError`` naming the operator and
+    their types, never a value or a bare ``TypeError``.
+
+    ``ctx.resolve_subtree`` is asked first at every node: a scope that
+    answers a subtree itself (a group scope) compiles only the operators
+    above its answers here."""
+    answered = ctx.resolve_subtree(expr)
+    if answered is not None:
+        return answered
     inline = ctx.inline
     if isinstance(expr, ast.Literal):
         value = expr.value

@@ -1145,6 +1145,10 @@ class _SelectResolution:
 
     # -- ResolutionContext protocol --
 
+    def resolve_subtree(self, expr: ast.Expr) -> None:
+        """Row scope answers no subtree: every node compiles as itself."""
+        return None
+
     def resolve_column(self, table: Optional[str], name: str) -> Getter:
         getter, _ptr = self.resolve_output(table, name)
         return getter
@@ -1258,6 +1262,52 @@ class _SelectResolution:
         inline.text[_value] = f"({read}[{key}] if {key} in {read} else {fallback})"
         inline.raising.add(_value)
         return _value
+
+
+class _GroupResolution:
+    """Resolution of an aggregate SELECT's items, HAVING and ORDER BY over
+    the group environment ``(state, key values, aggregate values,
+    representative row env)``: a GROUP BY expression is its key slot, an
+    earlier output's unqualified name that output (a common SQL extension
+    that paper-era systems also allowed), an aggregate call a new slot, and
+    an aggregate-free, alias-free subtree its row value: over the
+    representative row if it reads a column (NULL where there is none: a
+    global aggregate over no rows), else as it stands.  ``compile_expr``
+    compiles every operator above those answers; functions and
+    (uncorrelated) subqueries resolve as in row scope."""
+
+    def __init__(self, rows: _SelectResolution, group_by: Sequence[ast.Expr]) -> None:
+        self.rows = rows
+        self.group_by = list(group_by)
+        self.aliases: dict[str, Getter] = {}  # output name -> its group getter
+        self.agg_specs: list[_AggSpec] = []
+        self.inline = Inline()  # a group getter is called per group, never written in line
+        self.resolve_function = rows.resolve_function
+        self.resolve_subquery = rows.resolve_subquery
+
+    def resolve_subtree(self, expr: ast.Expr) -> Optional[Getter]:
+        if expr in self.group_by:
+            return lambda genv, k=self.group_by.index(expr): genv[1][k]
+        if isinstance(expr, ast.ColumnRef) and expr.table is None and expr.name in self.aliases:
+            return self.aliases[expr.name]
+        if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_NAMES:
+            if expr.star or (not expr.args and expr.name == "count"):
+                arg = None
+            elif len(expr.args) == 1:
+                arg = compile_expr(expr.args[0], self.rows)
+            else:
+                raise PlanError(f"aggregate {expr.name.upper()} takes one argument")
+            self.agg_specs.append(_AggSpec(expr.name, arg, expr.distinct))
+            return lambda genv, s=len(self.agg_specs) - 1: genv[2][s]
+        refs = ast.column_refs(expr)
+        if ast.contains_aggregate(expr) or any(
+            ref.table is None and ref.name in self.aliases for ref in refs
+        ):
+            return None
+        row_getter = compile_expr(expr, self.rows)
+        if not refs:  # reads only genv[0], the state: no row needed
+            return row_getter
+        return lambda genv: row_getter(genv[3]) if genv[3] is not None else None
 
 
 def _describe_source(db: Any, ref: ast.TableRef, namespace: Optional[dict[str, Any]]) -> SourceDesc:
@@ -1407,8 +1457,11 @@ def plan_select(
     used = [False] * len(conjuncts)
     kind_rank = {TMP: 0, DERIVED: 1, STD: 2}
 
-    def indexed_alone(desc: SourceDesc, column: str) -> bool:
-        return desc.kind == STD and db.catalog.table(desc.name).index_on((column,)) is not None
+    def probed(desc: SourceDesc, columns: tuple[str, ...]) -> Any:
+        """The index a probe of ``desc`` on ``columns`` reads — a catalog
+        table's index on exactly those columns — or None: it cannot probe.
+        Presence, not truthiness: an empty table or index probes alike."""
+        return db.catalog.table(desc.name).index_on(columns) if desc.kind == STD else None
 
     def equalities(desc: SourceDesc):
         """(conjunct, side) per ``column = ...`` side on a column of ``desc``."""
@@ -1422,11 +1475,12 @@ def plan_select(
         # A local equality on an index probes; an equi-join that could probe
         # an index of ``desc`` says: join it *into* the pipeline, not first.
         local_eq = any(
-            conjunct.reads == {desc.binding} and not side.reads and indexed_alone(desc, side.column)
+            conjunct.reads == {desc.binding} and not side.reads
+            and probed(desc, (side.column,)) is not None
             for conjunct, side in equalities(desc)
         )
         probeable = any(
-            len(conjunct.reads) >= 2 and indexed_alone(desc, side.column)
+            len(conjunct.reads) >= 2 and probed(desc, (side.column,)) is not None
             for conjunct, side in equalities(desc)
         )
         return (kind_rank[desc.kind] - local_eq, int(probeable), desc.from_pos)
@@ -1451,15 +1505,9 @@ def plan_select(
                         keys.append((position, side))
                         break
             if keys:
-                # Scored as indexed when the first key column alone is, though
-                # only a full-key index is probed.  Presence, not truthiness:
-                # an empty table or index must not change the order.
-                columns = tuple(side.column for _position, side in keys)
-                table = db.catalog.table(desc.name) if desc.kind == STD else None
-                indexed = table is not None and (
-                    table.index_on(columns) is not None or table.index_on(columns[:1]) is not None
-                )
-                score = (-1 if indexed else 0, kind_rank[desc.kind], desc.from_pos)
+                # Scored as indexed exactly when the step will probe an index.
+                index = probed(desc, tuple(side.column for _position, side in keys))
+                score = (0 if index is None else -1, kind_rank[desc.kind], desc.from_pos)
                 if best is None or score < best[0]:
                     best = (score, desc, keys)
         if best is not None:
@@ -1540,7 +1588,7 @@ def plan_select(
         if keys:
             columns = tuple(column for column, _ in keys)
             probe_key = resolution.key([compile_expr(other, resolution) for _, other in keys])
-            if desc.kind == STD and db.catalog.table(desc.name).index_on(columns) is not None:
+            if probed(desc, columns) is not None:
                 steps.append(_IndexJoinStep(desc, columns, probe_key, residual))
             else:
                 build_key = resolution.key([resolution.column_of(desc, c)[0] for c in columns])
@@ -1557,14 +1605,8 @@ def plan_select(
 # --------------------------------------------------------------------------
 
 
-def _infer_type(expr: ast.Expr, order: list[SourceDesc], resolution: _SelectResolution) -> ColumnType:
+def _infer_type(expr: ast.Expr, resolution: _SelectResolution) -> ColumnType:
     if isinstance(expr, ast.ColumnRef):
-        if expr.table is None and expr.name == "commit_time":
-            for desc in order:
-                if desc.schema.has_column("commit_time"):
-                    break
-            else:
-                return ColumnType.TIME
         try:
             desc = resolution._find(expr.table, expr.name)
         except PlanError:
@@ -1586,30 +1628,30 @@ def _infer_type(expr: ast.Expr, order: list[SourceDesc], resolution: _SelectReso
         if expr.name == "count":
             return ColumnType.INT
         if expr.name in ("sum", "min", "max", "avg") and expr.args:
-            inner = _infer_type(expr.args[0], order, resolution)
+            inner = _infer_type(expr.args[0], resolution)
             return inner if expr.name != "avg" else ColumnType.REAL
         return ColumnType.REAL
     if isinstance(expr, ast.BinaryOp):
         if expr.op in ("and", "or", "=", "!=", "<", "<=", ">", ">="):
             return ColumnType.BOOL
-        left = _infer_type(expr.left, order, resolution)
-        right = _infer_type(expr.right, order, resolution)
+        left = _infer_type(expr.left, resolution)
+        right = _infer_type(expr.right, resolution)
         if expr.op != "/" and left is ColumnType.INT and right is ColumnType.INT:
             return ColumnType.INT
         return ColumnType.REAL
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "not":
             return ColumnType.BOOL
-        return _infer_type(expr.operand, order, resolution)
+        return _infer_type(expr.operand, resolution)
     if isinstance(expr, ast.IsNull):
         return ColumnType.BOOL
     return ColumnType.REAL
 
 
-def _default_name(expr: ast.Expr, index: int) -> str:
-    if isinstance(expr, ast.ColumnRef):
-        return expr.name
-    if isinstance(expr, ast.FuncCall):
+def default_name(expr: ast.Expr, index: int) -> str:
+    """An unaliased output's name — a column's or a function's own, else
+    ``col<index>`` — in a SELECT and a maintained view's backing table alike."""
+    if isinstance(expr, (ast.ColumnRef, ast.FuncCall)):
         return expr.name
     return f"col{index}"
 
@@ -1649,7 +1691,7 @@ def output_names(db: Any, select: ast.Select, shadowing: dict[str, Schema]) -> l
         desc.from_pos = from_pos
         descs.append(desc)
     return [
-        alias or _default_name(expr, index)
+        alias or default_name(expr, index)
         for index, (expr, alias) in enumerate(_expand_items(select, descs))
     ]
 
@@ -1664,8 +1706,8 @@ def _build_output(
     if not has_aggregate:
         columns = []
         for index, (expr, alias) in enumerate(items):
-            name = alias or _default_name(expr, index)
-            col_type = _infer_type(expr, order, resolution)
+            name = alias or default_name(expr, index)
+            col_type = _infer_type(expr, resolution)
             if isinstance(expr, ast.ColumnRef):
                 getter, ptr = resolution.resolve_output(expr.table, expr.name)
             else:
@@ -1688,104 +1730,23 @@ def _build_output(
         return _PlainOutput(columns, order_keys, select.limit, select.distinct, charge_free)
 
     # ---- aggregate output --------------------------------------------------
-    group_exprs = list(select.group_by)
-    group_getters = [compile_expr(expr, resolution) for expr in group_exprs]
-    agg_specs: list[_AggSpec] = []
-
-    alias_getters: dict[str, Getter] = {}
-
-    def compile_group_scoped(expr: ast.Expr) -> Getter:
-        """Compile an expression evaluated per *group* environment
-        ``(state, key_values, agg_values, representative_row_env)``."""
-        for key_index, group_expr in enumerate(group_exprs):
-            if expr == group_expr:
-                return lambda genv, k=key_index: genv[1][k]
-        if (
-            isinstance(expr, ast.ColumnRef)
-            and expr.table is None
-            and expr.name in alias_getters
-        ):
-            # Output-alias reference in HAVING / ORDER BY (a common SQL
-            # extension that paper-era systems also allowed).
-            return alias_getters[expr.name]
-        if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_NAMES:
-            if expr.star:
-                arg = None
-            elif len(expr.args) == 1:
-                arg = compile_expr(expr.args[0], resolution)
-            elif not expr.args and expr.name == "count":
-                arg = None
-            else:
-                raise PlanError(f"aggregate {expr.name.upper()} takes one argument")
-            slot = len(agg_specs)
-            agg_specs.append(_AggSpec(expr.name, arg, expr.distinct))
-            return lambda genv, s=slot: genv[2][s]
-        mentions_alias = any(
-            ref.table is None and ref.name in alias_getters
-            for ref in ast.column_refs(expr)
-        )
-        if not ast.contains_aggregate(expr) and not mentions_alias:
-            row_getter = compile_expr(expr, resolution)
-            # genv[3] is None for a global aggregate over empty input: a
-            # non-aggregated item then has no defining row and yields NULL.
-            return lambda genv: row_getter(genv[3]) if genv[3] is not None else None
-        if isinstance(expr, ast.BinaryOp):
-            left = compile_group_scoped(expr.left)
-            right = compile_group_scoped(expr.right)
-            from repro.sql.expressions import _ARITH, _COMPARE
-
-            if expr.op == "and":
-                return lambda genv: (
-                    False
-                    if left(genv) is False or right(genv) is False
-                    else (None if left(genv) is None or right(genv) is None else True)
-                )
-            if expr.op == "or":
-                return lambda genv: (
-                    True
-                    if left(genv) is True or right(genv) is True
-                    else (None if left(genv) is None or right(genv) is None else False)
-                )
-            fn = _ARITH.get(expr.op) or _COMPARE.get(expr.op)
-            if fn is None:
-                raise PlanError(f"unknown operator {expr.op!r}")
-            return lambda genv: fn(left(genv), right(genv))
-        if isinstance(expr, ast.UnaryOp):
-            inner = compile_group_scoped(expr.operand)
-            if expr.op == "-":
-                return lambda genv: None if (v := inner(genv)) is None else -v
-            return lambda genv: None if (v := inner(genv)) is None else not v
-        if isinstance(expr, ast.IsNull):
-            inner = compile_group_scoped(expr.operand)
-            if expr.negated:
-                return lambda genv: inner(genv) is not None
-            return lambda genv: inner(genv) is None
-        if isinstance(expr, ast.FuncCall):
-            fn, charge = resolution.resolve_function(expr.name)
-            arg_getters = [compile_group_scoped(arg) for arg in expr.args]
-
-            def _call(genv: Any) -> Any:
-                charge()
-                return fn(*[getter(genv) for getter in arg_getters])
-
-            return _call
-        raise PlanError(f"cannot compile aggregate expression {type(expr).__name__}")
-
+    group_getters = [compile_expr(expr, resolution) for expr in select.group_by]
+    groups = _GroupResolution(resolution, select.group_by)
     columns = []
     for index, (expr, alias) in enumerate(items):
-        name = alias or _default_name(expr, index)
-        col_type = _infer_type(expr, order, resolution)
-        getter = compile_group_scoped(expr)
-        alias_getters.setdefault(name, getter)
+        name = alias or default_name(expr, index)
+        col_type = _infer_type(expr, resolution)
+        getter = compile_expr(expr, groups)
+        groups.aliases.setdefault(name, getter)
         columns.append(OutputColumn(name, col_type, getter))
-    having = compile_group_scoped(select.having) if select.having is not None else None
+    having = compile_expr(select.having, groups) if select.having is not None else None
     order_keys = [
-        (_row_key(compile_group_scoped(item.expr)), item.descending) for item in select.order_by
+        (_row_key(compile_expr(item.expr, groups)), item.descending) for item in select.order_by
     ]
     return _AggregateOutput(
         columns,
         group_getters,
-        agg_specs,
+        groups.agg_specs,
         having,
         order_keys,
         select.limit,

@@ -72,7 +72,7 @@ from repro.core.rules import Rule
 from repro.core.transition import EXECUTE_ORDER
 from repro.errors import StripError
 from repro.sql import ast
-from repro.sql.planner import Conjunct, classify, column_source, combine
+from repro.sql.planner import Conjunct, classify, column_source, combine, default_name
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.temptable import generate
 from repro.views.advisor import MaintenanceAdvisor, MaintenanceProfile, MaintenanceReport
@@ -156,30 +156,14 @@ class MaintenancePlan:
 # --------------------------------------------------------------------------
 
 
-def _substitute_table(expr: ast.Expr, old: str, new: str) -> ast.Expr:
-    """Rewrite qualified column references ``old.c`` to ``new.c``."""
-    if isinstance(expr, ast.ColumnRef):
-        if expr.table == old:
-            return ast.ColumnRef(new, expr.name)
-        return expr
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _substitute_table(expr.left, old, new),
-            _substitute_table(expr.right, old, new),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _substitute_table(expr.operand, old, new))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_substitute_table(expr.operand, old, new), expr.negated)
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            tuple(_substitute_table(arg, old, new) for arg in expr.args),
-            expr.star,
-            expr.distinct,
-        )
-    return expr
+def _on_transition(expr: ast.Expr, base: ast.TableRef, transition: str) -> ast.Expr:
+    """``expr`` reading ``transition`` where it read ``base`` by qualified
+    name — an ``IN`` operand's references too (``ast.rebuild``)."""
+    return ast.rebuild(expr, lambda node: (
+        ast.ColumnRef(transition, node.name)
+        if isinstance(node, ast.ColumnRef) and node.table == base.binding
+        else None
+    ))
 
 
 def _delta_select(
@@ -193,11 +177,7 @@ def _delta_select(
     tables = tuple(
         ast.TableRef(transition, None) if ref is base else ref for ref in select.tables
     )
-    where = (
-        _substitute_table(select.where, base.binding, transition)
-        if select.where is not None
-        else None
-    )
+    where = _on_transition(select.where, base, transition) if select.where is not None else None
     return ast.Select(items=tuple(items), tables=tables, where=where)
 
 
@@ -213,9 +193,7 @@ def _analyze(select: ast.Select) -> dict:
     for index, item in enumerate(select.items):
         if isinstance(item, ast.StarItem):
             raise UnsupportedViewError("materialized views need explicit select items")
-        name = item.alias or (
-            item.expr.name if isinstance(item.expr, ast.ColumnRef) else f"col{index}"
-        )
+        name = item.alias or default_name(item.expr, index)  # the planner's output name
         expr = item.expr
         if ast.contains_aggregate(expr):
             if not (isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATE_NAMES):
@@ -252,14 +230,10 @@ def _analyze(select: ast.Select) -> dict:
 
 def _columns_of_table(exprs: Iterable[ast.Expr], binding: str, schema: Schema) -> set[str]:
     """Columns of the base table ``binding`` referenced by ``exprs``."""
-    out: set[str] = set()
-    for expr in exprs:
-        for ref in ast.column_refs(expr):
-            if ref.table == binding and schema.has_column(ref.name):
-                out.add(ref.name)
-            elif ref.table is None and schema.has_column(ref.name):
-                out.add(ref.name)
-    return out
+    return {
+        ref.name for expr in exprs for ref in ast.column_refs(expr)
+        if ref.table in (binding, None) and schema.has_column(ref.name)
+    }
 
 
 # --------------------------------------------------------------------------
@@ -378,7 +352,7 @@ def _mark_queries(
                 ast.SelectItem(ast.ColumnRef(source, anchor_map[k]), k) for k in key_names
             ]
             items.append(ast.SelectItem(ast.Literal(0), WILD_MARK))
-        moved = [_substitute_table(conj, base.binding, transition) for conj in kept]
+        moved = [_on_transition(conj, base, transition) for conj in kept]
         return ast.Select(
             items=tuple(items),
             tables=tuple(ast.TableRef(name, None) for name in tables) + joined,
@@ -709,10 +683,11 @@ class _ViewKind:
         # The key-restricted requery, built (and so planned) once per view:
         # the key values arrive as parameters, not as literals in the AST.
         self._key_params = [f"maint_key{i}" for i in range(len(keys))]
-        where = select.where
-        for expr, param in zip(self.key_exprs, self._key_params):
-            condition = ast.BinaryOp("=", expr, ast.Param(param))
-            where = condition if where is None else ast.BinaryOp("and", where, condition)
+        conditions = [
+            ast.BinaryOp("=", expr, ast.Param(param))
+            for expr, param in zip(self.key_exprs, self._key_params)
+        ]
+        where = combine(([select.where] if select.where is not None else []) + conditions)
         self._requery = replace(populate_select, where=where)
 
     def delta_items(self, base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
@@ -813,14 +788,14 @@ class _AggregateKind(_ViewKind):
 
     def delta_items(self, base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
         items = [
-            ast.SelectItem(_substitute_table(expr, base.binding, transition), name)
+            ast.SelectItem(_on_transition(expr, base, transition), name)
             for expr, name in self.groups
         ]
         for agg, name in self.aggs:
             if agg.star or not agg.args:
                 arg: ast.Expr = ast.Literal(1)
             else:
-                arg = _substitute_table(agg.args[0], base.binding, transition)
+                arg = _on_transition(agg.args[0], base, transition)
             items.append(ast.SelectItem(arg, f"arg_{name}"))
         items.append(ast.SelectItem(ast.ColumnRef(None, "commit_seq"), MAINT_SEQ))
         return items
@@ -940,7 +915,7 @@ class _ProjectionKind(_ViewKind):
 
     def delta_items(self, base: ast.TableRef, transition: str) -> list[ast.SelectItem]:
         out = [
-            ast.SelectItem(_substitute_table(expr, base.binding, transition), name)
+            ast.SelectItem(_on_transition(expr, base, transition), name)
             for expr, name in self.items
         ]
         # Ordering columns so the apply fold can replay the batch's events

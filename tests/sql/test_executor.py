@@ -158,6 +158,24 @@ class TestDml:
         db.execute("update emp set salary += 5 where name = 'eve'")
         assert db.query("select salary from emp where name = 'eve'").scalar() == 65.0
 
+    def test_update_increment_over_text_raises_the_typed_error(self, db):
+        """``col += e`` is ``col = col + e``: the arithmetic of every other
+        expression, whose error names the operator and the operand types."""
+        with pytest.raises(ExecutionError, match=r"^cannot apply \+ to str and int$"):
+            db.execute("update emp set name += 1 where name = 'eve'")
+        with pytest.raises(ExecutionError, match=r"^cannot apply - to str and int$"):
+            db.execute("update emp set dept -= 1")
+        assert db.query("select name from emp where dept = 'hr'").scalar() == "eve"
+
+    def test_a_column_assigned_twice_reads_the_old_row(self, db):
+        """Every right-hand side reads the row as it was before the
+        statement, and the last assignment of a column wins — as in sqlite3
+        (``set a = 5, a = a + 1`` over ``a = 1`` leaves 2)."""
+        db.execute("update emp set salary = 5, salary += 1 where name = 'eve'")
+        assert db.query("select salary from emp where name = 'eve'").scalar() == 61.0
+        db.execute("update emp set salary += 1, salary += 1 where name = 'eve'")
+        assert db.query("select salary from emp where name = 'eve'").scalar() == 62.0
+
     def test_update_all_rows(self, db):
         assert db.execute("update emp set salary = 0") == 5
 

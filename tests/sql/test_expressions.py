@@ -20,6 +20,9 @@ class _StubResolution:
         self.functions = functions or {}
         self.inline = Inline()
 
+    def resolve_subtree(self, expr):
+        return None
+
     def resolve_column(self, table, name):
         getter = lambda env, n=name: env[1][n]
         self.inline.text[getter] = f"row[{self.inline.const(name)}]"
@@ -84,10 +87,16 @@ class TestArithmetic:
         ("7 % d", {"d": "x"}, "cannot apply % to int and str"),
         ("-d", {"d": "x"}, "cannot apply unary - to str"),
         ("d + 1 = a", {"d": "x", "a": 1}, "cannot apply + to str and int"),
+        ("d * 2", {"d": "x"}, "cannot apply * to str and int"),
+        ("2 * d", {"d": "x"}, "cannot apply * to int and str"),
+        ("'x' + 'y'", None, "cannot apply + to str and str"),
+        ("d + d", {"d": "x"}, "cannot apply + to str and str"),
+        ("d % 2", {"d": "%d"}, "cannot apply % to str and int"),
     ])
     def test_operands_python_refuses_raise_one_typed_error(self, sql, row, message):
         """The closure and the source form raise the same ExecutionError,
-        naming the operator and the operand types, never a bare TypeError."""
+        naming the operator and the operand types, never a bare TypeError —
+        nor a value where Python would join, repeat or format text."""
         with pytest.raises(ExecutionError) as raised:
             evaluate(sql, row)
         assert str(raised.value) == message

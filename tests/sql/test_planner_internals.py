@@ -223,6 +223,30 @@ def test_join_order_does_not_depend_on_emptiness():
     assert plan_of(False) == plan_of(True) == expected
 
 
+@pytest.mark.parametrize("index, expected", [
+    ("c (k)", (["a", "b", "c"], [_ScanStep, _HashJoinStep, _HashJoinStep])),
+    ("c (k, w)", (["a", "c", "b"], [_ScanStep, _IndexJoinStep, _HashJoinStep])),
+], ids=["first-key-column", "full-key"])
+def test_a_join_scores_as_indexed_exactly_when_it_probes_an_index(index, expected):
+    """``c`` joins on ``(k, w)``.  An index on ``k`` alone cannot serve that
+    probe, so ``c`` is scored like the unindexed ``b`` and joins after it, by
+    hash; an index on ``(k, w)`` puts ``c`` first, as an index join."""
+    db = Database()
+    db.execute_script(
+        f"""
+        create table a (k int, w int);
+        create table b (k int);
+        create table c (k int, w int);
+        create index c_k on {index};
+        """
+    )
+    plan = plan_for(
+        db, "select a.k from a, b, c where b.k = a.k and c.k = a.k and c.w = a.w"
+    )
+    order = [desc.binding for desc in plan.sources]
+    assert (order, [type(step) for step in plan.steps]) == expected
+
+
 class TestBindingProvenance:
     def test_rule_binding_reuses_schema_across_firings(self, db):
         """BindSpec sharing: two firings of one rule produce bound tables

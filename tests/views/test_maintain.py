@@ -137,6 +137,18 @@ class TestAggregateViews:
         assert db.query("select lo from v where a = 'g1'").scalar() == 0.5
 
 
+    @pytest.mark.parametrize("strategy", ["incremental", "dred", "recompute"])
+    def test_an_unaliased_aggregate_keeps_the_planner_name(self, db, strategy):
+        """``sum(b)`` without an alias is the backing column ``sum``, and the
+        maintenance rules bind and fold it under that name too."""
+        db.execute("create view v as select a, sum(b) from x group by a")
+        materialize(db, "v", maintenance=strategy)
+        db.execute("insert into x values ('g1', 10.0), ('g3', 7.0)")
+        db.execute("delete from x where b = 5.0")
+        db.drain()
+        assert sorted(db.query("select a, sum from v").rows()) == [["g1", 13.0], ["g3", 7.0]]
+
+
 class TestProjectionViews:
     def setup_join(self, db):
         db.execute_script(

@@ -278,3 +278,38 @@ def test_only_a_commit_firing_two_rules_of_one_view_is_recorded_as_paired():
         "maintain_position_values": paired, "maintain_symbol_exposure": paired,
     }
     _check(db)
+
+
+#: A projection filtered by an ``IN`` subquery over the other table.  The
+#: delta queries rewrite ``positions.symbol`` inside the ``IN`` operand too;
+#: only ``positions`` gets a rule (the view's FROM), so the streams change
+#: positions alone.
+HELD = (
+    "select pos_id, positions.shares as shares from positions "
+    "where positions.symbol in (select symbol from stocks)"
+)
+
+
+@pytest.mark.parametrize("strategy", ["incremental", "dred", "recompute"])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps=st.lists(st.lists(position_op, min_size=1, max_size=3), min_size=1, max_size=5))
+def test_a_view_qualifying_an_in_operand_is_maintained(strategy, steps):
+    db = Database()
+    for statement in SCHEMA:
+        db.execute(statement)
+    txn = db.begin()
+    for at, symbol in enumerate(SYMBOLS[:3]):
+        txn.insert("stocks", [symbol, 10.0 + at])
+    for at in range(6):
+        txn.insert("positions", [f"P{at}", SYMBOLS[at % 4], float(at + 1)])
+    txn.commit()
+    db.execute(f"create view held as {HELD}")
+    materialize(db, "held", key=("pos_id",), maintenance=strategy)
+    opened = [6]
+    for step in steps:
+        _apply(db, step, opened)
+    db.drain()
+    held = db.query("select pos_id, shares from held").rows()
+    assert _same_multiset(held, _oracle(db, HELD), 1, null_as_zero=False), (
+        sorted(held, key=repr), sorted(_oracle(db, HELD), key=repr)
+    )
